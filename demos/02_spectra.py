@@ -1,8 +1,8 @@
 """Laplacian spectra: full flag, symmetric base, and fiber.
 
-The flag spectrum is enumerated from the class-one eigenvalue
-polynomial under a cutoff, with completeness certified by a lower bound
-on the quadratic part.  Base spectra carry exact Weyl-dimension
+The flag spectrum is enumerated from the Casimir values of the
+class-one weights under a cutoff, with completeness certified by a
+lower bound on the quadratic part.  Base spectra carry exact Weyl-dimension
 multiplicities; these are the only multiplicities the Morse index ever
 needs.
 
@@ -46,14 +46,14 @@ print("fiber of G2/T (a product of two spheres):",
       [str(e.value) for e in fiber_spectrum(fib, Fraction(4))])
 
 # Two catalogued statements do not survive recomputation.  The reports
-# below show both sides; the library always computes from the formula
-# that reproduces first eigenvalue 1 on the base.
+# below show every side; the library always computes from the Casimir.
 print()
 report = cn_first_eigenvalue_report(3)
-print("sp flag first eigenvalue: formula gives {} at {}, catalogued "
-      "statement says {} (consistent: {})".format(
+print("sp flag first eigenvalue: Casimir gives {} at {}, catalogued "
+      "polynomial {} at {}, catalogued statement says {}".format(
+          report["casimir_min"], report["casimir_argmin"],
           report["formula_min"], report["formula_argmin"],
-          report["stated"], report["consistent"]))
+          report["stated"]))
 
 report = bn_dominance_row_report(4)
 print("so-odd dominance system accepts {} -> {}, actual dominance -> {}"

@@ -18,10 +18,10 @@ from .bifurcation import (cross_check_closed_forms, degeneracy_instants,
                           rigidity_threshold)
 from .curvature import scal_closed_form, scal_wz, su_triple_census
 from .fibration import FAMILY_KEYS, FibrationFamily, build_fibration
-from .spectra import (base_spectrum, base_spectrum_first,
+from .spectra import (_first_entries, base_spectrum, base_spectrum_first,
                       bn_dominance_row_report, cn_first_eigenvalue_report,
                       fiber_spectrum, flag_minimum, flag_spectrum)
-from .variation import gap_certificate, normalized_scal
+from .variation import _beta1, gap_certificate, normalized_scal
 
 _ALIASES = {"a": "su", "b": "so-odd", "c": "sp", "d": "so-even", "g": "g2"}
 _DEFAULT_N = {"su": 2, "so-odd": 2, "sp": 3, "so-even": 4, "g2": 2}
@@ -47,7 +47,9 @@ _LEDGER = {
         "the identity holds there and fails for n>=4; assembled "
         "coefficients are used throughout",
         "catalogued instant-sequence radicand is 4x the derived value "
-        "for every index past the first; the threshold formula agrees",
+        "for every index past the first; the threshold formula agrees "
+        "only at n=2, since for n>=4 it is the instant of the catalogued "
+        "scalar curvature",
         "one catalogued dominance row of the flag eigenvalue system "
         "drops a minus sign; witness (1,1,1,3) at rank 4 passes the "
         "catalogued system yet is not dominant",
@@ -57,9 +59,11 @@ _LEDGER = {
         "base dimension where the assembly forces the horizontal "
         "summand count (half of it); assembled coefficients are used "
         "throughout",
-        "catalogued first flag eigenvalue (4n-1)/(4(n+1)) disagrees "
-        "with the minimum 1 of the catalogued eigenvalue polynomial, "
-        "attained at (1,2,...,2,1)",
+        "catalogued first flag eigenvalue (4n-1)/(4(n+1)) matches "
+        "neither the minimum 1 of the catalogued eigenvalue polynomial "
+        "nor the Casimir minimum n/(n+1), both attained at (1,2,...,2,1); "
+        "the catalogued polynomial halves the Casimir's p_{n-1}p_n cross "
+        "term, and the Casimir values are used throughout",
     ],
     "so-even": [
         "catalogued scalar-curvature t^2 coefficient equals the full "
@@ -80,17 +84,10 @@ _LEDGER = {
 _FLAG_MIN = {
     "su": lambda n: Fraction(1),
     "so-odd": lambda n: Fraction(n, 2 * n - 1),
-    "sp": lambda n: Fraction(1),
+    # <e1+e2, e1+e2+2*delta> = 4n, times the C_n scale 1/(4(n+1)).
+    "sp": lambda n: Fraction(n, n + 1),
     "so-even": lambda n: Fraction(1),
     "g2": lambda n: Fraction(1, 2),
-}
-
-_BASE_MIN = {
-    "su": lambda n: Fraction(1),
-    "so-odd": lambda n: Fraction(n, 2 * n - 1),
-    "sp": lambda n: Fraction(1),
-    "so-even": lambda n: Fraction(1),
-    "g2": lambda n: Fraction(7, 6),
 }
 
 
@@ -133,16 +130,6 @@ def _csv_text(header, rows):
 
 def _json_text(payload):
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _first_values(fetch, count):
-    """First ``count`` distinct values from a cutoff-limited spectrum."""
-    cutoff = Fraction(8)
-    while True:
-        values = [e.value for e in fetch(cutoff)]
-        if len(values) >= count:
-            return values[:count]
-        cutoff *= 2
 
 
 def _parse_window(args):
@@ -278,11 +265,11 @@ def cmd_morse(args):
 def _figure_series(fib, poly, t_min, t_max, steps=120):
     """Grid columns for the plot: t, scal/(m-1), constants, curves."""
     norm = normalized_scal(fib, poly)
-    constants = _first_values(
-        lambda c: base_spectrum(fib.family, c), 6)
-    mus = _first_values(
-        lambda c: flag_spectrum(fib.family.root_family, c), 6)
-    phis = _first_values(lambda c: fiber_spectrum(fib, c), 6)
+    constants = [e.value for e in base_spectrum_first(fib.family, 6)]
+    mus = [e.value for e in _first_entries(
+        lambda c: flag_spectrum(fib.family.root_family, c), 6)]
+    phis = [e.value for e in _first_entries(
+        lambda c: fiber_spectrum(fib, c), 6)]
     names = ["t", "scal_over_m_minus_1"]
     names += ["const_{}".format(k) for k in range(1, 7)]
     pairs = [(k, j) for k in range(1, 7) for j in range(1, k + 1)]
@@ -397,14 +384,19 @@ def cmd_figure(args):
     return 0
 
 
-def _expected_cross_check(kind, report):
-    """The agreement pattern the catalogued formulas are known to have."""
+def _expected_cross_check(kind, n, report):
+    """The agreement pattern the catalogued formulas are known to have.
+
+    The catalogued so-odd threshold is the instant solved from the
+    catalogued scalar curvature, so it agrees exactly where that does.
+    """
     if kind == "su":
         return all(row["agree"] for row in report)
     if kind == "so-odd":
         head = [row for row in report if row["label"] == (1,)]
         tail = [row for row in report if row["label"] != (1,)]
-        return (all(row["agree"] for row in head)
+        return (all(row["agree"] == _scal_identity_expected(kind, n)
+                    for row in head)
                 and all(not row["agree"] for row in tail))
     if kind == "g2":
         return all(row["agree"] == (row["label"][0] * row["label"][1] == 0)
@@ -445,7 +437,7 @@ def _verify_family(fib, lines):
                    == _FLAG_MIN[kind](n)))
     checks.append(("base-minimum",
                    base_spectrum_first(fib.family, 1)[0].value
-                   == _BASE_MIN[kind](n)))
+                   == _beta1(fib)))
     checks.append(("gap-certificate", gap_certificate(fib, poly)["holds"]))
 
     threshold = rigidity_threshold(fib, poly)
@@ -472,12 +464,15 @@ def _verify_family(fib, lines):
 
     report = cross_check_closed_forms(fib.family, instants)
     checks.append(("closed-form-cross-check",
-                   _expected_cross_check(kind, report)))
+                   _expected_cross_check(kind, n, report)))
 
     if kind == "sp":
         cn = cn_first_eigenvalue_report(n)
         checks.append(("sp-first-eigenvalue-discrepancy",
-                       cn["formula_min"] == 1 and not cn["consistent"]))
+                       cn["formula_min"] == 1
+                       and cn["casimir_min"] == _FLAG_MIN[kind](n)
+                       and cn["stated"] not in (cn["formula_min"],
+                                                cn["casimir_min"])))
     if kind == "so-odd":
         bn = bn_dominance_row_report(max(n, 4))
         checks.append(("dominance-row-witness",

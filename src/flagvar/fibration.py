@@ -89,7 +89,8 @@ def _base_and_fiber_ids(family):
 def _vertical_set(family, rs):
     kind, n = family.kind, family.n
     if kind == "g2":
-        return {(Fraction(1), Fraction(1)), (Fraction(1), Fraction(3))}
+        # a + b and 3a + b, with a the short and b the long simple root.
+        return {(1, -1, 0), (1, 1, -2)}
     vertical = set()
     for root in rs.positive_roots:
         if kind == "su":

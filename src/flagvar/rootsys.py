@@ -1,12 +1,14 @@
-"""Root systems A_n, B_n, C_n, D_n and G2 over exact rationals.
+"""Root systems A_n, B_n, C_n, D_n and G2 on an integer lattice.
 
-Coordinates are ambient: A_n lives in the sum-zero hyperplane of n+1
-coordinates, B/C/D use n coordinates, and G2 is written in the basis of
-its two simple roots (long root first).  The inner product is the dual
-Cartan-Killing form, normalized so the highest root theta satisfies
-<theta, theta> = 1/h_vee with h_vee the dual Coxeter number.  That choice
-makes every eigenvalue formula downstream come out with its familiar
-denominator.
+Every root has integer ambient coordinates: A_n lives in the sum-zero
+hyperplane of Z^(n+1), B/C/D in Z^n, and G2 in the sum-zero plane of
+Z^3 with simple roots (0, 1, -1) (short) and (1, -2, 1) (long), the
+embedding ``sympy.liealgebras`` uses.  The inner product is the dual
+Cartan-Killing form: one rational scale times the integer dot product,
+with the scale 1/(h_vee * max |alpha|^2) so that the highest root theta
+satisfies <theta, theta> = 1/h_vee, h_vee the dual Coxeter number.
+That choice makes every eigenvalue formula downstream come out with its
+familiar denominator.
 
 Only squared structure constants are ever computed; signs would require
 committing to a Chevalley convention and nothing here needs them.
@@ -14,6 +16,7 @@ committing to a Chevalley convention and nothing here needs them.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 KINDS = ("A", "B", "C", "D", "G2")
@@ -53,21 +56,9 @@ class FamilyTag:
 
 @dataclass(frozen=True)
 class CKForm:
-    """Dual Cartan-Killing form on the ambient coordinate space.
+    """Dual Cartan-Killing form: ``scale`` times the Euclidean dot product."""
 
-    For the classical families the form is scale times the Euclidean dot
-    product and ``scale`` is set.  G2 coordinates are simple-root
-    coefficients, which are not orthogonal, so only the Gram matrix is
-    meaningful there and ``scale`` is None.
-    """
-
-    gram: tuple
-    dual_coxeter: int
-    scale: Fraction = None
-
-
-def _unit(i, dim):
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
+    scale: Fraction
 
 
 def _vec_sub(a, b):
@@ -82,9 +73,8 @@ def _vec_neg(a):
     return tuple(-x for x in a)
 
 
-def _scaled_identity(dim, scale):
-    return tuple(tuple(scale if i == j else Fraction(0) for j in range(dim))
-                 for i in range(dim))
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -94,25 +84,24 @@ class RootSystem:
     simple_roots: tuple
     ck: CKForm
 
-    def all_roots(self):
-        return set(self.positive_roots) | {_vec_neg(r) for r in self.positive_roots}
+    @cached_property
+    def roots(self):
+        """Every root, positive and negative, built once."""
+        return frozenset(self.positive_roots) | {
+            _vec_neg(r) for r in self.positive_roots}
 
 
 def build_root_system(family):
     """Construct positive roots, simple roots and the normalized form."""
     kind, n = family.kind, family.rank
-    h_vee = family.dual_coxeter
 
+    dim = n + 1 if kind == "A" else n
+    e = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
     if kind == "A":
-        dim = n + 1
-        e = [_unit(i, dim) for i in range(dim)]
         positive = [_vec_sub(e[i], e[j])
                     for i, j in combinations(range(dim), 2)]
         simple = [_vec_sub(e[i], e[i + 1]) for i in range(n)]
-        scale = Fraction(1, 2 * (n + 1))
     elif kind in ("B", "C", "D"):
-        dim = n
-        e = [_unit(i, dim) for i in range(dim)]
         positive = []
         for i, j in combinations(range(n), 2):
             positive.append(_vec_sub(e[i], e[j]))
@@ -121,53 +110,40 @@ def build_root_system(family):
         if kind == "B":
             positive.extend(e)
             simple.append(e[n - 1])
-            scale = Fraction(1, 2 * (2 * n - 1))
         elif kind == "C":
             positive.extend(_vec_add(v, v) for v in e)
             simple.append(_vec_add(e[n - 1], e[n - 1]))
-            scale = Fraction(1, 4 * (n + 1))
         else:
             simple.append(_vec_add(e[n - 2], e[n - 1]))
-            scale = Fraction(1, 4 * (n - 1))
-    else:  # G2, coordinates in the simple-root basis, alpha1 long
-        positive = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-                    (Fraction(1), Fraction(1)), (Fraction(1), Fraction(2)),
-                    (Fraction(1), Fraction(3)), (Fraction(2), Fraction(3))]
+    else:  # G2: a, b, a+b, 2a+b, 3a+b, 3a+2b with a short, b long
+        positive = [(0, 1, -1), (1, -2, 1), (1, -1, 0), (1, 0, -1),
+                    (1, 1, -2), (2, -1, -1)]
         simple = positive[:2]
-        gram = ((Fraction(1, 4), Fraction(-1, 8)),
-                (Fraction(-1, 8), Fraction(1, 12)))
-        ck = CKForm(gram=gram, dual_coxeter=h_vee, scale=None)
-        return RootSystem(family, tuple(positive), tuple(simple), ck)
 
-    gram = _scaled_identity(dim, scale)
-    ck = CKForm(gram=gram, dual_coxeter=h_vee, scale=scale)
+    longest = max(_dot(r, r) for r in positive)
+    ck = CKForm(scale=Fraction(1, family.dual_coxeter * longest))
     return RootSystem(family, tuple(positive), tuple(simple), ck)
 
 
 def ck_inner(ck, u, v):
-    """Evaluate the normalized form on two coordinate vectors."""
-    if len(u) != len(v) or len(u) != len(ck.gram):
+    """Evaluate the normalized form on two coordinate vectors.
+
+    Roots are integer tuples; weights may carry Fraction coordinates.
+    """
+    if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        row = ck.gram[i]
-        for j, vj in enumerate(v):
-            if vj != 0:
-                total += ui * row[j] * vj
-    return total
+    return ck.scale * _dot(u, v)
 
 
-def root_string(positive_roots, alpha, beta):
+def root_string(rs, alpha, beta):
     """The alpha-string through beta: largest p, q with beta - p*alpha
-    and beta + q*alpha both roots.
+    and beta + q*alpha both roots of ``rs``.
 
     Undefined (and rejected) for beta = +-alpha.
     """
     if beta == alpha or beta == _vec_neg(alpha):
         raise ValueError("root string through +-alpha is undefined")
-    roots = set(positive_roots) | {_vec_neg(r) for r in positive_roots}
+    roots = rs.roots
     if alpha not in roots or beta not in roots:
         raise ValueError("arguments must be roots")
     p = 0
@@ -189,13 +165,7 @@ def structure_constant_sq(rs, alpha, beta):
     Zero when alpha + beta is not a root; otherwise q*(p+1)*<a,a>/2 with
     (p, q) the alpha-string through beta.
     """
-    target = _vec_add(alpha, beta)
-    if target not in rs.all_roots():
+    if _vec_add(alpha, beta) not in rs.roots:
         return Fraction(0)
-    p, q = root_string(rs.positive_roots, alpha, beta)
+    p, q = root_string(rs, alpha, beta)
     return Fraction(q * (p + 1), 2) * ck_inner(rs.ck, alpha, alpha)
-
-
-def long_root(rs):
-    """Some root of maximal squared length (the normalization witness)."""
-    return max(rs.positive_roots, key=lambda r: ck_inner(rs.ck, r, r))

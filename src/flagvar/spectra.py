@@ -1,19 +1,22 @@
 """Laplacian spectra: flag totals, symmetric bases, and fibers.
 
-Flag-manifold spectra come from the class-one eigenvalue polynomials in
-the simple-root coefficients (p_1, ..., p_l), p_i >= 1, restricted to
-dominant weights.  Completeness of the enumeration under a cutoff is
-guaranteed by a certified lower bound on the smallest eigenvalue of the
-quadratic part.  Base spectra use the closed forms for the projective
-space and even sphere, and weight enumeration over the spherical
-generator basis for the other three bases, always with Weyl-dimension
-multiplicities.
+Every flag-manifold eigenvalue is the Casimir value <lam, lam + 2*delta>
+of a dominant class-one weight lam = sum p_i*alpha_i, p_i >= 1.  With G
+the integer Gram matrix of the simple roots that is the CK scale times
+p'Gp + sum G_ii p_i, one quadratic form per family.  Completeness of the
+enumeration under a cutoff is guaranteed by a certified lower bound on
+the smallest eigenvalue of G.  Base spectra use the closed forms for the
+projective space and even sphere, and weight enumeration over the
+spherical generator basis for the other three bases, always with
+Weyl-dimension multiplicities.
 
-Two catalogued inconsistencies are surfaced (never silently fixed):
-the sp-family flag polynomial attains 1 while the catalogued first
-eigenvalue says (4n-1)/(4(n+1)), and the catalogued dominance system
-for the so-odd flag has a sign slip in one row.  See
-``cn_first_eigenvalue_report`` and ``bn_dominance_row_report``.
+Two catalogued inconsistencies are surfaced (never silently fixed).
+The catalogued sp-family flag polynomial halves the Casimir's
+p_{n-1} p_n cross term, so its minimum is 1 where the Casimir minimum is
+n/(n+1), and the catalogued first eigenvalue (4n-1)/(4(n+1)) is neither.
+The catalogued dominance system for the so-odd flag has a sign slip in
+one row.  See ``cn_first_eigenvalue_report`` and
+``bn_dominance_row_report``.
 """
 
 from dataclasses import dataclass
@@ -118,103 +121,44 @@ def _weyl_dim_ambient(family, lam):
 # ---------------------------------------------------------------------------
 # Flag (total space) spectra.
 
-def flag_mu(family, p):
-    """Class-one eigenvalue polynomial, catalogued per family.
+@lru_cache(maxsize=None)
+def _simple_gram(family):
+    """Integer Gram matrix G of the simple roots under the dot product."""
+    simple = _root_system(family).simple_roots
+    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in simple)
+                 for a in simple)
 
-    The sp-family (kind C) polynomial is kept exactly as catalogued even
-    though it differs from the Casimir value of the same weight; the
-    discrepancy is reported by cn_first_eigenvalue_report.
+
+def _form_value(gram, p):
+    """p'Gp + sum G_ii p_i, the integer numerator of a class-one value."""
+    return sum(pi * (sum(g * pj for g, pj in zip(row, p)) + row[i])
+               for i, (pi, row) in enumerate(zip(p, gram)))
+
+
+def flag_mu(family, p):
+    """Casimir value <lam, lam + 2*delta> of lam = sum p_i*alpha_i.
+
+    Since <alpha_i, 2*delta> = |alpha_i|^2, this is the CK scale times
+    p'Gp + sum G_ii p_i, with G the integer simple-root Gram matrix.
     """
-    kind, n = family.kind, family.rank
-    if len(p) != n:
-        raise ValueError("expected {} coefficients".format(n))
+    if len(p) != family.rank:
+        raise ValueError("expected {} coefficients".format(family.rank))
     if any(x < 1 for x in p):
         raise ValueError("class-one coefficients must be >= 1")
-    if kind == "A":
-        inner = (sum(x * x for x in p)
-                 - sum(p[i] * p[i + 1] for i in range(n - 1))
-                 + sum(p))
-        return Fraction(inner, n + 1)
-    if kind == "B":
-        inner = (2 * sum(x * x for x in p[:-1]) + p[-1] ** 2
-                 - 2 * sum(p[i] * p[i + 1] for i in range(n - 1))
-                 + 2 * sum(p[:-1]) + p[-1])
-        return Fraction(inner, 4 * n - 2)
-    if kind == "C":
-        inner = (sum(x * x for x in p[:-1]) + 2 * p[-1] ** 2
-                 - sum(p[i] * p[i + 1] for i in range(n - 2))
-                 - p[-2] * p[-1]
-                 + sum(p[:-1]) + 2 * p[-1])
-        return Fraction(inner, 2 * (n + 1))
-    if kind == "D":
-        inner = (sum(x * x for x in p)
-                 - sum(p[i] * p[i + 1] for i in range(n - 2))
-                 - p[-3] * p[-1]
-                 + sum(p))
-        return Fraction(inner, 2 * (n - 1))
-    # G2; the catalogued coefficients are short-root-first.
-    p1, p2 = p
-    inner = p1 * p1 + 3 * p2 * p2 - 3 * p1 * p2 + p1 + 3 * p2
-    return Fraction(inner, 12)
+    return _root_system(family).ck.scale * _form_value(_simple_gram(family), p)
 
 
 def class_one_weight(family, p):
-    """Ambient weight for coefficients p (G2 swaps to long-first order)."""
-    rs = _root_system(family)
-    if family.kind == "G2":
-        coeffs = (p[1], p[0])
-    else:
-        coeffs = p
-    dim = len(rs.simple_roots[0])
-    return tuple(sum(c * alpha[k] for c, alpha in zip(coeffs, rs.simple_roots))
-                 for k in range(dim))
+    """Ambient weight sum p_i*alpha_i."""
+    simple = _root_system(family).simple_roots
+    return tuple(sum(c * alpha[k] for c, alpha in zip(p, simple))
+                 for k in range(len(simple[0])))
 
 
 def is_dominant_class_one(family, p):
-    """Dominance of the weight sum p_i*alpha_i, checked on simple roots."""
-    rs = _root_system(family)
-    lam = class_one_weight(family, p)
-    for alpha in rs.simple_roots:
-        if 2 * ck_inner(rs.ck, lam, alpha) < 0:
-            return False
-    return True
-
-
-def _quadratic_data(family):
-    """(matrix, linear, denominator) of the numerator of flag_mu."""
-    kind, n = family.kind, family.rank
-    half = Fraction(1, 2)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    if kind == "A":
-        for i in range(n):
-            m[i][i] = Fraction(1)
-        for i in range(n - 1):
-            m[i][i + 1] = m[i + 1][i] = -half
-        return m, [Fraction(1)] * n, n + 1
-    if kind == "B":
-        for i in range(n - 1):
-            m[i][i] = Fraction(2)
-        m[n - 1][n - 1] = Fraction(1)
-        for i in range(n - 1):
-            m[i][i + 1] = m[i + 1][i] = Fraction(-1)
-        return m, [Fraction(2)] * (n - 1) + [Fraction(1)], 4 * n - 2
-    if kind == "C":
-        for i in range(n - 1):
-            m[i][i] = Fraction(1)
-        m[n - 1][n - 1] = Fraction(2)
-        for i in range(n - 2):
-            m[i][i + 1] = m[i + 1][i] = -half
-        m[n - 2][n - 1] = m[n - 1][n - 2] = -half
-        return m, [Fraction(1)] * (n - 1) + [Fraction(2)], 2 * (n + 1)
-    if kind == "D":
-        for i in range(n):
-            m[i][i] = Fraction(1)
-        for i in range(n - 2):
-            m[i][i + 1] = m[i + 1][i] = -half
-        m[n - 3][n - 1] = m[n - 1][n - 3] = -half
-        return m, [Fraction(1)] * n, 2 * (n - 1)
-    m = [[Fraction(1), Fraction(-3, 2)], [Fraction(-3, 2), Fraction(3)]]
-    return m, [Fraction(1), Fraction(3)], 12
+    """Dominance of the weight sum p_i*alpha_i: (Gp)_j >= 0 for every j."""
+    return all(sum(g * x for g, x in zip(row, p)) >= 0
+               for row in _simple_gram(family))
 
 
 def _schur_forms(matrix):
@@ -238,61 +182,81 @@ def _schur_forms(matrix):
     return forms
 
 
+def _class_one_values(family, gram, cutoff, mu):
+    """Dominant p >= 1 with mu(p) <= cutoff, as {value: [p, ...]}.
+
+    mu(p) must be the family's CK scale times p'Gp + sum G_ii p_i for
+    the positive definite integer form ``gram``.  Completeness: a
+    certified lower bound on G's least eigenvalue caps every coordinate,
+    and each prefix is kept only if the exact minimum of the quadratic
+    part over real completions (Schur complement) plus the forced linear
+    contribution still fits under the cutoff.
+    """
+    n = family.rank
+    limit = cutoff / _root_system(family).ck.scale
+    linear = [gram[i][i] for i in range(n)]
+    budget = limit - sum(linear)
+    found = {}
+    if budget < 0:
+        return found
+    lam_lo = min_eigenvalue_lower_bound(gram)
+    bound_sq = budget / lam_lo
+    p_max = isqrt(bound_sq.numerator // bound_sq.denominator)
+    schur = _schur_forms(gram)
+    tail_linear = [sum(linear[k:]) for k in range(n + 1)]
+
+    def recurse(prefix):
+        if len(prefix) == n:
+            p = tuple(prefix)
+            value = mu(p)
+            if value <= cutoff and is_dominant_class_one(family, p):
+                found.setdefault(value, []).append(p)
+            return
+        for nxt in range(1, p_max + 1):
+            candidate = prefix + [nxt]
+            # The quadratic part of the full vector dominates lam_lo
+            # times the sum of squares of any prefix, so this prune
+            # loses nothing.
+            if lam_lo * sum(x * x for x in candidate) > budget:
+                break
+            k = len(candidate)
+            form = schur[k]
+            q_min = sum(form[i][j] * candidate[i] * candidate[j]
+                        for i in range(k) for j in range(k))
+            fixed = sum(linear[i] * candidate[i] for i in range(k))
+            # No completion with p_j >= 1 can beat this value, but it is
+            # not monotone in the last coordinate: skip, not break.
+            if q_min + fixed + tail_linear[k] > limit:
+                continue
+            recurse(candidate)
+
+    recurse([])
+    return found
+
+
 def flag_spectrum(family, cutoff):
     """All class-one eigenvalues <= cutoff, one entry per distinct value.
 
-    Completeness: the numerator is a positive definite quadratic form Q
-    plus a positive linear form.  A certified lower bound on Q's least
-    eigenvalue caps every coordinate, and each prefix is kept only if
-    the exact minimum of Q over real completions (Schur complement)
-    plus the forced linear contribution still fits under the cutoff.
     Multiplicities are not computed (mult_known is False, mult = 1).
     """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    n = family.rank
-    matrix, linear, den = _quadratic_data(family)
-    budget = cutoff * den - sum(linear)
-    found = {}
-    if budget >= 0:
-        lam_lo = min_eigenvalue_lower_bound(matrix)
-        bound_sq = budget / lam_lo
-        p_max = isqrt(bound_sq.numerator // bound_sq.denominator)
-        schur = _schur_forms(matrix)
-        tail_linear = [sum(linear[k:]) for k in range(n + 1)]
-        limit = cutoff * den
+    found = _class_one_values(family, _simple_gram(family), cutoff,
+                              lambda p: flag_mu(family, p))
+    return [SpectrumEntry(value=v, mult=1, origin="total",
+                          label=tuple(ps), mult_known=False)
+            for v, ps in sorted(found.items())]
 
-        def recurse(prefix):
-            if len(prefix) == n:
-                p = tuple(prefix)
-                value = flag_mu(family, p)
-                if value <= cutoff and is_dominant_class_one(family, p):
-                    found.setdefault(value, []).append(p)
-                return
-            for nxt in range(1, p_max + 1):
-                candidate = prefix + [nxt]
-                # Q of the full vector dominates lam_lo times the sum of
-                # squares of any prefix, so this prune loses nothing.
-                if lam_lo * sum(x * x for x in candidate) > budget:
-                    break
-                k = len(candidate)
-                form = schur[k]
-                q_min = sum(form[i][j] * candidate[i] * candidate[j]
-                            for i in range(k) for j in range(k))
-                fixed = sum(linear[i] * candidate[i] for i in range(k))
-                # No completion with p_j >= 1 can beat this value, but
-                # it is not monotone in the last coordinate: skip, not
-                # break.
-                if q_min + fixed + tail_linear[k] > limit:
-                    continue
-                recurse(candidate)
 
-        recurse([])
-    entries = [SpectrumEntry(value=v, mult=1, origin="total",
-                             label=tuple(ps), mult_known=False)
-               for v, ps in sorted(found.items())]
-    return entries
+def _first_entries(fetch, count, cutoff=Fraction(8)):
+    """First ``count`` entries of fetch(cutoff), doubling the cutoff
+    until that many appear."""
+    while True:
+        entries = fetch(cutoff)
+        if len(entries) >= count:
+            return entries[:count]
+        cutoff *= 2
 
 
 @lru_cache(maxsize=None)
@@ -302,12 +266,8 @@ def flag_minimum(family):
     The all-ones point seeds the cutoff; it need not be dominant, so
     the first sweep may come back empty, and the cutoff then doubles.
     """
-    cutoff = flag_mu(family, (1,) * family.rank)
-    while True:
-        entries = flag_spectrum(family, cutoff)
-        if entries:
-            return entries[0]
-        cutoff *= 2
+    return _first_entries(lambda c: flag_spectrum(family, c), 1,
+                          flag_mu(family, (1,) * family.rank))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +321,7 @@ def kramer_basis(fib_family):
             gen[n - 2] = gen[n - 1] = 1
         basis.append(tuple(gen))
         return tuple(basis)
-    return ((2, 0), (0, 2))  # g2
+    return ((0, 2), (2, 0))  # g2: 2*omega_long, then 2*omega_short
 
 
 def g2_base_value(r, s):
@@ -422,12 +382,7 @@ def base_spectrum(fib_family, cutoff):
 
 def base_spectrum_first(fib_family, count):
     """First ``count`` base entries, growing the cutoff as needed."""
-    cutoff = Fraction(8)
-    while True:
-        entries = base_spectrum(fib_family, cutoff)
-        if len(entries) >= count:
-            return entries[:count]
-        cutoff *= 2
+    return _first_entries(lambda c: base_spectrum(fib_family, c), count)
 
 
 # ---------------------------------------------------------------------------
@@ -475,20 +430,46 @@ def fiber_spectrum(fib, cutoff):
 # ---------------------------------------------------------------------------
 # Catalogued-inconsistency reports.
 
-def cn_first_eigenvalue_report(n):
-    """Both first-eigenvalue candidates for the sp-family flag.
+def _catalogued_c_gram(n):
+    """Numerator form of the catalogued sp-family eigenvalue polynomial.
 
-    The catalogued polynomial attains 1 (at p = (1, 2, ..., 2, 1)) while
-    the catalogued statement of the first eigenvalue says
-    (4n-1)/(4(n+1)).  Both are returned; nothing is adjudicated.
+    Over the denominator 4(n+1): diagonal (2, ..., 2, 4) and -1 next to
+    it, which halves the Casimir's p_{n-1} p_n cross term.
+    """
+    return tuple(tuple(4 if i == j == n - 1 else 2 if i == j
+                       else -1 if abs(i - j) == 1 else 0
+                       for j in range(n)) for i in range(n))
+
+
+def _catalogued_c_mu(p):
+    """The catalogued sp-family eigenvalue polynomial at p."""
+    n = len(p)
+    return Fraction(_form_value(_catalogued_c_gram(n), p), 4 * (n + 1))
+
+
+def cn_first_eigenvalue_report(n):
+    """Three first-eigenvalue candidates for the sp-family flag.
+
+    The catalogued polynomial attains 1 and the Casimir n/(n+1), both at
+    p = (1, 2, ..., 2, 1), while the catalogued statement of the first
+    eigenvalue says (4n-1)/(4(n+1)).  All three are returned; nothing
+    is adjudicated here.
     """
     family = FamilyTag("C", n)
-    entry = flag_minimum(family)
+    gram = _catalogued_c_gram(n)
+    value, argmins = _first_entries(
+        lambda c: sorted(_class_one_values(family, gram, c,
+                                           _catalogued_c_mu).items()),
+        1, _catalogued_c_mu((1,) * n))[0]
+    casimir = flag_minimum(family)
+    stated = Fraction(4 * n - 1, 4 * (n + 1))
     return {
-        "formula_min": entry.value,
-        "formula_argmin": entry.label[0],
-        "stated": Fraction(4 * n - 1, 4 * (n + 1)),
-        "consistent": entry.value == Fraction(4 * n - 1, 4 * (n + 1)),
+        "formula_min": value,
+        "formula_argmin": argmins[0],
+        "casimir_min": casimir.value,
+        "casimir_argmin": casimir.label[0],
+        "stated": stated,
+        "consistent": value == stated,
     }
 
 

@@ -60,7 +60,8 @@ def lambda1_bounds(fib):
 
     Returns lower and upper bounds, and the exact value when the two
     collapse.  The sp lower bound is the catalogued statement, which is
-    smaller than the flag polynomial minimum; see the spectra module.
+    smaller than the Casimir flag minimum n/(n+1); see the spectra
+    module.
     """
     n = fib.family.n
     kind = fib.family.kind

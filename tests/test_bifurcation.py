@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from flagvar.bifurcation import (DegeneracyInstant, cross_check_closed_forms,
+from flagvar.bifurcation import (DegeneracyInstant, _so_odd_threshold,
+                                 cross_check_closed_forms,
                                  degeneracy_instants, instant_below,
                                  morse_index, multiplicity_lower_bound,
                                  rigidity_threshold, solve_instant)
-from flagvar.curvature import ScalPoly, scal_wz
+from flagvar.curvature import ScalPoly, scal_closed_form, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.surd import QuadraticSurd
 
@@ -209,6 +210,18 @@ def test_cross_check_so_odd_radicand_mismatch():
     for row in rows[1:]:
         assert not row["agree"]
         assert "radicand" in row["note"]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_so_odd_threshold_is_the_catalogued_scal_instant(n):
+    # The catalogued threshold solves the defining quadratic of the
+    # catalogued scalar curvature, which is wrong for n >= 4, so it
+    # misses the instant of the assembled one.
+    fib, poly = _setup("so-odd", n)
+    beta = Fraction(n, 2 * n - 1)
+    catalogued = solve_instant(fib, scal_closed_form(fib.family), beta)
+    assert abs(_so_odd_threshold(n) - catalogued.t) < 1e-9
+    assert abs(_so_odd_threshold(n) - solve_instant(fib, poly, beta).t) > 1e-3
 
 
 def test_cross_check_g2_mismatch_only_off_axis():

@@ -155,6 +155,9 @@ def test_verify_so_even_exits_zero_with_ledger(capsys):
 
 
 def test_verify_all_families_pass(capsys):
+    code, out, _ = run(capsys, ["verify", "--family", "so-odd", "--n", "4"])
+    assert code == 0
+    assert "VERIFY: PASS" in out
     code, out, _ = run(capsys, ["verify"])
     assert code == 0
     assert "VERIFY: PASS" in out

@@ -105,5 +105,5 @@ def test_phi1_validation_and_default():
 
 def test_g2_vertical_roots_are_the_two_middle_ones():
     fib = build_fibration(FibrationFamily("g2", 2))
-    assert set(fib.vertical_roots) == {(Fraction(1), Fraction(1)),
-                                       (Fraction(1), Fraction(3))}
+    # a + b and 3a + b, with a the short and b the long simple root.
+    assert set(fib.vertical_roots) == {(1, -1, 0), (1, 1, -2)}

@@ -7,7 +7,7 @@ import pytest
 
 from flagvar.exact import leading_minors_positive
 from flagvar.rootsys import (FamilyTag, build_root_system, ck_inner,
-                             long_root, root_string, structure_constant_sq)
+                             root_string, structure_constant_sq)
 
 COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -29,6 +29,11 @@ def test_positive_root_counts(kind, rank):
     assert len(rs.positive_roots) == COUNTS[kind](rank)
     assert len(rs.simple_roots) == rank
     assert len(set(rs.positive_roots)) == len(rs.positive_roots)
+
+
+def long_root(rs):
+    """Some root of maximal squared length (the normalization witness)."""
+    return max(rs.positive_roots, key=lambda r: ck_inner(rs.ck, r, r))
 
 
 @pytest.mark.parametrize("kind,rank", SMALL)
@@ -78,13 +83,13 @@ def test_c3_long_root_length():
 
 def test_g2_gram_entries():
     rs = build_root_system(FamilyTag("G2", 2))
-    a1 = (Fraction(1), Fraction(0))
-    a2 = (Fraction(0), Fraction(1))
+    a1 = (1, -2, 1)  # long
+    a2 = (0, 1, -1)  # short
     assert ck_inner(rs.ck, a1, a1) == Fraction(1, 4)
     assert ck_inner(rs.ck, a2, a2) == Fraction(1, 12)
     assert ck_inner(rs.ck, a1, a2) == Fraction(-1, 8)
     # Highest root 2*a1 + 3*a2 is long.
-    theta = (Fraction(2), Fraction(3))
+    theta = (2, -1, -1)
     assert ck_inner(rs.ck, theta, theta) == Fraction(1, 4)
 
 
@@ -101,29 +106,29 @@ def test_root_string_examples():
     rs = build_root_system(FamilyTag("A", 2))
     a = rs.simple_roots[0]
     b = rs.simple_roots[1]
-    assert root_string(rs.positive_roots, a, b) == (0, 1)
+    assert root_string(rs, a, b) == (0, 1)
 
     g2 = build_root_system(FamilyTag("G2", 2))
-    a1, a2 = g2.simple_roots
-    assert root_string(g2.positive_roots, a2, a1) == (0, 3)
-    assert root_string(g2.positive_roots, a2, (Fraction(1), Fraction(1))) == (1, 2)
+    a2, a1 = g2.simple_roots  # short, long
+    assert root_string(g2, a2, a1) == (0, 3)
+    assert root_string(g2, a2, (1, -1, 0)) == (1, 2)
 
     b2 = build_root_system(FamilyTag("B", 2))
     e2 = (Fraction(0), Fraction(1))
     e1_minus_e2 = (Fraction(1), Fraction(-1))
-    assert root_string(b2.positive_roots, e2, e1_minus_e2) == (0, 2)
+    assert root_string(b2, e2, e1_minus_e2) == (0, 2)
 
 
 def test_root_string_rejects_parallel():
     rs = build_root_system(FamilyTag("A", 2))
     a = rs.simple_roots[0]
     with pytest.raises(ValueError):
-        root_string(rs.positive_roots, a, a)
+        root_string(rs, a, a)
     neg = tuple(-x for x in a)
     with pytest.raises(ValueError):
-        root_string(rs.positive_roots, a, neg)
+        root_string(rs, a, neg)
     with pytest.raises(ValueError):
-        root_string(rs.positive_roots, a, (Fraction(5),) * 3)
+        root_string(rs, a, (Fraction(5),) * 3)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("B", 2),
@@ -132,13 +137,13 @@ def test_root_string_rejects_parallel():
 def test_string_identity_exhaustive(kind, rank):
     # p - q = 2<b,a>/<a,a> for every root pair, the standard identity.
     rs = build_root_system(FamilyTag(kind, rank))
-    roots = sorted(rs.all_roots())
+    roots = sorted(rs.roots)
     for a in rs.positive_roots:
         aa = ck_inner(rs.ck, a, a)
         for b in roots:
             if b == a or b == tuple(-x for x in a):
                 continue
-            p, q = root_string(rs.positive_roots, a, b)
+            p, q = root_string(rs, a, b)
             assert p - q == 2 * ck_inner(rs.ck, b, a) / aa
 
 
@@ -159,8 +164,8 @@ def test_structure_constant_zero_when_sum_not_root():
 
 def test_structure_constant_g2_example():
     rs = build_root_system(FamilyTag("G2", 2))
-    a2 = (Fraction(0), Fraction(1))
-    b = (Fraction(1), Fraction(1))
+    a2 = (0, 1, -1)  # short
+    b = (1, -1, 0)
     # String (p, q) = (1, 2) through a1 + a2, length <a2,a2> = 1/12.
     assert structure_constant_sq(rs, a2, b) == Fraction(2 * 2, 2) * Fraction(1, 12)
 
@@ -179,3 +184,48 @@ def test_simple_gram_positive_definite(kind, rank):
     gram = [[ck_inner(rs.ck, a, b) for b in rs.simple_roots]
             for a in rs.simple_roots]
     assert leading_minors_positive(gram)
+
+
+# -- oracle: sympy's Lie-algebra root systems -------------------------------
+
+def _weyl_closure(simple):
+    """Every root, as the orbit of the simple roots under the simple
+    reflections s_a(b) = b - (2<b,a>/<a,a>) a, in integers."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    roots, frontier = set(simple), list(simple)
+    while frontier:
+        b = frontier.pop()
+        for a in simple:
+            k = 2 * dot(b, a) // dot(a, a)
+            image = tuple(x - k * y for x, y in zip(b, a))
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+    return roots
+
+
+@pytest.mark.parametrize("kind,rank", SMALL)
+def test_roots_and_gram_match_sympy(kind, rank):
+    root_system = pytest.importorskip("sympy.liealgebras.root_system")
+    oracle = root_system.RootSystem(kind if kind == "G2" else kind + str(rank))
+    rs = build_root_system(FamilyTag(kind, rank))
+    simple = [tuple(oracle.simple_roots()[i + 1]) for i in range(rank)]
+    assert list(rs.simple_roots) == simple
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in simple] for a in simple]
+    assert [[ck_inner(rs.ck, a, b) / rs.ck.scale for b in rs.simple_roots]
+            for a in rs.simple_roots] == gram
+    # sympy types each Cartan matrix by hand: a_ij = 2<a_i,a_j>/<a_j,a_j>.
+    # (Its A1 matrix raises IndexError; [2] has nothing to compare.)
+    if rank > 1:
+        cartan = oracle.cartan_matrix()
+        assert all(cartan[i, j] == 2 * gram[i][j] // gram[j][j]
+                   for i in range(rank) for j in range(rank))
+    listed = {tuple(r) for r in oracle.all_roots().values()}
+    assert rs.roots == _weyl_closure(simple)
+    if kind == "G2":
+        # sympy 1.14 lists (1, 0, 1) where the root 2a + b is (1, 0, -1).
+        assert rs.roots - listed <= {(1, 0, -1), (-1, 0, 1)}
+    else:
+        assert rs.roots == listed

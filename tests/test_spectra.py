@@ -2,12 +2,13 @@
 catalogued-inconsistency reports."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag
-from flagvar.spectra import (ambient_weight, base_spectrum,
+from flagvar.spectra import (_catalogued_c_mu, ambient_weight, base_spectrum,
                              base_spectrum_first, bn_dominance_row_report,
                              casimir_of_weight, class_one_weight,
                              cn_first_eigenvalue_report, cpn_multiplicity,
@@ -18,6 +19,71 @@ from flagvar.spectra import (ambient_weight, base_spectrum,
 
 
 # -- eigenvalue polynomials and their Casimir oracle ----------------------
+
+def catalogued_mu(family, p):
+    """The catalogued class-one eigenvalue polynomials, per family.
+
+    G2 coefficients are short-root-first, like the simple roots.
+    """
+    kind, n = family.kind, family.rank
+    if kind == "A":
+        inner = (sum(x * x for x in p)
+                 - sum(p[i] * p[i + 1] for i in range(n - 1))
+                 + sum(p))
+        return Fraction(inner, n + 1)
+    if kind == "B":
+        inner = (2 * sum(x * x for x in p[:-1]) + p[-1] ** 2
+                 - 2 * sum(p[i] * p[i + 1] for i in range(n - 1))
+                 + 2 * sum(p[:-1]) + p[-1])
+        return Fraction(inner, 4 * n - 2)
+    if kind == "C":
+        inner = (sum(x * x for x in p[:-1]) + 2 * p[-1] ** 2
+                 - sum(p[i] * p[i + 1] for i in range(n - 2))
+                 - p[-2] * p[-1]
+                 + sum(p[:-1]) + 2 * p[-1])
+        return Fraction(inner, 2 * (n + 1))
+    if kind == "D":
+        inner = (sum(x * x for x in p)
+                 - sum(p[i] * p[i + 1] for i in range(n - 2))
+                 - p[-3] * p[-1]
+                 + sum(p))
+        return Fraction(inner, 2 * (n - 1))
+    p1, p2 = p
+    inner = p1 * p1 + 3 * p2 * p2 - 3 * p1 * p2 + p1 + 3 * p2
+    return Fraction(inner, 12)
+
+
+def _box(rank):
+    return product(range(1, 4) if rank <= 3 else range(1, 3), repeat=rank)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", n) for n in range(1, 7)]
+                         + [("B", n) for n in range(2, 7)]
+                         + [("D", n) for n in range(4, 7)] + [("G2", 2)])
+def test_flag_mu_matches_catalogued_polynomial(kind, rank):
+    # Checked on every p of the box, dominant or not: a polynomial
+    # identity, of which the dominant points are the part used.
+    family = FamilyTag(kind, rank)
+    for p in _box(rank):
+        assert flag_mu(family, p) == catalogued_mu(family, p)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_catalogued_c_halves_the_casimir_cross_term(n):
+    family = FamilyTag("C", n)
+    for p in _box(n):
+        assert _catalogued_c_mu(p) == catalogued_mu(family, p)
+        assert (_catalogued_c_mu(p) - flag_mu(family, p)
+                == Fraction(p[-2] * p[-1], 2 * (n + 1)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_c_flag_minimum_is_the_short_highest_root(n):
+    # lam = e1 + e2 = (1, 2, ..., 2, 1) in simple roots, the highest
+    # weight of Lambda^2_0, whose zero weight makes it class one.
+    entry = flag_minimum(FamilyTag("C", n))
+    assert entry.value == Fraction(n, n + 1)
+    assert entry.label == ((1,) + (2,) * (n - 2) + (1,),)
 
 def test_flag_mu_unit_values():
     assert flag_mu(FamilyTag("A", 2), (1, 1)) == 1
@@ -34,14 +100,13 @@ def test_flag_mu_validates_input():
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 4), ("B", 2),
-                                       ("B", 4), ("D", 4), ("D", 5),
-                                       ("G2", 2)])
+                                       ("B", 4), ("C", 3), ("C", 4),
+                                       ("D", 4), ("D", 5), ("G2", 2)])
 def test_flag_mu_matches_casimir(kind, rank):
-    # For every family but C the polynomial is the Casimir number of
-    # the weight sum p_i * alpha_i; checked on a box of dominant p.
+    # The Gram-matrix form is the Casimir number of the ambient weight
+    # sum p_i * alpha_i; checked on a box of dominant p.
     family = FamilyTag(kind, rank)
     values = range(1, 4) if rank <= 2 else range(1, 3)
-    from itertools import product
     for p in product(values, repeat=rank):
         if not is_dominant_class_one(family, p):
             continue
@@ -55,8 +120,8 @@ def test_flag_mu_c_family_differs_from_casimir():
     family = FamilyTag("C", 3)
     p = (1, 2, 1)
     lam = class_one_weight(family, p)
-    assert flag_mu(family, p) == 1
-    assert flag_mu(family, p) != casimir_of_weight(family, lam)
+    assert _catalogued_c_mu(p) == 1
+    assert _catalogued_c_mu(p) != casimir_of_weight(family, lam)
 
 
 # -- flag spectra ----------------------------------------------------------
@@ -66,8 +131,8 @@ def test_flag_minimum_values():
     assert flag_minimum(FamilyTag("A", 5)).value == 1
     assert flag_minimum(FamilyTag("B", 2)).value == Fraction(2, 3)
     assert flag_minimum(FamilyTag("B", 4)).value == Fraction(4, 7)
-    assert flag_minimum(FamilyTag("C", 3)).value == 1
-    assert flag_minimum(FamilyTag("C", 5)).value == 1
+    assert flag_minimum(FamilyTag("C", 3)).value == Fraction(3, 4)
+    assert flag_minimum(FamilyTag("C", 5)).value == Fraction(5, 6)
     assert flag_minimum(FamilyTag("D", 4)).value == 1
     assert flag_minimum(FamilyTag("D", 6)).value == 1
     assert flag_minimum(FamilyTag("G2", 2)).value == Fraction(1, 2)
@@ -110,8 +175,8 @@ def test_weyl_dim_examples():
     assert weyl_dim(FamilyTag("A", 1), (2,)) == 3
     assert weyl_dim(FamilyTag("B", 2), (1, 0)) == 5
     assert weyl_dim(FamilyTag("B", 2), (0, 2)) == 10
-    assert weyl_dim(FamilyTag("G2", 2), (1, 0)) == 14
-    assert weyl_dim(FamilyTag("G2", 2), (0, 1)) == 7
+    assert weyl_dim(FamilyTag("G2", 2), (0, 1)) == 14
+    assert weyl_dim(FamilyTag("G2", 2), (1, 0)) == 7
     with pytest.raises(ValueError):
         weyl_dim(FamilyTag("A", 2), (-1, 1))
 
@@ -150,7 +215,7 @@ def test_kramer_bases():
         (0, 1, 0, 0, 0), (0, 0, 0, 1, 1))
     assert kramer_basis(FibrationFamily("so-even", 6)) == (
         (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 2))
-    assert kramer_basis(FibrationFamily("g2", 2)) == ((2, 0), (0, 2))
+    assert kramer_basis(FibrationFamily("g2", 2)) == ((0, 2), (2, 0))
 
 
 # -- base spectra ----------------------------------------------------------
@@ -247,6 +312,8 @@ def test_cn_first_eigenvalue_report():
     rep = cn_first_eigenvalue_report(3)
     assert rep["formula_min"] == 1
     assert rep["formula_argmin"] == (1, 2, 1)
+    assert rep["casimir_min"] == Fraction(3, 4)
+    assert rep["casimir_argmin"] == (1, 2, 1)
     assert rep["stated"] == Fraction(11, 16)
     assert not rep["consistent"]
     rep = cn_first_eigenvalue_report(5)
