@@ -1,38 +1,47 @@
 """Exact rational plumbing shared by the other modules.
 
-Everything here works over ``fractions.Fraction``: certified square-root
-enclosures built on ``math.isqrt``, Sturm chains for counting real roots
-of rational-coefficient polynomials, dense Gaussian elimination, and a
-bisection lower bound for the smallest eigenvalue of a positive definite
-rational matrix.  Floats never participate in any decision; they only
-appear as presentation values derived from rational enclosures.
+Everything here works over ``fractions.Fraction`` and Python integers:
+squarefree splits by trial division, certified square-root enclosures
+built on ``math.isqrt``, Sturm chains for counting real roots of
+rational-coefficient polynomials, and dense Gaussian elimination.
+Floats never participate in any decision; they only appear as
+presentation values derived from rational enclosures.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
-from sympy import factorint
 
-
+@lru_cache(maxsize=None)
 def squarefree_split(n):
     """Split a nonnegative integer as n = s*s*d with d squarefree.
 
-    Returns (s, d).  Uses integer factorization, so n = 0 and perfect
-    squares are handled exactly (d = 0 and d = 1 respectively).
+    Returns (s, d); n = 0 gives (0, 0) and a perfect square d = 1.
+    Trial division runs while p**3 <= the shrinking cofactor.  After it
+    every prime factor of the cofactor exceeds the cofactor's cube root,
+    so the cofactor is 1, q, q*r or q**2, and ``isqrt`` tells the square
+    apart.  Surd arithmetic re-splits the same radicands over and over,
+    hence the cache.
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 0
+    s = d = 1
+    p = 2
+    while p * p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
     r = isqrt(n)
     if r * r == n:
-        return r, 1
-    s = 1
-    d = 1
-    for prime, exp in factorint(n).items():
-        s *= prime ** (exp // 2)
-        d *= prime ** (exp % 2)
-    return s, d
+        return s * r, d
+    return s, d * n
 
 
 def sqrt_bounds(x, bits=60):
@@ -172,53 +181,3 @@ def solve_linear(matrix, rhs):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
-
-
-def leading_minors_positive(matrix):
-    """Sylvester test for a SYMMETRIC matrix: all pivots positive.
-
-    Runs Gaussian elimination without row exchanges; for symmetric input
-    the pivots are ratios of consecutive leading principal minors, so
-    strict positivity of every pivot is exactly positive definiteness.
-    """
-    n = len(matrix)
-    work = [[Fraction(v) for v in row] for row in matrix]
-    for col in range(n):
-        pivot = work[col][col]
-        if pivot <= 0:
-            return False
-        for r in range(col + 1, n):
-            f = work[r][col] / pivot
-            if f != 0:
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return True
-
-
-def min_eigenvalue_lower_bound(matrix, iterations=40):
-    """Certified rational lower bound for the least eigenvalue.
-
-    Bisects on lam, keeping the invariant that matrix - lam*I passes the
-    Sylvester positive-definiteness test at the returned value.  Raises
-    if the matrix itself is not positive definite.
-    """
-    n = len(matrix)
-    mat = [[Fraction(v) for v in row] for row in matrix]
-    if not leading_minors_positive(mat):
-        raise ValueError("matrix is not positive definite")
-
-    def shifted_pd(lam):
-        shifted = [[mat[i][j] - (lam if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-        return leading_minors_positive(shifted)
-
-    lo = Fraction(0)
-    hi = min(mat[i][i] for i in range(n))
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        if shifted_pd(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0:
-        raise ValueError("could not certify a positive spectral lower bound")
-    return lo

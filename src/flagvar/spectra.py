@@ -1,14 +1,17 @@
 """Laplacian spectra: flag totals, symmetric bases, and fibers.
 
-Every flag-manifold eigenvalue is the Casimir value <lam, lam + 2*delta>
-of a dominant class-one weight lam = sum p_i*alpha_i, p_i >= 1.  With G
-the integer Gram matrix of the simple roots that is the CK scale times
-p'Gp + sum G_ii p_i, one quadratic form per family.  Completeness of the
-enumeration under a cutoff is guaranteed by a certified lower bound on
-the smallest eigenvalue of G.  Base spectra use the closed forms for the
-projective space and even sphere, and weight enumeration over the
-spherical generator basis for the other three bases, always with
-Weyl-dimension multiplicities.
+Every eigenvalue here is a Casimir value <lam, lam + 2*delta> of a
+dominant weight lam = sum a_j g_j, with integers a_j >= 0 not all zero,
+over a list of dominant generators g: the fundamental weights for the
+flag, keeping only lam in the root lattice (the class-one weights), and
+the spherical generators for the base.  Fiber spectra are flag spectra
+of the fiber's factors.  Dominant weights have pairwise non-negative
+inner products and non-negative <g, 2*delta>, so once denominators are
+cleared the value is an integer form a'Wa + w.a with W and w entrywise
+non-negative.  That form never decreases in any coordinate: a prefix
+with a zero tail is an exact lower bound, and one enumerator that stops
+each coordinate at its first value over the cutoff finds every weight
+under it.  Base multiplicities are Weyl dimensions.
 
 Two catalogued inconsistencies are surfaced (never silently fixed).
 The catalogued sp-family flag polynomial halves the Casimir's
@@ -22,10 +25,10 @@ one row.  See ``cn_first_eigenvalue_report`` and
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, isqrt
+from itertools import chain
+from math import comb, floor, lcm
 
-from .exact import min_eigenvalue_lower_bound, solve_linear
+from .exact import solve_linear
 from .rootsys import FamilyTag, build_root_system, ck_inner
 
 
@@ -50,22 +53,36 @@ def _root_system(family):
     return build_root_system(family)
 
 
+def _combine(coeffs, vectors):
+    """The vector sum c_j*v_j."""
+    return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors))
+                 for k in range(len(vectors[0])))
+
+
+@lru_cache(maxsize=None)
+def _simple_gram(family):
+    """Integer Gram matrix G of the simple roots under the dot product."""
+    simple = _root_system(family).simple_roots
+    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in simple)
+                 for a in simple)
+
+
+@lru_cache(maxsize=None)
+def _fundamental_coefficients(family):
+    """Simple-root coefficients of each fundamental weight omega_i,
+    solved from <omega_i, alpha_j> = delta_ij |alpha_j|^2 / 2."""
+    gram = _simple_gram(family)
+    return tuple(tuple(solve_linear(gram, [Fraction(g, 2) if i == j else 0
+                                           for j, g in enumerate(row)]))
+                 for i, row in enumerate(gram))
+
+
 @lru_cache(maxsize=None)
 def _fundamental_weights(family):
-    """Fundamental weights in ambient coordinates, via the simple Gram."""
-    rs = _root_system(family)
-    simple = rs.simple_roots
-    gram = [[ck_inner(rs.ck, a, b) for b in simple] for a in simple]
-    weights = []
-    for i, alpha in enumerate(simple):
-        rhs = [Fraction(0)] * len(simple)
-        rhs[i] = ck_inner(rs.ck, alpha, alpha) / 2
-        coeffs = solve_linear(gram, rhs)
-        dim = len(simple[0])
-        w = tuple(sum(c * root[k] for c, root in zip(coeffs, simple))
-                  for k in range(dim))
-        weights.append(w)
-    return tuple(weights)
+    """Fundamental weights in ambient coordinates."""
+    simple = _root_system(family).simple_roots
+    return tuple(_combine(c, simple)
+                 for c in _fundamental_coefficients(family))
 
 
 @lru_cache(maxsize=None)
@@ -89,9 +106,7 @@ def ambient_weight(family, coeffs):
     weights = _fundamental_weights(family)
     if len(coeffs) != len(weights):
         raise ValueError("coefficient count does not match the rank")
-    dim = len(weights[0])
-    return tuple(sum(c * w[k] for c, w in zip(coeffs, weights))
-                 for k in range(dim))
+    return _combine(coeffs, weights)
 
 
 def weyl_dim(family, coeffs):
@@ -119,21 +134,81 @@ def _weyl_dim_ambient(family, lam):
 
 
 # ---------------------------------------------------------------------------
-# Flag (total space) spectra.
-
-@lru_cache(maxsize=None)
-def _simple_gram(family):
-    """Integer Gram matrix G of the simple roots under the dot product."""
-    simple = _root_system(family).simple_roots
-    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in simple)
-                 for a in simple)
-
+# One enumerator for every spectrum.
 
 def _form_value(gram, p):
     """p'Gp + sum G_ii p_i, the integer numerator of a class-one value."""
     return sum(pi * (sum(g * pj for g, pj in zip(row, p)) + row[i])
                for i, (pi, row) in enumerate(zip(p, gram)))
 
+
+def _lattice_points(gram, scale, generators, cutoff):
+    """Weights lam = sum a_j g_j, integers a_j >= 0 not all zero, with
+    value scale*(p'Gp + sum G_ii p_i) <= cutoff, p the simple-root
+    coefficients of lam.  The generators g_j are given in simple-root
+    coefficients too.
+
+    Returns {value: [a, ...]} by increasing value, each list in
+    lexicographic order.  In a the value is a'Wa + w.a; with
+    denominators cleared, W and w must be entrywise non-negative and
+    W's diagonal positive, as for dominant generators, or ValueError is
+    raised.  The form then never decreases in any coordinate, so a
+    prefix with a zero tail is an exact lower bound and each coordinate
+    stops at its first value over the cutoff.
+    """
+    quad = [[scale * sum(x * sum(c * y for c, y in zip(row, h))
+                         for x, row in zip(g, gram))
+             for h in generators] for g in generators]
+    linear = [scale * sum(x * row[i]
+                          for i, (x, row) in enumerate(zip(g, gram)))
+              for g in generators]
+    den = lcm(*(Fraction(x).denominator for x in chain(linear, *quad)))
+    quad = [[int(x * den) for x in row] for row in quad]
+    linear = [int(x * den) for x in linear]
+    if (min(chain(linear, *quad)) < 0
+            or min(row[k] for k, row in enumerate(quad)) <= 0):
+        raise ValueError("form is not monotone: generators must be dominant")
+    limit = floor(Fraction(cutoff) * den)
+    found = {}
+
+    def recurse(prefix, value):
+        k = len(prefix)
+        if k == len(generators):
+            if any(prefix):
+                found.setdefault(value, []).append(prefix)
+            return
+        # The value at (prefix, a, 0, ...) is value + a*step + a*a*W_kk.
+        step = linear[k] + 2 * sum(quad[k][i] * x
+                                   for i, x in enumerate(prefix))
+        a = 0
+        while (v := value + a * (step + a * quad[k][k])) <= limit:
+            recurse(prefix + (a,), v)
+            a += 1
+
+    recurse((), 0)
+    return {Fraction(v, den): found[v] for v in sorted(found)}
+
+
+def _class_one_points(family, gram, scale, cutoff):
+    """{value: [p, ...]} over the class-one weights lam = sum p_i alpha_i
+    with value scale*(p'Gp + sum G_ii p_i) <= cutoff, p in lexicographic
+    order.
+
+    These are the dominant lam = sum a_j omega_j in the root lattice,
+    where p is integral; every p_i is then >= 1.
+    """
+    coeffs = _fundamental_coefficients(family)
+    found = {}
+    for value, points in _lattice_points(gram, scale, coeffs, cutoff).items():
+        ps = sorted(p for p in (_combine(a, coeffs) for a in points)
+                    if all(x.denominator == 1 for x in p))
+        if ps:
+            found[value] = [tuple(int(x) for x in p) for p in ps]
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Flag (total space) spectra.
 
 def flag_mu(family, p):
     """Casimir value <lam, lam + 2*delta> of lam = sum p_i*alpha_i.
@@ -150,88 +225,13 @@ def flag_mu(family, p):
 
 def class_one_weight(family, p):
     """Ambient weight sum p_i*alpha_i."""
-    simple = _root_system(family).simple_roots
-    return tuple(sum(c * alpha[k] for c, alpha in zip(p, simple))
-                 for k in range(len(simple[0])))
+    return _combine(p, _root_system(family).simple_roots)
 
 
 def is_dominant_class_one(family, p):
     """Dominance of the weight sum p_i*alpha_i: (Gp)_j >= 0 for every j."""
     return all(sum(g * x for g, x in zip(row, p)) >= 0
                for row in _simple_gram(family))
-
-
-def _schur_forms(matrix):
-    """Leading-block forms S_k with x'S_k x = min over real tails of Q.
-
-    For a positive definite Q split as [[A, B], [B', C]] after fixing
-    the first k coordinates, the minimum over real completions is the
-    Schur complement A - B C^{-1} B' applied to the fixed prefix. C is
-    a principal submatrix of a positive definite matrix, so the solves
-    cannot be singular.
-    """
-    n = len(matrix)
-    forms = {n: matrix}
-    for k in range(1, n):
-        block_b = [[matrix[i][j] for j in range(k, n)] for i in range(k)]
-        block_c = [[matrix[i][j] for j in range(k, n)] for i in range(k, n)]
-        solved = [solve_linear(block_c, block_b[i]) for i in range(k)]
-        forms[k] = [[matrix[i][j] - sum(block_b[i][l] * solved[j][l]
-                                        for l in range(n - k))
-                     for j in range(k)] for i in range(k)]
-    return forms
-
-
-def _class_one_values(family, gram, cutoff, mu):
-    """Dominant p >= 1 with mu(p) <= cutoff, as {value: [p, ...]}.
-
-    mu(p) must be the family's CK scale times p'Gp + sum G_ii p_i for
-    the positive definite integer form ``gram``.  Completeness: a
-    certified lower bound on G's least eigenvalue caps every coordinate,
-    and each prefix is kept only if the exact minimum of the quadratic
-    part over real completions (Schur complement) plus the forced linear
-    contribution still fits under the cutoff.
-    """
-    n = family.rank
-    limit = cutoff / _root_system(family).ck.scale
-    linear = [gram[i][i] for i in range(n)]
-    budget = limit - sum(linear)
-    found = {}
-    if budget < 0:
-        return found
-    lam_lo = min_eigenvalue_lower_bound(gram)
-    bound_sq = budget / lam_lo
-    p_max = isqrt(bound_sq.numerator // bound_sq.denominator)
-    schur = _schur_forms(gram)
-    tail_linear = [sum(linear[k:]) for k in range(n + 1)]
-
-    def recurse(prefix):
-        if len(prefix) == n:
-            p = tuple(prefix)
-            value = mu(p)
-            if value <= cutoff and is_dominant_class_one(family, p):
-                found.setdefault(value, []).append(p)
-            return
-        for nxt in range(1, p_max + 1):
-            candidate = prefix + [nxt]
-            # The quadratic part of the full vector dominates lam_lo
-            # times the sum of squares of any prefix, so this prune
-            # loses nothing.
-            if lam_lo * sum(x * x for x in candidate) > budget:
-                break
-            k = len(candidate)
-            form = schur[k]
-            q_min = sum(form[i][j] * candidate[i] * candidate[j]
-                        for i in range(k) for j in range(k))
-            fixed = sum(linear[i] * candidate[i] for i in range(k))
-            # No completion with p_j >= 1 can beat this value, but it is
-            # not monotone in the last coordinate: skip, not break.
-            if q_min + fixed + tail_linear[k] > limit:
-                continue
-            recurse(candidate)
-
-    recurse([])
-    return found
 
 
 def flag_spectrum(family, cutoff):
@@ -242,11 +242,11 @@ def flag_spectrum(family, cutoff):
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    found = _class_one_values(family, _simple_gram(family), cutoff,
-                              lambda p: flag_mu(family, p))
+    found = _class_one_points(family, _simple_gram(family),
+                              _root_system(family).ck.scale, cutoff)
     return [SpectrumEntry(value=v, mult=1, origin="total",
                           label=tuple(ps), mult_known=False)
-            for v, ps in sorted(found.items())]
+            for v, ps in found.items()]
 
 
 def _first_entries(fetch, count, cutoff=Fraction(8)):
@@ -330,54 +330,25 @@ def g2_base_value(r, s):
 
 
 def base_spectrum(fib_family, cutoff):
-    """Base eigenvalues <= cutoff with Weyl-dimension multiplicities."""
+    """Base eigenvalues <= cutoff with Weyl-dimension multiplicities.
+
+    Each entry's label lists the generator coefficients x of its
+    weights; with a single generator (su, so-odd) it is that x = (q,).
+    """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     family = fib_family.root_family
-    n = fib_family.n
-    kind = fib_family.kind
-
-    if kind in ("su", "so-odd"):
-        gen = kramer_basis(fib_family)[0]
-        entries = []
-        q = 1
-        while True:
-            if kind == "su":
-                value = Fraction(q * (q + n), n + 1)
-            else:
-                value = Fraction(q * (q + 2 * n - 1), 2 * (2 * n - 1))
-            if value > cutoff:
-                break
-            coeffs = tuple(q * c for c in gen)
-            entries.append(SpectrumEntry(value=value, mult=weyl_dim(family, coeffs),
-                                         origin="base", label=(q,)))
-            q += 1
-        return entries
-
     basis = kramer_basis(fib_family)
-    rank = len(basis[0])
-    base_values = [casimir_of_weight(family, ambient_weight(family, b))
-                   for b in basis]
-    boxes = []
-    for mu in base_values:
-        top = cutoff / mu
-        boxes.append(range(0, top.numerator // top.denominator + 1))
-    merged = {}
-    for x in product(*boxes):
-        if not any(x):
-            continue
-        coeffs = tuple(sum(xi * b[k] for xi, b in zip(x, basis))
-                       for k in range(rank))
-        value = casimir_of_weight(family, ambient_weight(family, coeffs))
-        if value > cutoff:
-            continue
-        mult = weyl_dim(family, coeffs)
-        bucket = merged.setdefault(value, [0, []])
-        bucket[0] += mult
-        bucket[1].append(x)
-    return [SpectrumEntry(value=v, mult=m, origin="base", label=tuple(xs))
-            for v, (m, xs) in sorted(merged.items())]
+    coeffs = _fundamental_coefficients(family)
+    points = _lattice_points(_simple_gram(family),
+                             _root_system(family).ck.scale,
+                             [_combine(b, coeffs) for b in basis], cutoff)
+    return [SpectrumEntry(value=v, origin="base",
+                          mult=sum(weyl_dim(family, _combine(x, basis))
+                                   for x in xs),
+                          label=tuple(xs) if len(basis) > 1 else xs[0])
+            for v, xs in points.items()]
 
 
 def base_spectrum_first(fib_family, count):
@@ -387,17 +358,6 @@ def base_spectrum_first(fib_family, count):
 
 # ---------------------------------------------------------------------------
 # Fiber spectra.
-
-def _a1_values(cutoff):
-    values = []
-    a = 1
-    while True:
-        v = Fraction(a * (a + 1), 2)
-        if v > cutoff:
-            return values
-        values.append(v)
-        a += 1
-
 
 def fiber_spectrum(fib, cutoff):
     """Fiber eigenvalues <= cutoff under the intrinsic normalization.
@@ -416,7 +376,8 @@ def fiber_spectrum(fib, cutoff):
     elif kind == "so-odd" and n >= 4:
         inner = flag_spectrum(FamilyTag("D", n), cutoff)
     else:  # g2, or so-odd at n = 2: two rank-one factors
-        singles = [Fraction(0)] + _a1_values(cutoff)
+        singles = [Fraction(0)] + [
+            e.value for e in flag_spectrum(FamilyTag("A", 1), cutoff)]
         values = sorted({v1 + v2 for v1 in singles for v2 in singles
                          if 0 < v1 + v2 <= cutoff})
         return [SpectrumEntry(value=v, mult=1, origin="fiber",
@@ -456,10 +417,12 @@ def cn_first_eigenvalue_report(n):
     is adjudicated here.
     """
     family = FamilyTag("C", n)
-    gram = _catalogued_c_gram(n)
+    # The polynomial is the Casimir plus p_{n-1} p_n / (2(n+1)), and p is
+    # a non-negative combination of the fundamental-weight coefficients,
+    # so the enumerator's monotone precondition still holds.
     value, argmins = _first_entries(
-        lambda c: sorted(_class_one_values(family, gram, c,
-                                           _catalogued_c_mu).items()),
+        lambda c: list(_class_one_points(family, _catalogued_c_gram(n),
+                                         Fraction(1, 4 * (n + 1)), c).items()),
         1, _catalogued_c_mu((1,) * n))[0]
     casimir = flag_minimum(family)
     stated = Fraction(4 * n - 1, 4 * (n + 1))

@@ -30,10 +30,10 @@ from flagvar.surd import QuadraticSurd
 from flagvar.variation import gap_certificate
 from flagvar.bifurcation import DegeneracyInstant  # noqa: F401  (re-export check)
 
-CASES = ([("su", n) for n in range(2, 7)]
-         + [("so-odd", n) for n in (2, 4, 5, 6)]
-         + [("sp", n) for n in range(3, 7)]
-         + [("so-even", n) for n in range(4, 7)]
+CASES = ([("su", n) for n in range(2, 9)]
+         + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)]
+         + [("sp", n) for n in range(3, 9)]
+         + [("so-even", n) for n in range(4, 9)]
          + [("g2", 2)])
 
 REPRESENTATIVE = [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
@@ -86,14 +86,15 @@ def test_criterion_02():
 
 def test_criterion_03():
     ok = True
-    for n in range(2, 7):
-        ok = ok and flag_minimum(FamilyTag("A", n)).value == 1
-    for n in (2, 4, 5, 6):
-        ok = ok and flag_minimum(FamilyTag("B", n)).value == Fraction(n, 2 * n - 1)
-    for n in range(4, 7):
-        ok = ok and flag_minimum(FamilyTag("D", n)).value == 1
-    ok = ok and flag_minimum(FamilyTag("G2", 2)).value == Fraction(1, 2)
-    for n in range(3, 7):
+    expected_flag = {"su": lambda n: Fraction(1),
+                     "so-odd": lambda n: Fraction(n, 2 * n - 1),
+                     "sp": lambda n: Fraction(n, n + 1),
+                     "so-even": lambda n: Fraction(1),
+                     "g2": lambda n: Fraction(1, 2)}
+    for kind, n in CASES:
+        family = FibrationFamily(kind, n).root_family
+        ok = ok and flag_minimum(family).value == expected_flag[kind](n)
+    for n in (n for kind, n in CASES if kind == "sp"):
         report = cn_first_eigenvalue_report(n)
         ok = ok and report["formula_min"] == 1
         ok = ok and report["stated"] == Fraction(4 * n - 1, 4 * (n + 1))

@@ -1,6 +1,11 @@
-"""Tests for the exact rational plumbing: enclosures, Sturm counts,
-linear solving, and the certified eigenvalue lower bound."""
+"""Tests for the exact rational plumbing: squarefree splits,
+enclosures, Sturm counts and linear solving, and the stdlib-only
+runtime."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,10 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagvar.exact import (count_roots_open, deflate_zero_roots,
-                           float_from_bounds, leading_minors_positive,
-                           min_eigenvalue_lower_bound, poly_deriv, poly_eval,
+                           float_from_bounds, poly_deriv, poly_eval,
                            poly_rem, poly_trim, solve_linear, sqrt_bounds,
                            squarefree_split, sturm_chain)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_squarefree_split_small():
@@ -38,6 +44,43 @@ def test_squarefree_split_reassembles(n):
     while p * p <= d:
         assert d % (p * p) != 0
         p += 1
+
+
+def _split_by_factorint(n):
+    factorint = pytest.importorskip("sympy").factorint
+    s = d = 1
+    for prime, exp in factorint(n).items():
+        s *= prime ** (exp // 2)
+        d *= prime ** (exp % 2)
+    return s, d
+
+
+def test_squarefree_split_matches_factorint_exhaustively():
+    for n in range(1, 20001):
+        assert squarefree_split(n) == _split_by_factorint(n)
+
+
+@given(st.integers(min_value=1, max_value=2**40 - 1))
+def test_squarefree_split_matches_factorint_below_2_40(n):
+    assert squarefree_split(n) == _split_by_factorint(n)
+
+
+@given(st.integers(min_value=1, max_value=2**20),
+       st.integers(min_value=1, max_value=2**20))
+def test_squarefree_split_of_square_times_squarefree(s, m):
+    # Strip m to its squarefree part d first; s*s*d then splits as (s, d).
+    _, d = _split_by_factorint(m)
+    assert squarefree_split(s * s * d) == (s, d)
+
+
+def test_import_needs_no_sympy():
+    code = ("import sys; sys.modules['sympy'] = None; "
+            "import flagvar.cli; print('ok')")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
 
 
 @given(st.fractions(min_value=0, max_value=10**6))
@@ -103,21 +146,3 @@ def test_solve_linear_known_system():
 def test_solve_linear_rejects_singular():
     with pytest.raises(ValueError):
         solve_linear([[1, 2], [2, 4]], [1, 1])
-
-
-def test_leading_minors_positive():
-    assert leading_minors_positive([[2, -1], [-1, 2]])
-    assert not leading_minors_positive([[1, 2], [2, 1]])
-    assert not leading_minors_positive([[0, 0], [0, 1]])
-
-
-def test_min_eigenvalue_lower_bound_2x2():
-    # Eigenvalues of [[2,-1],[-1,2]] are 1 and 3.
-    lam = min_eigenvalue_lower_bound([[2, -1], [-1, 2]])
-    assert 0 < lam <= 1
-    assert lam > Fraction(9, 10)
-
-
-def test_min_eigenvalue_lower_bound_rejects_indefinite():
-    with pytest.raises(ValueError):
-        min_eigenvalue_lower_bound([[1, 2], [2, 1]])

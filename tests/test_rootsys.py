@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-from flagvar.exact import leading_minors_positive
 from flagvar.rootsys import (FamilyTag, build_root_system, ck_inner,
                              root_string, structure_constant_sq)
 
@@ -178,12 +177,28 @@ def test_structure_constant_symmetric(kind, rank):
         assert structure_constant_sq(rs, a, b) == structure_constant_sq(rs, b, a)
 
 
+def _positive_definite(matrix):
+    """Sylvester test for a symmetric matrix: elimination without row
+    exchanges, whose pivots are ratios of consecutive leading principal
+    minors, must meet only positive pivots."""
+    work = [[Fraction(v) for v in row] for row in matrix]
+    for col in range(len(work)):
+        pivot = work[col][col]
+        if pivot <= 0:
+            return False
+        for r in range(col + 1, len(work)):
+            f = work[r][col] / pivot
+            work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    return True
+
+
 @pytest.mark.parametrize("kind,rank", SMALL)
 def test_simple_gram_positive_definite(kind, rank):
     rs = build_root_system(FamilyTag(kind, rank))
     gram = [[ck_inner(rs.ck, a, b) for b in rs.simple_roots]
             for a in rs.simple_roots]
-    assert leading_minors_positive(gram)
+    assert _positive_definite(gram)
+    assert not _positive_definite([[1, 2], [2, 1]])  # negative control
 
 
 # -- oracle: sympy's Lie-algebra root systems -------------------------------

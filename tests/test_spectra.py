@@ -2,13 +2,17 @@
 catalogued-inconsistency reports."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.rootsys import FamilyTag
-from flagvar.spectra import (_catalogued_c_mu, ambient_weight, base_spectrum,
+from flagvar.rootsys import FamilyTag, build_root_system
+from flagvar.spectra import (_catalogued_c_mu, _lattice_points,
+                             ambient_weight, base_spectrum,
                              base_spectrum_first, bn_dominance_row_report,
                              casimir_of_weight, class_one_weight,
                              cn_first_eigenvalue_report, cpn_multiplicity,
@@ -304,6 +308,137 @@ def test_fiber_spectrum_rejects_bad_cutoff():
     fib = build_fibration(FibrationFamily("su", 2))
     with pytest.raises(ValueError):
         fiber_spectrum(fib, 0)
+
+
+# -- the enumerator against brute-force oracles ---------------------------
+
+ORACLE_CUTOFF = 4
+CUTOFFS = st.fractions(min_value=Fraction(1, 4), max_value=ORACLE_CUTOFF,
+                       max_denominator=12)
+
+
+def _class_one_box(family, cutoff):
+    """Every p >= 1 with scale * sum p_i |alpha_i|^2 <= cutoff.
+
+    A dominant lam = sum p_i alpha_i has <lam, lam> >= 0, and
+    <alpha_i, 2 delta> = |alpha_i|^2, so every class-one value up to
+    the cutoff has its p in this box.
+    """
+    rs = build_root_system(family)
+    norms = [sum(x * x for x in alpha) for alpha in rs.simple_roots]
+    budget = cutoff / rs.ck.scale
+
+    def fill(k, left):
+        if k == len(norms):
+            yield ()
+            return
+        p = 1
+        while p * norms[k] + sum(norms[k + 1:]) <= left:
+            for rest in fill(k + 1, left - p * norms[k]):
+                yield (p,) + rest
+            p += 1
+
+    return fill(0, budget)
+
+
+@lru_cache(maxsize=None)
+def _flag_oracle(family):
+    found = {}
+    for p in _class_one_box(family, ORACLE_CUTOFF):
+        if is_dominant_class_one(family, p):
+            value = casimir_of_weight(family, class_one_weight(family, p))
+            if value <= ORACLE_CUTOFF:
+                found.setdefault(value, []).append(p)
+    return sorted((v, tuple(sorted(ps))) for v, ps in found.items())
+
+
+@pytest.mark.parametrize("family", [FamilyTag("A", n) for n in range(1, 5)]
+                         + [FamilyTag("B", n) for n in range(2, 5)]
+                         + [FamilyTag("C", n) for n in (3, 4)]
+                         + [FamilyTag("D", 4), FamilyTag("G2", 2)],
+                         ids=lambda f: "{}{}".format(f.kind, f.rank))
+@settings(max_examples=15, deadline=None)
+@given(cutoff=CUTOFFS)
+def test_flag_spectrum_matches_brute_force_box(family, cutoff):
+    expected = [(v, ps) for v, ps in _flag_oracle(family) if v <= cutoff]
+    got = [(e.value, e.label) for e in flag_spectrum(family, cutoff)]
+    assert got == expected
+
+
+BASE_ORACLE_CUTOFF = 6
+
+
+@lru_cache(maxsize=None)
+def _base_oracle(fib_family):
+    family = fib_family.root_family
+    basis = kramer_basis(fib_family)
+    rank = len(basis[0])
+    tops = [BASE_ORACLE_CUTOFF
+            / casimir_of_weight(family, ambient_weight(family, b))
+            for b in basis]
+    merged = {}
+    for x in product(*(range(int(top) + 1) for top in tops)):
+        if not any(x):
+            continue
+        coeffs = tuple(sum(xi * b[k] for xi, b in zip(x, basis))
+                       for k in range(rank))
+        value = casimir_of_weight(family, ambient_weight(family, coeffs))
+        if value <= BASE_ORACLE_CUTOFF:
+            bucket = merged.setdefault(value, [0, []])
+            bucket[0] += weyl_dim(family, coeffs)
+            bucket[1].append(x)
+    return sorted((v, m, tuple(xs)) for v, (m, xs) in merged.items())
+
+
+@pytest.mark.parametrize("fib_family", [
+    FibrationFamily("su", 2), FibrationFamily("su", 3),
+    FibrationFamily("so-odd", 2), FibrationFamily("so-odd", 4),
+    FibrationFamily("sp", 3), FibrationFamily("sp", 4),
+    FibrationFamily("so-even", 4), FibrationFamily("so-even", 5),
+    FibrationFamily("so-even", 6), FibrationFamily("g2", 2)],
+    ids=lambda f: "{}-{}".format(f.kind, f.n))
+@settings(max_examples=15, deadline=None)
+@given(cutoff=st.fractions(min_value=Fraction(1, 4),
+                           max_value=BASE_ORACLE_CUTOFF, max_denominator=12))
+def test_base_spectrum_matches_brute_force_box(fib_family, cutoff):
+    expected = [row for row in _base_oracle(fib_family) if row[0] <= cutoff]
+    single = len(kramer_basis(fib_family)) == 1
+    got = [(e.value, e.mult, (e.label,) if single else e.label)
+           for e in base_spectrum(fib_family, cutoff)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("kind,n", [("su", n) for n in range(2, 9)]
+                         + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)])
+def test_single_generator_bases_match_closed_forms(kind, n):
+    # The projective space and the even sphere: q(q+n)/(n+1) and
+    # q(q+2n-1)/(2(2n-1)), with their classical multiplicities.
+    if kind == "su":
+        def value(q):
+            return Fraction(q * (q + n), n + 1)
+
+        def mult(q):
+            return cpn_multiplicity(n, q)
+    else:
+        def value(q):
+            return Fraction(q * (q + 2 * n - 1), 2 * (2 * n - 1))
+
+        def mult(q):
+            return sphere_multiplicity(n, q)
+    entries = base_spectrum(FibrationFamily(kind, n), value(6))
+    assert [(e.value, e.mult, e.label) for e in entries] == [
+        (value(q), mult(q), (q,)) for q in range(1, 7)]
+
+
+def test_lattice_points_rejects_a_non_monotone_form():
+    # The simple roots are not dominant: the A2 Gram has -1 off the
+    # diagonal, so the form in their coefficients is not monotone.
+    with pytest.raises(ValueError):
+        _lattice_points(((2, -1), (-1, 2)), Fraction(1, 6),
+                        ((1, 0), (0, 1)), 4)
+    # A negative linear term alone is rejected too.
+    with pytest.raises(ValueError):
+        _lattice_points(((2, 0), (0, 2)), 1, ((-1, 0),), 4)
 
 
 # -- catalogued-inconsistency reports -------------------------------------
