@@ -7,23 +7,23 @@ fiber, and the resulting degeneracy, bifurcation, rigidity, Morse-index
 and solution-multiplicity data for the Yamabe problem on these spaces.
 """
 
-from .bifurcation import (DegeneracyInstant, cross_check_closed_forms,
-                          degeneracy_instants, instant_below, morse_index,
+from .bifurcation import (DegeneracyInstant, degeneracy_instants,
+                          instant_below, morse_index,
                           multiplicity_lower_bound, rigidity_threshold,
                           solve_instant)
-from .curvature import (ScalPoly, TripleRecord, scal_closed_form, scal_wz,
-                        su_triple_census, triples)
+from .catalog import (bn_dominance_row_report, cn_first_eigenvalue_report,
+                      cross_check_closed_forms, scal_closed_form)
+from .curvature import (ScalPoly, TripleRecord, scal_wz, su_triple_census,
+                        triples)
 from .fibration import (FAMILY_KEYS, FibrationData, FibrationFamily,
                         build_fibration)
 from .rootsys import (CKForm, FamilyTag, RootSystem, build_root_system,
                       ck_inner, root_string, structure_constant_sq)
 from .spectra import (SpectrumEntry, base_spectrum, base_spectrum_first,
-                      bn_dominance_row_report, casimir_of_weight,
-                      cn_first_eigenvalue_report, fiber_spectrum, flag_mu,
+                      casimir_of_weight, fiber_spectrum, flag_mu,
                       flag_minimum, flag_spectrum, kramer_basis, weyl_dim)
 from .surd import QuadraticSurd
-from .variation import (VariationEigenvalue, constant_eigenvalues, eigen_at,
-                        gap_certificate, lambda1_bounds, normalized_scal)
+from .variation import gap_certificate, normalized_scal
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "ScalPoly",
     "SpectrumEntry",
     "TripleRecord",
-    "VariationEigenvalue",
     "base_spectrum",
     "base_spectrum_first",
     "bn_dominance_row_report",
@@ -48,10 +47,8 @@ __all__ = [
     "casimir_of_weight",
     "ck_inner",
     "cn_first_eigenvalue_report",
-    "constant_eigenvalues",
     "cross_check_closed_forms",
     "degeneracy_instants",
-    "eigen_at",
     "fiber_spectrum",
     "flag_minimum",
     "flag_mu",
@@ -59,7 +56,6 @@ __all__ = [
     "gap_certificate",
     "instant_below",
     "kramer_basis",
-    "lambda1_bounds",
     "morse_index",
     "multiplicity_lower_bound",
     "normalized_scal",

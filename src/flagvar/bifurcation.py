@@ -5,15 +5,12 @@ eigenvalue beta.  Clearing denominators in u = t**2 leaves
 E*u**2 + (C - D*(m-1)*beta)*u + A = 0 with E < 0 and A > 0, which has
 exactly one positive root; it is carried as an exact quadratic surd and
 its residual in the defining quadratic is checked to be literally zero.
-Instants are always computed this way; the catalogued closed-form
-sequences are only evaluated for comparison by
-``cross_check_closed_forms``, which reports the known discrepancies
-instead of correcting them.
+Instants are always computed this way; the catalogued sequences they
+are compared with are in ``catalog``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 
 from .spectra import (ambient_weight, base_spectrum, base_spectrum_first,
                       casimir_of_weight, flag_minimum, kramer_basis, weyl_dim)
@@ -130,24 +127,39 @@ def instant_below(fib, poly, eps):
     return inst
 
 
-def morse_index(fib, poly, instants, t):
-    """Total base multiplicity of the instants lying strictly above t.
+def _instants_above(instants, t):
+    """(k, on_instant): instants[:k] lie strictly above t, and whether
+    instants[k] lies exactly at t.
 
-    t is compared against each exact u = t**2; landing on an instant is
-    rejected because the index jumps there.
+    The instants are strictly decreasing in u = t**2, so one bisection
+    comparing each exact u with the rational t**2 finds k.
     """
     t = Fraction(t)
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
     u_t = t * t
-    total = 0
-    for inst in instants:
-        s = (inst.u - u_t).sign()
+    lo, hi = 0, len(instants)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        s = (instants[mid].u - u_t).sign()
         if s == 0:
-            raise ValueError("degenerate point, index undefined")
+            return mid, True
         if s > 0:
-            total += inst.mult
-    return total
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, False
+
+
+def morse_index(fib, poly, instants, t):
+    """Total base multiplicity of the instants lying strictly above t.
+
+    Landing on an instant is rejected because the index jumps there.
+    """
+    k, on_instant = _instants_above(instants, t)
+    if on_instant:
+        raise ValueError("degenerate point, index undefined")
+    return sum(inst.mult for inst in instants[:k])
 
 
 def multiplicity_lower_bound(fib, instants, t):
@@ -156,110 +168,5 @@ def multiplicity_lower_bound(fib, instants, t):
     Returns 3 when t sits strictly between two consecutive computed
     instants below the rigidity threshold, else the conservative 1.
     """
-    t = Fraction(t)
-    if not 0 < t <= 1:
-        raise ValueError("t must lie in (0, 1]")
-    u_t = t * t
-    for above, below in zip(instants, instants[1:]):
-        if below.u < u_t < above.u:
-            return 3
-    return 1
-
-
-# ---------------------------------------------------------------------------
-# Catalogued closed-form sequences, evaluated for comparison only.
-
-def _su_sequence(n, q):
-    f = Fraction(
-        4 * n**6 * q**2
-        + n**5 * (8 * q**3 + 8 * q**2 - 8 * q + 1)
-        + 4 * n**4 * (q**4 + 4 * q**3 - 3 * q**2 - 4 * q + 1)
-        + n**3 * (8 * q**4 - 8 * q**3 - 24 * q**2 + 5)
-        + n**2 * (-4 * q**4 - 16 * q**3 + 4 * q**2 + 8 * q + 6)
-        + 8 * n * q**2 * (-q**2 + q + 1)
-        + 4 * q**4,
-        n**2 * (n - 1)**2)
-    g = Fraction(2 * (n**3 * q + n**2 * (q**2 + q - 1)
-                      + n * (q**2 - q - 1) - q**2),
-                 (n - 1) * n)
-    return sqrt(sqrt(float(f)) - float(g))
-
-
-def _su_threshold(n):
-    inner = Fraction(4 * n**4 + 17 * n**3 + 26 * n**2 + 16 * n + 4, n**2)
-    return sqrt(sqrt(float(inner)) - float(Fraction(2 * (n + 1)**2, n)))
-
-
-def _so_odd_sequence(n, q):
-    f = Fraction(
-        10 * n**5 - 8 * n**4 + 2 * n**3
-        + (4 * n**4 - 4 * n**2 + 1) * q**4
-        + (16 * n**5 - 8 * n**4 - 16 * n**3 + 8 * n**2 + 4 * n - 2) * q**3
-        + (16 * n**6 - 16 * n**5 - 28 * n**4 + 24 * n**3
-           + 8 * n**2 - 8 * n + 1) * q**2
-        + (-32 * n**5 + 32 * n**4 + 8 * n**3 - 16 * n**2 + 4 * n) * q,
-        (n - 1)**2 * n**2)
-    g = Fraction(-4 * n**3 * q - 2 * n**2 * q**2 + 2 * n**2 * q + 4 * n**2
-                 + 2 * n * q - 2 * n + q**2 - q,
-                 2 * (n - 1) * n)
-    return sqrt(sqrt(float(f)) + float(g))
-
-
-def _so_odd_threshold(n):
-    return sqrt(sqrt(float(Fraction(8 * n**2 + 5 * n - 2))) / sqrt(2.0)
-                - 2 * n)
-
-
-def _g2_sequence(r, s):
-    inner = (-66 * r * r - 33 * r * s - 99 * r
-             - 22 * s * s - 55 * s + 24)
-    return sqrt(sqrt(float(inner) ** 2 + 64.0) + inner) / (2 * sqrt(2.0))
-
-
-def cross_check_closed_forms(family, instants, tol=1e-9):
-    """Compare solved instants against the catalogued sequence formulas.
-
-    Each row pairs a solved t with the catalogued evaluation for its
-    index and records agreement to ``tol``.  Disagreements are reported
-    as suspected catalog errors, never substituted: the so-odd sequence
-    radicand comes out four times the derived one past the first index,
-    and the g2 formula differs whenever both indices are positive (its
-    cross coefficient reads 33 where the defining equation forces 66).
-    Families without a catalogued sequence return an empty report.
-    """
-    family = getattr(family, "family", family)
-    kind, n = family.kind, family.n
-    rows = []
-    if kind == "su":
-        for q, inst in enumerate(instants, start=1):
-            printed = _su_threshold(n) if q == 1 else _su_sequence(n, q)
-            rows.append(_check_row((q,), inst, printed, tol))
-    elif kind == "so-odd":
-        for q, inst in enumerate(instants, start=1):
-            printed = _so_odd_threshold(n) if q == 1 else _so_odd_sequence(n, q)
-            row = _check_row((q,), inst, printed, tol)
-            if not row["agree"] and q > 1:
-                row["note"] = "catalogued radicand is 4x the derived value"
-            rows.append(row)
-    elif kind == "g2":
-        if instants:
-            cutoff = max(inst.beta for inst in instants)
-            labels = {e.value: e.label for e in base_spectrum(family, cutoff)}
-            for inst in instants:
-                for r, s in labels[inst.beta]:
-                    row = _check_row((r, s), inst, _g2_sequence(r, s), tol)
-                    if not row["agree"] and r * s != 0:
-                        row["note"] = ("catalogued cross coefficient 33 "
-                                       "where the defining equation gives 66")
-                    rows.append(row)
-    return rows
-
-
-def _check_row(label, inst, printed, tol):
-    return {
-        "label": label,
-        "solved": inst.t,
-        "catalogued": printed,
-        "agree": abs(inst.t - printed) <= tol,
-        "note": "",
-    }
+    k, on_instant = _instants_above(instants, t)
+    return 3 if 0 < k < len(instants) and not on_instant else 1

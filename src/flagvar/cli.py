@@ -1,4 +1,5 @@
-"""Command-line surface: queries, verification audit, figure data.
+"""Command-line surface: argument parsing and the JSON, CSV and SVG
+formatters.  The verify checks come from ``catalog.audit``.
 
 Subcommands: spectrum, scal, instants, morse, figure, verify.  Exact
 rationals serialize as "p/q" strings; floats appear only next to their
@@ -13,82 +14,17 @@ import json
 import sys
 from fractions import Fraction
 
-from .bifurcation import (cross_check_closed_forms, degeneracy_instants,
-                          morse_index, multiplicity_lower_bound,
-                          rigidity_threshold)
-from .curvature import scal_closed_form, scal_wz, su_triple_census
+from .bifurcation import degeneracy_instants, morse_index
+from .catalog import LEDGER, LEDGER_GLOBAL, audit, scal_closed_form
+from .curvature import scal_wz
 from .fibration import FAMILY_KEYS, FibrationFamily, build_fibration
-from .spectra import (_first_entries, base_spectrum, base_spectrum_first,
-                      bn_dominance_row_report, cn_first_eigenvalue_report,
-                      fiber_spectrum, flag_minimum, flag_spectrum)
-from .variation import _beta1, gap_certificate, normalized_scal
+# flag_minimum is unused here but stays bound: the perfbench tracer
+# self-test checks that it is wrapped in this namespace too.
+from .spectra import base_spectrum, flag_minimum, flag_spectrum  # noqa: F401
+from .variation import figure_series
 
 _ALIASES = {"a": "su", "b": "so-odd", "c": "sp", "d": "so-even", "g": "g2"}
 _DEFAULT_N = {"su": 2, "so-odd": 2, "sp": 3, "so-even": 4, "g2": 2}
-
-_LEDGER_GLOBAL = [
-    "catalogued bracket table for the Weyl basis lists the [A,S] pair "
-    "twice where the first line is the [A,A] pair; only squared "
-    "constants are used here, so no count is affected",
-]
-
-_LEDGER = {
-    "su": [
-        "catalogued triple-symbol passage lists the same summand three "
-        "times where the three distinct summands are meant; every count "
-        "is unaffected",
-        "catalogued decimal for the first instant at n=2 reads 0.46852; "
-        "the exact surd evaluates to 0.468556",
-    ],
-    "so-odd": [
-        "catalogued scalar-curvature numerator is missing a quarter of "
-        "the fiber-internal bracket term (one of the four fiber triples "
-        "per index triple); the fiber has no such triples at n=2, so "
-        "the identity holds there and fails for n>=4; assembled "
-        "coefficients are used throughout",
-        "catalogued instant-sequence radicand is 4x the derived value "
-        "for every index past the first; the threshold formula agrees "
-        "only at n=2, since for n>=4 it is the instant of the catalogued "
-        "scalar curvature",
-        "one catalogued dominance row of the flag eigenvalue system "
-        "drops a minus sign; witness (1,1,1,3) at rank 4 passes the "
-        "catalogued system yet is not dominant",
-    ],
-    "sp": [
-        "catalogued scalar-curvature t^2 coefficient equals the full "
-        "base dimension where the assembly forces the horizontal "
-        "summand count (half of it); assembled coefficients are used "
-        "throughout",
-        "catalogued first flag eigenvalue (4n-1)/(4(n+1)) matches "
-        "neither the minimum 1 of the catalogued eigenvalue polynomial "
-        "nor the Casimir minimum n/(n+1), both attained at (1,2,...,2,1); "
-        "the catalogued polynomial halves the Casimir's p_{n-1}p_n cross "
-        "term, and the Casimir values are used throughout",
-    ],
-    "so-even": [
-        "catalogued scalar-curvature t^2 coefficient equals the full "
-        "base dimension where the assembly forces the horizontal "
-        "summand count (half of it); assembled coefficients are used "
-        "throughout",
-        "catalogued flag eigenvalue prefactor 1/(2n-1) corrected to "
-        "1/(2(n-1)); the catalogued prefactor does not give first "
-        "eigenvalue 1",
-    ],
-    "g2": [
-        "catalogued instant-sequence cross coefficient reads 33 where "
-        "the defining equation gives 66; entries with both indices "
-        "positive disagree",
-    ],
-}
-
-_FLAG_MIN = {
-    "su": lambda n: Fraction(1),
-    "so-odd": lambda n: Fraction(n, 2 * n - 1),
-    # <e1+e2, e1+e2+2*delta> = 4n, times the C_n scale 1/(4(n+1)).
-    "sp": lambda n: Fraction(n, n + 1),
-    "so-even": lambda n: Fraction(1),
-    "g2": lambda n: Fraction(1, 2),
-}
 
 
 def _frac(x):
@@ -103,12 +39,14 @@ def _label_str(label):
     return "(" + ",".join(str(x) for x in label) + ")"
 
 
-def _build_fib(args):
-    kind = _ALIASES.get(args.family, args.family)
+def _build_fib(args, name=None):
+    name = name or args.family
+    kind = _ALIASES.get(name, name)
     n = args.n if args.n is not None else _DEFAULT_N[kind]
     family = FibrationFamily(kind, n)
-    phi1 = Fraction(args.phi1) if args.phi1 is not None else Fraction(1)
-    return build_fibration(family, phi1)
+    if args.phi1 is None:
+        return build_fibration(family)
+    return build_fibration(family, args.phi1)
 
 
 def _emit(text, args):
@@ -128,7 +66,11 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def _json_text(payload):
+def _json_text(fib, **fields):
+    """The family header, then ``fields`` in order, then the ledger."""
+    payload = {"family": fib.family.kind, "n": fib.family.n,
+               "m": fib.m_total, **fields,
+               "ledger": LEDGER[fib.family.kind]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -150,20 +92,13 @@ def cmd_spectrum(args):
     bases = base_spectrum(fib.family, cutoff)
     entries = list(totals) + list(bases)
     if args.format == "json":
-        payload = {
-            "family": fib.family.kind,
-            "n": fib.family.n,
-            "m": fib.m_total,
-            "entries": [{
-                "origin": e.origin,
-                "value": _frac(e.value),
-                "value_float": float(e.value),
-                "mult": e.mult if e.mult_known else None,
-                "label": e.label,
-            } for e in entries],
-            "ledger": _LEDGER[fib.family.kind],
-        }
-        _emit(_json_text(payload), args)
+        _emit(_json_text(fib, entries=[{
+            "origin": e.origin,
+            "value": _frac(e.value),
+            "value_float": float(e.value),
+            "mult": e.mult if e.mult_known else None,
+            "label": e.label,
+        } for e in entries]), args)
     else:
         rows = [(e.origin, _frac(e.value), float(e.value),
                  e.mult if e.mult_known else "", _label_str(e.label))
@@ -180,19 +115,11 @@ def cmd_scal(args):
     verdict = "PASS" if wz.same_function(closed) else "FAIL"
     rows = [("wang-ziller", wz), ("closed-form", closed)]
     if args.format == "json":
-        payload = {
-            "family": fib.family.kind,
-            "n": fib.family.n,
-            "m": fib.m_total,
-            "entries": [{
-                "source": name,
-                "a": _frac(p.a), "c": _frac(p.c),
-                "e": _frac(p.e), "d": _frac(p.d),
-            } for name, p in rows],
-            "verdict": verdict,
-            "ledger": _LEDGER[fib.family.kind],
-        }
-        _emit(_json_text(payload), args)
+        _emit(_json_text(fib, entries=[{
+            "source": name,
+            "a": _frac(p.a), "c": _frac(p.c),
+            "e": _frac(p.e), "d": _frac(p.d),
+        } for name, p in rows], verdict=verdict), args)
     else:
         table = [(name, _frac(p.a), _frac(p.c), _frac(p.e), _frac(p.d),
                   verdict) for name, p in rows]
@@ -207,21 +134,14 @@ def cmd_instants(args):
     t_min = Fraction(args.tmin)
     instants = degeneracy_instants(fib, poly, t_min)
     if args.format == "json":
-        payload = {
-            "family": fib.family.kind,
-            "n": fib.family.n,
-            "m": fib.m_total,
-            "instants": [{
-                "beta": _frac(inst.beta),
-                "u": str(inst.u),
-                "t": inst.t,
-                "t_error": inst.t_error,
-                "mult": inst.mult,
-                "is_bifurcation": inst.is_bifurcation,
-            } for inst in instants],
-            "ledger": _LEDGER[fib.family.kind],
-        }
-        _emit(_json_text(payload), args)
+        _emit(_json_text(fib, instants=[{
+            "beta": _frac(inst.beta),
+            "u": str(inst.u),
+            "t": inst.t,
+            "t_error": inst.t_error,
+            "mult": inst.mult,
+            "is_bifurcation": inst.is_bifurcation,
+        } for inst in instants]), args)
     else:
         rows = [(_frac(inst.beta), str(inst.u), inst.t, inst.t_error,
                  inst.mult, inst.is_bifurcation) for inst in instants]
@@ -246,43 +166,14 @@ def cmd_morse(args):
             index = None
         grid.append((t, index))
     if args.format == "json":
-        payload = {
-            "family": fib.family.kind,
-            "n": fib.family.n,
-            "m": fib.m_total,
-            "grid": [{"t": float(t), "t_exact": _frac(t), "index": index}
-                     for t, index in grid],
-            "ledger": _LEDGER[fib.family.kind],
-        }
-        _emit(_json_text(payload), args)
+        _emit(_json_text(fib, grid=[
+            {"t": float(t), "t_exact": _frac(t), "index": index}
+            for t, index in grid]), args)
     else:
         rows = [(float(t), _frac(t), "" if index is None else index)
                 for t, index in grid]
         _emit(_csv_text(("t", "t_exact", "index"), rows), args)
     return 0
-
-
-def _figure_series(fib, poly, t_min, t_max, steps=120):
-    """Grid columns for the plot: t, scal/(m-1), constants, curves."""
-    norm = normalized_scal(fib, poly)
-    constants = [e.value for e in base_spectrum_first(fib.family, 6)]
-    mus = [e.value for e in _first_entries(
-        lambda c: flag_spectrum(fib.family.root_family, c), 6)]
-    phis = [e.value for e in _first_entries(
-        lambda c: fiber_spectrum(fib, c), 6)]
-    names = ["t", "scal_over_m_minus_1"]
-    names += ["const_{}".format(k) for k in range(1, 7)]
-    pairs = [(k, j) for k in range(1, 7) for j in range(1, k + 1)]
-    names += ["lam_{}_{}".format(k, j) for k, j in pairs]
-    rows = []
-    for i in range(steps + 1):
-        t = t_min + (t_max - t_min) * i / steps
-        stretch = 1 / (t * t) - 1
-        row = [float(t), float(norm.value_at_t(t))]
-        row += [float(c) for c in constants]
-        row += [float(mus[k - 1] + stretch * phis[j - 1]) for k, j in pairs]
-        rows.append(row)
-    return names, rows
 
 
 def _svg_figure(fib, names, rows, verticals, t_min, t_max):
@@ -366,140 +257,30 @@ def cmd_figure(args):
     fib = _build_fib(args)
     poly = scal_wz(fib)
     t_min, t_max = _parse_window(args)
-    names, rows = _figure_series(fib, poly, t_min, t_max)
+    names, rows = figure_series(fib, poly, t_min, t_max)
     if args.format == "svg":
         verticals = degeneracy_instants(fib, poly, t_min)
         _emit(_svg_figure(fib, names, rows, verticals, t_min, t_max), args)
     elif args.format == "json":
-        payload = {
-            "family": fib.family.kind,
-            "n": fib.family.n,
-            "m": fib.m_total,
-            "grid": {"columns": names, "rows": rows},
-            "ledger": _LEDGER[fib.family.kind],
-        }
-        _emit(_json_text(payload), args)
+        _emit(_json_text(fib, grid={"columns": names, "rows": rows}), args)
     else:
         _emit(_csv_text(names, rows), args)
     return 0
 
 
-def _expected_cross_check(kind, n, report):
-    """The agreement pattern the catalogued formulas are known to have.
-
-    The catalogued so-odd threshold is the instant solved from the
-    catalogued scalar curvature, so it agrees exactly where that does.
-    """
-    if kind == "su":
-        return all(row["agree"] for row in report)
-    if kind == "so-odd":
-        head = [row for row in report if row["label"] == (1,)]
-        tail = [row for row in report if row["label"] != (1,)]
-        return (all(row["agree"] == _scal_identity_expected(kind, n)
-                    for row in head)
-                and all(not row["agree"] for row in tail))
-    if kind == "g2":
-        return all(row["agree"] == (row["label"][0] * row["label"][1] == 0)
-                   for row in report)
-    return report == []
-
-
-def _scal_identity_expected(kind, n):
-    """Where the catalogued closed form matches the assembled one.
-
-    The so-odd form drops the fiber-internal bracket term (absent at
-    n=2), and the sp / so-even forms carry a doubled t^2 coefficient,
-    so agreement there would itself be a bug.
-    """
-    if kind == "so-odd":
-        return n == 2
-    return kind in ("su", "g2")
-
-
-def _verify_family(fib, lines):
-    kind, n = fib.family.kind, fib.family.n
-    tag = "[{} n={}]".format(kind, n)
-    checks = []
-    poly = scal_wz(fib)
-    closed = scal_closed_form(fib.family)
-    checks.append(("scal-closed-form-pattern",
-                   poly.same_function(closed)
-                   == _scal_identity_expected(kind, n)))
-
-    if kind == "su":
-        n1, n2, n3 = su_triple_census(fib)
-        checks.append(("triple-census",
-                       (n1, n2, n3) == (n**3 - 3 * n**2 + 2 * n,
-                                        2 * n * (n - 1), n * (n - 1))))
-
-    checks.append(("flag-minimum",
-                   flag_minimum(fib.family.root_family).value
-                   == _FLAG_MIN[kind](n)))
-    checks.append(("base-minimum",
-                   base_spectrum_first(fib.family, 1)[0].value
-                   == _beta1(fib)))
-    checks.append(("gap-certificate", gap_certificate(fib, poly)["holds"]))
-
-    threshold = rigidity_threshold(fib, poly)
-    checks.append(("threshold-in-unit-interval",
-                   threshold.u.sign() > 0 and threshold.u < 1))
-
-    instants = degeneracy_instants(fib, poly, Fraction(11, 100))
-    checks.append(("instants-bifurcate",
-                   bool(instants)
-                   and all(inst.is_bifurcation for inst in instants)))
-    checks.append(("morse-rigid-above-threshold",
-                   morse_index(fib, poly, instants, 1) == 0))
-    samples = [Fraction(95, 100), Fraction(7, 10), Fraction(1, 2),
-               Fraction(3, 10), Fraction(3, 20)]
-    indices = [morse_index(fib, poly, instants, t) for t in samples]
-    checks.append(("morse-nondecreasing",
-                   all(a <= b for a, b in zip(indices, indices[1:]))))
-    if len(instants) >= 2:
-        mid = Fraction(round((instants[0].t + instants[1].t) * 5e5), 10**6)
-        checks.append(("three-solutions-between-instants",
-                       multiplicity_lower_bound(fib, instants, mid) == 3))
-    checks.append(("one-solution-at-one",
-                   multiplicity_lower_bound(fib, instants, 1) == 1))
-
-    report = cross_check_closed_forms(fib.family, instants)
-    checks.append(("closed-form-cross-check",
-                   _expected_cross_check(kind, n, report)))
-
-    if kind == "sp":
-        cn = cn_first_eigenvalue_report(n)
-        checks.append(("sp-first-eigenvalue-discrepancy",
-                       cn["formula_min"] == 1
-                       and cn["casimir_min"] == _FLAG_MIN[kind](n)
-                       and cn["stated"] not in (cn["formula_min"],
-                                                cn["casimir_min"])))
-    if kind == "so-odd":
-        bn = bn_dominance_row_report(max(n, 4))
-        checks.append(("dominance-row-witness",
-                       bn["catalogued_accepts"] and not bn["dominant"]))
-
-    ok = True
-    for name, passed in checks:
-        lines.append("{} {}: {}".format(tag, name,
-                                        "PASS" if passed else "FAIL"))
-        ok = ok and passed
-    for note in _LEDGER[kind]:
-        lines.append("{} ledger: {}".format(tag, note))
-    return ok
-
-
 def cmd_verify(args):
-    if args.family is None:
-        kinds = list(FAMILY_KEYS)
-    else:
-        kinds = [_ALIASES.get(args.family, args.family)]
-    lines = ["[general] ledger: {}".format(note) for note in _LEDGER_GLOBAL]
+    families = FAMILY_KEYS if args.family is None else (args.family,)
+    lines = ["[general] ledger: {}".format(note) for note in LEDGER_GLOBAL]
     ok = True
-    for kind in kinds:
-        n = args.n if args.n is not None else _DEFAULT_N[kind]
-        phi1 = Fraction(args.phi1) if args.phi1 is not None else Fraction(1)
-        fib = build_fibration(FibrationFamily(kind, n), phi1)
-        ok = _verify_family(fib, lines) and ok
+    for family in families:
+        fib = _build_fib(args, family)
+        tag = "[{} n={}]".format(fib.family.kind, fib.family.n)
+        for name, passed in audit(fib):
+            lines.append("{} {}: {}".format(tag, name,
+                                            "PASS" if passed else "FAIL"))
+            ok = ok and passed
+        lines += ["{} ledger: {}".format(tag, note)
+                  for note in LEDGER[fib.family.kind]]
     lines.append("VERIFY: {}".format("PASS" if ok else "FAIL"))
     _emit("\n".join(lines) + "\n", args)
     return 0 if ok else 1

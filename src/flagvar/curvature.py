@@ -1,24 +1,12 @@
-"""Scalar curvature of the canonical variation, two independent ways.
+"""Scalar curvature of the canonical variation, assembled from root triples.
 
 ``scal_wz`` assembles the curvature by brute force from root triples:
 each unordered triple {alpha, beta, alpha+beta} of positive roots feeds
 the summation with a symbol value of twice the squared structure
 constant of the summand pair, weighted by how many of the three roots
-are vertical.  ``scal_closed_form`` returns the catalogued polynomial
-coefficients for each family.
-
-The two agree coefficient-by-coefficient for su (every n), g2, and
-so-odd at n=2, and that agreement is enforced with zero tolerance.  For
-so-odd at n>=4 the catalogued numerator is missing a quarter of the
-fiber-internal bracket term (one of the four fiber triples per index
-triple; the fiber has none at n=2), and for sp / so-even the catalogued
-t**2 coefficient is the base dimension where the assembly forces the
-horizontal summand count, half of it.  Two facts pin the assembled side
-down independently of any closed form: the t**2 coefficient of any
-fiber-scaling variation is the number of horizontal summands, and at
-t=1 the value must be (dim G + rank)/4, the normal metric's curvature.
-The assembled coefficients are the ones used downstream; the catalogued
-ones are kept verbatim as a cross-check.
+are vertical.  The assembled coefficients are the ones used downstream;
+the catalogued closed forms, and where they disagree with the assembly,
+are in ``catalog``.
 
 Everything is represented in u = t**2, never sampled in floats.
 """
@@ -131,33 +119,6 @@ def scal_wz(fib):
     c = Fraction(n_horizontal)
     e = -sum_mixed / 2
     return ScalPoly(a=a, c=c, e=e, d=Fraction(1))
-
-
-def scal_closed_form(family):
-    """Catalogued closed-form coefficients of scal(t) per family."""
-    n = family.n
-    if family.kind == "su":
-        return ScalPoly(a=Fraction(-2 * n + n * n * (n + 1)),
-                        c=Fraction(4 * n * (n + 1)),
-                        e=Fraction(n * (1 - n)),
-                        d=Fraction(4 * (n + 1)))
-    if family.kind == "so-odd":
-        return ScalPoly(a=Fraction(5 * n**3 - 7 * n**2 + 2 * n),
-                        c=Fraction(8 * n**2 - 4 * n),
-                        e=Fraction(-2 * n**2 + 2 * n),
-                        d=Fraction(4 * (2 * n - 1)))
-    if family.kind == "sp":
-        return ScalPoly(a=Fraction(5 * n**3 + 9 * n**2 - 14 * n),
-                        c=Fraction(24 * n**3 + 48 * n**2 + 24 * n),
-                        e=Fraction(-2 * n**3 + 2 * n),
-                        d=Fraction(24 * (n + 1)))
-    if family.kind == "so-even":
-        return ScalPoly(a=Fraction(5 * n**2 + 2 * n),
-                        c=Fraction(24 * n**2 - 24 * n),
-                        e=Fraction(-2 * n**2 + 4 * n),
-                        d=Fraction(24))
-    return ScalPoly(a=Fraction(2), c=Fraction(12),
-                    e=Fraction(-2), d=Fraction(3))
 
 
 def su_triple_census(fib):

@@ -9,7 +9,6 @@ every root contributes a 2-dimensional isotropy summand.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .rootsys import FamilyTag, build_root_system
 
@@ -110,10 +109,11 @@ def _vertical_set(family, rs):
 def build_fibration(family, phi1=Fraction(1)):
     """Assemble the vertical/horizontal partition and dimension data.
 
-    phi1 is the first positive eigenvalue of the fiber Laplacian.  The
-    default 1 is right for every fiber under its intrinsic normalization
-    and is what the downstream bifurcation test assumes; pass another
-    value to re-run that test under a different fiber scaling.
+    phi1 is the first positive eigenvalue of the fiber Laplacian, which
+    the downstream bifurcation test uses.  The default 1 is every
+    fiber's intrinsic value.  Under the form of G, which the canonical
+    variation restricts to the fiber, it differs: su at n=2 gives 2/3.
+    Pass another value to re-run the test under that scaling.
     """
     phi1 = Fraction(phi1)
     if phi1 <= 0:
@@ -138,14 +138,3 @@ def build_fibration(family, phi1=Fraction(1)):
         fiber_id=fiber_id,
         phi1=phi1,
     )
-
-
-def vertical_closed_under_addition(fib):
-    """True when the vertical set is a closed subsystem of positives."""
-    vertical = set(fib.vertical_roots)
-    positives = set(fib.root_system.positive_roots)
-    for a, b in combinations(vertical, 2):
-        s = tuple(x + y for x, y in zip(a, b))
-        if s in positives and s not in vertical:
-            return False
-    return True

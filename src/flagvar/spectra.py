@@ -11,22 +11,15 @@ cleared the value is an integer form a'Wa + w.a with W and w entrywise
 non-negative.  That form never decreases in any coordinate: a prefix
 with a zero tail is an exact lower bound, and one enumerator that stops
 each coordinate at its first value over the cutoff finds every weight
-under it.  Base multiplicities are Weyl dimensions.
-
-Two catalogued inconsistencies are surfaced (never silently fixed).
-The catalogued sp-family flag polynomial halves the Casimir's
-p_{n-1} p_n cross term, so its minimum is 1 where the Casimir minimum is
-n/(n+1), and the catalogued first eigenvalue (4n-1)/(4(n+1)) is neither.
-The catalogued dominance system for the so-odd flag has a sign slip in
-one row.  See ``cn_first_eigenvalue_report`` and
-``bn_dominance_row_report``.
+under it.  Base multiplicities are Weyl dimensions.  The catalogued
+eigenvalue statements these are compared with are in ``catalog``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, floor, lcm
+from math import comb, floor, lcm, prod
 
 from .exact import solve_linear
 from .rootsys import FamilyTag, build_root_system, ck_inner
@@ -109,28 +102,37 @@ def ambient_weight(family, coeffs):
     return _combine(coeffs, weights)
 
 
+@lru_cache(maxsize=None)
+def _weyl_rows(family):
+    """Rows (k_i |alpha_i|^2)_i = (2 <alpha, omega_i>)_i of the positive
+    roots alpha = sum k_i alpha_i under the dot product, and the product
+    of the row sums, which is the Weyl denominator up to the CK scale."""
+    weights = _fundamental_weights(family)
+    rows = tuple(tuple(int(2 * sum(x * y for x, y in zip(alpha, w)))
+                       for w in weights)
+                 for alpha in _root_system(family).positive_roots)
+    return rows, prod(sum(row) for row in rows)
+
+
 def weyl_dim(family, coeffs):
     """Dimension of the irreducible with highest weight sum c_i*omega_i.
 
     coeffs are the nonnegative integer fundamental-weight coefficients;
-    anything negative is rejected as non-dominant.  The product formula
-    must come out an exact positive integer, enforced here.
+    anything negative is rejected as non-dominant.  With <omega_i,
+    alpha_i> = |alpha_i|^2/2, the product formula is an integer ratio,
+    the product over positive roots of row.(c + 1) over that of row.1,
+    and it must divide exactly to a positive integer, enforced here.
     """
     if any(c < 0 for c in coeffs):
         raise ValueError("non-dominant weight")
-    return _weyl_dim_ambient(family, ambient_weight(family, coeffs))
-
-
-def _weyl_dim_ambient(family, lam):
-    rs = _root_system(family)
-    delta = _half_sum(family)
-    shifted = tuple(x + d for x, d in zip(lam, delta))
-    result = Fraction(1)
-    for alpha in rs.positive_roots:
-        result *= ck_inner(rs.ck, shifted, alpha) / ck_inner(rs.ck, delta, alpha)
-    if result.denominator != 1 or result <= 0:
+    if len(coeffs) != family.rank:
+        raise ValueError("coefficient count does not match the rank")
+    rows, den = _weyl_rows(family)
+    dim, rest = divmod(prod(sum(r * (c + 1) for r, c in zip(row, coeffs))
+                            for row in rows), den)
+    if rest or dim <= 0:
         raise ValueError("Weyl dimension did not come out a positive integer")
-    return int(result)
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +223,6 @@ def flag_mu(family, p):
     if any(x < 1 for x in p):
         raise ValueError("class-one coefficients must be >= 1")
     return _root_system(family).ck.scale * _form_value(_simple_gram(family), p)
-
-
-def class_one_weight(family, p):
-    """Ambient weight sum p_i*alpha_i."""
-    return _combine(p, _root_system(family).simple_roots)
 
 
 def is_dominant_class_one(family, p):
@@ -324,11 +321,6 @@ def kramer_basis(fib_family):
     return ((0, 2), (2, 0))  # g2: 2*omega_long, then 2*omega_short
 
 
-def g2_base_value(r, s):
-    """Catalogued base eigenvalue polynomial for the g2 family."""
-    return Fraction(9 * r + 6 * r * r + 5 * s + 6 * r * s + 2 * s * s, 6)
-
-
 def base_spectrum(fib_family, cutoff):
     """Base eigenvalues <= cutoff with Weyl-dimension multiplicities.
 
@@ -360,12 +352,14 @@ def base_spectrum_first(fib_family, count):
 # Fiber spectra.
 
 def fiber_spectrum(fib, cutoff):
-    """Fiber eigenvalues <= cutoff under the intrinsic normalization.
+    """Fiber eigenvalues <= cutoff under the fiber's own normalization.
 
     The fiber of the so-odd family at n = 2 and of g2 is a product of
     two rank-one flags, so its spectrum is the sum set of two rank-one
     spectra with zero allowed on either factor.  Every fiber here has
-    first positive eigenvalue 1, matching the default phi1.
+    intrinsic first eigenvalue 1, the default phi1.  Under the form of
+    G, which the canonical variation restricts to the fiber, the values
+    differ: su at n=2 has first eigenvalue 2/3 there.
     """
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
@@ -386,74 +380,3 @@ def fiber_spectrum(fib, cutoff):
     return [SpectrumEntry(value=e.value, mult=1, origin="fiber",
                           label=e.label, mult_known=False)
             for e in inner]
-
-
-# ---------------------------------------------------------------------------
-# Catalogued-inconsistency reports.
-
-def _catalogued_c_gram(n):
-    """Numerator form of the catalogued sp-family eigenvalue polynomial.
-
-    Over the denominator 4(n+1): diagonal (2, ..., 2, 4) and -1 next to
-    it, which halves the Casimir's p_{n-1} p_n cross term.
-    """
-    return tuple(tuple(4 if i == j == n - 1 else 2 if i == j
-                       else -1 if abs(i - j) == 1 else 0
-                       for j in range(n)) for i in range(n))
-
-
-def _catalogued_c_mu(p):
-    """The catalogued sp-family eigenvalue polynomial at p."""
-    n = len(p)
-    return Fraction(_form_value(_catalogued_c_gram(n), p), 4 * (n + 1))
-
-
-def cn_first_eigenvalue_report(n):
-    """Three first-eigenvalue candidates for the sp-family flag.
-
-    The catalogued polynomial attains 1 and the Casimir n/(n+1), both at
-    p = (1, 2, ..., 2, 1), while the catalogued statement of the first
-    eigenvalue says (4n-1)/(4(n+1)).  All three are returned; nothing
-    is adjudicated here.
-    """
-    family = FamilyTag("C", n)
-    # The polynomial is the Casimir plus p_{n-1} p_n / (2(n+1)), and p is
-    # a non-negative combination of the fundamental-weight coefficients,
-    # so the enumerator's monotone precondition still holds.
-    value, argmins = _first_entries(
-        lambda c: list(_class_one_points(family, _catalogued_c_gram(n),
-                                         Fraction(1, 4 * (n + 1)), c).items()),
-        1, _catalogued_c_mu((1,) * n))[0]
-    casimir = flag_minimum(family)
-    stated = Fraction(4 * n - 1, 4 * (n + 1))
-    return {
-        "formula_min": value,
-        "formula_argmin": argmins[0],
-        "casimir_min": casimir.value,
-        "casimir_argmin": casimir.label[0],
-        "stated": stated,
-        "consistent": value == stated,
-    }
-
-
-def bn_dominance_row_report(n):
-    """Witness that one catalogued so-odd dominance row drops a sign.
-
-    The catalogued system lists p_{n-2} + 2p_{n-1} - p_n >= 0 where
-    dominance requires -p_{n-2} + 2p_{n-1} - p_n >= 0.  For n >= 3 the
-    vector (1, ..., 1, 3) passes the catalogued system yet fails
-    dominance.
-    """
-    if n < 3:
-        raise ValueError("the affected row only exists for n >= 3")
-    witness = tuple([1] * (n - 1) + [3])
-    catalogued_rows = [2 * witness[0] - witness[1]]
-    for i in range(1, n - 2):
-        catalogued_rows.append(-witness[i - 1] + 2 * witness[i] - witness[i + 1])
-    catalogued_rows.append(witness[n - 3] + 2 * witness[n - 2] - witness[n - 1])
-    catalogued_rows.append(-witness[n - 2] + witness[n - 1])
-    return {
-        "witness": witness,
-        "catalogued_accepts": all(row >= 0 for row in catalogued_rows),
-        "dominant": is_dominant_class_one(FamilyTag("B", n), witness),
-    }

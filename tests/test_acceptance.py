@@ -4,7 +4,7 @@ otherwise).
 
 Criterion 1 is asserted exactly as stated, for every case.  The
 catalogued closed forms do not match the assembled polynomial for
-so-odd n >= 4, sp, and so-even (see the curvature module docstring for
+so-odd n >= 4, sp, and so-even (see the catalog module docstring for
 the structural reason), so that test fails and is expected to fail.
 Nothing is weakened to hide this; the verdict line carries the failing
 cases.
@@ -15,17 +15,16 @@ from fractions import Fraction
 import pytest
 
 from flagvar import cli
-from flagvar.bifurcation import (cross_check_closed_forms,
-                                 degeneracy_instants, instant_below,
+from flagvar.bifurcation import (degeneracy_instants, instant_below,
                                  morse_index, multiplicity_lower_bound,
-                                 rigidity_threshold, solve_instant,
-                                 _su_threshold)
-from flagvar.curvature import scal_closed_form, scal_wz, su_triple_census, triples
+                                 rigidity_threshold, solve_instant)
+from flagvar.catalog import (_su_threshold, cn_first_eigenvalue_report,
+                             cross_check_closed_forms, scal_closed_form)
+from flagvar.curvature import scal_wz, su_triple_census, triples
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag
-from flagvar.spectra import (base_spectrum_first, cn_first_eigenvalue_report,
-                             cpn_multiplicity, flag_minimum,
-                             sphere_multiplicity, weyl_dim)
+from flagvar.spectra import (base_spectrum_first, cpn_multiplicity,
+                             flag_minimum, sphere_multiplicity, weyl_dim)
 from flagvar.surd import QuadraticSurd
 from flagvar.variation import gap_certificate
 from flagvar.bifurcation import DegeneracyInstant  # noqa: F401  (re-export check)

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from flagvar.bifurcation import (DegeneracyInstant, _so_odd_threshold,
-                                 cross_check_closed_forms,
-                                 degeneracy_instants, instant_below,
-                                 morse_index, multiplicity_lower_bound,
+from flagvar.bifurcation import (DegeneracyInstant, degeneracy_instants,
+                                 instant_below, morse_index,
+                                 multiplicity_lower_bound,
                                  rigidity_threshold, solve_instant)
-from flagvar.curvature import ScalPoly, scal_closed_form, scal_wz
+from flagvar.catalog import (_so_odd_threshold, cross_check_closed_forms,
+                             scal_closed_form)
+from flagvar.curvature import ScalPoly, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.surd import QuadraticSurd
 
@@ -146,6 +147,55 @@ def test_morse_index_rejects_degenerate_point():
         beta=Fraction(1), mult=8, is_bifurcation=True)
     with pytest.raises(ValueError, match="degenerate point"):
         morse_index(fib, poly, [crafted], Fraction(1, 2))
+
+
+def _crafted(*ts):
+    """Instants at the rational t's, with multiplicities 1, 2, 4, ..."""
+    return [DegeneracyInstant(u=QuadraticSurd.from_rational(t * t),
+                              t=float(t), t_error=0.0, beta=Fraction(k + 1),
+                              mult=2 ** k, is_bifurcation=True)
+            for k, t in enumerate(ts)]
+
+
+def test_degenerate_point_inside_a_list_of_instants():
+    fib, poly = _setup("su", 2)
+    instants = _crafted(Fraction(3, 4), Fraction(1, 2), Fraction(1, 4),
+                        Fraction(1, 8))
+    for t in (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
+        with pytest.raises(ValueError, match="degenerate point"):
+            morse_index(fib, poly, instants, t)
+        assert multiplicity_lower_bound(fib, instants, t) == 1
+    assert morse_index(fib, poly, instants, Fraction(1)) == 0
+    assert morse_index(fib, poly, instants, Fraction(5, 8)) == 1
+    assert morse_index(fib, poly, instants, Fraction(3, 8)) == 3
+    assert morse_index(fib, poly, instants, Fraction(1, 16)) == 15
+    assert multiplicity_lower_bound(fib, instants, Fraction(5, 8)) == 3
+    assert multiplicity_lower_bound(fib, instants, Fraction(1, 16)) == 1
+
+
+def _linear_scan(instants, t):
+    """Reference: compare t**2 with every instant.  Returns the Morse
+    index (None on an instant) and the solution-count lower bound."""
+    signs = [(inst.u - t * t).sign() for inst in instants]
+    index = (None if 0 in signs else
+             sum(inst.mult for inst, s in zip(instants, signs) if s > 0))
+    between = any(above > 0 > below
+                  for above, below in zip(signs, signs[1:]))
+    return index, 3 if between else 1
+
+
+@pytest.mark.parametrize("kind,n", [("su", 2), ("su", 3), ("so-odd", 2)])
+def test_bisection_matches_the_linear_scan(kind, n):
+    # Every point of the morse command's grid at tmin 0.007.
+    fib, poly = _setup(kind, n)
+    t_min = Fraction(7, 1000)
+    instants = degeneracy_instants(fib, poly, t_min)
+    assert len(instants) > 80
+    for i in range(101):
+        t = t_min + (1 - t_min) * i / 100
+        index, count = _linear_scan(instants, t)
+        assert morse_index(fib, poly, instants, t) == index
+        assert multiplicity_lower_bound(fib, instants, t) == count
 
 
 def test_morse_index_rejects_t_outside_range():

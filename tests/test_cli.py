@@ -1,7 +1,9 @@
 """End-to-end tests for the flagvar command line, driven through main()
 so exit codes and output land exactly as a shell would see them."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -229,3 +231,20 @@ def test_alias_families_match_canonical(capsys):
                                           "--n", "3"])
     assert code_alias == code_full == 0
     assert out_alias == out_full
+
+
+# -- module boundaries -----------------------------------------------------
+
+def test_catalogue_stays_apart_from_the_derived_modules():
+    # cli imports no private name, and only cli and the package root
+    # import the catalogue: the derived modules never see it.
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            if path.name == "cli.py":
+                assert not [a.name for a in node.names
+                            if a.name.startswith("_")]
+            if path.name not in ("__init__.py", "cli.py"):
+                assert node.module != "catalog", path.name
+

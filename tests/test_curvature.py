@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from flagvar.curvature import (ScalPoly, scal_closed_form, scal_wz,
-                               su_triple_census, triples)
+from flagvar.catalog import scal_closed_form
+from flagvar.curvature import ScalPoly, scal_wz, su_triple_census, triples
 from flagvar.fibration import FibrationFamily, build_fibration
 
 IDENTITY_HOLDS = [("su", n) for n in range(2, 7)] + [("so-odd", 2), ("g2", 2)]

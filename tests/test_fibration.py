@@ -1,11 +1,11 @@
 """Tests for the five vertical/horizontal root partitions."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from flagvar.fibration import (FAMILY_KEYS, FibrationFamily, build_fibration,
-                               vertical_closed_under_addition)
+from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
 
 # (kind, n) -> (#vertical, #horizontal)
 PARTITION = [
@@ -53,6 +53,17 @@ def test_partition_sizes_and_dimensions(kind, n, nv, nh):
     assert set(fib.vertical_roots).isdisjoint(fib.horizontal_roots)
     assert (set(fib.vertical_roots) | set(fib.horizontal_roots)
             == set(fib.root_system.positive_roots))
+
+
+def vertical_closed_under_addition(fib):
+    """True when the vertical set is a closed subsystem of positives."""
+    vertical = set(fib.vertical_roots)
+    positives = set(fib.root_system.positive_roots)
+    for a, b in combinations(vertical, 2):
+        s = tuple(x + y for x, y in zip(a, b))
+        if s in positives and s not in vertical:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("kind,n,nv,nh", PARTITION)

@@ -9,17 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagvar.catalog import (_catalogued_c_mu, bn_dominance_row_report,
+                             cn_first_eigenvalue_report)
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.rootsys import FamilyTag, build_root_system
-from flagvar.spectra import (_catalogued_c_mu, _lattice_points,
-                             ambient_weight, base_spectrum,
-                             base_spectrum_first, bn_dominance_row_report,
-                             casimir_of_weight, class_one_weight,
-                             cn_first_eigenvalue_report, cpn_multiplicity,
-                             fiber_spectrum, flag_minimum, flag_mu,
-                             flag_spectrum, g2_base_value,
-                             is_dominant_class_one, kramer_basis,
-                             sphere_multiplicity, weyl_dim)
+from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
+from flagvar.spectra import (_lattice_points, ambient_weight, base_spectrum,
+                             base_spectrum_first, casimir_of_weight,
+                             cpn_multiplicity, fiber_spectrum, flag_minimum,
+                             flag_mu, flag_spectrum, is_dominant_class_one,
+                             kramer_basis, sphere_multiplicity, weyl_dim)
+
+
+def class_one_weight(family, p):
+    """Ambient weight sum p_i*alpha_i."""
+    simple = build_root_system(family).simple_roots
+    return tuple(sum(x * alpha[k] for x, alpha in zip(p, simple))
+                 for k in range(len(simple[0])))
+
+
+def g2_base_value(r, s):
+    """Catalogued base eigenvalue polynomial for the g2 family."""
+    return Fraction(9 * r + 6 * r * r + 5 * s + 6 * r * s + 2 * s * s, 6)
 
 
 # -- eigenvalue polynomials and their Casimir oracle ----------------------
@@ -188,6 +198,36 @@ def test_weyl_dim_examples():
 def test_ambient_weight_validates_length():
     with pytest.raises(ValueError):
         ambient_weight(FamilyTag("A", 2), (1,))
+    with pytest.raises(ValueError):
+        weyl_dim(FamilyTag("A", 2), (1,))
+
+
+def weyl_dim_ambient(family, coeffs):
+    """Reference Weyl product: <lam + delta, alpha> / <delta, alpha> over
+    the positive roots, in the CK form on ambient coordinates."""
+    rs = build_root_system(family)
+    delta = tuple(sum(r[k] for r in rs.positive_roots) / Fraction(2)
+                  for k in range(len(rs.positive_roots[0])))
+    shifted = tuple(x + d for x, d in
+                    zip(ambient_weight(family, coeffs), delta))
+    result = Fraction(1)
+    for alpha in rs.positive_roots:
+        result *= (ck_inner(rs.ck, shifted, alpha)
+                   / ck_inner(rs.ck, delta, alpha))
+    return result
+
+
+@pytest.mark.parametrize("family", [FamilyTag("A", n) for n in range(1, 7)]
+                         + [FamilyTag("B", n) for n in range(2, 6)]
+                         + [FamilyTag("C", n) for n in range(3, 6)]
+                         + [FamilyTag("D", n) for n in range(4, 7)]
+                         + [FamilyTag("G2", 2)],
+                         ids=lambda f: "{}{}".format(f.kind, f.rank))
+def test_weyl_dim_matches_the_ambient_product(family):
+    # Coefficients <= 2 with sum <= 4.
+    for c in product(range(3), repeat=family.rank):
+        if sum(c) <= 4:
+            assert weyl_dim(family, c) == weyl_dim_ambient(family, c)
 
 
 def test_cpn_multiplicity():

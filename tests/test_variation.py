@@ -1,16 +1,17 @@
 """Tests for eigenvalue curves along the fiber-scaling family and the
 exact gap certificate."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from flagvar.catalog import _BETA1
 from flagvar.curvature import scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.variation import (VariationEigenvalue, candidate_lambda1_window,
-                               constant_eigenvalues, eigen_at,
-                               gap_certificate, lambda1_bounds,
-                               normalized_scal)
+from flagvar.spectra import (base_spectrum, fiber_spectrum, flag_minimum,
+                             flag_spectrum)
+from flagvar.variation import gap_certificate, normalized_scal
 
 CRITERION_CASES = ([("su", n) for n in range(2, 7)]
                    + [("so-odd", n) for n in (2, 4, 5, 6)]
@@ -21,6 +22,55 @@ CRITERION_CASES = ([("su", n) for n in range(2, 7)]
 
 def _fib(kind, n):
     return build_fibration(FibrationFamily(kind, n))
+
+
+@dataclass(frozen=True)
+class VariationEigenvalue:
+    """Curve lambda(t) = mu + (1/t**2 - 1)*phi; phi = 0 means constant."""
+
+    mu: Fraction
+    phi: Fraction
+
+
+def eigen_at(v, t):
+    """Exact value of the curve at rational t in (0, 1]."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return Fraction(v.mu) + (1 / (t * t) - 1) * Fraction(v.phi)
+
+
+def constant_eigenvalues(fib, cutoff):
+    """Values constant along the variation: exactly the base spectrum."""
+    return base_spectrum(fib.family, cutoff)
+
+
+def candidate_lambda1_window(fib, cutoff=Fraction(6)):
+    """Data for the sandwich property mu1 <= lambda1(t) <= beta1.
+
+    Builds the candidate first eigenvalue at rational t as the minimum
+    of the constant curves and the curves mu_k + (1/t**2 - 1)*phi_j
+    with j >= 1; combination curves alone are never trusted as actual
+    eigenvalues, only this bounded minimum is used.
+    """
+    totals = [e.value for e in flag_spectrum(fib.family.root_family, cutoff)]
+    fibers = [e.value for e in fiber_spectrum(fib, cutoff)]
+    constants = [e.value for e in base_spectrum(fib.family, cutoff)]
+
+    def candidate_at(t):
+        t = Fraction(t)
+        stretch = 1 / (t * t) - 1
+        best = min(constants)
+        for mu in totals:
+            for phi in fibers:
+                best = min(best, mu + stretch * phi)
+        return best
+
+    return {
+        "mu1": flag_minimum(fib.family.root_family).value,
+        "beta1": _BETA1[fib.family.kind](fib.family.n),
+        "candidate_at": candidate_at,
+    }
 
 
 # -- single curves ---------------------------------------------------------
@@ -46,33 +96,6 @@ def test_constant_eigenvalues_are_the_base_lines():
     assert [(e.value, e.mult) for e in entries] == [
         (Fraction(1), 8), (Fraction(8, 3), 27)]
     assert all(e.origin == "base" for e in entries)
-
-
-# -- first-eigenvalue bounds ----------------------------------------------
-
-def test_lambda1_bounds_per_family():
-    assert lambda1_bounds(_fib("su", 2)) == {
-        "lower": Fraction(1), "upper": Fraction(1), "exact": Fraction(1)}
-    assert lambda1_bounds(_fib("so-odd", 2)) == {
-        "lower": Fraction(2, 3), "upper": Fraction(2, 3),
-        "exact": Fraction(2, 3)}
-    assert lambda1_bounds(_fib("so-odd", 4)) == {
-        "lower": Fraction(4, 7), "upper": Fraction(4, 7),
-        "exact": Fraction(4, 7)}
-    assert lambda1_bounds(_fib("sp", 3)) == {
-        "lower": Fraction(11, 16), "upper": Fraction(1), "exact": None}
-    assert lambda1_bounds(_fib("so-even", 4)) == {
-        "lower": Fraction(1), "upper": Fraction(1), "exact": Fraction(1)}
-    assert lambda1_bounds(_fib("g2", 2)) == {
-        "lower": Fraction(1, 2), "upper": Fraction(7, 6), "exact": None}
-
-
-def test_lambda1_bounds_lower_never_exceeds_upper():
-    for kind, n in CRITERION_CASES:
-        b = lambda1_bounds(_fib(kind, n))
-        assert b["lower"] <= b["upper"]
-        if b["exact"] is not None:
-            assert b["lower"] == b["exact"] == b["upper"]
 
 
 # -- normalized scalar curvature ------------------------------------------
