@@ -1,10 +1,12 @@
 """Laplacian spectra: full flag, symmetric base, and fiber.
 
 The flag spectrum is enumerated from the Casimir values of the
-class-one weights under a cutoff, with completeness certified by a
-lower bound on the quadratic part.  Base spectra carry exact Weyl-dimension
-multiplicities; these are the only multiplicities the Morse index ever
-needs.
+class-one weights under a cutoff; the enumerated form never decreases
+in any coordinate, so nothing under the cutoff is missed.  Base spectra
+carry exact Weyl-dimension multiplicities; these are the only
+multiplicities the Morse index ever needs.  Fiber spectra come from the
+same enumeration over the fiber's simple roots, valued under the form
+of G.
 
 Run from the repository root:
 
@@ -42,8 +44,9 @@ for kind, n in [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
 
 print()
 fib = build_fibration(FibrationFamily("g2", 2))
-print("fiber of G2/T (a product of two spheres):",
+print("fiber of G2/T (two spheres, under the form of G2):",
       [str(e.value) for e in fiber_spectrum(fib, Fraction(4))])
+print("its first value, phi1 of the bifurcation test:", fib.phi1)
 
 # Two catalogued statements do not survive recomputation.  The reports
 # below show every side; the library always computes from the Casimir.

@@ -34,6 +34,8 @@ The known discrepancies:
   Casimir minimum is n/(n+1), and the catalogued statement
   (4n-1)/(4(n+1)) is neither.
 - The so-odd dominance system has a sign slip in one row.
+- The first fiber eigenvalue phi1 = 1 is the fiber's own; under G's
+  form, which the canonical variation puts on the fiber, it is smaller.
 
 ``audit`` is the check list behind ``flagvar verify``.
 """
@@ -46,14 +48,17 @@ from .bifurcation import (degeneracy_instants, morse_index,
 from .curvature import ScalPoly, scal_wz, su_triple_census
 from .rootsys import FamilyTag
 from .spectra import (_class_one_points, _first_entries, _form_value,
-                      base_spectrum, base_spectrum_first, flag_minimum,
-                      is_dominant_class_one)
+                      _simple_gram, base_spectrum, base_spectrum_first,
+                      flag_minimum, is_dominant_class_one)
 from .variation import gap_certificate
 
 LEDGER_GLOBAL = [
     "catalogued bracket table for the Weyl basis lists the [A,S] pair "
     "twice where the first line is the [A,A] pair; only squared "
     "constants are used here, so no count is affected",
+    "catalogued first fiber eigenvalue phi1 = 1 is each fiber's "
+    "intrinsic value; the canonical variation puts G's form on the fiber, "
+    "and the derived value under it (su n=2: 2/3) is used throughout",
 ]
 
 LEDGER = {
@@ -316,8 +321,9 @@ def cn_first_eigenvalue_report(n):
     # a non-negative combination of the fundamental-weight coefficients,
     # so the enumerator's monotone precondition still holds.
     value, argmins = _first_entries(
-        lambda c: list(_class_one_points(family, _catalogued_c_gram(n),
-                                         Fraction(1, 4 * (n + 1)), c).items()),
+        lambda c: list(_class_one_points(
+            _simple_gram(family), Fraction(1, 4 * (n + 1)), c,
+            form=_catalogued_c_gram(n)).items()),
         1, _catalogued_c_mu((1,) * n))[0]
     casimir = flag_minimum(family)
     stated = Fraction(4 * n - 1, 4 * (n + 1))

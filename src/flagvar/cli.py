@@ -43,17 +43,18 @@ def _build_fib(args, name=None):
     name = name or args.family
     kind = _ALIASES.get(name, name)
     n = args.n if args.n is not None else _DEFAULT_N[kind]
-    family = FibrationFamily(kind, n)
-    if args.phi1 is None:
-        return build_fibration(family)
-    return build_fibration(family, args.phi1)
+    return build_fibration(FibrationFamily(kind, n), args.phi1)
 
 
 def _emit(text, args):
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError("cannot write {}: {}".format(
+                out, exc.strerror or exc)) from exc
     else:
         sys.stdout.write(text)
 

@@ -4,13 +4,17 @@ Each flag manifold G/T fibers over a compact symmetric space G/H with
 fiber a smaller flag manifold H/K.  At the root level this is just a
 partition of the positive roots into a vertical set (the roots of H) and
 its horizontal complement; all dimension bookkeeping follows because
-every root contributes a 2-dimensional isotropy summand.
+every root contributes a 2-dimensional isotropy summand.  The fiber's
+simple roots, and through them its spectrum, are read off the vertical set.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 from .rootsys import FamilyTag, build_root_system
+from .spectra import _first_entries, fiber_spectrum
 
 FAMILY_KEYS = ("su", "so-odd", "sp", "so-even", "g2")
 
@@ -65,12 +69,21 @@ class FibrationData:
     root_system: object
     vertical_roots: tuple
     horizontal_roots: tuple
+    fiber_simple_roots: tuple
     m_total: int
     dim_fiber: int
     dim_base: int
     base_id: str
     fiber_id: str
-    phi1: Fraction
+    _phi1: Fraction = field(default=None, repr=False)
+
+    @cached_property
+    def phi1(self):
+        """The phi1 given to ``build_fibration``, else the first fiber
+        eigenvalue, enumerated on first read."""
+        if self._phi1 is not None:
+            return self._phi1
+        return _first_entries(lambda c: fiber_spectrum(self, c), 1)[0].value
 
 
 def _base_and_fiber_ids(family):
@@ -85,56 +98,42 @@ def _base_and_fiber_ids(family):
     }[family.kind]
 
 
-def _vertical_set(family, rs):
+def _is_vertical(family, root):
+    """Whether the positive ``root`` is a root of H."""
     kind, n = family.kind, family.n
-    if kind == "g2":
-        # a + b and 3a + b, with a the short and b the long simple root.
-        return {(1, -1, 0), (1, 1, -2)}
-    vertical = set()
-    for root in rs.positive_roots:
-        if kind == "su":
-            # Roots not touching the last of the n+1 coordinates.
-            if root[n] == 0:
-                vertical.add(root)
-        elif kind == "so-odd":
-            # Both e_i - e_j and e_i + e_j, never the short roots e_i.
-            if sum(1 for c in root if c != 0) == 2:
-                vertical.add(root)
-        else:  # sp, so-even: the difference roots e_i - e_j only
-            if min(root) < 0:
-                vertical.add(root)
-    return vertical
+    if kind == "su":  # not touching the last of the n+1 coordinates
+        return root[n] == 0
+    if kind == "so-odd":  # e_i - e_j and e_i + e_j, never the short e_i
+        return sum(1 for c in root if c != 0) == 2
+    if kind == "g2":  # a + b and 3a + b, a the short simple root
+        return root in ((1, -1, 0), (1, 1, -2))
+    return min(root) < 0  # sp, so-even: the difference roots e_i - e_j
 
 
-def build_fibration(family, phi1=Fraction(1)):
+def build_fibration(family, phi1=None):
     """Assemble the vertical/horizontal partition and dimension data.
 
-    phi1 is the first positive eigenvalue of the fiber Laplacian, which
-    the downstream bifurcation test uses.  The default 1 is every
-    fiber's intrinsic value.  Under the form of G, which the canonical
-    variation restricts to the fiber, it differs: su at n=2 gives 2/3.
-    Pass another value to re-run the test under that scaling.
+    The fiber's simple roots are the vertical roots that are not a sum
+    of two vertical roots: n-1 for su, sp and so-even, n for so-odd, 2
+    for g2.  phi1, which the bifurcation test reads, is the first fiber
+    eigenvalue under G's form, which the canonical variation puts on
+    the fiber (su n=2: 2/3; 1 under the fiber's own form).  By default it
+    is derived when first read; pass a value to re-run the test.
     """
-    phi1 = Fraction(phi1)
-    if phi1 <= 0:
-        raise ValueError("phi1 must be positive")
+    if phi1 is not None:
+        phi1 = Fraction(phi1)
+        if phi1 <= 0:
+            raise ValueError("phi1 must be positive")
     rs = build_root_system(family.root_family)
-    vertical = _vertical_set(family, rs)
-    vertical_roots = tuple(r for r in rs.positive_roots if r in vertical)
-    horizontal_roots = tuple(r for r in rs.positive_roots if r not in vertical)
-    m_total = 2 * len(rs.positive_roots)
-    dim_fiber = 2 * len(vertical_roots)
-    dim_base = 2 * len(horizontal_roots)
+    vertical = tuple(r for r in rs.positive_roots if _is_vertical(family, r))
+    horizontal = tuple(r for r in rs.positive_roots if r not in vertical)
+    sums = {tuple(x + y for x, y in zip(a, b))
+            for a, b in combinations(vertical, 2)}
     base_id, fiber_id = _base_and_fiber_ids(family)
     return FibrationData(
-        family=family,
-        root_system=rs,
-        vertical_roots=vertical_roots,
-        horizontal_roots=horizontal_roots,
-        m_total=m_total,
-        dim_fiber=dim_fiber,
-        dim_base=dim_base,
-        base_id=base_id,
-        fiber_id=fiber_id,
-        phi1=phi1,
-    )
+        family=family, root_system=rs, vertical_roots=vertical,
+        horizontal_roots=horizontal,
+        fiber_simple_roots=tuple(r for r in vertical if r not in sums),
+        m_total=2 * len(rs.positive_roots), dim_fiber=2 * len(vertical),
+        dim_base=2 * len(horizontal), base_id=base_id, fiber_id=fiber_id,
+        _phi1=phi1)

@@ -3,16 +3,19 @@
 Every eigenvalue here is a Casimir value <lam, lam + 2*delta> of a
 dominant weight lam = sum a_j g_j, with integers a_j >= 0 not all zero,
 over a list of dominant generators g: the fundamental weights for the
-flag, keeping only lam in the root lattice (the class-one weights), and
-the spherical generators for the base.  Fiber spectra are flag spectra
-of the fiber's factors.  Dominant weights have pairwise non-negative
-inner products and non-negative <g, 2*delta>, so once denominators are
-cleared the value is an integer form a'Wa + w.a with W and w entrywise
-non-negative.  That form never decreases in any coordinate: a prefix
-with a zero tail is an exact lower bound, and one enumerator that stops
-each coordinate at its first value over the cutoff finds every weight
-under it.  Base multiplicities are Weyl dimensions.  The catalogued
-eigenvalue statements these are compared with are in ``catalog``.
+flag and the fiber, keeping only lam in the root lattice (the class-one
+weights), and the spherical generators for the base.  The flag and the
+fiber differ only in their simple roots, G's or the fiber's (a product
+fiber is one block-diagonal Gram matrix), and both are valued at G's CK
+scale, which the canonical variation puts on the fiber.  Dominant
+weights have pairwise non-negative inner products and non-negative
+<g, 2*delta>, so once denominators are cleared the value is an integer form
+a'Wa + w.a with W and w entrywise non-negative.  That form never
+decreases in any coordinate: a prefix with a zero tail is an exact lower
+bound, and one enumerator that stops each coordinate at its first value
+over the cutoff finds every weight under it.  Base multiplicities are
+Weyl dimensions.  The catalogued eigenvalue statements these are
+compared with are in ``catalog``.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from itertools import chain
 from math import comb, floor, lcm, prod
 
 from .exact import solve_linear
-from .rootsys import FamilyTag, build_root_system, ck_inner
+from .rootsys import build_root_system, ck_inner
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,22 @@ def _combine(coeffs, vectors):
 
 
 @lru_cache(maxsize=None)
+def _gram(roots):
+    """Integer Gram matrix of ``roots`` under the dot product."""
+    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in roots)
+                 for a in roots)
+
+
 def _simple_gram(family):
-    """Integer Gram matrix G of the simple roots under the dot product."""
-    simple = _root_system(family).simple_roots
-    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in simple)
-                 for a in simple)
+    """Integer Gram matrix G of the simple roots of ``family``."""
+    return _gram(_root_system(family).simple_roots)
 
 
 @lru_cache(maxsize=None)
-def _fundamental_coefficients(family):
-    """Simple-root coefficients of each fundamental weight omega_i,
-    solved from <omega_i, alpha_j> = delta_ij |alpha_j|^2 / 2."""
-    gram = _simple_gram(family)
+def _fundamental_coefficients(gram):
+    """Simple-root coefficients of each fundamental weight omega_i of the
+    simple roots with Gram matrix ``gram``, solved from
+    <omega_i, alpha_j> = delta_ij |alpha_j|^2 / 2."""
     return tuple(tuple(solve_linear(gram, [Fraction(g, 2) if i == j else 0
                                            for j, g in enumerate(row)]))
                  for i, row in enumerate(gram))
@@ -75,7 +82,7 @@ def _fundamental_weights(family):
     """Fundamental weights in ambient coordinates."""
     simple = _root_system(family).simple_roots
     return tuple(_combine(c, simple)
-                 for c in _fundamental_coefficients(family))
+                 for c in _fundamental_coefficients(_simple_gram(family)))
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +163,11 @@ def _lattice_points(gram, scale, generators, cutoff):
     W's diagonal positive, as for dominant generators, or ValueError is
     raised.  The form then never decreases in any coordinate, so a
     prefix with a zero tail is an exact lower bound and each coordinate
-    stops at its first value over the cutoff.
+    stops at its first value over the cutoff, which must be positive.
     """
+    cutoff = Fraction(cutoff)
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
     quad = [[scale * sum(x * sum(c * y for c, y in zip(row, h))
                          for x, row in zip(g, gram))
              for h in generators] for g in generators]
@@ -170,7 +180,7 @@ def _lattice_points(gram, scale, generators, cutoff):
     if (min(chain(linear, *quad)) < 0
             or min(row[k] for k, row in enumerate(quad)) <= 0):
         raise ValueError("form is not monotone: generators must be dominant")
-    limit = floor(Fraction(cutoff) * den)
+    limit = floor(cutoff * den)
     found = {}
 
     def recurse(prefix, value):
@@ -191,22 +201,35 @@ def _lattice_points(gram, scale, generators, cutoff):
     return {Fraction(v, den): found[v] for v in sorted(found)}
 
 
-def _class_one_points(family, gram, scale, cutoff):
+def _class_one_points(gram, scale, cutoff, form=None):
     """{value: [p, ...]} over the class-one weights lam = sum p_i alpha_i
-    with value scale*(p'Gp + sum G_ii p_i) <= cutoff, p in lexicographic
-    order.
+    of the simple roots alpha with Gram matrix ``gram``, with value
+    scale*(p'Fp + sum F_ii p_i) <= cutoff, F = ``form`` (default
+    ``gram``), p in lexicographic order.
 
     These are the dominant lam = sum a_j omega_j in the root lattice,
-    where p is integral; every p_i is then >= 1.
+    where p is integral; on a block-diagonal Gram (a product) p may
+    vanish on a factor.
     """
-    coeffs = _fundamental_coefficients(family)
+    coeffs = _fundamental_coefficients(gram)
     found = {}
-    for value, points in _lattice_points(gram, scale, coeffs, cutoff).items():
+    for value, points in _lattice_points(form or gram, scale, coeffs,
+                                         cutoff).items():
         ps = sorted(p for p in (_combine(a, coeffs) for a in points)
                     if all(x.denominator == 1 for x in p))
         if ps:
             found[value] = [tuple(int(x) for x in p) for p in ps]
     return found
+
+
+def _class_one_spectrum(simple_roots, scale, cutoff, origin):
+    """Class-one values <= cutoff over ``simple_roots`` at CK scale
+    ``scale``, one entry per value, labelled by its p; multiplicities
+    are not computed (mult_known is False, mult = 1)."""
+    return [SpectrumEntry(value=v, mult=1, origin=origin,
+                          label=tuple(ps), mult_known=False)
+            for v, ps in _class_one_points(_gram(simple_roots), scale,
+                                           cutoff).items()]
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +255,15 @@ def is_dominant_class_one(family, p):
 
 
 def flag_spectrum(family, cutoff):
-    """All class-one eigenvalues <= cutoff, one entry per distinct value.
-
-    Multiplicities are not computed (mult_known is False, mult = 1).
-    """
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    found = _class_one_points(family, _simple_gram(family),
-                              _root_system(family).ck.scale, cutoff)
-    return [SpectrumEntry(value=v, mult=1, origin="total",
-                          label=tuple(ps), mult_known=False)
-            for v, ps in found.items()]
+    """All class-one eigenvalues of G/T <= cutoff."""
+    rs = _root_system(family)
+    return _class_one_spectrum(rs.simple_roots, rs.ck.scale, cutoff, "total")
 
 
-def _first_entries(fetch, count, cutoff=Fraction(8)):
+def _first_entries(fetch, count, cutoff=Fraction(1)):
     """First ``count`` entries of fetch(cutoff), doubling the cutoff
-    until that many appear."""
+    until that many appear.  It starts at 1 by default: first values
+    here are about 1 or less, and the last sweep dominates the cost."""
     while True:
         entries = fetch(cutoff)
         if len(entries) >= count:
@@ -327,12 +342,9 @@ def base_spectrum(fib_family, cutoff):
     Each entry's label lists the generator coefficients x of its
     weights; with a single generator (su, so-odd) it is that x = (q,).
     """
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
     family = fib_family.root_family
     basis = kramer_basis(fib_family)
-    coeffs = _fundamental_coefficients(family)
+    coeffs = _fundamental_coefficients(_simple_gram(family))
     points = _lattice_points(_simple_gram(family),
                              _root_system(family).ck.scale,
                              [_combine(b, coeffs) for b in basis], cutoff)
@@ -352,31 +364,9 @@ def base_spectrum_first(fib_family, count):
 # Fiber spectra.
 
 def fiber_spectrum(fib, cutoff):
-    """Fiber eigenvalues <= cutoff under the fiber's own normalization.
-
-    The fiber of the so-odd family at n = 2 and of g2 is a product of
-    two rank-one flags, so its spectrum is the sum set of two rank-one
-    spectra with zero allowed on either factor.  Every fiber here has
-    intrinsic first eigenvalue 1, the default phi1.  Under the form of
-    G, which the canonical variation restricts to the fiber, the values
-    differ: su at n=2 has first eigenvalue 2/3 there.
-    """
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    kind, n = fib.family.kind, fib.family.n
-    if kind in ("su", "sp", "so-even"):
-        inner = flag_spectrum(FamilyTag("A", n - 1), cutoff)
-    elif kind == "so-odd" and n >= 4:
-        inner = flag_spectrum(FamilyTag("D", n), cutoff)
-    else:  # g2, or so-odd at n = 2: two rank-one factors
-        singles = [Fraction(0)] + [
-            e.value for e in flag_spectrum(FamilyTag("A", 1), cutoff)]
-        values = sorted({v1 + v2 for v1 in singles for v2 in singles
-                         if 0 < v1 + v2 <= cutoff})
-        return [SpectrumEntry(value=v, mult=1, origin="fiber",
-                              label=(), mult_known=False)
-                for v in values]
-    return [SpectrumEntry(value=e.value, mult=1, origin="fiber",
-                          label=e.label, mult_known=False)
-            for e in inner]
+    """Fiber eigenvalues <= cutoff: the class-one values over
+    ``fib.fiber_simple_roots`` at G's CK scale, since the canonical
+    variation restricts G's form to the fiber.  su at n=2 has first
+    value 2/3 here, where SU(2)/T^1 under its own form has 1."""
+    return _class_one_spectrum(fib.fiber_simple_roots,
+                               fib.root_system.ck.scale, cutoff, "fiber")

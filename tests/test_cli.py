@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from flagvar import cli
+from flagvar import cli, spectra
 
 
 def run(capsys, argv):
@@ -222,6 +222,33 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert len(payload["instants"]) == 2
+
+
+def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["spectrum", "--family", "su",
+                                  "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("flagvar: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scal", "--family", "so-odd", "--n", "4"],
+    ["spectrum", "--family", "sp", "--n", "3", "--cutoff", "3"]])
+def test_scal_and_spectrum_enumerate_no_fiber(capsys, monkeypatch, argv):
+    # phi1 is derived only when read, and these two never read it.
+    def refuse(simple_roots, scale, cutoff, origin):
+        assert origin != "fiber", "unexpected fiber enumeration"
+        return real(simple_roots, scale, cutoff, origin)
+
+    real = spectra._class_one_spectrum
+    monkeypatch.setattr(spectra, "_class_one_spectrum", refuse)
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 1)
+    assert json.loads(out)["family"] == argv[2]
 
 
 def test_alias_families_match_canonical(capsys):

@@ -166,3 +166,47 @@ def test_closed_form_spot_values():
 def test_wz_g2_coefficients():
     wz = scal_wz(_fib("g2", 2))
     assert wz.normalized() == (Fraction(2, 3), Fraction(4), Fraction(-2, 3))
+
+
+# -- O'Neill: the t**-2 coefficient is the fiber's scalar curvature --------
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def fiber_factors(fib):
+    """The simple factors of the fiber as (simple roots, positive roots):
+    the fiber simple roots grouped by non-orthogonality, and each
+    vertical root with the factor it is not orthogonal to."""
+    groups = []
+    for alpha in fib.fiber_simple_roots:
+        linked = [g for g in groups if any(_dot(alpha, b) for b in g)]
+        groups = [g for g in groups if g not in linked]
+        groups.append([alpha] + [b for g in linked for b in g])
+    return [(g, [r for r in fib.vertical_roots if any(_dot(r, b) for b in g)])
+            for g in groups]
+
+
+@pytest.mark.parametrize("kind,n", [("su", n) for n in (2, 3, 4, 5, 8)]
+                         + [("so-odd", n) for n in (2, 4, 5, 8)]
+                         + [("sp", n) for n in (3, 4, 8)]
+                         + [("so-even", n) for n in (4, 5, 8)]
+                         + [("g2", 2)])
+def test_fiber_term_is_the_oneill_fiber_curvature(kind, n):
+    # scal(g_t) = scal_B + t**-2 scal_F - t**2 |A|**2 (Besse 9.70), and
+    # the fiber's normal metric under G's form has scal_F = sum over its
+    # simple factors of Cas_G(theta_j) (|positive roots_j| + rank_j) / 2,
+    # theta_j the factor's highest root, which has the largest Casimir
+    # <beta, beta + 2 delta_j> among the factor's roots.
+    fib = _fib(kind, n)
+    scale = fib.root_system.ck.scale
+    scal_f = 0
+    for simple, positive in fiber_factors(fib):
+        two_delta = [sum(r[k] for r in positive)
+                     for k in range(len(positive[0]))]
+        casimir = scale * max(_dot(b, [x + d for x, d in zip(b, two_delta)])
+                              for b in positive)
+        scal_f += casimir * Fraction(len(positive) + len(simple), 2)
+    assert scal_wz(fib).normalized()[0] == scal_f
+    assert len(fiber_factors(fib)) == (2 if (kind, n) in (("so-odd", 2),
+                                                          ("g2", 2)) else 1)

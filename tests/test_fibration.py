@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from flagvar import spectra
 from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
 
 # (kind, n) -> (#vertical, #horizontal)
@@ -107,7 +108,7 @@ def test_root_family_mapping():
 
 def test_phi1_validation_and_default():
     fib = build_fibration(FibrationFamily("su", 2))
-    assert fib.phi1 == 1
+    assert fib.phi1 == Fraction(2, 3)
     fib = build_fibration(FibrationFamily("su", 2), phi1=Fraction(3, 2))
     assert fib.phi1 == Fraction(3, 2)
     with pytest.raises(ValueError):
@@ -118,3 +119,75 @@ def test_g2_vertical_roots_are_the_two_middle_ones():
     fib = build_fibration(FibrationFamily("g2", 2))
     # a + b and 3a + b, with a the short and b the long simple root.
     assert set(fib.vertical_roots) == {(1, -1, 0), (1, 1, -2)}
+
+
+# The acceptance CASES, and phi1 by hand: the first class-one Casimir of
+# the fiber under G's form, B_G restricted to the fiber.
+PHI1_CASES = ([("su", n) for n in range(2, 9)]
+              + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)]
+              + [("sp", n) for n in range(3, 9)]
+              + [("so-even", n) for n in range(4, 9)]
+              + [("g2", 2)])
+
+PHI1 = {
+    # SU(n)/T at the A_n scale: the highest root of A_{n-1}.
+    "su": lambda n: Fraction(n, n + 1),
+    # SO(4)/T = S^2 x S^2 at n=2, else SO(2n)/T, at the B_n scale.
+    "so-odd": lambda n: (Fraction(2, 3) if n == 2
+                         else Fraction(2 * n - 2, 2 * n - 1)),
+    # SU(n)/T on the short roots e_i - e_j of C_n.
+    "sp": lambda n: Fraction(n, 2 * (n + 1)),
+    "so-even": lambda n: Fraction(n, 2 * (n - 1)),
+    # The short vertical root alone, i(i+1)/12 at i = 1.
+    "g2": lambda n: Fraction(1, 6),
+}
+
+FIBER_RANK = {"su": lambda n: n - 1,
+              "so-odd": lambda n: n,
+              "sp": lambda n: n - 1,
+              "so-even": lambda n: n - 1,
+              "g2": lambda n: 2}
+
+
+@pytest.mark.parametrize("kind,n", PHI1_CASES)
+def test_phi1_default_matches_the_hand_formula(kind, n):
+    assert build_fibration(FibrationFamily(kind, n)).phi1 == PHI1[kind](n)
+
+
+@pytest.mark.parametrize("kind,n", PHI1_CASES)
+def test_fiber_simple_roots_are_a_simple_system(kind, n):
+    fib = build_fibration(FibrationFamily(kind, n))
+    simple = fib.fiber_simple_roots
+    assert len(simple) == FIBER_RANK[kind](n)
+    assert set(simple) <= set(fib.vertical_roots)
+    # Distinct simple roots meet at an obtuse or right angle.
+    for a, b in combinations(simple, 2):
+        assert sum(x * y for x, y in zip(a, b)) <= 0
+
+
+def fiber_sweeps(monkeypatch):
+    """Record the cutoff of every fiber class-one sweep from now on."""
+    sweeps = []
+    real = spectra._class_one_spectrum
+
+    def recording(simple_roots, scale, cutoff, origin):
+        if origin == "fiber":
+            sweeps.append(cutoff)
+        return real(simple_roots, scale, cutoff, origin)
+
+    monkeypatch.setattr(spectra, "_class_one_spectrum", recording)
+    return sweeps
+
+
+def test_phi1_is_enumerated_once_and_only_when_read(monkeypatch):
+    sweeps = fiber_sweeps(monkeypatch)
+    fib = build_fibration(FibrationFamily("so-odd", 4))
+    assert sweeps == []
+    assert fib.phi1 == Fraction(6, 7)
+    first = len(sweeps)
+    assert first >= 1
+    assert fib.phi1 == Fraction(6, 7)
+    assert len(sweeps) == first
+    given = build_fibration(FibrationFamily("so-odd", 4), phi1=Fraction(1))
+    assert given.phi1 == 1
+    assert len(sweeps) == first

@@ -328,20 +328,43 @@ def test_base_spectrum_sp_first_value_is_one():
 
 # -- fiber spectra ---------------------------------------------------------
 
-@pytest.mark.parametrize("kind,n", [("su", 2), ("su", 4), ("so-odd", 2),
-                                    ("so-odd", 4), ("sp", 3),
-                                    ("so-even", 4), ("g2", 2)])
+FIBER_FIRST = {("su", 2): Fraction(2, 3), ("su", 4): Fraction(4, 5),
+               ("so-odd", 2): Fraction(2, 3), ("so-odd", 4): Fraction(6, 7),
+               ("sp", 3): Fraction(3, 8), ("so-even", 4): Fraction(2, 3),
+               ("g2", 2): Fraction(1, 6)}
+
+
+@pytest.mark.parametrize("kind,n", list(FIBER_FIRST))
 def test_fiber_first_eigenvalue_is_one(kind, n):
+    # Each fiber has first eigenvalue 1 under its own form; under the
+    # form of G, which the canonical variation puts on it, it is smaller.
     fib = build_fibration(FibrationFamily(kind, n))
     entries = fiber_spectrum(fib, Fraction(2))
-    assert entries[0].value == 1
+    assert entries[0].value == FIBER_FIRST[kind, n] == fib.phi1
 
 
 def test_fiber_spectrum_g2_is_a_sum_set():
     fib = build_fibration(FibrationFamily("g2", 2))
     values = [e.value for e in fiber_spectrum(fib, Fraction(4))]
-    # Rank-one values are a(a+1)/2: 1, 3, ...; sums give 1, 2, 3, 4.
-    assert values == [1, 2, 3, 4]
+    # Two round spheres at G's scale, i(i+1)/12 on the short-root factor
+    # and j(j+1)/4 on the long-root one, with zero allowed on either.
+    expected = sorted({Fraction(i * (i + 1), 12) + Fraction(j * (j + 1), 4)
+                       for i in range(7) for j in range(4)} - {0})
+    assert values == [v for v in expected if v <= 4]
+    assert values[:7] == [Fraction(1, 6), Fraction(1, 2), Fraction(2, 3),
+                          1, Fraction(3, 2), Fraction(5, 3), 2]
+
+
+@pytest.mark.parametrize("kind,n,values", [
+    ("so-odd", 2, [Fraction(2, 3), Fraction(4, 3), 2]),
+    ("su", 2, [Fraction(2, 3), 2]),
+    # The A2 flag values 1, 2, 8/3, 4, 5 times 3/8.
+    ("sp", 3, [Fraction(3, 8), Fraction(3, 4), 1, Fraction(3, 2),
+               Fraction(15, 8)])])
+def test_fiber_spectrum_values_under_the_form_of_g(kind, n, values):
+    fib = build_fibration(FibrationFamily(kind, n))
+    assert [e.value for e in fiber_spectrum(fib, 2)] == values
+    assert all(e.origin == "fiber" for e in fiber_spectrum(fib, 2))
 
 
 def test_fiber_spectrum_rejects_bad_cutoff():
@@ -357,51 +380,88 @@ CUTOFFS = st.fractions(min_value=Fraction(1, 4), max_value=ORACLE_CUTOFF,
                        max_denominator=12)
 
 
-def _class_one_box(family, cutoff):
-    """Every p >= 1 with scale * sum p_i |alpha_i|^2 <= cutoff.
+def _class_one_data(source):
+    """Simple roots, positive roots and CK scale: G's for a root family,
+    the fiber's at G's scale for a fibration family."""
+    if isinstance(source, FamilyTag):
+        rs = build_root_system(source)
+        return rs.simple_roots, rs.positive_roots, rs.ck.scale
+    fib = build_fibration(source)
+    return (fib.fiber_simple_roots, fib.vertical_roots,
+            fib.root_system.ck.scale)
+
+
+def _class_one_spectrum(source, cutoff):
+    if isinstance(source, FamilyTag):
+        return flag_spectrum(source, cutoff)
+    return fiber_spectrum(build_fibration(source), cutoff)
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _class_one_box(simple, scale, cutoff):
+    """Every p >= 0, not all zero, with scale * sum p_i |alpha_i|^2 <= cutoff.
 
     A dominant lam = sum p_i alpha_i has <lam, lam> >= 0, and
     <alpha_i, 2 delta> = |alpha_i|^2, so every class-one value up to
     the cutoff has its p in this box.
     """
-    rs = build_root_system(family)
-    norms = [sum(x * x for x in alpha) for alpha in rs.simple_roots]
-    budget = cutoff / rs.ck.scale
+    norms = [_dot(alpha, alpha) for alpha in simple]
+    budget = cutoff / scale
 
     def fill(k, left):
         if k == len(norms):
             yield ()
             return
-        p = 1
-        while p * norms[k] + sum(norms[k + 1:]) <= left:
+        p = 0
+        while p * norms[k] <= left:
             for rest in fill(k + 1, left - p * norms[k]):
                 yield (p,) + rest
             p += 1
 
-    return fill(0, budget)
+    return (p for p in fill(0, budget) if any(p))
+
+
+def _source_id(source):
+    if isinstance(source, FamilyTag):
+        return "{}{}".format(source.kind, source.rank)
+    return "fiber-{}-{}".format(source.kind, source.n)
 
 
 @lru_cache(maxsize=None)
-def _flag_oracle(family):
+def _class_one_oracle(source):
+    # Dominance and <lam, lam + 2 delta> straight from the roots, with
+    # delta the half-sum of the given positive roots.
+    simple, positive, scale = _class_one_data(source)
+    two_delta = [sum(r[k] for r in positive) for k in range(len(simple[0]))]
     found = {}
-    for p in _class_one_box(family, ORACLE_CUTOFF):
-        if is_dominant_class_one(family, p):
-            value = casimir_of_weight(family, class_one_weight(family, p))
+    for p in _class_one_box(simple, scale, ORACLE_CUTOFF):
+        lam = [sum(x * alpha[k] for x, alpha in zip(p, simple))
+               for k in range(len(simple[0]))]
+        if all(_dot(lam, alpha) >= 0 for alpha in simple):
+            value = scale * _dot(lam, [x + d for x, d in zip(lam, two_delta)])
             if value <= ORACLE_CUTOFF:
                 found.setdefault(value, []).append(p)
     return sorted((v, tuple(sorted(ps))) for v, ps in found.items())
 
 
-@pytest.mark.parametrize("family", [FamilyTag("A", n) for n in range(1, 5)]
+@pytest.mark.parametrize("source", [FamilyTag("A", n) for n in range(1, 5)]
                          + [FamilyTag("B", n) for n in range(2, 5)]
                          + [FamilyTag("C", n) for n in (3, 4)]
-                         + [FamilyTag("D", 4), FamilyTag("G2", 2)],
-                         ids=lambda f: "{}{}".format(f.kind, f.rank))
+                         + [FamilyTag("D", 4), FamilyTag("G2", 2)]
+                         + [FibrationFamily("su", 3),
+                            FibrationFamily("so-odd", 2),
+                            FibrationFamily("so-odd", 4),
+                            FibrationFamily("g2", 2)],
+                         ids=_source_id)
 @settings(max_examples=15, deadline=None)
 @given(cutoff=CUTOFFS)
-def test_flag_spectrum_matches_brute_force_box(family, cutoff):
-    expected = [(v, ps) for v, ps in _flag_oracle(family) if v <= cutoff]
-    got = [(e.value, e.label) for e in flag_spectrum(family, cutoff)]
+def test_flag_spectrum_matches_brute_force_box(source, cutoff):
+    # Flags, and fibers under G's form: one class-one enumeration.
+    expected = [(v, ps) for v, ps in _class_one_oracle(source) if v <= cutoff]
+    got = [(e.value, e.label) for e in _class_one_spectrum(source, cutoff)]
     assert got == expected
 
 

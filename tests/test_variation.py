@@ -134,9 +134,10 @@ def test_gap_certificate_su2_report_fields():
     assert report["family"] == "su"
     assert report["n"] == 2
     assert report["mu1"] == 1
-    assert report["phi1"] == 1
+    # The first eigenvalue of SU(2)/T^1 under the form of SU(3).
+    assert report["phi1"] == Fraction(2, 3)
     assert report["polynomial"] == [
-        Fraction(-13, 3), Fraction(2), Fraction(-1, 6)]
+        Fraction(-8, 3), Fraction(1, 3), Fraction(-1, 6)]
     assert report["value_at_one"] == Fraction(-5, 2)
 
 
