@@ -2,9 +2,10 @@
 
 A degeneracy instant is a parameter t where scal(t)/(m-1) meets a base
 eigenvalue beta.  Clearing denominators in u = t**2 leaves
-E*u**2 + (C - D*(m-1)*beta)*u + A = 0 with E < 0 and A > 0, which has
-exactly one positive root; it is carried as an exact quadratic surd and
-its residual in the defining quadratic is checked to be literally zero.
+``gap_quadratic`` at (beta, 0): E*u**2 + (C - D*(m-1)*beta)*u + A = 0
+with E < 0 and A > 0, which has exactly one positive root; it is
+carried as an exact quadratic surd and its residual in the defining
+quadratic is checked to be literally zero.
 Instants are always computed this way; the catalogued sequences they
 are compared with are in ``catalog``.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .spectra import (ambient_weight, base_spectrum, base_spectrum_first,
                       casimir_of_weight, flag_minimum, kramer_basis, weyl_dim)
 from .surd import QuadraticSurd
-from .variation import normalized_scal
+from .variation import gap_quadratic, normalized_scal
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,19 @@ class DegeneracyInstant:
     is_bifurcation: bool
 
 
-def solve_instant(fib, poly, beta, mult=1, mu1=None):
-    """Unique positive root of the defining quadratic for eigenvalue beta.
+def solve_instant(fib, poly, beta, mult=1):
+    """Unique positive root of ``gap_quadratic`` at (beta, 0).
 
-    E < 0 and A > 0 force the two roots to straddle zero, so positivity
-    picks one; the residual is re-checked to be exactly the rational
-    zero.  The bifurcation flag is the strict inequality
-    beta < mu1 + (1/u - 1)*phi1, evaluated in surd arithmetic with the
-    fibration's phi1, so an overridden fiber eigenvalue propagates.
+    A negative u**2 and a positive constant coefficient force the two
+    roots to straddle zero, so positivity picks one; the residual is
+    re-checked to be exactly the rational zero.  The bifurcation flag is
+    the strict inequality beta < mu1 + (1/u - 1)*phi1, which at the
+    instant is the (mu1, phi1) quadratic being negative at u, evaluated
+    exactly in u's field with the fibration's phi1, so an overridden
+    fiber eigenvalue propagates.
     """
     beta = Fraction(beta)
-    e = poly.e
-    b = poly.c - poly.d * (fib.m_total - 1) * beta
-    a = poly.a
+    a, b, e = gap_quadratic(fib, poly, beta, 0)
     if e >= 0 or a <= 0:
         raise ValueError("expected E < 0 and A > 0 in the quadratic")
     disc = b * b - 4 * e * a
@@ -57,10 +58,9 @@ def solve_instant(fib, poly, beta, mult=1, mu1=None):
     if u.sign() <= 0:
         raise AssertionError("solved instant is not positive")
 
-    if mu1 is None:
-        mu1 = flag_minimum(fib.family.root_family).value
-    margin = mu1 + (u.inverse() - 1) * fib.phi1 - beta
-    is_bif = margin.sign() > 0
+    c0, c1, c2 = gap_quadratic(
+        fib, poly, flag_minimum(fib.family.root_family).value, fib.phi1)
+    is_bif = (c0 + u * (c1 + u * c2)).sign() < 0
 
     t, t_err = u.sqrt_to_float(bits=96)
     if t_err > 1e-12:
@@ -90,8 +90,7 @@ def degeneracy_instants(fib, poly, t_min):
     if not 0 < t_min < 1:
         raise ValueError("t_min must lie in (0, 1)")
     cutoff = normalized_scal(fib, poly).value_at_t(t_min)
-    mu1 = flag_minimum(fib.family.root_family).value
-    instants = [solve_instant(fib, poly, entry.value, entry.mult, mu1=mu1)
+    instants = [solve_instant(fib, poly, entry.value, entry.mult)
                 for entry in base_spectrum(fib.family, cutoff)]
     for earlier, later in zip(instants, instants[1:]):
         if not later.u < earlier.u:

@@ -24,7 +24,6 @@ from .spectra import base_spectrum, flag_minimum, flag_spectrum  # noqa: F401
 from .variation import figure_series
 
 _ALIASES = {"a": "su", "b": "so-odd", "c": "sp", "d": "so-even", "g": "g2"}
-_DEFAULT_N = {"su": 2, "so-odd": 2, "sp": 3, "so-even": 4, "g2": 2}
 
 
 def _frac(x):
@@ -41,9 +40,8 @@ def _label_str(label):
 
 def _build_fib(args, name=None):
     name = name or args.family
-    kind = _ALIASES.get(name, name)
-    n = args.n if args.n is not None else _DEFAULT_N[kind]
-    return build_fibration(FibrationFamily(kind, n), args.phi1)
+    family = FibrationFamily(_ALIASES.get(name, name), args.n)
+    return build_fibration(family, getattr(args, "phi1", None))
 
 
 def _emit(text, args):
@@ -298,14 +296,15 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     family_choices = list(FAMILY_KEYS) + sorted(_ALIASES)
 
-    def add_common(p, family_required=True):
+    def add_common(p, family_required=True, phi1=False):
         p.add_argument("--family", choices=family_choices,
                        required=family_required, default=None,
                        help="fibration family (a/b/c/d/g are aliases)")
         p.add_argument("--n", type=int, default=None,
                        help="rank parameter (family-specific default)")
-        p.add_argument("--phi1", default=None, metavar="P/Q",
-                       help="override the first fiber eigenvalue")
+        if phi1:  # only instants and verify read it
+            p.add_argument("--phi1", default=None, metavar="P/Q",
+                           help="override the first fiber eigenvalue")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("spectrum", help="total and base spectra to a cutoff")
@@ -320,7 +319,7 @@ def _build_parser():
     p.set_defaults(func=cmd_scal)
 
     p = sub.add_parser("instants", help="degeneracy instants down to tmin")
-    add_common(p)
+    add_common(p, phi1=True)
     p.add_argument("--tmin", default="0.1", metavar="T")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_instants)
@@ -341,7 +340,7 @@ def _build_parser():
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("verify", help="run the invariant audit")
-    add_common(p, family_required=False)
+    add_common(p, family_required=False, phi1=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

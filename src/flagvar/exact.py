@@ -2,10 +2,9 @@
 
 Everything here works over ``fractions.Fraction`` and Python integers:
 squarefree splits by trial division, certified square-root enclosures
-built on ``math.isqrt``, Sturm chains for counting real roots of
-rational-coefficient polynomials, and dense Gaussian elimination.
-Floats never participate in any decision; they only appear as
-presentation values derived from rational enclosures.
+built on ``math.isqrt``, and dense Gaussian elimination.  Floats never
+participate in any decision; they only appear as presentation values
+derived from rational enclosures.
 """
 
 from fractions import Fraction
@@ -74,91 +73,6 @@ def float_from_bounds(lo, hi):
     ulp = abs(val) * 2.0 ** -52 + 2.0 ** -1074
     err = float(hi - lo) / 2 + ulp
     return val, err
-
-
-# ---------------------------------------------------------------------------
-# Polynomials as coefficient lists, coeffs[i] multiplying x**i.
-
-def poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def poly_trim(coeffs):
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_rem(a, b):
-    """Remainder of polynomial division a mod b over the rationals."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        a = poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        factor = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a = poly_trim(a)
-    return poly_trim(a)
-
-
-def sturm_chain(coeffs):
-    chain = [poly_trim(coeffs)]
-    if len(chain[0]) <= 1:
-        return chain
-    chain.append(poly_trim(poly_deriv(chain[0])))
-    while len(chain[-1]) > 0:
-        rem = poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_variations(chain, x):
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_open(coeffs, a, b):
-    """Number of distinct real roots of the polynomial in the open (a, b).
-
-    Requires that neither endpoint is a root; roots at the endpoints are
-    rejected with ValueError so the caller can deflate or shift first.
-    """
-    coeffs = poly_trim(coeffs)
-    if not coeffs:
-        raise ValueError("zero polynomial")
-    if poly_eval(coeffs, a) == 0 or poly_eval(coeffs, b) == 0:
-        raise ValueError("endpoint is a root; deflate before counting")
-    chain = sturm_chain(coeffs)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
-def deflate_zero_roots(coeffs):
-    """Drop factors of x, returning (reduced coefficients, multiplicity)."""
-    out = poly_trim(coeffs)
-    k = 0
-    while out and out[0] == 0:
-        out = out[1:]
-        k += 1
-    return out, k
 
 
 # ---------------------------------------------------------------------------

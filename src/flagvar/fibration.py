@@ -21,31 +21,35 @@ FAMILY_KEYS = ("su", "so-odd", "sp", "so-even", "g2")
 _ROOT_KIND = {"su": "A", "so-odd": "B", "sp": "C", "so-even": "D", "g2": "G2"}
 
 
+# Smallest valid rank of each kind, also its default.
+_MIN_RANK = {"su": 2, "so-odd": 2, "sp": 3, "so-even": 4, "g2": 2}
+
+
 @dataclass(frozen=True)
 class FibrationFamily:
     """Total space selector: kind key plus the rank parameter n.
 
     Validity: su needs n >= 2, so-odd n >= 2 with n = 3 excluded, sp
     n >= 3, so-even n >= 4; g2 takes no parameter (n is pinned to 2).
+    n defaults to the kind's smallest valid rank.
     """
 
     kind: str
-    n: int = 2
+    n: int = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KEYS:
             raise ValueError("unknown fibration family {!r}".format(self.kind))
-        n = self.n
-        if self.kind == "su" and n < 2:
-            raise ValueError("su requires n >= 2")
-        if self.kind == "so-odd" and (n < 2 or n == 3):
-            raise ValueError("so-odd requires n >= 2 with n = 3 excluded")
-        if self.kind == "sp" and n < 3:
-            raise ValueError("sp requires n >= 3")
-        if self.kind == "so-even" and n < 4:
-            raise ValueError("so-even requires n >= 4")
-        if self.kind == "g2" and n != 2:
-            raise ValueError("g2 takes no rank parameter")
+        low = _MIN_RANK[self.kind]
+        if self.n is None:
+            object.__setattr__(self, "n", low)
+        if self.kind == "g2":
+            if self.n != low:
+                raise ValueError("g2 takes no rank parameter")
+        elif self.n < low or (self.kind == "so-odd" and self.n == 3):
+            raise ValueError("{} requires n >= {}{}".format(
+                self.kind, low,
+                " with n = 3 excluded" if self.kind == "so-odd" else ""))
 
     @property
     def root_family(self):

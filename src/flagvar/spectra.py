@@ -273,13 +273,9 @@ def _first_entries(fetch, count, cutoff=Fraction(1)):
 
 @lru_cache(maxsize=None)
 def flag_minimum(family):
-    """Smallest class-one eigenvalue, found by growing the cutoff.
-
-    The all-ones point seeds the cutoff; it need not be dominant, so
-    the first sweep may come back empty, and the cutoff then doubles.
-    """
-    return _first_entries(lambda c: flag_spectrum(family, c), 1,
-                          flag_mu(family, (1,) * family.rank))[0]
+    """Smallest class-one eigenvalue, found by doubling the cutoff from
+    1; every family's minimum is at most 1, so one sweep suffices."""
+    return _first_entries(lambda c: flag_spectrum(family, c), 1)[0]
 
 
 # ---------------------------------------------------------------------------

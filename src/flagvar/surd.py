@@ -3,8 +3,8 @@
 These carry the solutions u = t**2 of the degeneracy quadratics, so
 equality, ordering and sign must all be decided exactly.  Same-radicand
 arithmetic stays closed in Q(sqrt(d)); comparisons across different
-radicands fall back to certified interval refinement after an exact
-equality test, which terminates because distinct values eventually
+radicands fall back to certified interval refinement, which terminates
+because such values are never equal and distinct values eventually
 separate their enclosures.
 """
 
@@ -147,8 +147,7 @@ class QuadraticSurd:
         if self.d == other.d or self.d == 0 or other.d == 0:
             diff = self - other
             return diff.sign()
-        if self._equals_mixed(other):
-            return 0
+        # 1, sqrt(d1) and sqrt(d2) are Q-independent: the values differ.
         bits = 64
         while True:
             lo1, hi1 = self.bounds(bits)
@@ -160,16 +159,6 @@ class QuadraticSurd:
             bits *= 2
             if bits > 1 << 16:
                 raise RuntimeError("comparison failed to separate values")
-
-    def _equals_mixed(self, other):
-        # a + b*sqrt(d1) = c*sqrt(d2) + e with squarefree d1 != d2 > 1
-        # forces b = 0 and c = 0 (else a rational value would equal an
-        # irrational one, or sqrt(d1*d2) would be rational).
-        a, b = self.p / self.r, self.q / self.r
-        e, c = other.p / other.r, other.q / other.r
-        if b == 0 and c == 0:
-            return a == e
-        return False
 
     def __eq__(self, other):
         r = self._cmp(other)

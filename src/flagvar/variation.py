@@ -2,16 +2,17 @@
 
 Squeezing the fibers by t**2 turns each eigenvalue pair (mu, phi) of
 the total space and fiber into the curve lambda(t) = mu + (1/t**2 - 1)
-phi.  Constant curves are exactly the base eigenvalues.  This module
-also normalizes the scalar curvature by m - 1 and certifies, by exact
-root counting, the strict gap between that normalization and the first
-candidate non-constant curve on the whole interval (0, 1], and lays
+phi.  Constant curves are exactly the base eigenvalues.  Comparing
+scal(t)/(m - 1) with such a curve is, in u = t**2, the sign of one
+concave quadratic (``gap_quadratic``): it gives the degeneracy instants
+and bifurcation flags, and here the gap certificate, which decides in
+closed form that scal(t)/(m - 1) stays strictly below the first
+candidate non-constant curve on all of (0, 1].  The module also lays
 out the curves on a t-grid for the figure.
 """
 
 from fractions import Fraction
 
-from .exact import count_roots_open, deflate_zero_roots, poly_eval
 from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
                       flag_minimum, flag_spectrum)
 
@@ -23,31 +24,57 @@ def normalized_scal(fib, poly):
     return poly.scaled_denominator(fib.m_total - 1)
 
 
+def gap_quadratic(fib, poly, mu, phi):
+    """Coefficients (c0, c1, c2) of c0 + c1*u + c2*u**2 in u = t**2.
+
+    It is d*(m-1)*u*(scal(t)/(m-1) - mu - (1/u - 1)*phi), so its sign
+    at any u > 0 says which side of the curve mu + (1/t**2 - 1)*phi
+    the normalized scalar curvature lies on; at phi = 0 its root is
+    where scal(t)/(m-1) meets the constant mu.
+    """
+    scale = poly.d * (fib.m_total - 1)
+    return (poly.a - scale * phi, poly.c - scale * (mu - phi), poly.e)
+
+
+def _roots_in_unit_interval(c0, c1, c2):
+    """Number of distinct roots in (0, 1) of c0 + c1*u + c2*u**2, c2 < 0.
+
+    The quadratic is positive exactly strictly between its roots, which
+    straddle the vertex v.  So the discriminant, the signs at 0 and 1
+    and the side of v on which 0 and 1 lie place each root.
+    """
+    disc = c1 * c1 - 4 * c2 * c0
+    vertex = -c1 / (2 * c2)
+    if disc < 0:
+        return 0
+    if disc == 0:
+        return int(0 < vertex < 1)
+    at_one = c0 + c1 + c2
+    # The lower root is above 0 when 0 lies left of both roots, and
+    # below 1 when 1 lies between them or right of both.
+    low = c0 < 0 < vertex and (at_one > 0 or vertex < 1)
+    # The upper root is above 0 when 0 lies between the roots or left
+    # of both, and below 1 when 1 lies right of both.
+    high = (c0 > 0 or vertex > 0) and at_one < 0 and vertex < 1
+    return low + high
+
+
 def gap_certificate(fib, poly, phi1=None, mu1=None):
     """Certify scal(t)/(m-1) < mu1 + (1/t**2 - 1)*phi1 on all of (0, 1].
 
-    Clearing denominators in u = t**2 reduces the claim to a quadratic
-    staying negative on (0, 1]; that is decided exactly by a Sturm count
-    on the open interval plus sign checks at the endpoints.  Returns a
-    report dict with the verdict and the polynomial used.
+    That is ``gap_quadratic`` staying negative on (0, 1]: negative at 1
+    with no root in (0, 1), counted in closed form.  Returns a report
+    dict with the verdict and the quadratic used; raises ValueError
+    unless the quadratic is concave.
     """
     phi1 = Fraction(phi1) if phi1 is not None else fib.phi1
     mu1 = (Fraction(mu1) if mu1 is not None
            else flag_minimum(fib.family.root_family).value)
-    scale = poly.d * (fib.m_total - 1)
-    coeffs = [poly.a - scale * phi1,
-              poly.c - scale * (mu1 - phi1),
-              poly.e]
-    reduced, _ = deflate_zero_roots(coeffs)
-    at_one = poly_eval(coeffs, Fraction(1))
-    holds = at_one < 0
-    roots_inside = 0
-    if holds and reduced:
-        if poly_eval(reduced, Fraction(1)) == 0:
-            holds = False
-        else:
-            roots_inside = count_roots_open(reduced, Fraction(0), Fraction(1))
-            holds = roots_inside == 0
+    coeffs = list(gap_quadratic(fib, poly, mu1, phi1))
+    if coeffs[2] >= 0:
+        raise ValueError("expected a negative u**2 coefficient")
+    at_one = sum(coeffs)
+    roots_inside = _roots_in_unit_interval(*coeffs) if at_one < 0 else 0
     return {
         "family": fib.family.kind,
         "n": fib.family.n,
@@ -56,7 +83,7 @@ def gap_certificate(fib, poly, phi1=None, mu1=None):
         "polynomial": coeffs,
         "value_at_one": at_one,
         "roots_in_unit_interval": roots_inside,
-        "holds": holds,
+        "holds": at_one < 0 and roots_inside == 0,
     }
 
 

@@ -13,6 +13,7 @@ from flagvar.catalog import (_so_odd_threshold, cross_check_closed_forms,
                              scal_closed_form)
 from flagvar.curvature import ScalPoly, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
+from flagvar.spectra import flag_minimum
 from flagvar.surd import QuadraticSurd
 
 
@@ -110,6 +111,26 @@ def test_solve_instant_rejects_wrong_sign_polynomial():
     bad = ScalPoly(a=Fraction(1), c=Fraction(1), e=Fraction(1), d=Fraction(1))
     with pytest.raises(ValueError, match="expected E < 0 and A > 0"):
         solve_instant(fib, bad, Fraction(1))
+
+
+@pytest.mark.parametrize("kind,n", [("su", 2), ("so-odd", 2), ("sp", 3),
+                                    ("so-even", 4), ("g2", 2)])
+def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
+    # The flag is beta < mu1 + (1/u - 1)*phi1 at the instant u.  A small
+    # phi1, as --phi1 passes it, turns flags False; check both verdicts
+    # against that margin, formed here by the surd inverse.
+    family = FibrationFamily(kind, n)
+    mu1 = flag_minimum(family.root_family).value
+    for phi1 in (Fraction(1, 50), Fraction(1, 1000)):
+        fib = build_fibration(family, phi1)
+        instants = degeneracy_instants(fib, scal_wz(fib), Fraction(1, 5))
+        for inst in instants:
+            margin = mu1 + (inst.u.inverse() - 1) * phi1 - inst.beta
+            assert inst.is_bifurcation == (margin.sign() > 0)
+        assert not all(inst.is_bifurcation for inst in instants)
+    fib = build_fibration(family)
+    assert all(inst.is_bifurcation for inst in
+               degeneracy_instants(fib, scal_wz(fib), Fraction(1, 5)))
 
 
 # -- Morse index -----------------------------------------------------------

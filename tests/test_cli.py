@@ -196,8 +196,16 @@ def test_usage_error_bad_cutoff(capsys):
 
 
 def test_usage_error_bad_phi1(capsys):
-    code, _, err = run(capsys, ["figure", "--family", "su", "--phi1", "0"])
+    code, _, err = run(capsys, ["instants", "--family", "su", "--phi1", "0"])
     assert code == 2
+
+
+def test_phi1_only_where_it_is_read(capsys):
+    # Only instants and verify read phi1; argparse rejects it elsewhere.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure", "--family", "su", "--phi1", "1"])
+    assert exc.value.code == 2
+    assert "--phi1" in capsys.readouterr().err
 
 
 def test_unknown_family_rejected_by_argparse(capsys):

@@ -1,6 +1,5 @@
 """Tests for the exact rational plumbing: squarefree splits,
-enclosures, Sturm counts and linear solving, and the stdlib-only
-runtime."""
+enclosures and linear solving, and the stdlib-only runtime."""
 
 import os
 import pathlib
@@ -12,10 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagvar.exact import (count_roots_open, deflate_zero_roots,
-                           float_from_bounds, poly_deriv, poly_eval,
-                           poly_rem, poly_trim, solve_linear, sqrt_bounds,
-                           squarefree_split, sturm_chain)
+from flagvar.exact import (float_from_bounds, solve_linear, sqrt_bounds,
+                           squarefree_split)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -99,43 +96,6 @@ def test_sqrt_bounds_exact_cases():
 def test_float_from_bounds_error_covers_width():
     val, err = float_from_bounds(Fraction(1, 3), Fraction(2, 3))
     assert abs(val - 0.5) <= err
-
-
-def test_poly_helpers():
-    p = [Fraction(-2), Fraction(0), Fraction(1)]  # x**2 - 2
-    assert poly_eval(p, Fraction(3)) == 7
-    assert poly_deriv(p) == [Fraction(0), Fraction(2)]
-    assert poly_trim([Fraction(1), Fraction(0), Fraction(0)]) == [Fraction(1)]
-    assert poly_rem([Fraction(-2), Fraction(0), Fraction(1)],
-                    [Fraction(-1), Fraction(1)]) == [Fraction(-1)]
-
-
-def test_sturm_chain_counts_roots():
-    # (x - 1)(x - 2) = x**2 - 3x + 2 has both roots in (0, 3).
-    p = [Fraction(2), Fraction(-3), Fraction(1)]
-    assert count_roots_open(p, Fraction(0), Fraction(3)) == 2
-    assert count_roots_open(p, Fraction(0), Fraction(3, 2)) == 1
-    assert count_roots_open(p, Fraction(5, 2), Fraction(3)) == 0
-
-
-def test_count_roots_open_rejects_root_endpoint():
-    p = [Fraction(2), Fraction(-3), Fraction(1)]
-    with pytest.raises(ValueError):
-        count_roots_open(p, Fraction(1), Fraction(3))
-    with pytest.raises(ValueError):
-        count_roots_open([], Fraction(0), Fraction(1))
-
-
-def test_sturm_chain_handles_constant():
-    assert sturm_chain([Fraction(5)]) == [[Fraction(5)]]
-
-
-def test_deflate_zero_roots():
-    reduced, k = deflate_zero_roots([Fraction(0), Fraction(0), Fraction(3)])
-    assert reduced == [Fraction(3)]
-    assert k == 2
-    reduced, k = deflate_zero_roots([Fraction(1), Fraction(2)])
-    assert k == 0
 
 
 def test_solve_linear_known_system():

@@ -27,20 +27,24 @@ def test_family_keys():
 
 
 def test_validity_constraints():
-    with pytest.raises(ValueError):
-        FibrationFamily("su", 1)
-    with pytest.raises(ValueError):
-        FibrationFamily("so-odd", 3)
-    with pytest.raises(ValueError):
-        FibrationFamily("so-odd", 1)
-    with pytest.raises(ValueError):
-        FibrationFamily("sp", 2)
-    with pytest.raises(ValueError):
-        FibrationFamily("so-even", 3)
-    with pytest.raises(ValueError):
-        FibrationFamily("g2", 3)
-    with pytest.raises(ValueError):
-        FibrationFamily("sl", 2)
+    for kind, n, message in [
+            ("su", 1, "su requires n >= 2"),
+            ("so-odd", 3, "so-odd requires n >= 2 with n = 3 excluded"),
+            ("so-odd", 1, "so-odd requires n >= 2 with n = 3 excluded"),
+            ("sp", 2, "sp requires n >= 3"),
+            ("so-even", 3, "so-even requires n >= 4"),
+            ("g2", 3, "g2 takes no rank parameter"),
+            ("sl", 2, "unknown fibration family 'sl'")]:
+        with pytest.raises(ValueError) as exc:
+            FibrationFamily(kind, n)
+        assert str(exc.value) == message
+
+
+def test_default_rank_is_the_smallest_valid_one():
+    smallest = {"su": 2, "so-odd": 2, "sp": 3, "so-even": 4, "g2": 2}
+    for kind, n in smallest.items():
+        assert FibrationFamily(kind) == FibrationFamily(kind, n)
+        build_fibration(FibrationFamily(kind))
 
 
 @pytest.mark.parametrize("kind,n,nv,nh", PARTITION)

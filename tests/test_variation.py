@@ -5,13 +5,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flagvar.catalog import _BETA1
-from flagvar.curvature import scal_wz
+from flagvar.curvature import ScalPoly, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (base_spectrum, fiber_spectrum, flag_minimum,
                              flag_spectrum)
-from flagvar.variation import gap_certificate, normalized_scal
+from flagvar.variation import (_roots_in_unit_interval, gap_certificate,
+                               gap_quadratic, normalized_scal)
 
 CRITERION_CASES = ([("su", n) for n in range(2, 7)]
                    + [("so-odd", n) for n in (2, 4, 5, 6)]
@@ -159,6 +162,54 @@ def test_gap_certificate_honors_overrides():
     report = gap_certificate(f, poly, mu1=Fraction(100))
     assert report["mu1"] == 100
     assert report["holds"]
+
+
+def test_gap_certificate_needs_a_concave_quadratic():
+    f = _fib("su", 2)
+    poly = scal_wz(f)
+    for e in (Fraction(0), Fraction(1, 7)):
+        with pytest.raises(ValueError, match="negative u"):
+            gap_certificate(f, ScalPoly(poly.a, poly.c, e, poly.d))
+
+
+def test_gap_quadratic_is_the_curve_gap_scaled_by_u():
+    # c0 + c1*u + c2*u**2 = d*(m-1)*u*(scal/(m-1) - mu - (1/u - 1)*phi).
+    f = _fib("so-odd", 2)
+    poly = scal_wz(f)
+    mu, phi = Fraction(3, 4), Fraction(2, 9)
+    c0, c1, c2 = gap_quadratic(f, poly, mu, phi)
+    for u in (Fraction(1, 9), Fraction(1, 2), Fraction(1)):
+        curve = mu + (1 / u - 1) * phi
+        expected = (poly.d * (f.m_total - 1) * u
+                    * (normalized_scal(f, poly).value_at_u(u) - curve))
+        assert c0 + c1 * u + c2 * u * u == expected
+
+
+# Planted rational roots: generic, at 0 and 1, and 1 -+ 1/k for k up to
+# 10**9; drawing the same root twice plants a double root.
+_OFFSET = st.integers(min_value=2, max_value=10**9).map(
+    lambda k: Fraction(1, k))
+_PLANTED = st.one_of(
+    st.fractions(min_value=-2, max_value=3, max_denominator=60),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    _OFFSET.map(lambda h: 1 - h), _OFFSET.map(lambda h: 1 + h))
+_LEAD = st.fractions(min_value=-1000, max_value=Fraction(-1, 1000),
+                     max_denominator=1000)
+
+
+@given(_PLANTED, _PLANTED, _LEAD)
+def test_root_count_matches_planted_roots(r1, r2, lead):
+    c0, c1, c2 = lead * r1 * r2, -lead * (r1 + r2), lead
+    expected = len({r for r in (r1, r2) if 0 < r < 1})
+    assert _roots_in_unit_interval(c0, c1, c2) == expected
+
+
+@given(_PLANTED, st.fractions(min_value=Fraction(1, 10**9), max_value=5),
+       _LEAD)
+def test_root_count_is_zero_without_real_roots(vertex, lift, lead):
+    # lead*((u - vertex)**2 + lift) never vanishes.
+    c0, c1, c2 = lead * (vertex * vertex + lift), -2 * lead * vertex, lead
+    assert _roots_in_unit_interval(c0, c1, c2) == 0
 
 
 # -- candidate first-eigenvalue window ------------------------------------
