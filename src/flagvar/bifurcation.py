@@ -12,7 +12,10 @@ are compared with are in ``catalog``.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
+from .exact import common_denominator
 from .spectra import (ambient_weight, base_spectrum, base_spectrum_first,
                       casimir_of_weight, flag_minimum, kramer_basis, weyl_dim)
 from .surd import QuadraticSurd
@@ -40,33 +43,55 @@ def solve_instant(fib, poly, beta, mult=1):
     the strict inequality beta < mu1 + (1/u - 1)*phi1, which at the
     instant is the (mu1, phi1) quadratic being negative at u, evaluated
     exactly in u's field with the fibration's phi1, so an overridden
-    fiber eigenvalue propagates.
+    fiber eigenvalue propagates.  Both quadratics depend on (fib, poly)
+    alone, so ``_quadratics`` builds their integer forms once per pair.
     """
+    (c0, c1, slope, c2, den), (f0, f1, f2) = _quadratics(fib, poly)
     beta = Fraction(beta)
-    a, b, e = gap_quadratic(fib, poly, beta, 0)
+    bn, bd = beta.numerator, beta.denominator
+    # gap_quadratic at (beta, 0) is (a, b, e)/k.
+    a, b, e, k = c0 * bd, c1 * bd + slope * bn, c2 * bd, den * bd
     if e >= 0 or a <= 0:
         raise ValueError("expected E < 0 and A > 0 in the quadratic")
     disc = b * b - 4 * e * a
-    den = disc.denominator
-    # u = (b + sqrt(disc)) / (-2e), rewritten over the integer radicand
-    # disc = num*den / den**2.
-    u = QuadraticSurd(b * den, 1, -2 * e * den, disc.numerator * den)
+    # u = (b + sqrt(disc))/(-2e).  In lowest terms disc/k**2 is
+    # (disc/g)/(k*k/g) with g = gcd(disc, k*k); over the integer radicand
+    # (disc/g)*(k*k/g), u is (b*k + g*sqrt(radicand))/(-2*e*k), printed
+    # with the common factor of the three coefficients taken out.
+    g = gcd(disc, k * k)
+    h = gcd(b * k, -2 * e * k, g)
+    u = QuadraticSurd(b * k // h, g // h, -2 * e * k // h,
+                      (disc // g) * (k * k // g))
 
-    residual = (u * u) * e + u * b + a
-    if residual.sign() != 0:
+    if (u * (u * e + b) + a).sign() != 0:
         raise AssertionError("nonzero residual for a solved instant")
     if u.sign() <= 0:
         raise AssertionError("solved instant is not positive")
 
-    c0, c1, c2 = gap_quadratic(
-        fib, poly, flag_minimum(fib.family.root_family).value, fib.phi1)
-    is_bif = (c0 + u * (c1 + u * c2)).sign() < 0
+    is_bif = (u * (u * f2 + f1) + f0).sign() < 0
 
     t, t_err = u.sqrt_to_float(bits=96)
     if t_err > 1e-12:
         raise AssertionError("presentation error exceeded the certified bound")
     return DegeneracyInstant(u=u, t=t, t_error=t_err, beta=beta,
                              mult=mult, is_bifurcation=is_bif)
+
+
+@lru_cache(maxsize=16)
+def _quadratics(fib, poly):
+    """The quadratics every instant reads, over the integers, built once.
+
+    ``gap_quadratic`` is affine in mu, so at (beta, 0) it is
+    (c0, c1 + slope*beta, c2)/den, read off at beta = 0 and 1.  The
+    (mu1, phi1) quadratic that decides the bifurcation flag is kept up
+    to a positive factor, which leaves its sign alone.
+    """
+    at0 = gap_quadratic(fib, poly, 0, 0)
+    at1 = gap_quadratic(fib, poly, 1, 0)
+    (c0, c1, c2, c1_at1), den = common_denominator(at0 + (at1[1],))
+    mu1 = flag_minimum(fib.family.root_family).value
+    flag = common_denominator(gap_quadratic(fib, poly, mu1, fib.phi1))[0]
+    return (c0, c1, c1_at1 - c1, c2, den), flag
 
 
 def rigidity_threshold(fib, poly):
@@ -140,7 +165,7 @@ def _instants_above(instants, t):
     lo, hi = 0, len(instants)
     while lo < hi:
         mid = (lo + hi) // 2
-        s = (instants[mid].u - u_t).sign()
+        s = instants[mid].u._cmp(u_t)
         if s == 0:
             return mid, True
         if s > 0:

@@ -38,10 +38,22 @@ def _label_str(label):
     return "(" + ",".join(str(x) for x in label) + ")"
 
 
+def _rational(args, option):
+    """The P/Q text of ``--option`` as a Fraction, None when absent."""
+    text = getattr(args, option, None)
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("--{} {}: zero denominator".format(
+            option, text)) from None
+
+
 def _build_fib(args, name=None):
     name = name or args.family
     family = FibrationFamily(_ALIASES.get(name, name), args.n)
-    return build_fibration(family, getattr(args, "phi1", None))
+    return build_fibration(family, _rational(args, "phi1"))
 
 
 def _emit(text, args):
@@ -74,8 +86,8 @@ def _json_text(fib, **fields):
 
 
 def _parse_window(args):
-    t_min = Fraction(args.tmin)
-    t_max = Fraction(args.tmax)
+    t_min = _rational(args, "tmin")
+    t_max = _rational(args, "tmax")
     if not (0 < t_min < t_max <= 1):
         raise ValueError("need 0 < tmin < tmax <= 1")
     return t_min, t_max
@@ -86,7 +98,7 @@ def _parse_window(args):
 
 def cmd_spectrum(args):
     fib = _build_fib(args)
-    cutoff = Fraction(args.cutoff)
+    cutoff = _rational(args, "cutoff")
     totals = flag_spectrum(fib.family.root_family, cutoff)
     bases = base_spectrum(fib.family, cutoff)
     entries = list(totals) + list(bases)
@@ -130,7 +142,7 @@ def cmd_scal(args):
 def cmd_instants(args):
     fib = _build_fib(args)
     poly = scal_wz(fib)
-    t_min = Fraction(args.tmin)
+    t_min = _rational(args, "tmin")
     instants = degeneracy_instants(fib, poly, t_min)
     if args.format == "json":
         _emit(_json_text(fib, instants=[{

@@ -1,25 +1,76 @@
-"""Exact numbers of the form (p + q*sqrt(d))/r.
+"""Exact numbers of the form (p + q*sqrt(d))/r over the integers.
 
 These carry the solutions u = t**2 of the degeneracy quadratics, so
-equality, ordering and sign must all be decided exactly.  Same-radicand
-arithmetic stays closed in Q(sqrt(d)); comparisons across different
-radicands fall back to certified interval refinement, which terminates
-because such values are never equal and distinct values eventually
-separate their enclosures.
+equality, ordering and sign must all be decided exactly.  p, q and r
+are Python ints with r > 0 and d squarefree (d = 0 exactly when the
+value is rational), the usual integer representation of Q(sqrt(d))
+(Cohen, *A Course in Computational Algebraic Number Theory*, §5).
+
+The constructor takes ints or rationals.  It stores integral input as
+given, unreduced, and scales rational input by the lcm of the three
+denominators, so ``str`` always shows integers.  Arithmetic results
+come from a trusted constructor that does no ``Fraction`` work and no
+re-split of d.  Same-radicand arithmetic stays closed in Q(sqrt(d));
+sign and same-field comparisons are integer compares.  Comparisons
+across different radicands fall back to certified interval refinement
+on one integer enclosure, which terminates because such values are
+never equal and distinct values eventually separate their enclosures.
+The same enclosure gives ``bounds`` and the correctly rounded floats.
 """
 
+import operator
 from fractions import Fraction
+from math import isqrt, lcm
 
-from .exact import float_from_bounds, sqrt_bounds, squarefree_split
+from .exact import float_from_bounds, squarefree_split
+
+
+def _sign(p, q, d):
+    """Exact sign of p + q*sqrt(d) for ints p, q and d >= 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    # Opposite signs: the larger of p*p and q*q*d wins.
+    lhs = p * p
+    rhs = q * q * d
+    if lhs == rhs:
+        return 0
+    return (1 if p > 0 else -1) if lhs > rhs else (1 if q > 0 else -1)
+
+
+def _parts(x):
+    """(p, q, r, d) of a surd, int or Fraction, else None."""
+    if isinstance(x, QuadraticSurd):
+        return x.p, x.q, x.r, x.d
+    if isinstance(x, int):
+        return x, 0, 1, 0
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator, 0
+    return None
+
+
+def _comparison(op):
+    """The rich comparison ``op(self._cmp(other), 0)``."""
+    def compare(self, other):
+        r = self._cmp(other)
+        return r if r is NotImplemented else op(r, 0)
+    return compare
+
+
+def _surd(p, q, r, d):
+    """Trusted constructor: ints with r > 0 and d squarefree or 0."""
+    x = object.__new__(QuadraticSurd)
+    x.p, x.q, x.r, x.d = p, q, r, d if q else 0
+    return x
 
 
 class QuadraticSurd:
-    """Value (p + q*sqrt(d))/r with rational p, q, r and squarefree d."""
+    """Value (p + q*sqrt(d))/r with integers p, q, r > 0 and squarefree d."""
 
     __slots__ = ("p", "q", "r", "d")
 
     def __init__(self, p, q=0, r=1, d=0):
-        p, q, r = Fraction(p), Fraction(q), Fraction(r)
         if r == 0:
             raise ZeroDivisionError("surd with zero denominator")
         d = int(d)
@@ -29,18 +80,23 @@ class QuadraticSurd:
         s, d = squarefree_split(d)
         q = q * s
         if d == 1:
-            p, q, d = p + q, Fraction(0), 0
+            p, q, d = p + q, 0, 0
         if r < 0:
             p, q, r = -p, -q, -r
         if q == 0:
             d = 0
+        if not (type(p) is type(q) is type(r) is int):
+            # Clear denominators so the fields, and str, are integers.
+            p, q, r = Fraction(p), Fraction(q), Fraction(r)
+            m = lcm(p.denominator, q.denominator, r.denominator)
+            p, q, r = (int(x * m) for x in (p, q, r))
         self.p, self.q, self.r, self.d = p, q, r, d
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rational(cls, x):
-        return cls(Fraction(x), 0, 1, 0)
+        return cls(Fraction(x))
 
     # -- predicates -------------------------------------------------------
 
@@ -50,183 +106,147 @@ class QuadraticSurd:
     def to_fraction(self):
         if not self.is_rational():
             raise ValueError("irrational surd")
-        return self.p / self.r
+        return Fraction(self.p, self.r)
 
     # -- arithmetic (closed for equal radicands or rational operands) -----
 
-    def _coerce(self, other):
-        if isinstance(other, QuadraticSurd):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticSurd.from_rational(other)
-        return None
-
-    def _common_d(self, other):
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise ValueError("arithmetic across different radicands")
+    def _operand(self, other):
+        """(p, q, r, common radicand) of other, or None if foreign."""
+        parts = _parts(other)
+        if parts is None:
+            return None
+        p, q, r, d = parts
+        if self.d and d and d != self.d:
+            raise ValueError("arithmetic across different radicands")
+        return p, q, r, self.d or d
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        d = self._common_d(other)
-        p = self.p * other.r + other.p * self.r
-        q = self.q * other.r + other.q * self.r
-        return QuadraticSurd(p, q, self.r * other.r, d)
+        p, q, r, d = o
+        return _surd(self.p * r + p * self.r, self.q * r + q * self.r,
+                     self.r * r, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self.p, -self.q, self.r, self.d)
+        return _surd(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        p, q, r, d = o
+        return _surd(self.p * r - p * self.r, self.q * r - q * self.r,
+                     self.r * r, d)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        d = self._common_d(other)
-        p = self.p * other.p + self.q * other.q * d
-        q = self.p * other.q + self.q * other.p
-        return QuadraticSurd(p, q, self.r * other.r, d)
+        p, q, r, d = o
+        return _surd(self.p * p + self.q * q * d, self.p * q + self.q * p,
+                     self.r * r, d)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse via the conjugate."""
-        norm = self.p * self.p - self.q * self.q * self.d
+        p, q, r, d = self.p, self.q, self.r, self.d
+        # p = +-q*sqrt(d) cannot hold for irrational sqrt(d) unless 0.
+        norm = p * p - q * q * d
         if norm == 0:
-            if self.p == 0 and self.q == 0:
-                raise ZeroDivisionError("inverse of zero")
-            # p = +-q*sqrt(d) cannot hold for irrational sqrt(d) unless 0.
-            raise ZeroDivisionError("inverse of zero surd")
-        return QuadraticSurd(self.p * self.r / norm,
-                             -self.q * self.r / norm,
-                             1, self.d)
+            raise ZeroDivisionError("inverse of zero")
+        if norm < 0:
+            p, q, norm = -p, -q, -norm
+        return _surd(p * r, -q * r, norm, d)
 
     # -- exact sign and order ---------------------------------------------
 
     def sign(self):
         """Exact sign of the value: -1, 0 or 1."""
-        p, q, d = self.p, self.q, self.d  # r > 0 by normalization
-        if q == 0:
-            return 0 if p == 0 else (1 if p > 0 else -1)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # Opposite signs: compare p*p against q*q*d.
-        lhs = p * p
-        rhs = q * q * d
-        if lhs == rhs:
-            return 0
-        big_is_p = lhs > rhs
-        if p > 0:
-            return 1 if big_is_p else -1
-        return -1 if big_is_p else 1
+        return _sign(self.p, self.q, self.d)  # r > 0 by normalization
 
     def _cmp(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        if self.d == other.d or self.d == 0 or other.d == 0:
-            diff = self - other
-            return diff.sign()
+        p, q, r, d = parts
+        if d == self.d or not d or not self.d:
+            # Same field: the sign of the difference times r*r' > 0.
+            return _sign(self.p * r - p * self.r, self.q * r - q * self.r,
+                         self.d or d)
         # 1, sqrt(d1) and sqrt(d2) are Q-independent: the values differ.
         bits = 64
         while True:
-            lo1, hi1 = self.bounds(bits)
-            lo2, hi2 = other.bounds(bits)
-            if hi1 < lo2:
+            lo1, hi1, den1 = self._enclosure(bits)
+            lo2, hi2, den2 = other._enclosure(bits)
+            if hi1 * den2 < lo2 * den1:
                 return -1
-            if hi2 < lo1:
+            if hi2 * den1 < lo1 * den2:
                 return 1
             bits *= 2
             if bits > 1 << 16:
                 raise RuntimeError("comparison failed to separate values")
 
-    def __eq__(self, other):
-        r = self._cmp(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return r == 0
-
-    def __lt__(self, other):
-        r = self._cmp(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return r < 0
-
-    def __le__(self, other):
-        r = self._cmp(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return r <= 0
-
-    def __gt__(self, other):
-        r = self._cmp(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return r > 0
-
-    def __ge__(self, other):
-        r = self._cmp(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return r >= 0
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __hash__(self):
         if self.is_rational():
             return hash(self.to_fraction())
-        return hash((self.p / self.r, self.q / self.r, self.d))
+        return hash((Fraction(self.p, self.r), Fraction(self.q, self.r),
+                     self.d))
 
     # -- presentation -----------------------------------------------------
 
+    def _enclosure(self, bits):
+        """Integers (lo, hi, den) with lo/den <= value <= hi/den.
+
+        den = r*2**bits and lo, hi are p*2**bits + q*isqrt(d*4**bits)
+        and that plus q, in order, so the width is |q|/den; a rational
+        value gives (p, p, r).
+        """
+        p, q, r, d = self.p, self.q, self.r, self.d
+        if d == 0:
+            return p, p, r
+        lo = (p << bits) + q * isqrt(d << 2 * bits)
+        hi = lo + q
+        if q < 0:
+            lo, hi = hi, lo
+        return lo, hi, r << bits
+
     def bounds(self, bits=64):
         """Rational enclosure (lo, hi) of the value, width about 2**-bits."""
-        if self.d == 0:
-            v = self.p / self.r
-            return v, v
-        lo_s, hi_s = sqrt_bounds(Fraction(self.d), bits)
-        if self.q >= 0:
-            lo = (self.p + self.q * lo_s) / self.r
-            hi = (self.p + self.q * hi_s) / self.r
-        else:
-            lo = (self.p + self.q * hi_s) / self.r
-            hi = (self.p + self.q * lo_s) / self.r
-        return lo, hi
+        lo, hi, den = self._enclosure(bits)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def to_float(self, bits=64):
         """Float presentation plus a certified absolute error bound."""
-        return float_from_bounds(*self.bounds(bits))
+        return float_from_bounds(*self._enclosure(bits))
 
     def __float__(self):
         return self.to_float()[0]
 
     def sqrt_to_float(self, bits=64):
-        """Certified float of sqrt(value); value must be nonnegative."""
-        lo, hi = self.bounds(bits)
+        """Certified float of sqrt(value); value must be nonnegative.
+
+        The square roots of the enclosure's ends are enclosed on the
+        2**-bits grid, the lower end clamped at 0.
+        """
+        lo, hi, den = self._enclosure(bits)
         if hi < 0:
             raise ValueError("square root of negative surd")
-        lo = max(lo, Fraction(0))
-        lo_r, _ = sqrt_bounds(lo, bits)
-        _, hi_r = sqrt_bounds(hi, bits)
-        return float_from_bounds(lo_r, hi_r)
+        lo_r = isqrt((lo << 2 * bits) // den) if lo > 0 else 0
+        hi_r = isqrt((hi << 2 * bits) // den) + 1 if hi > 0 else 0
+        return float_from_bounds(lo_r, hi_r, 1 << bits)
 
     def __repr__(self):
         return "QuadraticSurd({!r}, {!r}, {!r}, {!r})".format(
@@ -234,7 +254,7 @@ class QuadraticSurd:
 
     def __str__(self):
         if self.d == 0:
-            return str(self.p / self.r)
+            return str(Fraction(self.p, self.r))
         num = "{}{}{}*sqrt({})".format(
             self.p, "+" if self.q >= 0 else "-", abs(self.q), self.d)
         if self.r == 1:

@@ -13,6 +13,7 @@ out the curves on a t-grid for the figure.
 
 from fractions import Fraction
 
+from .exact import common_denominator
 from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
                       flag_minimum, flag_spectrum)
 
@@ -90,24 +91,38 @@ def gap_certificate(fib, poly, phi1=None, mu1=None):
 def figure_series(fib, poly, t_min, t_max):
     """Grid columns for the plot on 121 points of [t_min, t_max]: t,
     scal/(m-1), the first six constants and the curves
-    mu_k + (1/t**2 - 1)*phi_j for 1 <= j <= k <= 6."""
+    mu_k + (1/t**2 - 1)*phi_j for 1 <= j <= k <= 6.
+
+    Everything runs on integers.  With t = tn/td on the grid,
+    mu_k = M_k/D and phi_j = F_j/D over one common denominator D, each
+    curve is (M_k*tn**2 + F_j*(td**2 - tn**2))/(D*tn**2), and
+    scal/(m-1) is likewise one ratio of integers.  So every float is a
+    single correctly rounded int/int division of the exact value.
+    """
     steps = 120
     norm = normalized_scal(fib, poly)
-    constants = [e.value for e in base_spectrum_first(fib.family, 6)]
-    mus = [e.value for e in _first_entries(
-        lambda c: flag_spectrum(fib.family.root_family, c), 6)]
-    phis = [e.value for e in _first_entries(
-        lambda c: fiber_spectrum(fib, c), 6)]
+    (a, c, e, d), _ = common_denominator((norm.a, norm.c, norm.e, norm.d))
+    constants = [float(x.value) for x in base_spectrum_first(fib.family, 6)]
+    mus = [x.value for x in _first_entries(
+        lambda cut: flag_spectrum(fib.family.root_family, cut), 6)]
+    phis = [x.value for x in _first_entries(
+        lambda cut: fiber_spectrum(fib, cut), 6)]
+    nums, den = common_denominator(mus + phis)
+    ms, fs = nums[:6], nums[6:]
+    (lo, hi), t_den = common_denominator((t_min, t_max))
     names = ["t", "scal_over_m_minus_1"]
     names += ["const_{}".format(k) for k in range(1, 7)]
     pairs = [(k, j) for k in range(1, 7) for j in range(1, k + 1)]
     names += ["lam_{}_{}".format(k, j) for k, j in pairs]
+    td = t_den * steps
     rows = []
     for i in range(steps + 1):
-        t = t_min + (t_max - t_min) * i / steps
-        stretch = 1 / (t * t) - 1
-        row = [float(t), float(norm.value_at_t(t))]
-        row += [float(c) for c in constants]
-        row += [float(mus[k - 1] + stretch * phis[j - 1]) for k, j in pairs]
+        tn = lo * steps + (hi - lo) * i
+        un, ud = tn * tn, td * td  # u = t**2 = un/ud
+        row = [tn / td, (a * ud * ud + c * un * ud + e * un * un)
+               / (d * un * ud)]
+        row += constants
+        row += [(ms[k - 1] * un + fs[j - 1] * (ud - un)) / (den * un)
+                for k, j in pairs]
         rows.append(row)
     return names, rows

@@ -2,12 +2,17 @@
 so exit codes and output land exactly as a shell would see them."""
 
 import ast
+import csv
+import io
 import json
 import pathlib
+import re
+from decimal import Decimal, localcontext
 
 import pytest
 
 from flagvar import cli, spectra
+from test_acceptance import CASES
 
 
 def run(capsys, argv):
@@ -96,6 +101,33 @@ def test_instants_json_exact_surd(capsys):
     assert inst["mult"] == 5
     assert "sqrt(5)" in inst["u"]
     assert abs(inst["t"] - 0.6871214994450251) < 1e-9
+
+
+U_NUMERATOR = re.compile(r"(-?\d+)([+-]\d+)\*sqrt\((\d+)\)")
+
+
+@pytest.mark.parametrize("kind,n", CASES,
+                         ids=["{}-{}".format(*case) for case in CASES])
+def test_printed_u_has_integer_fields_and_matches_t(capsys, kind, n):
+    # (p+q*sqrt(d))/r with integer fields, read as written, gives t.
+    code, out, _ = run(capsys, ["instants", "--family", kind, "--n", str(n),
+                                "--tmin", "1/20", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for row in rows:
+            text = row["u"]
+            num, r = (text[1:].rsplit(")/", 1) if text.startswith("(")
+                      else (text, "1"))
+            match = U_NUMERATOR.fullmatch(num)
+            assert match and r.isdigit(), text
+            p, q, d = (int(x) for x in match.groups())
+            r = int(r)
+            u = (Decimal(p) + Decimal(q) * Decimal(d).sqrt()) / r
+            err = abs(float(u.sqrt()) - float(row["t"]))
+            assert err <= float(row["t_error"]) + 1e-12, row
 
 
 # -- morse -----------------------------------------------------------------
@@ -193,6 +225,17 @@ def test_usage_error_bad_cutoff(capsys):
                                 "--cutoff", "0"])
     assert code == 2
     assert "cutoff" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "su", "--cutoff", "1/0"],
+    ["instants", "--family", "su", "--tmin", "1/0"],
+    ["instants", "--family", "su", "--phi1", "1/0"]], ids=lambda a: a[3])
+def test_zero_denominator_names_the_option(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "flagvar: {} 1/0: zero denominator\n".format(argv[3])
 
 
 def test_usage_error_bad_phi1(capsys):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagvar.exact import (float_from_bounds, solve_linear, sqrt_bounds,
-                           squarefree_split)
+from flagvar.exact import float_from_bounds, solve_linear, squarefree_split
+from test_surd import sqrt_bounds  # the Fraction oracle's enclosure
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -25,6 +25,13 @@ def test_squarefree_split_small():
     assert squarefree_split(340) == (2, 85)
     assert squarefree_split(4640) == (4, 290)
     assert squarefree_split(97) == (1, 97)
+
+
+def test_squarefree_split_past_the_prime_sieve():
+    # Radicands above 2**60 trial-divide past the sieve by odd numbers.
+    q = 1048583  # the least prime above 2**20
+    assert squarefree_split(q ** 3) == (q, q)
+    assert squarefree_split(9 * (2 ** 61 - 1)) == (3, 2 ** 61 - 1)
 
 
 def test_squarefree_split_rejects_negative():

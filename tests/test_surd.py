@@ -1,6 +1,7 @@
 """Tests for exact quadratic surd arithmetic and ordering."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -173,3 +174,193 @@ def test_field_operations_commute_with_floats(p1, q1, p2, q2, d):
     fx, fy = float(x), float(y)
     assert abs(float(s) - (fx + fy)) < 1e-6
     assert abs(float(m) - fx * fy) < 1e-5
+
+
+# -- the Fraction kernel this one replaced, as an independent oracle --------
+
+def _split_by_odd_trial_division(n):
+    """n = s*s*d with d squarefree, dividing by 2 and every odd number."""
+    if n == 0:
+        return 0, 0
+    s = d = 1
+    p = 2
+    while p * p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    root = isqrt(n)
+    if root * root == n:
+        return s * root, d
+    return s, d * n
+
+
+def sqrt_bounds(x, bits=60):
+    """Rational enclosure of sqrt(x) for a nonnegative Fraction x.
+
+    Returns (lo, hi) with lo**2 <= x <= hi**2 and hi - lo <= 2**-bits.
+    """
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    scale = 1 << bits
+    root = isqrt((x.numerator * scale * scale) // x.denominator)
+    return Fraction(root, scale), Fraction(root + 1, scale)
+
+
+def _fraction_float_from_bounds(lo, hi):
+    val = float((lo + hi) / 2)
+    return val, float(hi - lo) / 2 + abs(val) * 2.0 ** -52 + 2.0 ** -1074
+
+
+class _FractionSurd:
+    """(p + q*sqrt(d))/r with Fraction p, q, r: every operation through
+    Fraction arithmetic and rational enclosures."""
+
+    def __init__(self, p, q=0, r=1, d=0):
+        p, q, r = Fraction(p), Fraction(q), Fraction(r)
+        s, d = _split_by_odd_trial_division(int(d))
+        q = q * s
+        if d == 1:
+            p, q, d = p + q, Fraction(0), 0
+        if r < 0:
+            p, q, r = -p, -q, -r
+        if q == 0:
+            d = 0
+        self.p, self.q, self.r, self.d = p, q, r, d
+
+    def _coerce(self, other):
+        if isinstance(other, _FractionSurd):
+            return other
+        return _FractionSurd(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return _FractionSurd(self.p * other.r + other.p * self.r,
+                             self.q * other.r + other.q * self.r,
+                             self.r * other.r, self.d or other.d)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        d = self.d or other.d
+        return _FractionSurd(self.p * other.p + self.q * other.q * d,
+                             self.p * other.q + self.q * other.p,
+                             self.r * other.r, d)
+
+    def inverse(self):
+        norm = self.p * self.p - self.q * self.q * self.d
+        return _FractionSurd(self.p * self.r / norm, -self.q * self.r / norm,
+                             1, self.d)
+
+    def sign(self):
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            return 0 if p == 0 else (1 if p > 0 else -1)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        lhs, rhs = p * p, q * q * d
+        if lhs == rhs:
+            return 0
+        return (1 if p > 0 else -1) if lhs > rhs else (1 if q > 0 else -1)
+
+    def cmp(self, other):
+        other = self._coerce(other)
+        if self.d == other.d or self.d == 0 or other.d == 0:
+            return (self + other * -1).sign()
+        bits = 64
+        while True:
+            lo1, hi1 = self.bounds(bits)
+            lo2, hi2 = other.bounds(bits)
+            if hi1 < lo2:
+                return -1
+            if hi2 < lo1:
+                return 1
+            bits *= 2
+
+    def bounds(self, bits=64):
+        if self.d == 0:
+            v = self.p / self.r
+            return v, v
+        lo_s, hi_s = sqrt_bounds(Fraction(self.d), bits)
+        if self.q < 0:
+            lo_s, hi_s = hi_s, lo_s
+        return ((self.p + self.q * lo_s) / self.r,
+                (self.p + self.q * hi_s) / self.r)
+
+    def to_float(self, bits=64):
+        return _fraction_float_from_bounds(*self.bounds(bits))
+
+    def sqrt_to_float(self, bits=64):
+        lo, hi = self.bounds(bits)
+        if hi < 0:
+            raise ValueError("square root of negative surd")
+        lo_r, _ = sqrt_bounds(max(lo, Fraction(0)), bits)
+        _, hi_r = sqrt_bounds(hi, bits)
+        return _fraction_float_from_bounds(lo_r, hi_r)
+
+    def __str__(self):
+        if self.d == 0:
+            return str(self.p / self.r)
+        num = "{}{}{}*sqrt({})".format(
+            self.p, "+" if self.q >= 0 else "-", abs(self.q), self.d)
+        return num if self.r == 1 else "({})/{}".format(num, self.r)
+
+
+def _value(x):
+    """The canonical (p/r, q/r, d) of either kind of surd."""
+    return Fraction(x.p) / x.r, Fraction(x.q) / x.r, x.d
+
+
+wide_radicands = st.one_of(radicands, st.integers(0, 2**40 - 1))
+coefficients = st.fractions(min_value=-10**6, max_value=10**6,
+                            max_denominator=10**4)
+denominators = coefficients.filter(lambda x: x != 0)
+surd_args = st.tuples(coefficients, coefficients, denominators,
+                      wide_radicands)
+
+
+@given(surd_args, surd_args, st.integers(32, 128))
+def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
+    x, ox = QuadraticSurd(*args), _FractionSurd(*args)
+    y, oy = QuadraticSurd(*other_args), _FractionSurd(*other_args)
+    assert _value(x) == _value(ox)
+    assert x.sign() == ox.sign()
+    assert x.bounds(bits) == ox.bounds(bits)
+    assert x.to_float(bits) == ox.to_float(bits)
+    if ox.bounds(96)[1] < 0:
+        with pytest.raises(ValueError):
+            x.sqrt_to_float(96)
+    else:
+        assert x.sqrt_to_float(96) == ox.sqrt_to_float(96)
+    if ox.sign() != 0:
+        assert _value(x.inverse()) == _value(ox.inverse())
+    for rational in (args[0], args[0] + 1, 0):
+        assert (x == rational) == (ox.cmp(rational) == 0)
+        assert (x < rational) == (ox.cmp(rational) < 0)
+    assert (x == y) == (ox.cmp(oy) == 0)
+    assert (x < y) == (ox.cmp(oy) < 0)
+    # Field arithmetic needs a shared radicand; rationals share any.
+    same = QuadraticSurd(other_args[0], other_args[1], other_args[2], x.d)
+    osame = _FractionSurd(other_args[0], other_args[1], other_args[2], ox.d)
+    assert _value(x + same) == _value(ox + osame)
+    assert _value(x * same) == _value(ox * osame)
+    assert _value(x + args[1]) == _value(ox + args[1])
+    assert _value(x * args[2]) == _value(ox * args[2])
+
+
+@given(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+                 st.integers(1, 10**6) | st.integers(-10**6, -1),
+                 wide_radicands))
+def test_integral_input_prints_as_the_fraction_oracle(args):
+    assert str(QuadraticSurd(*args)) == str(_FractionSurd(*args))
+
+
+def test_zero_sqrt_to_float_matches_the_oracle():
+    for zero in (QuadraticSurd(0), QuadraticSurd(Fraction(0), 5, 3, 0)):
+        assert zero.sqrt_to_float(96) == _FractionSurd(0).sqrt_to_float(96)
+        assert zero.sqrt_to_float(96) == (0.0, 2.0 ** -1074)
