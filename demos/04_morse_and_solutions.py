@@ -1,7 +1,8 @@
 """Morse index steps and the three-solution windows.
 
 N(t) adds up base multiplicities of eigenvalue curves lying strictly
-below the normalized scalar curvature.  It vanishes on (b, 1], jumps by
+below the normalized scalar curvature, so it is read off the base
+spectrum with rational comparisons alone.  It vanishes on (b, 1], jumps by
 the base multiplicity at each instant, and each jump certifies a
 bifurcating branch; strictly between consecutive instants the problem
 has at least three unit-volume solutions.
@@ -14,37 +15,40 @@ Run from the repository root:
 from fractions import Fraction
 
 from flagvar import (FibrationFamily, build_fibration, degeneracy_instants,
-                     morse_index, multiplicity_lower_bound, scal_wz)
+                     instant_base, morse_index, multiplicity_lower_bound,
+                     scal_wz)
 
 fib = build_fibration(FibrationFamily("su", 2))
 poly = scal_wz(fib)
+base = instant_base(fib, poly, Fraction(1, 10))
 instants = degeneracy_instants(fib, poly, Fraction(1, 10))
 
 print("SU(3)/T^2 Morse index, stepping down toward t = 1:")
 previous = None
 for k in range(10, 101):
     t = Fraction(k, 100)
-    if any(inst.u == t * t for inst in instants):
+    try:
+        value = morse_index(fib, poly, base, t)
+    except ValueError:  # t is an instant
         continue
-    value = morse_index(fib, poly, instants, t)
     if value != previous:
         print("  N({}) = {}".format(t, value))
         previous = value
 
 print()
 print("jump sizes match the base multiplicities {}:".format(
-    [inst.mult for inst in instants]))
+    [entry.mult for entry in base]))
 for inst in instants:
     lo = Fraction(int(inst.t * 10 ** 6) - 2, 10 ** 6)
     hi = Fraction(int(inst.t * 10 ** 6) + 2, 10 ** 6)
-    jump = (morse_index(fib, poly, instants, lo)
-            - morse_index(fib, poly, instants, hi))
+    jump = (morse_index(fib, poly, base, lo)
+            - morse_index(fib, poly, base, hi))
     print("  at t ~ {:.6f}: jump {}".format(inst.t, jump))
 
 print()
 print("solution counts across the first window:")
 for t in [Fraction(9, 10), Fraction(1, 2), Fraction(3, 10),
           Fraction(1, 5), Fraction(3, 20)]:
-    count = multiplicity_lower_bound(fib, instants, t)
+    count = multiplicity_lower_bound(fib, poly, base, t)
     print("  t = {:<5}  at least {} solution{}".format(
         str(t), count, "s" if count > 1 else ""))

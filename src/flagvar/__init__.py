@@ -8,7 +8,7 @@ and solution-multiplicity data for the Yamabe problem on these spaces.
 """
 
 from .bifurcation import (DegeneracyInstant, degeneracy_instants,
-                          instant_below, morse_index,
+                          instant_base, instant_below, morse_index,
                           multiplicity_lower_bound, rigidity_threshold,
                           solve_instant)
 from .catalog import (bn_dominance_row_report, cn_first_eigenvalue_report,
@@ -20,8 +20,8 @@ from .fibration import (FAMILY_KEYS, FibrationData, FibrationFamily,
 from .rootsys import (CKForm, FamilyTag, RootSystem, build_root_system,
                       ck_inner, root_string, structure_constant_sq)
 from .spectra import (SpectrumEntry, base_spectrum, base_spectrum_first,
-                      casimir_of_weight, fiber_spectrum, flag_mu,
-                      flag_minimum, flag_spectrum, kramer_basis, weyl_dim)
+                      casimir_of_weight, fiber_spectrum, flag_minimum,
+                      flag_spectrum, kramer_basis, weyl_dim)
 from .surd import QuadraticSurd
 from .variation import gap_certificate, normalized_scal
 
@@ -51,9 +51,9 @@ __all__ = [
     "degeneracy_instants",
     "fiber_spectrum",
     "flag_minimum",
-    "flag_mu",
     "flag_spectrum",
     "gap_certificate",
+    "instant_base",
     "instant_below",
     "kramer_basis",
     "morse_index",

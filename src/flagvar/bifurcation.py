@@ -8,8 +8,15 @@ carried as an exact quadratic surd and its residual in the defining
 quadratic is checked to be literally zero.
 Instants are always computed this way; the catalogued sequences they
 are compared with are in ``catalog``.
+
+The Morse index and the solution count need no instant.  scal(t)/(m-1)
+is strictly decreasing, so an instant lies above t exactly when its
+beta lies below scal(t)/(m-1): both are one rational bisection of that
+value among the base eigenvalues, and t is a degenerate point exactly
+when it equals one of them.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -103,20 +110,26 @@ def rigidity_threshold(fib, poly):
     return inst
 
 
-def degeneracy_instants(fib, poly, t_min):
-    """All instants with t >= t_min, one per distinct base eigenvalue.
-
-    scal(t)/(m-1) is strictly decreasing on (0, 1], so the eigenvalues
-    to solve are exactly the base values up to its value at t_min.  The
-    result is sorted by decreasing t (increasing beta) and its strict
-    monotonicity is re-verified on the exact surds.
-    """
+@lru_cache(maxsize=16)
+def instant_base(fib, poly, t_min):
+    """The base entries up to scal(t_min)/(m-1), by increasing value:
+    those whose instants lie at or above t_min.  Cached, since verify
+    reads it for both the instants and the Morse checks."""
     t_min = Fraction(t_min)
     if not 0 < t_min < 1:
         raise ValueError("t_min must lie in (0, 1)")
     cutoff = normalized_scal(fib, poly).value_at_t(t_min)
+    return tuple(base_spectrum(fib.family, cutoff))
+
+
+def degeneracy_instants(fib, poly, t_min):
+    """All instants with t >= t_min, one per entry of ``instant_base``.
+
+    The result is sorted by decreasing t (increasing beta) and its
+    strict monotonicity is re-verified on the exact surds.
+    """
     instants = [solve_instant(fib, poly, entry.value, entry.mult)
-                for entry in base_spectrum(fib.family, cutoff)]
+                for entry in instant_base(fib, poly, t_min)]
     for earlier, later in zip(instants, instants[1:]):
         if not later.u < earlier.u:
             raise AssertionError("instants failed to decrease strictly")
@@ -151,46 +164,33 @@ def instant_below(fib, poly, eps):
     return inst
 
 
-def _instants_above(instants, t):
-    """(k, on_instant): instants[:k] lie strictly above t, and whether
-    instants[k] lies exactly at t.
+def morse_index(fib, poly, base, t):
+    """Total multiplicity of the ``base`` entries strictly below
+    scal(t)/(m-1), with ``base`` from ``instant_base`` down to some t_min
+    (below t_min, a lower bound).  A degenerate point, where the index
+    jumps, is rejected."""
+    k, degenerate = _place(fib, poly, base, t)
+    if degenerate:
+        raise ValueError("degenerate point, index undefined")
+    return sum(entry.mult for entry in base[:k])
 
-    The instants are strictly decreasing in u = t**2, so one bisection
-    comparing each exact u with the rational t**2 finds k.
+
+def multiplicity_lower_bound(fib, poly, base, t):
+    """Certified count of unit-volume constant-curvature metrics.
+
+    Returns 3 when t sits strictly between two consecutive instants of
+    ``base`` below the rigidity threshold, else the conservative 1.
     """
+    k, degenerate = _place(fib, poly, base, t)
+    return 3 if 0 < k < len(base) and not degenerate else 1
+
+
+def _place(fib, poly, base, t):
+    """(k, degenerate): base[:k] lie strictly below s = scal(t)/(m-1),
+    and whether base[k] equals s.  One rational bisection finds k."""
     t = Fraction(t)
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    u_t = t * t
-    lo, hi = 0, len(instants)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        s = instants[mid].u._cmp(u_t)
-        if s == 0:
-            return mid, True
-        if s > 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo, False
-
-
-def morse_index(fib, poly, instants, t):
-    """Total base multiplicity of the instants lying strictly above t.
-
-    Landing on an instant is rejected because the index jumps there.
-    """
-    k, on_instant = _instants_above(instants, t)
-    if on_instant:
-        raise ValueError("degenerate point, index undefined")
-    return sum(inst.mult for inst in instants[:k])
-
-
-def multiplicity_lower_bound(fib, instants, t):
-    """Certified count of unit-volume constant-curvature metrics.
-
-    Returns 3 when t sits strictly between two consecutive computed
-    instants below the rigidity threshold, else the conservative 1.
-    """
-    k, on_instant = _instants_above(instants, t)
-    return 3 if 0 < k < len(instants) and not on_instant else 1
+    s = normalized_scal(fib, poly).value_at_t(t)
+    k = bisect_left(base, s, key=lambda entry: entry.value)
+    return k, k < len(base) and base[k].value == s

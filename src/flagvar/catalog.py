@@ -43,7 +43,7 @@ The known discrepancies:
 from fractions import Fraction
 from math import sqrt
 
-from .bifurcation import (degeneracy_instants, morse_index,
+from .bifurcation import (degeneracy_instants, instant_base, morse_index,
                           multiplicity_lower_bound, rigidity_threshold)
 from .curvature import ScalPoly, scal_wz, su_triple_census
 from .rootsys import FamilyTag
@@ -392,23 +392,25 @@ def audit(fib):
     checks.append(("threshold-in-unit-interval",
                    threshold.u.sign() > 0 and threshold.u < 1))
 
-    instants = degeneracy_instants(fib, poly, Fraction(11, 100))
+    t_min = Fraction(11, 100)
+    instants = degeneracy_instants(fib, poly, t_min)
+    base = instant_base(fib, poly, t_min)
     checks.append(("instants-bifurcate",
                    bool(instants)
                    and all(inst.is_bifurcation for inst in instants)))
     checks.append(("morse-rigid-above-threshold",
-                   morse_index(fib, poly, instants, 1) == 0))
+                   morse_index(fib, poly, base, 1) == 0))
     samples = [Fraction(95, 100), Fraction(7, 10), Fraction(1, 2),
                Fraction(3, 10), Fraction(3, 20)]
-    indices = [morse_index(fib, poly, instants, t) for t in samples]
+    indices = [morse_index(fib, poly, base, t) for t in samples]
     checks.append(("morse-nondecreasing",
                    all(a <= b for a, b in zip(indices, indices[1:]))))
     if len(instants) >= 2:
         mid = Fraction(round((instants[0].t + instants[1].t) * 5e5), 10**6)
         checks.append(("three-solutions-between-instants",
-                       multiplicity_lower_bound(fib, instants, mid) == 3))
+                       multiplicity_lower_bound(fib, poly, base, mid) == 3))
     checks.append(("one-solution-at-one",
-                   multiplicity_lower_bound(fib, instants, 1) == 1))
+                   multiplicity_lower_bound(fib, poly, base, 1) == 1))
 
     report = cross_check_closed_forms(fib.family, instants)
     checks.append(("closed-form-cross-check",

@@ -3,8 +3,8 @@ formatters.  The verify checks come from ``catalog.audit``.
 
 Subcommands: spectrum, scal, instants, morse, figure, verify.  Exact
 rationals serialize as "p/q" strings; floats appear only next to their
-exact counterparts.  Exit codes: 0 ok, 1 verification failure, 2 usage
-error.
+exact counterparts.  Exit codes: 0 ok, 1 verification or certificate
+failure, 2 usage error.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bifurcation import degeneracy_instants, morse_index
+from .bifurcation import degeneracy_instants, instant_base, morse_index
 from .catalog import LEDGER, LEDGER_GLOBAL, audit, scal_closed_form
 from .curvature import scal_wz
 from .fibration import FAMILY_KEYS, FibrationFamily, build_fibration
@@ -166,13 +166,13 @@ def cmd_morse(args):
     fib = _build_fib(args)
     poly = scal_wz(fib)
     t_min, t_max = _parse_window(args)
-    instants = degeneracy_instants(fib, poly, t_min)
+    base = instant_base(fib, poly, t_min)
     steps = 100
     grid = []
     for i in range(steps + 1):
         t = t_min + (t_max - t_min) * i / steps
         try:
-            index = morse_index(fib, poly, instants, t)
+            index = morse_index(fib, poly, base, t)
         except ValueError:
             index = None
         grid.append((t, index))
@@ -366,6 +366,9 @@ def main(argv=None):
     except (ValueError, ZeroDivisionError) as exc:
         print("flagvar: {}".format(exc), file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        print("flagvar: certificate failed: {}".format(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

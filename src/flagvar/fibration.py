@@ -4,8 +4,13 @@ Each flag manifold G/T fibers over a compact symmetric space G/H with
 fiber a smaller flag manifold H/K.  At the root level this is just a
 partition of the positive roots into a vertical set (the roots of H) and
 its horizontal complement; all dimension bookkeeping follows because
-every root contributes a 2-dimensional isotropy summand.  The fiber's
-simple roots, and through them its spectrum, are read off the vertical set.
+every root contributes a 2-dimensional isotropy summand.  One grading
+rule gives the partition for every family: H is the fixed group of the
+inner involution Ad(exp(pi*i*omega_n)), omega_n the fundamental
+coweight of the last simple root (Borel and de Siebenthal, 1949), so a
+positive root is vertical exactly when its coefficient on that simple
+root is even.  The fiber's simple roots, and through them its spectrum,
+are read off the vertical set.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .rootsys import FamilyTag, build_root_system
-from .spectra import _first_entries, fiber_spectrum
+from .spectra import _first_entries, _weyl_rows, fiber_spectrum
 
 FAMILY_KEYS = ("su", "so-odd", "sp", "so-even", "g2")
 
@@ -102,18 +107,6 @@ def _base_and_fiber_ids(family):
     }[family.kind]
 
 
-def _is_vertical(family, root):
-    """Whether the positive ``root`` is a root of H."""
-    kind, n = family.kind, family.n
-    if kind == "su":  # not touching the last of the n+1 coordinates
-        return root[n] == 0
-    if kind == "so-odd":  # e_i - e_j and e_i + e_j, never the short e_i
-        return sum(1 for c in root if c != 0) == 2
-    if kind == "g2":  # a + b and 3a + b, a the short simple root
-        return root in ((1, -1, 0), (1, 1, -2))
-    return min(root) < 0  # sp, so-even: the difference roots e_i - e_j
-
-
 def build_fibration(family, phi1=None):
     """Assemble the vertical/horizontal partition and dimension data.
 
@@ -129,7 +122,12 @@ def build_fibration(family, phi1=None):
         if phi1 <= 0:
             raise ValueError("phi1 must be positive")
     rs = build_root_system(family.root_family)
-    vertical = tuple(r for r in rs.positive_roots if _is_vertical(family, r))
+    # A row ends in k_n*|alpha_n|**2, k_n the coefficient on the last
+    # simple root alpha_n; vertical is k_n even.
+    rows, _ = _weyl_rows(family.root_family)
+    even = 2 * sum(x * x for x in rs.simple_roots[-1])
+    vertical = tuple(r for r, row in zip(rs.positive_roots, rows)
+                     if row[-1] % even == 0)
     horizontal = tuple(r for r in rs.positive_roots if r not in vertical)
     sums = {tuple(x + y for x, y in zip(a, b))
             for a, b in combinations(vertical, 2)}

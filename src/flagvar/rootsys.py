@@ -5,10 +5,11 @@ hyperplane of Z^(n+1), B/C/D in Z^n, and G2 in the sum-zero plane of
 Z^3 with simple roots (0, 1, -1) (short) and (1, -2, 1) (long), the
 embedding ``sympy.liealgebras`` uses.  The inner product is the dual
 Cartan-Killing form: one rational scale times the integer dot product,
-with the scale 1/(h_vee * max |alpha|^2) so that the highest root theta
-satisfies <theta, theta> = 1/h_vee, h_vee the dual Coxeter number.
-That choice makes every eigenvalue formula downstream come out with its
-familiar denominator.
+with the scale that puts the Casimir <theta, theta + 2*delta> of the
+adjoint representation at 1, theta the highest root.  Equivalently
+<theta, theta> = 1/h_vee, h_vee the dual Coxeter number, which is
+never tabulated.  That choice makes every eigenvalue formula downstream
+come out with its familiar denominator.
 
 Only squared structure constants are ever computed; signs would require
 committing to a Chevalley convention and nothing here needs them.
@@ -22,14 +23,6 @@ from itertools import combinations
 KINDS = ("A", "B", "C", "D", "G2")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "G2": 2}
-
-_DUAL_COXETER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n - 1,
-    "C": lambda n: n + 1,
-    "D": lambda n: 2 * n - 2,
-    "G2": lambda n: 4,
-}
 
 
 @dataclass(frozen=True)
@@ -48,10 +41,6 @@ class FamilyTag:
             raise ValueError(
                 "{}_n needs rank >= {}, got {}".format(
                     self.kind, _MIN_RANK[self.kind], self.rank))
-
-    @property
-    def dual_coxeter(self):
-        return _DUAL_COXETER[self.kind](self.rank)
 
 
 @dataclass(frozen=True)
@@ -120,8 +109,11 @@ def build_root_system(family):
                     (1, 1, -2), (2, -1, -1)]
         simple = positive[:2]
 
-    longest = max(_dot(r, r) for r in positive)
-    ck = CKForm(scale=Fraction(1, family.dual_coxeter * longest))
+    # The adjoint Casimir <theta, theta + 2*delta> is 1 under the Killing
+    # form, and theta maximizes <alpha, alpha + 2*delta> over positive roots.
+    two_delta = tuple(map(sum, zip(*positive)))
+    ck = CKForm(scale=Fraction(1, max(_dot(r, _vec_add(r, two_delta))
+                                      for r in positive)))
     return RootSystem(family, tuple(positive), tuple(simple), ck)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, floor, lcm, prod
+from math import floor, lcm, prod
 
 from .exact import solve_linear
 from .rootsys import build_root_system, ck_inner
@@ -235,19 +235,6 @@ def _class_one_spectrum(simple_roots, scale, cutoff, origin):
 # ---------------------------------------------------------------------------
 # Flag (total space) spectra.
 
-def flag_mu(family, p):
-    """Casimir value <lam, lam + 2*delta> of lam = sum p_i*alpha_i.
-
-    Since <alpha_i, 2*delta> = |alpha_i|^2, this is the CK scale times
-    p'Gp + sum G_ii p_i, with G the integer simple-root Gram matrix.
-    """
-    if len(p) != family.rank:
-        raise ValueError("expected {} coefficients".format(family.rank))
-    if any(x < 1 for x in p):
-        raise ValueError("class-one coefficients must be >= 1")
-    return _root_system(family).ck.scale * _form_value(_simple_gram(family), p)
-
-
 def is_dominant_class_one(family, p):
     """Dominance of the weight sum p_i*alpha_i: (Gp)_j >= 0 for every j."""
     return all(sum(g * x for g, x in zip(row, p)) >= 0
@@ -280,21 +267,6 @@ def flag_minimum(family):
 
 # ---------------------------------------------------------------------------
 # Base (symmetric space) spectra.
-
-def cpn_multiplicity(n, q):
-    """Eigenspace dimension on the projective base, closed form."""
-    num = (n + 2 * q) * comb(n + q - 1, q) ** 2
-    if num % n:
-        raise ValueError("projective multiplicity must divide evenly")
-    return num // n
-
-
-def sphere_multiplicity(n, q):
-    """Harmonic-polynomial dimension on the 2n-sphere."""
-    first = comb(2 * n + q, q)
-    second = comb(2 * n + q - 2, q - 2) if q >= 2 else 0
-    return first - second
-
 
 def kramer_basis(fib_family):
     """Spherical generator weights, as fundamental-weight coefficients."""

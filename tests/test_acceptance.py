@@ -15,19 +15,20 @@ from fractions import Fraction
 import pytest
 
 from flagvar import cli
-from flagvar.bifurcation import (degeneracy_instants, instant_below,
-                                 morse_index, multiplicity_lower_bound,
+from flagvar.bifurcation import (degeneracy_instants, instant_base,
+                                 instant_below, morse_index,
+                                 multiplicity_lower_bound,
                                  rigidity_threshold, solve_instant)
 from flagvar.catalog import (_su_threshold, cn_first_eigenvalue_report,
                              cross_check_closed_forms, scal_closed_form)
 from flagvar.curvature import scal_wz, su_triple_census, triples
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag
-from flagvar.spectra import (base_spectrum_first, cpn_multiplicity,
-                             flag_minimum, sphere_multiplicity, weyl_dim)
+from flagvar.spectra import base_spectrum_first, flag_minimum, weyl_dim
 from flagvar.surd import QuadraticSurd
 from flagvar.variation import gap_certificate
 from flagvar.bifurcation import DegeneracyInstant  # noqa: F401  (re-export check)
+from oracles import cpn_multiplicity, sphere_multiplicity
 
 CASES = ([("su", n) for n in range(2, 9)]
          + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)]
@@ -173,30 +174,32 @@ def test_criterion_07():
         fib = _fib(kind, n)
         poly = scal_wz(fib)
         instants = degeneracy_instants(fib, poly, Fraction(1, 10))
+        base = instant_base(fib, poly, Fraction(1, 10))
         b = instants[0]
         just_above = Fraction(int(b.t * 10 ** 6) + 2, 10 ** 6)
         ok = ok and b.u < just_above * just_above
         for t in (just_above, Fraction(1), (just_above + 1) / 2):
-            ok = ok and morse_index(fib, poly, instants, t) == 0
+            ok = ok and morse_index(fib, poly, base, t) == 0
     fib = _fib("su", 2)
     poly = scal_wz(fib)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 10))
-    below = morse_index(fib, poly, instants, Fraction(467, 1000))
-    above = morse_index(fib, poly, instants, Fraction(47, 100))
+    base = instant_base(fib, poly, Fraction(1, 10))
+    below = morse_index(fib, poly, base, Fraction(467, 1000))
+    above = morse_index(fib, poly, base, Fraction(47, 100))
     ok = ok and below - above == 8
     ok = ok and cpn_multiplicity(2, 1) == 8 == weyl_dim(FamilyTag("A", 2), (1, 1))
     sphere = _fib("so-odd", 2)
     spoly = scal_wz(sphere)
-    sinst = degeneracy_instants(sphere, spoly, Fraction(1, 10))
-    jump = (morse_index(sphere, spoly, sinst, Fraction(68, 100))
-            - morse_index(sphere, spoly, sinst, Fraction(69, 100)))
+    sbase = instant_base(sphere, spoly, Fraction(1, 10))
+    jump = (morse_index(sphere, spoly, sbase, Fraction(68, 100))
+            - morse_index(sphere, spoly, sbase, Fraction(69, 100)))
     ok = ok and jump == 5 == sphere_multiplicity(2, 1)
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
         poly = scal_wz(fib)
         instants = degeneracy_instants(fib, poly, Fraction(1, 10))
+        base = instant_base(fib, poly, Fraction(1, 10))
         grid = [Fraction(k, 100) for k in range(100, 10, -1)]
-        values = [morse_index(fib, poly, instants, t) for t in grid
+        values = [morse_index(fib, poly, base, t) for t in grid
                   if all(inst.u != t * t for inst in instants)]
         ok = ok and values == sorted(values)
     assert _report(7, ok)
@@ -247,11 +250,12 @@ def test_criterion_10():
         fib = _fib(kind, n)
         poly = scal_wz(fib)
         instants = degeneracy_instants(fib, poly, Fraction(1, 10))
+        base = instant_base(fib, poly, Fraction(1, 10))
         for first, second in zip(instants, instants[1:]):
             mid = Fraction(int((first.t + second.t) / 2 * 10 ** 9), 10 ** 9)
-            ok = ok and multiplicity_lower_bound(fib, instants, mid) == 3
+            ok = ok and multiplicity_lower_bound(fib, poly, base, mid) == 3
         b = instants[0]
         just_above = Fraction(int(b.t * 10 ** 6) + 2, 10 ** 6)
         for t in (just_above, Fraction(9, 10), Fraction(1)):
-            ok = ok and multiplicity_lower_bound(fib, instants, t) == 1
+            ok = ok and multiplicity_lower_bound(fib, poly, base, t) == 1
     assert _report(10, ok)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagvar.bifurcation import (DegeneracyInstant, degeneracy_instants,
+from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  instant_below, morse_index,
                                  multiplicity_lower_bound,
                                  rigidity_threshold, solve_instant)
@@ -13,8 +13,9 @@ from flagvar.catalog import (_so_odd_threshold, cross_check_closed_forms,
                              scal_closed_form)
 from flagvar.curvature import ScalPoly, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.spectra import flag_minimum
+from flagvar.spectra import SpectrumEntry, base_spectrum, flag_minimum
 from flagvar.surd import QuadraticSurd
+from flagvar.variation import normalized_scal
 
 
 def _setup(kind, n):
@@ -137,61 +138,60 @@ def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
 
 def test_morse_index_su3():
     fib, poly = _setup("su", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 10))
-    assert morse_index(fib, poly, instants, Fraction(1)) == 0
-    assert morse_index(fib, poly, instants, Fraction(2, 5)) == 8
-    assert morse_index(fib, poly, instants, Fraction(1, 5)) == 35
+    base = instant_base(fib, poly, Fraction(1, 10))
+    assert morse_index(fib, poly, base, Fraction(1)) == 0
+    assert morse_index(fib, poly, base, Fraction(2, 5)) == 8
+    assert morse_index(fib, poly, base, Fraction(1, 5)) == 35
     # 8 + 27 + 64 + 125 + 216 below the last computed instant.
-    assert morse_index(fib, poly, instants, Fraction(27, 250)) == 440
+    assert morse_index(fib, poly, base, Fraction(27, 250)) == 440
 
 
 def test_morse_index_so5():
     fib, poly = _setup("so-odd", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 5))
-    assert morse_index(fib, poly, instants, Fraction(9, 10)) == 0
-    assert morse_index(fib, poly, instants, Fraction(1, 2)) == 5
+    base = instant_base(fib, poly, Fraction(1, 5))
+    assert morse_index(fib, poly, base, Fraction(9, 10)) == 0
+    assert morse_index(fib, poly, base, Fraction(1, 2)) == 5
 
 
 def test_morse_index_nondecreasing_toward_zero():
     fib, poly = _setup("g2", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(11, 100))
+    base = instant_base(fib, poly, Fraction(11, 100))
     samples = [Fraction(k, 100) for k in (95, 70, 50, 30, 20, 12)]
-    values = [morse_index(fib, poly, instants, t) for t in samples]
+    values = [morse_index(fib, poly, base, t) for t in samples]
     assert values == sorted(values)
     assert values[0] == 0
 
 
+def _crafted(fib, poly, *ts):
+    """Base entries valued scal(t)/(m-1) at the decreasing rational t's,
+    so that each t is an instant, with multiplicities 1, 2, 4, ..."""
+    norm = normalized_scal(fib, poly)
+    return [SpectrumEntry(value=norm.value_at_t(t), mult=2 ** k,
+                          origin="base", label=(k,))
+            for k, t in enumerate(ts)]
+
+
 def test_morse_index_rejects_degenerate_point():
     fib, poly = _setup("su", 2)
-    crafted = DegeneracyInstant(
-        u=QuadraticSurd.from_rational(Fraction(1, 4)), t=0.5, t_error=0.0,
-        beta=Fraction(1), mult=8, is_bifurcation=True)
     with pytest.raises(ValueError, match="degenerate point"):
-        morse_index(fib, poly, [crafted], Fraction(1, 2))
-
-
-def _crafted(*ts):
-    """Instants at the rational t's, with multiplicities 1, 2, 4, ..."""
-    return [DegeneracyInstant(u=QuadraticSurd.from_rational(t * t),
-                              t=float(t), t_error=0.0, beta=Fraction(k + 1),
-                              mult=2 ** k, is_bifurcation=True)
-            for k, t in enumerate(ts)]
+        morse_index(fib, poly, _crafted(fib, poly, Fraction(1, 2)),
+                    Fraction(1, 2))
 
 
 def test_degenerate_point_inside_a_list_of_instants():
     fib, poly = _setup("su", 2)
-    instants = _crafted(Fraction(3, 4), Fraction(1, 2), Fraction(1, 4),
-                        Fraction(1, 8))
+    base = _crafted(fib, poly, Fraction(3, 4), Fraction(1, 2),
+                    Fraction(1, 4), Fraction(1, 8))
     for t in (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
         with pytest.raises(ValueError, match="degenerate point"):
-            morse_index(fib, poly, instants, t)
-        assert multiplicity_lower_bound(fib, instants, t) == 1
-    assert morse_index(fib, poly, instants, Fraction(1)) == 0
-    assert morse_index(fib, poly, instants, Fraction(5, 8)) == 1
-    assert morse_index(fib, poly, instants, Fraction(3, 8)) == 3
-    assert morse_index(fib, poly, instants, Fraction(1, 16)) == 15
-    assert multiplicity_lower_bound(fib, instants, Fraction(5, 8)) == 3
-    assert multiplicity_lower_bound(fib, instants, Fraction(1, 16)) == 1
+            morse_index(fib, poly, base, t)
+        assert multiplicity_lower_bound(fib, poly, base, t) == 1
+    assert morse_index(fib, poly, base, Fraction(1)) == 0
+    assert morse_index(fib, poly, base, Fraction(5, 8)) == 1
+    assert morse_index(fib, poly, base, Fraction(3, 8)) == 3
+    assert morse_index(fib, poly, base, Fraction(1, 16)) == 15
+    assert multiplicity_lower_bound(fib, poly, base, Fraction(5, 8)) == 3
+    assert multiplicity_lower_bound(fib, poly, base, Fraction(1, 16)) == 1
 
 
 def _linear_scan(instants, t):
@@ -205,18 +205,22 @@ def _linear_scan(instants, t):
     return index, 3 if between else 1
 
 
-@pytest.mark.parametrize("kind,n", [("su", 2), ("su", 3), ("so-odd", 2)])
+@pytest.mark.parametrize("kind,n", [("su", 2), ("su", 3), ("so-odd", 2),
+                                    ("sp", 3), ("so-even", 4), ("g2", 2)])
 def test_bisection_matches_the_linear_scan(kind, n):
-    # Every point of the morse command's grid at tmin 0.007.
+    # Every point of the morse command's grid, at tmin 0.007, or 0.01
+    # for the bases of rank 3 and 4, which have thousands of instants.
     fib, poly = _setup(kind, n)
-    t_min = Fraction(7, 1000)
+    t_min = (Fraction(1, 100) if kind in ("sp", "so-even")
+             else Fraction(7, 1000))
     instants = degeneracy_instants(fib, poly, t_min)
+    base = instant_base(fib, poly, t_min)
     assert len(instants) > 80
     for i in range(101):
         t = t_min + (1 - t_min) * i / 100
         index, count = _linear_scan(instants, t)
-        assert morse_index(fib, poly, instants, t) == index
-        assert multiplicity_lower_bound(fib, instants, t) == count
+        assert morse_index(fib, poly, base, t) == index
+        assert multiplicity_lower_bound(fib, poly, base, t) == count
 
 
 def test_morse_index_rejects_t_outside_range():
@@ -231,18 +235,26 @@ def test_morse_index_rejects_t_outside_range():
 
 def test_multiplicity_lower_bound():
     fib, poly = _setup("su", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 10))
-    assert multiplicity_lower_bound(fib, instants, Fraction(3, 10)) == 3
-    assert multiplicity_lower_bound(fib, instants, Fraction(1)) == 1
-    assert multiplicity_lower_bound(fib, instants, Fraction(9, 10)) == 1
+    base = instant_base(fib, poly, Fraction(1, 10))
+    assert multiplicity_lower_bound(fib, poly, base, Fraction(3, 10)) == 3
+    assert multiplicity_lower_bound(fib, poly, base, Fraction(1)) == 1
+    assert multiplicity_lower_bound(fib, poly, base, Fraction(9, 10)) == 1
     with pytest.raises(ValueError):
-        multiplicity_lower_bound(fib, instants, Fraction(0))
+        multiplicity_lower_bound(fib, poly, base, Fraction(0))
 
 
 def test_multiplicity_above_threshold_is_one():
     fib, poly = _setup("g2", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(11, 100))
-    assert multiplicity_lower_bound(fib, instants, Fraction(9, 10)) == 1
+    base = instant_base(fib, poly, Fraction(11, 100))
+    assert multiplicity_lower_bound(fib, poly, base, Fraction(9, 10)) == 1
+
+
+def test_instant_base_is_the_base_spectrum_to_the_cutoff():
+    fib, poly = _setup("g2", 2)
+    t_min = Fraction(1, 20)
+    cutoff = normalized_scal(fib, poly).value_at_t(t_min)
+    assert list(instant_base(fib, poly, t_min)) == base_spectrum(
+        fib.family, cutoff)
 
 
 # -- eventual collapse of the instants ------------------------------------

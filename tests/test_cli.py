@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from flagvar import cli, spectra
+from flagvar import bifurcation, cli, spectra, surd
 from test_acceptance import CASES
 
 
@@ -152,6 +152,21 @@ def test_morse_json_index_nondecreasing(capsys):
     assert indices[-1] == 0
 
 
+def test_morse_solves_no_instant_and_builds_no_surd(capsys, monkeypatch):
+    argv = ["morse", "--family", "sp", "--n", "3", "--tmin", "0.05"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("morse solved an instant")
+
+    monkeypatch.setattr(bifurcation, "solve_instant", refuse)
+    monkeypatch.setattr(surd.QuadraticSurd, "__init__", refuse)
+    monkeypatch.setattr(surd, "_surd", refuse)
+    patched = run(capsys, argv)
+    monkeypatch.undo()
+    assert patched == run(capsys, argv)
+    assert patched[0] == 0 and patched[2] == ""
+
+
 # -- figure ----------------------------------------------------------------
 
 def test_figure_csv_columns(capsys):
@@ -213,6 +228,17 @@ def test_verify_single_family_mentions_only_it(capsys):
 
 
 # -- failure and usage paths ----------------------------------------------
+
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_certificate_failure_is_one_line(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(bifurcation, "solve_instant", fail)
+    code, out, err = run(capsys, ["instants", "--family", "su", "--n", "2"])
+    assert code == 1 and out == ""
+    assert err == "flagvar: certificate failed: forced\n"
+
 
 def test_usage_error_bad_tmin(capsys):
     code, _, err = run(capsys, ["instants", "--family", "su", "--tmin", "2"])

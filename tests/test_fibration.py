@@ -119,10 +119,11 @@ def test_phi1_validation_and_default():
         build_fibration(FibrationFamily("su", 2), phi1=0)
 
 
-def test_g2_vertical_roots_are_the_two_middle_ones():
+def test_g2_vertical_roots_are_a_and_3a_plus_2b():
     fib = build_fibration(FibrationFamily("g2", 2))
-    # a + b and 3a + b, with a the short and b the long simple root.
-    assert set(fib.vertical_roots) == {(1, -1, 0), (1, 1, -2)}
+    # The roots with even coefficient on b, a the short and b the long
+    # simple root.
+    assert set(fib.vertical_roots) == {(0, 1, -1), (2, -1, -1)}
 
 
 # The acceptance CASES, and phi1 by hand: the first class-one Casimir of

@@ -2,9 +2,11 @@
 
 Every subcommand runs on every family at small parameters, plus the
 instants rows whose u has a non-integral coefficient before clearing
-denominators (su n=4 and sp n=4).  A change that alters any byte of
-these outputs fails here; when the change is deliberate, say so in
-CHANGES.md and regenerate the digests from the repository root with
+denominators (su n=4 and sp n=4), and two deep Morse grids (su n=2 at
+tmin 0.007, sp n=3 at tmin 0.01) that cross 89 and 2101 instants.
+A change that alters any byte of these outputs fails here; when the
+change is deliberate, say so in CHANGES.md and regenerate the digests
+from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -38,7 +40,10 @@ ARGVS = [argv + ["--family", kind, "--n", str(n)]
 ARGVS += [["instants", "--family", "su", "--n", "4", "--tmin", "0.05",
            "--format", "csv"],
           ["instants", "--family", "sp", "--n", "4", "--tmin", "0.05"],
-          ["verify"]]
+          ["verify"],
+          ["morse", "--family", "su", "--n", "2", "--tmin", "0.007",
+           "--format", "csv"],
+          ["morse", "--family", "sp", "--n", "3", "--tmin", "0.01"]]
 
 
 def digest(argv):

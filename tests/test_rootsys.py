@@ -16,6 +16,16 @@ COUNTS = {
     "G2": lambda n: 6,
 }
 
+# The standard table of dual Coxeter numbers; the library derives the
+# CK scale instead, and these are its oracle.
+DUAL_COXETER = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2 * n - 1,
+    "C": lambda n: n + 1,
+    "D": lambda n: 2 * n - 2,
+    "G2": lambda n: 4,
+}
+
 SMALL = [("A", n) for n in range(1, 7)] + \
         [("B", n) for n in range(2, 7)] + \
         [("C", n) for n in range(3, 7)] + \
@@ -39,15 +49,16 @@ def long_root(rs):
 def test_highest_root_normalization(kind, rank):
     rs = build_root_system(FamilyTag(kind, rank))
     theta = long_root(rs)
-    assert ck_inner(rs.ck, theta, theta) == Fraction(1, rs.family.dual_coxeter)
+    assert ck_inner(rs.ck, theta, theta) == Fraction(
+        1, DUAL_COXETER[kind](rank))
 
 
-def test_dual_coxeter_values():
-    assert FamilyTag("A", 4).dual_coxeter == 5
-    assert FamilyTag("B", 4).dual_coxeter == 7
-    assert FamilyTag("C", 4).dual_coxeter == 5
-    assert FamilyTag("D", 4).dual_coxeter == 6
-    assert FamilyTag("G2", 2).dual_coxeter == 4
+def test_ck_scale_matches_the_dual_coxeter_table():
+    # The derived scale against 1/(h_vee * max |alpha|^2) for every kind.
+    for kind, rank in SMALL + [(k, 8) for k in ("A", "B", "C", "D")]:
+        rs = build_root_system(FamilyTag(kind, rank))
+        longest = max(sum(x * x for x in r) for r in rs.positive_roots)
+        assert rs.ck.scale == Fraction(1, DUAL_COXETER[kind](rank) * longest)
 
 
 def test_rank_constraints_enforced():

@@ -15,9 +15,9 @@ from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
 from flagvar.spectra import (_lattice_points, ambient_weight, base_spectrum,
                              base_spectrum_first, casimir_of_weight,
-                             cpn_multiplicity, fiber_spectrum, flag_minimum,
-                             flag_mu, flag_spectrum, is_dominant_class_one,
-                             kramer_basis, sphere_multiplicity, weyl_dim)
+                             fiber_spectrum, flag_minimum, flag_spectrum,
+                             is_dominant_class_one, kramer_basis, weyl_dim)
+from oracles import cpn_multiplicity, flag_mu, sphere_multiplicity
 
 
 def class_one_weight(family, p):
