@@ -17,7 +17,7 @@ when it equals one of them.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -29,16 +29,11 @@ from .surd import QuadraticSurd
 from .variation import gap_quadratic, normalized_scal
 
 
-@dataclass(frozen=True)
-class DegeneracyInstant:
+class DegeneracyInstant(namedtuple(
+        "DegeneracyInstant", "u t t_error beta mult is_bifurcation")):
     """One solved instant: exact u = t**2, float t, and its pedigree."""
 
-    u: QuadraticSurd
-    t: float
-    t_error: float
-    beta: Fraction
-    mult: int
-    is_bifurcation: bool
+    __slots__ = ()
 
 
 def solve_instant(fib, poly, beta, mult=1):

@@ -11,25 +11,22 @@ are in ``catalog``.
 Everything is represented in u = t**2, never sampled in floats.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .rootsys import structure_constant_sq
 
 
-@dataclass(frozen=True)
-class ScalPoly:
+class ScalPoly(namedtuple("ScalPoly", "a c e d")):
     """scal(t) = (a + c*t**2 + e*t**4) / (d*t**2), exact coefficients."""
 
-    a: Fraction
-    c: Fraction
-    e: Fraction
-    d: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d == 0:
+    def __new__(cls, a, c, e, d):
+        if d == 0:
             raise ValueError("zero denominator")
+        return super().__new__(cls, a, c, e, d)
 
     def normalized(self):
         """Coefficient triple (a/d, c/d, e/d), the rational-function key."""
@@ -52,8 +49,7 @@ class ScalPoly:
         return ScalPoly(self.a, self.c, self.e, self.d * Fraction(factor))
 
 
-@dataclass(frozen=True)
-class TripleRecord:
+class TripleRecord(namedtuple("TripleRecord", "alpha beta gamma value klass")):
     """An unordered root triple with its symbol value and vertical class.
 
     klass is 'vvv' when all three roots are vertical, 'vhh' when exactly
@@ -62,11 +58,7 @@ class TripleRecord:
     into a vertical sum.
     """
 
-    alpha: tuple
-    beta: tuple
-    gamma: tuple
-    value: Fraction
-    klass: str
+    __slots__ = ()
 
 
 def triples(fib):

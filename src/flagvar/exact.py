@@ -2,10 +2,11 @@
 
 Everything here works over Python integers and ``fractions.Fraction``:
 squarefree splits by trial division over a cached prime sieve, clearing
-denominators, the float presentation of an exact enclosure, and dense
-Gaussian elimination.  Floats never participate in any decision; they
-only appear as presentation values, each from one correctly rounded
-int/int or Fraction division.
+denominators, and the float presentation of an exact enclosure.  Linear
+algebra on Gram matrices is fraction-free and lives with its one user,
+``spectra``.  Floats never participate in any decision; they only
+appear as presentation values, each from one correctly rounded int/int
+or Fraction division.
 """
 
 from fractions import Fraction
@@ -84,25 +85,3 @@ def float_from_bounds(lo, hi, den=1):
     ulp = abs(val) * 2.0 ** -52 + 2.0 ** -1074
     err = float((hi - lo) / den) / 2 + ulp
     return val, err
-
-
-# ---------------------------------------------------------------------------
-# Dense linear algebra over Fraction, plenty for rank <= 8 systems.
-
-def solve_linear(matrix, rhs):
-    """Solve matrix @ x = rhs exactly; matrix must be square invertible."""
-    n = len(matrix)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]

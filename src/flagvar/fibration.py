@@ -13,7 +13,7 @@ root is even.  The fiber's simple roots, and through them its spectrum,
 are read off the vertical set.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -30,8 +30,7 @@ _ROOT_KIND = {"su": "A", "so-odd": "B", "sp": "C", "so-even": "D", "g2": "G2"}
 _MIN_RANK = {"su": 2, "so-odd": 2, "sp": 3, "so-even": 4, "g2": 2}
 
 
-@dataclass(frozen=True)
-class FibrationFamily:
+class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
     """Total space selector: kind key plus the rank parameter n.
 
     Validity: su needs n >= 2, so-odd n >= 2 with n = 3 excluded, sp
@@ -39,22 +38,21 @@ class FibrationFamily:
     n defaults to the kind's smallest valid rank.
     """
 
-    kind: str
-    n: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KEYS:
-            raise ValueError("unknown fibration family {!r}".format(self.kind))
-        low = _MIN_RANK[self.kind]
-        if self.n is None:
-            object.__setattr__(self, "n", low)
-        if self.kind == "g2":
-            if self.n != low:
+    def __new__(cls, kind, n=None):
+        if kind not in FAMILY_KEYS:
+            raise ValueError("unknown fibration family {!r}".format(kind))
+        low = _MIN_RANK[kind]
+        if n is None:
+            n = low
+        if kind == "g2":
+            if n != low:
                 raise ValueError("g2 takes no rank parameter")
-        elif self.n < low or (self.kind == "so-odd" and self.n == 3):
+        elif n < low or (kind == "so-odd" and n == 3):
             raise ValueError("{} requires n >= {}{}".format(
-                self.kind, low,
-                " with n = 3 excluded" if self.kind == "so-odd" else ""))
+                kind, low, " with n = 3 excluded" if kind == "so-odd" else ""))
+        return super().__new__(cls, kind, n)
 
     @property
     def root_family(self):
@@ -72,26 +70,19 @@ class FibrationFamily:
         }[self.kind]
 
 
-@dataclass(frozen=True)
-class FibrationData:
-    family: FibrationFamily
-    root_system: object
-    vertical_roots: tuple
-    horizontal_roots: tuple
-    fiber_simple_roots: tuple
-    m_total: int
-    dim_fiber: int
-    dim_base: int
-    base_id: str
-    fiber_id: str
-    _phi1: Fraction = field(default=None, repr=False)
+class FibrationData(namedtuple(
+        "FibrationData", "family root_system vertical_roots horizontal_roots"
+        " fiber_simple_roots m_total dim_fiber dim_base base_id fiber_id"
+        " phi1_given", defaults=(None,))):
+    """The partition of a family's positive roots and its dimensions.  No
+    ``__slots__``: the cached ``phi1`` lives in the instance dict."""
 
     @cached_property
     def phi1(self):
         """The phi1 given to ``build_fibration``, else the first fiber
         eigenvalue, enumerated on first read."""
-        if self._phi1 is not None:
-            return self._phi1
+        if self.phi1_given is not None:
+            return self.phi1_given
         return _first_entries(lambda c: fiber_spectrum(self, c), 1)[0].value
 
 
@@ -138,4 +129,4 @@ def build_fibration(family, phi1=None):
         fiber_simple_roots=tuple(r for r in vertical if r not in sums),
         m_total=2 * len(rs.positive_roots), dim_fiber=2 * len(vertical),
         dim_base=2 * len(horizontal), base_id=base_id, fiber_id=fiber_id,
-        _phi1=phi1)
+        phi1_given=phi1)

@@ -15,7 +15,7 @@ Only squared structure constants are ever computed; signs would require
 committing to a Chevalley convention and nothing here needs them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -25,29 +25,26 @@ KINDS = ("A", "B", "C", "D", "G2")
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "G2": 2}
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(namedtuple("FamilyTag", "kind rank")):
     """One of the five simple families at a given rank."""
 
-    kind: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError("unknown family kind {!r}".format(self.kind))
-        if self.kind == "G2" and self.rank != 2:
+    def __new__(cls, kind, rank):
+        if kind not in KINDS:
+            raise ValueError("unknown family kind {!r}".format(kind))
+        if kind == "G2" and rank != 2:
             raise ValueError("G2 has fixed rank 2")
-        if self.rank < _MIN_RANK[self.kind]:
-            raise ValueError(
-                "{}_n needs rank >= {}, got {}".format(
-                    self.kind, _MIN_RANK[self.kind], self.rank))
+        if rank < _MIN_RANK[kind]:
+            raise ValueError("{}_n needs rank >= {}, got {}".format(
+                kind, _MIN_RANK[kind], rank))
+        return super().__new__(cls, kind, rank)
 
 
-@dataclass(frozen=True)
-class CKForm:
+class CKForm(namedtuple("CKForm", "scale")):
     """Dual Cartan-Killing form: ``scale`` times the Euclidean dot product."""
 
-    scale: Fraction
+    __slots__ = ()
 
 
 def _vec_sub(a, b):
@@ -66,12 +63,10 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    family: FamilyTag
-    positive_roots: tuple
-    simple_roots: tuple
-    ck: CKForm
+class RootSystem(namedtuple("RootSystem",
+                            "family positive_roots simple_roots ck")):
+    """Positive and simple roots of ``family`` and its CK form.  No
+    ``__slots__``: the cached ``roots`` lives in the instance dict."""
 
     @cached_property
     def roots(self):

@@ -7,29 +7,32 @@ flag and the fiber, keeping only lam in the root lattice (the class-one
 weights), and the spherical generators for the base.  The flag and the
 fiber differ only in their simple roots, G's or the fiber's (a product
 fiber is one block-diagonal Gram matrix), and both are valued at G's CK
-scale, which the canonical variation puts on the fiber.  Dominant
-weights have pairwise non-negative inner products and non-negative
-<g, 2*delta>, so once denominators are cleared the value is an integer form
-a'Wa + w.a with W and w entrywise non-negative.  That form never
-decreases in any coordinate: a prefix with a zero tail is an exact lower
-bound, and one enumerator that stops each coordinate at its first value
-over the cutoff finds every weight under it.  Base multiplicities are
-Weyl dimensions.  The catalogued eigenvalue statements these are
+scale, which the canonical variation puts on the fiber.  The
+fundamental weights are one integer matrix N over one denominator den,
+from a fraction-free inversion of the simple-root Gram matrix, so every
+generator is an integer row over den and no Fraction enters the
+enumerator.  Dominant weights have pairwise non-negative inner products
+and non-negative <g, 2*delta>, so the value is one rational factor times
+an integer form a'Wa + w.a with W and w entrywise non-negative.  That
+form never decreases in any coordinate: a prefix with a zero tail is an
+exact lower bound, and one enumerator that stops each coordinate at its
+first value over the cutoff finds every weight under it.  Base
+multiplicities are Weyl dimensions, an integer product.  The catalogued eigenvalue statements these are
 compared with are in ``catalog``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import floor, lcm, prod
+from math import floor, gcd, lcm, prod
 
-from .exact import solve_linear
 from .rootsys import build_root_system, ck_inner
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(namedtuple("SpectrumEntry",
+                               "value mult origin label mult_known",
+                               defaults=(True,))):
     """One spectral line: exact value, multiplicity, origin, label.
 
     Flag totals and fiber entries carry mult = 1 with mult_known False:
@@ -37,11 +40,7 @@ class SpectrumEntry:
     multiplicities feed the Morse index.
     """
 
-    value: Fraction
-    mult: int
-    origin: str
-    label: tuple
-    mult_known: bool = True
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -69,20 +68,42 @@ def _simple_gram(family):
 
 @lru_cache(maxsize=None)
 def _fundamental_coefficients(gram):
-    """Simple-root coefficients of each fundamental weight omega_i of the
-    simple roots with Gram matrix ``gram``, solved from
-    <omega_i, alpha_j> = delta_ij |alpha_j|^2 / 2."""
-    return tuple(tuple(solve_linear(gram, [Fraction(g, 2) if i == j else 0
-                                           for j, g in enumerate(row)]))
-                 for i, row in enumerate(gram))
+    """(N, den): integer rows with omega_j = sum_i N[j][i]/den alpha_i
+    for the simple roots alpha with Gram matrix ``gram``, den > 0 least.
+
+    <omega_j, alpha_i> = delta_ij G_jj/2 puts omega_j in column j of
+    G^-1 diag(G_ii)/2.  One fraction-free Gauss-Jordan on
+    [G | diag(G_ii)], each row divided by its gcd, ends with row i as
+    (d_i e_i | R_i), R_i/d_i that row of G^-1 diag(G_ii).
+    """
+    size = len(gram)
+    rows = [list(row) + [row[i] if i == j else 0 for j in range(size)]
+            for i, row in enumerate(gram)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            raise ValueError("singular Gram matrix")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                row = [top[col] * x - row[col] * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row]
+    den = lcm(*(2 * rows[i][i] for i in range(size)))  # lcm is positive
+    coeffs = [[rows[i][size + j] * (den // (2 * rows[i][i]))
+               for i in range(size)] for j in range(size)]
+    g = gcd(den, *chain(*coeffs))
+    return tuple(tuple(x // g for x in row) for row in coeffs), den // g
 
 
 @lru_cache(maxsize=None)
 def _fundamental_weights(family):
     """Fundamental weights in ambient coordinates."""
+    coeffs, den = _fundamental_coefficients(_simple_gram(family))
     simple = _root_system(family).simple_roots
-    return tuple(_combine(c, simple)
-                 for c in _fundamental_coefficients(_simple_gram(family)))
+    return tuple(tuple(Fraction(x, den) for x in _combine(row, simple))
+                 for row in coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -113,12 +134,19 @@ def ambient_weight(family, coeffs):
 def _weyl_rows(family):
     """Rows (k_i |alpha_i|^2)_i = (2 <alpha, omega_i>)_i of the positive
     roots alpha = sum k_i alpha_i under the dot product, and the product
-    of the row sums, which is the Weyl denominator up to the CK scale."""
-    weights = _fundamental_weights(family)
-    rows = tuple(tuple(int(2 * sum(x * y for x, y in zip(alpha, w)))
-                       for w in weights)
-                 for alpha in _root_system(family).positive_roots)
-    return rows, prod(sum(row) for row in rows)
+    of the row sums, which is the Weyl denominator up to the CK scale.
+    Row entry i is 2 sum_k N[i][k] <alpha_k, alpha> / den, an exact
+    integer division, checked."""
+    coeffs, den = _fundamental_coefficients(_simple_gram(family))
+    rs = _root_system(family)
+    rows = []
+    for alpha in rs.positive_roots:
+        dots = [sum(x * y for x, y in zip(s, alpha)) for s in rs.simple_roots]
+        row = [2 * sum(c * d for c, d in zip(n, dots)) for n in coeffs]
+        if any(x % den for x in row):
+            raise AssertionError("a Weyl row is not integral")
+        rows.append(tuple(x // den for x in row))
+    return tuple(rows), prod(sum(row) for row in rows)
 
 
 def weyl_dim(family, coeffs):
@@ -138,7 +166,8 @@ def weyl_dim(family, coeffs):
     dim, rest = divmod(prod(sum(r * (c + 1) for r, c in zip(row, coeffs))
                             for row in rows), den)
     if rest or dim <= 0:
-        raise ValueError("Weyl dimension did not come out a positive integer")
+        raise AssertionError(
+            "Weyl dimension did not come out a positive integer")
     return dim
 
 
@@ -151,16 +180,17 @@ def _form_value(gram, p):
                for i, (pi, row) in enumerate(zip(p, gram)))
 
 
-def _lattice_points(gram, scale, generators, cutoff):
+def _lattice_points(gram, scale, generators, den, cutoff):
     """Weights lam = sum a_j g_j, integers a_j >= 0 not all zero, with
     value scale*(p'Gp + sum G_ii p_i) <= cutoff, p the simple-root
-    coefficients of lam.  The generators g_j are given in simple-root
-    coefficients too.
+    coefficients of lam.  The generators g_j are integer rows of
+    simple-root coefficients over ``den``, g_j = row_j/den.
 
     Returns {value: [a, ...]} by increasing value, each list in
-    lexicographic order.  In a the value is a'Wa + w.a; with
-    denominators cleared, W and w must be entrywise non-negative and
-    W's diagonal positive, as for dominant generators, or ValueError is
+    lexicographic order.  In a the value is scale/den**2 times the
+    integer form a'Wa + w.a, W = (g_j'G g_k)_jk and w_j = den*sum_i
+    g_ji G_ii; W and w must be entrywise non-negative, W's diagonal and
+    the scale positive, as for dominant generators, or ValueError is
     raised.  The form then never decreases in any coordinate, so a
     prefix with a zero tail is an exact lower bound and each coordinate
     stops at its first value over the cutoff, which must be positive.
@@ -168,19 +198,16 @@ def _lattice_points(gram, scale, generators, cutoff):
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    quad = [[scale * sum(x * sum(c * y for c, y in zip(row, h))
-                         for x, row in zip(g, gram))
+    quad = [[sum(x * sum(c * y for c, y in zip(row, h))
+                 for x, row in zip(g, gram))
              for h in generators] for g in generators]
-    linear = [scale * sum(x * row[i]
-                          for i, (x, row) in enumerate(zip(g, gram)))
+    linear = [den * sum(x * row[i] for i, (x, row) in enumerate(zip(g, gram)))
               for g in generators]
-    den = lcm(*(Fraction(x).denominator for x in chain(linear, *quad)))
-    quad = [[int(x * den) for x in row] for row in quad]
-    linear = [int(x * den) for x in linear]
-    if (min(chain(linear, *quad)) < 0
+    if (scale <= 0 or min(chain(linear, *quad)) < 0
             or min(row[k] for k, row in enumerate(quad)) <= 0):
         raise ValueError("form is not monotone: generators must be dominant")
-    limit = floor(cutoff * den)
+    factor = Fraction(scale) / (den * den)
+    limit = floor(cutoff / factor)
     found = {}
 
     def recurse(prefix, value):
@@ -198,7 +225,7 @@ def _lattice_points(gram, scale, generators, cutoff):
             a += 1
 
     recurse((), 0)
-    return {Fraction(v, den): found[v] for v in sorted(found)}
+    return {v * factor: found[v] for v in sorted(found)}
 
 
 def _class_one_points(gram, scale, cutoff, form=None):
@@ -207,18 +234,20 @@ def _class_one_points(gram, scale, cutoff, form=None):
     scale*(p'Fp + sum F_ii p_i) <= cutoff, F = ``form`` (default
     ``gram``), p in lexicographic order.
 
-    These are the dominant lam = sum a_j omega_j in the root lattice,
-    where p is integral; on a block-diagonal Gram (a product) p may
-    vanish on a factor.
+    These are the dominant lam = sum a_j omega_j in the root lattice:
+    with omega_j = N_j/den, p = a.N/den is integral exactly when every
+    entry of a.N is divisible by den.  On a block-diagonal Gram (a
+    product) p may vanish on a factor.
     """
-    coeffs = _fundamental_coefficients(gram)
+    coeffs, den = _fundamental_coefficients(gram)
     found = {}
-    for value, points in _lattice_points(form or gram, scale, coeffs,
+    for value, points in _lattice_points(form or gram, scale, coeffs, den,
                                          cutoff).items():
-        ps = sorted(p for p in (_combine(a, coeffs) for a in points)
-                    if all(x.denominator == 1 for x in p))
+        ps = sorted(tuple(x // den for x in p)
+                    for p in (_combine(a, coeffs) for a in points)
+                    if not any(x % den for x in p))
         if ps:
-            found[value] = [tuple(int(x) for x in p) for p in ps]
+            found[value] = ps
     return found
 
 
@@ -312,10 +341,11 @@ def base_spectrum(fib_family, cutoff):
     """
     family = fib_family.root_family
     basis = kramer_basis(fib_family)
-    coeffs = _fundamental_coefficients(_simple_gram(family))
+    coeffs, den = _fundamental_coefficients(_simple_gram(family))
     points = _lattice_points(_simple_gram(family),
                              _root_system(family).ck.scale,
-                             [_combine(b, coeffs) for b in basis], cutoff)
+                             [_combine(b, coeffs) for b in basis], den,
+                             cutoff)
     return [SpectrumEntry(value=v, origin="base",
                           mult=sum(weyl_dim(family, _combine(x, basis))
                                    for x in xs),

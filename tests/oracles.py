@@ -4,6 +4,7 @@ Import from a test module with ``from oracles import ...``; pytest puts
 this directory on the path.
 """
 
+from fractions import Fraction
 from math import comb
 
 from flagvar.spectra import _form_value, _root_system, _simple_gram
@@ -35,3 +36,31 @@ def sphere_multiplicity(n, q):
     first = comb(2 * n + q, q)
     second = comb(2 * n + q - 2, q - 2) if q >= 2 else 0
     return first - second
+
+
+def solve_linear(matrix, rhs):
+    """Solve matrix @ x = rhs by dense Gaussian elimination over Fraction;
+    matrix must be square invertible, else ValueError."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def fundamental_coefficients(gram):
+    """Simple-root coefficients of each fundamental weight omega_j, solved
+    one Fraction system per j from <omega_j, alpha_i> = delta_ij G_jj/2."""
+    return [solve_linear(gram, [Fraction(row[j], 2) if i == j else 0
+                                for i in range(len(gram))])
+            for j, row in enumerate(gram)]

@@ -240,6 +240,23 @@ def test_certificate_failure_is_one_line(capsys, monkeypatch, error):
     assert err == "flagvar: certificate failed: forced\n"
 
 
+def test_internal_exactness_failure_exits_1(capsys, monkeypatch):
+    # A wrong Weyl denominator is an internal fault, not a usage error.
+    real = spectra._weyl_rows
+
+    def wrong(family):
+        rows, den = real(family)
+        return rows, den * 10**30
+
+    monkeypatch.setattr(spectra, "_weyl_rows", wrong)
+    bifurcation.instant_base.cache_clear()
+    code, out, err = run(capsys, ["instants", "--family", "su", "--n", "3"])
+    bifurcation.instant_base.cache_clear()
+    assert code == 1 and out == ""
+    assert err.startswith("flagvar: certificate failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_usage_error_bad_tmin(capsys):
     code, _, err = run(capsys, ["instants", "--family", "su", "--tmin", "2"])
     assert code == 2

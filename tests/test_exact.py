@@ -1,5 +1,5 @@
-"""Tests for the exact rational plumbing: squarefree splits,
-enclosures and linear solving, and the stdlib-only runtime."""
+"""Tests for the exact rational plumbing: squarefree splits and
+enclosures, and the stdlib-only runtime."""
 
 import os
 import pathlib
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagvar.exact import float_from_bounds, solve_linear, squarefree_split
+from flagvar.exact import float_from_bounds, squarefree_split
 from test_surd import sqrt_bounds  # the Fraction oracle's enclosure
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -87,6 +87,17 @@ def test_import_needs_no_sympy():
     assert out.stdout == "ok\n"
 
 
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # Records are named tuples, so a query pays for neither module.
+    code = ("import sys, flagvar.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 @given(st.fractions(min_value=0, max_value=10**6))
 def test_sqrt_bounds_enclose(x):
     lo, hi = sqrt_bounds(x, bits=40)
@@ -104,12 +115,3 @@ def test_float_from_bounds_error_covers_width():
     val, err = float_from_bounds(Fraction(1, 3), Fraction(2, 3))
     assert abs(val - 0.5) <= err
 
-
-def test_solve_linear_known_system():
-    sol = solve_linear([[2, 1], [1, 3]], [5, 10])
-    assert sol == [Fraction(1), Fraction(3)]
-
-
-def test_solve_linear_rejects_singular():
-    with pytest.raises(ValueError):
-        solve_linear([[1, 2], [2, 4]], [1, 1])

@@ -6,7 +6,9 @@ from itertools import combinations
 import pytest
 
 from flagvar import spectra
+from flagvar.curvature import ScalPoly
 from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
+from flagvar.rootsys import FamilyTag
 
 # (kind, n) -> (#vertical, #horizontal)
 PARTITION = [
@@ -108,6 +110,23 @@ def test_root_family_mapping():
     assert FibrationFamily("sp", 3).root_family.kind == "C"
     assert FibrationFamily("so-even", 4).root_family.kind == "D"
     assert FibrationFamily("g2", 2).root_family.kind == "G2"
+
+
+def test_records_are_validated_immutable_named_tuples():
+    # Validation of FamilyTag and FibrationFamily arguments is tested with
+    # their messages elsewhere; a keyword argument is validated too.
+    with pytest.raises(ValueError):
+        ScalPoly(Fraction(1), Fraction(1), Fraction(1), d=0)
+    assert FibrationFamily("sp").n == 3
+    assert FibrationFamily(kind="g2") == ("g2", 2)
+    assert repr(FamilyTag("A", 2)) == "FamilyTag(kind='A', rank=2)"
+    fib = build_fibration(FibrationFamily("su", 2))
+    for record, name in ((FamilyTag("A", 2), "rank"),
+                         (FibrationFamily("su", 2), "n"),
+                         (ScalPoly(1, 2, 3, 4), "d"), (fib, "m_total"),
+                         (fib.root_system, "simple_roots")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_phi1_validation_and_default():

@@ -13,11 +13,15 @@ from flagvar.catalog import (_catalogued_c_mu, bn_dominance_row_report,
                              cn_first_eigenvalue_report)
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
-from flagvar.spectra import (_lattice_points, ambient_weight, base_spectrum,
+from flagvar.spectra import (_fundamental_coefficients, _gram,
+                             _lattice_points, _simple_gram, _weyl_rows,
+                             ambient_weight, base_spectrum,
                              base_spectrum_first, casimir_of_weight,
                              fiber_spectrum, flag_minimum, flag_spectrum,
                              is_dominant_class_one, kramer_basis, weyl_dim)
-from oracles import cpn_multiplicity, flag_mu, sphere_multiplicity
+from oracles import (cpn_multiplicity, flag_mu, fundamental_coefficients,
+                     solve_linear, sphere_multiplicity)
+from test_acceptance import CASES
 
 
 def class_one_weight(family, p):
@@ -228,6 +232,90 @@ def test_weyl_dim_matches_the_ambient_product(family):
     for c in product(range(3), repeat=family.rank):
         if sum(c) <= 4:
             assert weyl_dim(family, c) == weyl_dim_ambient(family, c)
+
+
+# -- the integer weight kernel against the Fraction solve -----------------
+
+KERNEL_FAMILIES = ([FamilyTag("A", n) for n in range(1, 11)]
+                   + [FamilyTag("B", n) for n in range(2, 11)]
+                   + [FamilyTag("C", n) for n in range(3, 11)]
+                   + [FamilyTag("D", n) for n in range(4, 11)]
+                   + [FamilyTag("G2", 2)])
+
+# Dimension of the defining representation, the one with highest weight
+# omega_1 (G2: the 7-dimensional one, omega of the short simple root).
+DEFINING_DIM = {"A": lambda n: n + 1, "B": lambda n: 2 * n + 1,
+                "C": lambda n: 2 * n, "D": lambda n: 2 * n, "G2": lambda n: 7}
+
+
+def family_id(family):
+    return "{}{}".format(family.kind, family.rank)
+
+
+def test_solve_linear_known_system():
+    sol = solve_linear([[2, 1], [1, 3]], [5, 10])
+    assert sol == [Fraction(1), Fraction(3)]
+
+
+def test_solve_linear_rejects_singular():
+    with pytest.raises(ValueError):
+        solve_linear([[1, 2], [2, 4]], [1, 1])
+
+
+def assert_kernel_matches_the_fraction_solve(gram):
+    coeffs, den = _fundamental_coefficients(gram)
+    assert all(isinstance(x, int) for row in coeffs for x in row)
+    assert den > 0
+    assert [[Fraction(x, den) for x in row]
+            for row in coeffs] == fundamental_coefficients(gram)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=family_id)
+def test_fundamental_coefficients_match_the_fraction_solve(family):
+    assert_kernel_matches_the_fraction_solve(_simple_gram(family))
+
+
+@pytest.mark.parametrize("kind,n", CASES)
+def test_fiber_fundamental_coefficients_match_the_fraction_solve(kind, n):
+    # The fiber's Gram matrix is block-diagonal when the fiber is a product.
+    fib = build_fibration(FibrationFamily(kind, n))
+    assert_kernel_matches_the_fraction_solve(_gram(fib.fiber_simple_roots))
+
+
+def test_fundamental_coefficients_reject_a_singular_gram():
+    with pytest.raises(ValueError):
+        _fundamental_coefficients(((1, 2), (2, 4)))
+
+
+def simple_coordinates(rs, alpha):
+    """k with alpha = sum k_i alpha_i, from the Fraction solve."""
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in rs.simple_roots]
+            for a in rs.simple_roots]
+    return solve_linear(gram, [sum(x * y for x, y in zip(s, alpha))
+                               for s in rs.simple_roots])
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=family_id)
+def test_weyl_dim_of_the_adjoint_and_defining_representations(family):
+    rs = build_root_system(family)
+    # The highest root has the largest height sum k_i; its
+    # fundamental-weight coefficients are 2<theta, alpha_i>/|alpha_i|^2.
+    theta = max(rs.positive_roots, key=lambda r: sum(simple_coordinates(rs, r)))
+    adjoint = tuple(2 * sum(x * y for x, y in zip(theta, s))
+                    // sum(x * x for x in s) for s in rs.simple_roots)
+    assert weyl_dim(family, adjoint) == 2 * len(rs.positive_roots) + family.rank
+    omega1 = (1,) + (0,) * (family.rank - 1)
+    assert weyl_dim(family, omega1) == DEFINING_DIM[family.kind](family.rank)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=family_id)
+def test_weyl_rows_are_root_coordinates_times_simple_lengths(family):
+    rs = build_root_system(family)
+    rows, _ = _weyl_rows(family)
+    lengths = [sum(x * x for x in s) for s in rs.simple_roots]
+    for alpha, row in zip(rs.positive_roots, rows):
+        assert list(row) == [k * g for k, g in
+                             zip(simple_coordinates(rs, alpha), lengths)]
 
 
 def test_cpn_multiplicity():
@@ -535,10 +623,10 @@ def test_lattice_points_rejects_a_non_monotone_form():
     # diagonal, so the form in their coefficients is not monotone.
     with pytest.raises(ValueError):
         _lattice_points(((2, -1), (-1, 2)), Fraction(1, 6),
-                        ((1, 0), (0, 1)), 4)
+                        ((1, 0), (0, 1)), 1, 4)
     # A negative linear term alone is rejected too.
     with pytest.raises(ValueError):
-        _lattice_points(((2, 0), (0, 2)), 1, ((-1, 0),), 4)
+        _lattice_points(((2, 0), (0, 2)), 1, ((-1, 0),), 1, 4)
 
 
 # -- catalogued-inconsistency reports -------------------------------------
