@@ -20,8 +20,8 @@ from .fibration import (FAMILY_KEYS, FibrationData, FibrationFamily,
 from .rootsys import (CKForm, FamilyTag, RootSystem, build_root_system,
                       ck_inner, root_string, structure_constant_sq)
 from .spectra import (SpectrumEntry, base_spectrum, base_spectrum_first,
-                      casimir_of_weight, fiber_spectrum, flag_minimum,
-                      flag_spectrum, kramer_basis, weyl_dim)
+                      fiber_spectrum, flag_minimum, flag_spectrum,
+                      kramer_basis, weyl_dim)
 from .surd import QuadraticSurd
 from .variation import gap_certificate, normalized_scal
 
@@ -44,7 +44,6 @@ __all__ = [
     "bn_dominance_row_report",
     "build_fibration",
     "build_root_system",
-    "casimir_of_weight",
     "ck_inner",
     "cn_first_eigenvalue_report",
     "cross_check_closed_forms",

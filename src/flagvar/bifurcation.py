@@ -23,8 +23,11 @@ from functools import lru_cache
 from math import gcd
 
 from .exact import common_denominator
-from .spectra import (ambient_weight, base_spectrum, base_spectrum_first,
-                      casimir_of_weight, flag_minimum, kramer_basis, weyl_dim)
+from .rootsys import build_root_system
+from .spectra import (_form_value, _fundamental_coefficients,
+                      _root_coordinates, _simple_gram, base_spectrum,
+                      base_spectrum_first, flag_minimum, kramer_basis,
+                      weyl_dim)
 from .surd import QuadraticSurd
 from .variation import gap_quadratic, normalized_scal
 
@@ -137,7 +140,9 @@ def instant_below(fib, poly, eps):
     Takes the smallest multiple of the first spherical generator whose
     base eigenvalue exceeds scal/(m-1) at t = eps and solves that
     instant; strict monotonicity puts every later instant lower still.
-    The witness multiplicity counts the generator power alone, a lower
+    The eigenvalue of k*gen is the class-one form at k*p, p the
+    simple-root coefficients of gen, which must be integers.  The
+    witness multiplicity counts the generator power alone, a lower
     bound when other spherical weights share the eigenvalue.
     """
     eps = Fraction(eps)
@@ -145,15 +150,17 @@ def instant_below(fib, poly, eps):
         raise ValueError("eps must lie in (0, 1)")
     target = normalized_scal(fib, poly).value_at_t(eps)
     family = fib.family.root_family
+    gram = _simple_gram(family)
+    scale = build_root_system(family).ck.scale
     gen = kramer_basis(fib.family)[0]
+    p = _root_coordinates(gen, *_fundamental_coefficients(gram))
+    if p is None:
+        raise AssertionError("a spherical generator is off the root lattice")
     k = 1
-    while True:
-        coeffs = tuple(k * c for c in gen)
-        value = casimir_of_weight(family, ambient_weight(family, coeffs))
-        if value > target:
-            break
+    while (value := scale * _form_value(gram, [k * x for x in p])) <= target:
         k += 1
-    inst = solve_instant(fib, poly, value, weyl_dim(family, coeffs))
+    inst = solve_instant(fib, poly, value,
+                         weyl_dim(family, tuple(k * c for c in gen)))
     if not inst.u < eps * eps:
         raise AssertionError("witness instant failed to drop below eps")
     return inst

@@ -222,12 +222,16 @@ def _g2_sequence(r, s):
     return sqrt(sqrt(float(inner) ** 2 + 64.0) + inner) / (2 * sqrt(2.0))
 
 
-def cross_check_closed_forms(family, instants, tol=1e-9):
+# A solved t and its catalogued float agree when within this distance.
+_AGREE_TOL = 1e-9
+
+
+def cross_check_closed_forms(family, instants):
     """Compare solved instants against the catalogued sequence formulas.
 
     Each row pairs a solved t with the catalogued evaluation for its
-    index and records agreement to ``tol``, with a note on the known
-    cause where a row disagrees.  Families without a catalogued
+    index and records agreement to ``_AGREE_TOL``, with a note on the
+    known cause where a row disagrees.  Families without a catalogued
     sequence return an empty report.
     """
     family = getattr(family, "family", family)
@@ -236,11 +240,11 @@ def cross_check_closed_forms(family, instants, tol=1e-9):
     if kind == "su":
         for q, inst in enumerate(instants, start=1):
             printed = _su_threshold(n) if q == 1 else _su_sequence(n, q)
-            rows.append(_check_row((q,), inst, printed, tol))
+            rows.append(_check_row((q,), inst, printed))
     elif kind == "so-odd":
         for q, inst in enumerate(instants, start=1):
             printed = _so_odd_threshold(n) if q == 1 else _so_odd_sequence(n, q)
-            row = _check_row((q,), inst, printed, tol)
+            row = _check_row((q,), inst, printed)
             if not row["agree"] and q > 1:
                 row["note"] = "catalogued radicand is 4x the derived value"
             rows.append(row)
@@ -250,7 +254,7 @@ def cross_check_closed_forms(family, instants, tol=1e-9):
             labels = {e.value: e.label for e in base_spectrum(family, cutoff)}
             for inst in instants:
                 for r, s in labels[inst.beta]:
-                    row = _check_row((r, s), inst, _g2_sequence(r, s), tol)
+                    row = _check_row((r, s), inst, _g2_sequence(r, s))
                     if not row["agree"] and r * s != 0:
                         row["note"] = ("catalogued cross coefficient 33 "
                                        "where the defining equation gives 66")
@@ -258,12 +262,12 @@ def cross_check_closed_forms(family, instants, tol=1e-9):
     return rows
 
 
-def _check_row(label, inst, printed, tol):
+def _check_row(label, inst, printed):
     return {
         "label": label,
         "solved": inst.t,
         "catalogued": printed,
-        "agree": abs(inst.t - printed) <= tol,
+        "agree": abs(inst.t - printed) <= _AGREE_TOL,
         "note": "",
     }
 

@@ -107,12 +107,12 @@ def cmd_spectrum(args):
             "origin": e.origin,
             "value": _frac(e.value),
             "value_float": float(e.value),
-            "mult": e.mult if e.mult_known else None,
+            "mult": e.mult,
             "label": e.label,
         } for e in entries]), args)
     else:
         rows = [(e.origin, _frac(e.value), float(e.value),
-                 e.mult if e.mult_known else "", _label_str(e.label))
+                 "" if e.mult is None else e.mult, _label_str(e.label))
                 for e in entries]
         _emit(_csv_text(("origin", "value", "value_float", "mult", "label"),
                         rows), args)

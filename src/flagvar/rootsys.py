@@ -17,7 +17,7 @@ committing to a Chevalley convention and nothing here needs them.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 KINDS = ("A", "B", "C", "D", "G2")
@@ -75,8 +75,10 @@ class RootSystem(namedtuple("RootSystem",
             _vec_neg(r) for r in self.positive_roots}
 
 
+@lru_cache(maxsize=None)
 def build_root_system(family):
-    """Construct positive roots, simple roots and the normalized form."""
+    """Construct positive roots, simple roots and the normalized form,
+    once per family."""
     kind, n = family.kind, family.rank
 
     dim = n + 1 if kind == "A" else n
@@ -113,10 +115,7 @@ def build_root_system(family):
 
 
 def ck_inner(ck, u, v):
-    """Evaluate the normalized form on two coordinate vectors.
-
-    Roots are integer tuples; weights may carry Fraction coordinates.
-    """
+    """Evaluate the normalized form on two coordinate vectors."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return ck.scale * _dot(u, v)

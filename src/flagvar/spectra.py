@@ -17,8 +17,8 @@ an integer form a'Wa + w.a with W and w entrywise non-negative.  That
 form never decreases in any coordinate: a prefix with a zero tail is an
 exact lower bound, and one enumerator that stops each coordinate at its
 first value over the cutoff finds every weight under it.  Base
-multiplicities are Weyl dimensions, an integer product.  The catalogued eigenvalue statements these are
-compared with are in ``catalog``.
+multiplicities are Weyl dimensions, an integer product.  The catalogued
+eigenvalue statements these are compared with are in ``catalog``.
 """
 
 from collections import namedtuple
@@ -27,25 +27,21 @@ from functools import lru_cache
 from itertools import chain
 from math import floor, gcd, lcm, prod
 
-from .rootsys import build_root_system, ck_inner
+from .rootsys import build_root_system
+# ck_inner is unused here but stays bound: the perfbench tracer
+# self-test checks that it is wrapped in this namespace too.
+from .rootsys import ck_inner  # noqa: F401
 
 
-class SpectrumEntry(namedtuple("SpectrumEntry",
-                               "value mult origin label mult_known",
-                               defaults=(True,))):
+class SpectrumEntry(namedtuple("SpectrumEntry", "value mult origin label")):
     """One spectral line: exact value, multiplicity, origin, label.
 
-    Flag totals and fiber entries carry mult = 1 with mult_known False:
-    their true multiplicities are never needed downstream, only base
+    Flag totals and fiber entries carry mult = None, not computed: their
+    true multiplicities are never needed downstream, only base
     multiplicities feed the Morse index.
     """
 
     __slots__ = ()
-
-
-@lru_cache(maxsize=None)
-def _root_system(family):
-    return build_root_system(family)
 
 
 def _combine(coeffs, vectors):
@@ -63,7 +59,7 @@ def _gram(roots):
 
 def _simple_gram(family):
     """Integer Gram matrix G of the simple roots of ``family``."""
-    return _gram(_root_system(family).simple_roots)
+    return _gram(build_root_system(family).simple_roots)
 
 
 @lru_cache(maxsize=None)
@@ -98,39 +94,6 @@ def _fundamental_coefficients(gram):
 
 
 @lru_cache(maxsize=None)
-def _fundamental_weights(family):
-    """Fundamental weights in ambient coordinates."""
-    coeffs, den = _fundamental_coefficients(_simple_gram(family))
-    simple = _root_system(family).simple_roots
-    return tuple(tuple(Fraction(x, den) for x in _combine(row, simple))
-                 for row in coeffs)
-
-
-@lru_cache(maxsize=None)
-def _half_sum(family):
-    rs = _root_system(family)
-    dim = len(rs.positive_roots[0])
-    return tuple(sum(r[k] for r in rs.positive_roots) / Fraction(2)
-                 for k in range(dim))
-
-
-def casimir_of_weight(family, lam):
-    """<lam, lam + 2*delta> with delta the half-sum of positive roots."""
-    rs = _root_system(family)
-    delta = _half_sum(family)
-    shifted = tuple(x + 2 * d for x, d in zip(lam, delta))
-    return ck_inner(rs.ck, lam, shifted)
-
-
-def ambient_weight(family, coeffs):
-    """Ambient coordinates of the weight sum c_i*omega_i."""
-    weights = _fundamental_weights(family)
-    if len(coeffs) != len(weights):
-        raise ValueError("coefficient count does not match the rank")
-    return _combine(coeffs, weights)
-
-
-@lru_cache(maxsize=None)
 def _weyl_rows(family):
     """Rows (k_i |alpha_i|^2)_i = (2 <alpha, omega_i>)_i of the positive
     roots alpha = sum k_i alpha_i under the dot product, and the product
@@ -138,7 +101,7 @@ def _weyl_rows(family):
     Row entry i is 2 sum_k N[i][k] <alpha_k, alpha> / den, an exact
     integer division, checked."""
     coeffs, den = _fundamental_coefficients(_simple_gram(family))
-    rs = _root_system(family)
+    rs = build_root_system(family)
     rows = []
     for alpha in rs.positive_roots:
         dots = [sum(x * y for x, y in zip(s, alpha)) for s in rs.simple_roots]
@@ -243,20 +206,28 @@ def _class_one_points(gram, scale, cutoff, form=None):
     found = {}
     for value, points in _lattice_points(form or gram, scale, coeffs, den,
                                          cutoff).items():
-        ps = sorted(tuple(x // den for x in p)
-                    for p in (_combine(a, coeffs) for a in points)
-                    if not any(x % den for x in p))
+        ps = sorted(p for p in (_root_coordinates(a, coeffs, den)
+                                for a in points) if p is not None)
         if ps:
             found[value] = ps
     return found
 
 
+def _root_coordinates(a, coeffs, den):
+    """p = a.N/den, the simple-root coefficients of sum a_j omega_j with
+    (N, den) from ``_fundamental_coefficients``, or None when some entry
+    is not an integer: the weight is off the root lattice."""
+    p = _combine(a, coeffs)
+    if any(x % den for x in p):
+        return None
+    return tuple(x // den for x in p)
+
+
 def _class_one_spectrum(simple_roots, scale, cutoff, origin):
     """Class-one values <= cutoff over ``simple_roots`` at CK scale
     ``scale``, one entry per value, labelled by its p; multiplicities
-    are not computed (mult_known is False, mult = 1)."""
-    return [SpectrumEntry(value=v, mult=1, origin=origin,
-                          label=tuple(ps), mult_known=False)
+    are not computed (mult = None)."""
+    return [SpectrumEntry(value=v, mult=None, origin=origin, label=tuple(ps))
             for v, ps in _class_one_points(_gram(simple_roots), scale,
                                            cutoff).items()]
 
@@ -272,7 +243,7 @@ def is_dominant_class_one(family, p):
 
 def flag_spectrum(family, cutoff):
     """All class-one eigenvalues of G/T <= cutoff."""
-    rs = _root_system(family)
+    rs = build_root_system(family)
     return _class_one_spectrum(rs.simple_roots, rs.ck.scale, cutoff, "total")
 
 
@@ -343,7 +314,7 @@ def base_spectrum(fib_family, cutoff):
     basis = kramer_basis(fib_family)
     coeffs, den = _fundamental_coefficients(_simple_gram(family))
     points = _lattice_points(_simple_gram(family),
-                             _root_system(family).ck.scale,
+                             build_root_system(family).ck.scale,
                              [_combine(b, coeffs) for b in basis], den,
                              cutoff)
     return [SpectrumEntry(value=v, origin="base",

@@ -11,8 +11,6 @@ candidate non-constant curve on all of (0, 1].  The module also lays
 out the curves on a t-grid for the figure.
 """
 
-from fractions import Fraction
-
 from .exact import common_denominator
 from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
                       flag_minimum, flag_spectrum)
@@ -60,17 +58,18 @@ def _roots_in_unit_interval(c0, c1, c2):
     return low + high
 
 
-def gap_certificate(fib, poly, phi1=None, mu1=None):
+def gap_certificate(fib, poly):
     """Certify scal(t)/(m-1) < mu1 + (1/t**2 - 1)*phi1 on all of (0, 1].
 
-    That is ``gap_quadratic`` staying negative on (0, 1]: negative at 1
-    with no root in (0, 1), counted in closed form.  Returns a report
-    dict with the verdict and the quadratic used; raises ValueError
-    unless the quadratic is concave.
+    mu1 is the flag minimum and phi1 the fibration's, so a phi1 given to
+    ``build_fibration`` is the one tested.  The claim is
+    ``gap_quadratic`` staying negative on (0, 1]: negative at 1 with no
+    root in (0, 1), counted in closed form.  Returns a report dict with
+    the verdict and the quadratic used; raises ValueError unless the
+    quadratic is concave.
     """
-    phi1 = Fraction(phi1) if phi1 is not None else fib.phi1
-    mu1 = (Fraction(mu1) if mu1 is not None
-           else flag_minimum(fib.family.root_family).value)
+    phi1 = fib.phi1
+    mu1 = flag_minimum(fib.family.root_family).value
     coeffs = list(gap_quadratic(fib, poly, mu1, phi1))
     if coeffs[2] >= 0:
         raise ValueError("expected a negative u**2 coefficient")

@@ -5,9 +5,11 @@ this directory on the path.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from flagvar.spectra import _form_value, _root_system, _simple_gram
+from flagvar.rootsys import build_root_system, ck_inner
+from flagvar.spectra import _form_value, _simple_gram
 
 
 def flag_mu(family, p):
@@ -20,7 +22,8 @@ def flag_mu(family, p):
         raise ValueError("expected {} coefficients".format(family.rank))
     if any(x < 1 for x in p):
         raise ValueError("class-one coefficients must be >= 1")
-    return _root_system(family).ck.scale * _form_value(_simple_gram(family), p)
+    return (build_root_system(family).ck.scale
+            * _form_value(_simple_gram(family), p))
 
 
 def cpn_multiplicity(n, q):
@@ -64,3 +67,40 @@ def fundamental_coefficients(gram):
     return [solve_linear(gram, [Fraction(row[j], 2) if i == j else 0
                                 for i in range(len(gram))])
             for j, row in enumerate(gram)]
+
+
+@lru_cache(maxsize=None)
+def _ambient_fundamental_weights(family):
+    """Fundamental weights in ambient coordinates, from the Fraction solve."""
+    simple = build_root_system(family).simple_roots
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in simple]
+            for a in simple]
+    return tuple(tuple(sum(c * alpha[k] for c, alpha in zip(row, simple))
+                       for k in range(len(simple[0])))
+                 for row in fundamental_coefficients(gram))
+
+
+@lru_cache(maxsize=None)
+def _half_sum(family):
+    """delta, the half-sum of the positive roots, in ambient coordinates."""
+    positive = build_root_system(family).positive_roots
+    return tuple(Fraction(sum(col), 2) for col in zip(*positive))
+
+
+def ambient_weight(family, coeffs):
+    """Ambient coordinates of the weight sum c_i*omega_i."""
+    weights = _ambient_fundamental_weights(family)
+    if len(coeffs) != len(weights):
+        raise ValueError("coefficient count does not match the rank")
+    return tuple(sum(c * w[k] for c, w in zip(coeffs, weights))
+                 for k in range(len(weights[0])))
+
+
+def casimir_of_weight(family, lam):
+    """<lam, lam + 2*delta> in the CK form on ambient coordinates.
+
+    The one eigenvalue derivation here that does not go through the
+    class-one form ``_form_value`` the program enumerates with.
+    """
+    shifted = tuple(x + 2 * d for x, d in zip(lam, _half_sum(family)))
+    return ck_inner(build_root_system(family).ck, lam, shifted)

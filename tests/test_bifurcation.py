@@ -13,9 +13,11 @@ from flagvar.catalog import (_so_odd_threshold, cross_check_closed_forms,
                              scal_closed_form)
 from flagvar.curvature import ScalPoly, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.spectra import SpectrumEntry, base_spectrum, flag_minimum
+from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
+                             kramer_basis, weyl_dim)
 from flagvar.surd import QuadraticSurd
 from flagvar.variation import normalized_scal
+from oracles import ambient_weight, casimir_of_weight
 
 
 def _setup(kind, n):
@@ -272,6 +274,34 @@ def test_instant_below_one_hundredth(kind, n, beta):
     assert inst.beta == beta
     assert inst.u < Fraction(1, 10000)
     assert inst.t < 0.01
+
+
+@pytest.mark.parametrize("kind,n", [("su", 2), ("su", 5), ("so-odd", 2),
+                                    ("so-odd", 6), ("sp", 3), ("sp", 5),
+                                    ("so-even", 4), ("so-even", 7),
+                                    ("g2", 2)])
+@pytest.mark.parametrize("eps", [Fraction(1, 100), Fraction(1, 1000)],
+                         ids=str)
+def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
+                                                                 eps):
+    # The witness is k*gen, gen the first spherical generator and k the
+    # least multiple whose ambient Casimir exceeds scal(eps)/(m-1).
+    fib, poly = _setup(kind, n)
+    family = fib.family.root_family
+    gen = kramer_basis(fib.family)[0]
+
+    def casimir(k):
+        return casimir_of_weight(
+            family, ambient_weight(family, [k * c for c in gen]))
+
+    target = normalized_scal(fib, poly).value_at_t(eps)
+    k = 1
+    while casimir(k) <= target:
+        k += 1
+    inst = instant_below(fib, poly, eps)
+    assert inst == solve_instant(fib, poly, casimir(k),
+                                 weyl_dim(family, tuple(k * c for c in gen)))
+    assert inst.u < eps * eps
 
 
 # -- catalogued closed-form sequences -------------------------------------

@@ -145,23 +145,13 @@ def test_gap_certificate_su2_report_fields():
 
 
 def test_gap_certificate_negative_controls():
-    # Shrinking phi1 or mu1 far enough must break the certificate: the
-    # verdict is computed, not assumed.
-    f = _fib("su", 2)
-    poly = scal_wz(f)
-    weak_phi = gap_certificate(f, poly, phi1=Fraction(1, 1000))
+    # Shrinking phi1 far enough must break the certificate: the verdict
+    # is computed, not assumed.  The fibration's phi1 is the one tested.
+    f = build_fibration(FibrationFamily("su", 2), Fraction(1, 1000))
+    weak_phi = gap_certificate(f, scal_wz(f))
+    assert weak_phi["phi1"] == Fraction(1, 1000)
     assert not weak_phi["holds"]
-    assert weak_phi["roots_in_unit_interval"] >= 1
-    weak_mu = gap_certificate(f, poly, mu1=Fraction(0))
-    assert not weak_mu["holds"]
-
-
-def test_gap_certificate_honors_overrides():
-    f = _fib("su", 2)
-    poly = scal_wz(f)
-    report = gap_certificate(f, poly, mu1=Fraction(100))
-    assert report["mu1"] == 100
-    assert report["holds"]
+    assert weak_phi["roots_in_unit_interval"] == 1
 
 
 def test_gap_certificate_needs_a_concave_quadratic():
