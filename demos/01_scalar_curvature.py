@@ -13,7 +13,7 @@ Run from the repository root:
 from fractions import Fraction
 
 from flagvar import (FibrationFamily, build_fibration, scal_closed_form,
-                     scal_wz, triples)
+                     triples)
 
 CASES = [("su", 2), ("su", 3), ("so-odd", 2), ("so-odd", 4),
          ("sp", 3), ("so-even", 4), ("g2", 2)]
@@ -21,7 +21,7 @@ CASES = [("su", 2), ("su", 3), ("so-odd", 2), ("so-odd", 4),
 
 def show(kind, n):
     fib = build_fibration(FibrationFamily(kind, n))
-    poly = scal_wz(fib)
+    poly = fib.scal
     closed = scal_closed_form(fib.family)
     an, cn, en = poly.normalized()
     print("{}  ({} -> {} fiber {})".format(

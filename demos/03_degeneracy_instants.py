@@ -14,19 +14,18 @@ from fractions import Fraction
 
 from flagvar import (FibrationFamily, build_fibration,
                      cross_check_closed_forms, degeneracy_instants,
-                     instant_below, rigidity_threshold, scal_wz)
+                     instant_below, rigidity_threshold)
 
 fib = build_fibration(FibrationFamily("su", 2))
-poly = scal_wz(fib)
 
-b = rigidity_threshold(fib, poly)
+b = rigidity_threshold(fib)
 print("SU(3)/T^2 rigidity threshold:")
 print("  u = {}  t = {:.12f}  (certified presentation error {:.1e})"
       .format(b.u, b.t, b.t_error))
 
 print()
 print("first five instants, strictly decreasing:")
-for inst in degeneracy_instants(fib, poly, Fraction(1, 10)):
+for inst in degeneracy_instants(fib, Fraction(1, 10)):
     print("  beta={:<5} mult={:<4} u={:<22} t={:.6f} bifurcation={}"
           .format(str(inst.beta), inst.mult, str(inst.u), inst.t,
                   inst.is_bifurcation))
@@ -36,8 +35,7 @@ print("instants fall below any epsilon; first below 1/100 per family:")
 for kind, n in [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
                 ("g2", 2)]:
     f = build_fibration(FibrationFamily(kind, n))
-    p = scal_wz(f)
-    inst = instant_below(f, p, Fraction(1, 100))
+    inst = instant_below(f, Fraction(1, 100))
     print("  {:<12} beta={:<8} t={:.6f}".format(f.family.label,
                                                 str(inst.beta), inst.t))
 
@@ -51,8 +49,7 @@ for kind, n, tmin in [("su", 2, Fraction(1, 10)),
                       ("so-odd", 2, Fraction(1, 5)),
                       ("g2", 2, Fraction(11, 100))]:
     f = build_fibration(FibrationFamily(kind, n))
-    p = scal_wz(f)
-    rows = cross_check_closed_forms(f, degeneracy_instants(f, p, tmin))
+    rows = cross_check_closed_forms(f, degeneracy_instants(f, tmin))
     print("{} cross-check:".format(f.family.label))
     for row in rows:
         mark = "agree" if row["agree"] else "DIFFER"

@@ -15,20 +15,18 @@ Run from the repository root:
 from fractions import Fraction
 
 from flagvar import (FibrationFamily, build_fibration, degeneracy_instants,
-                     instant_base, morse_index, multiplicity_lower_bound,
-                     scal_wz)
+                     instant_base, morse_index, multiplicity_lower_bound)
 
 fib = build_fibration(FibrationFamily("su", 2))
-poly = scal_wz(fib)
-base = instant_base(fib, poly, Fraction(1, 10))
-instants = degeneracy_instants(fib, poly, Fraction(1, 10))
+base = instant_base(fib, Fraction(1, 10))
+instants = degeneracy_instants(fib, Fraction(1, 10))
 
 print("SU(3)/T^2 Morse index, stepping down toward t = 1:")
 previous = None
 for k in range(10, 101):
     t = Fraction(k, 100)
     try:
-        value = morse_index(fib, poly, base, t)
+        value = morse_index(fib, base, t)
     except ValueError:  # t is an instant
         continue
     if value != previous:
@@ -41,14 +39,13 @@ print("jump sizes match the base multiplicities {}:".format(
 for inst in instants:
     lo = Fraction(int(inst.t * 10 ** 6) - 2, 10 ** 6)
     hi = Fraction(int(inst.t * 10 ** 6) + 2, 10 ** 6)
-    jump = (morse_index(fib, poly, base, lo)
-            - morse_index(fib, poly, base, hi))
+    jump = morse_index(fib, base, lo) - morse_index(fib, base, hi)
     print("  at t ~ {:.6f}: jump {}".format(inst.t, jump))
 
 print()
 print("solution counts across the first window:")
 for t in [Fraction(9, 10), Fraction(1, 2), Fraction(3, 10),
           Fraction(1, 5), Fraction(3, 20)]:
-    count = multiplicity_lower_bound(fib, poly, base, t)
+    count = multiplicity_lower_bound(fib, base, t)
     print("  t = {:<5}  at least {} solution{}".format(
         str(t), count, "s" if count > 1 else ""))

@@ -41,15 +41,15 @@ The known discrepancies:
 """
 
 from fractions import Fraction
-from math import sqrt
 
 from .bifurcation import (degeneracy_instants, instant_base, morse_index,
                           multiplicity_lower_bound, rigidity_threshold)
-from .curvature import ScalPoly, scal_wz, su_triple_census
+from .curvature import ScalPoly, su_triple_census
 from .rootsys import FamilyTag
 from .spectra import (_class_one_points, _first_entries, _form_value,
                       _simple_gram, base_spectrum, base_spectrum_first,
                       flag_minimum, is_dominant_class_one)
+from .surd import QuadraticSurd
 from .variation import gap_certificate
 
 LEDGER_GLOBAL = [
@@ -173,7 +173,13 @@ def _scal_identity_expected(kind, n):
 
 
 # ---------------------------------------------------------------------------
-# Instant sequences and thresholds, evaluated in floats for comparison.
+# Instant sequences and thresholds, as exact u = t**2.
+
+def _root_plus(f, g):
+    """sqrt(f) + g as a surd, for rationals f >= 0 and g."""
+    return QuadraticSurd(g, Fraction(1, f.denominator), 1,
+                         f.numerator * f.denominator)
+
 
 def _su_sequence(n, q):
     f = Fraction(
@@ -188,12 +194,12 @@ def _su_sequence(n, q):
     g = Fraction(2 * (n**3 * q + n**2 * (q**2 + q - 1)
                       + n * (q**2 - q - 1) - q**2),
                  (n - 1) * n)
-    return sqrt(sqrt(float(f)) - float(g))
+    return _root_plus(f, -g)
 
 
 def _su_threshold(n):
     inner = Fraction(4 * n**4 + 17 * n**3 + 26 * n**2 + 16 * n + 4, n**2)
-    return sqrt(sqrt(float(inner)) - float(Fraction(2 * (n + 1)**2, n)))
+    return _root_plus(inner, -Fraction(2 * (n + 1)**2, n))
 
 
 def _so_odd_sequence(n, q):
@@ -208,43 +214,38 @@ def _so_odd_sequence(n, q):
     g = Fraction(-4 * n**3 * q - 2 * n**2 * q**2 + 2 * n**2 * q + 4 * n**2
                  + 2 * n * q - 2 * n + q**2 - q,
                  2 * (n - 1) * n)
-    return sqrt(sqrt(float(f)) + float(g))
+    return _root_plus(f, g)
 
 
 def _so_odd_threshold(n):
-    return sqrt(sqrt(float(Fraction(8 * n**2 + 5 * n - 2))) / sqrt(2.0)
-                - 2 * n)
+    return _root_plus(Fraction(8 * n**2 + 5 * n - 2, 2), Fraction(-2 * n))
 
 
 def _g2_sequence(r, s):
     inner = (-66 * r * r - 33 * r * s - 99 * r
              - 22 * s * s - 55 * s + 24)
-    return sqrt(sqrt(float(inner) ** 2 + 64.0) + inner) / (2 * sqrt(2.0))
+    return _root_plus(Fraction(inner * inner + 64, 64), Fraction(inner, 8))
 
 
-# A solved t and its catalogued float agree when within this distance.
-_AGREE_TOL = 1e-9
-
-
-def cross_check_closed_forms(family, instants):
+def cross_check_closed_forms(fib, instants):
     """Compare solved instants against the catalogued sequence formulas.
 
-    Each row pairs a solved t with the catalogued evaluation for its
-    index and records agreement to ``_AGREE_TOL``, with a note on the
-    known cause where a row disagrees.  Families without a catalogued
-    sequence return an empty report.
+    Each row pairs a solved t with the catalogued one for its index and
+    records whether their u = t**2 are equal as exact surds, with a
+    note on the known cause where a row disagrees.  Families without a
+    catalogued sequence return an empty report.
     """
-    family = getattr(family, "family", family)
+    family = fib.family
     kind, n = family.kind, family.n
     rows = []
     if kind == "su":
         for q, inst in enumerate(instants, start=1):
-            printed = _su_threshold(n) if q == 1 else _su_sequence(n, q)
-            rows.append(_check_row((q,), inst, printed))
+            u = _su_threshold(n) if q == 1 else _su_sequence(n, q)
+            rows.append(_check_row((q,), inst, u))
     elif kind == "so-odd":
         for q, inst in enumerate(instants, start=1):
-            printed = _so_odd_threshold(n) if q == 1 else _so_odd_sequence(n, q)
-            row = _check_row((q,), inst, printed)
+            u = _so_odd_threshold(n) if q == 1 else _so_odd_sequence(n, q)
+            row = _check_row((q,), inst, u)
             if not row["agree"] and q > 1:
                 row["note"] = "catalogued radicand is 4x the derived value"
             rows.append(row)
@@ -262,12 +263,12 @@ def cross_check_closed_forms(family, instants):
     return rows
 
 
-def _check_row(label, inst, printed):
+def _check_row(label, inst, u):
     return {
         "label": label,
         "solved": inst.t,
-        "catalogued": printed,
-        "agree": abs(inst.t - printed) <= _AGREE_TOL,
+        "catalogued": u.sqrt_to_float(bits=96)[0],
+        "agree": inst.u == u,
         "note": "",
     }
 
@@ -327,8 +328,7 @@ def cn_first_eigenvalue_report(n):
     value, argmins = _first_entries(
         lambda c: list(_class_one_points(
             _simple_gram(family), Fraction(1, 4 * (n + 1)), c,
-            form=_catalogued_c_gram(n)).items()),
-        1, _catalogued_c_mu((1,) * n))[0]
+            form=_catalogued_c_gram(n)).items()), 1)[0]
     casimir = flag_minimum(family)
     stated = Fraction(4 * n - 1, 4 * (n + 1))
     return {
@@ -375,9 +375,8 @@ def audit(fib):
     formula against the agreement pattern it is known to have.
     """
     kind, n = fib.family.kind, fib.family.n
-    poly = scal_wz(fib)
     checks = [("scal-closed-form-pattern",
-               poly.same_function(scal_closed_form(fib.family))
+               fib.scal.same_function(scal_closed_form(fib.family))
                == _scal_identity_expected(kind, n))]
     if kind == "su":
         checks.append(("triple-census",
@@ -390,33 +389,33 @@ def audit(fib):
     checks.append(("base-minimum",
                    base_spectrum_first(fib.family, 1)[0].value
                    == _BETA1[kind](n)))
-    checks.append(("gap-certificate", gap_certificate(fib, poly)["holds"]))
+    checks.append(("gap-certificate", gap_certificate(fib)["holds"]))
 
-    threshold = rigidity_threshold(fib, poly)
+    threshold = rigidity_threshold(fib)
     checks.append(("threshold-in-unit-interval",
                    threshold.u.sign() > 0 and threshold.u < 1))
 
     t_min = Fraction(11, 100)
-    instants = degeneracy_instants(fib, poly, t_min)
-    base = instant_base(fib, poly, t_min)
+    instants = degeneracy_instants(fib, t_min)
+    base = instant_base(fib, t_min)
     checks.append(("instants-bifurcate",
                    bool(instants)
                    and all(inst.is_bifurcation for inst in instants)))
     checks.append(("morse-rigid-above-threshold",
-                   morse_index(fib, poly, base, 1) == 0))
+                   morse_index(fib, base, 1) == 0))
     samples = [Fraction(95, 100), Fraction(7, 10), Fraction(1, 2),
                Fraction(3, 10), Fraction(3, 20)]
-    indices = [morse_index(fib, poly, base, t) for t in samples]
+    indices = [morse_index(fib, base, t) for t in samples]
     checks.append(("morse-nondecreasing",
                    all(a <= b for a, b in zip(indices, indices[1:]))))
     if len(instants) >= 2:
         mid = Fraction(round((instants[0].t + instants[1].t) * 5e5), 10**6)
         checks.append(("three-solutions-between-instants",
-                       multiplicity_lower_bound(fib, poly, base, mid) == 3))
+                       multiplicity_lower_bound(fib, base, mid) == 3))
     checks.append(("one-solution-at-one",
-                   multiplicity_lower_bound(fib, poly, base, 1) == 1))
+                   multiplicity_lower_bound(fib, base, 1) == 1))
 
-    report = cross_check_closed_forms(fib.family, instants)
+    report = cross_check_closed_forms(fib, instants)
     checks.append(("closed-form-cross-check",
                    _expected_cross_check(kind, n, report)))
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .bifurcation import degeneracy_instants, instant_base, morse_index
 from .catalog import LEDGER, LEDGER_GLOBAL, audit, scal_closed_form
-from .curvature import scal_wz
 from .fibration import FAMILY_KEYS, FibrationFamily, build_fibration
 # flag_minimum is unused here but stays bound: the perfbench tracer
 # self-test checks that it is wrapped in this namespace too.
@@ -85,6 +84,18 @@ def _json_text(fib, **fields):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _emit_table(fib, args, key, header, rows):
+    """Rows of one table: in JSON, a list of dicts under ``key``; in CSV,
+    one line each, a tuple cell written by ``_label_str``."""
+    if args.format == "json":
+        _emit(_json_text(fib, **{key: [dict(zip(header, row))
+                                       for row in rows]}), args)
+    else:
+        _emit(_csv_text(header, [
+            [_label_str(x) if isinstance(x, tuple) else x for x in row]
+            for row in rows]), args)
+
+
 def _parse_window(args):
     t_min = _rational(args, "tmin")
     t_max = _rational(args, "tmax")
@@ -101,27 +112,16 @@ def cmd_spectrum(args):
     cutoff = _rational(args, "cutoff")
     totals = flag_spectrum(fib.family.root_family, cutoff)
     bases = base_spectrum(fib.family, cutoff)
-    entries = list(totals) + list(bases)
-    if args.format == "json":
-        _emit(_json_text(fib, entries=[{
-            "origin": e.origin,
-            "value": _frac(e.value),
-            "value_float": float(e.value),
-            "mult": e.mult,
-            "label": e.label,
-        } for e in entries]), args)
-    else:
-        rows = [(e.origin, _frac(e.value), float(e.value),
-                 "" if e.mult is None else e.mult, _label_str(e.label))
-                for e in entries]
-        _emit(_csv_text(("origin", "value", "value_float", "mult", "label"),
-                        rows), args)
+    _emit_table(fib, args, "entries",
+                ("origin", "value", "value_float", "mult", "label"),
+                [(e.origin, _frac(e.value), float(e.value), e.mult, e.label)
+                 for e in list(totals) + list(bases)])
     return 0
 
 
 def cmd_scal(args):
     fib = _build_fib(args)
-    wz = scal_wz(fib)
+    wz = fib.scal
     closed = scal_closed_form(fib.family)
     verdict = "PASS" if wz.same_function(closed) else "FAIL"
     rows = [("wang-ziller", wz), ("closed-form", closed)]
@@ -141,49 +141,28 @@ def cmd_scal(args):
 
 def cmd_instants(args):
     fib = _build_fib(args)
-    poly = scal_wz(fib)
-    t_min = _rational(args, "tmin")
-    instants = degeneracy_instants(fib, poly, t_min)
-    if args.format == "json":
-        _emit(_json_text(fib, instants=[{
-            "beta": _frac(inst.beta),
-            "u": str(inst.u),
-            "t": inst.t,
-            "t_error": inst.t_error,
-            "mult": inst.mult,
-            "is_bifurcation": inst.is_bifurcation,
-        } for inst in instants]), args)
-    else:
-        rows = [(_frac(inst.beta), str(inst.u), inst.t, inst.t_error,
-                 inst.mult, inst.is_bifurcation) for inst in instants]
-        _emit(_csv_text(
-            ("beta", "u", "t", "t_error", "mult", "is_bifurcation"), rows),
-            args)
+    instants = degeneracy_instants(fib, _rational(args, "tmin"))
+    _emit_table(fib, args, "instants",
+                ("beta", "u", "t", "t_error", "mult", "is_bifurcation"),
+                [(_frac(inst.beta), str(inst.u), inst.t, inst.t_error,
+                  inst.mult, inst.is_bifurcation) for inst in instants])
     return 0
 
 
 def cmd_morse(args):
     fib = _build_fib(args)
-    poly = scal_wz(fib)
     t_min, t_max = _parse_window(args)
-    base = instant_base(fib, poly, t_min)
+    base = instant_base(fib, t_min)
     steps = 100
     grid = []
     for i in range(steps + 1):
         t = t_min + (t_max - t_min) * i / steps
         try:
-            index = morse_index(fib, poly, base, t)
+            index = morse_index(fib, base, t)
         except ValueError:
             index = None
-        grid.append((t, index))
-    if args.format == "json":
-        _emit(_json_text(fib, grid=[
-            {"t": float(t), "t_exact": _frac(t), "index": index}
-            for t, index in grid]), args)
-    else:
-        rows = [(float(t), _frac(t), "" if index is None else index)
-                for t, index in grid]
-        _emit(_csv_text(("t", "t_exact", "index"), rows), args)
+        grid.append((float(t), _frac(t), index))
+    _emit_table(fib, args, "grid", ("t", "t_exact", "index"), grid)
     return 0
 
 
@@ -266,11 +245,10 @@ def _svg_figure(fib, names, rows, verticals, t_min, t_max):
 
 def cmd_figure(args):
     fib = _build_fib(args)
-    poly = scal_wz(fib)
     t_min, t_max = _parse_window(args)
-    names, rows = figure_series(fib, poly, t_min, t_max)
+    names, rows = figure_series(fib, t_min, t_max)
     if args.format == "svg":
-        verticals = degeneracy_instants(fib, poly, t_min)
+        verticals = degeneracy_instants(fib, t_min)
         _emit(_svg_figure(fib, names, rows, verticals, t_min, t_max), args)
     elif args.format == "json":
         _emit(_json_text(fib, grid={"columns": names, "rows": rows}), args)

@@ -79,8 +79,8 @@ def triples(fib):
             klass = "hvh-transport"
         elif n_vertical == 1:
             klass = "vhh"
-        else:
-            raise ValueError(
+        else:  # the grading rule is at fault, not the input
+            raise AssertionError(
                 "unexpected vertical pattern in triple {} {} {}".format(
                     alpha, beta, gamma))
         records.append(TripleRecord(alpha, beta, gamma, value, klass))

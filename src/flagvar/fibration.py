@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
+from .curvature import scal_wz
 from .rootsys import FamilyTag, build_root_system
 from .spectra import _first_entries, _weyl_rows, fiber_spectrum
 
@@ -75,7 +76,8 @@ class FibrationData(namedtuple(
         " fiber_simple_roots m_total dim_fiber dim_base base_id fiber_id"
         " phi1_given", defaults=(None,))):
     """The partition of a family's positive roots and its dimensions.  No
-    ``__slots__``: the cached ``phi1`` lives in the instance dict."""
+    ``__slots__``: the cached ``phi1`` and ``scal`` live in the instance
+    dict."""
 
     @cached_property
     def phi1(self):
@@ -84,6 +86,20 @@ class FibrationData(namedtuple(
         if self.phi1_given is not None:
             return self.phi1_given
         return _first_entries(lambda c: fiber_spectrum(self, c), 1)[0].value
+
+    @cached_property
+    def scal(self):
+        """scal(t) of the canonical variation, assembled on first read.
+
+        Everything downstream needs A > 0 > E: it makes scal(t)/(m-1)
+        strictly decreasing, every instant quadratic concave with one
+        positive root, and the gap quadratic concave.  That is certified
+        here, once; a violation is an internal fault.
+        """
+        poly = scal_wz(self)
+        if not poly.a > 0 > poly.e:
+            raise AssertionError("scal(t) breaks A > 0 > E")
+        return poly
 
 
 def _base_and_fiber_ids(family):

@@ -16,21 +16,23 @@ from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
                       flag_minimum, flag_spectrum)
 
 
-def normalized_scal(fib, poly):
+def normalized_scal(fib):
     """Divide scal(t) by m - 1, exactly, keeping the same numerator."""
     if fib.m_total < 3:
         raise ValueError("normalization needs dimension at least 3")
-    return poly.scaled_denominator(fib.m_total - 1)
+    return fib.scal.scaled_denominator(fib.m_total - 1)
 
 
-def gap_quadratic(fib, poly, mu, phi):
+def gap_quadratic(fib, mu, phi):
     """Coefficients (c0, c1, c2) of c0 + c1*u + c2*u**2 in u = t**2.
 
     It is d*(m-1)*u*(scal(t)/(m-1) - mu - (1/u - 1)*phi), so its sign
     at any u > 0 says which side of the curve mu + (1/t**2 - 1)*phi
     the normalized scalar curvature lies on; at phi = 0 its root is
-    where scal(t)/(m-1) meets the constant mu.
+    where scal(t)/(m-1) meets the constant mu.  It is concave, since
+    ``fib.scal`` certifies E < 0.
     """
+    poly = fib.scal
     scale = poly.d * (fib.m_total - 1)
     return (poly.a - scale * phi, poly.c - scale * (mu - phi), poly.e)
 
@@ -58,21 +60,18 @@ def _roots_in_unit_interval(c0, c1, c2):
     return low + high
 
 
-def gap_certificate(fib, poly):
+def gap_certificate(fib):
     """Certify scal(t)/(m-1) < mu1 + (1/t**2 - 1)*phi1 on all of (0, 1].
 
     mu1 is the flag minimum and phi1 the fibration's, so a phi1 given to
     ``build_fibration`` is the one tested.  The claim is
     ``gap_quadratic`` staying negative on (0, 1]: negative at 1 with no
     root in (0, 1), counted in closed form.  Returns a report dict with
-    the verdict and the quadratic used; raises ValueError unless the
-    quadratic is concave.
+    the verdict and the quadratic used.
     """
     phi1 = fib.phi1
     mu1 = flag_minimum(fib.family.root_family).value
-    coeffs = list(gap_quadratic(fib, poly, mu1, phi1))
-    if coeffs[2] >= 0:
-        raise ValueError("expected a negative u**2 coefficient")
+    coeffs = list(gap_quadratic(fib, mu1, phi1))
     at_one = sum(coeffs)
     roots_inside = _roots_in_unit_interval(*coeffs) if at_one < 0 else 0
     return {
@@ -87,7 +86,7 @@ def gap_certificate(fib, poly):
     }
 
 
-def figure_series(fib, poly, t_min, t_max):
+def figure_series(fib, t_min, t_max):
     """Grid columns for the plot on 121 points of [t_min, t_max]: t,
     scal/(m-1), the first six constants and the curves
     mu_k + (1/t**2 - 1)*phi_j for 1 <= j <= k <= 6.
@@ -99,7 +98,7 @@ def figure_series(fib, poly, t_min, t_max):
     single correctly rounded int/int division of the exact value.
     """
     steps = 120
-    norm = normalized_scal(fib, poly)
+    norm = normalized_scal(fib)
     (a, c, e, d), _ = common_denominator((norm.a, norm.c, norm.e, norm.d))
     constants = [float(x.value) for x in base_spectrum_first(fib.family, 6)]
     mus = [x.value for x in _first_entries(

@@ -112,12 +112,12 @@ def test_criterion_03():
 
 def test_criterion_04(tmp_path):
     fib = _fib("su", 2)
-    poly = scal_wz(fib)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 10))
+    poly = fib.scal
+    instants = degeneracy_instants(fib, Fraction(1, 10))
     ok = len(instants) == 5
     first = instants[0]
     ok = ok and first.u == QuadraticSurd(-18, 1, 2, 340)
-    ok = ok and abs(first.t - _su_threshold(2)) < 1e-9
+    ok = ok and first.u == _su_threshold(2)
     m = fib.m_total
     for inst in instants:
         u = inst.u
@@ -139,7 +139,7 @@ def test_criterion_04(tmp_path):
 
 def test_criterion_05():
     fib = _fib("so-odd", 2)
-    inst = rigidity_threshold(fib, scal_wz(fib))
+    inst = rigidity_threshold(fib)
     ok = inst.u == QuadraticSurd(-4, 2, 1, 5)
     printed = (40 ** 0.5 / 2 ** 0.5 - 4) ** 0.5
     ok = ok and abs(inst.t - printed) < 1e-9
@@ -149,8 +149,7 @@ def test_criterion_05():
 
 def test_criterion_06():
     fib = _fib("g2", 2)
-    poly = scal_wz(fib)
-    instants = degeneracy_instants(fib, poly, Fraction(11, 100))
+    instants = degeneracy_instants(fib, Fraction(11, 100))
     ok = instants[0].beta == Fraction(7, 6)
     ok = ok and abs(instants[0].t - 0.27395) < 5e-6
     # scal(t)/11 < mu1 + (1/t**2 - 1)*phi1 at every computed instant,
@@ -172,34 +171,30 @@ def test_criterion_07():
     ok = True
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
-        poly = scal_wz(fib)
-        instants = degeneracy_instants(fib, poly, Fraction(1, 10))
-        base = instant_base(fib, poly, Fraction(1, 10))
+        instants = degeneracy_instants(fib, Fraction(1, 10))
+        base = instant_base(fib, Fraction(1, 10))
         b = instants[0]
         just_above = Fraction(int(b.t * 10 ** 6) + 2, 10 ** 6)
         ok = ok and b.u < just_above * just_above
         for t in (just_above, Fraction(1), (just_above + 1) / 2):
-            ok = ok and morse_index(fib, poly, base, t) == 0
+            ok = ok and morse_index(fib, base, t) == 0
     fib = _fib("su", 2)
-    poly = scal_wz(fib)
-    base = instant_base(fib, poly, Fraction(1, 10))
-    below = morse_index(fib, poly, base, Fraction(467, 1000))
-    above = morse_index(fib, poly, base, Fraction(47, 100))
+    base = instant_base(fib, Fraction(1, 10))
+    below = morse_index(fib, base, Fraction(467, 1000))
+    above = morse_index(fib, base, Fraction(47, 100))
     ok = ok and below - above == 8
     ok = ok and cpn_multiplicity(2, 1) == 8 == weyl_dim(FamilyTag("A", 2), (1, 1))
     sphere = _fib("so-odd", 2)
-    spoly = scal_wz(sphere)
-    sbase = instant_base(sphere, spoly, Fraction(1, 10))
-    jump = (morse_index(sphere, spoly, sbase, Fraction(68, 100))
-            - morse_index(sphere, spoly, sbase, Fraction(69, 100)))
+    sbase = instant_base(sphere, Fraction(1, 10))
+    jump = (morse_index(sphere, sbase, Fraction(68, 100))
+            - morse_index(sphere, sbase, Fraction(69, 100)))
     ok = ok and jump == 5 == sphere_multiplicity(2, 1)
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
-        poly = scal_wz(fib)
-        instants = degeneracy_instants(fib, poly, Fraction(1, 10))
-        base = instant_base(fib, poly, Fraction(1, 10))
+        instants = degeneracy_instants(fib, Fraction(1, 10))
+        base = instant_base(fib, Fraction(1, 10))
         grid = [Fraction(k, 100) for k in range(100, 10, -1)]
-        values = [morse_index(fib, poly, base, t) for t in grid
+        values = [morse_index(fib, base, t) for t in grid
                   if all(inst.u != t * t for inst in instants)]
         ok = ok and values == sorted(values)
     assert _report(7, ok)
@@ -209,7 +204,7 @@ def test_criterion_08():
     ok = True
     for kind, n in CASES:
         fib = _fib(kind, n)
-        report = gap_certificate(fib, scal_wz(fib))
+        report = gap_certificate(fib)
         ok = ok and report["holds"]
         ok = ok and report["roots_in_unit_interval"] == 0
         ok = ok and report["value_at_one"] < 0
@@ -220,12 +215,12 @@ def test_criterion_09():
     ok = True
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
-        poly = scal_wz(fib)
+        poly = fib.scal
         entries = base_spectrum_first(fib.family, 50)
         ok = ok and len(entries) == 50
         instants = []
         for entry in entries:
-            inst = solve_instant(fib, poly, entry.value, entry.mult)
+            inst = solve_instant(fib, entry.value, entry.mult)
             ok = ok and inst.u.sign() > 0
             # The defining quadratic has exactly one positive root: the
             # companion root (conjugate branch) must be negative.
@@ -239,7 +234,7 @@ def test_criterion_09():
             instants.append(inst)
         for first, second in zip(instants, instants[1:]):
             ok = ok and second.u < first.u
-        tail = instant_below(fib, poly, Fraction(1, 100))
+        tail = instant_below(fib, Fraction(1, 100))
         ok = ok and tail.u < Fraction(1, 10000)
     assert _report(9, ok)
 
@@ -248,14 +243,13 @@ def test_criterion_10():
     ok = True
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
-        poly = scal_wz(fib)
-        instants = degeneracy_instants(fib, poly, Fraction(1, 10))
-        base = instant_base(fib, poly, Fraction(1, 10))
+        instants = degeneracy_instants(fib, Fraction(1, 10))
+        base = instant_base(fib, Fraction(1, 10))
         for first, second in zip(instants, instants[1:]):
             mid = Fraction(int((first.t + second.t) / 2 * 10 ** 9), 10 ** 9)
-            ok = ok and multiplicity_lower_bound(fib, poly, base, mid) == 3
+            ok = ok and multiplicity_lower_bound(fib, base, mid) == 3
         b = instants[0]
         just_above = Fraction(int(b.t * 10 ** 6) + 2, 10 ** 6)
         for t in (just_above, Fraction(9, 10), Fraction(1)):
-            ok = ok and multiplicity_lower_bound(fib, poly, base, t) == 1
+            ok = ok and multiplicity_lower_bound(fib, base, t) == 1
     assert _report(10, ok)

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from flagvar import bifurcation, fibration
 from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  instant_below, morse_index,
                                  multiplicity_lower_bound,
                                  rigidity_threshold, solve_instant)
 from flagvar.catalog import (_so_odd_threshold, cross_check_closed_forms,
                              scal_closed_form)
-from flagvar.curvature import ScalPoly, scal_wz
+from flagvar.curvature import ScalPoly
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
                              kramer_basis, weyl_dim)
@@ -21,15 +22,14 @@ from oracles import ambient_weight, casimir_of_weight
 
 
 def _setup(kind, n):
-    fib = build_fibration(FibrationFamily(kind, n))
-    return fib, scal_wz(fib)
+    return build_fibration(FibrationFamily(kind, n))
 
 
 # -- exact roots for the projective-base family ---------------------------
 
 def test_su3_first_instant_exact():
-    fib, poly = _setup("su", 2)
-    inst = rigidity_threshold(fib, poly)
+    fib = _setup("su", 2)
+    inst = rigidity_threshold(fib)
     assert inst.beta == 1
     assert inst.mult == 8
     assert inst.u == QuadraticSurd(-18, 1, 2, 340)
@@ -40,8 +40,8 @@ def test_su3_first_instant_exact():
 
 
 def test_su3_second_instant_exact():
-    fib, poly = _setup("su", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 5))
+    fib = _setup("su", 2)
+    instants = degeneracy_instants(fib, Fraction(1, 5))
     assert len(instants) == 2
     second = instants[1]
     assert second.beta == Fraction(8, 3)
@@ -52,8 +52,8 @@ def test_su3_second_instant_exact():
 
 
 def test_su3_first_five_instants():
-    fib, poly = _setup("su", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 10))
+    fib = _setup("su", 2)
+    instants = degeneracy_instants(fib, Fraction(1, 10))
     assert len(instants) == 5
     assert [i.beta for i in instants] == [
         Fraction(1), Fraction(8, 3), Fraction(5), Fraction(8), Fraction(35, 3)]
@@ -66,10 +66,11 @@ def test_su3_first_five_instants():
 
 
 def test_su3_roots_satisfy_defining_quadratic_exactly():
-    fib, poly = _setup("su", 2)
+    fib = _setup("su", 2)
     zero = QuadraticSurd.from_rational(Fraction(0))
     m = fib.m_total
-    for inst in degeneracy_instants(fib, poly, Fraction(1, 10)):
+    poly = fib.scal
+    for inst in degeneracy_instants(fib, Fraction(1, 10)):
         u = inst.u
         residual = (poly.e * (u * u)
                     + (poly.c - inst.beta * (m - 1) * poly.d) * u + poly.a)
@@ -79,8 +80,8 @@ def test_su3_roots_satisfy_defining_quadratic_exactly():
 # -- the even-sphere base --------------------------------------------------
 
 def test_so5_threshold_exact():
-    fib, poly = _setup("so-odd", 2)
-    inst = rigidity_threshold(fib, poly)
+    fib = _setup("so-odd", 2)
+    inst = rigidity_threshold(fib)
     assert inst.beta == Fraction(2, 3)
     assert inst.mult == 5
     assert inst.u == QuadraticSurd(-4, 2, 1, 5)
@@ -92,8 +93,8 @@ def test_so5_threshold_exact():
 # -- the exceptional family ------------------------------------------------
 
 def test_g2_instants_at_low_cut():
-    fib, poly = _setup("g2", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(11, 100))
+    fib = _setup("g2", 2)
+    instants = degeneracy_instants(fib, Fraction(11, 100))
     assert [i.beta for i in instants] == [
         Fraction(7, 6), Fraction(5, 2), Fraction(3), Fraction(14, 3)]
     assert [i.mult for i in instants] == [27, 77, 182, 729]
@@ -103,17 +104,34 @@ def test_g2_instants_at_low_cut():
 # -- input validation ------------------------------------------------------
 
 def test_degeneracy_instants_rejects_bad_t_min():
-    fib, poly = _setup("su", 2)
+    fib = _setup("su", 2)
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
         with pytest.raises(ValueError):
-            degeneracy_instants(fib, poly, bad)
+            degeneracy_instants(fib, bad)
 
 
-def test_solve_instant_rejects_wrong_sign_polynomial():
-    fib, _ = _setup("su", 2)
-    bad = ScalPoly(a=Fraction(1), c=Fraction(1), e=Fraction(1), d=Fraction(1))
-    with pytest.raises(ValueError, match="expected E < 0 and A > 0"):
-        solve_instant(fib, bad, Fraction(1))
+def _clear_caches():
+    bifurcation._quadratics.cache_clear()
+    bifurcation.instant_base.cache_clear()
+
+
+def test_solve_instant_rejects_wrong_sign_polynomial(monkeypatch):
+    # A > 0 > E is certified where a fresh fibration derives scal(t), so
+    # an assembly that breaks it is an internal fault the solver never
+    # sees.  The caches key on the fibration, whose equal twin they may
+    # already hold, so they are emptied around the patched runs.
+    one, zero = Fraction(1), Fraction(0)
+    _clear_caches()
+    try:
+        for bad in (ScalPoly(one, one, one, one),
+                    ScalPoly(one, one, zero, one),
+                    ScalPoly(zero, one, -one, one),
+                    ScalPoly(-one, one, -one, one)):
+            monkeypatch.setattr(fibration, "scal_wz", lambda fib, p=bad: p)
+            with pytest.raises(AssertionError, match="A > 0 > E"):
+                solve_instant(_setup("su", 2), Fraction(1))
+    finally:
+        _clear_caches()
 
 
 @pytest.mark.parametrize("kind,n", [("su", 2), ("so-odd", 2), ("sp", 3),
@@ -126,74 +144,74 @@ def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
     mu1 = flag_minimum(family.root_family).value
     for phi1 in (Fraction(1, 50), Fraction(1, 1000)):
         fib = build_fibration(family, phi1)
-        instants = degeneracy_instants(fib, scal_wz(fib), Fraction(1, 5))
+        instants = degeneracy_instants(fib, Fraction(1, 5))
         for inst in instants:
             margin = mu1 + (inst.u.inverse() - 1) * phi1 - inst.beta
             assert inst.is_bifurcation == (margin.sign() > 0)
         assert not all(inst.is_bifurcation for inst in instants)
     fib = build_fibration(family)
     assert all(inst.is_bifurcation for inst in
-               degeneracy_instants(fib, scal_wz(fib), Fraction(1, 5)))
+               degeneracy_instants(fib, Fraction(1, 5)))
 
 
 # -- Morse index -----------------------------------------------------------
 
 def test_morse_index_su3():
-    fib, poly = _setup("su", 2)
-    base = instant_base(fib, poly, Fraction(1, 10))
-    assert morse_index(fib, poly, base, Fraction(1)) == 0
-    assert morse_index(fib, poly, base, Fraction(2, 5)) == 8
-    assert morse_index(fib, poly, base, Fraction(1, 5)) == 35
+    fib = _setup("su", 2)
+    base = instant_base(fib, Fraction(1, 10))
+    assert morse_index(fib, base, Fraction(1)) == 0
+    assert morse_index(fib, base, Fraction(2, 5)) == 8
+    assert morse_index(fib, base, Fraction(1, 5)) == 35
     # 8 + 27 + 64 + 125 + 216 below the last computed instant.
-    assert morse_index(fib, poly, base, Fraction(27, 250)) == 440
+    assert morse_index(fib, base, Fraction(27, 250)) == 440
 
 
 def test_morse_index_so5():
-    fib, poly = _setup("so-odd", 2)
-    base = instant_base(fib, poly, Fraction(1, 5))
-    assert morse_index(fib, poly, base, Fraction(9, 10)) == 0
-    assert morse_index(fib, poly, base, Fraction(1, 2)) == 5
+    fib = _setup("so-odd", 2)
+    base = instant_base(fib, Fraction(1, 5))
+    assert morse_index(fib, base, Fraction(9, 10)) == 0
+    assert morse_index(fib, base, Fraction(1, 2)) == 5
 
 
 def test_morse_index_nondecreasing_toward_zero():
-    fib, poly = _setup("g2", 2)
-    base = instant_base(fib, poly, Fraction(11, 100))
+    fib = _setup("g2", 2)
+    base = instant_base(fib, Fraction(11, 100))
     samples = [Fraction(k, 100) for k in (95, 70, 50, 30, 20, 12)]
-    values = [morse_index(fib, poly, base, t) for t in samples]
+    values = [morse_index(fib, base, t) for t in samples]
     assert values == sorted(values)
     assert values[0] == 0
 
 
-def _crafted(fib, poly, *ts):
+def _crafted(fib, *ts):
     """Base entries valued scal(t)/(m-1) at the decreasing rational t's,
     so that each t is an instant, with multiplicities 1, 2, 4, ..."""
-    norm = normalized_scal(fib, poly)
+    norm = normalized_scal(fib)
     return [SpectrumEntry(value=norm.value_at_t(t), mult=2 ** k,
                           origin="base", label=(k,))
             for k, t in enumerate(ts)]
 
 
 def test_morse_index_rejects_degenerate_point():
-    fib, poly = _setup("su", 2)
+    fib = _setup("su", 2)
     with pytest.raises(ValueError, match="degenerate point"):
-        morse_index(fib, poly, _crafted(fib, poly, Fraction(1, 2)),
+        morse_index(fib, _crafted(fib, Fraction(1, 2)),
                     Fraction(1, 2))
 
 
 def test_degenerate_point_inside_a_list_of_instants():
-    fib, poly = _setup("su", 2)
-    base = _crafted(fib, poly, Fraction(3, 4), Fraction(1, 2),
+    fib = _setup("su", 2)
+    base = _crafted(fib, Fraction(3, 4), Fraction(1, 2),
                     Fraction(1, 4), Fraction(1, 8))
     for t in (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
         with pytest.raises(ValueError, match="degenerate point"):
-            morse_index(fib, poly, base, t)
-        assert multiplicity_lower_bound(fib, poly, base, t) == 1
-    assert morse_index(fib, poly, base, Fraction(1)) == 0
-    assert morse_index(fib, poly, base, Fraction(5, 8)) == 1
-    assert morse_index(fib, poly, base, Fraction(3, 8)) == 3
-    assert morse_index(fib, poly, base, Fraction(1, 16)) == 15
-    assert multiplicity_lower_bound(fib, poly, base, Fraction(5, 8)) == 3
-    assert multiplicity_lower_bound(fib, poly, base, Fraction(1, 16)) == 1
+            morse_index(fib, base, t)
+        assert multiplicity_lower_bound(fib, base, t) == 1
+    assert morse_index(fib, base, Fraction(1)) == 0
+    assert morse_index(fib, base, Fraction(5, 8)) == 1
+    assert morse_index(fib, base, Fraction(3, 8)) == 3
+    assert morse_index(fib, base, Fraction(1, 16)) == 15
+    assert multiplicity_lower_bound(fib, base, Fraction(5, 8)) == 3
+    assert multiplicity_lower_bound(fib, base, Fraction(1, 16)) == 1
 
 
 def _linear_scan(instants, t):
@@ -212,50 +230,50 @@ def _linear_scan(instants, t):
 def test_bisection_matches_the_linear_scan(kind, n):
     # Every point of the morse command's grid, at tmin 0.007, or 0.01
     # for the bases of rank 3 and 4, which have thousands of instants.
-    fib, poly = _setup(kind, n)
+    fib = _setup(kind, n)
     t_min = (Fraction(1, 100) if kind in ("sp", "so-even")
              else Fraction(7, 1000))
-    instants = degeneracy_instants(fib, poly, t_min)
-    base = instant_base(fib, poly, t_min)
+    instants = degeneracy_instants(fib, t_min)
+    base = instant_base(fib, t_min)
     assert len(instants) > 80
     for i in range(101):
         t = t_min + (1 - t_min) * i / 100
         index, count = _linear_scan(instants, t)
-        assert morse_index(fib, poly, base, t) == index
-        assert multiplicity_lower_bound(fib, poly, base, t) == count
+        assert morse_index(fib, base, t) == index
+        assert multiplicity_lower_bound(fib, base, t) == count
 
 
 def test_morse_index_rejects_t_outside_range():
-    fib, poly = _setup("su", 2)
+    fib = _setup("su", 2)
     with pytest.raises(ValueError):
-        morse_index(fib, poly, [], Fraction(0))
+        morse_index(fib, [], Fraction(0))
     with pytest.raises(ValueError):
-        morse_index(fib, poly, [], Fraction(3, 2))
+        morse_index(fib, [], Fraction(3, 2))
 
 
 # -- solution counts -------------------------------------------------------
 
 def test_multiplicity_lower_bound():
-    fib, poly = _setup("su", 2)
-    base = instant_base(fib, poly, Fraction(1, 10))
-    assert multiplicity_lower_bound(fib, poly, base, Fraction(3, 10)) == 3
-    assert multiplicity_lower_bound(fib, poly, base, Fraction(1)) == 1
-    assert multiplicity_lower_bound(fib, poly, base, Fraction(9, 10)) == 1
+    fib = _setup("su", 2)
+    base = instant_base(fib, Fraction(1, 10))
+    assert multiplicity_lower_bound(fib, base, Fraction(3, 10)) == 3
+    assert multiplicity_lower_bound(fib, base, Fraction(1)) == 1
+    assert multiplicity_lower_bound(fib, base, Fraction(9, 10)) == 1
     with pytest.raises(ValueError):
-        multiplicity_lower_bound(fib, poly, base, Fraction(0))
+        multiplicity_lower_bound(fib, base, Fraction(0))
 
 
 def test_multiplicity_above_threshold_is_one():
-    fib, poly = _setup("g2", 2)
-    base = instant_base(fib, poly, Fraction(11, 100))
-    assert multiplicity_lower_bound(fib, poly, base, Fraction(9, 10)) == 1
+    fib = _setup("g2", 2)
+    base = instant_base(fib, Fraction(11, 100))
+    assert multiplicity_lower_bound(fib, base, Fraction(9, 10)) == 1
 
 
 def test_instant_base_is_the_base_spectrum_to_the_cutoff():
-    fib, poly = _setup("g2", 2)
+    fib = _setup("g2", 2)
     t_min = Fraction(1, 20)
-    cutoff = normalized_scal(fib, poly).value_at_t(t_min)
-    assert list(instant_base(fib, poly, t_min)) == base_spectrum(
+    cutoff = normalized_scal(fib).value_at_t(t_min)
+    assert list(instant_base(fib, t_min)) == base_spectrum(
         fib.family, cutoff)
 
 
@@ -269,8 +287,8 @@ def test_instant_base_is_the_base_spectrum_to_the_cutoff():
     ("g2", 2, Fraction(612)),
 ])
 def test_instant_below_one_hundredth(kind, n, beta):
-    fib, poly = _setup(kind, n)
-    inst = instant_below(fib, poly, Fraction(1, 100))
+    fib = _setup(kind, n)
+    inst = instant_below(fib, Fraction(1, 100))
     assert inst.beta == beta
     assert inst.u < Fraction(1, 10000)
     assert inst.t < 0.01
@@ -286,7 +304,7 @@ def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
                                                                  eps):
     # The witness is k*gen, gen the first spherical generator and k the
     # least multiple whose ambient Casimir exceeds scal(eps)/(m-1).
-    fib, poly = _setup(kind, n)
+    fib = _setup(kind, n)
     family = fib.family.root_family
     gen = kramer_basis(fib.family)[0]
 
@@ -294,12 +312,12 @@ def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
         return casimir_of_weight(
             family, ambient_weight(family, [k * c for c in gen]))
 
-    target = normalized_scal(fib, poly).value_at_t(eps)
+    target = normalized_scal(fib).value_at_t(eps)
     k = 1
     while casimir(k) <= target:
         k += 1
-    inst = instant_below(fib, poly, eps)
-    assert inst == solve_instant(fib, poly, casimir(k),
+    inst = instant_below(fib, eps)
+    assert inst == solve_instant(fib, casimir(k),
                                  weyl_dim(family, tuple(k * c for c in gen)))
     assert inst.u < eps * eps
 
@@ -307,8 +325,8 @@ def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
 # -- catalogued closed-form sequences -------------------------------------
 
 def test_cross_check_su_all_agree():
-    fib, poly = _setup("su", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 10))
+    fib = _setup("su", 2)
+    instants = degeneracy_instants(fib, Fraction(1, 10))
     rows = cross_check_closed_forms(fib, instants)
     assert len(rows) == 5
     assert all(row["agree"] for row in rows)
@@ -316,8 +334,8 @@ def test_cross_check_su_all_agree():
 
 
 def test_cross_check_so_odd_radicand_mismatch():
-    fib, poly = _setup("so-odd", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(2, 10))
+    fib = _setup("so-odd", 2)
+    instants = degeneracy_instants(fib, Fraction(2, 10))
     rows = cross_check_closed_forms(fib, instants)
     assert rows[0]["agree"]
     for row in rows[1:]:
@@ -330,16 +348,20 @@ def test_so_odd_threshold_is_the_catalogued_scal_instant(n):
     # The catalogued threshold solves the defining quadratic of the
     # catalogued scalar curvature, which is wrong for n >= 4, so it
     # misses the instant of the assembled one.
-    fib, poly = _setup("so-odd", n)
+    fib = _setup("so-odd", n)
     beta = Fraction(n, 2 * n - 1)
-    catalogued = solve_instant(fib, scal_closed_form(fib.family), beta)
-    assert abs(_so_odd_threshold(n) - catalogued.t) < 1e-9
-    assert abs(_so_odd_threshold(n) - solve_instant(fib, poly, beta).t) > 1e-3
+    closed = scal_closed_form(fib.family)
+    u = _so_odd_threshold(n)
+    m = fib.m_total
+    residual = (closed.e * (u * u)
+                + (closed.c - beta * (m - 1) * closed.d) * u + closed.a)
+    assert u.sign() > 0 and residual.sign() == 0
+    assert u != solve_instant(fib, beta).u
 
 
 def test_cross_check_g2_mismatch_only_off_axis():
-    fib, poly = _setup("g2", 2)
-    instants = degeneracy_instants(fib, poly, Fraction(11, 100))
+    fib = _setup("g2", 2)
+    instants = degeneracy_instants(fib, Fraction(11, 100))
     rows = cross_check_closed_forms(fib, instants)
     assert len(rows) == 4
     by_label = {row["label"]: row for row in rows}
@@ -354,6 +376,6 @@ def test_cross_check_g2_mismatch_only_off_axis():
 
 @pytest.mark.parametrize("kind,n", [("sp", 3), ("so-even", 4)])
 def test_cross_check_empty_where_no_sequences_catalogued(kind, n):
-    fib, poly = _setup(kind, n)
-    instants = degeneracy_instants(fib, poly, Fraction(1, 2))
+    fib = _setup(kind, n)
+    instants = degeneracy_instants(fib, Fraction(1, 2))
     assert cross_check_closed_forms(fib, instants) == []

@@ -8,10 +8,13 @@ import json
 import pathlib
 import re
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
-from flagvar import bifurcation, cli, spectra, surd
+from flagvar import bifurcation, cli, fibration, spectra, surd
+from flagvar.curvature import ScalPoly
+from flagvar.rootsys import build_root_system
 from test_acceptance import CASES
 
 
@@ -257,6 +260,59 @@ def test_internal_exactness_failure_exits_1(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_grading_fault_exits_1(capsys, monkeypatch):
+    # Grading on an odd last coefficient puts two vertical roots in one
+    # triple with a horizontal one: a fault of the grading rule, not of
+    # the input.
+    real = fibration._weyl_rows
+
+    def flipped(family):
+        rows, den = real(family)
+        step = sum(x * x for x in build_root_system(family).simple_roots[-1])
+        return tuple(row[:-1] + (row[-1] + step,) for row in rows), den
+
+    monkeypatch.setattr(fibration, "_weyl_rows", flipped)
+    code, out, err = run(capsys, ["scal", "--family", "su", "--n", "3"])
+    assert code == 1 and out == ""
+    assert err.startswith(
+        "flagvar: certificate failed: unexpected vertical pattern")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["scal", "instants", "morse", "figure",
+                                 "verify"])
+def test_scal_shape_fault_exits_1(capsys, monkeypatch, sub):
+    # scal(t) with E > 0 breaks the one A > 0 > E check every subcommand
+    # past it relies on.  The caches key on equal fibrations, so they are
+    # emptied around the patched run.
+    one = Fraction(1)
+    monkeypatch.setattr(fibration, "scal_wz",
+                        lambda fib: ScalPoly(one, one, one, one))
+    bifurcation.instant_base.cache_clear()
+    bifurcation._quadratics.cache_clear()
+    try:
+        code, out, err = run(capsys, [sub, "--family", "su", "--n", "2"])
+    finally:
+        bifurcation.instant_base.cache_clear()
+        bifurcation._quadratics.cache_clear()
+    assert code == 1 and out == ""
+    assert err == "flagvar: certificate failed: scal(t) breaks A > 0 > E\n"
+
+
+def test_verify_derives_scal_once(capsys, monkeypatch):
+    families = []
+    real = fibration.scal_wz
+
+    def counted(fib):
+        families.append(fib.family)
+        return real(fib)
+
+    monkeypatch.setattr(fibration, "scal_wz", counted)
+    code, _, _ = run(capsys, ["verify", "--family", "sp", "--n", "3"])
+    assert code == 0
+    assert families == [("sp", 3)]
+
+
 def test_usage_error_bad_tmin(capsys):
     code, _, err = run(capsys, ["instants", "--family", "su", "--tmin", "2"])
     assert code == 2
@@ -343,6 +399,24 @@ def test_scal_and_spectrum_enumerate_no_fiber(capsys, monkeypatch, argv):
     code, out, _ = run(capsys, argv)
     assert code in (0, 1)
     assert json.loads(out)["family"] == argv[2]
+
+
+# The command-line examples of the README, one per subcommand.
+README_LINES = [
+    line.split("#")[0].split()
+    for line in (pathlib.Path(__file__).resolve().parents[1] / "README.md")
+    .read_text().splitlines() if line.startswith("flagvar ")]
+
+
+def test_readme_examples_found():
+    assert sorted(argv[1] for argv in README_LINES) == sorted(
+        ["spectrum", "scal", "instants", "morse", "figure", "verify"])
+
+
+@pytest.mark.parametrize("argv", README_LINES, ids=" ".join)
+def test_readme_example_runs(capsys, argv):
+    code, out, err = run(capsys, argv[1:])
+    assert code == 0 and out and err == ""
 
 
 def test_alias_families_match_canonical(capsys):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagvar import fibration
 from flagvar.catalog import _BETA1
-from flagvar.curvature import ScalPoly, scal_wz
+from flagvar.curvature import ScalPoly
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (base_spectrum, fiber_spectrum, flag_minimum,
                              flag_spectrum)
@@ -105,17 +106,17 @@ def test_constant_eigenvalues_are_the_base_lines():
 
 def test_normalized_scal_spot_values():
     f = _fib("su", 2)
-    assert normalized_scal(f, scal_wz(f)).value_at_t(Fraction(1)) == Fraction(1, 2)
+    assert normalized_scal(f).value_at_t(Fraction(1)) == Fraction(1, 2)
     g = _fib("g2", 2)
-    assert normalized_scal(g, scal_wz(g)).value_at_t(Fraction(1)) == Fraction(4, 11)
+    assert normalized_scal(g).value_at_t(Fraction(1)) == Fraction(4, 11)
     s = _fib("so-odd", 2)
-    assert normalized_scal(s, scal_wz(s)).value_at_t(Fraction(1)) == Fraction(3, 7)
+    assert normalized_scal(s).value_at_t(Fraction(1)) == Fraction(3, 7)
 
 
 def test_normalized_scal_divides_by_dimension_minus_one():
     f = _fib("sp", 3)
-    poly = scal_wz(f)
-    scaled = normalized_scal(f, poly)
+    poly = f.scal
+    scaled = normalized_scal(f)
     t = Fraction(2, 5)
     assert scaled.value_at_t(t) * (f.m_total - 1) == poly.value_at_t(t)
 
@@ -125,7 +126,7 @@ def test_normalized_scal_divides_by_dimension_minus_one():
 @pytest.mark.parametrize("kind,n", CRITERION_CASES)
 def test_gap_certificate_holds_everywhere(kind, n):
     f = _fib(kind, n)
-    report = gap_certificate(f, scal_wz(f))
+    report = gap_certificate(f)
     assert report["holds"]
     assert report["roots_in_unit_interval"] == 0
     assert report["value_at_one"] < 0
@@ -133,7 +134,7 @@ def test_gap_certificate_holds_everywhere(kind, n):
 
 def test_gap_certificate_su2_report_fields():
     f = _fib("su", 2)
-    report = gap_certificate(f, scal_wz(f))
+    report = gap_certificate(f)
     assert report["family"] == "su"
     assert report["n"] == 2
     assert report["mu1"] == 1
@@ -148,30 +149,34 @@ def test_gap_certificate_negative_controls():
     # Shrinking phi1 far enough must break the certificate: the verdict
     # is computed, not assumed.  The fibration's phi1 is the one tested.
     f = build_fibration(FibrationFamily("su", 2), Fraction(1, 1000))
-    weak_phi = gap_certificate(f, scal_wz(f))
+    weak_phi = gap_certificate(f)
     assert weak_phi["phi1"] == Fraction(1, 1000)
     assert not weak_phi["holds"]
     assert weak_phi["roots_in_unit_interval"] == 1
 
 
-def test_gap_certificate_needs_a_concave_quadratic():
-    f = _fib("su", 2)
-    poly = scal_wz(f)
+def test_gap_certificate_needs_a_concave_quadratic(monkeypatch):
+    # The concavity the root count relies on is E < 0, certified where a
+    # fresh fibration derives scal(t): an assembly breaking it never
+    # reaches the certificate.
+    poly = _fib("su", 2).scal
     for e in (Fraction(0), Fraction(1, 7)):
-        with pytest.raises(ValueError, match="negative u"):
-            gap_certificate(f, ScalPoly(poly.a, poly.c, e, poly.d))
+        monkeypatch.setattr(fibration, "scal_wz", lambda fib, e=e: ScalPoly(
+            poly.a, poly.c, e, poly.d))
+        with pytest.raises(AssertionError, match="A > 0 > E"):
+            gap_certificate(_fib("su", 2))
 
 
 def test_gap_quadratic_is_the_curve_gap_scaled_by_u():
     # c0 + c1*u + c2*u**2 = d*(m-1)*u*(scal/(m-1) - mu - (1/u - 1)*phi).
     f = _fib("so-odd", 2)
-    poly = scal_wz(f)
+    poly = f.scal
     mu, phi = Fraction(3, 4), Fraction(2, 9)
-    c0, c1, c2 = gap_quadratic(f, poly, mu, phi)
+    c0, c1, c2 = gap_quadratic(f, mu, phi)
     for u in (Fraction(1, 9), Fraction(1, 2), Fraction(1)):
         curve = mu + (1 / u - 1) * phi
         expected = (poly.d * (f.m_total - 1) * u
-                    * (normalized_scal(f, poly).value_at_u(u) - curve))
+                    * (normalized_scal(f).value_at_u(u) - curve))
         assert c0 + c1 * u + c2 * u * u == expected
 
 
