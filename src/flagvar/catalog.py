@@ -46,9 +46,9 @@ from .bifurcation import (degeneracy_instants, instant_base, morse_index,
                           multiplicity_lower_bound, rigidity_threshold)
 from .curvature import ScalPoly, su_triple_census
 from .rootsys import FamilyTag
-from .spectra import (_class_one_points, _first_entries, _form_value,
-                      _simple_gram, base_spectrum, base_spectrum_first,
-                      flag_minimum, is_dominant_class_one)
+from .spectra import (_class_one_points, _first_entries, _simple_gram,
+                      base_spectrum, base_spectrum_first, flag_minimum,
+                      is_dominant_class_one)
 from .surd import QuadraticSurd
 from .variation import gap_certificate
 
@@ -305,12 +305,6 @@ def _catalogued_c_gram(n):
     return tuple(tuple(4 if i == j == n - 1 else 2 if i == j
                        else -1 if abs(i - j) == 1 else 0
                        for j in range(n)) for i in range(n))
-
-
-def _catalogued_c_mu(p):
-    """The catalogued sp-family eigenvalue polynomial at p."""
-    n = len(p)
-    return Fraction(_form_value(_catalogued_c_gram(n), p), 4 * (n + 1))
 
 
 def cn_first_eigenvalue_report(n):

@@ -247,10 +247,11 @@ def flag_spectrum(family, cutoff):
     return _class_one_spectrum(rs.simple_roots, rs.ck.scale, cutoff, "total")
 
 
-def _first_entries(fetch, count, cutoff=Fraction(1)):
+def _first_entries(fetch, count):
     """First ``count`` entries of fetch(cutoff), doubling the cutoff
-    until that many appear.  It starts at 1 by default: first values
-    here are about 1 or less, and the last sweep dominates the cost."""
+    until that many appear.  It starts at 1: first values here are
+    about 1 or less, and the last sweep dominates the cost."""
+    cutoff = Fraction(1)
     while True:
         entries = fetch(cutoff)
         if len(entries) >= count:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from flagvar.catalog import _catalogued_c_gram
 from flagvar.rootsys import build_root_system, ck_inner
 from flagvar.spectra import _form_value, _simple_gram
 
@@ -24,6 +25,13 @@ def flag_mu(family, p):
         raise ValueError("class-one coefficients must be >= 1")
     return (build_root_system(family).ck.scale
             * _form_value(_simple_gram(family), p))
+
+
+def catalogued_c_mu(p):
+    """The catalogued sp-family eigenvalue polynomial at p: the form
+    ``_catalogued_c_gram`` over the denominator 4(n+1)."""
+    n = len(p)
+    return Fraction(_form_value(_catalogued_c_gram(n), p), 4 * (n + 1))
 
 
 def cpn_multiplicity(n, q):

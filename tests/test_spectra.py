@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagvar.catalog import (_catalogued_c_mu, bn_dominance_row_report,
+from flagvar.catalog import (bn_dominance_row_report,
                              cn_first_eigenvalue_report)
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
@@ -18,9 +18,9 @@ from flagvar.spectra import (_fundamental_coefficients, _gram,
                              base_spectrum, base_spectrum_first,
                              fiber_spectrum, flag_minimum, flag_spectrum,
                              is_dominant_class_one, kramer_basis, weyl_dim)
-from oracles import (ambient_weight, casimir_of_weight, cpn_multiplicity,
-                     flag_mu, fundamental_coefficients, solve_linear,
-                     sphere_multiplicity)
+from oracles import (ambient_weight, casimir_of_weight, catalogued_c_mu,
+                     cpn_multiplicity, flag_mu, fundamental_coefficients,
+                     solve_linear, sphere_multiplicity)
 from test_acceptance import CASES
 
 
@@ -90,8 +90,8 @@ def test_flag_mu_matches_catalogued_polynomial(kind, rank):
 def test_catalogued_c_halves_the_casimir_cross_term(n):
     family = FamilyTag("C", n)
     for p in _box(n):
-        assert _catalogued_c_mu(p) == catalogued_mu(family, p)
-        assert (_catalogued_c_mu(p) - flag_mu(family, p)
+        assert catalogued_c_mu(p) == catalogued_mu(family, p)
+        assert (catalogued_c_mu(p) - flag_mu(family, p)
                 == Fraction(p[-2] * p[-1], 2 * (n + 1)))
 
 
@@ -138,8 +138,8 @@ def test_flag_mu_c_family_differs_from_casimir():
     family = FamilyTag("C", 3)
     p = (1, 2, 1)
     lam = class_one_weight(family, p)
-    assert _catalogued_c_mu(p) == 1
-    assert _catalogued_c_mu(p) != casimir_of_weight(family, lam)
+    assert catalogued_c_mu(p) == 1
+    assert catalogued_c_mu(p) != casimir_of_weight(family, lam)
 
 
 # -- flag spectra ----------------------------------------------------------
