@@ -103,7 +103,7 @@ def rigidity_threshold(fib):
     first = base_spectrum_first(fib.family, 1)[0]
     inst = solve_instant(fib, first.value, first.mult)
     if not inst.u < 1:
-        raise ValueError("no degeneracy inside (0, 1)")
+        raise AssertionError("no degeneracy inside (0, 1)")
     return inst
 
 

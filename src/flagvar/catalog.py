@@ -403,9 +403,11 @@ def audit(fib):
     checks.append(("morse-nondecreasing",
                    all(a <= b for a, b in zip(indices, indices[1:]))))
     if len(instants) >= 2:
+        # The float t's only propose mid; exact surd order places it.
         mid = Fraction(round((instants[0].t + instants[1].t) * 5e5), 10**6)
         checks.append(("three-solutions-between-instants",
-                       multiplicity_lower_bound(fib, base, mid) == 3))
+                       instants[1].u < mid * mid < instants[0].u
+                       and multiplicity_lower_bound(fib, base, mid) == 3))
     checks.append(("one-solution-at-one",
                    multiplicity_lower_bound(fib, base, 1) == 1))
 

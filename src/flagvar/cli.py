@@ -16,13 +16,12 @@ from fractions import Fraction
 
 from .bifurcation import degeneracy_instants, instant_base, morse_index
 from .catalog import LEDGER, LEDGER_GLOBAL, audit, scal_closed_form
-from .fibration import FAMILY_KEYS, FibrationFamily, build_fibration
+from .fibration import (FAMILY_ALIASES, FAMILY_KEYS, FibrationFamily,
+                        build_fibration)
 # flag_minimum is unused here but stays bound: the perfbench tracer
 # self-test checks that it is wrapped in this namespace too.
 from .spectra import base_spectrum, flag_minimum, flag_spectrum  # noqa: F401
 from .variation import figure_series
-
-_ALIASES = {"a": "su", "b": "so-odd", "c": "sp", "d": "so-even", "g": "g2"}
 
 
 def _frac(x):
@@ -51,7 +50,7 @@ def _rational(args, option):
 
 def _build_fib(args, name=None):
     name = name or args.family
-    family = FibrationFamily(_ALIASES.get(name, name), args.n)
+    family = FibrationFamily(FAMILY_ALIASES.get(name, name), args.n)
     return build_fibration(family, _rational(args, "phi1"))
 
 
@@ -284,7 +283,7 @@ def _build_parser():
         description="Exact spectral data for canonical variations on "
                     "maximal flag manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
-    family_choices = list(FAMILY_KEYS) + sorted(_ALIASES)
+    family_choices = list(FAMILY_KEYS) + sorted(FAMILY_ALIASES)
 
     def add_common(p, family_required=True, phi1=False):
         p.add_argument("--family", choices=family_choices,

@@ -25,6 +25,7 @@ from .spectra import _first_entries, _weyl_rows, fiber_spectrum
 FAMILY_KEYS = ("su", "so-odd", "sp", "so-even", "g2")
 
 _ROOT_KIND = {"su": "A", "so-odd": "B", "sp": "C", "so-even": "D", "g2": "G2"}
+FAMILY_ALIASES = {_ROOT_KIND[kind][0].lower(): kind for kind in FAMILY_KEYS}
 
 
 # Smallest valid rank of each kind, also its default.

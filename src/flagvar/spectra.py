@@ -78,7 +78,7 @@ def _fundamental_coefficients(gram):
     for col in range(size):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
-            raise ValueError("singular Gram matrix")
+            raise AssertionError("singular Gram matrix")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         top = rows[col]
         for r, row in enumerate(rows):

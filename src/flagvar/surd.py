@@ -11,11 +11,11 @@ given, unreduced, and scales rational input by the lcm of the three
 denominators, so ``str`` always shows integers.  Arithmetic results
 come from a trusted constructor that does no ``Fraction`` work and no
 re-split of d.  Same-radicand arithmetic stays closed in Q(sqrt(d));
-sign and same-field comparisons are integer compares.  Comparisons
-across different radicands fall back to certified interval refinement
-on one integer enclosure, which terminates because such values are
-never equal and distinct values eventually separate their enclosures.
-The same enclosure gives ``bounds`` and the correctly rounded floats.
+sign and every comparison are integer compares.  Across radicands the
+scaled difference is a + b*sqrt(d1) - c*sqrt(d2): the two terms' signs
+decide unless they agree, and then one squaring leaves the sign of a
+surd in Q(sqrt(d1)).  One integer enclosure serves presentation only:
+``bounds`` and the correctly rounded floats.
 """
 
 import operator
@@ -180,18 +180,15 @@ class QuadraticSurd:
             # Same field: the sign of the difference times r*r' > 0.
             return _sign(self.p * r - p * self.r, self.q * r - q * self.r,
                          self.d or d)
-        # 1, sqrt(d1) and sqrt(d2) are Q-independent: the values differ.
-        bits = 64
-        while True:
-            lo1, hi1, den1 = self._enclosure(bits)
-            lo2, hi2, den2 = other._enclosure(bits)
-            if hi1 * den2 < lo2 * den1:
-                return -1
-            if hi2 * den1 < lo1 * den2:
-                return 1
-            bits *= 2
-            if bits > 1 << 16:
-                raise RuntimeError("comparison failed to separate values")
+        # r*r' times the difference is X - Y, X = a + b*sqrt(d1) and
+        # Y = c*sqrt(d2), neither 0 (b, c != 0, sqrt(d1) irrational).
+        # Unequal signs decide; equal ones multiply the sign of X*X - Y*Y.
+        a, b, c = self.p * r - p * self.r, self.q * r, q * self.r
+        left = _sign(a, b, self.d)
+        if (left > 0) != (c > 0):
+            return left
+        return left * _sign(a * a + b * b * self.d - c * c * d, 2 * a * b,
+                            self.d)
 
     __eq__ = _comparison(operator.eq)
     __lt__ = _comparison(operator.lt)
@@ -212,7 +209,7 @@ class QuadraticSurd:
 
         den = r*2**bits and lo, hi are p*2**bits + q*isqrt(d*4**bits)
         and that plus q, in order, so the width is |q|/den; a rational
-        value gives (p, p, r).
+        value gives (p, p, r).  Only ``bounds`` and the floats read it.
         """
         p, q, r, d = self.p, self.q, self.r, self.d
         if d == 0:

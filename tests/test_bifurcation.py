@@ -2,8 +2,11 @@
 catalogued closed-form cross-checks."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagvar import bifurcation, fibration
 from flagvar.bifurcation import (degeneracy_instants, instant_base,
@@ -241,6 +244,45 @@ def test_bisection_matches_the_linear_scan(kind, n):
         index, count = _linear_scan(instants, t)
         assert morse_index(fib, base, t) == index
         assert multiplicity_lower_bound(fib, base, t) == count
+
+
+# Every valid family up to rank 10 (so-odd skips n = 3) at tmin 1/5 and
+# 1/10, and up to rank 6 at 1/20: below that the base enumeration of
+# ranks 7-10 takes 0.1-0.6 s a family (ROADMAP item 2).
+PROPERTY_FAMILIES = [(kind, n)
+                     for kind, low in (("su", 2), ("so-odd", 2), ("sp", 3),
+                                       ("so-even", 4))
+                     for n in range(low, 11) if (kind, n) != ("so-odd", 3)]
+PROPERTY_GRID = [(kind, n, t_min)
+                 for kind, n in PROPERTY_FAMILIES + [("g2", 2)]
+                 for t_min in (Fraction(1, 20), Fraction(1, 10),
+                               Fraction(1, 5))
+                 if n <= 6 or t_min > Fraction(1, 20)]
+
+
+@lru_cache(maxsize=None)
+def _solved(kind, n, t_min):
+    fib = _setup(kind, n)
+    return fib, instant_base(fib, t_min), degeneracy_instants(fib, t_min)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PROPERTY_GRID), st.data())
+def test_instants_decrease_and_morse_counts_the_instants_above(cell, data):
+    kind, n, t_min = cell
+    fib, base, instants = _solved(kind, n, t_min)
+    for earlier, later in zip(instants, instants[1:]):
+        assert later.u < earlier.u and later.beta > earlier.beta
+    # Gap k lies below instants[:k] and above the rest, t_min closing it.
+    k = data.draw(st.integers(0, len(instants)), label="gap")
+    hi = instants[k - 1].t if k else 1.0
+    lo = instants[k].t if k < len(instants) else float(t_min)
+    t = Fraction((lo + hi) / 2)
+    assert t_min < t < 1
+    assert k == 0 or t * t < instants[k - 1].u
+    assert k == len(instants) or instants[k].u < t * t
+    # Base bisection against the solved instants: two code paths.
+    assert morse_index(fib, base, t) == sum(i.mult for i in instants[:k])
 
 
 def test_morse_index_rejects_t_outside_range():

@@ -243,6 +243,30 @@ def test_certificate_failure_is_one_line(capsys, monkeypatch, error):
     assert err == "flagvar: certificate failed: forced\n"
 
 
+def test_threshold_outside_the_unit_interval_is_one_line(capsys, monkeypatch):
+    # A first instant at u >= 1 is an internal fault, not a usage error.
+    real = bifurcation.solve_instant
+
+    def beyond_one(*args, **kwargs):
+        return real(*args, **kwargs)._replace(u=surd.QuadraticSurd(2))
+
+    monkeypatch.setattr(bifurcation, "solve_instant", beyond_one)
+    code, out, err = run(capsys, ["verify", "--family", "su", "--n", "2"])
+    assert code == 1 and out == ""
+    assert err == "flagvar: certificate failed: no degeneracy inside (0, 1)\n"
+
+
+def test_singular_gram_is_one_line(capsys, monkeypatch):
+    # A singular simple-root Gram matrix is an internal fault.
+    def singular(family):
+        return ((1, 2), (2, 4))
+
+    monkeypatch.setattr(spectra, "_simple_gram", singular)
+    code, out, err = run(capsys, ["spectrum", "--family", "su", "--n", "2"])
+    assert code == 1 and out == ""
+    assert err == "flagvar: certificate failed: singular Gram matrix\n"
+
+
 def test_internal_exactness_failure_exits_1(capsys, monkeypatch):
     # A wrong Weyl denominator is an internal fault, not a usage error.
     real = spectra._weyl_rows

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagvar.bifurcation import degeneracy_instants
+from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.surd import QuadraticSurd
 
 small_rationals = st.fractions(min_value=-50, max_value=50,
@@ -97,7 +99,7 @@ def test_ordering_same_radicand():
 
 
 def test_ordering_mixed_radicands():
-    # sqrt(2) < sqrt(3) needs interval separation, not field arithmetic.
+    # sqrt(2) < sqrt(3) lies outside either field: one squaring decides.
     assert QuadraticSurd(0, 1, 1, 2) < QuadraticSurd(0, 1, 1, 3)
     assert QuadraticSurd(1, 1, 1, 2) > QuadraticSurd(0, 1, 1, 5)
     # Rational-valued operands short-circuit to exact equality.
@@ -364,3 +366,40 @@ def test_zero_sqrt_to_float_matches_the_oracle():
     for zero in (QuadraticSurd(0), QuadraticSurd(Fraction(0), 5, 3, 0)):
         assert zero.sqrt_to_float(96) == _FractionSurd(0).sqrt_to_float(96)
         assert zero.sqrt_to_float(96) == (0.0, 2.0 ** -1074)
+
+
+def _assert_orders_as_the_oracle(x, y):
+    for a, b in ((x, y), (y, x)):
+        expected = _FractionSurd(a.p, a.q, a.r, a.d).cmp(
+            _FractionSurd(b.p, b.q, b.r, b.d))
+        assert ((a < b), (a == b), (a > b)) == (
+            expected < 0, expected == 0, expected > 0)
+
+
+def _below_sqrt2_scaled(a):
+    """a + sqrt(3) < 2**70*sqrt(2), decided on plain integers."""
+    rest = 2**141 - a * a - 3
+    return rest > 0 and 12 * a * a < rest * rest
+
+
+def test_planted_near_tie_across_radicands():
+    # y = (a + sqrt(3))/2**70 with a = floor(2**70*sqrt(2) - sqrt(3)) sits
+    # within 2**-70 of x = sqrt(2), inside both 64-bit enclosures.
+    a = isqrt(2 << 140) - 1
+    assert _below_sqrt2_scaled(a) and not _below_sqrt2_scaled(a + 1)
+    x = QuadraticSurd(0, 1, 1, 2)
+    for a_side, below in ((a, True), (a + 1, False)):
+        y = QuadraticSurd(a_side, 1, 2**70, 3)
+        (x_lo, x_hi), (y_lo, y_hi) = x.bounds(64), y.bounds(64)
+        assert x_lo <= y_hi and y_lo <= x_hi
+        assert (y < x) == below and (y > x) != below and y != x
+        _assert_orders_as_the_oracle(x, y)
+
+
+@pytest.mark.parametrize("kind,n", [("su", 2), ("su", 3), ("so-odd", 2)])
+def test_consecutive_instants_order_as_the_fraction_oracle(kind, n):
+    fib = build_fibration(FibrationFamily(kind, n))
+    instants = degeneracy_instants(fib, Fraction(7, 1000))
+    assert len(instants) > 50
+    for earlier, later in zip(instants, instants[1:]):
+        _assert_orders_as_the_oracle(earlier.u, later.u)
