@@ -150,7 +150,7 @@ def instant_below(fib, eps):
     target = normalized_scal(fib).value_at_t(eps)
     family = fib.family.root_family
     gram = _simple_gram(family)
-    scale = build_root_system(family).ck.scale
+    scale = build_root_system(family).scale
     gen = kramer_basis(fib.family)[0]
     p = _root_coordinates(gen, *_fundamental_coefficients(gram))
     if p is None:

@@ -46,6 +46,9 @@ def _rational(args, option):
     except ZeroDivisionError:
         raise ValueError("--{} {}: zero denominator".format(
             option, text)) from None
+    except ValueError:
+        raise ValueError("--{} {}: not a rational number".format(
+            option, text)) from None
 
 
 def _build_fib(args, name=None):
@@ -257,6 +260,8 @@ def cmd_figure(args):
 
 
 def cmd_verify(args):
+    if args.family is None and args.n is not None:
+        raise ValueError("verify --n needs --family")
     families = FAMILY_KEYS if args.family is None else (args.family,)
     lines = ["[general] ledger: {}".format(note) for note in LEDGER_GLOBAL]
     ok = True

@@ -4,12 +4,12 @@ Every root has integer ambient coordinates: A_n lives in the sum-zero
 hyperplane of Z^(n+1), B/C/D in Z^n, and G2 in the sum-zero plane of
 Z^3 with simple roots (0, 1, -1) (short) and (1, -2, 1) (long), the
 embedding ``sympy.liealgebras`` uses.  The inner product is the dual
-Cartan-Killing form: one rational scale times the integer dot product,
-with the scale that puts the Casimir <theta, theta + 2*delta> of the
-adjoint representation at 1, theta the highest root.  Equivalently
-<theta, theta> = 1/h_vee, h_vee the dual Coxeter number, which is
-never tabulated.  That choice makes every eigenvalue formula downstream
-come out with its familiar denominator.
+Cartan-Killing form: one rational ``RootSystem.scale`` times the
+integer dot product, the scale that puts the Casimir
+<theta, theta + 2*delta> of the adjoint representation at 1, theta the
+highest root.  Equivalently <theta, theta> = 1/h_vee, h_vee the dual
+Coxeter number, which is never tabulated.  That choice makes every
+eigenvalue formula downstream come out with its familiar denominator.
 
 Only squared structure constants are ever computed; signs would require
 committing to a Chevalley convention and nothing here needs them.
@@ -41,12 +41,6 @@ class FamilyTag(namedtuple("FamilyTag", "kind rank")):
         return super().__new__(cls, kind, rank)
 
 
-class CKForm(namedtuple("CKForm", "scale")):
-    """Dual Cartan-Killing form: ``scale`` times the Euclidean dot product."""
-
-    __slots__ = ()
-
-
 def _vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -64,9 +58,10 @@ def _dot(a, b):
 
 
 class RootSystem(namedtuple("RootSystem",
-                            "family positive_roots simple_roots ck")):
-    """Positive and simple roots of ``family`` and its CK form.  No
-    ``__slots__``: the cached ``roots`` lives in the instance dict."""
+                            "positive_roots simple_roots scale")):
+    """Positive and simple roots and the CK scale: the form is ``scale``
+    times the integer dot product.  No ``__slots__``: the cached
+    ``roots`` lives in the instance dict."""
 
     @cached_property
     def roots(self):
@@ -109,16 +104,16 @@ def build_root_system(family):
     # The adjoint Casimir <theta, theta + 2*delta> is 1 under the Killing
     # form, and theta maximizes <alpha, alpha + 2*delta> over positive roots.
     two_delta = tuple(map(sum, zip(*positive)))
-    ck = CKForm(scale=Fraction(1, max(_dot(r, _vec_add(r, two_delta))
-                                      for r in positive)))
-    return RootSystem(family, tuple(positive), tuple(simple), ck)
+    scale = Fraction(1, max(_dot(r, _vec_add(r, two_delta))
+                            for r in positive))
+    return RootSystem(tuple(positive), tuple(simple), scale)
 
 
-def ck_inner(ck, u, v):
-    """Evaluate the normalized form on two coordinate vectors."""
+def ck_inner(scale, u, v):
+    """Evaluate the form ``scale`` times the dot product on two vectors."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return ck.scale * _dot(u, v)
+    return scale * _dot(u, v)
 
 
 def root_string(rs, alpha, beta):
@@ -154,4 +149,4 @@ def structure_constant_sq(rs, alpha, beta):
     if _vec_add(alpha, beta) not in rs.roots:
         return Fraction(0)
     p, q = root_string(rs, alpha, beta)
-    return Fraction(q * (p + 1), 2) * ck_inner(rs.ck, alpha, alpha)
+    return Fraction(q * (p + 1), 2) * ck_inner(rs.scale, alpha, alpha)

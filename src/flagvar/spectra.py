@@ -244,7 +244,7 @@ def is_dominant_class_one(family, p):
 def flag_spectrum(family, cutoff):
     """All class-one eigenvalues of G/T <= cutoff."""
     rs = build_root_system(family)
-    return _class_one_spectrum(rs.simple_roots, rs.ck.scale, cutoff, "total")
+    return _class_one_spectrum(rs.simple_roots, rs.scale, cutoff, "total")
 
 
 def _first_entries(fetch, count):
@@ -315,7 +315,7 @@ def base_spectrum(fib_family, cutoff):
     basis = kramer_basis(fib_family)
     coeffs, den = _fundamental_coefficients(_simple_gram(family))
     points = _lattice_points(_simple_gram(family),
-                             build_root_system(family).ck.scale,
+                             build_root_system(family).scale,
                              [_combine(b, coeffs) for b in basis], den,
                              cutoff)
     return [SpectrumEntry(value=v, origin="base",
@@ -339,4 +339,4 @@ def fiber_spectrum(fib, cutoff):
     variation restricts G's form to the fiber.  su at n=2 has first
     value 2/3 here, where SU(2)/T^1 under its own form has 1."""
     return _class_one_spectrum(fib.fiber_simple_roots,
-                               fib.root_system.ck.scale, cutoff, "fiber")
+                               fib.root_system.scale, cutoff, "fiber")

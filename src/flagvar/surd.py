@@ -8,14 +8,16 @@ value is rational), the usual integer representation of Q(sqrt(d))
 
 The constructor takes ints or rationals.  It stores integral input as
 given, unreduced, and scales rational input by the lcm of the three
-denominators, so ``str`` always shows integers.  Arithmetic results
+denominators, so ``str`` always shows integers.  Sums and products
 come from a trusted constructor that does no ``Fraction`` work and no
-re-split of d.  Same-radicand arithmetic stays closed in Q(sqrt(d));
-sign and every comparison are integer compares.  Across radicands the
-scaled difference is a + b*sqrt(d1) - c*sqrt(d2): the two terms' signs
-decide unless they agree, and then one squaring leaves the sign of a
-surd in Q(sqrt(d1)).  One integer enclosure serves presentation only:
-``bounds`` and the correctly rounded floats.
+re-split of d, and stay closed in Q(sqrt(d)); sign and every
+comparison are integer compares.  Across radicands the scaled
+difference is a + b*sqrt(d1) - c*sqrt(d2): the two terms' signs decide
+unless they agree, and then one squaring leaves the sign of a surd in
+Q(sqrt(d1)).  One integer enclosure serves presentation only: the
+certified float of sqrt(u) and ``bounds``.  Nothing in the package
+reads ``bounds``; it stays because the perfbench tracer wraps it by
+name.  A surd has no hash.
 """
 
 import operator
@@ -92,23 +94,7 @@ class QuadraticSurd:
             p, q, r = (int(x * m) for x in (p, q, r))
         self.p, self.q, self.r, self.d = p, q, r, d
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x):
-        return cls(Fraction(x))
-
-    # -- predicates -------------------------------------------------------
-
-    def is_rational(self):
-        return self.d == 0
-
-    def to_fraction(self):
-        if not self.is_rational():
-            raise ValueError("irrational surd")
-        return Fraction(self.p, self.r)
-
-    # -- arithmetic (closed for equal radicands or rational operands) -----
+    # -- sums and products (equal radicands or rational operands) ----------
 
     def _operand(self, other):
         """(p, q, r, common radicand) of other, or None if foreign."""
@@ -130,20 +116,6 @@ class QuadraticSurd:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _surd(-self.p, -self.q, self.r, self.d)
-
-    def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, r, d = o
-        return _surd(self.p * r - p * self.r, self.q * r - q * self.r,
-                     self.r * r, d)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         o = self._operand(other)
         if o is None:
@@ -153,17 +125,6 @@ class QuadraticSurd:
                      self.r * r, d)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse via the conjugate."""
-        p, q, r, d = self.p, self.q, self.r, self.d
-        # p = +-q*sqrt(d) cannot hold for irrational sqrt(d) unless 0.
-        norm = p * p - q * q * d
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if norm < 0:
-            p, q, norm = -p, -q, -norm
-        return _surd(p * r, -q * r, norm, d)
 
     # -- exact sign and order ---------------------------------------------
 
@@ -196,12 +157,6 @@ class QuadraticSurd:
     __gt__ = _comparison(operator.gt)
     __ge__ = _comparison(operator.ge)
 
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.to_fraction())
-        return hash((Fraction(self.p, self.r), Fraction(self.q, self.r),
-                     self.d))
-
     # -- presentation -----------------------------------------------------
 
     def _enclosure(self, bits):
@@ -209,7 +164,7 @@ class QuadraticSurd:
 
         den = r*2**bits and lo, hi are p*2**bits + q*isqrt(d*4**bits)
         and that plus q, in order, so the width is |q|/den; a rational
-        value gives (p, p, r).  Only ``bounds`` and the floats read it.
+        value gives (p, p, r).  It serves ``bounds`` and ``sqrt_to_float``.
         """
         p, q, r, d = self.p, self.q, self.r, self.d
         if d == 0:
@@ -224,13 +179,6 @@ class QuadraticSurd:
         """Rational enclosure (lo, hi) of the value, width about 2**-bits."""
         lo, hi, den = self._enclosure(bits)
         return Fraction(lo, den), Fraction(hi, den)
-
-    def to_float(self, bits=64):
-        """Float presentation plus a certified absolute error bound."""
-        return float_from_bounds(*self._enclosure(bits))
-
-    def __float__(self):
-        return self.to_float()[0]
 
     def sqrt_to_float(self, bits=64):
         """Certified float of sqrt(value); value must be nonnegative.

@@ -23,7 +23,7 @@ def flag_mu(family, p):
         raise ValueError("expected {} coefficients".format(family.rank))
     if any(x < 1 for x in p):
         raise ValueError("class-one coefficients must be >= 1")
-    return (build_root_system(family).ck.scale
+    return (build_root_system(family).scale
             * _form_value(_simple_gram(family), p))
 
 
@@ -111,4 +111,4 @@ def casimir_of_weight(family, lam):
     class-one form ``_form_value`` the program enumerates with.
     """
     shifted = tuple(x + 2 * d for x, d in zip(lam, _half_sum(family)))
-    return ck_inner(build_root_system(family).ck, lam, shifted)
+    return ck_inner(build_root_system(family).scale, lam, shifted)

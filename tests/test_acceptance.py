@@ -39,7 +39,7 @@ CASES = ([("su", n) for n in range(2, 9)]
 REPRESENTATIVE = [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
                   ("g2", 2)]
 
-ZERO = QuadraticSurd.from_rational(Fraction(0))
+ZERO = QuadraticSurd(0)
 
 
 def _fib(kind, n):
@@ -154,11 +154,12 @@ def test_criterion_06():
     ok = ok and abs(instants[0].t - 0.27395) < 5e-6
     # scal(t)/11 < mu1 + (1/t**2 - 1)*phi1 at every computed instant,
     # checked in exact surd arithmetic; on an instant the left side
-    # equals beta.
+    # equals beta, and the margin times u = t**2 > 0 is
+    # u*(mu1 - beta - phi1) + phi1.
     mu1, phi1 = Fraction(1, 2), fib.phi1
     for inst in instants:
-        margin = (mu1 - inst.beta) + (inst.u.inverse() - 1) * phi1
-        ok = ok and margin.sign() > 0
+        u_margin = inst.u * (mu1 - inst.beta - phi1) + phi1
+        ok = ok and u_margin.sign() > 0
     rows = cross_check_closed_forms(fib, instants)
     ok = ok and len(rows) == 4
     for row in rows:

@@ -361,6 +361,25 @@ def test_zero_denominator_names_the_option(capsys, argv):
     assert err == "flagvar: {} 1/0: zero denominator\n".format(argv[3])
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "su", "--cutoff", "abc"],
+    ["instants", "--family", "su", "--tmin", "nan"],
+    ["instants", "--family", "su", "--phi1", "x"]], ids=lambda a: a[3])
+def test_malformed_rational_names_the_option(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "flagvar: {} {}: not a rational number\n".format(*argv[3:])
+
+
+def test_verify_rank_without_family_is_rejected_first(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "audit", None)  # no family is audited
+    code, out, err = run(capsys, ["verify", "--n", "5"])
+    assert code == 2
+    assert out == ""
+    assert err == "flagvar: verify --n needs --family\n"
+
+
 def test_usage_error_bad_phi1(capsys):
     code, _, err = run(capsys, ["instants", "--family", "su", "--phi1", "0"])
     assert code == 2

@@ -204,7 +204,7 @@ def test_fiber_term_is_the_oneill_fiber_curvature(kind, n):
     # theta_j the factor's highest root, which has the largest Casimir
     # <beta, beta + 2 delta_j> among the factor's roots.
     fib = _fib(kind, n)
-    scale = fib.root_system.ck.scale
+    scale = fib.root_system.scale
     scal_f = 0
     for simple, positive in fiber_factors(fib):
         two_delta = [sum(r[k] for r in positive)

@@ -1,15 +1,19 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the
+package exports no name without a reader.
 
-``__init__.py`` is exempt: it imports to re-export.  The check reads
-each module's syntax tree, so it needs no linter.
+``__init__.py`` is exempt from the first check: it imports to
+re-export.  Both checks read syntax trees and text, so they need no
+linter.
 """
 
 import ast
 import pathlib
+import re
 
 import flagvar
 
 SRC = pathlib.Path(flagvar.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Imports kept on purpose.  The perfbench tracer self-test,
 # test_wrapper_covers_every_public_function in
@@ -50,3 +54,43 @@ def test_a_planted_unused_import_is_caught():
         == unused_imports(spectra)
     assert unused_imports("from heapq import merge\n" + spectra) \
         == unused_imports(spectra) | {"merge"}
+
+
+# Exported without a demo or README reader: the perfbench tracer
+# self-test checks that flagvar.flag_minimum is wrapped.
+EXPORT_ALLOWED = {"flag_minimum"}
+
+
+def demo_imports(sources):
+    """Names imported ``from flagvar`` by any of ``sources``."""
+    return {alias.name
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "flagvar"
+            for alias in node.names}
+
+
+def backticked_names(text):
+    """Identifiers in backticks; a dotted ``module.name`` gives name."""
+    return {span.rpartition(".")[2]
+            for span in re.findall(r"`([A-Za-z_][\w.]*)`", text)}
+
+
+def unread_exports(names, demo_sources, readme):
+    return (set(names) - demo_imports(demo_sources)
+            - backticked_names(readme) - EXPORT_ALLOWED)
+
+
+def test_every_exported_name_has_a_reader():
+    demos = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert unread_exports(flagvar.__all__, demos, readme) == set()
+    assert all(hasattr(flagvar, name) for name in flagvar.__all__)
+
+
+def test_a_planted_unread_export_is_caught():
+    demo = "from flagvar import alpha, beta as b\nfrom os import gamma\n"
+    readme = "Uses `delta`, `pkg.epsilon(1)`, `mod.zeta` and ``eta``.\n"
+    names = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
+             "theta", "flag_minimum"]
+    assert unread_exports(names, [demo], readme) == {
+        "gamma", "epsilon", "theta"}

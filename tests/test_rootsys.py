@@ -42,14 +42,14 @@ def test_positive_root_counts(kind, rank):
 
 def long_root(rs):
     """Some root of maximal squared length (the normalization witness)."""
-    return max(rs.positive_roots, key=lambda r: ck_inner(rs.ck, r, r))
+    return max(rs.positive_roots, key=lambda r: ck_inner(rs.scale, r, r))
 
 
 @pytest.mark.parametrize("kind,rank", SMALL)
 def test_highest_root_normalization(kind, rank):
     rs = build_root_system(FamilyTag(kind, rank))
     theta = long_root(rs)
-    assert ck_inner(rs.ck, theta, theta) == Fraction(
+    assert ck_inner(rs.scale, theta, theta) == Fraction(
         1, DUAL_COXETER[kind](rank))
 
 
@@ -58,7 +58,7 @@ def test_ck_scale_matches_the_dual_coxeter_table():
     for kind, rank in SMALL + [(k, 8) for k in ("A", "B", "C", "D")]:
         rs = build_root_system(FamilyTag(kind, rank))
         longest = max(sum(x * x for x in r) for r in rs.positive_roots)
-        assert rs.ck.scale == Fraction(1, DUAL_COXETER[kind](rank) * longest)
+        assert rs.scale == Fraction(1, DUAL_COXETER[kind](rank) * longest)
 
 
 def test_rank_constraints_enforced():
@@ -80,7 +80,7 @@ def test_a_family_root_lengths():
     for n in (2, 3, 5):
         rs = build_root_system(FamilyTag("A", n))
         for root in rs.positive_roots:
-            assert ck_inner(rs.ck, root, root) == Fraction(1, n + 1)
+            assert ck_inner(rs.scale, root, root) == Fraction(1, n + 1)
             assert sum(root) == 0
 
 
@@ -88,28 +88,28 @@ def test_c3_long_root_length():
     rs = build_root_system(FamilyTag("C", 3))
     two_e1 = (Fraction(2), Fraction(0), Fraction(0))
     assert two_e1 in rs.positive_roots
-    assert ck_inner(rs.ck, two_e1, two_e1) == Fraction(1, 4)
+    assert ck_inner(rs.scale, two_e1, two_e1) == Fraction(1, 4)
 
 
 def test_g2_gram_entries():
     rs = build_root_system(FamilyTag("G2", 2))
     a1 = (1, -2, 1)  # long
     a2 = (0, 1, -1)  # short
-    assert ck_inner(rs.ck, a1, a1) == Fraction(1, 4)
-    assert ck_inner(rs.ck, a2, a2) == Fraction(1, 12)
-    assert ck_inner(rs.ck, a1, a2) == Fraction(-1, 8)
+    assert ck_inner(rs.scale, a1, a1) == Fraction(1, 4)
+    assert ck_inner(rs.scale, a2, a2) == Fraction(1, 12)
+    assert ck_inner(rs.scale, a1, a2) == Fraction(-1, 8)
     # Highest root 2*a1 + 3*a2 is long.
     theta = (2, -1, -1)
-    assert ck_inner(rs.ck, theta, theta) == Fraction(1, 4)
+    assert ck_inner(rs.scale, theta, theta) == Fraction(1, 4)
 
 
 def test_ck_inner_zero_and_mismatch():
     rs = build_root_system(FamilyTag("B", 2))
     zero = (Fraction(0), Fraction(0))
     for root in rs.positive_roots:
-        assert ck_inner(rs.ck, root, zero) == 0
+        assert ck_inner(rs.scale, root, zero) == 0
     with pytest.raises(ValueError):
-        ck_inner(rs.ck, (Fraction(1),), (Fraction(1), Fraction(0)))
+        ck_inner(rs.scale, (Fraction(1),), (Fraction(1), Fraction(0)))
 
 
 def test_root_string_examples():
@@ -149,12 +149,12 @@ def test_string_identity_exhaustive(kind, rank):
     rs = build_root_system(FamilyTag(kind, rank))
     roots = sorted(rs.roots)
     for a in rs.positive_roots:
-        aa = ck_inner(rs.ck, a, a)
+        aa = ck_inner(rs.scale, a, a)
         for b in roots:
             if b == a or b == tuple(-x for x in a):
                 continue
             p, q = root_string(rs, a, b)
-            assert p - q == 2 * ck_inner(rs.ck, b, a) / aa
+            assert p - q == 2 * ck_inner(rs.scale, b, a) / aa
 
 
 def test_structure_constant_su_value():
@@ -206,7 +206,7 @@ def _positive_definite(matrix):
 @pytest.mark.parametrize("kind,rank", SMALL)
 def test_simple_gram_positive_definite(kind, rank):
     rs = build_root_system(FamilyTag(kind, rank))
-    gram = [[ck_inner(rs.ck, a, b) for b in rs.simple_roots]
+    gram = [[ck_inner(rs.scale, a, b) for b in rs.simple_roots]
             for a in rs.simple_roots]
     assert _positive_definite(gram)
     assert not _positive_definite([[1, 2], [2, 1]])  # negative control
@@ -240,7 +240,7 @@ def test_roots_and_gram_match_sympy(kind, rank):
     simple = [tuple(oracle.simple_roots()[i + 1]) for i in range(rank)]
     assert list(rs.simple_roots) == simple
     gram = [[sum(x * y for x, y in zip(a, b)) for b in simple] for a in simple]
-    assert [[ck_inner(rs.ck, a, b) / rs.ck.scale for b in rs.simple_roots]
+    assert [[ck_inner(rs.scale, a, b) / rs.scale for b in rs.simple_roots]
             for a in rs.simple_roots] == gram
     # sympy types each Cartan matrix by hand: a_ij = 2<a_i,a_j>/<a_j,a_j>.
     # (Its A1 matrix raises IndexError; [2] has nothing to compare.)

@@ -216,8 +216,8 @@ def weyl_dim_ambient(family, coeffs):
                     zip(ambient_weight(family, coeffs), delta))
     result = Fraction(1)
     for alpha in rs.positive_roots:
-        result *= (ck_inner(rs.ck, shifted, alpha)
-                   / ck_inner(rs.ck, delta, alpha))
+        result *= (ck_inner(rs.scale, shifted, alpha)
+                   / ck_inner(rs.scale, delta, alpha))
     return result
 
 
@@ -473,10 +473,10 @@ def _class_one_data(source):
     the fiber's at G's scale for a fibration family."""
     if isinstance(source, FamilyTag):
         rs = build_root_system(source)
-        return rs.simple_roots, rs.positive_roots, rs.ck.scale
+        return rs.simple_roots, rs.positive_roots, rs.scale
     fib = build_fibration(source)
     return (fib.fiber_simple_roots, fib.vertical_roots,
-            fib.root_system.ck.scale)
+            fib.root_system.scale)
 
 
 def _class_one_spectrum(source, cutoff):

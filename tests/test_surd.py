@@ -13,7 +13,6 @@ from flagvar.surd import QuadraticSurd
 
 small_rationals = st.fractions(min_value=-50, max_value=50,
                                max_denominator=20)
-nonzero_rationals = small_rationals.filter(lambda x: x != 0)
 radicands = st.sampled_from([2, 3, 5, 7, 85, 290, 2873])
 
 
@@ -25,8 +24,8 @@ def test_normalization_pulls_square_factor():
 
 def test_normalization_folds_perfect_square():
     x = QuadraticSurd(1, 1, 1, 9)  # 1 + sqrt(9) = 4
-    assert x.is_rational()
-    assert x.to_fraction() == 4
+    assert x.d == 0
+    assert x == 4
 
 
 def test_normalization_flips_negative_denominator():
@@ -38,7 +37,7 @@ def test_normalization_flips_negative_denominator():
 def test_zero_coefficient_clears_radicand():
     x = QuadraticSurd(3, 0, 2, 7)
     assert x.d == 0
-    assert x.to_fraction() == Fraction(3, 2)
+    assert x == Fraction(3, 2)
 
 
 def test_constructor_rejects_bad_input():
@@ -48,17 +47,12 @@ def test_constructor_rejects_bad_input():
         QuadraticSurd(1, 1, 1, -5)
 
 
-def test_to_fraction_rejects_irrational():
-    with pytest.raises(ValueError):
-        QuadraticSurd(0, 1, 1, 2).to_fraction()
-
-
 def test_same_radicand_arithmetic():
     x = QuadraticSurd(1, 1, 1, 5)   # 1 + sqrt(5)
     y = QuadraticSurd(2, -1, 1, 5)  # 2 - sqrt(5)
     assert x + y == QuadraticSurd(3, 0, 1, 0)
     assert x * y == QuadraticSurd(-3, 1, 1, 5)
-    assert x - x == 0
+    assert x + -1 * x == 0
     assert (2 * x) == QuadraticSurd(2, 2, 1, 5)
     assert (x + 1) == QuadraticSurd(2, 1, 1, 5)
 
@@ -68,17 +62,6 @@ def test_cross_radicand_arithmetic_rejected():
     y = QuadraticSurd(0, 1, 1, 3)
     with pytest.raises(ValueError):
         x + y
-
-
-def test_inverse_golden_ratio_flavor():
-    x = QuadraticSurd(1, 1, 2, 5)  # (1 + sqrt(5))/2
-    assert x * x.inverse() == 1
-    assert x.inverse() == QuadraticSurd(-1, 1, 2, 5)  # 1/phi = phi - 1
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        QuadraticSurd(0, 0, 1, 0).inverse()
 
 
 def test_sign_cases():
@@ -119,8 +102,10 @@ def test_bounds_and_float():
     assert hi - lo <= Fraction(1, 2**79)
     # The enclosure really brackets sqrt(85) - 9.
     assert (lo + 9) ** 2 <= 85 <= (hi + 9) ** 2
-    val, err = x.to_float()
-    assert abs(val - 0.2195444572928871) <= err + 1e-15
+    # Both 64-bit ends round to one float, unlike sqrt(85) - 9 in
+    # floats, which cancels to 0.21954445729288707.
+    lo, hi = x.bounds()
+    assert float(lo) == float(hi) == 0.2195444572928873
 
 
 def test_sqrt_to_float_certified():
@@ -132,23 +117,18 @@ def test_sqrt_to_float_certified():
         QuadraticSurd(-5, 0, 1, 0).sqrt_to_float()
 
 
+def test_a_surd_is_unhashable():
+    # Nothing hashes a surd, so it keeps no hash to match its equality
+    # with rationals.
+    assert QuadraticSurd.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(QuadraticSurd(-9, 1, 1, 85))
+
+
 def test_str_forms():
     assert str(QuadraticSurd(-9, 1, 1, 85)) == "-9+1*sqrt(85)"
     assert str(QuadraticSurd(-18, 1, 2, 340)) == "(-18+2*sqrt(85))/2"
     assert str(QuadraticSurd(3, 0, 2, 0)) == "3/2"
-
-
-def test_hash_consistent_with_rational_equality():
-    assert hash(QuadraticSurd(4, 0, 2, 2)) == hash(Fraction(2))
-    x = QuadraticSurd(-9, 1, 1, 85)
-    assert hash(x) == hash(QuadraticSurd(-18, 1, 2, 340))
-
-
-@given(small_rationals)
-def test_rational_round_trip(x):
-    s = QuadraticSurd.from_rational(x)
-    assert s.is_rational()
-    assert s.to_fraction() == x
 
 
 @given(small_rationals, small_rationals, radicands)
@@ -159,11 +139,9 @@ def test_sign_matches_float(p, q, d):
         assert x.sign() == (1 if approx > 0 else -1)
 
 
-@given(small_rationals, nonzero_rationals, radicands)
-def test_inverse_is_multiplicative_inverse(p, q, d):
-    x = QuadraticSurd(p, q, 1, d)
-    if x.sign() != 0:
-        assert x * x.inverse() == 1
+def _float(x):
+    """A float of the value: the lower end of its 64-bit enclosure."""
+    return float(x.bounds()[0])
 
 
 @given(small_rationals, small_rationals, small_rationals,
@@ -173,9 +151,9 @@ def test_field_operations_commute_with_floats(p1, q1, p2, q2, d):
     y = QuadraticSurd(p2, q2, 1, d)
     s = x + y
     m = x * y
-    fx, fy = float(x), float(y)
-    assert abs(float(s) - (fx + fy)) < 1e-6
-    assert abs(float(m) - fx * fy) < 1e-5
+    fx, fy = _float(x), _float(y)
+    assert abs(_float(s) - (fx + fy)) < 1e-6
+    assert abs(_float(m) - fx * fy) < 1e-5
 
 
 # -- the Fraction kernel this one replaced, as an independent oracle --------
@@ -254,11 +232,6 @@ class _FractionSurd:
                              self.p * other.q + self.q * other.p,
                              self.r * other.r, d)
 
-    def inverse(self):
-        norm = self.p * self.p - self.q * self.q * self.d
-        return _FractionSurd(self.p * self.r / norm, -self.q * self.r / norm,
-                             1, self.d)
-
     def sign(self):
         p, q, d = self.p, self.q, self.d
         if q == 0:
@@ -293,9 +266,6 @@ class _FractionSurd:
             lo_s, hi_s = hi_s, lo_s
         return ((self.p + self.q * lo_s) / self.r,
                 (self.p + self.q * hi_s) / self.r)
-
-    def to_float(self, bits=64):
-        return _fraction_float_from_bounds(*self.bounds(bits))
 
     def sqrt_to_float(self, bits=64):
         lo, hi = self.bounds(bits)
@@ -333,14 +303,11 @@ def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
     assert _value(x) == _value(ox)
     assert x.sign() == ox.sign()
     assert x.bounds(bits) == ox.bounds(bits)
-    assert x.to_float(bits) == ox.to_float(bits)
     if ox.bounds(96)[1] < 0:
         with pytest.raises(ValueError):
             x.sqrt_to_float(96)
     else:
         assert x.sqrt_to_float(96) == ox.sqrt_to_float(96)
-    if ox.sign() != 0:
-        assert _value(x.inverse()) == _value(ox.inverse())
     for rational in (args[0], args[0] + 1, 0):
         assert (x == rational) == (ox.cmp(rational) == 0)
         assert (x < rational) == (ox.cmp(rational) < 0)
