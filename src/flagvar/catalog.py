@@ -46,8 +46,8 @@ from .bifurcation import (degeneracy_instants, instant_base, morse_index,
                           multiplicity_lower_bound, rigidity_threshold)
 from .curvature import ScalPoly, su_triple_census
 from .rootsys import FamilyTag
-from .spectra import (_class_one_points, _first_entries, _simple_gram,
-                      base_spectrum, base_spectrum_first, flag_minimum,
+from .spectra import (_first_entries, _form_value, base_spectrum,
+                      base_spectrum_first, flag_minimum, flag_spectrum,
                       is_dominant_class_one)
 from .surd import QuadraticSurd
 from .variation import gap_certificate
@@ -316,18 +316,25 @@ def cn_first_eigenvalue_report(n):
     is adjudicated here.
     """
     family = FamilyTag("C", n)
-    # The polynomial is the Casimir plus p_{n-1} p_n / (2(n+1)), and p is
-    # a non-negative combination of the fundamental-weight coefficients,
-    # so the enumerator's monotone precondition still holds.
-    value, argmins = _first_entries(
-        lambda c: list(_class_one_points(
-            _simple_gram(family), Fraction(1, 4 * (n + 1)), c,
-            form=_catalogued_c_gram(n)).items()), 1)[0]
+    gram = _catalogued_c_gram(n)
+
+    def catalogued(cutoff):
+        # The polynomial is the Casimir plus p_{n-1} p_n / (2(n+1)) >= 0,
+        # so the class-one points under the cutoff include all of its own.
+        found = []
+        for entry in flag_spectrum(family, cutoff):
+            for p in entry.label:
+                value = Fraction(_form_value(gram, p), 4 * (n + 1))
+                if value <= cutoff:
+                    found.append((value, p))
+        return sorted(found)
+
+    value, argmin = _first_entries(catalogued, 1)[0]
     casimir = flag_minimum(family)
     stated = Fraction(4 * n - 1, 4 * (n + 1))
     return {
         "formula_min": value,
-        "formula_argmin": argmins[0],
+        "formula_argmin": argmin,
         "casimir_min": casimir.value,
         "casimir_argmin": casimir.label[0],
         "stated": stated,

@@ -182,16 +182,15 @@ def _svg_figure(fib, names, rows, verticals, t_min, t_max):
     def sy(v):
         return bottom - v / y_max * (bottom - top)
 
-    def polyline(points, color, dash=""):
+    def polyline(points, color):
         chunks = []
         for chunk in points:
             if not chunk:
                 continue
             coords = " ".join("{:.2f},{:.2f}".format(x, y)
                               for x, y in chunk)
-            extra = ' stroke-dasharray="{}"'.format(dash) if dash else ""
-            chunks.append('<polyline fill="none" stroke="{}"{} '
-                          'points="{}"/>'.format(color, extra, coords))
+            chunks.append('<polyline fill="none" stroke="{}" '
+                          'points="{}"/>'.format(color, coords))
         return chunks
 
     def segments(col):

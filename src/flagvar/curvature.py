@@ -14,8 +14,7 @@ Everything is represented in u = t**2, never sampled in floats.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-
-from .rootsys import structure_constant_sq
+from operator import add, sub
 
 
 class ScalPoly(namedtuple("ScalPoly", "a c e d")):
@@ -62,16 +61,32 @@ class TripleRecord(namedtuple("TripleRecord", "alpha beta gamma value klass")):
 
 
 def triples(fib):
-    """All triples {alpha, beta, gamma = alpha + beta} with their class."""
+    """All triples {alpha, beta, gamma = alpha + beta} with their class.
+
+    Each value is twice the squared structure constant of the summand
+    pair, 2 N^2(alpha, beta) = q (p + 1) <alpha, alpha>, with (p, q) the
+    alpha-string through beta: beta - p*alpha, ..., beta + q*alpha are
+    roots (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, §25).  The string is walked on the integer roots, so a
+    triple costs one Fraction product.  Only squared structure
+    constants are ever computed; signs would require committing to a
+    Chevalley convention and nothing here needs them.
+    """
     rs = fib.root_system
-    positives = set(rs.positive_roots)
+    roots = rs.roots
     vertical = set(fib.vertical_roots)
     records = []
     for alpha, beta in combinations(rs.positive_roots, 2):
-        gamma = tuple(x + y for x, y in zip(alpha, beta))
-        if gamma not in positives:
+        gamma = tuple(map(add, alpha, beta))
+        if gamma not in roots:  # a sum of positive roots is never negative
             continue
-        value = 2 * structure_constant_sq(rs, alpha, beta)
+        p, down = 0, beta
+        while (down := tuple(map(sub, down, alpha))) in roots:
+            p += 1
+        q, up = 1, gamma  # beta + alpha = gamma is a root
+        while (up := tuple(map(add, up, alpha))) in roots:
+            q += 1
+        value = rs.scale * (q * (p + 1) * sum(x * x for x in alpha))
         n_vertical = sum(1 for r in (alpha, beta, gamma) if r in vertical)
         if n_vertical == 3:
             klass = "vvv"

@@ -10,9 +10,8 @@ integer dot product, the scale that puts the Casimir
 highest root.  Equivalently <theta, theta> = 1/h_vee, h_vee the dual
 Coxeter number, which is never tabulated.  That choice makes every
 eigenvalue formula downstream come out with its familiar denominator.
-
-Only squared structure constants are ever computed; signs would require
-committing to a Chevalley convention and nothing here needs them.
+Root strings are walked on the integer ``RootSystem.roots`` in
+``curvature.triples``, the one reader of bracket data.
 """
 
 from collections import namedtuple
@@ -49,10 +48,6 @@ def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vec_neg(a):
-    return tuple(-x for x in a)
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -67,7 +62,7 @@ class RootSystem(namedtuple("RootSystem",
     def roots(self):
         """Every root, positive and negative, built once."""
         return frozenset(self.positive_roots) | {
-            _vec_neg(r) for r in self.positive_roots}
+            tuple(-x for x in r) for r in self.positive_roots}
 
 
 @lru_cache(maxsize=None)
@@ -110,43 +105,11 @@ def build_root_system(family):
 
 
 def ck_inner(scale, u, v):
-    """Evaluate the form ``scale`` times the dot product on two vectors."""
+    """Evaluate the form ``scale`` times the dot product on two vectors.
+
+    Nothing in the package calls it; it stays because the perfbench
+    tracer self-test looks it up by name here and in ``spectra``.
+    """
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return scale * _dot(u, v)
-
-
-def root_string(rs, alpha, beta):
-    """The alpha-string through beta: largest p, q with beta - p*alpha
-    and beta + q*alpha both roots of ``rs``.
-
-    Undefined (and rejected) for beta = +-alpha.
-    """
-    if beta == alpha or beta == _vec_neg(alpha):
-        raise ValueError("root string through +-alpha is undefined")
-    roots = rs.roots
-    if alpha not in roots or beta not in roots:
-        raise ValueError("arguments must be roots")
-    p = 0
-    current = _vec_sub(beta, alpha)
-    while current in roots:
-        p += 1
-        current = _vec_sub(current, alpha)
-    q = 0
-    current = _vec_add(beta, alpha)
-    while current in roots:
-        q += 1
-        current = _vec_add(current, alpha)
-    return p, q
-
-
-def structure_constant_sq(rs, alpha, beta):
-    """Squared structure constant N^2 for the pair (alpha, beta).
-
-    Zero when alpha + beta is not a root; otherwise q*(p+1)*<a,a>/2 with
-    (p, q) the alpha-string through beta.
-    """
-    if _vec_add(alpha, beta) not in rs.roots:
-        return Fraction(0)
-    p, q = root_string(rs, alpha, beta)
-    return Fraction(q * (p + 1), 2) * ck_inner(rs.scale, alpha, alpha)

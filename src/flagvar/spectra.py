@@ -191,28 +191,6 @@ def _lattice_points(gram, scale, generators, den, cutoff):
     return {v * factor: found[v] for v in sorted(found)}
 
 
-def _class_one_points(gram, scale, cutoff, form=None):
-    """{value: [p, ...]} over the class-one weights lam = sum p_i alpha_i
-    of the simple roots alpha with Gram matrix ``gram``, with value
-    scale*(p'Fp + sum F_ii p_i) <= cutoff, F = ``form`` (default
-    ``gram``), p in lexicographic order.
-
-    These are the dominant lam = sum a_j omega_j in the root lattice:
-    with omega_j = N_j/den, p = a.N/den is integral exactly when every
-    entry of a.N is divisible by den.  On a block-diagonal Gram (a
-    product) p may vanish on a factor.
-    """
-    coeffs, den = _fundamental_coefficients(gram)
-    found = {}
-    for value, points in _lattice_points(form or gram, scale, coeffs, den,
-                                         cutoff).items():
-        ps = sorted(p for p in (_root_coordinates(a, coeffs, den)
-                                for a in points) if p is not None)
-        if ps:
-            found[value] = ps
-    return found
-
-
 def _root_coordinates(a, coeffs, den):
     """p = a.N/den, the simple-root coefficients of sum a_j omega_j with
     (N, den) from ``_fundamental_coefficients``, or None when some entry
@@ -225,11 +203,27 @@ def _root_coordinates(a, coeffs, den):
 
 def _class_one_spectrum(simple_roots, scale, cutoff, origin):
     """Class-one values <= cutoff over ``simple_roots`` at CK scale
-    ``scale``, one entry per value, labelled by its p; multiplicities
-    are not computed (mult = None)."""
-    return [SpectrumEntry(value=v, mult=None, origin=origin, label=tuple(ps))
-            for v, ps in _class_one_points(_gram(simple_roots), scale,
-                                           cutoff).items()]
+    ``scale``, one entry per value, labelled by its p in lexicographic
+    order; multiplicities are not computed (mult = None).
+
+    A value is scale*(p'Gp + sum G_ii p_i) over the class-one weights
+    lam = sum p_i alpha_i, G the Gram matrix of ``simple_roots``.  These
+    are the dominant lam = sum a_j omega_j in the root lattice: with
+    omega_j = N_j/den, p = a.N/den is integral exactly when every entry
+    of a.N is divisible by den.  On a block-diagonal Gram (a product) p
+    may vanish on a factor.
+    """
+    gram = _gram(simple_roots)
+    coeffs, den = _fundamental_coefficients(gram)
+    entries = []
+    for value, points in _lattice_points(gram, scale, coeffs, den,
+                                         cutoff).items():
+        ps = sorted(p for p in (_root_coordinates(a, coeffs, den)
+                                for a in points) if p is not None)
+        if ps:
+            entries.append(SpectrumEntry(value=value, mult=None,
+                                         origin=origin, label=tuple(ps)))
+    return entries
 
 
 # ---------------------------------------------------------------------------

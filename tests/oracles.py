@@ -6,7 +6,8 @@ this directory on the path.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from flagvar.catalog import _catalogued_c_gram
 from flagvar.rootsys import build_root_system, ck_inner
@@ -25,6 +26,40 @@ def flag_mu(family, p):
         raise ValueError("class-one coefficients must be >= 1")
     return (build_root_system(family).scale
             * _form_value(_simple_gram(family), p))
+
+
+def root_string(rs, alpha, beta):
+    """The alpha-string through beta: largest p, q with beta - p*alpha
+    and beta + q*alpha both roots of ``rs``.
+
+    Undefined (and rejected) for beta = +-alpha.
+    """
+    neg = tuple(-x for x in alpha)
+    if beta == alpha or beta == neg:
+        raise ValueError("root string through +-alpha is undefined")
+    roots = rs.roots
+    if alpha not in roots or beta not in roots:
+        raise ValueError("arguments must be roots")
+
+    def reach(step):
+        k, current = 0, beta
+        while (current := tuple(map(add, current, step))) in roots:
+            k += 1
+        return k
+
+    return reach(neg), reach(alpha)
+
+
+def structure_constant_sq(rs, alpha, beta):
+    """Squared structure constant N^2 for the pair (alpha, beta).
+
+    Zero when alpha + beta is not a root; otherwise q*(p+1)*<a,a>/2 with
+    (p, q) the alpha-string through beta.
+    """
+    if tuple(map(add, alpha, beta)) not in rs.roots:
+        return Fraction(0)
+    p, q = root_string(rs, alpha, beta)
+    return Fraction(q * (p + 1), 2) * ck_inner(rs.scale, alpha, alpha)
 
 
 def catalogued_c_mu(p):
@@ -112,3 +147,58 @@ def casimir_of_weight(family, lam):
     """
     shifted = tuple(x + 2 * d for x, d in zip(lam, _half_sum(family)))
     return ck_inner(build_root_system(family).scale, lam, shifted)
+
+
+def freudenthal_multiplicities(family, coeffs):
+    """{mu: m_lam(mu)} over the weights of the irreducible with highest
+    weight lam = sum c_i*omega_i, ambient Fraction coordinates.
+
+    Freudenthal's recursion (Humphreys, *Introduction to Lie Algebras
+    and Representation Theory*, §22.3), level by level below lam:
+    ((lam+delta)^2 - (mu+delta)^2) m(mu) = 2 sum over alpha > 0 and
+    k >= 1 of m(mu + k*alpha) <mu + k*alpha, alpha>.  Both sides are
+    quadratic in the form, so the dot product on coordinates scaled to
+    integers serves.  Each level is the previous one minus a simple
+    root.  The weights on mu + Z*alpha are one s_alpha-stable string, so
+    each alpha's sum stops at its first non-weight, and a candidate off
+    the weights gets a zero sum.
+    """
+    rs = build_root_system(family)
+    lam = ambient_weight(family, coeffs)
+    den = lcm(2, *(Fraction(x).denominator for x in lam))
+
+    def scaled(v):
+        return tuple(int(den * x) for x in v)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def norm(mu):
+        shifted = tuple(x + d for x, d in zip(mu, delta))
+        return dot(shifted, shifted)
+
+    delta = scaled(_half_sum(family))
+    simple = [scaled(a) for a in rs.simple_roots]
+    positive = [scaled(a) for a in rs.positive_roots]
+    top = scaled(lam)
+    mult = {top: 1}
+    level = [top]
+    while level:
+        candidates = {tuple(x - y for x, y in zip(mu, alpha))
+                      for mu in level for alpha in simple}
+        level = []
+        for mu in candidates:
+            total = 0
+            for alpha in positive:
+                nu = tuple(x + y for x, y in zip(mu, alpha))
+                while nu in mult:
+                    total += mult[nu] * dot(nu, alpha)
+                    nu = tuple(x + y for x, y in zip(nu, alpha))
+            if total == 0:
+                continue
+            m, rest = divmod(2 * total, norm(top) - norm(mu))
+            if rest or m <= 0:
+                raise AssertionError("multiplicity is not a positive integer")
+            mult[mu] = m
+            level.append(mu)
+    return {tuple(Fraction(x, den) for x in mu): m for mu, m in mult.items()}

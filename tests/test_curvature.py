@@ -2,12 +2,14 @@
 closed forms, including the cases where the two provably differ."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from flagvar.catalog import scal_closed_form
 from flagvar.curvature import ScalPoly, scal_wz, su_triple_census, triples
 from flagvar.fibration import FibrationFamily, build_fibration
+from oracles import structure_constant_sq
 
 IDENTITY_HOLDS = [("su", n) for n in range(2, 7)] + [("so-odd", 2), ("g2", 2)]
 IDENTITY_FAILS = [("so-odd", n) for n in (4, 5, 6)] + \
@@ -82,6 +84,28 @@ def test_transport_triples_only_where_expected():
         assert all(r.klass != "hvh-transport" for r in triples(_fib(kind, n)))
     assert any(r.klass == "hvh-transport" for r in triples(_fib("so-odd", 2)))
     assert any(r.klass == "hvh-transport" for r in triples(_fib("g2", 2)))
+
+
+ORACLE_GRID = ([("su", n) for n in range(2, 9)]
+               + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)]
+               + [("sp", n) for n in range(3, 9)]
+               + [("so-even", n) for n in range(4, 9)] + [("g2", 2)])
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_GRID)
+def test_triples_match_the_structure_constant_oracle(kind, n):
+    # The integer string walk against the oracle's root strings, and the
+    # triple set against a scan of every positive-root pair.
+    fib = _fib(kind, n)
+    rs = fib.root_system
+    recs = triples(fib)
+    for rec in recs:
+        assert rec.value == 2 * structure_constant_sq(rs, rec.alpha, rec.beta)
+    scan = {(a, b) for a, b in combinations(rs.positive_roots, 2)
+            if structure_constant_sq(rs, a, b) != 0}
+    assert {(rec.alpha, rec.beta) for rec in recs} == scan
+    assert all(rec.gamma == tuple(x + y for x, y in zip(rec.alpha, rec.beta))
+               for rec in recs)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -1,8 +1,8 @@
-"""No module of the package imports a name it never uses, and the
-package exports no name without a reader.
+"""No module of the package imports a name it never uses, and neither
+an exported name nor a public function goes without a reader.
 
 ``__init__.py`` is exempt from the first check: it imports to
-re-export.  Both checks read syntax trees and text, so they need no
+re-export.  The checks read syntax trees and text, so they need no
 linter.
 """
 
@@ -30,9 +30,13 @@ def unused_imports(source):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported.add(alias.asname or alias.name.partition(".")[0])
-    used = {node.id for node in ast.walk(tree)
+    return imported - loaded_names(tree)
+
+
+def loaded_names(tree):
+    """Names read, as opposed to bound, anywhere in the syntax tree."""
+    return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return imported - used
 
 
 def module_unused_imports():
@@ -94,3 +98,49 @@ def test_a_planted_unread_export_is_caught():
              "theta", "flag_minimum"]
     assert unread_exports(names, [demo], readme) == {
         "gamma", "epsilon", "theta"}
+
+
+# A public function without a reader, kept on purpose: the perfbench
+# tracer self-test looks ck_inner up by name in rootsys and spectra.
+FUNCTION_ALLOWED = {("rootsys", "ck_inner")}
+
+
+def unread_functions(sources, demo_sources, readme):
+    """(module, name) of each public module-level function in
+    ``sources``, a {module: source} map, whose name no module loads, no
+    demo imports and README does not name in backticks.  A bare import
+    binds the name without loading it, so it is no reader."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = (set().union(*map(loaded_names, trees.values()))
+            | demo_imports(demo_sources) | backticked_names(readme))
+    return {(module, node.name)
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and node.name not in read} - FUNCTION_ALLOWED
+
+
+def test_every_public_function_has_a_reader():
+    sources = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert unread_functions(sources, demos, readme) == set()
+
+
+def test_a_planted_unread_function_is_caught():
+    sources = {
+        "alpha": ("def called():\n    pass\n\n\ndef orphan():\n"
+                  "    def inner():\n        pass\n\n\n"
+                  "def _private():\n    pass\n\n\n"
+                  "def demoed():\n    pass\n\n\n"
+                  "class Box:\n    def method(self):\n        pass\n"),
+        "beta": ("from .alpha import called, orphan\n\n\n"
+                 "def shown():\n    return called()\n"),
+        "rootsys": "def ck_inner():\n    pass\n",
+    }
+    demo = "from flagvar import demoed\n"
+    readme = "Call `beta.shown`.\n"
+    assert unread_functions(sources, [demo], readme) == {("alpha", "orphan")}
+    assert unread_functions(dict(sources, gamma="orphan()\n"), [demo],
+                            readme) == set()

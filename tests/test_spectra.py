@@ -19,8 +19,9 @@ from flagvar.spectra import (_fundamental_coefficients, _gram,
                              fiber_spectrum, flag_minimum, flag_spectrum,
                              is_dominant_class_one, kramer_basis, weyl_dim)
 from oracles import (ambient_weight, casimir_of_weight, catalogued_c_mu,
-                     cpn_multiplicity, flag_mu, fundamental_coefficients,
-                     solve_linear, sphere_multiplicity)
+                     cpn_multiplicity, flag_mu, freudenthal_multiplicities,
+                     fundamental_coefficients, solve_linear,
+                     sphere_multiplicity)
 from test_acceptance import CASES
 
 
@@ -293,6 +294,20 @@ def simple_coordinates(rs, alpha):
             for a in rs.simple_roots]
     return solve_linear(gram, [sum(x * y for x, y in zip(s, alpha))
                                for s in rs.simple_roots])
+
+
+@pytest.mark.parametrize("family", [FamilyTag("A", n) for n in (1, 2, 3)]
+                         + [FamilyTag("B", 2), FamilyTag("B", 3),
+                            FamilyTag("C", 3), FamilyTag("D", 4),
+                            FamilyTag("G2", 2)], ids=family_id)
+def test_weyl_dim_matches_freudenthal(family):
+    # Every dominant weight with coefficient sum <= 2: the weight
+    # multiplicities add up to the dimension, and lam itself has one.
+    for c in product(range(3), repeat=family.rank):
+        if sum(c) <= 2:
+            mult = freudenthal_multiplicities(family, c)
+            assert sum(mult.values()) == weyl_dim(family, c)
+            assert mult[ambient_weight(family, c)] == 1
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=family_id)
@@ -632,17 +647,17 @@ def test_lattice_points_rejects_a_non_monotone_form():
 # -- catalogued-inconsistency reports -------------------------------------
 
 def test_cn_first_eigenvalue_report():
-    rep = cn_first_eigenvalue_report(3)
-    assert rep["formula_min"] == 1
-    assert rep["formula_argmin"] == (1, 2, 1)
-    assert rep["casimir_min"] == Fraction(3, 4)
-    assert rep["casimir_argmin"] == (1, 2, 1)
-    assert rep["stated"] == Fraction(11, 16)
-    assert not rep["consistent"]
-    rep = cn_first_eigenvalue_report(5)
-    assert rep["formula_min"] == 1
-    assert rep["stated"] == Fraction(19, 24)
-    assert not rep["consistent"]
+    for n in range(3, 11):
+        rep = cn_first_eigenvalue_report(n)
+        argmin = (1,) + (2,) * (n - 2) + (1,)
+        assert rep["formula_min"] == 1
+        assert rep["formula_argmin"] == argmin
+        assert rep["casimir_min"] == Fraction(n, n + 1)
+        assert rep["casimir_argmin"] == argmin
+        assert rep["stated"] == Fraction(4 * n - 1, 4 * (n + 1))
+        assert not rep["consistent"]
+    assert cn_first_eigenvalue_report(3)["stated"] == Fraction(11, 16)
+    assert cn_first_eigenvalue_report(5)["stated"] == Fraction(19, 24)
 
 
 def test_bn_dominance_row_report():
