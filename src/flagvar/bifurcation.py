@@ -1,9 +1,9 @@
 """Degeneracy instants, bifurcation flags, Morse index, multiplicity.
 
 A degeneracy instant is a parameter t where scal(t)/(m-1) meets a base
-eigenvalue beta.  Clearing denominators in u = t**2 leaves
-``gap_quadratic`` at (beta, 0): E*u**2 + (C - D*(m-1)*beta)*u + A = 0
-with E < 0 and A > 0 (certified where ``fib.scal`` is derived), which
+eigenvalue beta.  In u = t**2 that is the integer quadratic
+c0 + (c1 + slope*beta)*u + c2*u**2 = 0 read off ``fib.gap``, with
+c2 < 0 < c0 (A > 0 > E, certified where ``fib.scal`` is derived), which
 has exactly one positive root; it is carried as an exact quadratic surd
 and its residual in the defining quadratic is checked to be literally
 zero.
@@ -23,14 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exact import common_denominator
-from .rootsys import build_root_system
-from .spectra import (_form_value, _fundamental_coefficients,
-                      _root_coordinates, _simple_gram, base_spectrum,
-                      base_spectrum_first, flag_minimum, kramer_basis,
-                      weyl_dim)
+from .spectra import (base_spectrum, base_spectrum_first, flag_minimum,
+                      spherical_multiple_above, weyl_dim)
 from .surd import QuadraticSurd
-from .variation import gap_quadratic, normalized_scal
 
 
 class DegeneracyInstant(namedtuple(
@@ -41,21 +36,19 @@ class DegeneracyInstant(namedtuple(
 
 
 def solve_instant(fib, beta, mult=1):
-    """Unique positive root of ``gap_quadratic`` at (beta, 0).
+    """Unique positive root of the instant quadratic at beta.
 
     A negative u**2 and a positive constant coefficient force the two
     roots to straddle zero, so positivity picks one; the residual is
     re-checked to be exactly the rational zero.  The bifurcation flag is
-    the strict inequality beta < mu1 + (1/u - 1)*phi1, which at the
-    instant is the (mu1, phi1) quadratic being negative at u, evaluated
-    exactly in u's field with the fibration's phi1, so an overridden
-    fiber eigenvalue propagates.  Both quadratics depend on fib alone,
-    so ``_quadratics`` builds their integer forms once per fibration.
+    the strict inequality beta < mu1 + (1/u - 1)*phi1, times u > 0:
+    u*(mu1 - beta - phi1) + phi1 > 0, evaluated exactly in u's field with
+    the fibration's phi1, so an overridden fiber eigenvalue propagates.
     """
-    (c0, c1, slope, c2, den), (f0, f1, f2) = _quadratics(fib)
+    c0, c1, slope, c2, den = fib.gap
     beta = Fraction(beta)
     bn, bd = beta.numerator, beta.denominator
-    # gap_quadratic at (beta, 0) is (a, b, e)/k.
+    # The quadratic at beta is (a, b, e)/k.
     a, b, e, k = c0 * bd, c1 * bd + slope * bn, c2 * bd, den * bd
     disc = b * b - 4 * e * a
     # u = (b + sqrt(disc))/(-2e).  In lowest terms disc/k**2 is
@@ -72,30 +65,14 @@ def solve_instant(fib, beta, mult=1):
     if u.sign() <= 0:
         raise AssertionError("solved instant is not positive")
 
-    is_bif = (u * (u * f2 + f1) + f0).sign() < 0
+    mu1 = flag_minimum(fib.family.root_family).value
+    is_bif = (u * (mu1 - beta - fib.phi1) + fib.phi1).sign() > 0
 
-    t, t_err = u.sqrt_to_float(bits=96)
+    t, t_err = u.sqrt_to_float()
     if t_err > 1e-12:
         raise AssertionError("presentation error exceeded the certified bound")
     return DegeneracyInstant(u=u, t=t, t_error=t_err, beta=beta,
                              mult=mult, is_bifurcation=is_bif)
-
-
-@lru_cache(maxsize=16)
-def _quadratics(fib):
-    """The quadratics every instant reads, over the integers, built once.
-
-    ``gap_quadratic`` is affine in mu, so at (beta, 0) it is
-    (c0, c1 + slope*beta, c2)/den, read off at beta = 0 and 1.  The
-    (mu1, phi1) quadratic that decides the bifurcation flag is kept up
-    to a positive factor, which leaves its sign alone.
-    """
-    at0 = gap_quadratic(fib, 0, 0)
-    at1 = gap_quadratic(fib, 1, 0)
-    (c0, c1, c2, c1_at1), den = common_denominator(at0 + (at1[1],))
-    mu1 = flag_minimum(fib.family.root_family).value
-    flag = common_denominator(gap_quadratic(fib, mu1, fib.phi1))[0]
-    return (c0, c1, c1_at1 - c1, c2, den), flag
 
 
 def rigidity_threshold(fib):
@@ -115,7 +92,7 @@ def instant_base(fib, t_min):
     t_min = Fraction(t_min)
     if not 0 < t_min < 1:
         raise ValueError("t_min must lie in (0, 1)")
-    cutoff = normalized_scal(fib).value_at_t(t_min)
+    cutoff = fib.scal_over_m_minus_1(t_min)
     return tuple(base_spectrum(fib.family, cutoff))
 
 
@@ -139,27 +116,15 @@ def instant_below(fib, eps):
     Takes the smallest multiple of the first spherical generator whose
     base eigenvalue exceeds scal/(m-1) at t = eps and solves that
     instant; strict monotonicity puts every later instant lower still.
-    The eigenvalue of k*gen is the class-one form at k*p, p the
-    simple-root coefficients of gen, which must be integers.  The
-    witness multiplicity counts the generator power alone, a lower
+    The witness multiplicity counts the generator power alone, a lower
     bound when other spherical weights share the eigenvalue.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    target = normalized_scal(fib).value_at_t(eps)
-    family = fib.family.root_family
-    gram = _simple_gram(family)
-    scale = build_root_system(family).scale
-    gen = kramer_basis(fib.family)[0]
-    p = _root_coordinates(gen, *_fundamental_coefficients(gram))
-    if p is None:
-        raise AssertionError("a spherical generator is off the root lattice")
-    k = 1
-    while (value := scale * _form_value(gram, [k * x for x in p])) <= target:
-        k += 1
-    inst = solve_instant(fib, value,
-                         weyl_dim(family, tuple(k * c for c in gen)))
+    value, coeffs = spherical_multiple_above(fib.family,
+                                             fib.scal_over_m_minus_1(eps))
+    inst = solve_instant(fib, value, weyl_dim(fib.family.root_family, coeffs))
     if not inst.u < eps * eps:
         raise AssertionError("witness instant failed to drop below eps")
     return inst
@@ -192,6 +157,6 @@ def _place(fib, base, t):
     t = Fraction(t)
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    s = normalized_scal(fib).value_at_t(t)
+    s = fib.scal_over_m_minus_1(t)
     k = bisect_left(base, s, key=lambda entry: entry.value)
     return k, k < len(base) and base[k].value == s

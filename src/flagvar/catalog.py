@@ -267,7 +267,7 @@ def _check_row(label, inst, u):
     return {
         "label": label,
         "solved": inst.t,
-        "catalogued": u.sqrt_to_float(bits=96)[0],
+        "catalogued": u.sqrt_to_float()[0],
         "agree": inst.u == u,
         "note": "",
     }

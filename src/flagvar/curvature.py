@@ -44,9 +44,6 @@ class ScalPoly(namedtuple("ScalPoly", "a c e d")):
         t = Fraction(t)
         return self.value_at_u(t * t)
 
-    def scaled_denominator(self, factor):
-        return ScalPoly(self.a, self.c, self.e, self.d * Fraction(factor))
-
 
 class TripleRecord(namedtuple("TripleRecord", "alpha beta gamma value klass")):
     """An unordered root triple with its symbol value and vertical class.

@@ -10,7 +10,9 @@ inner involution Ad(exp(pi*i*omega_n)), omega_n the fundamental
 coweight of the last simple root (Borel and de Siebenthal, 1949), so a
 positive root is vertical exactly when its coefficient on that simple
 root is even.  The fiber's simple roots, and through them its spectrum,
-are read off the vertical set.
+are read off the vertical set.  A fibration derives scal(t) once
+(``scal``, which certifies A > 0 > E) and, from it, the integer form
+``gap`` of scal(t)/(m-1) that every comparison with an eigenvalue reads.
 """
 
 from collections import namedtuple
@@ -19,17 +21,24 @@ from functools import cached_property
 from itertools import combinations
 
 from .curvature import scal_wz
+from .exact import common_denominator
 from .rootsys import FamilyTag, build_root_system
 from .spectra import _first_entries, _weyl_rows, fiber_spectrum
 
-FAMILY_KEYS = ("su", "so-odd", "sp", "so-even", "g2")
-
-_ROOT_KIND = {"su": "A", "so-odd": "B", "sp": "C", "so-even": "D", "g2": "G2"}
-FAMILY_ALIASES = {_ROOT_KIND[kind][0].lower(): kind for kind in FAMILY_KEYS}
-
-
-# Smallest valid rank of each kind, also its default.
-_MIN_RANK = {"su": 2, "so-odd": 2, "sp": 3, "so-even": 4, "g2": 2}
+# Per kind: the root system's kind, the smallest valid rank (also the
+# default), and the names of the total space, the base and the fiber, as
+# formats of (n, n + 1, n - 1, 2n, 2n + 1).
+_KINDS = {
+    "su": ("A", 2, ("SU({1})/T^{0}", "CP^{0}", "SU({0})/T^{2}")),
+    "so-odd": ("B", 2, ("SO({4})/T^{0}", "S^{3}", "SO({3})/T^{0}")),
+    "sp": ("C", 3, ("Sp({0})/T^{0}", "Sp({0})/U({0})", "SU({0})/T^{2}")),
+    "so-even": ("D", 4, ("SO({3})/T^{0}", "SO({3})/U({0})",
+                         "SU({0})/T^{2}")),
+    "g2": ("G2", 2, ("G2/T", "G2/SO(4)", "S^2xS^2")),
+}
+FAMILY_KEYS = tuple(_KINDS)
+FAMILY_ALIASES = {root[0].lower(): kind
+                  for kind, (root, _, _) in _KINDS.items()}
 
 
 class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
@@ -45,7 +54,7 @@ class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
     def __new__(cls, kind, n=None):
         if kind not in FAMILY_KEYS:
             raise ValueError("unknown fibration family {!r}".format(kind))
-        low = _MIN_RANK[kind]
+        low = _KINDS[kind][1]
         if n is None:
             n = low
         if kind == "g2":
@@ -58,18 +67,17 @@ class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
 
     @property
     def root_family(self):
-        return FamilyTag(_ROOT_KIND[self.kind], self.n)
+        return FamilyTag(_KINDS[self.kind][0], self.n)
 
     @property
     def label(self):
+        return self._names()[0]
+
+    def _names(self):
+        """The names of the total space, the base and the fiber."""
         n = self.n
-        return {
-            "su": "SU({})/T^{}".format(n + 1, n),
-            "so-odd": "SO({})/T^{}".format(2 * n + 1, n),
-            "sp": "Sp({})/T^{}".format(n, n),
-            "so-even": "SO({})/T^{}".format(2 * n, n),
-            "g2": "G2/T",
-        }[self.kind]
+        return [name.format(n, n + 1, n - 1, 2 * n, 2 * n + 1)
+                for name in _KINDS[self.kind][2]]
 
 
 class FibrationData(namedtuple(
@@ -77,8 +85,8 @@ class FibrationData(namedtuple(
         " fiber_simple_roots m_total dim_fiber dim_base base_id fiber_id"
         " phi1_given", defaults=(None,))):
     """The partition of a family's positive roots and its dimensions.  No
-    ``__slots__``: the cached ``phi1`` and ``scal`` live in the instance
-    dict."""
+    ``__slots__``: the cached ``phi1``, ``scal`` and ``gap`` live in the
+    instance dict."""
 
     @cached_property
     def phi1(self):
@@ -102,17 +110,26 @@ class FibrationData(namedtuple(
             raise AssertionError("scal(t) breaks A > 0 > E")
         return poly
 
+    @cached_property
+    def gap(self):
+        """scal(t)/(m-1) over the integers: (c0, c1, slope, c2, den) with
+        d*(m-1)*u*(scal(t)/(m-1) - beta) = (c0 + (c1 + slope*beta)*u
+        + c2*u**2)/den in u = t**2, for every beta.  den > 0 is the least
+        common denominator of a, c, e and d*(m-1), and the slope is
+        -(m-1)*d*den < 0.  Read off ``scal``, so A > 0 > E is certified."""
+        poly = self.scal
+        (c0, c1, c2, step), den = common_denominator(
+            (poly.a, poly.c, poly.e, poly.d * (self.m_total - 1)))
+        return c0, c1, -step, c2, den
 
-def _base_and_fiber_ids(family):
-    n = family.n
-    return {
-        "su": ("CP^{}".format(n), "SU({})/T^{}".format(n, n - 1)),
-        "so-odd": ("S^{}".format(2 * n), "SO({})/T^{}".format(2 * n, n)),
-        "sp": ("Sp({})/U({})".format(n, n), "SU({})/T^{}".format(n, n - 1)),
-        "so-even": ("SO({})/U({})".format(2 * n, n),
-                    "SU({})/T^{}".format(n, n - 1)),
-        "g2": ("G2/SO(4)", "S^2xS^2"),
-    }[family.kind]
+    def scal_over_m_minus_1(self, t):
+        """scal(t)/(m-1) at a nonzero rational t, one Fraction off
+        ``gap``: at beta = 0 it is (c0 + c1*u + c2*u**2)/(-slope*u)."""
+        c0, c1, slope, c2, _ = self.gap
+        t = Fraction(t)
+        un, ud = t.numerator ** 2, t.denominator ** 2
+        return Fraction(c0 * ud * ud + c1 * un * ud + c2 * un * un,
+                        -slope * un * ud)
 
 
 def build_fibration(family, phi1=None):
@@ -139,7 +156,7 @@ def build_fibration(family, phi1=None):
     horizontal = tuple(r for r in rs.positive_roots if r not in vertical)
     sums = {tuple(x + y for x, y in zip(a, b))
             for a, b in combinations(vertical, 2)}
-    base_id, fiber_id = _base_and_fiber_ids(family)
+    _, base_id, fiber_id = family._names()
     return FibrationData(
         family=family, root_system=rs, vertical_roots=vertical,
         horizontal_roots=horizontal,

@@ -143,24 +143,14 @@ def _form_value(gram, p):
                for i, (pi, row) in enumerate(zip(p, gram)))
 
 
-def _lattice_points(gram, scale, generators, den, cutoff):
-    """Weights lam = sum a_j g_j, integers a_j >= 0 not all zero, with
-    value scale*(p'Gp + sum G_ii p_i) <= cutoff, p the simple-root
-    coefficients of lam.  The generators g_j are integer rows of
-    simple-root coefficients over ``den``, g_j = row_j/den.
-
-    Returns {value: [a, ...]} by increasing value, each list in
-    lexicographic order.  In a the value is scale/den**2 times the
-    integer form a'Wa + w.a, W = (g_j'G g_k)_jk and w_j = den*sum_i
-    g_ji G_ii; W and w must be entrywise non-negative, W's diagonal and
-    the scale positive, as for dominant generators, or ValueError is
-    raised.  The form then never decreases in any coordinate, so a
-    prefix with a zero tail is an exact lower bound and each coordinate
-    stops at its first value over the cutoff, which must be positive.
-    """
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+def _form(gram, scale, generators, den):
+    """(W, w, factor): lam = sum a_j g_j, g_j = row_j/den for integer
+    rows of simple-root coefficients, has value scale*(p'Gp + sum G_ii
+    p_i) = factor*(a'Wa + w.a), p the simple-root coefficients of lam,
+    W = (g_j'G g_k)_jk, w_j = den*sum_i g_ji G_ii, factor = scale/den**2.
+    Unless W and w are entrywise non-negative, W's diagonal and the
+    scale positive, as for dominant generators, ValueError is raised;
+    then the form never decreases in any coordinate."""
     quad = [[sum(x * sum(c * y for c, y in zip(row, h))
                  for x, row in zip(g, gram))
              for h in generators] for g in generators]
@@ -169,7 +159,19 @@ def _lattice_points(gram, scale, generators, den, cutoff):
     if (scale <= 0 or min(chain(linear, *quad)) < 0
             or min(row[k] for k, row in enumerate(quad)) <= 0):
         raise ValueError("form is not monotone: generators must be dominant")
-    factor = Fraction(scale) / (den * den)
+    return quad, linear, Fraction(scale) / (den * den)
+
+
+def _lattice_points(gram, scale, generators, den, cutoff):
+    """{value: [a, ...]} by increasing value, each list in lexicographic
+    order, over the weights sum a_j g_j, integers a_j >= 0 not all zero,
+    valued at most ``cutoff`` > 0 by ``_form``.  The form never decreases
+    in any coordinate, so a prefix with a zero tail is an exact lower
+    bound and each coordinate stops at its first value over the cutoff."""
+    cutoff = Fraction(cutoff)
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    quad, linear, factor = _form(gram, scale, generators, den)
     limit = floor(cutoff / factor)
     found = {}
 
@@ -299,6 +301,16 @@ def kramer_basis(fib_family):
     return ((0, 2), (2, 0))  # g2: 2*omega_long, then 2*omega_short
 
 
+def _base_generators(fib_family):
+    """(G, scale, generators, den) of the spherical generators, as
+    ``_form`` and ``_lattice_points`` take them."""
+    family = fib_family.root_family
+    gram = _simple_gram(family)
+    coeffs, den = _fundamental_coefficients(gram)
+    return (gram, build_root_system(family).scale,
+            [_combine(b, coeffs) for b in kramer_basis(fib_family)], den)
+
+
 def base_spectrum(fib_family, cutoff):
     """Base eigenvalues <= cutoff with Weyl-dimension multiplicities.
 
@@ -307,16 +319,25 @@ def base_spectrum(fib_family, cutoff):
     """
     family = fib_family.root_family
     basis = kramer_basis(fib_family)
-    coeffs, den = _fundamental_coefficients(_simple_gram(family))
-    points = _lattice_points(_simple_gram(family),
-                             build_root_system(family).scale,
-                             [_combine(b, coeffs) for b in basis], den,
-                             cutoff)
+    points = _lattice_points(*_base_generators(fib_family), cutoff)
     return [SpectrumEntry(value=v, origin="base",
                           mult=sum(weyl_dim(family, _combine(x, basis))
                                    for x in xs),
                           label=tuple(xs) if len(basis) > 1 else xs[0])
             for v, xs in points.items()]
+
+
+def spherical_multiple_above(fib_family, target):
+    """(value, fundamental-weight coefficients) of the weight k*gen, gen
+    the first spherical generator and k >= 1 least with value over
+    ``target``.  The value is the base form's at (k, 0, ..., 0),
+    factor*(k*k*W_00 + k*w_0)."""
+    quad, linear, factor = _form(*_base_generators(fib_family))
+    limit = floor(Fraction(target) / factor)
+    k = 1
+    while (value := k * (k * quad[0][0] + linear[0])) <= limit:
+        k += 1
+    return factor * value, tuple(k * c for c in kramer_basis(fib_family)[0])
 
 
 def base_spectrum_first(fib_family, count):

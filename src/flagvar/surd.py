@@ -180,12 +180,13 @@ class QuadraticSurd:
         lo, hi, den = self._enclosure(bits)
         return Fraction(lo, den), Fraction(hi, den)
 
-    def sqrt_to_float(self, bits=64):
+    def sqrt_to_float(self):
         """Certified float of sqrt(value); value must be nonnegative.
 
-        The square roots of the enclosure's ends are enclosed on the
-        2**-bits grid, the lower end clamped at 0.
+        The square roots of the ends of the 96-bit enclosure are enclosed
+        on the 2**-96 grid, the lower end clamped at 0.
         """
+        bits = 96
         lo, hi, den = self._enclosure(bits)
         if hi < 0:
             raise ValueError("square root of negative surd")

@@ -4,23 +4,17 @@ Squeezing the fibers by t**2 turns each eigenvalue pair (mu, phi) of
 the total space and fiber into the curve lambda(t) = mu + (1/t**2 - 1)
 phi.  Constant curves are exactly the base eigenvalues.  Comparing
 scal(t)/(m - 1) with such a curve is, in u = t**2, the sign of one
-concave quadratic (``gap_quadratic``): it gives the degeneracy instants
-and bifurcation flags, and here the gap certificate, which decides in
-closed form that scal(t)/(m - 1) stays strictly below the first
-candidate non-constant curve on all of (0, 1].  The module also lays
-out the curves on a t-grid for the figure.
+concave quadratic (``gap_quadratic``).  Here it gives the gap
+certificate, which decides in closed form that scal(t)/(m - 1) stays
+strictly below the first candidate non-constant curve on all of (0, 1].
+At phi = 0 it is the fibration's integer form ``fib.gap``, which the
+degeneracy instants and the figure read.  The module also lays out the
+curves on a t-grid for the figure.
 """
 
 from .exact import common_denominator
 from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
                       flag_minimum, flag_spectrum)
-
-
-def normalized_scal(fib):
-    """Divide scal(t) by m - 1, exactly, keeping the same numerator."""
-    if fib.m_total < 3:
-        raise ValueError("normalization needs dimension at least 3")
-    return fib.scal.scaled_denominator(fib.m_total - 1)
 
 
 def gap_quadratic(fib, mu, phi):
@@ -94,12 +88,12 @@ def figure_series(fib, t_min, t_max):
     Everything runs on integers.  With t = tn/td on the grid,
     mu_k = M_k/D and phi_j = F_j/D over one common denominator D, each
     curve is (M_k*tn**2 + F_j*(td**2 - tn**2))/(D*tn**2), and
-    scal/(m-1) is likewise one ratio of integers.  So every float is a
-    single correctly rounded int/int division of the exact value.
+    scal/(m-1) is likewise one ratio of integers off ``fib.gap``.  So
+    every float is a single correctly rounded int/int division of the
+    exact value.
     """
     steps = 120
-    norm = normalized_scal(fib)
-    (a, c, e, d), _ = common_denominator((norm.a, norm.c, norm.e, norm.d))
+    a, c, slope, e, _ = fib.gap
     constants = [float(x.value) for x in base_spectrum_first(fib.family, 6)]
     mus = [x.value for x in _first_entries(
         lambda cut: flag_spectrum(fib.family.root_family, cut), 6)]
@@ -118,7 +112,7 @@ def figure_series(fib, t_min, t_max):
         tn = lo * steps + (hi - lo) * i
         un, ud = tn * tn, td * td  # u = t**2 = un/ud
         row = [tn / td, (a * ud * ud + c * un * ud + e * un * un)
-               / (d * un * ud)]
+               / (-slope * un * ud)]
         row += constants
         row += [(ms[k - 1] * un + fs[j - 1] * (ud - un)) / (den * un)
                 for k, j in pairs]

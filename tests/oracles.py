@@ -10,8 +10,10 @@ from math import comb, lcm
 from operator import add
 
 from flagvar.catalog import _catalogued_c_gram
+from flagvar.exact import common_denominator
 from flagvar.rootsys import build_root_system, ck_inner
-from flagvar.spectra import _form_value, _simple_gram
+from flagvar.spectra import _form_value, _simple_gram, flag_minimum
+from flagvar.variation import gap_quadratic
 
 
 def flag_mu(family, p):
@@ -202,3 +204,24 @@ def freudenthal_multiplicities(family, coeffs):
             mult[mu] = m
             level.append(mu)
     return {tuple(Fraction(x, den) for x in mu): m for mu, m in mult.items()}
+
+
+def gap_form(fib):
+    """(c0, c1, slope, c2, den) of ``FibrationData.gap``, derived apart:
+    ``gap_quadratic`` is affine in mu, so at (beta, 0) it is
+    (c0, c1 + slope*beta, c2)/den, read off at beta = 0 and 1 over one
+    common denominator."""
+    at0 = gap_quadratic(fib, 0, 0)
+    at1 = gap_quadratic(fib, 1, 0)
+    (c0, c1, c2, c1_at1), den = common_denominator(at0 + (at1[1],))
+    return c0, c1, c1_at1 - c1, c2, den
+
+
+def flag_by_gap_quadratic(fib, u):
+    """The bifurcation flag at the instant u from the (mu1, phi1) gap
+    quadratic: at u, scal(t)/(m-1) = beta lies below the curve
+    mu1 + (1/u - 1)*phi1 exactly when that quadratic, cleared of
+    denominators, is negative there."""
+    mu1 = flag_minimum(fib.family.root_family).value
+    (f0, f1, f2), _ = common_denominator(gap_quadratic(fib, mu1, fib.phi1))
+    return (u * (u * f2 + f1) + f0).sign() < 0

@@ -20,8 +20,7 @@ from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
                              kramer_basis, weyl_dim)
 from flagvar.surd import QuadraticSurd
-from flagvar.variation import normalized_scal
-from oracles import ambient_weight, casimir_of_weight
+from oracles import ambient_weight, casimir_of_weight, flag_by_gap_quadratic
 
 
 def _setup(kind, n):
@@ -113,28 +112,18 @@ def test_degeneracy_instants_rejects_bad_t_min():
             degeneracy_instants(fib, bad)
 
 
-def _clear_caches():
-    bifurcation._quadratics.cache_clear()
-    bifurcation.instant_base.cache_clear()
-
-
 def test_solve_instant_rejects_wrong_sign_polynomial(monkeypatch):
     # A > 0 > E is certified where a fresh fibration derives scal(t), so
     # an assembly that breaks it is an internal fault the solver never
-    # sees.  The caches key on the fibration, whose equal twin they may
-    # already hold, so they are emptied around the patched runs.
+    # sees.  The solver reads the fresh fibration's own ``gap``.
     one, zero = Fraction(1), Fraction(0)
-    _clear_caches()
-    try:
-        for bad in (ScalPoly(one, one, one, one),
-                    ScalPoly(one, one, zero, one),
-                    ScalPoly(zero, one, -one, one),
-                    ScalPoly(-one, one, -one, one)):
-            monkeypatch.setattr(fibration, "scal_wz", lambda fib, p=bad: p)
-            with pytest.raises(AssertionError, match="A > 0 > E"):
-                solve_instant(_setup("su", 2), Fraction(1))
-    finally:
-        _clear_caches()
+    for bad in (ScalPoly(one, one, one, one),
+                ScalPoly(one, one, zero, one),
+                ScalPoly(zero, one, -one, one),
+                ScalPoly(-one, one, -one, one)):
+        monkeypatch.setattr(fibration, "scal_wz", lambda fib, p=bad: p)
+        with pytest.raises(AssertionError, match="A > 0 > E"):
+            solve_instant(_setup("su", 2), Fraction(1))
 
 
 @pytest.mark.parametrize("kind,n", [("su", 2), ("so-odd", 2), ("sp", 3),
@@ -142,19 +131,28 @@ def test_solve_instant_rejects_wrong_sign_polynomial(monkeypatch):
 def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
     # The flag is beta < mu1 + (1/u - 1)*phi1 at the instant u.  A small
     # phi1, as --phi1 passes it, turns flags False; check both verdicts
-    # against that margin times u > 0, u*(mu1 - beta - phi1) + phi1.
+    # against the sign of the (mu1, phi1) gap quadratic at u.
     family = FibrationFamily(kind, n)
-    mu1 = flag_minimum(family.root_family).value
     for phi1 in (Fraction(1, 50), Fraction(1, 1000)):
         fib = build_fibration(family, phi1)
         instants = degeneracy_instants(fib, Fraction(1, 5))
         for inst in instants:
-            u_margin = inst.u * (mu1 - inst.beta - phi1) + phi1
-            assert inst.is_bifurcation == (u_margin.sign() > 0)
+            assert inst.is_bifurcation == flag_by_gap_quadratic(fib, inst.u)
         assert not all(inst.is_bifurcation for inst in instants)
+    # u does not depend on phi1, and each flag with beta > mu1 turns at
+    # phi1 = u*(beta - mu1)/(1 - u): probe 1% either side of it.
+    mu1 = flag_minimum(family.root_family).value
     fib = build_fibration(family)
-    assert all(inst.is_bifurcation for inst in
-               degeneracy_instants(fib, Fraction(1, 5)))
+    for inst in degeneracy_instants(fib, Fraction(1, 5)):
+        assert inst.is_bifurcation and flag_by_gap_quadratic(fib, inst.u)
+        if inst.beta > mu1:
+            u = inst.t ** 2
+            turn = Fraction(u * float(inst.beta - mu1) / (1 - u))
+            for side in (Fraction(99, 100), Fraction(101, 100)):
+                probe = build_fibration(family, side * turn)
+                flag = solve_instant(probe, inst.beta).is_bifurcation
+                assert flag == (side > 1)
+                assert flag == flag_by_gap_quadratic(probe, inst.u)
 
 
 # -- Morse index -----------------------------------------------------------
@@ -188,8 +186,8 @@ def test_morse_index_nondecreasing_toward_zero():
 def _crafted(fib, *ts):
     """Base entries valued scal(t)/(m-1) at the decreasing rational t's,
     so that each t is an instant, with multiplicities 1, 2, 4, ..."""
-    norm = normalized_scal(fib)
-    return [SpectrumEntry(value=norm.value_at_t(t), mult=2 ** k,
+    return [SpectrumEntry(value=fib.scal.value_at_t(t) / (fib.m_total - 1),
+                          mult=2 ** k,
                           origin="base", label=(k,))
             for k, t in enumerate(ts)]
 
@@ -314,7 +312,7 @@ def test_multiplicity_above_threshold_is_one():
 def test_instant_base_is_the_base_spectrum_to_the_cutoff():
     fib = _setup("g2", 2)
     t_min = Fraction(1, 20)
-    cutoff = normalized_scal(fib).value_at_t(t_min)
+    cutoff = fib.scal.value_at_t(t_min) / (fib.m_total - 1)
     assert list(instant_base(fib, t_min)) == base_spectrum(
         fib.family, cutoff)
 
@@ -354,7 +352,7 @@ def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
         return casimir_of_weight(
             family, ambient_weight(family, [k * c for c in gen]))
 
-    target = normalized_scal(fib).value_at_t(eps)
+    target = fib.scal.value_at_t(eps) / (fib.m_total - 1)
     k = 1
     while casimir(k) <= target:
         k += 1

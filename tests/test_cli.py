@@ -307,18 +307,16 @@ def test_grading_fault_exits_1(capsys, monkeypatch):
                                  "verify"])
 def test_scal_shape_fault_exits_1(capsys, monkeypatch, sub):
     # scal(t) with E > 0 breaks the one A > 0 > E check every subcommand
-    # past it relies on.  The caches key on equal fibrations, so they are
-    # emptied around the patched run.
+    # past it relies on.  The instant_base cache keys on equal
+    # fibrations, so it is emptied around the patched run.
     one = Fraction(1)
     monkeypatch.setattr(fibration, "scal_wz",
                         lambda fib: ScalPoly(one, one, one, one))
     bifurcation.instant_base.cache_clear()
-    bifurcation._quadratics.cache_clear()
     try:
         code, out, err = run(capsys, [sub, "--family", "su", "--n", "2"])
     finally:
         bifurcation.instant_base.cache_clear()
-        bifurcation._quadratics.cache_clear()
     assert code == 1 and out == ""
     assert err == "flagvar: certificate failed: scal(t) breaks A > 0 > E\n"
 

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and neither
-an exported name nor a public function goes without a reader.
+"""No module of the package imports a name it never uses, neither an
+exported name nor a public function goes without a reader, and the
+runtime loads only the standard library.
 
 ``__init__.py`` is exempt from the first check: it imports to
 re-export.  The checks read syntax trees and text, so they need no
@@ -7,8 +8,11 @@ linter.
 """
 
 import ast
+import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import flagvar
 
@@ -144,3 +148,53 @@ def test_a_planted_unread_function_is_caught():
     assert unread_functions(sources, [demo], readme) == {("alpha", "orphan")}
     assert unread_functions(dict(sources, gamma="orphan()\n"), [demo],
                             readme) == set()
+
+
+# One small argv per subcommand, all run through ``cli.main`` in one
+# ``python -S`` process: no site directory, so no .pth file imports
+# anything on the runtime's behalf.
+STDLIB_ARGVS = [
+    ["spectrum", "--family", "su", "--n", "2", "--cutoff", "3"],
+    ["scal", "--family", "g2"],
+    ["instants", "--family", "so-odd", "--n", "2", "--tmin", "0.2"],
+    ["morse", "--family", "sp", "--n", "3", "--tmin", "0.2"],
+    ["figure", "--family", "so-even", "--n", "4", "--tmin", "0.3",
+     "--format", "svg"],
+    ["verify", "--family", "su", "--n", "2"],
+]
+
+PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from flagvar import cli
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+
+
+def foreign_modules(names):
+    """Top-level packages among the module ``names`` that are neither in
+    the standard library nor flagvar or ``__main__``."""
+    return ({name.partition(".")[0] for name in names}
+            - sys.stdlib_module_names - {"flagvar", "__main__"})
+
+
+def test_the_runtime_needs_only_the_standard_library():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE, str(SRC.parent),
+         json.dumps(STDLIB_ARGVS)],
+        capture_output=True, text=True, timeout=60, check=True)
+    codes, modules = json.loads(done.stdout)
+    assert codes == [0] * len(STDLIB_ARGVS)
+    assert {"flagvar.cli", "flagvar.bifurcation"} <= set(modules)
+    assert foreign_modules(modules) == set()
+
+
+def test_a_planted_foreign_module_is_caught():
+    names = ["os.path", "fractions", "flagvar.cli", "__main__",
+             "sympy.core", "numpy", "certifi"]
+    assert foreign_modules(names) == {"sympy", "numpy", "certifi"}

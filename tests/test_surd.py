@@ -110,7 +110,7 @@ def test_bounds_and_float():
 
 def test_sqrt_to_float_certified():
     x = QuadraticSurd(-9, 1, 1, 85)
-    t, err = x.sqrt_to_float(bits=96)
+    t, err = x.sqrt_to_float()
     assert err <= 1e-12
     assert abs(t - 0.46855571418230224) <= 1e-12
     with pytest.raises(ValueError):
@@ -267,7 +267,8 @@ class _FractionSurd:
         return ((self.p + self.q * lo_s) / self.r,
                 (self.p + self.q * hi_s) / self.r)
 
-    def sqrt_to_float(self, bits=64):
+    def sqrt_to_float(self):
+        bits = 96
         lo, hi = self.bounds(bits)
         if hi < 0:
             raise ValueError("square root of negative surd")
@@ -305,9 +306,9 @@ def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
     assert x.bounds(bits) == ox.bounds(bits)
     if ox.bounds(96)[1] < 0:
         with pytest.raises(ValueError):
-            x.sqrt_to_float(96)
+            x.sqrt_to_float()
     else:
-        assert x.sqrt_to_float(96) == ox.sqrt_to_float(96)
+        assert x.sqrt_to_float() == ox.sqrt_to_float()
     for rational in (args[0], args[0] + 1, 0):
         assert (x == rational) == (ox.cmp(rational) == 0)
         assert (x < rational) == (ox.cmp(rational) < 0)
@@ -331,8 +332,8 @@ def test_integral_input_prints_as_the_fraction_oracle(args):
 
 def test_zero_sqrt_to_float_matches_the_oracle():
     for zero in (QuadraticSurd(0), QuadraticSurd(Fraction(0), 5, 3, 0)):
-        assert zero.sqrt_to_float(96) == _FractionSurd(0).sqrt_to_float(96)
-        assert zero.sqrt_to_float(96) == (0.0, 2.0 ** -1074)
+        assert zero.sqrt_to_float() == _FractionSurd(0).sqrt_to_float()
+        assert zero.sqrt_to_float() == (0.0, 2.0 ** -1074)
 
 
 def _assert_orders_as_the_oracle(x, y):

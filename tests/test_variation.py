@@ -15,7 +15,8 @@ from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (base_spectrum, fiber_spectrum, flag_minimum,
                              flag_spectrum)
 from flagvar.variation import (_roots_in_unit_interval, gap_certificate,
-                               gap_quadratic, normalized_scal)
+                               gap_quadratic)
+from oracles import gap_form
 
 CRITERION_CASES = ([("su", n) for n in range(2, 7)]
                    + [("so-odd", n) for n in (2, 4, 5, 6)]
@@ -104,21 +105,54 @@ def test_constant_eigenvalues_are_the_base_lines():
 
 # -- normalized scalar curvature ------------------------------------------
 
-def test_normalized_scal_spot_values():
+# The families and ranks of the golden digests.
+GOLDEN_FAMILIES = [("su", 2), ("su", 4), ("so-odd", 2), ("sp", 3), ("sp", 4),
+                   ("so-even", 4), ("g2", 2)]
+
+
+def test_scal_over_m_minus_1_spot_values():
     f = _fib("su", 2)
-    assert normalized_scal(f).value_at_t(Fraction(1)) == Fraction(1, 2)
+    assert f.scal_over_m_minus_1(Fraction(1)) == Fraction(1, 2)
     g = _fib("g2", 2)
-    assert normalized_scal(g).value_at_t(Fraction(1)) == Fraction(4, 11)
+    assert g.scal_over_m_minus_1(Fraction(1)) == Fraction(4, 11)
     s = _fib("so-odd", 2)
-    assert normalized_scal(s).value_at_t(Fraction(1)) == Fraction(3, 7)
+    assert s.scal_over_m_minus_1(Fraction(1)) == Fraction(3, 7)
 
 
-def test_normalized_scal_divides_by_dimension_minus_one():
-    f = _fib("sp", 3)
-    poly = f.scal
-    scaled = normalized_scal(f)
-    t = Fraction(2, 5)
-    assert scaled.value_at_t(t) * (f.m_total - 1) == poly.value_at_t(t)
+@pytest.mark.parametrize("kind,n", GOLDEN_FAMILIES)
+def test_scal_over_m_minus_1_divides_scal_by_m_minus_1(kind, n):
+    f = _fib(kind, n)
+    grid = [Fraction(k, 37) for k in range(1, 38)]
+    grid += [Fraction(1, 1000), Fraction(7, 1000), Fraction(999, 1000)]
+    for t in grid:
+        assert (f.scal_over_m_minus_1(t)
+                == f.scal.value_at_t(t) / (f.m_total - 1))
+
+
+@pytest.mark.parametrize("kind,n", GOLDEN_FAMILIES)
+def test_gap_is_the_gap_quadratic_over_one_denominator(kind, n):
+    for phi1 in (None, Fraction(1, 50)):
+        f = build_fibration(FibrationFamily(kind, n), phi1)
+        assert f.gap == gap_form(f)
+        c0, c1, slope, c2, den = f.gap
+        assert slope == -(f.m_total - 1) * f.scal.d * den
+        assert c2 < 0 < c0 and den > 0
+
+
+def test_gap_and_scal_over_m_minus_1_with_a_non_unit_denominator(
+        monkeypatch):
+    # The assembly always gives d = 1; a patched scal(t) with rational
+    # coefficients and d != 1 exercises the common denominator.
+    for poly in (ScalPoly(Fraction(7, 3), Fraction(5, 2), Fraction(-3, 4),
+                          Fraction(6, 5)),
+                 ScalPoly(Fraction(2), Fraction(1, 9), Fraction(-5), 3)):
+        monkeypatch.setattr(fibration, "scal_wz", lambda fib, p=poly: p)
+        f = _fib("sp", 3)
+        assert f.gap == gap_form(f)
+        assert f.gap[2] == -(f.m_total - 1) * poly.d * f.gap[4]
+        for t in (Fraction(1, 7), Fraction(2, 3), Fraction(1)):
+            assert (f.scal_over_m_minus_1(t)
+                    == poly.value_at_t(t) / (f.m_total - 1))
 
 
 # -- the gap certificate ---------------------------------------------------
@@ -176,7 +210,7 @@ def test_gap_quadratic_is_the_curve_gap_scaled_by_u():
     for u in (Fraction(1, 9), Fraction(1, 2), Fraction(1)):
         curve = mu + (1 / u - 1) * phi
         expected = (poly.d * (f.m_total - 1) * u
-                    * (normalized_scal(f).value_at_u(u) - curve))
+                    * (poly.value_at_u(u) / (f.m_total - 1) - curve))
         assert c0 + c1 * u + c2 * u * u == expected
 
 
