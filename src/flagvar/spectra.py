@@ -16,8 +16,10 @@ and non-negative <g, 2*delta>, so the value is one rational factor times
 an integer form a'Wa + w.a with W and w entrywise non-negative.  That
 form never decreases in any coordinate: a prefix with a zero tail is an
 exact lower bound, and one enumerator that stops each coordinate at its
-first value over the cutoff finds every weight under it.  Base
-multiplicities are Weyl dimensions, an integer product.  The catalogued
+first value over the cutoff finds every weight under it.  The walk
+carries each weight's integer vector, affine in a: den*p for the
+class-one test, and the Weyl factors for the base, so multiplicities are
+carried down the walk, not recomputed per weight.  The catalogued
 eigenvalue statements these are compared with are in ``catalog``.
 """
 
@@ -26,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import floor, gcd, lcm, prod
+from operator import add, mul
 
 from .rootsys import build_root_system
 # ck_inner is unused here but stays bound: the perfbench tracer
@@ -42,12 +45,6 @@ class SpectrumEntry(namedtuple("SpectrumEntry", "value mult origin label")):
     """
 
     __slots__ = ()
-
-
-def _combine(coeffs, vectors):
-    """The vector sum c_j*v_j."""
-    return tuple(sum(c * v[k] for c, v in zip(coeffs, vectors))
-                 for k in range(len(vectors[0])))
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +123,13 @@ def weyl_dim(family, coeffs):
     if len(coeffs) != family.rank:
         raise ValueError("coefficient count does not match the rank")
     rows, den = _weyl_rows(family)
-    dim, rest = divmod(prod(sum(r * (c + 1) for r, c in zip(row, coeffs))
-                            for row in rows), den)
+    return _weyl_quotient(prod(sum(r * (c + 1) for r, c in zip(row, coeffs))
+                               for row in rows), den)
+
+
+def _weyl_quotient(numerator, den):
+    """numerator/den, checked to be a positive integer."""
+    dim, rest = divmod(numerator, den)
     if rest or dim <= 0:
         raise AssertionError(
             "Weyl dimension did not come out a positive integer")
@@ -162,10 +164,11 @@ def _form(gram, scale, generators, den):
     return quad, linear, Fraction(scale) / (den * den)
 
 
-def _lattice_points(gram, scale, generators, den, cutoff):
-    """{value: [a, ...]} by increasing value, each list in lexicographic
-    order, over the weights sum a_j g_j, integers a_j >= 0 not all zero,
-    valued at most ``cutoff`` > 0 by ``_form``.  The form never decreases
+def _lattice_points(gram, scale, generators, den, cutoff, carried):
+    """{value: [(a, v), ...]} by increasing value, each list in
+    lexicographic order, over the weights sum a_j g_j, integers a_j >= 0
+    not all zero, valued at most ``cutoff`` > 0 by ``_form``, with
+    v = v0 + sum a_j r_j for carried = (v0, r).  The form never decreases
     in any coordinate, so a prefix with a zero tail is an exact lower
     bound and each coordinate stops at its first value over the cutoff."""
     cutoff = Fraction(cutoff)
@@ -175,32 +178,22 @@ def _lattice_points(gram, scale, generators, den, cutoff):
     limit = floor(cutoff / factor)
     found = {}
 
-    def recurse(prefix, value):
+    def recurse(prefix, value, vec):
         k = len(prefix)
-        if k == len(generators):
-            if any(prefix):
-                found.setdefault(value, []).append(prefix)
-            return
         # The value at (prefix, a, 0, ...) is value + a*step + a*a*W_kk.
         step = linear[k] + 2 * sum(quad[k][i] * x
                                    for i, x in enumerate(prefix))
         a = 0
         while (v := value + a * (step + a * quad[k][k])) <= limit:
-            recurse(prefix + (a,), v)
+            if k + 1 < len(generators):
+                recurse(prefix + (a,), v, vec)
+            elif a or any(prefix):
+                found.setdefault(v, []).append((prefix + (a,), vec))
+            vec = tuple(map(add, vec, carried[1][k]))
             a += 1
 
-    recurse((), 0)
+    recurse((), 0, carried[0])
     return {v * factor: found[v] for v in sorted(found)}
-
-
-def _root_coordinates(a, coeffs, den):
-    """p = a.N/den, the simple-root coefficients of sum a_j omega_j with
-    (N, den) from ``_fundamental_coefficients``, or None when some entry
-    is not an integer: the weight is off the root lattice."""
-    p = _combine(a, coeffs)
-    if any(x % den for x in p):
-        return None
-    return tuple(x // den for x in p)
 
 
 def _class_one_spectrum(simple_roots, scale, cutoff, origin):
@@ -211,17 +204,18 @@ def _class_one_spectrum(simple_roots, scale, cutoff, origin):
     A value is scale*(p'Gp + sum G_ii p_i) over the class-one weights
     lam = sum p_i alpha_i, G the Gram matrix of ``simple_roots``.  These
     are the dominant lam = sum a_j omega_j in the root lattice: with
-    omega_j = N_j/den, p = a.N/den is integral exactly when every entry
-    of a.N is divisible by den.  On a block-diagonal Gram (a product) p
-    may vanish on a factor.
+    omega_j = N_j/den, the walk carries v = a.N = den*p, and p is
+    integral exactly when every entry of v is divisible by den.  On a
+    block-diagonal Gram (a product) p may vanish on a factor.
     """
     gram = _gram(simple_roots)
     coeffs, den = _fundamental_coefficients(gram)
     entries = []
-    for value, points in _lattice_points(gram, scale, coeffs, den,
-                                         cutoff).items():
-        ps = sorted(p for p in (_root_coordinates(a, coeffs, den)
-                                for a in points) if p is not None)
+    for value, points in _lattice_points(gram, scale, coeffs, den, cutoff,
+                                         ((0,) * len(coeffs), coeffs)
+                                         ).items():
+        ps = sorted(tuple(x // den for x in v) for _, v in points
+                    if not any(x % den for x in v))
         if ps:
             entries.append(SpectrumEntry(value=value, mult=None,
                                          origin=origin, label=tuple(ps)))
@@ -302,13 +296,14 @@ def kramer_basis(fib_family):
 
 
 def _base_generators(fib_family):
-    """(G, scale, generators, den) of the spherical generators, as
-    ``_form`` and ``_lattice_points`` take them."""
+    """(G, scale, generators, den) of the spherical generators b, as
+    ``_form`` and ``_lattice_points`` take them: the rows b.N."""
     family = fib_family.root_family
     gram = _simple_gram(family)
     coeffs, den = _fundamental_coefficients(gram)
     return (gram, build_root_system(family).scale,
-            [_combine(b, coeffs) for b in kramer_basis(fib_family)], den)
+            [[sum(c * n[i] for c, n in zip(b, coeffs)) for i in range(len(b))]
+             for b in kramer_basis(fib_family)], den)
 
 
 def base_spectrum(fib_family, cutoff):
@@ -316,15 +311,20 @@ def base_spectrum(fib_family, cutoff):
 
     Each entry's label lists the generator coefficients x of its
     weights; with a single generator (su, so-odd) it is that x = (q,).
+    The walk carries the Weyl factors row.1 + sum x_j row.b_j of
+    sum x_j b_j; over the Weyl denominator their product is its weyl_dim.
     """
-    family = fib_family.root_family
     basis = kramer_basis(fib_family)
-    points = _lattice_points(*_base_generators(fib_family), cutoff)
+    rows, den = _weyl_rows(fib_family.root_family)
+    carried = (tuple(map(sum, rows)),
+               [[sum(map(mul, row, b)) for row in rows] for b in basis])
+    points = _lattice_points(*_base_generators(fib_family), cutoff, carried)
     return [SpectrumEntry(value=v, origin="base",
-                          mult=sum(weyl_dim(family, _combine(x, basis))
-                                   for x in xs),
-                          label=tuple(xs) if len(basis) > 1 else xs[0])
-            for v, xs in points.items()]
+                          mult=sum(_weyl_quotient(prod(w), den)
+                                   for _, w in pairs),
+                          label=(tuple(x for x, _ in pairs) if len(basis) > 1
+                                 else pairs[0][0]))
+            for v, pairs in points.items()]
 
 
 def spherical_multiple_above(fib_family, target):

@@ -244,9 +244,9 @@ def test_bisection_matches_the_linear_scan(kind, n):
         assert multiplicity_lower_bound(fib, base, t) == count
 
 
-# Every valid family up to rank 10 (so-odd skips n = 3) at tmin 1/5 and
-# 1/10, and up to rank 6 at 1/20: below that the base enumeration of
-# ranks 7-10 takes 0.1-0.6 s a family (ROADMAP item 2).
+# Every valid family up to rank 10 (so-odd skips n = 3) at tmin 1/20,
+# 1/10 and 1/5.  Solving every rank 7-10 cell at 1/20 takes about 1 s
+# on a 2-core machine, sp 10 the slowest at about 0.2 s.
 PROPERTY_FAMILIES = [(kind, n)
                      for kind, low in (("su", 2), ("so-odd", 2), ("sp", 3),
                                        ("so-even", 4))
@@ -254,8 +254,7 @@ PROPERTY_FAMILIES = [(kind, n)
 PROPERTY_GRID = [(kind, n, t_min)
                  for kind, n in PROPERTY_FAMILIES + [("g2", 2)]
                  for t_min in (Fraction(1, 20), Fraction(1, 10),
-                               Fraction(1, 5))
-                 if n <= 6 or t_min > Fraction(1, 20)]
+                               Fraction(1, 5))]
 
 
 @lru_cache(maxsize=None)

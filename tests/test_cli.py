@@ -284,6 +284,25 @@ def test_internal_exactness_failure_exits_1(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_weyl_denominator_off_by_one_fails_per_weight(capsys, monkeypatch):
+    # Each weight's Weyl product must divide exactly by the denominator,
+    # so a denominator off by one fails the base enumeration, and the
+    # command line reports it in one line.
+    real = spectra._weyl_rows
+
+    def off_by_one(family):
+        rows, den = real(family)
+        return rows, den + 1
+
+    monkeypatch.setattr(spectra, "_weyl_rows", off_by_one)
+    with pytest.raises(AssertionError):
+        spectra.base_spectrum(fibration.FibrationFamily("sp", 3), 6)
+    code, out, err = run(capsys, ["spectrum", "--family", "sp", "--n", "3"])
+    assert code == 1 and out == ""
+    assert err == ("flagvar: certificate failed: Weyl dimension did not "
+                   "come out a positive integer\n")
+
+
 def test_grading_fault_exits_1(capsys, monkeypatch):
     # Grading on an odd last coefficient puts two vertical roots in one
     # triple with a horizontal one: a fault of the grading rule, not of

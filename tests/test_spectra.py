@@ -408,19 +408,22 @@ def test_base_spectrum_g2_values_and_first_multiplicity():
 
 
 def test_base_spectrum_merges_equal_values():
-    # so-even at n=4: the two generators can collide in value; labels
-    # then accumulate under a single entry with summed multiplicity.
-    entries = base_spectrum(FibrationFamily("so-even", 4), Fraction(4))
-    for e in entries:
-        assert len(e.label) >= 1
-        total = 0
-        family = FamilyTag("D", 4)
-        basis = kramer_basis(FibrationFamily("so-even", 4))
-        for x in e.label:
-            coeffs = tuple(sum(xi * b[k] for xi, b in zip(x, basis))
-                           for k in range(4))
-            total += weyl_dim(family, coeffs)
-        assert total == e.mult
+    # Generators can collide in value; labels then accumulate under one
+    # entry whose multiplicity, carried down the walk, is the sum of
+    # weyl_dim over its label.  Each family has such values under 6.
+    for kind, n in (("so-even", 4), ("sp", 5), ("so-even", 7)):
+        fib_family = FibrationFamily(kind, n)
+        family = fib_family.root_family
+        basis = kramer_basis(fib_family)
+        entries = base_spectrum(fib_family, Fraction(6))
+        assert any(len(e.label) > 1 for e in entries)
+        for e in entries:
+            assert e.label
+            assert e.mult == sum(
+                weyl_dim(family, tuple(sum(xi * b[k]
+                                           for xi, b in zip(x, basis))
+                                       for k in range(n)))
+                for x in e.label)
 
 
 def test_base_spectrum_sp_first_value_is_one():
@@ -597,8 +600,9 @@ def _base_oracle(fib_family):
     FibrationFamily("su", 2), FibrationFamily("su", 3),
     FibrationFamily("so-odd", 2), FibrationFamily("so-odd", 4),
     FibrationFamily("sp", 3), FibrationFamily("sp", 4),
-    FibrationFamily("so-even", 4), FibrationFamily("so-even", 5),
-    FibrationFamily("so-even", 6), FibrationFamily("g2", 2)],
+    FibrationFamily("sp", 5), FibrationFamily("so-even", 4),
+    FibrationFamily("so-even", 5), FibrationFamily("so-even", 6),
+    FibrationFamily("so-even", 7), FibrationFamily("g2", 2)],
     ids=lambda f: "{}-{}".format(f.kind, f.n))
 @settings(max_examples=15, deadline=None)
 @given(cutoff=st.fractions(min_value=Fraction(1, 4),
@@ -638,10 +642,11 @@ def test_lattice_points_rejects_a_non_monotone_form():
     # diagonal, so the form in their coefficients is not monotone.
     with pytest.raises(ValueError):
         _lattice_points(((2, -1), (-1, 2)), Fraction(1, 6),
-                        ((1, 0), (0, 1)), 1, 4)
+                        ((1, 0), (0, 1)), 1, 4, ((0, 0), ((1, 0), (0, 1))))
     # A negative linear term alone is rejected too.
     with pytest.raises(ValueError):
-        _lattice_points(((2, 0), (0, 2)), 1, ((-1, 0),), 1, 4)
+        _lattice_points(((2, 0), (0, 2)), 1, ((-1, 0),), 1, 4,
+                        ((0,), ((1,),)))
 
 
 # -- catalogued-inconsistency reports -------------------------------------
