@@ -165,17 +165,18 @@ def _form(gram, scale, generators, den):
 
 
 def _lattice_points(gram, scale, generators, den, cutoff, carried):
-    """{value: [(a, v), ...]} by increasing value, each list in
+    """{value: [(a, leaf(v)), ...]} by increasing value, each list in
     lexicographic order, over the weights sum a_j g_j, integers a_j >= 0
-    not all zero, valued at most ``cutoff`` > 0 by ``_form``, with
-    v = v0 + sum a_j r_j for carried = (v0, r).  The form never decreases
-    in any coordinate, so a prefix with a zero tail is an exact lower
-    bound and each coordinate stops at its first value over the cutoff."""
+    not all zero and leaf(v) not None, v = v0 + sum a_j r_j for carried
+    = (v0, r, leaf), valued at most ``cutoff`` > 0 by ``_form``.  The form
+    never decreases in any coordinate, so a zero-tailed prefix is an exact
+    lower bound and each coordinate stops at its first value over cutoff."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     quad, linear, factor = _form(gram, scale, generators, den)
     limit = floor(cutoff / factor)
+    start, rows, leaf = carried
     found = {}
 
     def recurse(prefix, value, vec):
@@ -187,12 +188,12 @@ def _lattice_points(gram, scale, generators, den, cutoff, carried):
         while (v := value + a * (step + a * quad[k][k])) <= limit:
             if k + 1 < len(generators):
                 recurse(prefix + (a,), v, vec)
-            elif a or any(prefix):
-                found.setdefault(v, []).append((prefix + (a,), vec))
-            vec = tuple(map(add, vec, carried[1][k]))
+            elif (a or any(prefix)) and (kept := leaf(vec)) is not None:
+                found.setdefault(v, []).append((prefix + (a,), kept))
+            vec = tuple(map(add, vec, rows[k]))
             a += 1
 
-    recurse((), 0, carried[0])
+    recurse((), 0, start)
     return {v * factor: found[v] for v in sorted(found)}
 
 
@@ -210,16 +211,15 @@ def _class_one_spectrum(simple_roots, scale, cutoff, origin):
     """
     gram = _gram(simple_roots)
     coeffs, den = _fundamental_coefficients(gram)
-    entries = []
-    for value, points in _lattice_points(gram, scale, coeffs, den, cutoff,
-                                         ((0,) * len(coeffs), coeffs)
-                                         ).items():
-        ps = sorted(tuple(x // den for x in v) for _, v in points
-                    if not any(x % den for x in v))
-        if ps:
-            entries.append(SpectrumEntry(value=value, mult=None,
-                                         origin=origin, label=tuple(ps)))
-    return entries
+
+    def class_one(v):
+        return None if any(x % den for x in v) else tuple(x // den for x in v)
+
+    points = _lattice_points(gram, scale, coeffs, den, cutoff,
+                             ((0,) * len(coeffs), coeffs, class_one))
+    return [SpectrumEntry(value=value, mult=None, origin=origin,
+                          label=tuple(sorted(p for _, p in pairs)))
+            for value, pairs in points.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +317,11 @@ def base_spectrum(fib_family, cutoff):
     basis = kramer_basis(fib_family)
     rows, den = _weyl_rows(fib_family.root_family)
     carried = (tuple(map(sum, rows)),
-               [[sum(map(mul, row, b)) for row in rows] for b in basis])
+               [[sum(map(mul, row, b)) for row in rows] for b in basis],
+               lambda w: _weyl_quotient(prod(w), den))
     points = _lattice_points(*_base_generators(fib_family), cutoff, carried)
     return [SpectrumEntry(value=v, origin="base",
-                          mult=sum(_weyl_quotient(prod(w), den)
-                                   for _, w in pairs),
+                          mult=sum(dim for _, dim in pairs),
                           label=(tuple(x for x, _ in pairs) if len(basis) > 1
                                  else pairs[0][0]))
             for v, pairs in points.items()]

@@ -1,15 +1,15 @@
 """In-process timing of the spectrum enumerators at two checkouts.
 
-    python tools/enum_timing.py PARENT CHANGE [--pairs 10]
+    python tools/enum_timing.py PARENT CHANGE
 
-PARENT and CHANGE are two checkouts of this repository.  Each pair runs
-one fresh interpreter per checkout, alternating which goes first; each
-interpreter imports flagvar from its checkout's ``src`` and times
-``flag_spectrum``, ``fiber_spectrum`` and ``base_spectrum`` with
-``time.perf_counter``, one call per cell of the fixed grid below.  The
-report gives, per call and summed, the median seconds at each checkout
-and the change's share of pairs won, then one line saying whether every
-output was equal at both checkouts.  Standard library only.
+PARENT and CHANGE are two checkouts of this repository.  Each of the
+PAIRS pairs runs one fresh interpreter per checkout, alternating which
+goes first; each interpreter imports flagvar from its checkout's ``src``
+and times ``flag_spectrum``, ``fiber_spectrum`` and ``base_spectrum``
+with ``time.perf_counter``, one call per cell of the fixed grid below.
+The report gives, per call and summed, the median seconds at each
+checkout and the change's share of pairs won, then one line saying
+whether every output was equal at both checkouts.  Standard library only.
 """
 
 import argparse
@@ -20,6 +20,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+PAIRS = 10
 
 # (function, kind, rank, cutoff).  Flag and fiber cutoffs stay small:
 # their class-one weights grow fast with the cutoff.  The base cells
@@ -66,16 +68,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 10:
-        parser.error("--pairs must be at least 10")
     for checkout in (args.parent, args.change):
         if not os.path.isdir(os.path.join(checkout, "src", "flagvar")):
             parser.error("{} is not a checkout: no src/flagvar".format(
                 checkout))
     runs = {"parent": [], "change": []}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(getattr(args, side)))
@@ -90,11 +89,11 @@ def main(argv=None):
         won = sum(c < p for p, c in zip(parent, change))
         print("{:<36} {:>10.4f} {:>10.4f} {:>3}/{}".format(
             key, statistics.median(parent), statistics.median(change),
-            won, args.pairs))
+            won, PAIRS))
     same = all(len({run[key][1] for side in runs.values() for run in side})
                == 1 for key in keys)
     print("outputs equal at both checkouts: {} ({} cells, {} runs)".format(
-        "yes" if same else "NO", len(keys), 2 * args.pairs))
+        "yes" if same else "NO", len(keys), 2 * PAIRS))
     return 0 if same else 1
 
 
