@@ -38,7 +38,8 @@ def show(kind, n):
     rank = fib.family.root_family.rank
     dim_g = fib.m_total + rank
     print("  scal at t=1: {} == (dim G + rank)/4 = {}".format(
-        poly.value_at_t(Fraction(1)), Fraction(dim_g + rank, 4)))
+        fib.scal_over_m_minus_1(1) * (fib.m_total - 1),
+        Fraction(dim_g + rank, 4)))
     print()
 
 

@@ -34,16 +34,6 @@ class ScalPoly(namedtuple("ScalPoly", "a c e d")):
     def same_function(self, other):
         return self.normalized() == other.normalized()
 
-    def value_at_u(self, u):
-        u = Fraction(u)
-        if u <= 0:
-            raise ValueError("u = t**2 must be positive")
-        return (self.a + self.c * u + self.e * u * u) / (self.d * u)
-
-    def value_at_t(self, t):
-        t = Fraction(t)
-        return self.value_at_u(t * t)
-
 
 class TripleRecord(namedtuple("TripleRecord", "alpha beta gamma value klass")):
     """An unordered root triple with its symbol value and vertical class.

@@ -4,11 +4,11 @@ Squeezing the fibers by t**2 turns each eigenvalue pair (mu, phi) of
 the total space and fiber into the curve lambda(t) = mu + (1/t**2 - 1)
 phi.  Constant curves are exactly the base eigenvalues.  Comparing
 scal(t)/(m - 1) with such a curve is, in u = t**2, the sign of one
-concave quadratic (``gap_quadratic``).  Here it gives the gap
-certificate, which decides in closed form that scal(t)/(m - 1) stays
-strictly below the first candidate non-constant curve on all of (0, 1].
-At phi = 0 it is the fibration's integer form ``fib.gap``, which the
-degeneracy instants and the figure read.  The module also lays out the
+concave integer quadratic read off the fibration's form ``fib.gap``,
+which the degeneracy instants read at (beta, 0).  Here, read at
+(mu1, phi1), it gives the gap certificate, which decides by integer
+signs that scal(t)/(m - 1) stays strictly below the first candidate
+non-constant curve on all of (0, 1].  The module also lays out the
 curves on a t-grid for the figure.
 """
 
@@ -17,66 +17,37 @@ from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
                       flag_minimum, flag_spectrum)
 
 
-def gap_quadratic(fib, mu, phi):
-    """Coefficients (c0, c1, c2) of c0 + c1*u + c2*u**2 in u = t**2.
-
-    It is d*(m-1)*u*(scal(t)/(m-1) - mu - (1/u - 1)*phi), so its sign
-    at any u > 0 says which side of the curve mu + (1/t**2 - 1)*phi
-    the normalized scalar curvature lies on; at phi = 0 its root is
-    where scal(t)/(m-1) meets the constant mu.  It is concave, since
-    ``fib.scal`` certifies E < 0.
-    """
-    poly = fib.scal
-    scale = poly.d * (fib.m_total - 1)
-    return (poly.a - scale * phi, poly.c - scale * (mu - phi), poly.e)
-
-
-def _roots_in_unit_interval(c0, c1, c2):
-    """Number of distinct roots in (0, 1) of c0 + c1*u + c2*u**2, c2 < 0.
-
-    The quadratic is positive exactly strictly between its roots, which
-    straddle the vertex v.  So the discriminant, the signs at 0 and 1
-    and the side of v on which 0 and 1 lie place each root.
-    """
-    disc = c1 * c1 - 4 * c2 * c0
-    vertex = -c1 / (2 * c2)
-    if disc < 0:
-        return 0
-    if disc == 0:
-        return int(0 < vertex < 1)
-    at_one = c0 + c1 + c2
-    # The lower root is above 0 when 0 lies left of both roots, and
-    # below 1 when 1 lies between them or right of both.
-    low = c0 < 0 < vertex and (at_one > 0 or vertex < 1)
-    # The upper root is above 0 when 0 lies between the roots or left
-    # of both, and below 1 when 1 lies right of both.
-    high = (c0 > 0 or vertex > 0) and at_one < 0 and vertex < 1
-    return low + high
-
-
 def gap_certificate(fib):
     """Certify scal(t)/(m-1) < mu1 + (1/t**2 - 1)*phi1 on all of (0, 1].
 
     mu1 is the flag minimum and phi1 the fibration's, so a phi1 given to
-    ``build_fibration`` is the one tested.  The claim is
-    ``gap_quadratic`` staying negative on (0, 1]: negative at 1 with no
-    root in (0, 1), counted in closed form.  Returns a report dict with
-    the verdict and the quadratic used.
+    ``build_fibration`` is the one tested.  With mu1 = M/k and
+    phi1 = F/k, ``fib.gap`` read at (mu1, phi1) is the integer concave
+    quadratic q = (c0*k + slope*F, c1*k + slope*(M - F), c2*k): over
+    den*k it is d*(m-1)*u*(scal(t)/(m-1) - mu1 - (1/u - 1)*phi1), in
+    u = t**2.  The claim is q < 0 on (0, 1].  It needs q(1) < 0; then,
+    with the vertex -c1/(2*c2) at or left of 0, also c0 <= 0; at or
+    right of 1, nothing more; in between, a negative maximum,
+    c1**2 < 4*c0*c2.  Returns a report dict with the verdict, q and
+    q(1), both over the ``denominator`` den*k.
     """
     phi1 = fib.phi1
     mu1 = flag_minimum(fib.family.root_family).value
-    coeffs = list(gap_quadratic(fib, mu1, phi1))
-    at_one = sum(coeffs)
-    roots_inside = _roots_in_unit_interval(*coeffs) if at_one < 0 else 0
+    c0, c1, slope, c2, den = fib.gap
+    (m, f), k = common_denominator((mu1, phi1))
+    c0, c1, c2 = c0 * k + slope * f, c1 * k + slope * (m - f), c2 * k
+    at_one = c0 + c1 + c2
+    below = (c0 <= 0 if c1 <= 0
+             else c1 >= -2 * c2 or c1 * c1 < 4 * c0 * c2)
     return {
         "family": fib.family.kind,
         "n": fib.family.n,
         "mu1": mu1,
         "phi1": phi1,
-        "polynomial": coeffs,
+        "polynomial": [c0, c1, c2],
+        "denominator": den * k,
         "value_at_one": at_one,
-        "roots_in_unit_interval": roots_inside,
-        "holds": at_one < 0 and roots_inside == 0,
+        "holds": at_one < 0 and below,
     }
 
 

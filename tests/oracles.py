@@ -13,7 +13,6 @@ from flagvar.catalog import _catalogued_c_gram
 from flagvar.exact import common_denominator
 from flagvar.rootsys import build_root_system, ck_inner
 from flagvar.spectra import _form_value, _simple_gram, flag_minimum
-from flagvar.variation import gap_quadratic
 
 
 def flag_mu(family, p):
@@ -204,6 +203,58 @@ def freudenthal_multiplicities(family, coeffs):
             mult[mu] = m
             level.append(mu)
     return {tuple(Fraction(x, den) for x in mu): m for mu, m in mult.items()}
+
+
+def value_at_u(poly, u):
+    """The ``ScalPoly`` scal(t) at u = t**2 > 0, straight off (a, c, e, d)."""
+    u = Fraction(u)
+    if u <= 0:
+        raise ValueError("u = t**2 must be positive")
+    return (poly.a + poly.c * u + poly.e * u * u) / (poly.d * u)
+
+
+def value_at_t(poly, t):
+    """The ``ScalPoly`` scal(t) at a nonzero rational t."""
+    t = Fraction(t)
+    return value_at_u(poly, t * t)
+
+
+def gap_quadratic(fib, mu, phi):
+    """Coefficients (c0, c1, c2) of c0 + c1*u + c2*u**2 in u = t**2.
+
+    It is d*(m-1)*u*(scal(t)/(m-1) - mu - (1/u - 1)*phi), so its sign
+    at any u > 0 says which side of the curve mu + (1/t**2 - 1)*phi
+    the normalized scalar curvature lies on; at phi = 0 its root is
+    where scal(t)/(m-1) meets the constant mu.  It is concave, since
+    ``fib.scal`` certifies E < 0.  Read off the Fractions of
+    ``fib.scal``, apart from the integer form ``fib.gap``.
+    """
+    poly = fib.scal
+    scale = poly.d * (fib.m_total - 1)
+    return (poly.a - scale * phi, poly.c - scale * (mu - phi), poly.e)
+
+
+def roots_in_unit_interval(c0, c1, c2):
+    """Number of distinct roots in (0, 1) of c0 + c1*u + c2*u**2, c2 < 0.
+
+    The quadratic is positive exactly strictly between its roots, which
+    straddle the vertex v.  So the discriminant, the signs at 0 and 1
+    and the side of v on which 0 and 1 lie place each root.
+    """
+    disc = c1 * c1 - 4 * c2 * c0
+    vertex = Fraction(-c1) / (2 * c2)
+    if disc < 0:
+        return 0
+    if disc == 0:
+        return int(0 < vertex < 1)
+    at_one = c0 + c1 + c2
+    # The lower root is above 0 when 0 lies left of both roots, and
+    # below 1 when 1 lies between them or right of both.
+    low = c0 < 0 < vertex and (at_one > 0 or vertex < 1)
+    # The upper root is above 0 when 0 lies between the roots or left
+    # of both, and below 1 when 1 lies right of both.
+    high = (c0 > 0 or vertex > 0) and at_one < 0 and vertex < 1
+    return low + high
 
 
 def gap_form(fib):

@@ -28,7 +28,8 @@ from flagvar.spectra import base_spectrum_first, flag_minimum, weyl_dim
 from flagvar.surd import QuadraticSurd
 from flagvar.variation import gap_certificate
 from flagvar.bifurcation import DegeneracyInstant  # noqa: F401  (re-export check)
-from oracles import cpn_multiplicity, sphere_multiplicity
+from oracles import (cpn_multiplicity, gap_quadratic, roots_in_unit_interval,
+                     sphere_multiplicity)
 
 CASES = ([("su", n) for n in range(2, 9)]
          + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)]
@@ -207,7 +208,8 @@ def test_criterion_08():
         fib = _fib(kind, n)
         report = gap_certificate(fib)
         ok = ok and report["holds"]
-        ok = ok and report["roots_in_unit_interval"] == 0
+        coeffs = gap_quadratic(fib, report["mu1"], report["phi1"])
+        ok = ok and roots_in_unit_interval(*coeffs) == 0
         ok = ok and report["value_at_one"] < 0
     assert _report(8, ok)
 

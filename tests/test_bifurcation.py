@@ -20,7 +20,8 @@ from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
                              kramer_basis, weyl_dim)
 from flagvar.surd import QuadraticSurd
-from oracles import ambient_weight, casimir_of_weight, flag_by_gap_quadratic
+from oracles import (ambient_weight, casimir_of_weight, flag_by_gap_quadratic,
+                     value_at_t)
 
 
 def _setup(kind, n):
@@ -186,7 +187,7 @@ def test_morse_index_nondecreasing_toward_zero():
 def _crafted(fib, *ts):
     """Base entries valued scal(t)/(m-1) at the decreasing rational t's,
     so that each t is an instant, with multiplicities 1, 2, 4, ..."""
-    return [SpectrumEntry(value=fib.scal.value_at_t(t) / (fib.m_total - 1),
+    return [SpectrumEntry(value=value_at_t(fib.scal, t) / (fib.m_total - 1),
                           mult=2 ** k,
                           origin="base", label=(k,))
             for k, t in enumerate(ts)]
@@ -311,7 +312,7 @@ def test_multiplicity_above_threshold_is_one():
 def test_instant_base_is_the_base_spectrum_to_the_cutoff():
     fib = _setup("g2", 2)
     t_min = Fraction(1, 20)
-    cutoff = fib.scal.value_at_t(t_min) / (fib.m_total - 1)
+    cutoff = value_at_t(fib.scal, t_min) / (fib.m_total - 1)
     assert list(instant_base(fib, t_min)) == base_spectrum(
         fib.family, cutoff)
 
@@ -351,7 +352,7 @@ def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
         return casimir_of_weight(
             family, ambient_weight(family, [k * c for c in gen]))
 
-    target = fib.scal.value_at_t(eps) / (fib.m_total - 1)
+    target = value_at_t(fib.scal, eps) / (fib.m_total - 1)
     k = 1
     while casimir(k) <= target:
         k += 1

@@ -9,7 +9,7 @@ import pytest
 from flagvar.catalog import scal_closed_form
 from flagvar.curvature import ScalPoly, scal_wz, su_triple_census, triples
 from flagvar.fibration import FibrationFamily, build_fibration
-from oracles import structure_constant_sq
+from oracles import structure_constant_sq, value_at_t, value_at_u
 
 IDENTITY_HOLDS = [("su", n) for n in range(2, 7)] + [("so-odd", 2), ("g2", 2)]
 IDENTITY_FAILS = [("so-odd", n) for n in (4, 5, 6)] + \
@@ -41,10 +41,10 @@ def test_scalpoly_basics():
     q = ScalPoly(Fraction(4), Fraction(24), Fraction(-4), Fraction(6))
     assert p.same_function(q)
     assert p.normalized() == (Fraction(2, 3), Fraction(4), Fraction(-2, 3))
-    assert p.value_at_t(1) == 4
-    assert p.value_at_u(Fraction(1, 4)) == (2 + 3 - Fraction(1, 8)) / Fraction(3, 4)
+    assert value_at_t(p, 1) == 4
+    assert value_at_u(p, Fraction(1, 4)) == (2 + 3 - Fraction(1, 8)) / Fraction(3, 4)
     with pytest.raises(ValueError):
-        p.value_at_u(0)
+        value_at_u(p, 0)
     with pytest.raises(ValueError):
         ScalPoly(Fraction(1), Fraction(1), Fraction(1), Fraction(0))
 
@@ -178,17 +178,17 @@ def test_normal_metric_value_oracle(kind, n):
     fib = _fib(kind, n)
     rank = 2 if kind == "g2" else n
     expected = Fraction(GROUP_DIM[kind](n) + rank, 4)
-    assert scal_wz(fib).value_at_t(1) == expected
+    assert value_at_t(scal_wz(fib), 1) == expected
     assert fib.m_total == GROUP_DIM[kind](n) - rank
 
 
 def test_closed_form_spot_values():
     # Transcription anchors for the catalogued coefficients at t = 1.
-    assert scal_closed_form(FibrationFamily("su", 2)).value_at_t(1) == Fraction(5, 2)
-    assert scal_closed_form(FibrationFamily("so-odd", 2)).value_at_t(1) == 3
-    assert scal_closed_form(FibrationFamily("sp", 3)).value_at_t(1) == Fraction(213, 16)
-    assert scal_closed_form(FibrationFamily("so-even", 4)).value_at_t(1) == 15
-    assert scal_closed_form(FibrationFamily("g2", 2)).value_at_t(1) == 4
+    assert value_at_t(scal_closed_form(FibrationFamily("su", 2)), 1) == Fraction(5, 2)
+    assert value_at_t(scal_closed_form(FibrationFamily("so-odd", 2)), 1) == 3
+    assert value_at_t(scal_closed_form(FibrationFamily("sp", 3)), 1) == Fraction(213, 16)
+    assert value_at_t(scal_closed_form(FibrationFamily("so-even", 4)), 1) == 15
+    assert value_at_t(scal_closed_form(FibrationFamily("g2", 2)), 1) == 4
 
 
 def test_wz_g2_coefficients():

@@ -4,7 +4,9 @@ Every subcommand runs on every family at small parameters, plus the
 instants rows whose u has a non-integral coefficient before clearing
 denominators (su n=4 and sp n=4), two deep Morse grids (su n=2 at
 tmin 0.007, sp n=3 at tmin 0.01) that cross 89 and 2101 instants,
-three ``--phi1`` overrides, which give a fibration its own cache key,
+five ``--phi1`` overrides, which give a fibration its own cache key
+(two are g2 ``verify`` rows either side of the gap certificate: PASS
+at 1/10, FAIL at 1/100),
 and CSV spectra of the multi-generator bases, whose nested labels
 ``cli._label_str`` writes.
 A change that alters any byte of these outputs fails here; when the
@@ -50,7 +52,9 @@ ARGVS += [["instants", "--family", "su", "--n", "4", "--tmin", "0.05",
           ["instants", "--family", "su", "--n", "2", "--tmin", "0.2",
            "--phi1", "1/1000"],
           ["instants", "--family", "g2", "--tmin", "0.2", "--phi1", "1/50"],
-          ["verify", "--family", "su", "--n", "2", "--phi1", "1/1000"]]
+          ["verify", "--family", "su", "--n", "2", "--phi1", "1/1000"],
+          ["verify", "--family", "g2", "--phi1", "1/10"],
+          ["verify", "--family", "g2", "--phi1", "1/100"]]
 ARGVS += [["spectrum", "--format", "csv", "--family", kind, "--n", str(n)]
           for kind, n in (("so-even", 4), ("sp", 3), ("g2", 2))]
 

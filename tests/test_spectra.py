@@ -310,6 +310,41 @@ def test_weyl_dim_matches_freudenthal(family):
             assert mult[ambient_weight(family, c)] == 1
 
 
+@pytest.mark.parametrize("family", [FamilyTag("A", n) for n in (1, 2, 3, 4)]
+                         + [FamilyTag("B", n) for n in (2, 3, 4)]
+                         + [FamilyTag("C", 3), FamilyTag("C", 4),
+                            FamilyTag("D", 4), FamilyTag("G2", 2)],
+                         ids=family_id)
+def test_class_one_is_the_root_lattice_by_freudenthal(family):
+    # Every dominant lam with Casimir <= 2, walked up from 0 (adding a
+    # fundamental weight raises the Casimir): the zero weight occurs in
+    # V_lam exactly when lam is in the root lattice, and those lam other
+    # than 0 are the labels of flag_spectrum(family, 2), at their Casimir.
+    simple = build_root_system(family).simple_roots
+    omegas = fundamental_coefficients(
+        [[sum(x * y for x, y in zip(a, b)) for b in simple] for a in simple])
+    zero = (0,) * len(simple[0])
+    seen, todo, lattice = set(), [(0,) * family.rank], {}
+    while todo:
+        c = todo.pop()
+        if c in seen:
+            continue
+        seen.add(c)
+        value = casimir_of_weight(family, ambient_weight(family, c))
+        if value > 2:
+            continue
+        p = tuple(sum(x * w[i] for x, w in zip(c, omegas))
+                  for i in range(family.rank))
+        integral = all(x.denominator == 1 for x in p)
+        has_zero = freudenthal_multiplicities(family, c).get(zero, 0) > 0
+        assert has_zero == integral
+        if integral and any(c):
+            lattice[tuple(int(x) for x in p)] = value
+        todo += [c[:i] + (x + 1,) + c[i + 1:] for i, x in enumerate(c)]
+    assert lattice == {p: e.value for e in flag_spectrum(family, 2)
+                       for p in e.label}
+
+
 @pytest.mark.parametrize("family", KERNEL_FAMILIES, ids=family_id)
 def test_weyl_dim_of_the_adjoint_and_defining_representations(family):
     rs = build_root_system(family)

@@ -5,18 +5,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagvar import fibration
 from flagvar.catalog import _BETA1
 from flagvar.curvature import ScalPoly
+from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (base_spectrum, fiber_spectrum, flag_minimum,
                              flag_spectrum)
-from flagvar.variation import (_roots_in_unit_interval, gap_certificate,
-                               gap_quadratic)
-from oracles import gap_form
+from flagvar.variation import gap_certificate
+from oracles import (gap_form, gap_quadratic, roots_in_unit_interval,
+                     value_at_t, value_at_u)
 
 CRITERION_CASES = ([("su", n) for n in range(2, 7)]
                    + [("so-odd", n) for n in (2, 4, 5, 6)]
@@ -126,7 +127,7 @@ def test_scal_over_m_minus_1_divides_scal_by_m_minus_1(kind, n):
     grid += [Fraction(1, 1000), Fraction(7, 1000), Fraction(999, 1000)]
     for t in grid:
         assert (f.scal_over_m_minus_1(t)
-                == f.scal.value_at_t(t) / (f.m_total - 1))
+                == value_at_t(f.scal, t) / (f.m_total - 1))
 
 
 @pytest.mark.parametrize("kind,n", GOLDEN_FAMILIES)
@@ -152,7 +153,7 @@ def test_gap_and_scal_over_m_minus_1_with_a_non_unit_denominator(
         assert f.gap[2] == -(f.m_total - 1) * poly.d * f.gap[4]
         for t in (Fraction(1, 7), Fraction(2, 3), Fraction(1)):
             assert (f.scal_over_m_minus_1(t)
-                    == poly.value_at_t(t) / (f.m_total - 1))
+                    == value_at_t(poly, t) / (f.m_total - 1))
 
 
 # -- the gap certificate ---------------------------------------------------
@@ -162,7 +163,8 @@ def test_gap_certificate_holds_everywhere(kind, n):
     f = _fib(kind, n)
     report = gap_certificate(f)
     assert report["holds"]
-    assert report["roots_in_unit_interval"] == 0
+    assert roots_in_unit_interval(*gap_quadratic(f, report["mu1"],
+                                                 report["phi1"])) == 0
     assert report["value_at_one"] < 0
 
 
@@ -174,9 +176,11 @@ def test_gap_certificate_su2_report_fields():
     assert report["mu1"] == 1
     # The first eigenvalue of SU(2)/T^1 under the form of SU(3).
     assert report["phi1"] == Fraction(2, 3)
-    assert report["polynomial"] == [
-        Fraction(-8, 3), Fraction(1, 3), Fraction(-1, 6)]
-    assert report["value_at_one"] == Fraction(-5, 2)
+    # The integer quadratic and its value at 1 over one denominator: the
+    # gap quadratic is (-8/3, 1/3, -1/6), -5/2 at u = 1.
+    assert report["polynomial"] == [-48, 6, -3]
+    assert report["denominator"] == 18
+    assert report["value_at_one"] == -45
 
 
 def test_gap_certificate_negative_controls():
@@ -186,13 +190,14 @@ def test_gap_certificate_negative_controls():
     weak_phi = gap_certificate(f)
     assert weak_phi["phi1"] == Fraction(1, 1000)
     assert not weak_phi["holds"]
-    assert weak_phi["roots_in_unit_interval"] == 1
+    assert roots_in_unit_interval(*gap_quadratic(
+        f, weak_phi["mu1"], weak_phi["phi1"])) == 1
 
 
 def test_gap_certificate_needs_a_concave_quadratic(monkeypatch):
-    # The concavity the root count relies on is E < 0, certified where a
-    # fresh fibration derives scal(t): an assembly breaking it never
-    # reaches the certificate.
+    # The concavity the integer sign cases rely on is E < 0, certified
+    # where a fresh fibration derives scal(t): an assembly breaking it
+    # never reaches the certificate.
     poly = _fib("su", 2).scal
     for e in (Fraction(0), Fraction(1, 7)):
         monkeypatch.setattr(fibration, "scal_wz", lambda fib, e=e: ScalPoly(
@@ -202,7 +207,8 @@ def test_gap_certificate_needs_a_concave_quadratic(monkeypatch):
 
 
 def test_gap_quadratic_is_the_curve_gap_scaled_by_u():
-    # c0 + c1*u + c2*u**2 = d*(m-1)*u*(scal/(m-1) - mu - (1/u - 1)*phi).
+    # The oracle's c0 + c1*u + c2*u**2 is
+    # d*(m-1)*u*(scal/(m-1) - mu - (1/u - 1)*phi).
     f = _fib("so-odd", 2)
     poly = f.scal
     mu, phi = Fraction(3, 4), Fraction(2, 9)
@@ -210,7 +216,7 @@ def test_gap_quadratic_is_the_curve_gap_scaled_by_u():
     for u in (Fraction(1, 9), Fraction(1, 2), Fraction(1)):
         curve = mu + (1 / u - 1) * phi
         expected = (poly.d * (f.m_total - 1) * u
-                    * (poly.value_at_u(u) / (f.m_total - 1) - curve))
+                    * (value_at_u(poly, u) / (f.m_total - 1) - curve))
         assert c0 + c1 * u + c2 * u * u == expected
 
 
@@ -230,7 +236,7 @@ _LEAD = st.fractions(min_value=-1000, max_value=Fraction(-1, 1000),
 def test_root_count_matches_planted_roots(r1, r2, lead):
     c0, c1, c2 = lead * r1 * r2, -lead * (r1 + r2), lead
     expected = len({r for r in (r1, r2) if 0 < r < 1})
-    assert _roots_in_unit_interval(c0, c1, c2) == expected
+    assert roots_in_unit_interval(c0, c1, c2) == expected
 
 
 @given(_PLANTED, st.fractions(min_value=Fraction(1, 10**9), max_value=5),
@@ -238,7 +244,84 @@ def test_root_count_matches_planted_roots(r1, r2, lead):
 def test_root_count_is_zero_without_real_roots(vertex, lift, lead):
     # lead*((u - vertex)**2 + lift) never vanishes.
     c0, c1, c2 = lead * (vertex * vertex + lift), -2 * lead * vertex, lead
-    assert _roots_in_unit_interval(c0, c1, c2) == 0
+    assert roots_in_unit_interval(c0, c1, c2) == 0
+
+
+# Every family at ranks 2-6.
+SMALL_RANKS = [(kind, n) for kind, low in (("su", 2), ("so-odd", 2),
+                                           ("sp", 3), ("so-even", 4))
+               for n in range(low, 7) if (kind, n) != ("so-odd", 3)]
+SMALL_RANKS += [("g2", 2)]
+
+
+def _by_root_count(coeffs):
+    """The reference verdict on a concave quadratic: negative at 1, with
+    no root in (0, 1)."""
+    return sum(coeffs) < 0 and roots_in_unit_interval(*coeffs) == 0
+
+
+@pytest.mark.parametrize("kind,n", SMALL_RANKS)
+def test_gap_certificate_matches_the_root_count_oracle(kind, n):
+    # phi1 scaled by j/40 for even j up to 80, and two small overrides:
+    # both verdicts occur on every family.
+    family = FibrationFamily(kind, n)
+    phi1 = build_fibration(family).phi1
+    verdicts = set()
+    for phi in ([phi1 * Fraction(j, 40) for j in range(2, 81, 2)]
+                + [Fraction(1, 1000), Fraction(1, 50)]):
+        f = build_fibration(family, phi)
+        report = gap_certificate(f)
+        coeffs = gap_quadratic(f, report["mu1"], phi)
+        assert report["holds"] == _by_root_count(coeffs)
+        assert [Fraction(x, report["denominator"])
+                for x in report["polynomial"]] == list(coeffs)
+        assert (Fraction(report["value_at_one"], report["denominator"])
+                == sum(coeffs))
+        verdicts.add(report["holds"])
+    assert verdicts == {True, False}
+
+
+def _planted_verdict(q0, q1, q2):
+    """The certificate's verdict on the integer quadratic (q0, q1, q2).
+
+    su 2 has mu1 = 1, so at phi1 = 1 the gap form (q0 + 1, q1, -1, q2, 1)
+    reads q = (q0, q1, q2); it is planted in the fibration's cache.
+    """
+    f = build_fibration(FibrationFamily("su", 2), 1)
+    f.__dict__["gap"] = (q0 + 1, q1, -1, q2, 1)
+    report = gap_certificate(f)
+    assert report["polynomial"] == [q0, q1, q2]
+    return report["holds"]
+
+
+def _integers(coeffs):
+    """A positive multiple of a rational quadratic, over the integers."""
+    nums, _ = common_denominator(coeffs)
+    return nums
+
+
+@given(_PLANTED, _PLANTED, _LEAD)
+@example(Fraction(0), Fraction(1), Fraction(-1))
+@example(Fraction(1, 2), Fraction(1, 2), Fraction(-1))
+@example(Fraction(0), Fraction(0), Fraction(-1))
+@example(Fraction(1), Fraction(1), Fraction(-1))
+def test_gap_certificate_on_planted_roots(r1, r2, lead):
+    q = _integers((lead * r1 * r2, -lead * (r1 + r2), lead))
+    assert _planted_verdict(*q) == _by_root_count(q)
+
+
+@given(_PLANTED, st.fractions(min_value=-5, max_value=5, max_denominator=60),
+       _LEAD)
+@example(Fraction(0), Fraction(-1, 4), Fraction(-1))
+@example(Fraction(1), Fraction(-1, 4), Fraction(-1))
+@example(Fraction(0), Fraction(1, 4), Fraction(-1))
+@example(Fraction(1), Fraction(1, 4), Fraction(-1))
+def test_gap_certificate_on_planted_vertices(vertex, lift, lead):
+    # lead*((u - vertex)**2 + lift): its vertex is planted, at 0 and 1
+    # among others, with two, one or no real roots.
+    q = _integers((lead * (vertex * vertex + lift), -2 * lead * vertex,
+                   lead))
+    assert _planted_verdict(*q) == _by_root_count(q)
 
 
 # -- candidate first-eigenvalue window ------------------------------------
