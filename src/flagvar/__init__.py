@@ -1,6 +1,6 @@
 """Exact spectral data for canonical variations on maximal flag manifolds.
 
-The library computes, in exact rational and quadratic-surd arithmetic,
+The library computes, exactly over the rationals and quadratic surds,
 the scalar curvature of the five fiber-shrinking metric families on
 maximal flag manifolds, the Laplacian spectra of total space, base and
 fiber, and the resulting degeneracy, bifurcation, rigidity, Morse-index

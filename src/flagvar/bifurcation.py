@@ -39,11 +39,15 @@ def solve_instant(fib, beta, mult=1):
     """Unique positive root of the instant quadratic at beta.
 
     A negative u**2 and a positive constant coefficient force the two
-    roots to straddle zero, so positivity picks one; the residual is
-    re-checked to be exactly the rational zero.  The bifurcation flag is
-    the strict inequality beta < mu1 + (1/u - 1)*phi1, times u > 0:
-    u*(mu1 - beta - phi1) + phi1 > 0, evaluated exactly in u's field with
-    the fibration's phi1, so an overridden fiber eigenvalue propagates.
+    roots to straddle zero, so positivity picks one.  The residual of
+    u = (p + q*sqrt(d))/r in a + b*u + e*u**2, times r**2, is
+    a*r*r + b*p*r + e*(p*p + q*q*d) plus q*(b*r + 2*e*p) times sqrt(d),
+    irrational when q != 0, so both integers are checked to be 0.  The
+    bifurcation flag is the strict inequality
+    beta < mu1 + (1/u - 1)*phi1 with the fibration's phi1, so an
+    overridden fiber eigenvalue propagates.  With u > 0, phi1 > 0 and
+    over = beta + phi1 - mu1 it reads over <= 0 or u < phi1/over: one
+    exact comparison of u with a rational.
     """
     c0, c1, slope, c2, den = fib.gap
     beta = Fraction(beta)
@@ -60,13 +64,15 @@ def solve_instant(fib, beta, mult=1):
     u = QuadraticSurd(b * k // h, g // h, -2 * e * k // h,
                       (disc // g) * (k * k // g))
 
-    if (u * (u * e + b) + a).sign() != 0:
+    p, q, r, d = u.p, u.q, u.r, u.d
+    if (a * r * r + b * p * r + e * (p * p + q * q * d)
+            or q * (b * r + 2 * e * p)):
         raise AssertionError("nonzero residual for a solved instant")
     if u.sign() <= 0:
         raise AssertionError("solved instant is not positive")
 
-    mu1 = flag_minimum(fib.family.root_family).value
-    is_bif = (u * (mu1 - beta - fib.phi1) + fib.phi1).sign() > 0
+    over = beta + fib.phi1 - flag_minimum(fib.family.root_family).value
+    is_bif = over <= 0 or u < fib.phi1 / over
 
     t, t_err = u.sqrt_to_float()
     if t_err > 1e-12:

@@ -177,7 +177,8 @@ def _scal_identity_expected(kind, n):
 
 def _root_plus(f, g):
     """sqrt(f) + g as a surd, for rationals f >= 0 and g."""
-    return QuadraticSurd(g, Fraction(1, f.denominator), 1,
+    return QuadraticSurd(g.numerator * f.denominator, g.denominator,
+                         g.denominator * f.denominator,
                          f.numerator * f.denominator)
 
 

@@ -30,7 +30,6 @@ def _primes_below(limit):
     return list(compress(range(limit), flags))
 
 
-@lru_cache(maxsize=None)
 def squarefree_split(n):
     """Split a nonnegative integer as n = s*s*d with d squarefree.
 
@@ -38,7 +37,8 @@ def squarefree_split(n):
     Trial division by primes runs while p**3 <= the shrinking cofactor.
     After it every prime factor of the cofactor exceeds the cofactor's
     cube root, so the cofactor is 1, q, q*r or q**2, and ``isqrt`` tells
-    the square apart.  Checks re-solve the same instants, hence the cache.
+    the square apart.  Each solved instant splits a fresh radicand, so
+    nothing is cached here; the prime sieve is.
     """
     if n < 0:
         raise ValueError("negative radicand")

@@ -6,23 +6,22 @@ are Python ints with r > 0 and d squarefree (d = 0 exactly when the
 value is rational), the usual integer representation of Q(sqrt(d))
 (Cohen, *A Course in Computational Algebraic Number Theory*, §5).
 
-The constructor takes ints or rationals.  It stores integral input as
-given, unreduced, and scales rational input by the lcm of the three
-denominators, so ``str`` always shows integers.  Sums and products
-come from a trusted constructor that does no ``Fraction`` work and no
-re-split of d, and stay closed in Q(sqrt(d)); sign and every
-comparison are integer compares.  Across radicands the scaled
-difference is a + b*sqrt(d1) - c*sqrt(d2): the two terms' signs decide
-unless they agree, and then one squaring leaves the sign of a surd in
-Q(sqrt(d1)).  One integer enclosure serves presentation only: the
-certified float of sqrt(u) and ``bounds``.  Nothing in the package
-reads ``bounds``; it stays because the perfbench tracer wraps it by
-name.  A surd has no hash.
+The constructor takes ints and stores them as given, unreduced, so
+``str`` shows integers.  A surd has no arithmetic: its readers build it
+from integers, decide its residuals as integer signs in Q(sqrt(d)), and
+only sign, order and print it.  Sign and every comparison are integer
+compares.  Across radicands the scaled difference is
+a + b*sqrt(d1) - c*sqrt(d2): the two terms' signs decide unless they
+agree, and then one squaring leaves the sign of a surd in Q(sqrt(d1)).
+One integer enclosure serves presentation only: the certified float of
+sqrt(u) and ``bounds``.  Nothing in the package reads ``bounds``; it
+stays because the perfbench tracer wraps it by name.  A surd has no
+hash.
 """
 
 import operator
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .exact import float_from_bounds, squarefree_split
 
@@ -60,13 +59,6 @@ def _comparison(op):
     return compare
 
 
-def _surd(p, q, r, d):
-    """Trusted constructor: ints with r > 0 and d squarefree or 0."""
-    x = object.__new__(QuadraticSurd)
-    x.p, x.q, x.r, x.d = p, q, r, d if q else 0
-    return x
-
-
 class QuadraticSurd:
     """Value (p + q*sqrt(d))/r with integers p, q, r > 0 and squarefree d."""
 
@@ -75,7 +67,6 @@ class QuadraticSurd:
     def __init__(self, p, q=0, r=1, d=0):
         if r == 0:
             raise ZeroDivisionError("surd with zero denominator")
-        d = int(d)
         if d < 0:
             raise ValueError("negative radicand")
         # Pull square factors out of d, fold rational cases to d = 0.
@@ -87,44 +78,7 @@ class QuadraticSurd:
             p, q, r = -p, -q, -r
         if q == 0:
             d = 0
-        if not (type(p) is type(q) is type(r) is int):
-            # Clear denominators so the fields, and str, are integers.
-            p, q, r = Fraction(p), Fraction(q), Fraction(r)
-            m = lcm(p.denominator, q.denominator, r.denominator)
-            p, q, r = (int(x * m) for x in (p, q, r))
         self.p, self.q, self.r, self.d = p, q, r, d
-
-    # -- sums and products (equal radicands or rational operands) ----------
-
-    def _operand(self, other):
-        """(p, q, r, common radicand) of other, or None if foreign."""
-        parts = _parts(other)
-        if parts is None:
-            return None
-        p, q, r, d = parts
-        if self.d and d and d != self.d:
-            raise ValueError("arithmetic across different radicands")
-        return p, q, r, self.d or d
-
-    def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, r, d = o
-        return _surd(self.p * r + p * self.r, self.q * r + q * self.r,
-                     self.r * r, d)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, r, d = o
-        return _surd(self.p * p + self.q * q * d, self.p * q + self.q * p,
-                     self.r * r, d)
-
-    __rmul__ = __mul__
 
     # -- exact sign and order ---------------------------------------------
 

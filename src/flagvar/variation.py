@@ -12,6 +12,8 @@ non-constant curve on all of (0, 1].  The module also lays out the
 curves on a t-grid for the figure.
 """
 
+from fractions import Fraction
+
 from .exact import common_denominator
 from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
                       flag_minimum, flag_spectrum)
@@ -56,15 +58,14 @@ def figure_series(fib, t_min, t_max):
     scal/(m-1), the first six constants and the curves
     mu_k + (1/t**2 - 1)*phi_j for 1 <= j <= k <= 6.
 
-    Everything runs on integers.  With t = tn/td on the grid,
-    mu_k = M_k/D and phi_j = F_j/D over one common denominator D, each
-    curve is (M_k*tn**2 + F_j*(td**2 - tn**2))/(D*tn**2), and
-    scal/(m-1) is likewise one ratio of integers off ``fib.gap``.  So
-    every float is a single correctly rounded int/int division of the
+    Everything is exact until one division.  With t = tn/td on the
+    grid, mu_k = M_k/D and phi_j = F_j/D over one common denominator D,
+    each curve is (M_k*tn**2 + F_j*(td**2 - tn**2))/(D*tn**2), and
+    scal/(m-1) is ``fib.scal_over_m_minus_1`` at tn/td.  So every float
+    is a single correctly rounded int/int or Fraction division of the
     exact value.
     """
     steps = 120
-    a, c, slope, e, _ = fib.gap
     constants = [float(x.value) for x in base_spectrum_first(fib.family, 6)]
     mus = [x.value for x in _first_entries(
         lambda cut: flag_spectrum(fib.family.root_family, cut), 6)]
@@ -82,8 +83,7 @@ def figure_series(fib, t_min, t_max):
     for i in range(steps + 1):
         tn = lo * steps + (hi - lo) * i
         un, ud = tn * tn, td * td  # u = t**2 = un/ud
-        row = [tn / td, (a * ud * ud + c * un * ud + e * un * un)
-               / (-slope * un * ud)]
+        row = [tn / td, float(fib.scal_over_m_minus_1(Fraction(tn, td)))]
         row += constants
         row += [(ms[k - 1] * un + fs[j - 1] * (ud - un)) / (den * un)
                 for k, j in pairs]

@@ -6,7 +6,7 @@ this directory on the path.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, isqrt, lcm
 from operator import add
 
 from flagvar.catalog import _catalogued_c_gram
@@ -275,4 +275,141 @@ def flag_by_gap_quadratic(fib, u):
     denominators, is negative there."""
     mu1 = flag_minimum(fib.family.root_family).value
     (f0, f1, f2), _ = common_denominator(gap_quadratic(fib, mu1, fib.phi1))
+    u = fraction_surd(u)
     return (u * (u * f2 + f1) + f0).sign() < 0
+
+
+def _split_by_odd_trial_division(n):
+    """n = s*s*d with d squarefree, dividing by 2 and every odd number."""
+    if n == 0:
+        return 0, 0
+    s = d = 1
+    p = 2
+    while p * p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    root = isqrt(n)
+    if root * root == n:
+        return s * root, d
+    return s, d * n
+
+
+def sqrt_bounds(x, bits=60):
+    """Rational enclosure of sqrt(x) for a nonnegative Fraction x.
+
+    Returns (lo, hi) with lo**2 <= x <= hi**2 and hi - lo <= 2**-bits.
+    """
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    scale = 1 << bits
+    root = isqrt((x.numerator * scale * scale) // x.denominator)
+    return Fraction(root, scale), Fraction(root + 1, scale)
+
+
+def _fraction_float_from_bounds(lo, hi):
+    val = float((lo + hi) / 2)
+    return val, float(hi - lo) / 2 + abs(val) * 2.0 ** -52 + 2.0 ** -1074
+
+
+class FractionSurd:
+    """(p + q*sqrt(d))/r with Fraction p, q, r: every operation through
+    Fraction arithmetic and rational enclosures.  Sums and products are
+    the field arithmetic ``QuadraticSurd`` does not have; the tests
+    evaluate residuals and margins of its values here."""
+
+    def __init__(self, p, q=0, r=1, d=0):
+        p, q, r = Fraction(p), Fraction(q), Fraction(r)
+        s, d = _split_by_odd_trial_division(int(d))
+        q = q * s
+        if d == 1:
+            p, q, d = p + q, Fraction(0), 0
+        if r < 0:
+            p, q, r = -p, -q, -r
+        if q == 0:
+            d = 0
+        self.p, self.q, self.r, self.d = p, q, r, d
+
+    def _coerce(self, other):
+        if isinstance(other, FractionSurd):
+            return other
+        return FractionSurd(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionSurd(self.p * other.r + other.p * self.r,
+                            self.q * other.r + other.q * self.r,
+                            self.r * other.r, self.d or other.d)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        d = self.d or other.d
+        return FractionSurd(self.p * other.p + self.q * other.q * d,
+                            self.p * other.q + self.q * other.p,
+                            self.r * other.r, d)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def sign(self):
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            return 0 if p == 0 else (1 if p > 0 else -1)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        lhs, rhs = p * p, q * q * d
+        if lhs == rhs:
+            return 0
+        return (1 if p > 0 else -1) if lhs > rhs else (1 if q > 0 else -1)
+
+    def cmp(self, other):
+        other = self._coerce(other)
+        if self.d == other.d or self.d == 0 or other.d == 0:
+            return (self + other * -1).sign()
+        bits = 64
+        while True:
+            lo1, hi1 = self.bounds(bits)
+            lo2, hi2 = other.bounds(bits)
+            if hi1 < lo2:
+                return -1
+            if hi2 < lo1:
+                return 1
+            bits *= 2
+
+    def bounds(self, bits=64):
+        if self.d == 0:
+            v = self.p / self.r
+            return v, v
+        lo_s, hi_s = sqrt_bounds(Fraction(self.d), bits)
+        if self.q < 0:
+            lo_s, hi_s = hi_s, lo_s
+        return ((self.p + self.q * lo_s) / self.r,
+                (self.p + self.q * hi_s) / self.r)
+
+    def sqrt_to_float(self):
+        bits = 96
+        lo, hi = self.bounds(bits)
+        if hi < 0:
+            raise ValueError("square root of negative surd")
+        lo_r, _ = sqrt_bounds(max(lo, Fraction(0)), bits)
+        _, hi_r = sqrt_bounds(hi, bits)
+        return _fraction_float_from_bounds(lo_r, hi_r)
+
+    def __str__(self):
+        if self.d == 0:
+            return str(self.p / self.r)
+        num = "{}{}{}*sqrt({})".format(
+            self.p, "+" if self.q >= 0 else "-", abs(self.q), self.d)
+        return num if self.r == 1 else "({})/{}".format(num, self.r)
+
+
+def fraction_surd(x):
+    """The oracle's copy of a ``QuadraticSurd`` x."""
+    return FractionSurd(x.p, x.q, x.r, x.d)

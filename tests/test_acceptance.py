@@ -28,7 +28,8 @@ from flagvar.spectra import base_spectrum_first, flag_minimum, weyl_dim
 from flagvar.surd import QuadraticSurd
 from flagvar.variation import gap_certificate
 from flagvar.bifurcation import DegeneracyInstant  # noqa: F401  (re-export check)
-from oracles import (cpn_multiplicity, gap_quadratic, roots_in_unit_interval,
+from oracles import (FractionSurd, cpn_multiplicity, fraction_surd,
+                     gap_quadratic, roots_in_unit_interval,
                      sphere_multiplicity)
 
 CASES = ([("su", n) for n in range(2, 9)]
@@ -39,9 +40,6 @@ CASES = ([("su", n) for n in range(2, 9)]
 
 REPRESENTATIVE = [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
                   ("g2", 2)]
-
-ZERO = QuadraticSurd(0)
-
 
 def _fib(kind, n):
     return build_fibration(FibrationFamily(kind, n))
@@ -121,10 +119,10 @@ def test_criterion_04(tmp_path):
     ok = ok and first.u == _su_threshold(2)
     m = fib.m_total
     for inst in instants:
-        u = inst.u
+        u = fraction_surd(inst.u)
         residual = (poly.e * (u * u)
                     + (poly.c - inst.beta * (m - 1) * poly.d) * u + poly.a)
-        ok = ok and residual == ZERO
+        ok = ok and residual.sign() == 0
     # The dashed verticals of the bifurcation figure, reproduced as CSV.
     target = tmp_path / "instants.csv"
     code = cli.main(["instants", "--family", "su", "--n", "2",
@@ -154,12 +152,12 @@ def test_criterion_06():
     ok = instants[0].beta == Fraction(7, 6)
     ok = ok and abs(instants[0].t - 0.27395) < 5e-6
     # scal(t)/11 < mu1 + (1/t**2 - 1)*phi1 at every computed instant,
-    # checked in exact surd arithmetic; on an instant the left side
-    # equals beta, and the margin times u = t**2 > 0 is
+    # checked in the Fraction surd oracle's arithmetic; on an instant the
+    # left side equals beta, and the margin times u = t**2 > 0 is
     # u*(mu1 - beta - phi1) + phi1.
     mu1, phi1 = Fraction(1, 2), fib.phi1
     for inst in instants:
-        u_margin = inst.u * (mu1 - inst.beta - phi1) + phi1
+        u_margin = fraction_surd(inst.u) * (mu1 - inst.beta - phi1) + phi1
         ok = ok and u_margin.sign() > 0
     rows = cross_check_closed_forms(fib, instants)
     ok = ok and len(rows) == 4
@@ -231,8 +229,8 @@ def test_criterion_09():
             b_coeff = poly.c - entry.value * (m - 1) * poly.d
             disc = b_coeff * b_coeff - 4 * poly.a * poly.e
             den = disc.denominator
-            other = QuadraticSurd(b_coeff * den, -1, -2 * poly.e * den,
-                                  disc.numerator * den)
+            other = FractionSurd(b_coeff * den, -1, -2 * poly.e * den,
+                                 disc.numerator * den)
             ok = ok and other.sign() < 0
             instants.append(inst)
         for first, second in zip(instants, instants[1:]):

@@ -16,12 +16,13 @@ from flagvar.bifurcation import (degeneracy_instants, instant_base,
 from flagvar.catalog import (_so_odd_threshold, cross_check_closed_forms,
                              scal_closed_form)
 from flagvar.curvature import ScalPoly
+from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
                              kramer_basis, weyl_dim)
 from flagvar.surd import QuadraticSurd
 from oracles import (ambient_weight, casimir_of_weight, flag_by_gap_quadratic,
-                     value_at_t)
+                     fraction_surd, value_at_t)
 
 
 def _setup(kind, n):
@@ -70,14 +71,13 @@ def test_su3_first_five_instants():
 
 def test_su3_roots_satisfy_defining_quadratic_exactly():
     fib = _setup("su", 2)
-    zero = QuadraticSurd(0)
     m = fib.m_total
     poly = fib.scal
     for inst in degeneracy_instants(fib, Fraction(1, 10)):
-        u = inst.u
+        u = fraction_surd(inst.u)
         residual = (poly.e * (u * u)
                     + (poly.c - inst.beta * (m - 1) * poly.d) * u + poly.a)
-        assert residual == zero
+        assert residual.sign() == 0
 
 
 # -- the even-sphere base --------------------------------------------------
@@ -154,6 +154,54 @@ def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
                 flag = solve_instant(probe, inst.beta).is_bifurcation
                 assert flag == (side > 1)
                 assert flag == flag_by_gap_quadratic(probe, inst.u)
+
+
+def _planted_flag(beta, phi1, u0):
+    """The flag solve_instant gives at beta when its instant is planted
+    at the rational u0.
+
+    su 2 has mu1 = 1.  At phi1 it gets the gap form (c0, c1, -k, -k, 1),
+    which at beta reads k*(u0 + (u0 - 1)*u - u**2) = -k*(u - u0)*(u + 1);
+    it is planted in the fibration's cache.
+    """
+    fib = build_fibration(FibrationFamily("su", 2), phi1)
+    (c0, c1), k = common_denominator((u0, u0 - 1 + beta))
+    fib.__dict__["gap"] = (c0, c1, -k, -k, 1)
+    inst = solve_instant(fib, beta)
+    assert inst.u == u0
+    return inst.is_bifurcation
+
+
+def _flag_by_fractions(beta, phi1, u):
+    """beta < mu1 + (1/u - 1)*phi1 at a rational u, with su 2's mu1 = 1."""
+    return beta < 1 + (1 / u - 1) * phi1
+
+
+@pytest.mark.parametrize("beta,phi1", [
+    (Fraction(8, 3), Fraction(1, 2)), (Fraction(1), Fraction(1, 1000)),
+    (Fraction(5), Fraction(7, 3)), (Fraction(3, 2), Fraction(1, 2))])
+def test_planted_flag_turns_where_u_is_phi1_over_the_excess(beta, phi1):
+    # over = beta + phi1 - mu1 > 0: at u = phi1/over beta meets the
+    # curve, so the strict inequality fails; 1% either side it turns.
+    turn = phi1 / (beta + phi1 - 1)
+    assert _planted_flag(beta, phi1, turn) is False
+    assert not _flag_by_fractions(beta, phi1, turn)
+    for side in (Fraction(99, 100), Fraction(101, 100)):
+        u = side * turn
+        flag = _planted_flag(beta, phi1, u)
+        assert flag == _flag_by_fractions(beta, phi1, u) == (side < 1)
+
+
+@pytest.mark.parametrize("beta,phi1", [
+    (Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1)),
+    (Fraction(1, 4), Fraction(1, 2))])
+def test_planted_flag_holds_without_excess(beta, phi1):
+    # over = beta + phi1 - mu1 <= 0 (0 for the first two): the curve
+    # exceeds mu1 - phi1 >= beta at every u > 0.
+    for u0 in (Fraction(1, 100), Fraction(1, 2), Fraction(99, 100),
+               Fraction(3)):
+        assert _planted_flag(beta, phi1, u0) is True
+        assert _flag_by_fractions(beta, phi1, u0)
 
 
 # -- Morse index -----------------------------------------------------------
@@ -393,8 +441,9 @@ def test_so_odd_threshold_is_the_catalogued_scal_instant(n):
     closed = scal_closed_form(fib.family)
     u = _so_odd_threshold(n)
     m = fib.m_total
-    residual = (closed.e * (u * u)
-                + (closed.c - beta * (m - 1) * closed.d) * u + closed.a)
+    x = fraction_surd(u)
+    residual = (closed.e * (x * x)
+                + (closed.c - beta * (m - 1) * closed.d) * x + closed.a)
     assert u.sign() > 0 and residual.sign() == 0
     assert u != solve_instant(fib, beta).u
 

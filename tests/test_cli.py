@@ -163,7 +163,6 @@ def test_morse_solves_no_instant_and_builds_no_surd(capsys, monkeypatch):
 
     monkeypatch.setattr(bifurcation, "solve_instant", refuse)
     monkeypatch.setattr(surd.QuadraticSurd, "__init__", refuse)
-    monkeypatch.setattr(surd, "_surd", refuse)
     patched = run(capsys, argv)
     monkeypatch.undo()
     assert patched == run(capsys, argv)
@@ -241,6 +240,26 @@ def test_certificate_failure_is_one_line(capsys, monkeypatch, error):
     code, out, err = run(capsys, ["instants", "--family", "su", "--n", "2"])
     assert code == 1 and out == ""
     assert err == "flagvar: certificate failed: forced\n"
+
+
+@pytest.mark.parametrize("off", [
+    lambda p, q, r, d: (p + 1, q, r, d),
+    lambda p, q, r, d: (p, q + 1, r, d),
+    lambda p, q, r, d: (p, q, r + 1, d),
+    # With the root's (p, q, r, d), (p + 1 + sqrt(q*q*d - 1))/r keeps the
+    # rational part of the residual 0, and the sqrt part is -r.
+    lambda p, q, r, d: (p + 1, 1, r, q * q * d - 1)],
+    ids=["p", "q", "r", "sqrt-part"])
+def test_surd_one_unit_off_fails_the_residual_in_one_line(
+        capsys, monkeypatch, off):
+    # The solved surd one unit off misses the defining quadratic; the
+    # integer residual check is a certificate failure.
+    monkeypatch.setattr(bifurcation, "QuadraticSurd",
+                        lambda *args: surd.QuadraticSurd(*off(*args)))
+    code, out, err = run(capsys, ["instants", "--family", "su", "--n", "2"])
+    assert code == 1 and out == ""
+    assert err == ("flagvar: certificate failed: nonzero residual for a"
+                   " solved instant\n")
 
 
 def test_threshold_outside_the_unit_interval_is_one_line(capsys, monkeypatch):

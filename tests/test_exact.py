@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagvar.exact import float_from_bounds, squarefree_split
-from test_surd import sqrt_bounds  # the Fraction oracle's enclosure
+from oracles import sqrt_bounds  # the Fraction oracle's enclosure
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 

@@ -1,5 +1,8 @@
-"""Tests for exact quadratic surd arithmetic and ordering."""
+"""Tests for exact quadratic surd normalization, sign, ordering and
+presentation, against the Fraction surd oracle."""
 
+import importlib.util
+import pathlib
 from fractions import Fraction
 from math import isqrt
 
@@ -8,8 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagvar.bifurcation import degeneracy_instants
+from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.surd import QuadraticSurd
+from oracles import FractionSurd, fraction_surd
 
 small_rationals = st.fractions(min_value=-50, max_value=50,
                                max_denominator=20)
@@ -45,23 +50,6 @@ def test_constructor_rejects_bad_input():
         QuadraticSurd(1, 1, 0, 5)
     with pytest.raises(ValueError):
         QuadraticSurd(1, 1, 1, -5)
-
-
-def test_same_radicand_arithmetic():
-    x = QuadraticSurd(1, 1, 1, 5)   # 1 + sqrt(5)
-    y = QuadraticSurd(2, -1, 1, 5)  # 2 - sqrt(5)
-    assert x + y == QuadraticSurd(3, 0, 1, 0)
-    assert x * y == QuadraticSurd(-3, 1, 1, 5)
-    assert x + -1 * x == 0
-    assert (2 * x) == QuadraticSurd(2, 2, 1, 5)
-    assert (x + 1) == QuadraticSurd(2, 1, 1, 5)
-
-
-def test_cross_radicand_arithmetic_rejected():
-    x = QuadraticSurd(0, 1, 1, 2)
-    y = QuadraticSurd(0, 1, 1, 3)
-    with pytest.raises(ValueError):
-        x + y
 
 
 def test_sign_cases():
@@ -125,6 +113,18 @@ def test_a_surd_is_unhashable():
         hash(QuadraticSurd(-9, 1, 1, 85))
 
 
+def test_the_tracer_finds_every_surd_method_it_wraps():
+    # ``perfbench/run.py --trace 1`` wraps these methods by name on the
+    # class, as ``vars(QuadraticSurd)[attr]``; a missing one breaks it.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench/spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SURD_METHODS
+    for attr in spans.SURD_METHODS:
+        assert callable(vars(QuadraticSurd).get(attr)), attr
+
+
 def test_str_forms():
     assert str(QuadraticSurd(-9, 1, 1, 85)) == "-9+1*sqrt(85)"
     assert str(QuadraticSurd(-18, 1, 2, 340)) == "(-18+2*sqrt(85))/2"
@@ -133,155 +133,11 @@ def test_str_forms():
 
 @given(small_rationals, small_rationals, radicands)
 def test_sign_matches_float(p, q, d):
-    x = QuadraticSurd(p, q, 1, d)
+    (pn, qn), r = common_denominator((p, q))
+    x = QuadraticSurd(pn, qn, r, d)
     approx = float(p) + float(q) * d**0.5
     if abs(approx) > 1e-6:
         assert x.sign() == (1 if approx > 0 else -1)
-
-
-def _float(x):
-    """A float of the value: the lower end of its 64-bit enclosure."""
-    return float(x.bounds()[0])
-
-
-@given(small_rationals, small_rationals, small_rationals,
-       small_rationals, radicands)
-def test_field_operations_commute_with_floats(p1, q1, p2, q2, d):
-    x = QuadraticSurd(p1, q1, 1, d)
-    y = QuadraticSurd(p2, q2, 1, d)
-    s = x + y
-    m = x * y
-    fx, fy = _float(x), _float(y)
-    assert abs(_float(s) - (fx + fy)) < 1e-6
-    assert abs(_float(m) - fx * fy) < 1e-5
-
-
-# -- the Fraction kernel this one replaced, as an independent oracle --------
-
-def _split_by_odd_trial_division(n):
-    """n = s*s*d with d squarefree, dividing by 2 and every odd number."""
-    if n == 0:
-        return 0, 0
-    s = d = 1
-    p = 2
-    while p * p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        s *= p ** (e // 2)
-        d *= p ** (e % 2)
-        p += 1 if p == 2 else 2
-    root = isqrt(n)
-    if root * root == n:
-        return s * root, d
-    return s, d * n
-
-
-def sqrt_bounds(x, bits=60):
-    """Rational enclosure of sqrt(x) for a nonnegative Fraction x.
-
-    Returns (lo, hi) with lo**2 <= x <= hi**2 and hi - lo <= 2**-bits.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    scale = 1 << bits
-    root = isqrt((x.numerator * scale * scale) // x.denominator)
-    return Fraction(root, scale), Fraction(root + 1, scale)
-
-
-def _fraction_float_from_bounds(lo, hi):
-    val = float((lo + hi) / 2)
-    return val, float(hi - lo) / 2 + abs(val) * 2.0 ** -52 + 2.0 ** -1074
-
-
-class _FractionSurd:
-    """(p + q*sqrt(d))/r with Fraction p, q, r: every operation through
-    Fraction arithmetic and rational enclosures."""
-
-    def __init__(self, p, q=0, r=1, d=0):
-        p, q, r = Fraction(p), Fraction(q), Fraction(r)
-        s, d = _split_by_odd_trial_division(int(d))
-        q = q * s
-        if d == 1:
-            p, q, d = p + q, Fraction(0), 0
-        if r < 0:
-            p, q, r = -p, -q, -r
-        if q == 0:
-            d = 0
-        self.p, self.q, self.r, self.d = p, q, r, d
-
-    def _coerce(self, other):
-        if isinstance(other, _FractionSurd):
-            return other
-        return _FractionSurd(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return _FractionSurd(self.p * other.r + other.p * self.r,
-                             self.q * other.r + other.q * self.r,
-                             self.r * other.r, self.d or other.d)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        d = self.d or other.d
-        return _FractionSurd(self.p * other.p + self.q * other.q * d,
-                             self.p * other.q + self.q * other.p,
-                             self.r * other.r, d)
-
-    def sign(self):
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return 0 if p == 0 else (1 if p > 0 else -1)
-        if p == 0 or (p > 0) == (q > 0):
-            return 1 if q > 0 else -1
-        lhs, rhs = p * p, q * q * d
-        if lhs == rhs:
-            return 0
-        return (1 if p > 0 else -1) if lhs > rhs else (1 if q > 0 else -1)
-
-    def cmp(self, other):
-        other = self._coerce(other)
-        if self.d == other.d or self.d == 0 or other.d == 0:
-            return (self + other * -1).sign()
-        bits = 64
-        while True:
-            lo1, hi1 = self.bounds(bits)
-            lo2, hi2 = other.bounds(bits)
-            if hi1 < lo2:
-                return -1
-            if hi2 < lo1:
-                return 1
-            bits *= 2
-
-    def bounds(self, bits=64):
-        if self.d == 0:
-            v = self.p / self.r
-            return v, v
-        lo_s, hi_s = sqrt_bounds(Fraction(self.d), bits)
-        if self.q < 0:
-            lo_s, hi_s = hi_s, lo_s
-        return ((self.p + self.q * lo_s) / self.r,
-                (self.p + self.q * hi_s) / self.r)
-
-    def sqrt_to_float(self):
-        bits = 96
-        lo, hi = self.bounds(bits)
-        if hi < 0:
-            raise ValueError("square root of negative surd")
-        lo_r, _ = sqrt_bounds(max(lo, Fraction(0)), bits)
-        _, hi_r = sqrt_bounds(hi, bits)
-        return _fraction_float_from_bounds(lo_r, hi_r)
-
-    def __str__(self):
-        if self.d == 0:
-            return str(self.p / self.r)
-        num = "{}{}{}*sqrt({})".format(
-            self.p, "+" if self.q >= 0 else "-", abs(self.q), self.d)
-        return num if self.r == 1 else "({})/{}".format(num, self.r)
 
 
 def _value(x):
@@ -297,10 +153,17 @@ surd_args = st.tuples(coefficients, coefficients, denominators,
                       wide_radicands)
 
 
+def _integral(args):
+    """Integer arguments of the same surd: p, q and r times the lcm of
+    their denominators."""
+    (p, q, r), _ = common_denominator(args[:3])
+    return p, q, r, args[3]
+
+
 @given(surd_args, surd_args, st.integers(32, 128))
 def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
-    x, ox = QuadraticSurd(*args), _FractionSurd(*args)
-    y, oy = QuadraticSurd(*other_args), _FractionSurd(*other_args)
+    x, ox = QuadraticSurd(*_integral(args)), FractionSurd(*args)
+    y, oy = QuadraticSurd(*_integral(other_args)), FractionSurd(*other_args)
     assert _value(x) == _value(ox)
     assert x.sign() == ox.sign()
     assert x.bounds(bits) == ox.bounds(bits)
@@ -314,32 +177,24 @@ def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
         assert (x < rational) == (ox.cmp(rational) < 0)
     assert (x == y) == (ox.cmp(oy) == 0)
     assert (x < y) == (ox.cmp(oy) < 0)
-    # Field arithmetic needs a shared radicand; rationals share any.
-    same = QuadraticSurd(other_args[0], other_args[1], other_args[2], x.d)
-    osame = _FractionSurd(other_args[0], other_args[1], other_args[2], ox.d)
-    assert _value(x + same) == _value(ox + osame)
-    assert _value(x * same) == _value(ox * osame)
-    assert _value(x + args[1]) == _value(ox + args[1])
-    assert _value(x * args[2]) == _value(ox * args[2])
 
 
 @given(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
                  st.integers(1, 10**6) | st.integers(-10**6, -1),
                  wide_radicands))
 def test_integral_input_prints_as_the_fraction_oracle(args):
-    assert str(QuadraticSurd(*args)) == str(_FractionSurd(*args))
+    assert str(QuadraticSurd(*args)) == str(FractionSurd(*args))
 
 
 def test_zero_sqrt_to_float_matches_the_oracle():
-    for zero in (QuadraticSurd(0), QuadraticSurd(Fraction(0), 5, 3, 0)):
-        assert zero.sqrt_to_float() == _FractionSurd(0).sqrt_to_float()
+    for zero in (QuadraticSurd(0), QuadraticSurd(0, 5, 3, 0)):
+        assert zero.sqrt_to_float() == FractionSurd(0).sqrt_to_float()
         assert zero.sqrt_to_float() == (0.0, 2.0 ** -1074)
 
 
 def _assert_orders_as_the_oracle(x, y):
     for a, b in ((x, y), (y, x)):
-        expected = _FractionSurd(a.p, a.q, a.r, a.d).cmp(
-            _FractionSurd(b.p, b.q, b.r, b.d))
+        expected = fraction_surd(a).cmp(fraction_surd(b))
         assert ((a < b), (a == b), (a > b)) == (
             expected < 0, expected == 0, expected > 0)
 
