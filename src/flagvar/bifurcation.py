@@ -4,17 +4,16 @@ A degeneracy instant is a parameter t where scal(t)/(m-1) meets a base
 eigenvalue beta.  In u = t**2 that is the integer quadratic
 c0 + (c1 + slope*beta)*u + c2*u**2 = 0 read off ``fib.gap``, with
 c2 < 0 < c0 (A > 0 > E, certified where ``fib.scal`` is derived), which
-has exactly one positive root; it is carried as an exact quadratic surd
-and its residual in the defining quadratic is checked to be literally
-zero.
-Instants are always computed this way; the catalogued sequences they
-are compared with are in ``catalog``.
+has exactly one positive root, printed as an exact quadratic surd whose
+residual is checked to be literally zero.  The catalogued sequences
+the instants are compared with are in ``catalog``.
 
-The Morse index and the solution count need no instant.  scal(t)/(m-1)
-is strictly decreasing, so an instant lies above t exactly when its
-beta lies below scal(t)/(m-1): both are one rational bisection of that
-value among the base eigenvalues, and t is a degenerate point exactly
-when it equals one of them.
+Every verdict is one rational comparison.  s(u) = scal(t)/(m-1)
+strictly falls as u rises, so the instant of beta lies below a rational
+x > 0 exactly when beta > s(x): the flag, the rigidity threshold and
+the decay witness read s at one point, and the Morse index and the
+solution count bisect s(t**2) among the base eigenvalues (t is
+degenerate where it equals one).  No surd is ordered.
 """
 
 from bisect import bisect_left
@@ -42,12 +41,13 @@ def solve_instant(fib, beta, mult=1):
     roots to straddle zero, so positivity picks one.  The residual of
     u = (p + q*sqrt(d))/r in a + b*u + e*u**2, times r**2, is
     a*r*r + b*p*r + e*(p*p + q*q*d) plus q*(b*r + 2*e*p) times sqrt(d),
-    irrational when q != 0, so both integers are checked to be 0.  The
-    bifurcation flag is the strict inequality
-    beta < mu1 + (1/u - 1)*phi1 with the fibration's phi1, so an
-    overridden fiber eigenvalue propagates.  With u > 0, phi1 > 0 and
-    over = beta + phi1 - mu1 it reads over <= 0 or u < phi1/over: one
-    exact comparison of u with a rational.
+    irrational when q != 0, so both integers are checked to be 0.  Of
+    the two conjugate roots the larger, the positive one, has q > 0; a
+    rational root is positive when p > 0.  The bifurcation flag is the
+    strict inequality beta < mu1 + (1/u - 1)*phi1 with the fibration's
+    phi1, so an overridden fiber eigenvalue propagates.  With u > 0,
+    phi1 > 0 and over = beta + phi1 - mu1 it reads over <= 0 or
+    u < phi1/over, that is beta > s(phi1/over): one rational comparison.
     """
     c0, c1, slope, c2, den = fib.gap
     beta = Fraction(beta)
@@ -68,15 +68,13 @@ def solve_instant(fib, beta, mult=1):
     if (a * r * r + b * p * r + e * (p * p + q * q * d)
             or q * (b * r + 2 * e * p)):
         raise AssertionError("nonzero residual for a solved instant")
-    if u.sign() <= 0:
+    if (q if d else p) <= 0:
         raise AssertionError("solved instant is not positive")
 
     over = beta + fib.phi1 - flag_minimum(fib.family.root_family).value
-    is_bif = over <= 0 or u < fib.phi1 / over
+    is_bif = over <= 0 or beta > fib.scal_over_m_minus_1(fib.phi1 / over)
 
     t, t_err = u.sqrt_to_float()
-    if t_err > 1e-12:
-        raise AssertionError("presentation error exceeded the certified bound")
     return DegeneracyInstant(u=u, t=t, t_error=t_err, beta=beta,
                              mult=mult, is_bifurcation=is_bif)
 
@@ -84,11 +82,9 @@ def solve_instant(fib, beta, mult=1):
 def rigidity_threshold(fib):
     """The instant for the first base eigenvalue; rigid on (b, 1]."""
     first = base_spectrum_first(fib.family, 1)[0]
-    inst = solve_instant(fib, first.value, first.mult)
-    if not inst.u < 1:
+    if not first.value > fib.scal_over_m_minus_1(1):
         raise AssertionError("no degeneracy inside (0, 1)")
-    return inst
-
+    return solve_instant(fib, first.value, first.mult)
 
 @lru_cache(maxsize=16)
 def instant_base(fib, t_min):
@@ -98,20 +94,20 @@ def instant_base(fib, t_min):
     t_min = Fraction(t_min)
     if not 0 < t_min < 1:
         raise ValueError("t_min must lie in (0, 1)")
-    cutoff = fib.scal_over_m_minus_1(t_min)
+    cutoff = fib.scal_over_m_minus_1(t_min * t_min)
     return tuple(base_spectrum(fib.family, cutoff))
 
 
 def degeneracy_instants(fib, t_min):
     """All instants with t >= t_min, one per entry of ``instant_base``.
 
-    The result is sorted by decreasing t (increasing beta) and its
-    strict monotonicity is re-verified on the exact surds.
+    The result is sorted by decreasing t: beta strictly rises along it,
+    which is re-verified pair by pair, and s(u) strictly falls.
     """
     instants = [solve_instant(fib, entry.value, entry.mult)
                 for entry in instant_base(fib, t_min)]
     for earlier, later in zip(instants, instants[1:]):
-        if not later.u < earlier.u:
+        if not later.beta > earlier.beta:
             raise AssertionError("instants failed to decrease strictly")
     return instants
 
@@ -120,20 +116,20 @@ def instant_below(fib, eps):
     """A degeneracy instant with t < eps, witnessing decay to zero.
 
     Takes the smallest multiple of the first spherical generator whose
-    base eigenvalue exceeds scal/(m-1) at t = eps and solves that
-    instant; strict monotonicity puts every later instant lower still.
-    The witness multiplicity counts the generator power alone, a lower
-    bound when other spherical weights share the eigenvalue.
+    base eigenvalue exceeds s(eps**2), which puts its instant below eps,
+    and solves that instant; strict monotonicity puts every later
+    instant lower still.  The witness multiplicity counts the generator
+    power alone, a lower bound when other spherical weights share the
+    eigenvalue.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    value, coeffs = spherical_multiple_above(fib.family,
-                                             fib.scal_over_m_minus_1(eps))
-    inst = solve_instant(fib, value, weyl_dim(fib.family.root_family, coeffs))
-    if not inst.u < eps * eps:
+    target = fib.scal_over_m_minus_1(eps * eps)
+    value, coeffs = spherical_multiple_above(fib.family, target)
+    if not value > target:
         raise AssertionError("witness instant failed to drop below eps")
-    return inst
+    return solve_instant(fib, value, weyl_dim(fib.family.root_family, coeffs))
 
 
 def morse_index(fib, base, t):
@@ -163,6 +159,6 @@ def _place(fib, base, t):
     t = Fraction(t)
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    s = fib.scal_over_m_minus_1(t)
+    s = fib.scal_over_m_minus_1(t * t)
     k = bisect_left(base, s, key=lambda entry: entry.value)
     return k, k < len(base) and base[k].value == s

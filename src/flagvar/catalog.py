@@ -395,7 +395,7 @@ def audit(fib):
 
     threshold = rigidity_threshold(fib)
     checks.append(("threshold-in-unit-interval",
-                   threshold.u.sign() > 0 and threshold.u < 1))
+                   threshold.beta > fib.scal_over_m_minus_1(1)))
 
     t_min = Fraction(11, 100)
     instants = degeneracy_instants(fib, t_min)
@@ -411,10 +411,11 @@ def audit(fib):
     checks.append(("morse-nondecreasing",
                    all(a <= b for a, b in zip(indices, indices[1:]))))
     if len(instants) >= 2:
-        # The float t's only propose mid; exact surd order places it.
+        # The float t's only propose mid; exact rationals place it.
         mid = Fraction(round((instants[0].t + instants[1].t) * 5e5), 10**6)
         checks.append(("three-solutions-between-instants",
-                       instants[1].u < mid * mid < instants[0].u
+                       instants[0].beta < fib.scal_over_m_minus_1(mid * mid)
+                       < instants[1].beta
                        and multiplicity_lower_bound(fib, base, mid) == 3))
     checks.append(("one-solution-at-one",
                    multiplicity_lower_bound(fib, base, 1) == 1))

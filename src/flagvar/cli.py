@@ -222,8 +222,10 @@ def _svg_figure(fib, names, rows, verticals, t_min, t_max):
         parts.append('<text x="{:.2f}" y="{:.2f}" font-size="12" '
                      'text-anchor="end">{:.2f}</text>'.format(
                          left - 6, sy(v) + 4, v))
+    # Instants have u >= t_min**2, and u <= t_max**2 iff beta >= s_max.
+    s_max = fib.scal_over_m_minus_1(t_max * t_max)
     for inst in verticals:
-        if t_lo <= inst.t <= t_hi:
+        if inst.beta >= s_max:
             x = sx(inst.t)
             parts.append('<line x1="{0:.2f}" y1="{1}" x2="{0:.2f}" y2="{2}" '
                          'stroke="#777777" stroke-dasharray="6 4"/>'.format(

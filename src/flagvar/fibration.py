@@ -122,15 +122,16 @@ class FibrationData(namedtuple(
             (poly.a, poly.c, poly.e, poly.d * (self.m_total - 1)))
         return c0, c1, -step, c2, den
 
-    def scal_over_m_minus_1(self, t):
-        """scal(t)/(m-1) at a nonzero rational t, one Fraction off
-        ``gap``: at beta = 0 it is (c0 + c1*u + c2*u**2)/(-slope*u)."""
+    def scal_over_m_minus_1(self, u):
+        """s(u) = scal(t)/(m-1) at a rational u = t**2 > 0, one Fraction
+        off ``gap``: (c0 + c1*u + c2*u**2)/(-slope*u).  It strictly falls
+        as u rises, so an instant lies below x exactly when its beta
+        exceeds s(x)."""
         c0, c1, slope, c2, _ = self.gap
-        t = Fraction(t)
-        un, ud = t.numerator ** 2, t.denominator ** 2
+        u = Fraction(u)
+        un, ud = u.numerator, u.denominator
         return Fraction(c0 * ud * ud + c1 * un * ud + c2 * un * un,
                         -slope * un * ud)
-
 
 def build_fibration(family, phi1=None):
     """Assemble the vertical/horizontal partition and dimension data.

@@ -1,22 +1,21 @@
 """Exact numbers of the form (p + q*sqrt(d))/r over the integers.
 
-These carry the solutions u = t**2 of the degeneracy quadratics, so
-equality, ordering and sign must all be decided exactly.  p, q and r
-are Python ints with r > 0 and d squarefree (d = 0 exactly when the
-value is rational), the usual integer representation of Q(sqrt(d))
+These carry the solutions u = t**2 of the degeneracy quadratics.  p, q
+and r are Python ints with r > 0 and d squarefree (d = 0 exactly when
+the value is rational), the usual integer representation of Q(sqrt(d))
 (Cohen, *A Course in Computational Algebraic Number Theory*, §5).
 
 The constructor takes ints and stores them as given, unreduced, so
-``str`` shows integers.  A surd has no arithmetic: its readers build it
-from integers, decide its residuals as integer signs in Q(sqrt(d)), and
-only sign, order and print it.  Sign and every comparison are integer
-compares.  Across radicands the scaled difference is
-a + b*sqrt(d1) - c*sqrt(d2): the two terms' signs decide unless they
-agree, and then one squaring leaves the sign of a surd in Q(sqrt(d1)).
-One integer enclosure serves presentation only: the certified float of
-sqrt(u) and ``bounds``.  Nothing in the package reads ``bounds``; it
-stays because the perfbench tracer wraps it by name.  A surd has no
-hash.
+``str`` shows integers.  A surd has no arithmetic and decides no
+verdict: every instant verdict compares a base eigenvalue beta with
+scal/(m-1) at a rational u (``bifurcation``).  A surd orders only
+within its field: against a rational or a surd of the same radicand the
+sign of the difference is one integer compare.  Two distinct irrational
+radicands give no order (``<`` raises TypeError) and never compare
+equal.  One integer enclosure serves presentation only: the certified
+float of sqrt(u) and ``bounds``.  Nothing in the package reads
+``bounds``; it stays because the perfbench tracer wraps it by name.  A
+surd has no hash.
 """
 
 import operator
@@ -80,30 +79,18 @@ class QuadraticSurd:
             d = 0
         self.p, self.q, self.r, self.d = p, q, r, d
 
-    # -- exact sign and order ---------------------------------------------
-
-    def sign(self):
-        """Exact sign of the value: -1, 0 or 1."""
-        return _sign(self.p, self.q, self.d)  # r > 0 by normalization
+    # -- order within one field -------------------------------------------
 
     def _cmp(self, other):
         parts = _parts(other)
         if parts is None:
             return NotImplemented
         p, q, r, d = parts
-        if d == self.d or not d or not self.d:
-            # Same field: the sign of the difference times r*r' > 0.
-            return _sign(self.p * r - p * self.r, self.q * r - q * self.r,
-                         self.d or d)
-        # r*r' times the difference is X - Y, X = a + b*sqrt(d1) and
-        # Y = c*sqrt(d2), neither 0 (b, c != 0, sqrt(d1) irrational).
-        # Unequal signs decide; equal ones multiply the sign of X*X - Y*Y.
-        a, b, c = self.p * r - p * self.r, self.q * r, q * self.r
-        left = _sign(a, b, self.d)
-        if (left > 0) != (c > 0):
-            return left
-        return left * _sign(a * a + b * b * self.d - c * c * d, 2 * a * b,
-                            self.d)
+        if d and self.d and d != self.d:
+            return NotImplemented  # distinct fields: no order, never equal
+        # The sign of the difference times r*r' > 0.
+        return _sign(self.p * r - p * self.r, self.q * r - q * self.r,
+                     self.d or d)
 
     __eq__ = _comparison(operator.eq)
     __lt__ = _comparison(operator.lt)
@@ -138,7 +125,9 @@ class QuadraticSurd:
         """Certified float of sqrt(value); value must be nonnegative.
 
         The square roots of the ends of the 96-bit enclosure are enclosed
-        on the 2**-96 grid, the lower end clamped at 0.
+        on the 2**-96 grid, the lower end clamped at 0.  An enclosure
+        wider than 1e-12 is a presentation fault (AssertionError), so
+        the error bound stays below 1e-12.
         """
         bits = 96
         lo, hi, den = self._enclosure(bits)
@@ -146,6 +135,9 @@ class QuadraticSurd:
             raise ValueError("square root of negative surd")
         lo_r = isqrt((lo << 2 * bits) // den) if lo > 0 else 0
         hi_r = isqrt((hi << 2 * bits) // den) + 1 if hi > 0 else 0
+        if (hi_r - lo_r) * 10**12 > 1 << bits:
+            raise AssertionError(
+                "presentation error exceeded the certified bound")
         return float_from_bounds(lo_r, hi_r, 1 << bits)
 
     def __repr__(self):

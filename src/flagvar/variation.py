@@ -61,9 +61,9 @@ def figure_series(fib, t_min, t_max):
     Everything is exact until one division.  With t = tn/td on the
     grid, mu_k = M_k/D and phi_j = F_j/D over one common denominator D,
     each curve is (M_k*tn**2 + F_j*(td**2 - tn**2))/(D*tn**2), and
-    scal/(m-1) is ``fib.scal_over_m_minus_1`` at tn/td.  So every float
-    is a single correctly rounded int/int or Fraction division of the
-    exact value.
+    scal/(m-1) is ``fib.scal_over_m_minus_1`` at u = tn**2/td**2.  So
+    every float is a single correctly rounded int/int or Fraction
+    division of the exact value.
     """
     steps = 120
     constants = [float(x.value) for x in base_spectrum_first(fib.family, 6)]
@@ -83,7 +83,7 @@ def figure_series(fib, t_min, t_max):
     for i in range(steps + 1):
         tn = lo * steps + (hi - lo) * i
         un, ud = tn * tn, td * td  # u = t**2 = un/ud
-        row = [tn / td, float(fib.scal_over_m_minus_1(Fraction(tn, td)))]
+        row = [tn / td, float(fib.scal_over_m_minus_1(Fraction(un, ud)))]
         row += constants
         row += [(ms[k - 1] * un + fs[j - 1] * (ud - un)) / (den * un)
                 for k, j in pairs]

@@ -400,6 +400,8 @@ class FractionSurd:
             raise ValueError("square root of negative surd")
         lo_r, _ = sqrt_bounds(max(lo, Fraction(0)), bits)
         _, hi_r = sqrt_bounds(hi, bits)
+        if (hi_r - lo_r) * 10**12 > 1:
+            raise AssertionError("presentation error exceeded the bound")
         return _fraction_float_from_bounds(lo_r, hi_r)
 
     def __str__(self):

@@ -65,7 +65,7 @@ def test_su3_first_five_instants():
     assert all(i.is_bifurcation for i in instants)
     assert abs(instants[4].t - 0.10878375431661602) < 1e-9
     for first, second in zip(instants, instants[1:]):
-        assert second.u < first.u
+        assert fraction_surd(second.u).cmp(fraction_surd(first.u)) < 0
         assert second.t < first.t
 
 
@@ -154,6 +154,34 @@ def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
                 flag = solve_instant(probe, inst.beta).is_bifurcation
                 assert flag == (side > 1)
                 assert flag == flag_by_gap_quadratic(probe, inst.u)
+
+
+ORACLE_FAMILIES = [("su", 2), ("su", 3), ("su", 4), ("so-odd", 2), ("sp", 3),
+                   ("so-even", 4), ("g2", 2)]
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_FAMILIES)
+def test_every_instant_verdict_agrees_with_the_fraction_oracle(kind, n):
+    # Each verdict compares beta with s(u) at a rational u.  The Fraction
+    # oracle decides the same questions on the solved surds themselves:
+    # the flag as u < phi1/over, the decrease as the order of consecutive
+    # instants across their fields, and the threshold as u < 1.
+    family = FibrationFamily(kind, n)
+    mu1 = flag_minimum(family.root_family).value
+    flags = set()
+    for phi1 in (None, Fraction(1, 3), Fraction(1, 50), Fraction(1, 1000)):
+        fib = build_fibration(family, phi1)
+        instants = degeneracy_instants(fib, Fraction(1, 20))
+        us = [fraction_surd(inst.u) for inst in instants]
+        for inst, u in zip(instants, us):
+            over = inst.beta + fib.phi1 - mu1
+            assert inst.is_bifurcation == (over <= 0
+                                           or u.cmp(fib.phi1 / over) < 0)
+            flags.add(inst.is_bifurcation)
+        assert all(later.cmp(earlier) < 0
+                   for earlier, later in zip(us, us[1:]))
+        assert fraction_surd(rigidity_threshold(fib).u).cmp(1) < 0
+    assert flags == {True, False}
 
 
 def _planted_flag(beta, phi1, u0):
@@ -312,13 +340,22 @@ def _solved(kind, n, t_min):
     return fib, instant_base(fib, t_min), degeneracy_instants(fib, t_min)
 
 
+@lru_cache(maxsize=None)
+def _decreasing_by_the_oracle(kind, n, t_min):
+    """Whether the Fraction oracle orders the cell's solved instants by
+    strictly decreasing u, across their fields."""
+    us = [fraction_surd(inst.u) for inst in _solved(kind, n, t_min)[2]]
+    return all(later.cmp(earlier) < 0 for earlier, later in zip(us, us[1:]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(PROPERTY_GRID), st.data())
 def test_instants_decrease_and_morse_counts_the_instants_above(cell, data):
     kind, n, t_min = cell
     fib, base, instants = _solved(kind, n, t_min)
-    for earlier, later in zip(instants, instants[1:]):
-        assert later.u < earlier.u and later.beta > earlier.beta
+    assert _decreasing_by_the_oracle(kind, n, t_min)
+    assert all(later.beta > earlier.beta
+               for earlier, later in zip(instants, instants[1:]))
     # Gap k lies below instants[:k] and above the rest, t_min closing it.
     k = data.draw(st.integers(0, len(instants)), label="gap")
     hi = instants[k - 1].t if k else 1.0
@@ -444,8 +481,8 @@ def test_so_odd_threshold_is_the_catalogued_scal_instant(n):
     x = fraction_surd(u)
     residual = (closed.e * (x * x)
                 + (closed.c - beta * (m - 1) * closed.d) * x + closed.a)
-    assert u.sign() > 0 and residual.sign() == 0
-    assert u != solve_instant(fib, beta).u
+    assert x.sign() > 0 and residual.sign() == 0
+    assert x.cmp(fraction_surd(solve_instant(fib, beta).u)) != 0
 
 
 def test_cross_check_g2_mismatch_only_off_axis():

@@ -195,6 +195,16 @@ def test_figure_svg_marks_five_instants(capsys, tmp_path):
     assert svg.count("stroke-dasharray") == 5
 
 
+def test_figure_svg_marks_only_the_instants_up_to_tmax(capsys):
+    # su 2 has instants at t = 0.469 and 0.242 and three more down to
+    # 0.109; at tmax 0.3 the first lies outside the window.
+    code, out, _ = run(capsys, ["figure", "--family", "su", "--n", "2",
+                                "--tmin", "0.1", "--tmax", "0.3",
+                                "--format", "svg"])
+    assert code == 0
+    assert out.count("stroke-dasharray") == 4
+
+
 # -- verify ----------------------------------------------------------------
 
 def test_verify_so_even_exits_zero_with_ledger(capsys):
@@ -264,15 +274,32 @@ def test_surd_one_unit_off_fails_the_residual_in_one_line(
 
 def test_threshold_outside_the_unit_interval_is_one_line(capsys, monkeypatch):
     # A first instant at u >= 1 is an internal fault, not a usage error.
-    real = bifurcation.solve_instant
+    # A first base eigenvalue valued s(1) plants it at the boundary u = 1.
+    real = bifurcation.base_spectrum_first
 
-    def beyond_one(*args, **kwargs):
-        return real(*args, **kwargs)._replace(u=surd.QuadraticSurd(2))
+    def at_one(family, count):
+        s_one = fibration.build_fibration(family).scal_over_m_minus_1(1)
+        return [entry._replace(value=s_one) for entry in real(family, 1)]
 
-    monkeypatch.setattr(bifurcation, "solve_instant", beyond_one)
+    monkeypatch.setattr(bifurcation, "base_spectrum_first", at_one)
     code, out, err = run(capsys, ["verify", "--family", "su", "--n", "2"])
     assert code == 1 and out == ""
     assert err == "flagvar: certificate failed: no degeneracy inside (0, 1)\n"
+
+
+def test_repeated_beta_fails_the_decrease_in_one_line(capsys, monkeypatch):
+    # Two instants from one base value do not decrease strictly.
+    real = bifurcation.instant_base
+
+    def repeated(fib, t_min):
+        base = real(fib, t_min)
+        return base[:2] + base[1:]
+
+    monkeypatch.setattr(bifurcation, "instant_base", repeated)
+    code, out, err = run(capsys, ["instants", "--family", "su", "--n", "2"])
+    assert code == 1 and out == ""
+    assert err == ("flagvar: certificate failed: instants failed to"
+                   " decrease strictly\n")
 
 
 def test_singular_gram_is_one_line(capsys, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flagvar import spectra
 from flagvar.catalog import (bn_dominance_row_report,
                              cn_first_eigenvalue_report)
 from flagvar.fibration import FibrationFamily, build_fibration
@@ -595,6 +596,21 @@ def test_flag_spectrum_matches_brute_force_box(source, cutoff):
     got = [(e.value, e.label) for e in _class_one_spectrum(source, cutoff)]
     assert got == expected
 
+
+
+@pytest.mark.parametrize("simple_roots,scale,family,count", [
+    (((1, -1), (0, 2)), Fraction(1, 12), FamilyTag("B", 2), 19),
+    (((1, -1, 0), (0, 1, -1), (0, 1, 1)), Fraction(1, 8), FamilyTag("A", 3),
+     21)], ids=["C2-B2", "D3-A3"])
+def test_isomorphic_root_systems_give_one_flag_spectrum(simple_roots, scale,
+                                                        family, count):
+    # C2 = B2 and D3 = A3, and G/T depends only on G: the same values in
+    # other coordinates.  rootsys refuses C2 and D3, so their simple
+    # roots and CK scales are written out here.
+    got = [e.value for e in spectra._class_one_spectrum(
+        simple_roots, scale, 10, "total")]
+    assert got == [e.value for e in flag_spectrum(family, 10)]
+    assert len(got) == count
 
 BASE_ORACLE_CUTOFF = 6
 

@@ -1,19 +1,20 @@
-"""Tests for exact quadratic surd normalization, sign, ordering and
-presentation, against the Fraction surd oracle."""
+"""Tests for exact quadratic surd normalization, sign, ordering within
+one field and presentation, against the Fraction surd oracle."""
 
 import importlib.util
+import operator
 import pathlib
 from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagvar.bifurcation import degeneracy_instants
 from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.surd import QuadraticSurd
+from flagvar.surd import QuadraticSurd, _sign
 from oracles import FractionSurd, fraction_surd
 
 small_rationals = st.fractions(min_value=-50, max_value=50,
@@ -52,12 +53,17 @@ def test_constructor_rejects_bad_input():
         QuadraticSurd(1, 1, 1, -5)
 
 
+def _surd_sign(x):
+    """The sign of a surd's value, by the integer kernel (r > 0)."""
+    return _sign(x.p, x.q, x.d)
+
+
 def test_sign_cases():
-    assert QuadraticSurd(-9, 1, 1, 85).sign() == 1    # sqrt(85) > 9
-    assert QuadraticSurd(-10, 1, 1, 85).sign() == -1  # sqrt(85) < 10
-    assert QuadraticSurd(-2, 1, 1, 4).sign() == 0
-    assert QuadraticSurd(0, -3, 1, 2).sign() == -1
-    assert QuadraticSurd(5, 0, 2, 0).sign() == 1
+    assert _surd_sign(QuadraticSurd(-9, 1, 1, 85)) == 1    # sqrt(85) > 9
+    assert _surd_sign(QuadraticSurd(-10, 1, 1, 85)) == -1  # sqrt(85) < 10
+    assert _surd_sign(QuadraticSurd(-2, 1, 1, 4)) == 0
+    assert _surd_sign(QuadraticSurd(0, -3, 1, 2)) == -1
+    assert _surd_sign(QuadraticSurd(5, 0, 2, 0)) == 1
 
 
 def test_ordering_same_radicand():
@@ -69,12 +75,17 @@ def test_ordering_same_radicand():
     assert a == a
 
 
-def test_ordering_mixed_radicands():
-    # sqrt(2) < sqrt(3) lies outside either field: one squaring decides.
-    assert QuadraticSurd(0, 1, 1, 2) < QuadraticSurd(0, 1, 1, 3)
-    assert QuadraticSurd(1, 1, 1, 2) > QuadraticSurd(0, 1, 1, 5)
-    # Rational-valued operands short-circuit to exact equality.
+def test_distinct_fields_are_unequal_and_unordered():
+    # sqrt(2) and sqrt(3) lie in different fields: such values are never
+    # equal, and a surd orders only within its field.
+    x, y = QuadraticSurd(0, 1, 1, 2), QuadraticSurd(0, 1, 1, 3)
+    assert not x == y and x != y
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(x, y)
+    # A rational value lies in every field.
     assert QuadraticSurd(4, 0, 2, 2) == QuadraticSurd(2, 0, 1, 7)
+    assert x < QuadraticSurd(3, 0, 2, 5) < y
 
 
 def test_comparison_against_rationals():
@@ -103,6 +114,15 @@ def test_sqrt_to_float_certified():
     assert abs(t - 0.46855571418230224) <= 1e-12
     with pytest.raises(ValueError):
         QuadraticSurd(-5, 0, 1, 0).sqrt_to_float()
+
+
+def test_sqrt_to_float_refuses_a_wide_enclosure():
+    # q = 2**70 over r = 1 leaves u's enclosure 2**-26 wide, with u in
+    # (0, 1): its square root cannot be shown to within 1e-12.
+    x = QuadraticSurd(-isqrt(2 << 140), 2**70, 1, 2)
+    assert 0 < x < 1
+    with pytest.raises(AssertionError, match="presentation error"):
+        x.sqrt_to_float()
 
 
 def test_a_surd_is_unhashable():
@@ -137,7 +157,7 @@ def test_sign_matches_float(p, q, d):
     x = QuadraticSurd(pn, qn, r, d)
     approx = float(p) + float(q) * d**0.5
     if abs(approx) > 1e-6:
-        assert x.sign() == (1 if approx > 0 else -1)
+        assert _surd_sign(x) == (1 if approx > 0 else -1)
 
 
 def _value(x):
@@ -160,18 +180,27 @@ def _integral(args):
     return p, q, r, args[3]
 
 
+def _outcome(sqrt_to_float):
+    """The certified float pair, or the type of the exception raised."""
+    try:
+        return sqrt_to_float()
+    except (AssertionError, ValueError) as exc:
+        return type(exc)
+
+
+# The first example's u lies in (0, 1) with an enclosure 2**-26 wide:
+# both refuse its square root.
+@example((-isqrt(2 << 140), 2**70, 1, 2), (1, 1, 1, 0), 64)
 @given(surd_args, surd_args, st.integers(32, 128))
 def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
+    # y shares x's radicand, so the two lie in one field.
     x, ox = QuadraticSurd(*_integral(args)), FractionSurd(*args)
-    y, oy = QuadraticSurd(*_integral(other_args)), FractionSurd(*other_args)
+    same_field = other_args[:3] + args[3:]
+    y, oy = QuadraticSurd(*_integral(same_field)), FractionSurd(*same_field)
     assert _value(x) == _value(ox)
-    assert x.sign() == ox.sign()
+    assert _surd_sign(x) == ox.sign()
     assert x.bounds(bits) == ox.bounds(bits)
-    if ox.bounds(96)[1] < 0:
-        with pytest.raises(ValueError):
-            x.sqrt_to_float()
-    else:
-        assert x.sqrt_to_float() == ox.sqrt_to_float()
+    assert _outcome(x.sqrt_to_float) == _outcome(ox.sqrt_to_float)
     for rational in (args[0], args[0] + 1, 0):
         assert (x == rational) == (ox.cmp(rational) == 0)
         assert (x < rational) == (ox.cmp(rational) < 0)
@@ -192,37 +221,13 @@ def test_zero_sqrt_to_float_matches_the_oracle():
         assert zero.sqrt_to_float() == (0.0, 2.0 ** -1074)
 
 
-def _assert_orders_as_the_oracle(x, y):
-    for a, b in ((x, y), (y, x)):
-        expected = fraction_surd(a).cmp(fraction_surd(b))
-        assert ((a < b), (a == b), (a > b)) == (
-            expected < 0, expected == 0, expected > 0)
-
-
-def _below_sqrt2_scaled(a):
-    """a + sqrt(3) < 2**70*sqrt(2), decided on plain integers."""
-    rest = 2**141 - a * a - 3
-    return rest > 0 and 12 * a * a < rest * rest
-
-
-def test_planted_near_tie_across_radicands():
-    # y = (a + sqrt(3))/2**70 with a = floor(2**70*sqrt(2) - sqrt(3)) sits
-    # within 2**-70 of x = sqrt(2), inside both 64-bit enclosures.
-    a = isqrt(2 << 140) - 1
-    assert _below_sqrt2_scaled(a) and not _below_sqrt2_scaled(a + 1)
-    x = QuadraticSurd(0, 1, 1, 2)
-    for a_side, below in ((a, True), (a + 1, False)):
-        y = QuadraticSurd(a_side, 1, 2**70, 3)
-        (x_lo, x_hi), (y_lo, y_hi) = x.bounds(64), y.bounds(64)
-        assert x_lo <= y_hi and y_lo <= x_hi
-        assert (y < x) == below and (y > x) != below and y != x
-        _assert_orders_as_the_oracle(x, y)
-
-
 @pytest.mark.parametrize("kind,n", [("su", 2), ("su", 3), ("so-odd", 2)])
 def test_consecutive_instants_order_as_the_fraction_oracle(kind, n):
+    # The instants are checked to decrease by their rising beta alone;
+    # the Fraction oracle orders the surds themselves, across fields.
     fib = build_fibration(FibrationFamily(kind, n))
     instants = degeneracy_instants(fib, Fraction(7, 1000))
     assert len(instants) > 50
     for earlier, later in zip(instants, instants[1:]):
-        _assert_orders_as_the_oracle(earlier.u, later.u)
+        assert later.beta > earlier.beta
+        assert fraction_surd(later.u).cmp(fraction_surd(earlier.u)) < 0
