@@ -4,42 +4,17 @@ flagvar derives every quantity itself: scal(t) by assembly over root
 triples (``curvature``), eigenvalues as Casimir values (``spectra``)
 and instants as exact surds (``bifurcation``).  This module is the one
 place that holds the catalogued ("as printed") versions of those
-quantities, the hand-stated first eigenvalues, the ledger of known
-discrepancies, and the agreement pattern each catalogued formula is
-known to have.  It imports the derived modules and none of them imports
-it: nothing here feeds a computation, and a disagreement is reported,
-never patched.
-
-The known discrepancies:
-
-- scal(t).  The catalogued closed forms agree with the assembly
-  coefficient by coefficient for su (every n), g2 and so-odd at n=2.
-  For so-odd at n>=4 the catalogued numerator is missing a quarter of
-  the fiber-internal bracket term (one of the four fiber triples per
-  index triple; the fiber has none at n=2), and for sp / so-even the
-  catalogued t**2 coefficient is the base dimension where the assembly
-  forces the horizontal summand count, half of it.  Two facts pin the
-  assembled side down independently of any closed form: the t**2
-  coefficient of any fiber-scaling variation is the number of
-  horizontal summands, and at t=1 the value must be (dim G + rank)/4,
-  the normal metric's curvature.
-- Instants.  The so-odd sequence radicand comes out four times the
-  derived one past the first index, and the so-odd threshold is the
-  instant of the catalogued scalar curvature, so it agrees only at
-  n=2.  The g2 formula differs whenever both indices are positive: its
-  cross coefficient reads 33 where the defining equation forces 66.
-  sp and so-even have no catalogued sequence.
-- The sp first flag eigenvalue.  The catalogued polynomial halves the
-  Casimir's p_{n-1} p_n cross term, so its minimum is 1 where the
-  Casimir minimum is n/(n+1), and the catalogued statement
-  (4n-1)/(4(n+1)) is neither.
-- The so-odd dominance system has a sign slip in one row.
-- The first fiber eigenvalue phi1 = 1 is the fiber's own; under G's
-  form, which the canonical variation puts on the fiber, it is smaller.
+quantities.  ``CATALOGUE`` keeps one ``Catalogued`` record per family:
+its closed forms, its hand-stated first eigenvalues, where each
+statement is known to agree with the derivation, and its ledger, whose
+strings are the one statement of each known discrepancy.  It imports
+the derived modules and none of them imports it: nothing here feeds a
+computation, and a disagreement is reported, never patched.
 
 ``audit`` is the check list behind ``flagvar verify``.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .bifurcation import (degeneracy_instants, instant_base, morse_index,
@@ -61,115 +36,22 @@ LEDGER_GLOBAL = [
     "and the derived value under it (su n=2: 2/3) is used throughout",
 ]
 
-LEDGER = {
-    "su": [
-        "catalogued triple-symbol passage lists the same summand three "
-        "times where the three distinct summands are meant; every count "
-        "is unaffected",
-        "catalogued decimal for the first instant at n=2 reads 0.46852; "
-        "the exact surd evaluates to 0.468556",
-    ],
-    "so-odd": [
-        "catalogued scalar-curvature numerator is missing a quarter of "
-        "the fiber-internal bracket term (one of the four fiber triples "
-        "per index triple); the fiber has no such triples at n=2, so "
-        "the identity holds there and fails for n>=4; assembled "
-        "coefficients are used throughout",
-        "catalogued instant-sequence radicand is 4x the derived value "
-        "for every index past the first; the threshold formula agrees "
-        "only at n=2, since for n>=4 it is the instant of the catalogued "
-        "scalar curvature",
-        "one catalogued dominance row of the flag eigenvalue system "
-        "drops a minus sign; witness (1,1,1,3) at rank 4 passes the "
-        "catalogued system yet is not dominant",
-    ],
-    "sp": [
-        "catalogued scalar-curvature t^2 coefficient equals the full "
-        "base dimension where the assembly forces the horizontal "
-        "summand count (half of it); assembled coefficients are used "
-        "throughout",
-        "catalogued first flag eigenvalue (4n-1)/(4(n+1)) matches "
-        "neither the minimum 1 of the catalogued eigenvalue polynomial "
-        "nor the Casimir minimum n/(n+1), both attained at (1,2,...,2,1); "
-        "the catalogued polynomial halves the Casimir's p_{n-1}p_n cross "
-        "term, and the Casimir values are used throughout",
-    ],
-    "so-even": [
-        "catalogued scalar-curvature t^2 coefficient equals the full "
-        "base dimension where the assembly forces the horizontal "
-        "summand count (half of it); assembled coefficients are used "
-        "throughout",
-        "catalogued flag eigenvalue prefactor 1/(2n-1) corrected to "
-        "1/(2(n-1)); the catalogued prefactor does not give first "
-        "eigenvalue 1",
-    ],
-    "g2": [
-        "catalogued instant-sequence cross coefficient reads 33 where "
-        "the defining equation gives 66; entries with both indices "
-        "positive disagree",
-    ],
-}
 
-# Hand-stated first flag eigenvalue mu_1(n) and first base eigenvalue
-# beta_1(n): independent checks on flag_minimum and base_spectrum_first.
-_MU1 = {
-    "su": lambda n: Fraction(1),
-    "so-odd": lambda n: Fraction(n, 2 * n - 1),
-    # <e1+e2, e1+e2+2*delta> = 4n, times the C_n scale 1/(4(n+1)).
-    "sp": lambda n: Fraction(n, n + 1),
-    "so-even": lambda n: Fraction(1),
-    "g2": lambda n: Fraction(1, 2),
-}
+class Catalogued(namedtuple(
+        "Catalogued", "scal mu1 beta1 instant agrees note ledger")):
+    """What the paper states for one family, and where it holds.
 
-_BETA1 = {
-    "su": lambda n: Fraction(1),
-    "so-odd": lambda n: Fraction(n, 2 * n - 1),
-    "sp": lambda n: Fraction(1),
-    "so-even": lambda n: Fraction(1),
-    "g2": lambda n: Fraction(7, 6),
-}
-
-
-# ---------------------------------------------------------------------------
-# Scalar curvature.
-
-def scal_closed_form(family):
-    """Catalogued closed-form coefficients of scal(t) per family."""
-    n = family.n
-    if family.kind == "su":
-        return ScalPoly(a=Fraction(-2 * n + n * n * (n + 1)),
-                        c=Fraction(4 * n * (n + 1)),
-                        e=Fraction(n * (1 - n)),
-                        d=Fraction(4 * (n + 1)))
-    if family.kind == "so-odd":
-        return ScalPoly(a=Fraction(5 * n**3 - 7 * n**2 + 2 * n),
-                        c=Fraction(8 * n**2 - 4 * n),
-                        e=Fraction(-2 * n**2 + 2 * n),
-                        d=Fraction(4 * (2 * n - 1)))
-    if family.kind == "sp":
-        return ScalPoly(a=Fraction(5 * n**3 + 9 * n**2 - 14 * n),
-                        c=Fraction(24 * n**3 + 48 * n**2 + 24 * n),
-                        e=Fraction(-2 * n**3 + 2 * n),
-                        d=Fraction(24 * (n + 1)))
-    if family.kind == "so-even":
-        return ScalPoly(a=Fraction(5 * n**2 + 2 * n),
-                        c=Fraction(24 * n**2 - 24 * n),
-                        e=Fraction(-2 * n**2 + 4 * n),
-                        d=Fraction(24))
-    return ScalPoly(a=Fraction(2), c=Fraction(12),
-                    e=Fraction(-2), d=Fraction(3))
-
-
-def _scal_identity_expected(kind, n):
-    """Where the catalogued closed form matches the assembled one.
-
-    The so-odd form drops the fiber-internal bracket term (absent at
-    n=2), and the sp / so-even forms carry a doubled t^2 coefficient,
-    so agreement there would itself be a bug.
+    ``scal(n)`` is the closed-form ScalPoly; ``mu1(n)`` and ``beta1(n)``
+    the hand-stated first flag and base eigenvalues, independent checks
+    on flag_minimum and base_spectrum_first.  ``instant(n, label)`` is
+    the catalogued u = t**2 for the base weight ``label``, with (1,) the
+    threshold; it is None where no sequence is catalogued.
+    ``agrees(n, label)`` says whether that statement matches the
+    derivation, label None standing for scal(t); ``note`` is the known
+    cause of a disagreeing sequence row; ``ledger`` the discrepancies.
     """
-    if kind == "so-odd":
-        return n == 2
-    return kind in ("su", "g2")
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -228,70 +110,148 @@ def _g2_sequence(r, s):
     return _root_plus(Fraction(inner * inner + 64, 64), Fraction(inner, 8))
 
 
+CATALOGUE = {
+    "su": Catalogued(
+        scal=lambda n: ScalPoly(a=Fraction(-2 * n + n * n * (n + 1)),
+                                c=Fraction(4 * n * (n + 1)),
+                                e=Fraction(n * (1 - n)),
+                                d=Fraction(4 * (n + 1))),
+        mu1=lambda n: Fraction(1),
+        beta1=lambda n: Fraction(1),
+        instant=lambda n, label: (_su_threshold(n) if label == (1,)
+                                  else _su_sequence(n, *label)),
+        agrees=lambda n, label: True,
+        note="",
+        ledger=[
+            "catalogued triple-symbol passage lists the same summand three "
+            "times where the three distinct summands are meant; every count "
+            "is unaffected",
+            "catalogued decimal for the first instant at n=2 reads 0.46852; "
+            "the exact surd evaluates to 0.468556",
+        ]),
+    # The scal numerator drops the fiber-internal bracket term, which is
+    # absent at n=2.  Threshold and sequence are both instants of this
+    # catalogued scal(t): the threshold as printed, the sequence once
+    # its radicand is divided by 4.  So past n=2 the two agree with the
+    # derivation nowhere, and "4x the derived radicand" holds at n=2 only.
+    "so-odd": Catalogued(
+        scal=lambda n: ScalPoly(a=Fraction(5 * n**3 - 7 * n**2 + 2 * n),
+                                c=Fraction(8 * n**2 - 4 * n),
+                                e=Fraction(-2 * n**2 + 2 * n),
+                                d=Fraction(4 * (2 * n - 1))),
+        mu1=lambda n: Fraction(n, 2 * n - 1),
+        beta1=lambda n: Fraction(n, 2 * n - 1),
+        instant=lambda n, label: (_so_odd_threshold(n) if label == (1,)
+                                  else _so_odd_sequence(n, *label)),
+        agrees=lambda n, label: n == 2 and label in (None, (1,)),
+        note="catalogued radicand is 4x the derived value",
+        ledger=[
+            "catalogued scalar-curvature numerator is missing a quarter of "
+            "the fiber-internal bracket term (one of the four fiber triples "
+            "per index triple); the fiber has no such triples at n=2, so "
+            "the identity holds there and fails for n>=4; assembled "
+            "coefficients are used throughout",
+            "catalogued instant-sequence radicand is 4x the derived value "
+            "for every index past the first; the threshold formula agrees "
+            "only at n=2, since for n>=4 it is the instant of the catalogued "
+            "scalar curvature",
+            "one catalogued dominance row of the flag eigenvalue system "
+            "drops a minus sign; witness (1,1,1,3) at rank 4 passes the "
+            "catalogued system yet is not dominant",
+        ]),
+    # The t^2 coefficient is doubled, so agreement would itself be a bug.
+    "sp": Catalogued(
+        scal=lambda n: ScalPoly(a=Fraction(5 * n**3 + 9 * n**2 - 14 * n),
+                                c=Fraction(24 * n**3 + 48 * n**2 + 24 * n),
+                                e=Fraction(-2 * n**3 + 2 * n),
+                                d=Fraction(24 * (n + 1))),
+        # <e1+e2, e1+e2+2*delta> = 4n, times the C_n scale 1/(4(n+1)).
+        mu1=lambda n: Fraction(n, n + 1),
+        beta1=lambda n: Fraction(1),
+        instant=None,
+        agrees=lambda n, label: False,
+        note="",
+        ledger=[
+            "catalogued scalar-curvature t^2 coefficient equals the full "
+            "base dimension where the assembly forces the horizontal "
+            "summand count (half of it); assembled coefficients are used "
+            "throughout",
+            "catalogued first flag eigenvalue (4n-1)/(4(n+1)) matches "
+            "neither the minimum 1 of the catalogued eigenvalue polynomial "
+            "nor the Casimir minimum n/(n+1), both attained at (1,2,...,2,1); "
+            "the catalogued polynomial halves the Casimir's p_{n-1}p_n cross "
+            "term, and the Casimir values are used throughout",
+        ]),
+    "so-even": Catalogued(
+        scal=lambda n: ScalPoly(a=Fraction(5 * n**2 + 2 * n),
+                                c=Fraction(24 * n**2 - 24 * n),
+                                e=Fraction(-2 * n**2 + 4 * n),
+                                d=Fraction(24)),
+        mu1=lambda n: Fraction(1),
+        beta1=lambda n: Fraction(1),
+        instant=None,
+        agrees=lambda n, label: False,
+        note="",
+        ledger=[
+            "catalogued scalar-curvature t^2 coefficient equals the full "
+            "base dimension where the assembly forces the horizontal "
+            "summand count (half of it); assembled coefficients are used "
+            "throughout",
+            "catalogued flag eigenvalue prefactor 1/(2n-1) corrected to "
+            "1/(2(n-1)); the catalogued prefactor does not give first "
+            "eigenvalue 1",
+        ]),
+    # Sequence labels are the base weights (r, s); only the axes agree.
+    "g2": Catalogued(
+        scal=lambda n: ScalPoly(a=Fraction(2), c=Fraction(12),
+                                e=Fraction(-2), d=Fraction(3)),
+        mu1=lambda n: Fraction(1, 2),
+        beta1=lambda n: Fraction(7, 6),
+        instant=lambda n, label: _g2_sequence(*label),
+        agrees=lambda n, label: label is None or 0 in label,
+        note="catalogued cross coefficient 33 where the defining equation "
+             "gives 66",
+        ledger=[
+            "catalogued instant-sequence cross coefficient reads 33 where "
+            "the defining equation gives 66; entries with both indices "
+            "positive disagree",
+        ]),
+}
+
+
+def scal_closed_form(family):
+    """The catalogued closed-form coefficients of scal(t) for a family."""
+    return CATALOGUE[family.kind].scal(family.n)
+
+
 def cross_check_closed_forms(fib, instants):
     """Compare solved instants against the catalogued sequence formulas.
 
-    Each row pairs a solved t with the catalogued one for its index and
-    records whether their u = t**2 are equal as exact surds, with a
-    note on the known cause where a row disagrees.  Families without a
-    catalogued sequence return an empty report.
+    Each instant's base weights come from ``base_spectrum``; each row
+    pairs the solved t with the catalogued one for one weight and
+    records whether their u = t**2 are equal as exact surds.  A row the
+    record expects to disagree, other than the threshold's, carries the
+    record's note.  Families without a catalogued sequence return an
+    empty report.
     """
-    family = fib.family
-    kind, n = family.kind, family.n
+    n = fib.family.n
+    record = CATALOGUE[fib.family.kind]
+    if record.instant is None or not instants:
+        return []
+    cutoff = max(inst.beta for inst in instants)
+    labels = {e.value: e.label for e in base_spectrum(fib.family, cutoff)}
     rows = []
-    if kind == "su":
-        for q, inst in enumerate(instants, start=1):
-            u = _su_threshold(n) if q == 1 else _su_sequence(n, q)
-            rows.append(_check_row((q,), inst, u))
-    elif kind == "so-odd":
-        for q, inst in enumerate(instants, start=1):
-            u = _so_odd_threshold(n) if q == 1 else _so_odd_sequence(n, q)
-            row = _check_row((q,), inst, u)
-            if not row["agree"] and q > 1:
-                row["note"] = "catalogued radicand is 4x the derived value"
-            rows.append(row)
-    elif kind == "g2":
-        if instants:
-            cutoff = max(inst.beta for inst in instants)
-            labels = {e.value: e.label for e in base_spectrum(family, cutoff)}
-            for inst in instants:
-                for r, s in labels[inst.beta]:
-                    row = _check_row((r, s), inst, _g2_sequence(r, s))
-                    if not row["agree"] and r * s != 0:
-                        row["note"] = ("catalogued cross coefficient 33 "
-                                       "where the defining equation gives 66")
-                    rows.append(row)
+    for inst in instants:
+        group = labels[inst.beta]
+        # One generator (su, so-odd) labels a value by its one x = (q,).
+        for label in group if isinstance(group[0], tuple) else (group,):
+            u = record.instant(n, label)
+            agree = inst.u == u
+            known = not (agree or label == (1,) or record.agrees(n, label))
+            rows.append({"label": label, "solved": inst.t,
+                         "catalogued": u.sqrt_to_float()[0], "agree": agree,
+                         "note": record.note if known else ""})
     return rows
-
-
-def _check_row(label, inst, u):
-    return {
-        "label": label,
-        "solved": inst.t,
-        "catalogued": u.sqrt_to_float()[0],
-        "agree": inst.u == u,
-        "note": "",
-    }
-
-
-def _expected_cross_check(kind, n, report):
-    """The agreement pattern the catalogued formulas are known to have.
-
-    The catalogued so-odd threshold is the instant solved from the
-    catalogued scalar curvature, so it agrees exactly where that does.
-    """
-    if kind == "su":
-        return all(row["agree"] for row in report)
-    if kind == "so-odd":
-        head = [row for row in report if row["label"] == (1,)]
-        tail = [row for row in report if row["label"] != (1,)]
-        return (all(row["agree"] == _scal_identity_expected(kind, n)
-                    for row in head)
-                and all(not row["agree"] for row in tail))
-    if kind == "g2":
-        return all(row["agree"] == (row["label"][0] * row["label"][1] == 0)
-                   for row in report)
-    return report == []
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +332,16 @@ def bn_dominance_row_report(n):
 def audit(fib):
     """The ordered verify checks for one fibration, as (name, passed).
 
-    Derived values are checked against the hand-stated ones above, the
-    bifurcation picture against its invariants, and each catalogued
-    formula against the agreement pattern it is known to have.
+    Derived values are checked against the family's ``CATALOGUE``
+    record: its stated first eigenvalues, and the agreement pattern each
+    catalogued formula is known to have.  The bifurcation picture is
+    checked against its invariants.
     """
     kind, n = fib.family.kind, fib.family.n
+    record = CATALOGUE[kind]
     checks = [("scal-closed-form-pattern",
-               fib.scal.same_function(scal_closed_form(fib.family))
-               == _scal_identity_expected(kind, n))]
+               fib.scal.same_function(record.scal(n))
+               == record.agrees(n, None))]
     if kind == "su":
         checks.append(("triple-census",
                        su_triple_census(fib) == (n**3 - 3 * n**2 + 2 * n,
@@ -387,10 +349,10 @@ def audit(fib):
                                                  n * (n - 1))))
     checks.append(("flag-minimum",
                    flag_minimum(fib.family.root_family).value
-                   == _MU1[kind](n)))
+                   == record.mu1(n)))
     checks.append(("base-minimum",
                    base_spectrum_first(fib.family, 1)[0].value
-                   == _BETA1[kind](n)))
+                   == record.beta1(n)))
     checks.append(("gap-certificate", gap_certificate(fib)["holds"]))
 
     threshold = rigidity_threshold(fib)
@@ -422,13 +384,14 @@ def audit(fib):
 
     report = cross_check_closed_forms(fib, instants)
     checks.append(("closed-form-cross-check",
-                   _expected_cross_check(kind, n, report)))
+                   all(row["agree"] == record.agrees(n, row["label"])
+                       for row in report)))
 
     if kind == "sp":
         cn = cn_first_eigenvalue_report(n)
         checks.append(("sp-first-eigenvalue-discrepancy",
                        cn["formula_min"] == 1
-                       and cn["casimir_min"] == _MU1[kind](n)
+                       and cn["casimir_min"] == record.mu1(n)
                        and cn["stated"] not in (cn["formula_min"],
                                                 cn["casimir_min"])))
     if kind == "so-odd":

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .bifurcation import degeneracy_instants, instant_base, morse_index
-from .catalog import LEDGER, LEDGER_GLOBAL, audit, scal_closed_form
+from .catalog import CATALOGUE, LEDGER_GLOBAL, audit, scal_closed_form
 from .fibration import (FAMILY_ALIASES, FAMILY_KEYS, FibrationFamily,
                         build_fibration)
 # flag_minimum is unused here but stays bound: the perfbench tracer
@@ -82,7 +82,7 @@ def _json_text(fib, **fields):
     """The family header, then ``fields`` in order, then the ledger."""
     payload = {"family": fib.family.kind, "n": fib.family.n,
                "m": fib.m_total, **fields,
-               "ledger": LEDGER[fib.family.kind]}
+               "ledger": CATALOGUE[fib.family.kind].ledger}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -274,7 +274,7 @@ def cmd_verify(args):
                                             "PASS" if passed else "FAIL"))
             ok = ok and passed
         lines += ["{} ledger: {}".format(tag, note)
-                  for note in LEDGER[fib.family.kind]]
+                  for note in CATALOGUE[fib.family.kind].ledger]
     lines.append("VERIFY: {}".format("PASS" if ok else "FAIL"))
     _emit("\n".join(lines) + "\n", args)
     return 0 if ok else 1

@@ -13,16 +13,17 @@ from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  instant_below, morse_index,
                                  multiplicity_lower_bound,
                                  rigidity_threshold, solve_instant)
-from flagvar.catalog import (_so_odd_threshold, cross_check_closed_forms,
-                             scal_closed_form)
+from flagvar.catalog import (_so_odd_sequence, _so_odd_threshold,
+                             _su_sequence, _su_threshold,
+                             cross_check_closed_forms, scal_closed_form)
 from flagvar.curvature import ScalPoly
 from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
-                             kramer_basis, weyl_dim)
+from flagvar.spectra import (SpectrumEntry, base_spectrum, base_spectrum_first,
+                             flag_minimum, kramer_basis, weyl_dim)
 from flagvar.surd import QuadraticSurd
-from oracles import (ambient_weight, casimir_of_weight, flag_by_gap_quadratic,
-                     fraction_surd, value_at_t)
+from oracles import (FractionSurd, ambient_weight, casimir_of_weight,
+                     flag_by_gap_quadratic, fraction_surd, value_at_t)
 
 
 def _setup(kind, n):
@@ -468,6 +469,13 @@ def test_cross_check_so_odd_radicand_mismatch():
         assert "radicand" in row["note"]
 
 
+def _catalogued_scal_residual(fib, beta, x):
+    """The catalogued scal's instant quadratic at beta, evaluated at x."""
+    closed = scal_closed_form(fib.family)
+    return (closed.e * (x * x)
+            + (closed.c - beta * (fib.m_total - 1) * closed.d) * x + closed.a)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_so_odd_threshold_is_the_catalogued_scal_instant(n):
     # The catalogued threshold solves the defining quadratic of the
@@ -475,14 +483,31 @@ def test_so_odd_threshold_is_the_catalogued_scal_instant(n):
     # misses the instant of the assembled one.
     fib = _setup("so-odd", n)
     beta = Fraction(n, 2 * n - 1)
-    closed = scal_closed_form(fib.family)
-    u = _so_odd_threshold(n)
-    m = fib.m_total
-    x = fraction_surd(u)
-    residual = (closed.e * (x * x)
-                + (closed.c - beta * (m - 1) * closed.d) * x + closed.a)
-    assert x.sign() > 0 and residual.sign() == 0
+    x = fraction_surd(_so_odd_threshold(n))
+    assert x.sign() > 0
+    assert _catalogued_scal_residual(fib, beta, x).sign() == 0
     assert x.cmp(fraction_surd(solve_instant(fib, beta).u)) != 0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_su_threshold_is_the_sequence_at_its_first_index(n):
+    assert _su_threshold(n) == _su_sequence(n, 1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 7])
+def test_so_odd_quartered_sequence_is_a_catalogued_scal_instant(n):
+    # Like the threshold, the sequence is built on the catalogued
+    # scal(t): with its radicand divided by 4, (p + q*sqrt(d))/r becomes
+    # (2p + q*sqrt(d))/(2r), a root of that scal's instant quadratic at
+    # the q-th base eigenvalue.  As printed it is not (planted control).
+    fib = _setup("so-odd", n)
+    for q, entry in enumerate(base_spectrum_first(fib.family, 6), start=1):
+        u = _so_odd_sequence(n, q)
+        quartered = FractionSurd(2 * u.p, u.q, 2 * u.r, u.d)
+        assert quartered.sign() > 0
+        assert _catalogued_scal_residual(fib, entry.value, quartered).sign() == 0
+        assert _catalogued_scal_residual(
+            fib, entry.value, fraction_surd(u)).sign() != 0
 
 
 def test_cross_check_g2_mismatch_only_off_axis():

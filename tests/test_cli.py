@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagvar import bifurcation, cli, fibration, spectra, surd
+from flagvar import bifurcation, catalog, cli, fibration, spectra, surd
 from flagvar.curvature import ScalPoly
 from flagvar.rootsys import build_root_system
 from test_acceptance import CASES
@@ -237,6 +237,33 @@ def test_verify_single_family_mentions_only_it(capsys):
     assert code == 0
     assert "[g2" in out
     assert "[su" not in out
+
+
+def test_every_family_has_one_catalogue_record():
+    assert set(catalog.CATALOGUE) == set(fibration.FAMILY_KEYS)
+    assert {kind for kind, record in catalog.CATALOGUE.items()
+            if record.instant is None} == {"sp", "so-even"}
+
+
+@pytest.mark.parametrize("kind,n,plant,check", [
+    ("g2", 2, lambda r: r._replace(agrees=lambda n, label: True),
+     "closed-form-cross-check"),
+    ("so-odd", 4, lambda r: r._replace(
+        agrees=lambda n, label: label is None or r.agrees(n, label)),
+     "scal-closed-form-pattern"),
+    ("sp", 3, lambda r: r._replace(agrees=lambda n, label: True),
+     "scal-closed-form-pattern"),
+    ("su", 2, lambda r: r._replace(mu1=lambda n: Fraction(2)),
+     "flag-minimum")],
+    ids=["g2-agrees", "so-odd-scal-agrees", "sp-agrees", "su-mu1"])
+def test_a_wrong_catalogue_record_fails_its_check(capsys, monkeypatch, kind,
+                                                  n, plant, check):
+    monkeypatch.setitem(catalog.CATALOGUE, kind,
+                        plant(catalog.CATALOGUE[kind]))
+    code, out, _ = run(capsys, ["verify", "--family", kind, "--n", str(n)])
+    assert code == 1
+    assert [l for l in out.splitlines() if l.endswith("FAIL")] == [
+        "[{} n={}] {}: FAIL".format(kind, n, check), "VERIFY: FAIL"]
 
 
 # -- failure and usage paths ----------------------------------------------

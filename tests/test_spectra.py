@@ -1,9 +1,11 @@
 """Tests for the flag, base and fiber spectra and the two
 catalogued-inconsistency reports."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -611,6 +613,62 @@ def test_isomorphic_root_systems_give_one_flag_spectrum(simple_roots, scale,
         simple_roots, scale, 10, "total")]
     assert got == [e.value for e in flag_spectrum(family, 10)]
     assert len(got) == count
+
+
+def _weyl_dims_by_reflection(simple_roots, labels):
+    """Weyl dimensions of the weights sum p_i*alpha_i, p in ``labels``,
+    from the positive roots alone: the simple roots closed under the
+    simple reflections, in simple-root coordinates, keep the roots with
+    no negative coordinate."""
+    gram = _gram(simple_roots)
+    rank = len(gram)
+
+    def form(x, y):
+        return sum(x[i] * gram[i][j] * y[j]
+                   for i in range(rank) for j in range(rank))
+
+    def reflect(c, i):
+        k = Fraction(2 * sum(g * x for g, x in zip(gram[i], c)), gram[i][i])
+        return tuple(x - k * (j == i) for j, x in enumerate(c))
+
+    roots = {tuple(Fraction(int(i == j)) for j in range(rank))
+             for i in range(rank)}
+    frontier = list(roots)
+    while frontier:
+        c = frontier.pop()
+        for i in range(rank):
+            if (r := reflect(c, i)) not in roots:
+                roots.add(r)
+                frontier.append(r)
+    positive = [c for c in roots if min(c) >= 0]
+    delta = [sum(c[i] for c in positive) / 2 for i in range(rank)]
+    return [prod(form([x + d for x, d in zip(p, delta)], alpha)
+                 / form(delta, alpha) for alpha in positive)
+            for p in labels]
+
+
+@pytest.mark.parametrize("simple_roots,scale,family,weights,pairs", [
+    (((1, -1), (0, 2)), Fraction(1, 12), FamilyTag("B", 2), 22, 22),
+    (((1, -1, 0), (0, 1, -1), (0, 1, 1)), Fraction(1, 8), FamilyTag("A", 3),
+     48, 31)], ids=["C2-B2", "D3-A3"])
+def test_isomorphic_root_systems_give_one_weyl_dimension_multiset(
+        simple_roots, scale, family, weights, pairs):
+    # The isomorphism maps class-one weights to class-one weights with
+    # the same value and the same irreducible, so the (value, dimension)
+    # multisets agree.  C2's and D3's dimensions come from their own
+    # positive roots; B2's and A3's from weyl_dim.
+    mine = Counter()
+    for e in spectra._class_one_spectrum(simple_roots, scale, 10, "total"):
+        for dim in _weyl_dims_by_reflection(simple_roots, e.label):
+            mine[e.value, dim] += 1
+    gram = _simple_gram(family)
+    theirs = Counter(
+        (e.value, weyl_dim(family, tuple(
+            2 * sum(g * x for g, x in zip(row, p)) // row[j]
+            for j, row in enumerate(gram))))
+        for e in flag_spectrum(family, 10) for p in e.label)
+    assert mine == theirs
+    assert sum(mine.values()) == weights and len(mine) == pairs
 
 BASE_ORACLE_CUTOFF = 6
 

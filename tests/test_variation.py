@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagvar import fibration
-from flagvar.catalog import _BETA1
+from flagvar.catalog import CATALOGUE
 from flagvar.curvature import ScalPoly
 from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
@@ -74,7 +74,7 @@ def candidate_lambda1_window(fib, cutoff=Fraction(6)):
 
     return {
         "mu1": flag_minimum(fib.family.root_family).value,
-        "beta1": _BETA1[fib.family.kind](fib.family.n),
+        "beta1": CATALOGUE[fib.family.kind].beta1(fib.family.n),
         "candidate_at": candidate_at,
     }
 

@@ -8,7 +8,9 @@ with that checkout's ``src`` on the path: every argv that the benchmark
 workloads can draw (``perfbench.workloads.all_queries``), every key of
 tests/golden_digests.json, and ``verify --family F --n N --phi1 P`` for
 each family of the golden keys, with P the family's first fiber
-eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50.  stdout,
+eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50, and
+``verify --family F --n N`` at every valid rank N <= 7, since the
+catalogue's agreement pattern depends on the rank.  stdout,
 stderr and the exit code must match.  Each difference is printed, then
 the total; the exit code is 1 on any difference.  Standard library only.
 """
@@ -19,11 +21,13 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
-from flagvar.fibration import FibrationFamily, build_fibration  # noqa: E402
+from flagvar.fibration import (FAMILY_KEYS, FibrationFamily,  # noqa: E402
+                               build_fibration)
 from perfbench.workloads import WORKLOADS, all_queries  # noqa: E402
 
 WORKERS = 2
@@ -44,6 +48,12 @@ def argvs():
                     + [Fraction(1, 1000), Fraction(1, 50)]):
             out.append(["verify", "--family", kind, "--n", n,
                         "--phi1", str(phi)])
+    for kind, n in product(FAMILY_KEYS, range(2, 8)):
+        try:
+            FibrationFamily(kind, n)
+        except ValueError:
+            continue
+        out.append(["verify", "--family", kind, "--n", str(n)])
     return [list(a) for a in dict.fromkeys(map(tuple, out))]
 
 
