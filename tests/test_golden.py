@@ -7,8 +7,12 @@ tmin 0.007, sp n=3 at tmin 0.01) that cross 89 and 2101 instants,
 five ``--phi1`` overrides, which give a fibration its own cache key
 (two are g2 ``verify`` rows either side of the gap certificate: PASS
 at 1/10, FAIL at 1/100),
-and CSV spectra of the multi-generator bases, whose nested labels
-``cli._label_str`` writes.
+CSV spectra of the multi-generator bases, whose nested labels
+``cli._label_str`` writes, the JSON forms of ``scal`` and ``figure``,
+and, in HELP_ARGVS, ``--help`` for the top level and each subcommand.
+HELP_ARGVS stay apart from ARGVS, since tests/test_reach.py runs ARGVS
+through ``cli.main`` and a help request ends in SystemExit.  argparse
+wraps help at the terminal width, so digests take it at COLUMNS=80.
 A change that alters any byte of these outputs fails here; when the
 change is deliberate, say so in CHANGES.md and regenerate the digests
 from the repository root with
@@ -22,7 +26,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -35,11 +41,13 @@ SMALL = [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4), ("g2", 2)]
 ARGVS = [argv + ["--family", kind, "--n", str(n)]
          for kind, n in SMALL
          for argv in (["spectrum", "--cutoff", "3"],
+                      ["scal"],
                       ["scal", "--format", "csv"],
                       ["instants", "--tmin", "0.2"],
                       ["instants", "--tmin", "0.3", "--format", "csv"],
                       ["morse", "--tmin", "0.2", "--format", "csv"],
                       ["figure", "--tmin", "0.2"],
+                      ["figure", "--tmin", "0.2", "--format", "json"],
                       ["figure", "--tmin", "0.3", "--format", "svg"],
                       ["verify"])]
 ARGVS += [["instants", "--family", "su", "--n", "4", "--tmin", "0.05",
@@ -58,13 +66,22 @@ ARGVS += [["instants", "--family", "su", "--n", "4", "--tmin", "0.05",
 ARGVS += [["spectrum", "--format", "csv", "--family", kind, "--n", str(n)]
           for kind, n in (("so-even", 4), ("sp", 3), ("g2", 2))]
 
+HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in (
+    "spectrum", "scal", "instants", "morse", "figure", "verify")]
+
 
 def digest(argv):
-    """{"exit": code, "stdout_sha256": hex digest} of one in-process run."""
+    """{"exit": code, "stdout_sha256": hex digest} of one in-process run;
+    the code of a SystemExit, as argparse raises after help, counts as
+    the exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+            contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"exit": code,
             "stdout_sha256": hashlib.sha256(out.getvalue().encode())
             .hexdigest()}
@@ -72,15 +89,15 @@ def digest(argv):
 
 def test_golden_covers_exactly_the_argv_list():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(
-        " ".join(argv) for argv in ARGVS)
+        " ".join(argv) for argv in ARGVS + HELP_ARGVS)
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+@pytest.mark.parametrize("argv", ARGVS + HELP_ARGVS, ids=" ".join)
 def test_golden_output(argv):
     assert digest(argv) == json.loads(DIGESTS.read_text())[" ".join(argv)]
 
 
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(
-        {" ".join(argv): digest(argv) for argv in ARGVS},
+        {" ".join(argv): digest(argv) for argv in ARGVS + HELP_ARGVS},
         indent=1, sort_keys=True) + "\n")
