@@ -10,7 +10,9 @@ tests/golden_digests.json, and ``verify --family F --n N --phi1 P`` for
 each family of the golden keys, with P the family's first fiber
 eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50, and
 ``verify --family F --n N`` at every valid rank N <= 7, since the
-catalogue's agreement pattern depends on the rank.  stdout,
+catalogue's agreement pattern depends on the rank, and the usage errors
+in USAGE_ERRORS, whose stderr carries argparse's usage line and so each
+subparser's option order and choices.  stdout,
 stderr and the exit code must match.  Each difference is printed, then
 the total; the exit code is 1 on any difference.  Standard library only.
 """
@@ -31,6 +33,15 @@ from flagvar.fibration import (FAMILY_KEYS, FibrationFamily,  # noqa: E402
 from perfbench.workloads import WORKLOADS, all_queries  # noqa: E402
 
 WORKERS = 2
+
+# Argv that argparse refuses: an option a subcommand does not take
+# prints the top-level usage line, any other error the subcommand's.
+USAGE_ERRORS = [[], ["spectrum", "--family", "su", "--format", "svg"],
+                ["scal", "--family", "e8"], ["instants"],
+                ["morse", "--family", "su", "--format", "svg"],
+                ["figure", "--family", "su", "--format", "pdf"],
+                ["figure", "--family", "su", "--phi1", "1"],
+                ["verify", "--family", "e8"], ["verify", "--format", "csv"]]
 
 
 def argvs():
@@ -54,6 +65,7 @@ def argvs():
         except ValueError:
             continue
         out.append(["verify", "--family", kind, "--n", str(n)])
+    out += USAGE_ERRORS
     return [list(a) for a in dict.fromkeys(map(tuple, out))]
 
 
