@@ -2,9 +2,10 @@
 formatters.  The verify checks come from ``catalog.audit``.
 
 Subcommands: spectrum, scal, instants, morse, figure, verify.  Exact
-rationals serialize as "p/q" strings; floats appear only next to their
-exact counterparts.  Exit codes: 0 ok, 1 verification or certificate
-failure, 2 usage error.
+rationals serialize as "p/q" strings, and a float in a table stands
+next to its exact counterpart, except in the figure grid, which is
+floats only, each one correctly rounded division of an exact value.
+Exit codes: 0 ok, 1 verification or certificate failure, 2 usage error.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from .bifurcation import degeneracy_instants, instant_base, morse_index
 from .catalog import CATALOGUE, LEDGER_GLOBAL, audit, scal_closed_form
@@ -70,14 +72,6 @@ def _emit(text, args):
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _json_text(fib, **fields):
     """The family header, then ``fields`` in order, then the ledger."""
     payload = {"family": fib.family.kind, "n": fib.family.n,
@@ -86,16 +80,20 @@ def _json_text(fib, **fields):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_table(fib, args, key, header, rows):
-    """Rows of one table: in JSON, a list of dicts under ``key``; in CSV,
-    one line each, a tuple cell written by ``_label_str``."""
+def _emit_table(fib, args, key, header, rows, **extra):
+    """Rows of one table.  In JSON, a list of dicts under ``key``, then
+    the ``extra`` fields; in CSV, one line each, a tuple cell written by
+    ``_label_str``, with the ``extra`` values as trailing columns."""
     if args.format == "json":
         _emit(_json_text(fib, **{key: [dict(zip(header, row))
-                                       for row in rows]}), args)
-    else:
-        _emit(_csv_text(header, [
-            [_label_str(x) if isinstance(x, tuple) else x for x in row]
-            for row in rows]), args)
+                                       for row in rows]}, **extra), args)
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(list(header) + list(extra))
+    writer.writerows([_label_str(x) if isinstance(x, tuple) else x
+                      for x in row] + list(extra.values()) for row in rows)
+    _emit(buf.getvalue(), args)
 
 
 def _parse_window(args):
@@ -127,17 +125,9 @@ def cmd_scal(args):
     closed = scal_closed_form(fib.family)
     verdict = "PASS" if wz.same_function(closed) else "FAIL"
     rows = [("wang-ziller", wz), ("closed-form", closed)]
-    if args.format == "json":
-        _emit(_json_text(fib, entries=[{
-            "source": name,
-            "a": _frac(p.a), "c": _frac(p.c),
-            "e": _frac(p.e), "d": _frac(p.d),
-        } for name, p in rows], verdict=verdict), args)
-    else:
-        table = [(name, _frac(p.a), _frac(p.c), _frac(p.e), _frac(p.d),
-                  verdict) for name, p in rows]
-        _emit(_csv_text(("source", "a", "c", "e", "d", "verdict"), table),
-              args)
+    _emit_table(fib, args, "entries", ("source", "a", "c", "e", "d"),
+                [(name, _frac(p.a), _frac(p.c), _frac(p.e), _frac(p.d))
+                 for name, p in rows], verdict=verdict)
     return 0 if verdict == "PASS" else 1
 
 
@@ -182,28 +172,14 @@ def _svg_figure(fib, names, rows, verticals, t_min, t_max):
     def sy(v):
         return bottom - v / y_max * (bottom - top)
 
-    def polyline(points, color):
-        chunks = []
-        for chunk in points:
-            if not chunk:
-                continue
-            coords = " ".join("{:.2f},{:.2f}".format(x, y)
-                              for x, y in chunk)
-            chunks.append('<polyline fill="none" stroke="{}" '
-                          'points="{}"/>'.format(color, coords))
-        return chunks
-
-    def segments(col):
-        chunk, out = [], []
-        for row in rows:
-            v = row[col]
-            if 0 <= v <= y_max:
-                chunk.append((sx(row[0]), sy(v)))
-            elif chunk:
-                out.append(chunk)
-                chunk = []
-        out.append(chunk)
-        return out
+    def polylines(col, color):
+        """One <polyline> per run of rows whose value lies in [0, y_max]."""
+        for inside, run in groupby(rows, lambda row: 0 <= row[col] <= y_max):
+            if inside:
+                points = ("{:.2f},{:.2f}".format(sx(row[0]), sy(row[col]))
+                          for row in run)
+                yield ('<polyline fill="none" stroke="{}" '
+                       'points="{}"/>'.format(color, " ".join(points)))
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
              'viewBox="0 0 {} {}">'.format(width, height),
@@ -239,7 +215,7 @@ def _svg_figure(fib, names, rows, verticals, t_min, t_max):
             color = "#000000"
         else:
             color = "#3366cc"
-        parts.extend(polyline(segments(i), color))
+        parts.extend(polylines(i, color))
     parts.append('<text x="{}" y="20" font-size="14">{} canonical '
                  'variation</text>'.format(left, fib.family.label))
     parts.append("</svg>")
@@ -256,7 +232,7 @@ def cmd_figure(args):
     elif args.format == "json":
         _emit(_json_text(fib, grid={"columns": names, "rows": rows}), args)
     else:
-        _emit(_csv_text(names, rows), args)
+        _emit_table(fib, args, "grid", names, rows)
     return 0
 
 
@@ -290,54 +266,41 @@ def _build_parser():
                     "maximal flag manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
     family_choices = list(FAMILY_KEYS) + sorted(FAMILY_ALIASES)
-
-    def add_common(p, family_required=True, phi1=False):
-        p.add_argument("--family", choices=family_choices,
-                       required=family_required, default=None,
+    tmin, tmax = ("--tmin", "0.1", "T"), ("--tmax", "1", "T")
+    # Per subcommand: name, function, help, own options (name, default,
+    # metavar), formats (the first is the default; none for verify),
+    # whether --family is required and whether --phi1 is read.
+    table = [
+        ("spectrum", cmd_spectrum, "total and base spectra to a cutoff",
+         [("--cutoff", "6", "P/Q")], ("json", "csv"), True, False),
+        ("scal", cmd_scal, "scalar curvature coefficients",
+         [], ("json", "csv"), True, False),
+        ("instants", cmd_instants, "degeneracy instants down to tmin",
+         [tmin], ("json", "csv"), True, True),
+        ("morse", cmd_morse, "Morse index over a t-grid",
+         [tmin, tmax], ("json", "csv"), True, False),
+        ("figure", cmd_figure,
+         "plot data: scal/(m-1) against the eigenvalues",
+         [tmin, tmax], ("csv", "json", "svg"), True, False),
+        ("verify", cmd_verify, "run the invariant audit",
+         [], (), False, True),
+    ]
+    for name, func, text, options, formats, required, phi1 in table:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--family", choices=family_choices, required=required,
+                       default=None,
                        help="fibration family (a/b/c/d/g are aliases)")
         p.add_argument("--n", type=int, default=None,
                        help="rank parameter (family-specific default)")
-        if phi1:  # only instants and verify read it
+        if phi1:
             p.add_argument("--phi1", default=None, metavar="P/Q",
                            help="override the first fiber eigenvalue")
         p.add_argument("--out", default=None, help="write output to a file")
-
-    p = sub.add_parser("spectrum", help="total and base spectra to a cutoff")
-    add_common(p)
-    p.add_argument("--cutoff", default="6", metavar="P/Q")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("scal", help="scalar curvature coefficients")
-    add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_scal)
-
-    p = sub.add_parser("instants", help="degeneracy instants down to tmin")
-    add_common(p, phi1=True)
-    p.add_argument("--tmin", default="0.1", metavar="T")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_instants)
-
-    p = sub.add_parser("morse", help="Morse index over a t-grid")
-    add_common(p)
-    p.add_argument("--tmin", default="0.1", metavar="T")
-    p.add_argument("--tmax", default="1", metavar="T")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_morse)
-
-    p = sub.add_parser("figure",
-                       help="plot data: scal/(m-1) against the eigenvalues")
-    add_common(p)
-    p.add_argument("--tmin", default="0.1", metavar="T")
-    p.add_argument("--tmax", default="1", metavar="T")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("verify", help="run the invariant audit")
-    add_common(p, family_required=False, phi1=True)
-    p.set_defaults(func=cmd_verify)
-
+        for option, default, metavar in options:
+            p.add_argument(option, default=default, metavar=metavar)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(func=func)
     return parser
 
 
