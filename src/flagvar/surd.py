@@ -140,10 +140,6 @@ class QuadraticSurd:
                 "presentation error exceeded the certified bound")
         return float_from_bounds(lo_r, hi_r, 1 << bits)
 
-    def __repr__(self):
-        return "QuadraticSurd({!r}, {!r}, {!r}, {!r})".format(
-            self.p, self.q, self.r, self.d)
-
     def __str__(self):
         if self.d == 0:
             return str(Fraction(self.p, self.r))

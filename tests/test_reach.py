@@ -30,8 +30,6 @@ ALLOWED = {
     "surd.QuadraticSurd.bounds",
     # The perfbench tracer self-test looks it up in rootsys and spectra.
     "rootsys.ck_inner",
-    # A debugging aid: no output prints a repr.
-    "surd.QuadraticSurd.__repr__",
 }
 
 # Reads [argvs, demos] as JSON on stdin; prints the entered
