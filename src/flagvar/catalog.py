@@ -144,17 +144,18 @@ CATALOGUE = {
         instant=lambda n, label: (_so_odd_threshold(n) if label == (1,)
                                   else _so_odd_sequence(n, *label)),
         agrees=lambda n, label: n == 2 and label in (None, (1,)),
-        note="catalogued radicand is 4x the derived value",
+        note="radicand is 4x that of the catalogued scal(t)'s instant",
         ledger=[
             "catalogued scalar-curvature numerator is missing a quarter of "
             "the fiber-internal bracket term (one of the four fiber triples "
             "per index triple); the fiber has no such triples at n=2, so "
             "the identity holds there and fails for n>=4; assembled "
             "coefficients are used throughout",
-            "catalogued instant-sequence radicand is 4x the derived value "
-            "for every index past the first; the threshold formula agrees "
-            "only at n=2, since for n>=4 it is the instant of the catalogued "
-            "scalar curvature",
+            "catalogued instant-sequence radicand is 4x that of the "
+            "catalogued scalar curvature's instant at every index, and that "
+            "curvature is the derived one only at n=2; the threshold formula "
+            "agrees only at n=2, since for n>=4 it is the instant of the "
+            "catalogued scalar curvature",
             "one catalogued dominance row of the flag eigenvalue system "
             "drops a minus sign; witness (1,1,1,3) at rank 4 passes the "
             "catalogued system yet is not dominant",
