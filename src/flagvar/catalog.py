@@ -11,7 +11,9 @@ strings are the one statement of each known discrepancy.  It imports
 the derived modules and none of them imports it: nothing here feeds a
 computation, and a disagreement is reported, never patched.
 
-``audit`` is the check list behind ``flagvar verify``.
+``audit`` is the check list behind ``flagvar verify``; among its checks,
+``su_triple_census`` counts the su triples against their stated counts.
+With ``fibration``, this is the only module that names a fibration kind.
 """
 
 from collections import namedtuple
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from .bifurcation import (degeneracy_instants, instant_base, morse_index,
                           multiplicity_lower_bound, rigidity_threshold)
-from .curvature import ScalPoly, su_triple_census
+from .curvature import ScalPoly, triples
 from .rootsys import FamilyTag
 from .spectra import (_first_entries, _form_value, base_spectrum,
                       base_spectrum_first, flag_minimum, flag_spectrum,
@@ -329,6 +331,19 @@ def bn_dominance_row_report(n):
 
 # ---------------------------------------------------------------------------
 # The verify audit.
+
+def su_triple_census(fib):
+    """Ordered triple counts (N1, N2, N3) for the su family: orderings
+    of all-vertical triples, of mixed triples with the vertical root in
+    a bottom slot, and of those with it on top."""
+    if fib.family.kind != "su":
+        raise ValueError("census is specific to the su family")
+    records = triples(fib)
+    n_vvv = sum(rec.klass == "vvv" for rec in records)
+    n_mixed = len(records) - n_vvv
+    return 6 * n_vvv, 4 * n_mixed, 2 * n_mixed
+
+
 
 def audit(fib):
     """The ordered verify checks for one fibration, as (name, passed).

@@ -5,8 +5,8 @@ each unordered triple {alpha, beta, alpha+beta} of positive roots feeds
 the summation with a symbol value of twice the squared structure
 constant of the summand pair, weighted by how many of the three roots
 are vertical.  The assembled coefficients are the ones used downstream;
-the catalogued closed forms, and where they disagree with the assembly,
-are in ``catalog``.
+the catalogued closed forms, where they disagree with the assembly, and
+the su triple census the audit checks are in ``catalog``.
 
 Everything is represented in u = t**2, never sampled in floats.
 """
@@ -114,22 +114,3 @@ def scal_wz(fib):
     e = -sum_mixed / 2
     return ScalPoly(a=a, c=c, e=e, d=Fraction(1))
 
-
-def su_triple_census(fib):
-    """Ordered triple counts (N1, N2, N3) for the su family.
-
-    N1 counts orderings of all-vertical triples, N2 orderings of mixed
-    triples with the vertical root in a bottom slot, N3 those with the
-    vertical root on top.  Expected values are n**3 - 3n**2 + 2n,
-    2n(n-1) and n(n-1).
-    """
-    if fib.family.kind != "su":
-        raise ValueError("census is specific to the su family")
-    n_vvv = 0
-    n_mixed = 0
-    for rec in triples(fib):
-        if rec.klass == "vvv":
-            n_vvv += 1
-        else:
-            n_mixed += 1
-    return 6 * n_vvv, 4 * n_mixed, 2 * n_mixed

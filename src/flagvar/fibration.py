@@ -13,6 +13,9 @@ root is even.  The fiber's simple roots, and through them its spectrum,
 are read off the vertical set.  A fibration derives scal(t) once
 (``scal``, which certifies A > 0 > E) and, from it, the integer form
 ``gap`` of scal(t)/(m-1) that every comparison with an eigenvalue reads.
+One ``_KINDS`` row per kind also holds the base's spherical generators
+as integer ambient weights; with ``catalog``, this is the only module
+that names a kind.
 """
 
 from collections import namedtuple
@@ -26,19 +29,27 @@ from .rootsys import FamilyTag, build_root_system
 from .spectra import _first_entries, _weyl_rows, fiber_spectrum
 
 # Per kind: the root system's kind, the smallest valid rank (also the
-# default), and the names of the total space, the base and the fiber, as
-# formats of (n, n + 1, n - 1, 2n, 2n + 1).
+# default), the names of the total space, the base and the fiber, as
+# formats of (n, n + 1, n - 1, 2n, 2n + 1), and the spherical generators
+# of the base at rank n, integer ambient weights in the order the base
+# labels list them (Helgason, *Groups and Geometric Analysis*, V.4.1).
 _KINDS = {
-    "su": ("A", 2, ("SU({1})/T^{0}", "CP^{0}", "SU({0})/T^{2}")),
-    "so-odd": ("B", 2, ("SO({4})/T^{0}", "S^{3}", "SO({3})/T^{0}")),
-    "sp": ("C", 3, ("Sp({0})/T^{0}", "Sp({0})/U({0})", "SU({0})/T^{2}")),
+    "su": ("A", 2, ("SU({1})/T^{0}", "CP^{0}", "SU({0})/T^{2}"),
+           lambda n: [(1,) + (0,) * (n - 1) + (-1,)]),
+    "so-odd": ("B", 2, ("SO({4})/T^{0}", "S^{3}", "SO({3})/T^{0}"),
+               lambda n: [(1,) + (0,) * (n - 1)]),
+    "sp": ("C", 3, ("Sp({0})/T^{0}", "Sp({0})/U({0})", "SU({0})/T^{2}"),
+           lambda n: [(2,) * k + (0,) * (n - k) for k in range(1, n + 1)]),
     "so-even": ("D", 4, ("SO({3})/T^{0}", "SO({3})/U({0})",
-                         "SU({0})/T^{2}")),
-    "g2": ("G2", 2, ("G2/T", "G2/SO(4)", "S^2xS^2")),
+                         "SU({0})/T^{2}"),
+                lambda n: [(1,) * k + (0,) * (n - k)
+                           for k in range(2, n + 1, 2)]),
+    "g2": ("G2", 2, ("G2/T", "G2/SO(4)", "S^2xS^2"),
+           lambda n: [(4, -2, -2), (2, 0, -2)]),
 }
 FAMILY_KEYS = tuple(_KINDS)
 FAMILY_ALIASES = {root[0].lower(): kind
-                  for kind, (root, _, _) in _KINDS.items()}
+                  for kind, (root, *_) in _KINDS.items()}
 
 
 class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
@@ -72,6 +83,11 @@ class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
     @property
     def label(self):
         return self._names()[0]
+
+    @property
+    def spherical_weights(self):
+        """The base's spherical generators, in label order."""
+        return tuple(_KINDS[self.kind][3](self.n))
 
     def _names(self):
         """The names of the total space, the base and the fiber."""

@@ -4,10 +4,11 @@ Every eigenvalue here is a Casimir value <lam, lam + 2*delta> of a
 dominant weight lam = sum a_j g_j, with integers a_j >= 0 not all zero,
 over a list of dominant generators g: the fundamental weights for the
 flag and the fiber, keeping only lam in the root lattice (the class-one
-weights), and the spherical generators for the base.  The flag and the
-fiber differ only in their simple roots, G's or the fiber's (a product
-fiber is one block-diagonal Gram matrix), and both are valued at G's CK
-scale, which the canonical variation puts on the fiber.  The
+weights), and for the base the spherical generators, which
+``kramer_basis`` reads off the family's ambient weights.  The flag and
+the fiber differ only in their simple roots, G's or the fiber's (a
+product fiber is one block-diagonal Gram matrix), and both are valued at
+G's CK scale, which the canonical variation puts on the fiber.  The
 fundamental weights are one integer matrix N over one denominator den,
 from a fraction-free inversion of the simple-root Gram matrix, so every
 generator is an integer row over den and no Fraction enters the
@@ -260,39 +261,20 @@ def flag_minimum(family):
 # Base (symmetric space) spectra.
 
 def kramer_basis(fib_family):
-    """Spherical generator weights, as fundamental-weight coefficients."""
-    n = fib_family.n
-    kind = fib_family.kind
-    if kind == "su":
-        gen = [0] * n
-        gen[0] = gen[n - 1] = 1
-        return (tuple(gen),)
-    if kind == "so-odd":
-        gen = [0] * n
-        gen[0] = 1
-        return (tuple(gen),)
-    if kind == "sp":
-        basis = []
-        for l in range(n):
-            gen = [0] * n
-            gen[l] = 2
-            basis.append(tuple(gen))
-        return tuple(basis)
-    if kind == "so-even":
-        basis = []
-        top = n - 2 if n % 2 == 0 else n - 3
-        for idx in range(2, top + 1, 2):
-            gen = [0] * n
-            gen[idx - 1] = 1
-            basis.append(tuple(gen))
-        gen = [0] * n
-        if n % 2 == 0:
-            gen[n - 1] = 2
-        else:
-            gen[n - 2] = gen[n - 1] = 1
-        basis.append(tuple(gen))
-        return tuple(basis)
-    return ((0, 2), (2, 0))  # g2: 2*omega_long, then 2*omega_short
+    """Spherical generators as fundamental-weight coefficients
+    c_i = 2<lam, alpha_i>/<alpha_i, alpha_i> of the ambient weights
+    ``fib_family.spherical_weights``; AssertionError unless every c_i
+    is a non-negative integer, as for a dominant weight."""
+    simple = build_root_system(fib_family.root_family).simple_roots
+    basis = []
+    for lam in fib_family.spherical_weights:
+        row = [divmod(2 * sum(map(mul, lam, alpha)),
+                      sum(map(mul, alpha, alpha))) for alpha in simple]
+        if any(rest or c < 0 for c, rest in row):
+            raise AssertionError(
+                "spherical generator {} is not dominant".format(lam))
+        basis.append(tuple(c for c, _ in row))
+    return tuple(basis)
 
 
 def _base_generators(fib_family):
@@ -310,7 +292,7 @@ def base_spectrum(fib_family, cutoff):
     """Base eigenvalues <= cutoff with Weyl-dimension multiplicities.
 
     Each entry's label lists the generator coefficients x of its
-    weights; with a single generator (su, so-odd) it is that x = (q,).
+    weights; with a single generator it is that x = (q,).
     The walk carries the Weyl factors row.1 + sum x_j row.b_j of
     sum x_j b_j; over the Weyl denominator their product is its weyl_dim.
     """

@@ -6,6 +6,7 @@ this directory on the path.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, isqrt, lcm
 from operator import add
 
@@ -203,6 +204,31 @@ def freudenthal_multiplicities(family, coeffs):
             mult[mu] = m
             level.append(mu)
     return {tuple(Fraction(x, den) for x in mu): m for mu, m in mult.items()}
+
+
+def strongly_orthogonal_sums(fib):
+    """Partial sums gamma_1, gamma_1 + gamma_2, ... of Harish-Chandra's
+    strongly orthogonal roots, ambient integer weights.
+
+    The horizontal roots are taken in decreasing <root, 2*delta>, and a
+    root is kept when it is orthogonal to every kept root and its sum
+    with each kept root is not a root.  For CP^n, the spheres,
+    Sp(n)/U(n) and SO(2n)/U(n) these sums generate the spherical
+    weights (Schlichtkrull, *Math. Scand.* 54, 1984); on the split
+    G2/SO(4) they are not dominant.
+    """
+    rs = fib.root_system
+    two_delta = tuple(map(sum, zip(*rs.positive_roots)))
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    kept = []
+    for root in sorted(fib.horizontal_roots, key=lambda r: -dot(r, two_delta)):
+        if all(dot(root, g) == 0 and tuple(map(add, root, g)) not in rs.roots
+               for g in kept):
+            kept.append(root)
+    return list(accumulate(kept, lambda a, b: tuple(map(add, a, b))))
 
 
 def value_at_u(poly, u):

@@ -20,8 +20,9 @@ from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  multiplicity_lower_bound,
                                  rigidity_threshold, solve_instant)
 from flagvar.catalog import (_su_threshold, cn_first_eigenvalue_report,
-                             cross_check_closed_forms, scal_closed_form)
-from flagvar.curvature import scal_wz, su_triple_census, triples
+                             cross_check_closed_forms, scal_closed_form,
+                             su_triple_census)
+from flagvar.curvature import scal_wz, triples
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag
 from flagvar.spectra import base_spectrum_first, flag_minimum, weyl_dim

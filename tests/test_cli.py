@@ -376,6 +376,21 @@ def test_weyl_denominator_off_by_one_fails_per_weight(capsys, monkeypatch):
                    "come out a positive integer\n")
 
 
+def test_a_non_dominant_generator_row_fails_in_one_line(capsys, monkeypatch):
+    # A spherical generator off the dominant chamber has a negative
+    # fundamental-weight coefficient, so the base enumeration refuses it
+    # and the command line reports it in one line.
+    root, low, names, _ = fibration._KINDS["sp"]
+    monkeypatch.setitem(fibration._KINDS, "sp", (
+        root, low, names, lambda n: [(0,) * (n - 1) + (2,)]))
+    with pytest.raises(AssertionError):
+        spectra.kramer_basis(fibration.FibrationFamily("sp", 3))
+    code, out, err = run(capsys, ["spectrum", "--family", "sp", "--n", "3"])
+    assert code == 1 and out == ""
+    assert err == ("flagvar: certificate failed: spherical generator "
+                   "(0, 0, 2) is not dominant\n")
+
+
 def test_grading_fault_exits_1(capsys, monkeypatch):
     # Grading on an odd last coefficient puts two vertical roots in one
     # triple with a horizontal one: a fault of the grading rule, not of

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from flagvar.catalog import scal_closed_form
-from flagvar.curvature import ScalPoly, scal_wz, su_triple_census, triples
+from flagvar.catalog import scal_closed_form, su_triple_census
+from flagvar.curvature import ScalPoly, scal_wz, triples
 from flagvar.fibration import FibrationFamily, build_fibration
 from oracles import structure_constant_sq, value_at_t, value_at_u
 

@@ -5,10 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from flagvar import spectra
+from flagvar import fibration, spectra
 from flagvar.curvature import ScalPoly
 from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
-from flagvar.rootsys import FamilyTag
+from flagvar.rootsys import FamilyTag, build_root_system
+from oracles import (_ambient_fundamental_weights, fundamental_coefficients,
+                     strongly_orthogonal_sums)
 
 # (kind, n) -> (#vertical, #horizontal)
 PARTITION = [
@@ -110,6 +112,70 @@ def test_root_family_mapping():
     assert FibrationFamily("sp", 3).root_family.kind == "C"
     assert FibrationFamily("so-even", 4).root_family.kind == "D"
     assert FibrationFamily("g2", 2).root_family.kind == "G2"
+
+
+# -- the spherical generators, derived a second way ---------------------
+
+GENERATOR_CASES = ([("su", n) for n in range(2, 13)]
+                   + [("so-odd", n) for n in (2, *range(4, 13))]
+                   + [("sp", n) for n in range(3, 13)]
+                   + [("so-even", n) for n in range(4, 13)])
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def rows_are_greedy_sums(family):
+    """The ``_KINDS`` rows are the strongly orthogonal partial sums, in
+    order."""
+    return (list(family.spherical_weights)
+            == strongly_orthogonal_sums(build_fibration(family)))
+
+
+def rows_are_class_one(family):
+    """Every row lies in the root lattice, as a spherical weight of G/H
+    with T in H must: its simple-root coefficients sum_j c_j F_j are
+    integers, c_j = 2<lam, alpha_j>/<alpha_j, alpha_j> and F_j the
+    Fraction coefficients of omega_j."""
+    simple = build_root_system(family.root_family).simple_roots
+    omegas = fundamental_coefficients([[_dot(a, b) for b in simple]
+                                       for a in simple])
+    return all(
+        sum(Fraction(2 * _dot(lam, a), _dot(a, a)) * omega[i]
+            for a, omega in zip(simple, omegas)).denominator == 1
+        for lam in family.spherical_weights for i in range(len(simple)))
+
+
+@pytest.mark.parametrize("kind,n", GENERATOR_CASES)
+def test_spherical_generators_are_strongly_orthogonal_sums(kind, n):
+    family = FibrationFamily(kind, n)
+    assert rows_are_greedy_sums(family)
+    assert rows_are_class_one(family)
+
+
+def test_g2_generators_are_twice_the_long_then_the_short_weight():
+    # G2/SO(4) is the split form: there the greedy sums are not dominant.
+    family = FibrationFamily("g2")
+    short, long = _ambient_fundamental_weights(family.root_family)
+    assert family.spherical_weights == tuple(
+        tuple(2 * x for x in w) for w in (long, short))
+    assert rows_are_class_one(family)
+    assert not rows_are_greedy_sums(family)
+
+
+def test_a_planted_odd_so_even_row_fails_both_checks(monkeypatch):
+    # e_1, e_1 + e_2 + e_3, ...: dominant, so kramer_basis accepts the
+    # row, but off the root lattice and not the strongly orthogonal sums.
+    root, low, names, _ = fibration._KINDS["so-even"]
+    monkeypatch.setitem(fibration._KINDS, "so-even", (
+        root, low, names,
+        lambda n: [(1,) * k + (0,) * (n - k) for k in range(1, n + 1, 2)]))
+    for n in (4, 5, 6):
+        family = FibrationFamily("so-even", n)
+        assert len(spectra.kramer_basis(family)) == (n + 1) // 2
+        assert not rows_are_greedy_sums(family)
+        assert not rows_are_class_one(family)
 
 
 def test_records_are_validated_immutable_named_tuples():

@@ -15,6 +15,7 @@ import subprocess
 import sys
 
 import flagvar
+from flagvar.fibration import FAMILY_KEYS
 
 SRC = pathlib.Path(flagvar.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -148,6 +149,31 @@ def test_a_planted_unread_function_is_caught():
     assert unread_functions(sources, [demo], readme) == {("alpha", "orphan")}
     assert unread_functions(dict(sources, gamma="orphan()\n"), [demo],
                             readme) == set()
+
+
+# What the fibrations are, and what the paper says about them: the only
+# modules that may name a fibration kind.
+KIND_MODULES = {"fibration", "catalog"}
+
+
+def family_literals(source):
+    """(line, kind) of each string constant in ``source`` that equals a
+    fibration kind."""
+    return {(node.lineno, node.value) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in FAMILY_KEYS}
+
+
+def test_only_fibration_and_catalog_name_a_fibration_kind():
+    assert {(path.stem, hit) for path in sorted(SRC.glob("*.py"))
+            if path.stem not in KIND_MODULES
+            for hit in family_literals(path.read_text())} == set()
+
+
+def test_a_planted_family_literal_is_caught():
+    source = 'def pick(kind):\n    if kind == "sp":\n        return "spx"\n'
+    assert family_literals(source) == {(2, "sp")}
+    assert family_literals((SRC / "fibration.py").read_text())
 
 
 # One small argv per subcommand, all run through ``cli.main`` in one

@@ -8,12 +8,14 @@ with that checkout's ``src`` on the path: every argv that the benchmark
 workloads can draw (``perfbench.workloads.all_queries``), every key of
 tests/golden_digests.json, and ``verify --family F --n N --phi1 P`` for
 each family of the golden keys, with P the family's first fiber
-eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50, and
+eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50;
 ``verify --family F --n N`` at every valid rank N <= 7, since the
-catalogue's agreement pattern depends on the rank, and the usage errors
-in USAGE_ERRORS, whose stderr carries argparse's usage line and so each
-subparser's option order and choices.  stdout,
-stderr and the exit code must match.  Each difference is printed, then
+catalogue's agreement pattern depends on the rank, and ``spectrum
+--family F --n N --cutoff 4`` there too, whose base labels list the
+spherical generators' coefficients in generator order; and the usage
+errors in USAGE_ERRORS, whose stderr carries argparse's usage line and
+so each subparser's option order and choices.  stdout, stderr and the
+exit code must match.  Each difference is printed, then
 the total; the exit code is 1 on any difference.  Standard library only.
 """
 
@@ -65,6 +67,8 @@ def argvs():
         except ValueError:
             continue
         out.append(["verify", "--family", kind, "--n", str(n)])
+        out.append(["spectrum", "--family", kind, "--n", str(n),
+                    "--cutoff", "4"])
     out += USAGE_ERRORS
     return [list(a) for a in dict.fromkeys(map(tuple, out))]
 
