@@ -344,7 +344,6 @@ def su_triple_census(fib):
     return 6 * n_vvv, 4 * n_mixed, 2 * n_mixed
 
 
-
 def audit(fib):
     """The ordered verify checks for one fibration, as (name, passed).
 

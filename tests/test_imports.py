@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, neither an
-exported name nor a public function goes without a reader, and the
-runtime loads only the standard library.
+exported name nor a public function goes without a reader, only
+``fibration`` and ``catalog`` name a fibration kind, and the runtime
+loads only the standard library.
 
 ``__init__.py`` is exempt from the first check: it imports to
 re-export.  The checks read syntax trees and text, so they need no
