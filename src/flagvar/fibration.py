@@ -9,8 +9,8 @@ rule gives the partition for every family: H is the fixed group of the
 inner involution Ad(exp(pi*i*omega_n)), omega_n the fundamental
 coweight of the last simple root (Borel and de Siebenthal, 1949), so a
 positive root is vertical exactly when its coefficient on that simple
-root is even.  The fiber's simple roots, and through them its spectrum,
-are read off the vertical set.  A fibration derives scal(t) once
+root is even.  The same rule gives the fiber's simple roots, and
+through them its spectrum.  A fibration derives scal(t) once
 (``scal``, which certifies A > 0 > E) and, from it, the integer form
 ``gap`` of scal(t)/(m-1) that every comparison with an eigenvalue reads.
 One ``_KINDS`` row per kind also holds the base's spherical generators
@@ -21,12 +21,11 @@ that names a kind.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from .curvature import scal_wz
 from .exact import common_denominator
 from .rootsys import FamilyTag, build_root_system
-from .spectra import _first_entries, _weyl_rows, fiber_spectrum
+from .spectra import _first_entries, _last_coefficients, fiber_spectrum
 
 # Per kind: the root system's kind, the smallest valid rank (also the
 # default), the names of the total space, the base and the fiber, as
@@ -152,32 +151,32 @@ class FibrationData(namedtuple(
 def build_fibration(family, phi1=None):
     """Assemble the vertical/horizontal partition and dimension data.
 
-    The fiber's simple roots are the vertical roots that are not a sum
-    of two vertical roots: n-1 for su, sp and so-even, n for so-odd, 2
-    for g2.  phi1, which the bifurcation test reads, is the first fiber
-    eigenvalue under G's form, which the canonical variation puts on
-    the fiber (su n=2: 2/3; 1 under the fiber's own form).  By default it
-    is derived when first read; pass a value to re-run the test.
+    A root is vertical when k_n, its coefficient on the last simple root,
+    is even.  The fiber's simple roots are G's others and the lowest
+    k_n = 2 root in <alpha, 2*delta>, if any (Borel and de Siebenthal):
+    n-1 for su, sp and so-even, n for so-odd, 2 for g2.  phi1 is the
+    first fiber eigenvalue under G's form, which the canonical variation
+    puts on the fiber (su n=2: 2/3; 1 under the fiber's own form).  It is
+    derived when first read; pass a value to re-run the bifurcation test.
     """
     if phi1 is not None:
         phi1 = Fraction(phi1)
         if phi1 <= 0:
             raise ValueError("phi1 must be positive")
     rs = build_root_system(family.root_family)
-    # A row ends in k_n*|alpha_n|**2, k_n the coefficient on the last
-    # simple root alpha_n; vertical is k_n even.
-    rows, _ = _weyl_rows(family.root_family)
-    even = 2 * sum(x * x for x in rs.simple_roots[-1])
-    vertical = tuple(r for r, row in zip(rs.positive_roots, rows)
-                     if row[-1] % even == 0)
-    horizontal = tuple(r for r in rs.positive_roots if r not in vertical)
-    sums = {tuple(x + y for x, y in zip(a, b))
-            for a, b in combinations(vertical, 2)}
+    grades = _last_coefficients(rs)
+    vertical, horizontal = parts = ([], [])
+    for root, k in grades.items():
+        parts[k % 2].append(root)
+    two_delta = tuple(map(sum, zip(*rs.positive_roots)))
+    simple = set(rs.simple_roots[:-1]) | {min(
+        (r for r, k in grades.items() if k == 2), default=None,
+        key=lambda r: sum(x * y for x, y in zip(r, two_delta)))}
     _, base_id, fiber_id = family._names()
     return FibrationData(
-        family=family, root_system=rs, vertical_roots=vertical,
-        horizontal_roots=horizontal,
-        fiber_simple_roots=tuple(r for r in vertical if r not in sums),
+        family=family, root_system=rs, vertical_roots=tuple(vertical),
+        horizontal_roots=tuple(horizontal),
+        fiber_simple_roots=tuple(r for r in vertical if r in simple),
         m_total=2 * len(rs.positive_roots), dim_fiber=2 * len(vertical),
         dim_base=2 * len(horizontal), base_id=base_id, fiber_id=fiber_id,
         phi1_given=phi1)

@@ -110,6 +110,15 @@ def _weyl_rows(family):
     return tuple(rows), prod(sum(row) for row in rows)
 
 
+def _last_coefficients(rs):
+    """{alpha: k_n} over the positive roots alpha = sum k_i alpha_i of
+    ``rs``: 2<alpha, den*omega_n> = k_n*den*|alpha_n|**2, one dot each."""
+    coeffs, den = _fundamental_coefficients(_gram(rs.simple_roots))
+    omega = [2 * sum(map(mul, coeffs[-1], c)) for c in zip(*rs.simple_roots)]
+    unit = den * sum(map(mul, rs.simple_roots[-1], rs.simple_roots[-1]))
+    return {r: sum(map(mul, r, omega)) // unit for r in rs.positive_roots}
+
+
 def weyl_dim(family, coeffs):
     """Dimension of the irreducible with highest weight sum c_i*omega_i.
 
@@ -277,15 +286,14 @@ def kramer_basis(fib_family):
     return tuple(basis)
 
 
-def _base_generators(fib_family):
-    """(G, scale, generators, den) of the spherical generators b, as
-    ``_form`` and ``_lattice_points`` take them: the rows b.N."""
-    family = fib_family.root_family
+def _base_generators(family, basis):
+    """(G, scale, generators, den) of the spherical generators b in
+    ``basis``, as ``_form`` and ``_lattice_points`` take them: the rows b.N."""
     gram = _simple_gram(family)
     coeffs, den = _fundamental_coefficients(gram)
     return (gram, build_root_system(family).scale,
             [[sum(c * n[i] for c, n in zip(b, coeffs)) for i in range(len(b))]
-             for b in kramer_basis(fib_family)], den)
+             for b in basis], den)
 
 
 def base_spectrum(fib_family, cutoff):
@@ -301,7 +309,8 @@ def base_spectrum(fib_family, cutoff):
     carried = (tuple(map(sum, rows)),
                [[sum(map(mul, row, b)) for row in rows] for b in basis],
                lambda w: _weyl_quotient(prod(w), den))
-    points = _lattice_points(*_base_generators(fib_family), cutoff, carried)
+    points = _lattice_points(*_base_generators(fib_family.root_family, basis),
+                             cutoff, carried)
     return [SpectrumEntry(value=v, origin="base",
                           mult=sum(dim for _, dim in pairs),
                           label=(tuple(x for x, _ in pairs) if len(basis) > 1
@@ -314,12 +323,14 @@ def spherical_multiple_above(fib_family, target):
     the first spherical generator and k >= 1 least with value over
     ``target``.  The value is the base form's at (k, 0, ..., 0),
     factor*(k*k*W_00 + k*w_0)."""
-    quad, linear, factor = _form(*_base_generators(fib_family))
+    basis = kramer_basis(fib_family)
+    quad, linear, factor = _form(*_base_generators(fib_family.root_family,
+                                                   basis))
     limit = floor(Fraction(target) / factor)
     k = 1
     while (value := k * (k * quad[0][0] + linear[0])) <= limit:
         k += 1
-    return factor * value, tuple(k * c for c in kramer_basis(fib_family)[0])
+    return factor * value, tuple(k * c for c in basis[0])
 
 
 def base_spectrum_first(fib_family, count):

@@ -6,14 +6,15 @@ this directory on the path.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb, isqrt, lcm
 from operator import add
 
 from flagvar.catalog import _catalogued_c_gram
 from flagvar.exact import common_denominator
 from flagvar.rootsys import build_root_system, ck_inner
-from flagvar.spectra import _form_value, _simple_gram, flag_minimum
+from flagvar.spectra import (_form_value, _simple_gram, _weyl_rows,
+                             flag_minimum)
 
 
 def flag_mu(family, p):
@@ -229,6 +230,28 @@ def strongly_orthogonal_sums(fib):
                for g in kept):
             kept.append(root)
     return list(accumulate(kept, lambda a, b: tuple(map(add, a, b))))
+
+
+def weyl_row_grades(family):
+    """{alpha: k_n} over the positive roots of a fibration family, in
+    order, k_n the coefficient on the last simple root alpha_n, read off
+    the last entry k_n*|alpha_n|**2 of each Weyl row."""
+    rs = build_root_system(family.root_family)
+    rows, _ = _weyl_rows(family.root_family)
+    last = sum(x * x for x in rs.simple_roots[-1])
+    return {r: row[-1] // last for r, row in zip(rs.positive_roots, rows)}
+
+
+def pair_sum_split(family):
+    """(vertical, horizontal, fiber simple roots) of a fibration family by
+    search, each in the order of the positive roots: vertical is k_n even
+    on the Weyl rows, and the fiber's simple roots are the vertical roots
+    that are not a sum of two vertical roots."""
+    grades = weyl_row_grades(family)
+    vertical = tuple(r for r, k in grades.items() if k % 2 == 0)
+    horizontal = tuple(r for r in grades if r not in vertical)
+    sums = {tuple(map(add, a, b)) for a, b in combinations(vertical, 2)}
+    return vertical, horizontal, tuple(r for r in vertical if r not in sums)
 
 
 def value_at_u(poly, u):

@@ -14,7 +14,6 @@ import pytest
 
 from flagvar import bifurcation, catalog, cli, fibration, spectra, surd
 from flagvar.curvature import ScalPoly
-from flagvar.rootsys import build_root_system
 from test_acceptance import CASES
 
 
@@ -394,15 +393,11 @@ def test_a_non_dominant_generator_row_fails_in_one_line(capsys, monkeypatch):
 def test_grading_fault_exits_1(capsys, monkeypatch):
     # Grading on an odd last coefficient puts two vertical roots in one
     # triple with a horizontal one: a fault of the grading rule, not of
-    # the input.
-    real = fibration._weyl_rows
-
-    def flipped(family):
-        rows, den = real(family)
-        step = sum(x * x for x in build_root_system(family).simple_roots[-1])
-        return tuple(row[:-1] + (row[-1] + step,) for row in rows), den
-
-    monkeypatch.setattr(fibration, "_weyl_rows", flipped)
+    # the input.  The fault is planted in k_n itself, which the
+    # partition reads.
+    real = fibration._last_coefficients
+    monkeypatch.setattr(fibration, "_last_coefficients",
+                        lambda rs: {r: k + 1 for r, k in real(rs).items()})
     code, out, err = run(capsys, ["scal", "--family", "su", "--n", "3"])
     assert code == 1 and out == ""
     assert err.startswith(

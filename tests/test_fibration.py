@@ -10,7 +10,8 @@ from flagvar.curvature import ScalPoly
 from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system
 from oracles import (_ambient_fundamental_weights, fundamental_coefficients,
-                     strongly_orthogonal_sums)
+                     pair_sum_split, solve_linear, strongly_orthogonal_sums,
+                     weyl_row_grades)
 
 # (kind, n) -> (#vertical, #horizontal)
 PARTITION = [
@@ -178,6 +179,23 @@ def test_a_planted_odd_so_even_row_fails_both_checks(monkeypatch):
         assert not rows_are_class_one(family)
 
 
+# -- the partition and the fiber's simple roots, found by search ---------
+
+@pytest.mark.parametrize("kind,n", GENERATOR_CASES + [("g2", 2)])
+def test_partition_and_fiber_simple_roots_match_the_pair_sum_search(kind, n):
+    family = FibrationFamily(kind, n)
+    fib = build_fibration(family)
+    assert (fib.vertical_roots, fib.horizontal_roots,
+            fib.fiber_simple_roots) == pair_sum_split(family)
+    # G's simple roots but the last, and one root with k_n = 2 where the
+    # highest root has k_n = 2 (so-odd, g2), none elsewhere.
+    grades = weyl_row_grades(family)
+    extra = [r for r in fib.fiber_simple_roots if grades[r] == 2]
+    assert len(extra) == (kind in ("so-odd", "g2"))
+    assert (set(fib.fiber_simple_roots) - set(extra)
+            == set(fib.root_system.simple_roots[:-1]))
+
+
 def test_records_are_validated_immutable_named_tuples():
     # Validation of FamilyTag and FibrationFamily arguments is tested with
     # their messages elsewhere; a keyword argument is validated too.
@@ -253,6 +271,14 @@ def test_fiber_simple_roots_are_a_simple_system(kind, n):
     # Distinct simple roots meet at an obtuse or right angle.
     for a, b in combinations(simple, 2):
         assert sum(x * y for x, y in zip(a, b)) <= 0
+    # Every vertical root is a non-negative integer combination of them:
+    # solve the Gram system for its coefficients, then rebuild the root.
+    gram = [[_dot(a, b) for b in simple] for a in simple]
+    for root in fib.vertical_roots:
+        coeffs = solve_linear(gram, [_dot(a, root) for a in simple])
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+        assert tuple(sum(c * a[i] for c, a in zip(coeffs, simple))
+                     for i in range(len(root))) == root
 
 
 def fiber_sweeps(monkeypatch):

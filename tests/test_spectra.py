@@ -715,6 +715,23 @@ def test_base_spectrum_matches_brute_force_box(fib_family, cutoff):
     assert got == expected
 
 
+@pytest.mark.parametrize("kind", ["su", "so-odd", "sp", "so-even", "g2"])
+def test_a_base_call_converts_the_generator_rows_once(monkeypatch, kind):
+    calls = []
+    real = spectra.kramer_basis
+
+    def counting(fib_family):
+        calls.append(fib_family)
+        return real(fib_family)
+
+    monkeypatch.setattr(spectra, "kramer_basis", counting)
+    family = FibrationFamily(kind)
+    spectra.base_spectrum(family, 4)
+    assert len(calls) == 1
+    spectra.spherical_multiple_above(family, 10)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("kind,n", [("su", n) for n in range(2, 9)]
                          + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)])
 def test_single_generator_bases_match_closed_forms(kind, n):

@@ -5,8 +5,9 @@
 PARENT and CHANGE are two checkouts of this repository.  Each of the
 PAIRS pairs runs one fresh interpreter per checkout, alternating which
 goes first; each interpreter imports flagvar from its checkout's ``src``
-and times ``flag_spectrum``, ``fiber_spectrum`` and ``base_spectrum``
-with ``time.perf_counter``, one call per cell of the fixed grid below.
+and times ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum`` and
+``base_spectrum`` with ``time.perf_counter``, one call per cell of the
+fixed grid below.
 The report gives, per call and summed, the median seconds at each
 checkout and the change's share of pairs won, then one line saying
 whether every output was equal at both checkouts.  Standard library only.
@@ -23,10 +24,16 @@ import time
 
 PAIRS = 10
 
-# (function, kind, rank, cutoff).  Flag and fiber cutoffs stay small:
-# their class-one weights grow fast with the cutoff.  The base cells
-# reach a few hundred values, so several weights share a value.
-GRID = ([("flag_spectrum", kind, n, 16)
+# (function, kind, rank, cutoff).  The build_fibration cells take no
+# cutoff, and each is timed on the first use of its root family in the
+# worker, root system and cached tables included: g2's comes first,
+# since spectrum cells use G2 too, and the others come last, since a
+# slow build before the spectrum cells made them read up to a third
+# faster.  Flag and fiber cutoffs stay small: their class-one weights
+# grow fast with the cutoff.  The base cells reach a few hundred
+# values, so several weights share a value.
+GRID = ([("build_fibration", "g2", 2, None)]
+        + [("flag_spectrum", kind, n, 16)
          for kind, n in (("su", 5), ("so-odd", 5), ("sp", 5), ("so-even", 6),
                          ("g2", 2))]
         + [("fiber_spectrum", kind, n, 8)
@@ -35,24 +42,44 @@ GRID = ([("flag_spectrum", kind, n, 16)
         + [("base_spectrum", kind, n, cutoff)
            for kind, n in (("sp", 5), ("so-even", 6), ("sp", 6),
                            ("so-even", 7), ("g2", 2))
-           for cutoff in (30, 90)])
+           for cutoff in (30, 90)]
+        + [("build_fibration", kind, n, None)
+           for kind, n in (("su", 20), ("su", 40), ("so-odd", 20), ("sp", 20),
+                           ("so-even", 20))])
+
+
+def cell_key(cell):
+    """The report's name of a grid cell: its fields, the cutoff if any."""
+    return " ".join(str(field) for field in cell if field is not None)
 
 
 def worker():
-    """Time every grid cell once; print {cell: [seconds, output digest]}."""
+    """Time every grid cell once; print {cell: [seconds, output digest]}.
+    A build_fibration cell digests the partition and the fiber's simple
+    roots."""
     from flagvar import spectra
     from flagvar.fibration import FibrationFamily, build_fibration
     out = {}
-    for name, kind, n, cutoff in GRID:
+    for cell in GRID:
+        name, kind, n, cutoff = cell
         family = FibrationFamily(kind, n)
-        arg = {"flag_spectrum": family.root_family,
-               "fiber_spectrum": build_fibration(family),
-               "base_spectrum": family}[name]
-        start = time.perf_counter()
-        entries = getattr(spectra, name)(arg, cutoff)
-        seconds = time.perf_counter() - start
-        out["{} {} {} {}".format(name, kind, n, cutoff)] = [
-            seconds, hashlib.sha256(repr(entries).encode()).hexdigest()]
+        if name == "build_fibration":
+            start = time.perf_counter()
+            fib = build_fibration(family)
+            seconds = time.perf_counter() - start
+            result = (fib.vertical_roots, fib.horizontal_roots,
+                      fib.fiber_simple_roots)
+        else:
+            # Only a fiber cell builds its fibration, untimed: a build
+            # may fill caches that the other cells must pay for.
+            arg = (build_fibration(family) if name == "fiber_spectrum"
+                   else family.root_family if name == "flag_spectrum"
+                   else family)
+            start = time.perf_counter()
+            result = getattr(spectra, name)(arg, cutoff)
+            seconds = time.perf_counter() - start
+        out[cell_key(cell)] = [
+            seconds, hashlib.sha256(repr(result).encode()).hexdigest()]
     json.dump(out, sys.stdout)
 
 
@@ -78,7 +105,7 @@ def main(argv=None):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(getattr(args, side)))
-    keys = [" ".join(map(str, cell)) for cell in GRID]
+    keys = [cell_key(cell) for cell in GRID]
     print("{:<36} {:>10} {:>10} {:>6}".format(
         "cell", "parent_s", "change_s", "won"))
     for run in runs["parent"] + runs["change"]:
