@@ -86,6 +86,7 @@ def rigidity_threshold(fib):
         raise AssertionError("no degeneracy inside (0, 1)")
     return solve_instant(fib, first.value, first.mult)
 
+
 @lru_cache(maxsize=16)
 def instant_base(fib, t_min):
     """The base entries up to scal(t_min)/(m-1), by increasing value:

@@ -14,7 +14,7 @@ Everything is represented in u = t**2, never sampled in floats.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
+from operator import add, mul, sub
 
 
 class ScalPoly(namedtuple("ScalPoly", "a c e d")):
@@ -54,8 +54,9 @@ def triples(fib):
     pair, 2 N^2(alpha, beta) = q (p + 1) <alpha, alpha>, with (p, q) the
     alpha-string through beta: beta - p*alpha, ..., beta + q*alpha are
     roots (Humphreys, *Introduction to Lie Algebras and Representation
-    Theory*, §25).  The string is walked on the integer roots, so a
-    triple costs one Fraction product.  Only squared structure
+    Theory*, §25).  The string is walked down from beta on the integer
+    roots, and q = p - 2(beta.alpha)/(alpha.alpha) (§8.4), so a triple
+    costs one Fraction product.  Only squared structure
     constants are ever computed; signs would require committing to a
     Chevalley convention and nothing here needs them.
     """
@@ -67,13 +68,11 @@ def triples(fib):
         gamma = tuple(map(add, alpha, beta))
         if gamma not in roots:  # a sum of positive roots is never negative
             continue
-        p, down = 0, beta
+        p, down, norm = 0, beta, sum(x * x for x in alpha)
         while (down := tuple(map(sub, down, alpha))) in roots:
             p += 1
-        q, up = 1, gamma  # beta + alpha = gamma is a root
-        while (up := tuple(map(add, up, alpha))) in roots:
-            q += 1
-        value = rs.scale * (q * (p + 1) * sum(x * x for x in alpha))
+        q = p - 2 * sum(map(mul, alpha, beta)) // norm
+        value = rs.scale * (q * (p + 1) * norm)
         n_vertical = sum(1 for r in (alpha, beta, gamma) if r in vertical)
         if n_vertical == 3:
             klass = "vvv"

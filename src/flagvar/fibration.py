@@ -9,13 +9,13 @@ rule gives the partition for every family: H is the fixed group of the
 inner involution Ad(exp(pi*i*omega_n)), omega_n the fundamental
 coweight of the last simple root (Borel and de Siebenthal, 1949), so a
 positive root is vertical exactly when its coefficient on that simple
-root is even.  The same rule gives the fiber's simple roots, and
-through them its spectrum.  A fibration derives scal(t) once
-(``scal``, which certifies A > 0 > E) and, from it, the integer form
-``gap`` of scal(t)/(m-1) that every comparison with an eigenvalue reads.
-One ``_KINDS`` row per kind also holds the base's spherical generators
-as integer ambient weights; with ``catalog``, this is the only module
-that names a kind.
+root, read off ``spectra._root_coordinates``, is even.  The same rule
+gives the fiber's simple roots, and through them its spectrum.  A
+fibration derives scal(t) once (``scal``, which certifies A > 0 > E)
+and, from it, the integer form ``gap`` of scal(t)/(m-1) that every
+comparison with an eigenvalue reads.  One ``_KINDS`` row per kind also
+holds the base's spherical generators as integer ambient weights; with
+``catalog``, this is the only module that names a kind.
 """
 
 from collections import namedtuple
@@ -25,7 +25,7 @@ from functools import cached_property
 from .curvature import scal_wz
 from .exact import common_denominator
 from .rootsys import FamilyTag, build_root_system
-from .spectra import _first_entries, _last_coefficients, fiber_spectrum
+from .spectra import _first_entries, _root_coordinates, fiber_spectrum
 
 # Per kind: the root system's kind, the smallest valid rank (also the
 # default), the names of the total space, the base and the fiber, as
@@ -148,12 +148,13 @@ class FibrationData(namedtuple(
         return Fraction(c0 * ud * ud + c1 * un * ud + c2 * un * un,
                         -slope * un * ud)
 
+
 def build_fibration(family, phi1=None):
     """Assemble the vertical/horizontal partition and dimension data.
 
     A root is vertical when k_n, its coefficient on the last simple root,
-    is even.  The fiber's simple roots are G's others and the lowest
-    k_n = 2 root in <alpha, 2*delta>, if any (Borel and de Siebenthal):
+    is even.  The fiber's simple roots are G's others and the k_n = 2
+    root of least height sum(k), if any (Borel and de Siebenthal):
     n-1 for su, sp and so-even, n for so-odd, 2 for g2.  phi1 is the
     first fiber eigenvalue under G's form, which the canonical variation
     puts on the fiber (su n=2: 2/3; 1 under the fiber's own form).  It is
@@ -164,14 +165,14 @@ def build_fibration(family, phi1=None):
         if phi1 <= 0:
             raise ValueError("phi1 must be positive")
     rs = build_root_system(family.root_family)
-    grades = _last_coefficients(rs)
+    coords = dict(zip(rs.positive_roots,
+                      _root_coordinates(family.root_family)))
     vertical, horizontal = parts = ([], [])
-    for root, k in grades.items():
-        parts[k % 2].append(root)
-    two_delta = tuple(map(sum, zip(*rs.positive_roots)))
+    for root, k in coords.items():
+        parts[k[-1] % 2].append(root)
     simple = set(rs.simple_roots[:-1]) | {min(
-        (r for r, k in grades.items() if k == 2), default=None,
-        key=lambda r: sum(x * y for x, y in zip(r, two_delta)))}
+        (r for r, k in coords.items() if k[-1] == 2), default=None,
+        key=lambda r: sum(coords[r]))}
     _, base_id, fiber_id = family._names()
     return FibrationData(
         family=family, root_system=rs, vertical_roots=tuple(vertical),

@@ -18,6 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import add, mul, sub
 
 KINDS = ("A", "B", "C", "D", "G2")
 
@@ -38,18 +39,6 @@ class FamilyTag(namedtuple("FamilyTag", "kind rank")):
             raise ValueError("{}_n needs rank >= {}, got {}".format(
                 kind, _MIN_RANK[kind], rank))
         return super().__new__(cls, kind, rank)
-
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 class RootSystem(namedtuple("RootSystem",
@@ -74,23 +63,23 @@ def build_root_system(family):
     dim = n + 1 if kind == "A" else n
     e = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
     if kind == "A":
-        positive = [_vec_sub(e[i], e[j])
+        positive = [tuple(map(sub, e[i], e[j]))
                     for i, j in combinations(range(dim), 2)]
-        simple = [_vec_sub(e[i], e[i + 1]) for i in range(n)]
+        simple = [tuple(map(sub, e[i], e[i + 1])) for i in range(n)]
     elif kind in ("B", "C", "D"):
         positive = []
         for i, j in combinations(range(n), 2):
-            positive.append(_vec_sub(e[i], e[j]))
-            positive.append(_vec_add(e[i], e[j]))
-        simple = [_vec_sub(e[i], e[i + 1]) for i in range(n - 1)]
+            positive.append(tuple(map(sub, e[i], e[j])))
+            positive.append(tuple(map(add, e[i], e[j])))
+        simple = [tuple(map(sub, e[i], e[i + 1])) for i in range(n - 1)]
         if kind == "B":
             positive.extend(e)
             simple.append(e[n - 1])
         elif kind == "C":
-            positive.extend(_vec_add(v, v) for v in e)
-            simple.append(_vec_add(e[n - 1], e[n - 1]))
+            positive.extend(tuple(map(add, v, v)) for v in e)
+            simple.append(tuple(map(add, e[n - 1], e[n - 1])))
         else:
-            simple.append(_vec_add(e[n - 2], e[n - 1]))
+            simple.append(tuple(map(add, e[n - 2], e[n - 1])))
     else:  # G2: a, b, a+b, 2a+b, 3a+b, 3a+2b with a short, b long
         positive = [(0, 1, -1), (1, -2, 1), (1, -1, 0), (1, 0, -1),
                     (1, 1, -2), (2, -1, -1)]
@@ -99,7 +88,7 @@ def build_root_system(family):
     # The adjoint Casimir <theta, theta + 2*delta> is 1 under the Killing
     # form, and theta maximizes <alpha, alpha + 2*delta> over positive roots.
     two_delta = tuple(map(sum, zip(*positive)))
-    scale = Fraction(1, max(_dot(r, _vec_add(r, two_delta))
+    scale = Fraction(1, max(sum(map(mul, r, map(add, r, two_delta)))
                             for r in positive))
     return RootSystem(tuple(positive), tuple(simple), scale)
 
@@ -112,4 +101,4 @@ def ck_inner(scale, u, v):
     """
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return scale * _dot(u, v)
+    return scale * sum(map(mul, u, v))

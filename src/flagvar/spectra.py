@@ -12,16 +12,19 @@ G's CK scale, which the canonical variation puts on the fiber.  The
 fundamental weights are one integer matrix N over one denominator den,
 from a fraction-free inversion of the simple-root Gram matrix, so every
 generator is an integer row over den and no Fraction enters the
-enumerator.  Dominant weights have pairwise non-negative inner products
-and non-negative <g, 2*delta>, so the value is one rational factor times
-an integer form a'Wa + w.a with W and w entrywise non-negative.  That
-form never decreases in any coordinate: a prefix with a zero tail is an
-exact lower bound, and one enumerator that stops each coordinate at its
-first value over the cutoff finds every weight under it.  The walk
-carries each weight's integer vector, affine in a: den*p for the
-class-one test, and the Weyl factors for the base, so multiplicities are
-carried down the walk, not recomputed per weight.  The catalogued
-eigenvalue statements these are compared with are in ``catalog``.
+enumerator.  The same N gives each positive root's simple-root
+coordinates k, once (``_root_coordinates``): the fibration's grading
+reads k_n, and the Weyl factors are the k_i*|alpha_i|^2.  Dominant
+weights have pairwise non-negative inner products and non-negative
+<g, 2*delta>, so the value is one rational factor times an integer form
+a'Wa + w.a with W and w entrywise non-negative.  That form never
+decreases in any coordinate: a prefix with a zero tail is an exact lower
+bound, and one enumerator that stops each coordinate at its first value
+over the cutoff finds every weight under it.  The walk carries each
+weight's integer vector, affine in a: den*p for the class-one test, and
+the Weyl factors for the base, so multiplicities are carried down the
+walk, not recomputed per weight.  The catalogued eigenvalue statements
+these are compared with are in ``catalog``.
 """
 
 from collections import namedtuple
@@ -92,31 +95,37 @@ def _fundamental_coefficients(gram):
 
 
 @lru_cache(maxsize=None)
-def _weyl_rows(family):
-    """Rows (k_i |alpha_i|^2)_i = (2 <alpha, omega_i>)_i of the positive
-    roots alpha = sum k_i alpha_i under the dot product, and the product
-    of the row sums, which is the Weyl denominator up to the CK scale.
-    Row entry i is 2 sum_k N[i][k] <alpha_k, alpha> / den, an exact
-    integer division, checked."""
-    coeffs, den = _fundamental_coefficients(_simple_gram(family))
+def _root_coordinates(family):
+    """The simple-root coordinates k, alpha = sum k_j alpha_j, of each
+    positive root of ``family`` in order, derived here and nowhere else.
+    Row m of ``omega`` holds 2*den*<e_m, omega_j> over j, so k_j*den*G_jj
+    = 2*den*<alpha, omega_j> sums alpha_m times those rows over alpha's
+    nonzero entries m; the division by den*G_jj is exact, checked."""
     rs = build_root_system(family)
-    rows = []
+    gram = _simple_gram(family)
+    coeffs, den = _fundamental_coefficients(gram)
+    omega = [[2 * sum(map(mul, n, col)) for n in coeffs]
+             for col in zip(*rs.simple_roots)]
+    units = [den * row[j] for j, row in enumerate(gram)]
+    table = []
     for alpha in rs.positive_roots:
-        dots = [sum(x * y for x, y in zip(s, alpha)) for s in rs.simple_roots]
-        row = [2 * sum(c * d for c, d in zip(n, dots)) for n in coeffs]
-        if any(x % den for x in row):
-            raise AssertionError("a Weyl row is not integral")
-        rows.append(tuple(x // den for x in row))
-    return tuple(rows), prod(sum(row) for row in rows)
+        k = list(map(divmod, map(sum, zip(*(
+            [x * w for w in omega[m]] for m, x in enumerate(alpha) if x))),
+            units))
+        if any(rest for _, rest in k):
+            raise AssertionError("simple-root coordinates are not integral")
+        table.append(tuple(kj for kj, _ in k))
+    return tuple(table)
 
 
-def _last_coefficients(rs):
-    """{alpha: k_n} over the positive roots alpha = sum k_i alpha_i of
-    ``rs``: 2<alpha, den*omega_n> = k_n*den*|alpha_n|**2, one dot each."""
-    coeffs, den = _fundamental_coefficients(_gram(rs.simple_roots))
-    omega = [2 * sum(map(mul, coeffs[-1], c)) for c in zip(*rs.simple_roots)]
-    unit = den * sum(map(mul, rs.simple_roots[-1], rs.simple_roots[-1]))
-    return {r: sum(map(mul, r, omega)) // unit for r in rs.positive_roots}
+@lru_cache(maxsize=None)
+def _weyl_rows(family):
+    """Rows k_i*G_ii = 2<alpha, omega_i> of the positive roots, read off
+    ``_root_coordinates``, and the product of the row sums, which is the
+    Weyl denominator up to the CK scale."""
+    diag = [row[i] for i, row in enumerate(_simple_gram(family))]
+    rows = tuple(tuple(map(mul, k, diag)) for k in _root_coordinates(family))
+    return rows, prod(map(sum, rows))
 
 
 def weyl_dim(family, coeffs):

@@ -13,8 +13,7 @@ from operator import add
 from flagvar.catalog import _catalogued_c_gram
 from flagvar.exact import common_denominator
 from flagvar.rootsys import build_root_system, ck_inner
-from flagvar.spectra import (_form_value, _simple_gram, _weyl_rows,
-                             flag_minimum)
+from flagvar.spectra import _form_value, _simple_gram, flag_minimum
 
 
 def flag_mu(family, p):
@@ -113,6 +112,25 @@ def fundamental_coefficients(gram):
     return [solve_linear(gram, [Fraction(row[j], 2) if i == j else 0
                                 for i in range(len(gram))])
             for j, row in enumerate(gram)]
+
+
+@lru_cache(maxsize=None)
+def _inverse_gram(simple):
+    """The rows of G^-1, G the Gram matrix of ``simple``: one Fraction
+    solve per unit vector (G is symmetric, so columns are rows)."""
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in simple]
+            for a in simple]
+    size = len(simple)
+    return tuple(tuple(solve_linear(gram, [int(i == j) for i in range(size)]))
+                 for j in range(size))
+
+
+def simple_coordinates(rs, alpha):
+    """k with alpha = sum k_i alpha_i, from the Fraction solve: k is G^-1
+    applied to the dot products of alpha with the simple roots."""
+    dots = [sum(x * y for x, y in zip(s, alpha)) for s in rs.simple_roots]
+    return [sum(c * d for c, d in zip(row, dots))
+            for row in _inverse_gram(rs.simple_roots)]
 
 
 @lru_cache(maxsize=None)
@@ -232,22 +250,20 @@ def strongly_orthogonal_sums(fib):
     return list(accumulate(kept, lambda a, b: tuple(map(add, a, b))))
 
 
-def weyl_row_grades(family):
+def solved_grades(family):
     """{alpha: k_n} over the positive roots of a fibration family, in
-    order, k_n the coefficient on the last simple root alpha_n, read off
-    the last entry k_n*|alpha_n|**2 of each Weyl row."""
+    order, k_n the coefficient on the last simple root alpha_n, from the
+    Fraction solve ``simple_coordinates``."""
     rs = build_root_system(family.root_family)
-    rows, _ = _weyl_rows(family.root_family)
-    last = sum(x * x for x in rs.simple_roots[-1])
-    return {r: row[-1] // last for r, row in zip(rs.positive_roots, rows)}
+    return {r: simple_coordinates(rs, r)[-1] for r in rs.positive_roots}
 
 
 def pair_sum_split(family):
     """(vertical, horizontal, fiber simple roots) of a fibration family by
     search, each in the order of the positive roots: vertical is k_n even
-    on the Weyl rows, and the fiber's simple roots are the vertical roots
-    that are not a sum of two vertical roots."""
-    grades = weyl_row_grades(family)
+    by the Fraction solve, and the fiber's simple roots are the vertical
+    roots that are not a sum of two vertical roots."""
+    grades = solved_grades(family)
     vertical = tuple(r for r, k in grades.items() if k % 2 == 0)
     horizontal = tuple(r for r in grades if r not in vertical)
     sums = {tuple(map(add, a, b)) for a, b in combinations(vertical, 2)}

@@ -393,11 +393,11 @@ def test_a_non_dominant_generator_row_fails_in_one_line(capsys, monkeypatch):
 def test_grading_fault_exits_1(capsys, monkeypatch):
     # Grading on an odd last coefficient puts two vertical roots in one
     # triple with a horizontal one: a fault of the grading rule, not of
-    # the input.  The fault is planted in k_n itself, which the
-    # partition reads.
-    real = fibration._last_coefficients
-    monkeypatch.setattr(fibration, "_last_coefficients",
-                        lambda rs: {r: k + 1 for r, k in real(rs).items()})
+    # the input.  The fault is planted in k_n itself, in the coordinate
+    # table the partition reads.
+    real = fibration._root_coordinates
+    monkeypatch.setattr(fibration, "_root_coordinates", lambda family: tuple(
+        k[:-1] + (k[-1] + 1,) for k in real(family)))
     code, out, err = run(capsys, ["scal", "--family", "su", "--n", "3"])
     assert code == 1 and out == ""
     assert err.startswith(

@@ -10,8 +10,8 @@ from flagvar.curvature import ScalPoly
 from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system
 from oracles import (_ambient_fundamental_weights, fundamental_coefficients,
-                     pair_sum_split, solve_linear, strongly_orthogonal_sums,
-                     weyl_row_grades)
+                     pair_sum_split, solve_linear, solved_grades,
+                     strongly_orthogonal_sums)
 
 # (kind, n) -> (#vertical, #horizontal)
 PARTITION = [
@@ -189,7 +189,7 @@ def test_partition_and_fiber_simple_roots_match_the_pair_sum_search(kind, n):
             fib.fiber_simple_roots) == pair_sum_split(family)
     # G's simple roots but the last, and one root with k_n = 2 where the
     # highest root has k_n = 2 (so-odd, g2), none elsewhere.
-    grades = weyl_row_grades(family)
+    grades = solved_grades(family)
     extra = [r for r in fib.fiber_simple_roots if grades[r] == 2]
     assert len(extra) == (kind in ("so-odd", "g2"))
     assert (set(fib.fiber_simple_roots) - set(extra)

@@ -23,8 +23,8 @@ from flagvar.spectra import (_fundamental_coefficients, _gram,
                              is_dominant_class_one, kramer_basis, weyl_dim)
 from oracles import (ambient_weight, casimir_of_weight, catalogued_c_mu,
                      cpn_multiplicity, flag_mu, freudenthal_multiplicities,
-                     fundamental_coefficients, solve_linear,
-                     sphere_multiplicity)
+                     fundamental_coefficients, simple_coordinates,
+                     solve_linear, sphere_multiplicity)
 from test_acceptance import CASES
 
 
@@ -291,14 +291,6 @@ def test_fundamental_coefficients_reject_a_singular_gram():
         _fundamental_coefficients(((1, 2), (2, 4)))
 
 
-def simple_coordinates(rs, alpha):
-    """k with alpha = sum k_i alpha_i, from the Fraction solve."""
-    gram = [[sum(x * y for x, y in zip(a, b)) for b in rs.simple_roots]
-            for a in rs.simple_roots]
-    return solve_linear(gram, [sum(x * y for x, y in zip(s, alpha))
-                               for s in rs.simple_roots])
-
-
 @pytest.mark.parametrize("family", [FamilyTag("A", n) for n in (1, 2, 3)]
                          + [FamilyTag("B", 2), FamilyTag("B", 3),
                             FamilyTag("C", 3), FamilyTag("D", 4),
@@ -369,6 +361,42 @@ def test_weyl_rows_are_root_coordinates_times_simple_lengths(family):
     for alpha, row in zip(rs.positive_roots, rows):
         assert list(row) == [k * g for k, g in
                              zip(simple_coordinates(rs, alpha), lengths)]
+
+
+# Every valid rank up to 12.
+COORDINATE_FAMILIES = ([FamilyTag("A", n) for n in range(1, 13)]
+                       + [FamilyTag("B", n) for n in range(2, 13)]
+                       + [FamilyTag("C", n) for n in range(3, 13)]
+                       + [FamilyTag("D", n) for n in range(4, 13)]
+                       + [FamilyTag("G2", 2)])
+
+
+def rebuilt_roots(rs, table):
+    """sum k_i alpha_i over the simple roots of ``rs``, one per row k."""
+    return tuple(tuple(map(sum, zip(*([k * x for x in alpha] for k, alpha
+                                      in zip(row, rs.simple_roots)))))
+                 for row in table)
+
+
+@pytest.mark.parametrize("family", COORDINATE_FAMILIES, ids=family_id)
+def test_root_coordinates_rebuild_every_positive_root(family):
+    rs = build_root_system(family)
+    table = spectra._root_coordinates(family)
+    assert all(type(k) is int for row in table for k in row)
+    assert rebuilt_roots(rs, table) == rs.positive_roots
+
+
+def test_a_root_coordinate_off_by_one_fails_the_rebuild(monkeypatch):
+    # The negative control: one entry of one row off by one.
+    real = spectra._root_coordinates
+
+    def planted(family):
+        first, *rest = real(family)
+        return ((first[0] + 1,) + first[1:], *rest)
+
+    monkeypatch.setattr(spectra, "_root_coordinates", planted)
+    with pytest.raises(AssertionError):
+        test_root_coordinates_rebuild_every_positive_root(FamilyTag("B", 3))
 
 
 def test_cpn_multiplicity():

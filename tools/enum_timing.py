@@ -5,12 +5,15 @@
 PARENT and CHANGE are two checkouts of this repository.  Each of the
 PAIRS pairs runs one fresh interpreter per checkout, alternating which
 goes first; each interpreter imports flagvar from its checkout's ``src``
-and times ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum`` and
-``base_spectrum`` with ``time.perf_counter``, one call per cell of the
+and times ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
+``base_spectrum`` and the root tables ``_root_coordinates`` and
+``_weyl_rows`` with ``time.perf_counter``, one call per cell of the
 fixed grid below.
 The report gives, per call and summed, the median seconds at each
 checkout and the change's share of pairs won, then one line saying
-whether every output was equal at both checkouts.  Standard library only.
+whether every output was equal at both checkouts.  A cell whose function
+a checkout lacks shows "-" there and stays out of the sum and the
+comparison.  Standard library only.
 """
 
 import argparse
@@ -47,14 +50,34 @@ GRID = ([("build_fibration", "g2", 2, None)]
            for kind, n in (("su", 20), ("su", 40), ("so-odd", 20), ("sp", 20),
                            ("so-even", 20))])
 
+# Cells timed cold, after every flagvar cache is emptied: the table of
+# simple-root coordinates, the Weyl rows (which read that table where it
+# exists) and a build, at ranks where the positive roots run to
+# thousands.  They come last, so emptying the caches leaves the cells
+# above untouched.
+COLD = ([(name, "su", n, None) for name in ("_root_coordinates", "_weyl_rows")
+         for n in (40, 60)]
+        + [("build_fibration", "su", 60, None)])
+GRID += COLD
+
 
 def cell_key(cell):
     """The report's name of a grid cell: its fields, the cutoff if any."""
     return " ".join(str(field) for field in cell if field is not None)
 
 
+def clear_caches():
+    """Empty every lru_cache in the loaded flagvar modules."""
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("flagvar"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def worker():
-    """Time every grid cell once; print {cell: [seconds, output digest]}.
+    """Time every grid cell once; print {cell: [seconds, output digest]},
+    leaving out a cell whose function this checkout lacks.
     A build_fibration cell digests the partition and the fiber's simple
     roots."""
     from flagvar import spectra
@@ -63,12 +86,21 @@ def worker():
     for cell in GRID:
         name, kind, n, cutoff = cell
         family = FibrationFamily(kind, n)
+        if cell in COLD:
+            clear_caches()
         if name == "build_fibration":
             start = time.perf_counter()
             fib = build_fibration(family)
             seconds = time.perf_counter() - start
             result = (fib.vertical_roots, fib.horizontal_roots,
                       fib.fiber_simple_roots)
+        elif cutoff is None:  # a root table, keyed by the root family
+            table = getattr(spectra, name, None)
+            if table is None:
+                continue
+            start = time.perf_counter()
+            result = table(family.root_family)
+            seconds = time.perf_counter() - start
         else:
             # Only a fiber cell builds its fibration, untimed: a build
             # may fill caches that the other cells must pay for.
@@ -106,21 +138,26 @@ def main(argv=None):
         for side in order:
             runs[side].append(run_once(getattr(args, side)))
     keys = [cell_key(cell) for cell in GRID]
+    every = runs["parent"] + runs["change"]
+    shared = [key for key in keys if all(key in run for run in every)]
     print("{:<36} {:>10} {:>10} {:>6}".format(
         "cell", "parent_s", "change_s", "won"))
-    for run in runs["parent"] + runs["change"]:
-        run["total"] = [sum(run[key][0] for key in keys), None]
+    for run in every:
+        run["total"] = [sum(run[key][0] for key in shared), None]
     for key in keys + ["total"]:
-        parent = [run[key][0] for run in runs["parent"]]
-        change = [run[key][0] for run in runs["change"]]
-        won = sum(c < p for p, c in zip(parent, change))
-        print("{:<36} {:>10.4f} {:>10.4f} {:>3}/{}".format(
-            key, statistics.median(parent), statistics.median(change),
-            won, PAIRS))
-    same = all(len({run[key][1] for side in runs.values() for run in side})
-               == 1 for key in keys)
+        medians = ["{:>10.4f}".format(statistics.median(
+            run[key][0] for run in runs[side])) if key in runs[side][0]
+            else "{:>10}".format("-") for side in ("parent", "change")]
+        if key in shared or key == "total":
+            won = "{:>3}/{}".format(sum(
+                c[key][0] < p[key][0]
+                for p, c in zip(runs["parent"], runs["change"])), PAIRS)
+        else:
+            won = "{:>6}".format("-")
+        print("{:<36} {} {} {}".format(key, *medians, won))
+    same = all(len({run[key][1] for run in every}) == 1 for key in shared)
     print("outputs equal at both checkouts: {} ({} cells, {} runs)".format(
-        "yes" if same else "NO", len(keys), 2 * PAIRS))
+        "yes" if same else "NO", len(shared), 2 * PAIRS))
     return 0 if same else 1
 
 
