@@ -1,9 +1,11 @@
 """Walk through the scalar-curvature assembly for the five families.
 
 For each fibration the scalar curvature of the fiber-scaled metric is a
-rational function (A + C t^2 + E t^4) / (D t^2).  The coefficients come
-from summing squared bracket constants over triples of positive roots;
-nothing here is numeric approximation, every entry is a Fraction.
+rational function (A + C t^2 + E t^4) / (D t^2).  The coefficients are
+sums of squared bracket constants over triples of positive roots, taken
+in closed form from Casimir constants: one sum over all positive roots
+and one over each simple factor of the fiber.  Nothing here is numeric
+approximation, every entry is a Fraction.
 
 Run from the repository root:
 
@@ -12,8 +14,8 @@ Run from the repository root:
 
 from fractions import Fraction
 
-from flagvar import (FibrationFamily, build_fibration, scal_closed_form,
-                     triples)
+from flagvar import FibrationFamily, build_fibration, scal_closed_form
+from flagvar.catalog import su_triple_census
 
 CASES = [("su", 2), ("su", 3), ("so-odd", 2), ("so-odd", 4),
          ("sp", 3), ("so-even", 4), ("g2", 2)]
@@ -44,14 +46,7 @@ def show(kind, n):
 
 
 def census_line(n):
-    fib = build_fibration(FibrationFamily("su", n))
-    n1, n2, n3 = 0, 0, 0
-    for rec in triples(fib):
-        if rec.klass == "vvv":
-            n1 += 1
-        else:
-            n2 += 1
-    counts = (6 * n1, 4 * n2, 2 * n2)
+    counts = su_triple_census(build_fibration(FibrationFamily("su", n)))
     print("  n={}: ordered counts {}, predicted ({}, {}, {})".format(
         n, counts, n ** 3 - 3 * n ** 2 + 2 * n, 2 * n * (n - 1),
         n * (n - 1)))

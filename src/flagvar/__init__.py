@@ -15,7 +15,7 @@ from .bifurcation import (DegeneracyInstant, degeneracy_instants,
                           multiplicity_lower_bound, rigidity_threshold)
 from .catalog import (bn_dominance_row_report, cn_first_eigenvalue_report,
                       cross_check_closed_forms, scal_closed_form)
-from .curvature import ScalPoly, scal_wz, triples
+from .curvature import ScalPoly, scal_wz
 from .fibration import FibrationData, FibrationFamily, build_fibration
 from .rootsys import FamilyTag, RootSystem
 from .spectra import (SpectrumEntry, base_spectrum, fiber_spectrum,
@@ -49,5 +49,4 @@ __all__ = [
     "rigidity_threshold",
     "scal_closed_form",
     "scal_wz",
-    "triples",
 ]

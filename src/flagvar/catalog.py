@@ -1,7 +1,7 @@
 """What the paper states, and where that statement is known to hold.
 
-flagvar derives every quantity itself: scal(t) by assembly over root
-triples (``curvature``), eigenvalues as Casimir values (``spectra``)
+flagvar derives every quantity itself: scal(t) from Casimir sums over
+the roots (``curvature``), eigenvalues as Casimir values (``spectra``)
 and instants as exact surds (``bifurcation``).  This module is the one
 place that holds the catalogued ("as printed") versions of those
 quantities.  ``CATALOGUE`` keeps one ``Catalogued`` record per family:
@@ -12,7 +12,8 @@ the derived modules and none of them imports it: nothing here feeds a
 computation, and a disagreement is reported, never patched.
 
 ``audit`` is the check list behind ``flagvar verify``; among its checks,
-``su_triple_census`` counts the su triples against their stated counts.
+``su_triple_census`` reads the su triple counts off scal(t), to be
+checked against their stated counts.
 With ``fibration``, this is the only module that names a fibration kind.
 """
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .bifurcation import (degeneracy_instants, instant_base, morse_index,
                           multiplicity_lower_bound, rigidity_threshold)
-from .curvature import ScalPoly, triples
+from .curvature import ScalPoly
 from .rootsys import FamilyTag
 from .spectra import (_first_entries, _form_value, base_spectrum,
                       base_spectrum_first, flag_minimum, flag_spectrum,
@@ -335,13 +336,21 @@ def bn_dominance_row_report(n):
 def su_triple_census(fib):
     """Ordered triple counts (N1, N2, N3) for the su family: orderings
     of all-vertical triples, of mixed triples with the vertical root in
-    a bottom slot, and of those with it on top."""
+    a bottom slot, and of those with it on top.
+
+    Every su triple has the symbol value 2*scale = 1/(n+1), so each
+    count is a symbol-value sum of ``fib.scal`` over that value: the
+    mixed sum is -2e/d, and the all-vertical one (|V| - a/d - mixed)*2/3.
+    """
     if fib.family.kind != "su":
         raise ValueError("census is specific to the su family")
-    records = triples(fib)
-    n_vvv = sum(rec.klass == "vvv" for rec in records)
-    n_mixed = len(records) - n_vvv
-    return 6 * n_vvv, 4 * n_mixed, 2 * n_mixed
+    poly, value = fib.scal, 2 * fib.root_system.scale
+    mixed = -2 * poly.e / poly.d
+    vvv = (len(fib.vertical_roots) - poly.a / poly.d - mixed) * Fraction(2, 3)
+    counts = (6 * vvv / value, 4 * mixed / value, 2 * mixed / value)
+    if any(count.denominator != 1 for count in counts):
+        raise AssertionError("su triple counts are not integers")
+    return tuple(count.numerator for count in counts)
 
 
 def audit(fib):

@@ -1,20 +1,22 @@
-"""Scalar curvature of the canonical variation, assembled from root triples.
+"""Scalar curvature of the canonical variation, from Casimir constants.
 
-``scal_wz`` assembles the curvature by brute force from root triples:
-each unordered triple {alpha, beta, alpha+beta} of positive roots feeds
-the summation with a symbol value of twice the squared structure
-constant of the summand pair, weighted by how many of the three roots
-are vertical.  The assembled coefficients are the ones used downstream;
-the catalogued closed forms, where they disagree with the assembly, and
-the su triple census the audit checks are in ``catalog``.
+``scal_wz`` sums the symbol values of the root triples {alpha, beta,
+alpha+beta} without visiting one.  For a normal metric, the symbols
+[i;j,k] of a module m_i of dimension d_i and isotropy Casimir constant
+c_i sum over ordered (j, k) to d_i(1 - 2c_i) (Wang and Ziller,
+*Invent. Math.* 84, 1986); on G/T the root summand m_alpha has d = 2
+and c = <alpha, alpha>.  Inside each simple factor H_s of the fiber
+the same holds with the adjoint Casimir c_s of H_s in place of 1.  Both
+sums are linear in the roots.  The catalogued closed forms, where they
+disagree with this derivation, and the su triple census the audit
+checks are in ``catalog``.
 
 Everything is represented in u = t**2, never sampled in floats.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
-from operator import add, mul, sub
+from operator import add, mul
 
 
 class ScalPoly(namedtuple("ScalPoly", "a c e d")):
@@ -35,81 +37,60 @@ class ScalPoly(namedtuple("ScalPoly", "a c e d")):
         return self.normalized() == other.normalized()
 
 
-class TripleRecord(namedtuple("TripleRecord", "alpha beta gamma value klass")):
-    """An unordered root triple with its symbol value and vertical class.
+def _casimir_sum(roots):
+    """Sum over ``roots`` of c - 2<alpha, alpha>, in integer dot products.
 
-    klass is 'vvv' when all three roots are vertical, 'vhh' when exactly
-    one summand is vertical (the sum then being horizontal), and
-    'hvh-transport' when the two summands are horizontal and bracket
-    into a vertical sum.
+    ``roots`` are the positive roots of one simple group and c its
+    adjoint Casimir <theta, theta + 2*delta>: theta, the highest root,
+    maximizes <alpha, alpha + 2*delta> over them (the trick
+    ``build_root_system`` uses for the scale).
     """
+    two_delta = tuple(map(sum, zip(*roots)))
+    casimir = max(sum(map(mul, r, map(add, r, two_delta))) for r in roots)
+    return sum(casimir - 2 * sum(x * x for x in r) for r in roots)
 
-    __slots__ = ()
 
+def _fiber_factors(fib):
+    """The vertical roots, one list per simple factor of the fiber.
 
-def triples(fib):
-    """All triples {alpha, beta, gamma = alpha + beta} with their class.
-
-    Each value is twice the squared structure constant of the summand
-    pair, 2 N^2(alpha, beta) = q (p + 1) <alpha, alpha>, with (p, q) the
-    alpha-string through beta: beta - p*alpha, ..., beta + q*alpha are
-    roots (Humphreys, *Introduction to Lie Algebras and Representation
-    Theory*, §25).  The string is walked down from beta on the integer
-    roots, and q = p - 2(beta.alpha)/(alpha.alpha) (§8.4), so a triple
-    costs one Fraction product.  Only squared structure
-    constants are ever computed; signs would require committing to a
-    Chevalley convention and nothing here needs them.
+    The factors are the classes of ``fib.fiber_simple_roots`` under a
+    nonzero dot product.  A vertical root lies in one factor and is
+    orthogonal to every other, so it joins the first factor it is not
+    orthogonal to, and the last when it is orthogonal to the rest.
     """
-    rs = fib.root_system
-    roots = rs.roots
-    vertical = set(fib.vertical_roots)
-    records = []
-    for alpha, beta in combinations(rs.positive_roots, 2):
-        gamma = tuple(map(add, alpha, beta))
-        if gamma not in roots:  # a sum of positive roots is never negative
-            continue
-        p, down, norm = 0, beta, sum(x * x for x in alpha)
-        while (down := tuple(map(sub, down, alpha))) in roots:
-            p += 1
-        q = p - 2 * sum(map(mul, alpha, beta)) // norm
-        value = rs.scale * (q * (p + 1) * norm)
-        n_vertical = sum(1 for r in (alpha, beta, gamma) if r in vertical)
-        if n_vertical == 3:
-            klass = "vvv"
-        elif n_vertical == 1 and gamma in vertical:
-            klass = "hvh-transport"
-        elif n_vertical == 1:
-            klass = "vhh"
-        else:  # the grading rule is at fault, not the input
-            raise AssertionError(
-                "unexpected vertical pattern in triple {} {} {}".format(
-                    alpha, beta, gamma))
-        records.append(TripleRecord(alpha, beta, gamma, value, klass))
-    return records
+    groups = []
+    for alpha in fib.fiber_simple_roots:
+        linked = [g for g in groups if any(sum(map(mul, alpha, b)) for b in g)]
+        groups = [g for g in groups if g not in linked]
+        groups.append([alpha] + [b for g in linked for b in g])
+    factors = [[] for _ in groups]
+    for root in fib.vertical_roots:
+        i = next((i for i, g in enumerate(groups[:-1])
+                  if any(sum(map(mul, root, b)) for b in g)), -1)
+        factors[i].append(root)
+    return factors
 
 
 def scal_wz(fib):
-    """Brute-force scalar curvature of the canonical variation.
+    """Scalar curvature of the canonical variation.
 
     The curvature is (1/2) sum d_l/t_l - (1/4) sum [k;ij] t_k/(t_i t_j)
     over ordered module triples, with every vertical module scaled by
     t**2 and every horizontal one kept at 1.  An unordered triple meets
     the ordered sum with multiplicity 6; splitting those orderings by
     where the vertical roots sit gives, per unit of symbol value,
-    6/t**2 for a vvv triple and 4/t**2 + 2*t**2 for a one-vertical
-    triple.
+    6/t**2 for an all-vertical triple and 4/t**2 + 2*t**2 for a triple
+    with one vertical root.  Over all triples the symbol values sum to
+    (1/3) sum over alpha > 0 of (1 - 2<alpha, alpha>), and over the
+    all-vertical ones to (1/3) sum over s and alpha in H_s of (c_s -
+    2<alpha, alpha>); the mixed triples take the difference.
     """
-    sum_vvv = Fraction(0)
-    sum_mixed = Fraction(0)
-    for rec in triples(fib):
-        if rec.klass == "vvv":
-            sum_vvv += rec.value
-        else:
-            sum_mixed += rec.value
-    n_vertical = len(fib.vertical_roots)
-    n_horizontal = len(fib.horizontal_roots)
-    a = n_vertical - Fraction(3, 2) * sum_vvv - sum_mixed
-    c = Fraction(n_horizontal)
+    scale = fib.root_system.scale
+    vvv = sum(map(_casimir_sum, _fiber_factors(fib)))
+    total = _casimir_sum(fib.root_system.positive_roots)
+    sum_vvv = scale * Fraction(vvv, 3)
+    sum_mixed = scale * Fraction(total - vvv, 3)
+    a = len(fib.vertical_roots) - Fraction(3, 2) * sum_vvv - sum_mixed
+    c = Fraction(len(fib.horizontal_roots))
     e = -sum_mixed / 2
     return ScalPoly(a=a, c=c, e=e, d=Fraction(1))
-

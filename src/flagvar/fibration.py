@@ -21,6 +21,7 @@ holds the base's spherical generators as integer ambient weights; with
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .curvature import scal_wz
 from .exact import common_denominator
@@ -153,12 +154,15 @@ def build_fibration(family, phi1=None):
     """Assemble the vertical/horizontal partition and dimension data.
 
     A root is vertical when k_n, its coefficient on the last simple root,
-    is even.  The fiber's simple roots are G's others and the k_n = 2
-    root of least height sum(k), if any (Borel and de Siebenthal):
-    n-1 for su, sp and so-even, n for so-odd, 2 for g2.  phi1 is the
-    first fiber eigenvalue under G's form, which the canonical variation
-    puts on the fiber (su n=2: 2/3; 1 under the fiber's own form).  It is
-    derived when first read; pass a value to re-run the bifurcation test.
+    is even.  Each root is first rebuilt as sum k_j*alpha_j from the
+    coordinates it is graded by; a root that does not rebuild is a fault
+    of the table, not of the input.  The fiber's simple roots are G's
+    others and the k_n = 2 root of least height sum(k), if any (Borel
+    and de Siebenthal): n-1 for su, sp and so-even, n for so-odd, 2 for
+    g2.  phi1 is the first fiber eigenvalue under G's form, which the
+    canonical variation puts on the fiber (su n=2: 2/3; 1 under the
+    fiber's own form).  It is derived when first read; pass a value to
+    re-run the bifurcation test.
     """
     if phi1 is not None:
         phi1 = Fraction(phi1)
@@ -167,8 +171,18 @@ def build_fibration(family, phi1=None):
     rs = build_root_system(family.root_family)
     coords = dict(zip(rs.positive_roots,
                       _root_coordinates(family.root_family)))
+    entries = [[(m, x) for m, x in enumerate(a) if x]
+               for a in rs.simple_roots]
     vertical, horizontal = parts = ([], [])
     for root, k in coords.items():
+        rebuilt = [0] * len(root)
+        for j in compress(range(len(k)), k):
+            for m, x in entries[j]:
+                rebuilt[m] += k[j] * x
+        if root != tuple(rebuilt):
+            raise AssertionError(
+                "unexpected vertical pattern: {} is not sum k_j*alpha_j for"
+                " k = {}".format(root, k))
         parts[k[-1] % 2].append(root)
     simple = set(rs.simple_roots[:-1]) | {min(
         (r for r, k in coords.items() if k[-1] == 2), default=None,

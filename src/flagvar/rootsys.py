@@ -10,13 +10,13 @@ integer dot product, the scale that puts the Casimir
 highest root.  Equivalently <theta, theta> = 1/h_vee, h_vee the dual
 Coxeter number, which is never tabulated.  That choice makes every
 eigenvalue formula downstream come out with its familiar denominator.
-Root strings are walked on the integer ``RootSystem.roots`` in
-``curvature.triples``, the one reader of bracket data.
+Nothing at runtime reads bracket data: ``curvature`` sums Casimir
+constants, and only the tests' oracles walk root strings.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from operator import add, mul, sub
 
@@ -44,14 +44,9 @@ class FamilyTag(namedtuple("FamilyTag", "kind rank")):
 class RootSystem(namedtuple("RootSystem",
                             "positive_roots simple_roots scale")):
     """Positive and simple roots and the CK scale: the form is ``scale``
-    times the integer dot product.  No ``__slots__``: the cached
-    ``roots`` lives in the instance dict."""
+    times the integer dot product."""
 
-    @cached_property
-    def roots(self):
-        """Every root, positive and negative, built once."""
-        return frozenset(self.positive_roots) | {
-            tuple(-x for x in r) for r in self.positive_roots}
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

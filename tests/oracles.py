@@ -4,6 +4,7 @@ Import from a test module with ``from oracles import ...``; pytest puts
 this directory on the path.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -30,6 +31,13 @@ def flag_mu(family, p):
             * _form_value(_simple_gram(family), p))
 
 
+@lru_cache(maxsize=None)
+def all_roots(rs):
+    """Every root of ``rs``, positive and negative."""
+    return frozenset(rs.positive_roots) | {
+        tuple(-x for x in r) for r in rs.positive_roots}
+
+
 def root_string(rs, alpha, beta):
     """The alpha-string through beta: largest p, q with beta - p*alpha
     and beta + q*alpha both roots of ``rs``.
@@ -39,7 +47,7 @@ def root_string(rs, alpha, beta):
     neg = tuple(-x for x in alpha)
     if beta == alpha or beta == neg:
         raise ValueError("root string through +-alpha is undefined")
-    roots = rs.roots
+    roots = all_roots(rs)
     if alpha not in roots or beta not in roots:
         raise ValueError("arguments must be roots")
 
@@ -58,10 +66,46 @@ def structure_constant_sq(rs, alpha, beta):
     Zero when alpha + beta is not a root; otherwise q*(p+1)*<a,a>/2 with
     (p, q) the alpha-string through beta.
     """
-    if tuple(map(add, alpha, beta)) not in rs.roots:
+    if tuple(map(add, alpha, beta)) not in all_roots(rs):
         return Fraction(0)
     p, q = root_string(rs, alpha, beta)
     return Fraction(q * (p + 1), 2) * ck_inner(rs.scale, alpha, alpha)
+
+
+class Triple(namedtuple("Triple", "alpha beta gamma value klass")):
+    """A root triple {alpha, beta, gamma = alpha + beta} of positive roots
+    with its symbol value and vertical class."""
+
+    __slots__ = ()
+
+
+# Which of (alpha, beta, gamma) are vertical, per class; any other
+# pattern breaks the Z/2 grading of the fibration.
+_KLASS = {(True, True, True): "vvv", (True, False, False): "vhh",
+          (False, True, False): "vhh", (False, False, True): "hvh-transport"}
+
+
+def triple_scan(fib):
+    """Every root triple of ``fib``, by a scan of all positive-root pairs.
+
+    The value is twice ``structure_constant_sq`` of the summand pair, and
+    the class is read off ``fib.vertical_roots``: 'vvv' when all three
+    roots are vertical, 'vhh' when one summand is, and 'hvh-transport'
+    when the two horizontal summands bracket into a vertical root.
+    """
+    rs = fib.root_system
+    vertical = set(fib.vertical_roots)
+    out = []
+    for alpha, beta in combinations(rs.positive_roots, 2):
+        value = 2 * structure_constant_sq(rs, alpha, beta)
+        if value:
+            gamma = tuple(map(add, alpha, beta))
+            pattern = tuple(r in vertical for r in (alpha, beta, gamma))
+            if pattern not in _KLASS:
+                raise AssertionError("unexpected vertical pattern in triple"
+                                     " {} {} {}".format(alpha, beta, gamma))
+            out.append(Triple(alpha, beta, gamma, value, _KLASS[pattern]))
+    return out
 
 
 def catalogued_c_mu(p):
@@ -244,7 +288,8 @@ def strongly_orthogonal_sums(fib):
 
     kept = []
     for root in sorted(fib.horizontal_roots, key=lambda r: -dot(r, two_delta)):
-        if all(dot(root, g) == 0 and tuple(map(add, root, g)) not in rs.roots
+        if all(dot(root, g) == 0
+               and tuple(map(add, root, g)) not in all_roots(rs)
                for g in kept):
             kept.append(root)
     return list(accumulate(kept, lambda a, b: tuple(map(add, a, b))))

@@ -22,7 +22,7 @@ from flagvar.bifurcation import (degeneracy_instants, instant_base,
 from flagvar.catalog import (_su_threshold, cn_first_eigenvalue_report,
                              cross_check_closed_forms, scal_closed_form,
                              su_triple_census)
-from flagvar.curvature import scal_wz, triples
+from flagvar.curvature import scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag
 from flagvar.spectra import base_spectrum_first, flag_minimum, weyl_dim
@@ -31,7 +31,7 @@ from flagvar.variation import gap_certificate
 from flagvar.bifurcation import DegeneracyInstant  # noqa: F401  (re-export check)
 from oracles import (FractionSurd, cpn_multiplicity, fraction_surd,
                      gap_quadratic, roots_in_unit_interval,
-                     sphere_multiplicity)
+                     sphere_multiplicity, triple_scan)
 
 CASES = ([("su", n) for n in range(2, 9)]
          + [("so-odd", n) for n in (2, 4, 5, 6, 7, 8)]
@@ -80,7 +80,7 @@ def test_criterion_02():
         ok = ok and n2 == 2 * n * (n - 1)
         ok = ok and n3 == n * (n - 1)
         ok = ok and all(rec.value == Fraction(1, n + 1)
-                        for rec in triples(fib))
+                        for rec in triple_scan(fib))
     assert _report(2, ok)
 
 

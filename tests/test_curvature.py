@@ -1,15 +1,17 @@
-"""Tests for the brute-force curvature assembly and the catalogued
-closed forms, including the cases where the two provably differ."""
+"""Tests for scal(t) from Casimir sums, its structure-constant oracle,
+and the catalogued closed forms, including the cases where the derived
+and catalogued forms provably differ."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
+import oracles
+from flagvar import curvature
 from flagvar.catalog import scal_closed_form, su_triple_census
-from flagvar.curvature import ScalPoly, scal_wz, triples
+from flagvar.curvature import ScalPoly, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
-from oracles import structure_constant_sq, value_at_t, value_at_u
+from oracles import triple_scan, value_at_t, value_at_u
 
 IDENTITY_HOLDS = [("su", n) for n in range(2, 7)] + [("so-odd", 2), ("g2", 2)]
 IDENTITY_FAILS = [("so-odd", n) for n in (4, 5, 6)] + \
@@ -36,6 +38,10 @@ def _fib(kind, n):
     return build_fibration(FibrationFamily(kind, n))
 
 
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def test_scalpoly_basics():
     p = ScalPoly(Fraction(2), Fraction(12), Fraction(-2), Fraction(3))
     q = ScalPoly(Fraction(4), Fraction(24), Fraction(-4), Fraction(6))
@@ -50,7 +56,7 @@ def test_scalpoly_basics():
 
 
 def test_triples_su3_census():
-    recs = triples(_fib("su", 2))
+    recs = triple_scan(_fib("su", 2))
     assert len(recs) == 1
     assert recs[0].klass == "vhh"
     assert recs[0].value == Fraction(1, 3)
@@ -59,7 +65,7 @@ def test_triples_su3_census():
 def test_triples_sp3_census():
     # Hand count for Sp(3)/T^3: one fiber-internal triple of value 1/8,
     # three mixed of value 1/8, six mixed of value 1/4.
-    recs = triples(_fib("sp", 3))
+    recs = triple_scan(_fib("sp", 3))
     by_klass = {}
     for rec in recs:
         by_klass.setdefault(rec.klass, []).append(rec.value)
@@ -69,7 +75,7 @@ def test_triples_sp3_census():
 
 
 def test_triples_so_even4_census():
-    recs = triples(_fib("so-even", 4))
+    recs = triple_scan(_fib("so-even", 4))
     vvv = [r for r in recs if r.klass == "vvv"]
     mixed = [r for r in recs if r.klass != "vvv"]
     assert len(vvv) == 4 and all(r.value == Fraction(1, 6) for r in vvv)
@@ -80,9 +86,11 @@ def test_transport_triples_only_where_expected():
     # Two horizontal summands bracketing into a vertical root occur for
     # the so-odd and g2 partitions and nowhere else.
     for kind, n in [("su", 3), ("sp", 3), ("so-even", 4)]:
-        assert all(r.klass != "hvh-transport" for r in triples(_fib(kind, n)))
-    assert any(r.klass == "hvh-transport" for r in triples(_fib("so-odd", 2)))
-    assert any(r.klass == "hvh-transport" for r in triples(_fib("g2", 2)))
+        assert all(r.klass != "hvh-transport"
+                   for r in triple_scan(_fib(kind, n)))
+    for kind, n in [("so-odd", 2), ("g2", 2)]:
+        assert any(r.klass == "hvh-transport"
+                   for r in triple_scan(_fib(kind, n)))
 
 
 ORACLE_GRID = ([("su", n) for n in range(2, 9)]
@@ -90,27 +98,109 @@ ORACLE_GRID = ([("su", n) for n in range(2, 9)]
                + [("sp", n) for n in range(3, 9)]
                + [("so-even", n) for n in range(4, 9)] + [("g2", 2)])
 
+# Past the golden ranks, where the Casimir sums and the scan could part.
+SCAN_PAST_GRID = [("su", 12), ("so-odd", 10), ("sp", 10), ("so-even", 10)]
 
-@pytest.mark.parametrize("kind,n", ORACLE_GRID)
+
+def casimir_class_sums(poly, fib):
+    """(all-vertical, mixed) symbol-value sums read back from scal(t):
+    e = -mixed/2 and a = |V| - (3/2)*vvv - mixed, both over d."""
+    mixed = -2 * poly.e / poly.d
+    vvv = (len(fib.vertical_roots) - poly.a / poly.d - mixed) * Fraction(2, 3)
+    return vvv, mixed
+
+
+def scan_class_sums(fib):
+    """The same two sums over the oracle's scan of every root pair."""
+    recs = triple_scan(fib)
+    vvv = sum(r.value for r in recs if r.klass == "vvv")
+    return vvv, sum(r.value for r in recs) - vvv
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_GRID + SCAN_PAST_GRID)
 def test_triples_match_the_structure_constant_oracle(kind, n):
-    # The integer string walk against the oracle's root strings, and the
-    # triple set against a scan of every positive-root pair.
+    # The Casimir sums behind scal(t), per class of triple, against the
+    # structure constants of the oracle's root strings over every
+    # positive-root pair.
     fib = _fib(kind, n)
-    rs = fib.root_system
-    recs = triples(fib)
-    for rec in recs:
-        assert rec.value == 2 * structure_constant_sq(rs, rec.alpha, rec.beta)
-    scan = {(a, b) for a, b in combinations(rs.positive_roots, 2)
-            if structure_constant_sq(rs, a, b) != 0}
-    assert {(rec.alpha, rec.beta) for rec in recs} == scan
-    assert all(rec.gamma == tuple(x + y for x, y in zip(rec.alpha, rec.beta))
-               for rec in recs)
+    assert casimir_class_sums(scal_wz(fib), fib) == scan_class_sums(fib)
+
+
+def adjoint_casimir(roots, two_delta):
+    """max over ``roots`` of <b, b + 2*delta>, in integer dot products."""
+    return max(_dot(b, [x + d for x, d in zip(b, two_delta)]) for b in roots)
+
+
+def _two_delta(roots):
+    return [sum(r[k] for r in roots) for k in range(len(roots[0]))]
+
+
+def _doubled_casimir(roots):
+    # c_s - 2<a, a> becomes 2c_s - 2<a, a> for every root of the factor.
+    return adjoint_casimir(roots, _two_delta(roots))
+
+
+def _top_root_left_out_of_two_delta(roots):
+    # c_s with theta_s left out of 2*delta_s, less the true c_s: theta_s
+    # is the one root whose absence always lowers the maximum.
+    two_delta = _two_delta(roots)
+    top = max(roots, key=lambda b: adjoint_casimir([b], two_delta))
+    short = [x - t for x, t in zip(two_delta, top)]
+    return adjoint_casimir(roots, short) - adjoint_casimir(roots, two_delta)
+
+
+PLANTED_CASES = [("su", 3), ("so-odd", 2), ("sp", 4), ("so-even", 5),
+                 ("g2", 2)]
+
+
+@pytest.mark.parametrize("shift", [_doubled_casimir,
+                                   _top_root_left_out_of_two_delta])
+@pytest.mark.parametrize("kind,n", PLANTED_CASES)
+def test_planted_casimir_slip_fails_the_oracle(monkeypatch, kind, n, shift):
+    # A slip in the first fiber factor's sum moves each of its roots'
+    # terms by shift(roots): the equality test must see it.
+    fib = _fib(kind, n)
+    first = curvature._fiber_factors(fib)[0]
+    real = curvature._casimir_sum
+
+    def planted(roots):
+        return real(roots) + (len(roots) * shift(roots) if roots == first
+                              else 0)
+
+    monkeypatch.setattr(curvature, "_casimir_sum", planted)
+    assert casimir_class_sums(scal_wz(fib), fib) != scan_class_sums(fib)
+
+
+@pytest.mark.parametrize("kind,n", PLANTED_CASES)
+def test_oracle_string_one_short_fails_the_equality(monkeypatch, kind, n):
+    # The first root string the scan reads loses one step at its top.
+    real = oracles.root_string
+    seen = []
+
+    def short(rs, alpha, beta):
+        p, q = real(rs, alpha, beta)
+        seen.append(alpha)
+        return (p, q - 1) if len(seen) == 1 else (p, q)
+
+    monkeypatch.setattr(oracles, "root_string", short)
+    fib = _fib(kind, n)
+    assert casimir_class_sums(scal_wz(fib), fib) != scan_class_sums(fib)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_su_triple_values_all_equal(n):
-    for rec in triples(_fib("su", n)):
+    for rec in triple_scan(_fib("su", n)):
         assert rec.value == Fraction(1, n + 1)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_su_census_matches_the_scan(n):
+    # The census reads its counts off scal(t); the scan counts triples.
+    fib = _fib("su", n)
+    recs = triple_scan(fib)
+    n_vvv = sum(r.klass == "vvv" for r in recs)
+    n_mixed = len(recs) - n_vvv
+    assert su_triple_census(fib) == (6 * n_vvv, 4 * n_mixed, 2 * n_mixed)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -165,7 +255,7 @@ def test_so_odd_difference_is_a_quarter_of_the_fiber_term(n):
     fib = _fib("so-odd", n)
     wz = scal_wz(fib).normalized()
     closed = scal_closed_form(fib.family).normalized()
-    sum_vvv = sum(r.value for r in triples(fib) if r.klass == "vvv")
+    sum_vvv = sum(r.value for r in triple_scan(fib) if r.klass == "vvv")
     assert closed[0] - wz[0] == Fraction(3, 8) * sum_vvv
     assert closed[1] == wz[1]
     assert closed[2] == wz[2]
@@ -198,10 +288,6 @@ def test_wz_g2_coefficients():
 
 # -- O'Neill: the t**-2 coefficient is the fiber's scalar curvature --------
 
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def fiber_factors(fib):
     """The simple factors of the fiber as (simple roots, positive roots):
     the fiber simple roots grouped by non-orthogonality, and each
@@ -230,11 +316,9 @@ def test_fiber_term_is_the_oneill_fiber_curvature(kind, n):
     scale = fib.root_system.scale
     scal_f = 0
     for simple, positive in fiber_factors(fib):
-        two_delta = [sum(r[k] for r in positive)
-                     for k in range(len(positive[0]))]
-        casimir = scale * max(_dot(b, [x + d for x, d in zip(b, two_delta)])
-                              for b in positive)
+        casimir = scale * adjoint_casimir(positive, _two_delta(positive))
         scal_f += casimir * Fraction(len(positive) + len(simple), 2)
     assert scal_wz(fib).normalized()[0] == scal_f
+    assert curvature._fiber_factors(fib) == [p for _, p in fiber_factors(fib)]
     assert len(fiber_factors(fib)) == (2 if (kind, n) in (("so-odd", 2),
                                                           ("g2", 2)) else 1)

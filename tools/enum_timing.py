@@ -6,9 +6,9 @@ PARENT and CHANGE are two checkouts of this repository.  Each of the
 PAIRS pairs runs one fresh interpreter per checkout, alternating which
 goes first; each interpreter imports flagvar from its checkout's ``src``
 and times ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
-``base_spectrum`` and the root tables ``_root_coordinates`` and
-``_weyl_rows`` with ``time.perf_counter``, one call per cell of the
-fixed grid below.
+``base_spectrum``, the root tables ``_root_coordinates`` and
+``_weyl_rows``, and scal(t) as ``build_fibration(...).scal`` with
+``time.perf_counter``, one call per cell of the fixed grid below.
 The report gives, per call and summed, the median seconds at each
 checkout and the change's share of pairs won, then one line saying
 whether every output was equal at both checkouts.  A cell whose function
@@ -52,12 +52,15 @@ GRID = ([("build_fibration", "g2", 2, None)]
 
 # Cells timed cold, after every flagvar cache is emptied: the table of
 # simple-root coordinates, the Weyl rows (which read that table where it
-# exists) and a build, at ranks where the positive roots run to
-# thousands.  They come last, so emptying the caches leaves the cells
-# above untouched.
+# exists), a build, and scal(t) with its build, at ranks where the
+# positive roots run to hundreds or thousands.  They come last, so
+# emptying the caches leaves the cells above untouched.
 COLD = ([(name, "su", n, None) for name in ("_root_coordinates", "_weyl_rows")
          for n in (40, 60)]
-        + [("build_fibration", "su", 60, None)])
+        + [("build_fibration", "su", 60, None)]
+        + [("scal", kind, n, None)
+           for kind, n in (("su", 30), ("su", 40), ("so-odd", 20), ("sp", 20),
+                           ("so-even", 20))])
 GRID += COLD
 
 
@@ -79,7 +82,7 @@ def worker():
     """Time every grid cell once; print {cell: [seconds, output digest]},
     leaving out a cell whose function this checkout lacks.
     A build_fibration cell digests the partition and the fiber's simple
-    roots."""
+    roots, a scal cell the polynomial."""
     from flagvar import spectra
     from flagvar.fibration import FibrationFamily, build_fibration
     out = {}
@@ -94,6 +97,10 @@ def worker():
             seconds = time.perf_counter() - start
             result = (fib.vertical_roots, fib.horizontal_roots,
                       fib.fiber_simple_roots)
+        elif name == "scal":
+            start = time.perf_counter()
+            result = build_fibration(family).scal
+            seconds = time.perf_counter() - start
         elif cutoff is None:  # a root table, keyed by the root family
             table = getattr(spectra, name, None)
             if table is None:

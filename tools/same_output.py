@@ -12,7 +12,8 @@ eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50;
 ``verify --family F --n N`` at every valid rank N <= 7, since the
 catalogue's agreement pattern depends on the rank, and ``spectrum
 --family F --n N --cutoff 4`` there too, whose base labels list the
-spherical generators' coefficients in generator order; and the usage
+spherical generators' coefficients in generator order; ``scal --family
+F --n N`` at the ranks in SCAL_RANKS, past the golden ones; and the usage
 errors in USAGE_ERRORS, whose stderr carries argparse's usage line and
 so each subparser's option order and choices.  stdout, stderr and the
 exit code must match.  Each difference is printed, then
@@ -45,6 +46,12 @@ USAGE_ERRORS = [[], ["spectrum", "--family", "su", "--format", "svg"],
                 ["figure", "--family", "su", "--phi1", "1"],
                 ["verify", "--family", "e8"], ["verify", "--format", "csv"]]
 
+# scal(t) at ranks past the golden ones, where a derivation of it could
+# part from another.
+SCAL_RANKS = ([("su", n) for n in (12, 20, 30)]
+              + [(kind, n) for kind in ("so-odd", "sp", "so-even")
+                 for n in (10, 12, 16)])
+
 
 def argvs():
     """Every argv to compare, in a fixed order, without repeats."""
@@ -69,6 +76,8 @@ def argvs():
         out.append(["verify", "--family", kind, "--n", str(n)])
         out.append(["spectrum", "--family", kind, "--n", str(n),
                     "--cutoff", "4"])
+    out += [["scal", "--family", kind, "--n", str(n)]
+            for kind, n in SCAL_RANKS]
     out += USAGE_ERRORS
     return [list(a) for a in dict.fromkeys(map(tuple, out))]
 
