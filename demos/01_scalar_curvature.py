@@ -14,8 +14,8 @@ Run from the repository root:
 
 from fractions import Fraction
 
-from flagvar import FibrationFamily, build_fibration, scal_closed_form
-from flagvar.catalog import su_triple_census
+from flagvar.catalog import scal_closed_form, su_triple_census
+from flagvar.fibration import FibrationFamily, build_fibration
 
 CASES = [("su", 2), ("su", 3), ("so-odd", 2), ("so-odd", 4),
          ("sp", 3), ("so-even", 4), ("g2", 2)]

@@ -15,10 +15,12 @@ Run from the repository root:
 
 from fractions import Fraction
 
-from flagvar import (FamilyTag, FibrationFamily, base_spectrum,
-                     bn_dominance_row_report, build_fibration,
-                     cn_first_eigenvalue_report, fiber_spectrum,
-                     flag_minimum, flag_spectrum)
+from flagvar.catalog import (bn_dominance_row_report,
+                             cn_first_eigenvalue_report)
+from flagvar.fibration import FibrationFamily, build_fibration
+from flagvar.rootsys import FamilyTag
+from flagvar.spectra import (base_spectrum, fiber_spectrum, flag_minimum,
+                             flag_spectrum)
 
 print("smallest flag eigenvalue per root family:")
 for tag in [FamilyTag("A", 2), FamilyTag("A", 5), FamilyTag("B", 2),

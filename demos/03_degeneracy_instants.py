@@ -12,9 +12,10 @@ Run from the repository root:
 
 from fractions import Fraction
 
-from flagvar import (FibrationFamily, build_fibration,
-                     cross_check_closed_forms, degeneracy_instants,
-                     instant_below, rigidity_threshold)
+from flagvar.bifurcation import (degeneracy_instants, instant_below,
+                                 rigidity_threshold)
+from flagvar.catalog import cross_check_closed_forms
+from flagvar.fibration import FibrationFamily, build_fibration
 
 fib = build_fibration(FibrationFamily("su", 2))
 

@@ -14,8 +14,9 @@ Run from the repository root:
 
 from fractions import Fraction
 
-from flagvar import (FibrationFamily, build_fibration, degeneracy_instants,
-                     instant_base, morse_index, multiplicity_lower_bound)
+from flagvar.bifurcation import (degeneracy_instants, instant_base,
+                                 morse_index, multiplicity_lower_bound)
+from flagvar.fibration import FibrationFamily, build_fibration
 
 fib = build_fibration(FibrationFamily("su", 2))
 base = instant_base(fib, Fraction(1, 10))

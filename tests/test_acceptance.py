@@ -28,7 +28,6 @@ from flagvar.rootsys import FamilyTag
 from flagvar.spectra import base_spectrum_first, flag_minimum, weyl_dim
 from flagvar.surd import QuadraticSurd
 from flagvar.variation import gap_certificate
-from flagvar.bifurcation import DegeneracyInstant  # noqa: F401  (re-export check)
 from oracles import (FractionSurd, cpn_multiplicity, fraction_surd,
                      gap_quadratic, roots_in_unit_interval,
                      sphere_multiplicity, triple_scan)

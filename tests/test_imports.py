@@ -1,17 +1,15 @@
-"""No module of the package imports a name it never uses, neither an
-exported name nor a public function goes without a reader, only
-``fibration`` and ``catalog`` name a fibration kind, and the runtime
-loads only the standard library.
+"""No module of the package imports a name it never uses, every
+``from flagvar`` import in the demos, tools and tests names the module
+that defines the name, only ``fibration`` and ``catalog`` name a
+fibration kind, and the runtime loads only the standard library.
 
-``__init__.py`` is exempt from the first check: it imports to
-re-export.  The checks read syntax trees and text, so they need no
-linter.
+The checks read syntax trees and text, so they need no linter.  That
+every function runs is tests/test_reach.py's rule.
 """
 
 import ast
 import json
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -23,9 +21,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Imports kept on purpose.  The perfbench tracer self-test,
 # test_wrapper_covers_every_public_function in
-# perfbench/tests/test_perfbench.py, looks both names up in that
+# perfbench/tests/test_perfbench.py, looks each name up in that
 # module's namespace.
-ALLOWED = {("cli", "flag_minimum"), ("spectra", "ck_inner")}
+ALLOWED = {("__init__", "flag_minimum"), ("cli", "flag_minimum"),
+           ("spectra", "ck_inner")}
 
 
 def unused_imports(source):
@@ -47,7 +46,7 @@ def loaded_names(tree):
 
 def module_unused_imports():
     return {(path.stem, name)
-            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+            for path in sorted(SRC.glob("*.py"))
             for name in unused_imports(path.read_text())}
 
 
@@ -66,90 +65,71 @@ def test_a_planted_unused_import_is_caught():
         == unused_imports(spectra) | {"merge"}
 
 
-# Exported without a demo or README reader: the perfbench tracer
-# self-test checks that flagvar.flag_minimum is wrapped.
-EXPORT_ALLOWED = {"flag_minimum"}
+def defined_names(source):
+    """Names bound at the top level of ``source`` by a def, a class or
+    an assignment.  An import binds a name without defining it."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {name.id for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name)
+                      and isinstance(name.ctx, ast.Store)}
+    return names
 
 
-def demo_imports(sources):
-    """Names imported ``from flagvar`` by any of ``sources``."""
-    return {alias.name
-            for source in sources for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.module == "flagvar"
-            for alias in node.names}
+def package_sources():
+    """{dotted module name: source} for the package and its modules."""
+    return {"flagvar" + ("" if path.stem == "__init__" else "." + path.stem):
+            path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
-def backticked_names(text):
-    """Identifiers in backticks; a dotted ``module.name`` gives name."""
-    return {span.rpartition(".")[2]
-            for span in re.findall(r"`([A-Za-z_][\w.]*)`", text)}
+def stray_imports(sources, package):
+    """(file, module, name) of each ``from flagvar[.module] import name``
+    in ``sources``, a {file: source} map, where name is neither a
+    submodule nor defined at the top level of the module.  ``package``
+    maps each dotted module name of the package to its source."""
+    found = set()
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.partition(".")[0] == "flagvar"):
+                defined = defined_names(package.get(node.module, ""))
+                found |= {(file, node.module, alias.name)
+                          for alias in node.names
+                          if alias.name not in defined
+                          and node.module + "." + alias.name not in package}
+    return found
 
 
-def unread_exports(names, demo_sources, readme):
-    return (set(names) - demo_imports(demo_sources)
-            - backticked_names(readme) - EXPORT_ALLOWED)
+def test_every_name_is_imported_from_its_defining_module():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for folder in ("demos", "tools", "tests")
+               for path in sorted((ROOT / folder).glob("*.py"))}
+    assert len(sources) > 20
+    assert stray_imports(sources, package_sources()) == set()
 
 
-def test_every_exported_name_has_a_reader():
-    demos = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
-    readme = (ROOT / "README.md").read_text()
-    assert unread_exports(flagvar.__all__, demos, readme) == set()
-    assert all(hasattr(flagvar, name) for name in flagvar.__all__)
-
-
-def test_a_planted_unread_export_is_caught():
-    demo = "from flagvar import alpha, beta as b\nfrom os import gamma\n"
-    readme = "Uses `delta`, `pkg.epsilon(1)`, `mod.zeta` and ``eta``.\n"
-    names = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
-             "theta", "flag_minimum"]
-    assert unread_exports(names, [demo], readme) == {
-        "gamma", "epsilon", "theta"}
-
-
-# A public function without a reader, kept on purpose: the perfbench
-# tracer self-test looks ck_inner up by name in rootsys and spectra.
-FUNCTION_ALLOWED = {("rootsys", "ck_inner")}
-
-
-def unread_functions(sources, demo_sources, readme):
-    """(module, name) of each public module-level function in
-    ``sources``, a {module: source} map, whose name no module loads, no
-    demo imports and README does not name in backticks.  A bare import
-    binds the name without loading it, so it is no reader."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = (set().union(*map(loaded_names, trees.values()))
-            | demo_imports(demo_sources) | backticked_names(readme))
-    return {(module, node.name)
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and not node.name.startswith("_")
-            and node.name not in read} - FUNCTION_ALLOWED
-
-
-def test_every_public_function_has_a_reader():
-    sources = {path.stem: path.read_text()
-               for path in sorted(SRC.glob("*.py"))}
-    demos = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
-    readme = (ROOT / "README.md").read_text()
-    assert unread_functions(sources, demos, readme) == set()
-
-
-def test_a_planted_unread_function_is_caught():
-    sources = {
-        "alpha": ("def called():\n    pass\n\n\ndef orphan():\n"
-                  "    def inner():\n        pass\n\n\n"
-                  "def _private():\n    pass\n\n\n"
-                  "def demoed():\n    pass\n\n\n"
-                  "class Box:\n    def method(self):\n        pass\n"),
-        "beta": ("from .alpha import called, orphan\n\n\n"
-                 "def shown():\n    return called()\n"),
-        "rootsys": "def ck_inner():\n    pass\n",
-    }
-    demo = "from flagvar import demoed\n"
-    readme = "Call `beta.shown`.\n"
-    assert unread_functions(sources, [demo], readme) == {("alpha", "orphan")}
-    assert unread_functions(dict(sources, gamma="orphan()\n"), [demo],
-                            readme) == set()
+def test_a_planted_second_import_path_is_caught():
+    package = package_sources()
+    source = ("from flagvar import cli, spectra\n"
+              "from flagvar.fibration import FAMILY_KEYS, build_fibration\n"
+              "from flagvar.bifurcation import flag_minimum\n"
+              "from flagvar import build_fibration\n"
+              "from fractions import Fraction\n")
+    assert stray_imports({"planted": source}, package) == {
+        ("planted", "flagvar.bifurcation", "flag_minimum"),
+        ("planted", "flagvar", "build_fibration")}
+    assert defined_names("import os\nfrom math import gcd\nA, (B, C) = D = 1,"
+                         " (2, 3)\nE: int = 4\nif A:\n    F = 5\n"
+                         "os.sep = M[0] = 8\n"
+                         "def g():\n    H = 6\nclass K:\n    L = 7\n") == {
+        "A", "B", "C", "D", "E", "g", "K"}
 
 
 # What the fibrations are, and what the paper says about them: the only

@@ -1,12 +1,14 @@
 """Every function in the package runs under a subcommand or a demo.
 
-One traced child process imports flagvar, runs every golden argv of
-tests/test_golden.py in process, then the five demos, and reports the
-code objects of the package that it entered.  A ``def`` that none of
-them enters is dead code, or code that only tests reach.  Tracing
-starts before the import, so code that runs only at import counts.  A
-code object is keyed by its file and first line, which for a decorated
-function is the first decorator's line.
+This is the suite's one reach rule: no static check counts a name in
+a test, the README or an import as a reader.  One traced child process
+imports flagvar, runs every golden argv of tests/test_golden.py in
+process, then the five demos, and reports the code objects of the
+package that it entered.  A ``def`` that none of them enters, methods
+and nested functions included, is dead code, or code that only tests
+reach.  Tracing starts before the import, so code that runs only at
+import counts.  A code object is keyed by its file and first line,
+which for a decorated function is the first decorator's line.
 """
 
 import ast

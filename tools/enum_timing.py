@@ -5,10 +5,15 @@
 PARENT and CHANGE are two checkouts of this repository.  Each of the
 PAIRS pairs runs one fresh interpreter per checkout, alternating which
 goes first; each interpreter imports flagvar from its checkout's ``src``
-and times ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
+and times, with ``time.perf_counter`` and one call per cell of the
+fixed grid below, ``import flagvar`` and then ``import flagvar.cli``,
+``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
 ``base_spectrum``, the root tables ``_root_coordinates`` and
-``_weyl_rows``, and scal(t) as ``build_fibration(...).scal`` with
-``time.perf_counter``, one call per cell of the fixed grid below.
+``_weyl_rows``, and scal(t) as ``build_fibration(...).scal``, cold
+(after every flagvar cache is emptied) where the grid says so.
+Workers inherit the environment, so with PYTHONDONTWRITEBYTECODE=1 and
+no ``__pycache__`` in the checkouts the import cells pay the compile
+from source that a cold command-line query pays.
 The report gives, per call and summed, the median seconds at each
 checkout and the change's share of pairs won, then one line saying
 whether every output was equal at both checkouts.  A cell whose function
@@ -18,6 +23,7 @@ comparison.  Standard library only.
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import statistics
@@ -27,6 +33,13 @@ import time
 
 PAIRS = 10
 
+# The import cells run first in each worker, before any other flagvar
+# import.  The flagvar.cli cell's output is the sorted flagvar modules
+# loaded after it; the flagvar cell's is a constant, since a checkout
+# may load fewer modules for the bare package.
+IMPORTS = [("import", "flagvar", None, None),
+           ("import", "flagvar.cli", None, None)]
+
 # (function, kind, rank, cutoff).  The build_fibration cells take no
 # cutoff, and each is timed on the first use of its root family in the
 # worker, root system and cached tables included: g2's comes first,
@@ -35,7 +48,7 @@ PAIRS = 10
 # faster.  Flag and fiber cutoffs stay small: their class-one weights
 # grow fast with the cutoff.  The base cells reach a few hundred
 # values, so several weights share a value.
-GRID = ([("build_fibration", "g2", 2, None)]
+GRID = (IMPORTS + [("build_fibration", "g2", 2, None)]
         + [("flag_spectrum", kind, n, 16)
          for kind, n in (("su", 5), ("so-odd", 5), ("sp", 5), ("so-even", 6),
                          ("g2", 2))]
@@ -78,15 +91,26 @@ def clear_caches():
                     value.cache_clear()
 
 
+def digest(result):
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
 def worker():
     """Time every grid cell once; print {cell: [seconds, output digest]},
     leaving out a cell whose function this checkout lacks.
     A build_fibration cell digests the partition and the fiber's simple
     roots, a scal cell the polynomial."""
+    out = {}
+    for cell in IMPORTS:
+        start = time.perf_counter()
+        importlib.import_module(cell[1])
+        seconds = time.perf_counter() - start
+        out[cell_key(cell)] = [seconds, digest(sorted(
+            name for name in sys.modules if name.startswith("flagvar."))
+            if cell[1] == "flagvar.cli" else None)]
     from flagvar import spectra
     from flagvar.fibration import FibrationFamily, build_fibration
-    out = {}
-    for cell in GRID:
+    for cell in GRID[len(IMPORTS):]:
         name, kind, n, cutoff = cell
         family = FibrationFamily(kind, n)
         if cell in COLD:
@@ -117,8 +141,7 @@ def worker():
             start = time.perf_counter()
             result = getattr(spectra, name)(arg, cutoff)
             seconds = time.perf_counter() - start
-        out[cell_key(cell)] = [
-            seconds, hashlib.sha256(repr(result).encode()).hexdigest()]
+        out[cell_key(cell)] = [seconds, digest(result)]
     json.dump(out, sys.stdout)
 
 
