@@ -12,8 +12,8 @@ Run from the repository root:
 
 from fractions import Fraction
 
-from flagvar.bifurcation import (degeneracy_instants, instant_below,
-                                 rigidity_threshold)
+from flagvar.bifurcation import (degeneracy_instants, instant_base,
+                                 instant_below, rigidity_threshold)
 from flagvar.catalog import cross_check_closed_forms
 from flagvar.fibration import FibrationFamily, build_fibration
 
@@ -26,7 +26,7 @@ print("  u = {}  t = {:.12f}  (certified presentation error {:.1e})"
 
 print()
 print("first five instants, strictly decreasing:")
-for inst in degeneracy_instants(fib, Fraction(1, 10)):
+for inst in degeneracy_instants(fib, instant_base(fib, Fraction(1, 10))):
     print("  beta={:<5} mult={:<4} u={:<22} t={:.6f} bifurcation={}"
           .format(str(inst.beta), inst.mult, str(inst.u), inst.t,
                   inst.is_bifurcation))
@@ -50,7 +50,8 @@ for kind, n, tmin in [("su", 2, Fraction(1, 10)),
                       ("so-odd", 2, Fraction(1, 5)),
                       ("g2", 2, Fraction(11, 100))]:
     f = build_fibration(FibrationFamily(kind, n))
-    rows = cross_check_closed_forms(f, degeneracy_instants(f, tmin))
+    base = instant_base(f, tmin)
+    rows = cross_check_closed_forms(f, base, degeneracy_instants(f, base))
     print("{} cross-check:".format(f.family.label))
     for row in rows:
         mark = "agree" if row["agree"] else "DIFFER"

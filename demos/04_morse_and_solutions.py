@@ -20,7 +20,7 @@ from flagvar.fibration import FibrationFamily, build_fibration
 
 fib = build_fibration(FibrationFamily("su", 2))
 base = instant_base(fib, Fraction(1, 10))
-instants = degeneracy_instants(fib, Fraction(1, 10))
+instants = degeneracy_instants(fib, base)
 
 print("SU(3)/T^2 Morse index, stepping down toward t = 1:")
 previous = None

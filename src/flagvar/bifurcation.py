@@ -19,7 +19,6 @@ degenerate where it equals one).  No surd is ordered.
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .spectra import (base_spectrum, base_spectrum_first, flag_minimum,
@@ -87,11 +86,9 @@ def rigidity_threshold(fib):
     return solve_instant(fib, first.value, first.mult)
 
 
-@lru_cache(maxsize=16)
 def instant_base(fib, t_min):
     """The base entries up to scal(t_min)/(m-1), by increasing value:
-    those whose instants lie at or above t_min.  Cached, since verify
-    reads it for both the instants and the Morse checks."""
+    those whose instants lie at or above t_min."""
     t_min = Fraction(t_min)
     if not 0 < t_min < 1:
         raise ValueError("t_min must lie in (0, 1)")
@@ -99,14 +96,15 @@ def instant_base(fib, t_min):
     return tuple(base_spectrum(fib.family, cutoff))
 
 
-def degeneracy_instants(fib, t_min):
-    """All instants with t >= t_min, one per entry of ``instant_base``.
+def degeneracy_instants(fib, base):
+    """One instant per entry of ``base``, with ``base`` from
+    ``instant_base`` down to some t_min: all instants with t >= t_min.
 
     The result is sorted by decreasing t: beta strictly rises along it,
     which is re-verified pair by pair, and s(u) strictly falls.
     """
     instants = [solve_instant(fib, entry.value, entry.mult)
-                for entry in instant_base(fib, t_min)]
+                for entry in base]
     for earlier, later in zip(instants, instants[1:]):
         if not later.beta > earlier.beta:
             raise AssertionError("instants failed to decrease strictly")

@@ -24,9 +24,8 @@ from .bifurcation import (degeneracy_instants, instant_base, morse_index,
                           multiplicity_lower_bound, rigidity_threshold)
 from .curvature import ScalPoly
 from .rootsys import FamilyTag
-from .spectra import (_first_entries, _form_value, base_spectrum,
-                      base_spectrum_first, flag_minimum, flag_spectrum,
-                      is_dominant_class_one)
+from .spectra import (_first_entries, _form_value, flag_minimum,
+                      flag_spectrum, is_dominant_class_one)
 from .surd import QuadraticSurd
 from .variation import gap_certificate
 
@@ -46,9 +45,9 @@ class Catalogued(namedtuple(
 
     ``scal(n)`` is the closed-form ScalPoly; ``mu1(n)`` and ``beta1(n)``
     the hand-stated first flag and base eigenvalues, independent checks
-    on flag_minimum and base_spectrum_first.  ``instant(n, label)`` is
-    the catalogued u = t**2 for the base weight ``label``, with (1,) the
-    threshold; it is None where no sequence is catalogued.
+    on flag_minimum and the rigidity threshold's beta.  ``instant(n,
+    label)`` is the catalogued u = t**2 for the base weight ``label``,
+    with (1,) the threshold; it is None where no sequence is catalogued.
     ``agrees(n, label)`` says whether that statement matches the
     derivation, label None standing for scal(t); ``note`` is the known
     cause of a disagreeing sequence row; ``ledger`` the discrepancies.
@@ -228,10 +227,11 @@ def scal_closed_form(family):
     return CATALOGUE[family.kind].scal(family.n)
 
 
-def cross_check_closed_forms(fib, instants):
+def cross_check_closed_forms(fib, base, instants):
     """Compare solved instants against the catalogued sequence formulas.
 
-    Each instant's base weights come from ``base_spectrum``; each row
+    ``instants`` are ``degeneracy_instants(fib, base)``, so each one's
+    base weights are the label of its own ``base`` entry; each row
     pairs the solved t with the catalogued one for one weight and
     records whether their u = t**2 are equal as exact surds.  A row the
     record expects to disagree, other than the threshold's, carries the
@@ -240,13 +240,11 @@ def cross_check_closed_forms(fib, instants):
     """
     n = fib.family.n
     record = CATALOGUE[fib.family.kind]
-    if record.instant is None or not instants:
+    if record.instant is None:
         return []
-    cutoff = max(inst.beta for inst in instants)
-    labels = {e.value: e.label for e in base_spectrum(fib.family, cutoff)}
     rows = []
-    for inst in instants:
-        group = labels[inst.beta]
+    for entry, inst in zip(base, instants):
+        group = entry.label
         # One generator (su, so-odd) labels a value by its one x = (q,).
         for label in group if isinstance(group[0], tuple) else (group,):
             u = record.instant(n, label)
@@ -374,18 +372,14 @@ def audit(fib):
     checks.append(("flag-minimum",
                    flag_minimum(fib.family.root_family).value
                    == record.mu1(n)))
-    checks.append(("base-minimum",
-                   base_spectrum_first(fib.family, 1)[0].value
-                   == record.beta1(n)))
-    checks.append(("gap-certificate", gap_certificate(fib)["holds"]))
-
     threshold = rigidity_threshold(fib)
+    checks.append(("base-minimum", threshold.beta == record.beta1(n)))
+    checks.append(("gap-certificate", gap_certificate(fib)["holds"]))
     checks.append(("threshold-in-unit-interval",
                    threshold.beta > fib.scal_over_m_minus_1(1)))
 
-    t_min = Fraction(11, 100)
-    instants = degeneracy_instants(fib, t_min)
-    base = instant_base(fib, t_min)
+    base = instant_base(fib, Fraction(11, 100))
+    instants = degeneracy_instants(fib, base)
     checks.append(("instants-bifurcate",
                    bool(instants)
                    and all(inst.is_bifurcation for inst in instants)))
@@ -406,7 +400,7 @@ def audit(fib):
     checks.append(("one-solution-at-one",
                    multiplicity_lower_bound(fib, base, 1) == 1))
 
-    report = cross_check_closed_forms(fib, instants)
+    report = cross_check_closed_forms(fib, base, instants)
     checks.append(("closed-form-cross-check",
                    all(row["agree"] == record.agrees(n, row["label"])
                        for row in report)))

@@ -133,7 +133,8 @@ def cmd_scal(args):
 
 def cmd_instants(args):
     fib = _build_fib(args)
-    instants = degeneracy_instants(fib, _rational(args, "tmin"))
+    instants = degeneracy_instants(
+        fib, instant_base(fib, _rational(args, "tmin")))
     _emit_table(fib, args, "instants",
                 ("beta", "u", "t", "t_error", "mult", "is_bifurcation"),
                 [(_frac(inst.beta), str(inst.u), inst.t, inst.t_error,
@@ -227,7 +228,7 @@ def cmd_figure(args):
     t_min, t_max = _parse_window(args)
     names, rows = figure_series(fib, t_min, t_max)
     if args.format == "svg":
-        verticals = degeneracy_instants(fib, t_min)
+        verticals = degeneracy_instants(fib, instant_base(fib, t_min))
         _emit(_svg_figure(fib, names, rows, verticals, t_min, t_max), args)
     elif args.format == "json":
         _emit(_json_text(fib, grid={"columns": names, "rows": rows}), args)

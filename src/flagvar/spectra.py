@@ -169,12 +169,13 @@ def _form(gram, scale, generators, den):
     rows of simple-root coefficients, has value scale*(p'Gp + sum G_ii
     p_i) = factor*(a'Wa + w.a), p the simple-root coefficients of lam,
     W = (g_j'G g_k)_jk, w_j = den*sum_i g_ji G_ii, factor = scale/den**2.
+    W is (g_j'G).g_k, each row g_j'G formed once.
     Unless W and w are entrywise non-negative, W's diagonal and the
     scale positive, as for dominant generators, ValueError is raised;
     then the form never decreases in any coordinate."""
-    quad = [[sum(x * sum(c * y for c, y in zip(row, h))
-                 for x, row in zip(g, gram))
-             for h in generators] for g in generators]
+    g_gram = [[sum(map(mul, g, col)) for col in zip(*gram)]
+              for g in generators]
+    quad = [[sum(map(mul, gg, h)) for h in generators] for gg in g_gram]
     linear = [den * sum(x * row[i] for i, (x, row) in enumerate(zip(g, gram)))
               for g in generators]
     if (scale <= 0 or min(chain(linear, *quad)) < 0

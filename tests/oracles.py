@@ -158,6 +158,13 @@ def fundamental_coefficients(gram):
             for j, row in enumerate(gram)]
 
 
+def gram_products(gram, generators):
+    """W_jk = g_j'G g_k over integer rows g, one fresh double sum each."""
+    return [[sum(x * sum(c * y for c, y in zip(row, h))
+                 for x, row in zip(g, gram))
+             for h in generators] for g in generators]
+
+
 @lru_cache(maxsize=None)
 def _inverse_gram(simple):
     """The rows of G^-1, G the Gram matrix of ``simple``: one Fraction

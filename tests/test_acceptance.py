@@ -112,7 +112,7 @@ def test_criterion_03():
 def test_criterion_04(tmp_path):
     fib = _fib("su", 2)
     poly = fib.scal
-    instants = degeneracy_instants(fib, Fraction(1, 10))
+    instants = degeneracy_instants(fib, instant_base(fib, Fraction(1, 10)))
     ok = len(instants) == 5
     first = instants[0]
     ok = ok and first.u == QuadraticSurd(-18, 1, 2, 340)
@@ -148,7 +148,8 @@ def test_criterion_05():
 
 def test_criterion_06():
     fib = _fib("g2", 2)
-    instants = degeneracy_instants(fib, Fraction(11, 100))
+    base = instant_base(fib, Fraction(11, 100))
+    instants = degeneracy_instants(fib, base)
     ok = instants[0].beta == Fraction(7, 6)
     ok = ok and abs(instants[0].t - 0.27395) < 5e-6
     # scal(t)/11 < mu1 + (1/t**2 - 1)*phi1 at every computed instant,
@@ -159,7 +160,7 @@ def test_criterion_06():
     for inst in instants:
         u_margin = fraction_surd(inst.u) * (mu1 - inst.beta - phi1) + phi1
         ok = ok and u_margin.sign() > 0
-    rows = cross_check_closed_forms(fib, instants)
+    rows = cross_check_closed_forms(fib, base, instants)
     ok = ok and len(rows) == 4
     for row in rows:
         r, s = row["label"]
@@ -171,8 +172,8 @@ def test_criterion_07():
     ok = True
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
-        instants = degeneracy_instants(fib, Fraction(1, 10))
         base = instant_base(fib, Fraction(1, 10))
+        instants = degeneracy_instants(fib, base)
         b = instants[0]
         just_above = Fraction(int(b.t * 10 ** 6) + 2, 10 ** 6)
         ok = ok and b.u < just_above * just_above
@@ -191,8 +192,8 @@ def test_criterion_07():
     ok = ok and jump == 5 == sphere_multiplicity(2, 1)
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
-        instants = degeneracy_instants(fib, Fraction(1, 10))
         base = instant_base(fib, Fraction(1, 10))
+        instants = degeneracy_instants(fib, base)
         grid = [Fraction(k, 100) for k in range(100, 10, -1)]
         values = [morse_index(fib, base, t) for t in grid
                   if all(inst.u != t * t for inst in instants)]
@@ -245,8 +246,8 @@ def test_criterion_10():
     ok = True
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
-        instants = degeneracy_instants(fib, Fraction(1, 10))
         base = instant_base(fib, Fraction(1, 10))
+        instants = degeneracy_instants(fib, base)
         for first, second in zip(instants, instants[1:]):
             mid = Fraction(int((first.t + second.t) / 2 * 10 ** 9), 10 ** 9)
             ok = ok and multiplicity_lower_bound(fib, base, mid) == 3

@@ -46,7 +46,7 @@ def test_su3_first_instant_exact():
 
 def test_su3_second_instant_exact():
     fib = _setup("su", 2)
-    instants = degeneracy_instants(fib, Fraction(1, 5))
+    instants = degeneracy_instants(fib, instant_base(fib, Fraction(1, 5)))
     assert len(instants) == 2
     second = instants[1]
     assert second.beta == Fraction(8, 3)
@@ -58,7 +58,7 @@ def test_su3_second_instant_exact():
 
 def test_su3_first_five_instants():
     fib = _setup("su", 2)
-    instants = degeneracy_instants(fib, Fraction(1, 10))
+    instants = degeneracy_instants(fib, instant_base(fib, Fraction(1, 10)))
     assert len(instants) == 5
     assert [i.beta for i in instants] == [
         Fraction(1), Fraction(8, 3), Fraction(5), Fraction(8), Fraction(35, 3)]
@@ -74,7 +74,7 @@ def test_su3_roots_satisfy_defining_quadratic_exactly():
     fib = _setup("su", 2)
     m = fib.m_total
     poly = fib.scal
-    for inst in degeneracy_instants(fib, Fraction(1, 10)):
+    for inst in degeneracy_instants(fib, instant_base(fib, Fraction(1, 10))):
         u = fraction_surd(inst.u)
         residual = (poly.e * (u * u)
                     + (poly.c - inst.beta * (m - 1) * poly.d) * u + poly.a)
@@ -98,7 +98,7 @@ def test_so5_threshold_exact():
 
 def test_g2_instants_at_low_cut():
     fib = _setup("g2", 2)
-    instants = degeneracy_instants(fib, Fraction(11, 100))
+    instants = degeneracy_instants(fib, instant_base(fib, Fraction(11, 100)))
     assert [i.beta for i in instants] == [
         Fraction(7, 6), Fraction(5, 2), Fraction(3), Fraction(14, 3)]
     assert [i.mult for i in instants] == [27, 77, 182, 729]
@@ -107,11 +107,11 @@ def test_g2_instants_at_low_cut():
 
 # -- input validation ------------------------------------------------------
 
-def test_degeneracy_instants_rejects_bad_t_min():
+def test_instant_base_rejects_bad_t_min():
     fib = _setup("su", 2)
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
         with pytest.raises(ValueError):
-            degeneracy_instants(fib, bad)
+            instant_base(fib, bad)
 
 
 def test_solve_instant_rejects_wrong_sign_polynomial(monkeypatch):
@@ -137,7 +137,7 @@ def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
     family = FibrationFamily(kind, n)
     for phi1 in (Fraction(1, 50), Fraction(1, 1000)):
         fib = build_fibration(family, phi1)
-        instants = degeneracy_instants(fib, Fraction(1, 5))
+        instants = degeneracy_instants(fib, instant_base(fib, Fraction(1, 5)))
         for inst in instants:
             assert inst.is_bifurcation == flag_by_gap_quadratic(fib, inst.u)
         assert not all(inst.is_bifurcation for inst in instants)
@@ -145,7 +145,7 @@ def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
     # phi1 = u*(beta - mu1)/(1 - u): probe 1% either side of it.
     mu1 = flag_minimum(family.root_family).value
     fib = build_fibration(family)
-    for inst in degeneracy_instants(fib, Fraction(1, 5)):
+    for inst in degeneracy_instants(fib, instant_base(fib, Fraction(1, 5))):
         assert inst.is_bifurcation and flag_by_gap_quadratic(fib, inst.u)
         if inst.beta > mu1:
             u = inst.t ** 2
@@ -172,7 +172,7 @@ def test_every_instant_verdict_agrees_with_the_fraction_oracle(kind, n):
     flags = set()
     for phi1 in (None, Fraction(1, 3), Fraction(1, 50), Fraction(1, 1000)):
         fib = build_fibration(family, phi1)
-        instants = degeneracy_instants(fib, Fraction(1, 20))
+        instants = degeneracy_instants(fib, instant_base(fib, Fraction(1, 20)))
         us = [fraction_surd(inst.u) for inst in instants]
         for inst, u in zip(instants, us):
             over = inst.beta + fib.phi1 - mu1
@@ -312,8 +312,8 @@ def test_bisection_matches_the_linear_scan(kind, n):
     fib = _setup(kind, n)
     t_min = (Fraction(1, 100) if kind in ("sp", "so-even")
              else Fraction(7, 1000))
-    instants = degeneracy_instants(fib, t_min)
     base = instant_base(fib, t_min)
+    instants = degeneracy_instants(fib, base)
     assert len(instants) > 80
     for i in range(101):
         t = t_min + (1 - t_min) * i / 100
@@ -338,7 +338,8 @@ PROPERTY_GRID = [(kind, n, t_min)
 @lru_cache(maxsize=None)
 def _solved(kind, n, t_min):
     fib = _setup(kind, n)
-    return fib, instant_base(fib, t_min), degeneracy_instants(fib, t_min)
+    base = instant_base(fib, t_min)
+    return fib, base, degeneracy_instants(fib, base)
 
 
 @lru_cache(maxsize=None)
@@ -452,8 +453,9 @@ def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
 
 def test_cross_check_su_all_agree():
     fib = _setup("su", 2)
-    instants = degeneracy_instants(fib, Fraction(1, 10))
-    rows = cross_check_closed_forms(fib, instants)
+    base = instant_base(fib, Fraction(1, 10))
+    instants = degeneracy_instants(fib, base)
+    rows = cross_check_closed_forms(fib, base, instants)
     assert len(rows) == 5
     assert all(row["agree"] for row in rows)
     assert all(not row["note"] for row in rows)
@@ -461,8 +463,9 @@ def test_cross_check_su_all_agree():
 
 def test_cross_check_so_odd_radicand_mismatch():
     fib = _setup("so-odd", 2)
-    instants = degeneracy_instants(fib, Fraction(2, 10))
-    rows = cross_check_closed_forms(fib, instants)
+    base = instant_base(fib, Fraction(2, 10))
+    instants = degeneracy_instants(fib, base)
+    rows = cross_check_closed_forms(fib, base, instants)
     assert rows[0]["agree"]
     for row in rows[1:]:
         assert not row["agree"]
@@ -512,8 +515,9 @@ def test_so_odd_quartered_sequence_is_a_catalogued_scal_instant(n):
 
 def test_cross_check_g2_mismatch_only_off_axis():
     fib = _setup("g2", 2)
-    instants = degeneracy_instants(fib, Fraction(11, 100))
-    rows = cross_check_closed_forms(fib, instants)
+    base = instant_base(fib, Fraction(11, 100))
+    instants = degeneracy_instants(fib, base)
+    rows = cross_check_closed_forms(fib, base, instants)
     assert len(rows) == 4
     by_label = {row["label"]: row for row in rows}
     for label, row in by_label.items():
@@ -528,5 +532,6 @@ def test_cross_check_g2_mismatch_only_off_axis():
 @pytest.mark.parametrize("kind,n", [("sp", 3), ("so-even", 4)])
 def test_cross_check_empty_where_no_sequences_catalogued(kind, n):
     fib = _setup(kind, n)
-    instants = degeneracy_instants(fib, Fraction(1, 2))
-    assert cross_check_closed_forms(fib, instants) == []
+    base = instant_base(fib, Fraction(1, 2))
+    assert cross_check_closed_forms(
+        fib, base, degeneracy_instants(fib, base)) == []

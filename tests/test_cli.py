@@ -7,6 +7,7 @@ import io
 import json
 import pathlib
 import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -315,13 +316,13 @@ def test_threshold_outside_the_unit_interval_is_one_line(capsys, monkeypatch):
 
 def test_repeated_beta_fails_the_decrease_in_one_line(capsys, monkeypatch):
     # Two instants from one base value do not decrease strictly.
-    real = bifurcation.instant_base
+    real = cli.instant_base
 
     def repeated(fib, t_min):
         base = real(fib, t_min)
         return base[:2] + base[1:]
 
-    monkeypatch.setattr(bifurcation, "instant_base", repeated)
+    monkeypatch.setattr(cli, "instant_base", repeated)
     code, out, err = run(capsys, ["instants", "--family", "su", "--n", "2"])
     assert code == 1 and out == ""
     assert err == ("flagvar: certificate failed: instants failed to"
@@ -348,9 +349,7 @@ def test_internal_exactness_failure_exits_1(capsys, monkeypatch):
         return rows, den * 10**30
 
     monkeypatch.setattr(spectra, "_weyl_rows", wrong)
-    bifurcation.instant_base.cache_clear()
     code, out, err = run(capsys, ["instants", "--family", "su", "--n", "3"])
-    bifurcation.instant_base.cache_clear()
     assert code == 1 and out == ""
     assert err.startswith("flagvar: certificate failed: ")
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -409,16 +408,11 @@ def test_grading_fault_exits_1(capsys, monkeypatch):
                                  "verify"])
 def test_scal_shape_fault_exits_1(capsys, monkeypatch, sub):
     # scal(t) with E > 0 breaks the one A > 0 > E check every subcommand
-    # past it relies on.  The instant_base cache keys on equal
-    # fibrations, so it is emptied around the patched run.
+    # past it relies on.
     one = Fraction(1)
     monkeypatch.setattr(fibration, "scal_wz",
                         lambda fib: ScalPoly(one, one, one, one))
-    bifurcation.instant_base.cache_clear()
-    try:
-        code, out, err = run(capsys, [sub, "--family", "su", "--n", "2"])
-    finally:
-        bifurcation.instant_base.cache_clear()
+    code, out, err = run(capsys, [sub, "--family", "su", "--n", "2"])
     assert code == 1 and out == ""
     assert err == "flagvar: certificate failed: scal(t) breaks A > 0 > E\n"
 
@@ -435,6 +429,30 @@ def test_verify_derives_scal_once(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--family", "sp", "--n", "3"])
     assert code == 0
     assert families == [("sp", 3)]
+
+
+@pytest.mark.parametrize("sub,n,t_min,at_one", [
+    ("verify", 3, Fraction(11, 100), True),
+    ("instants", 2, Fraction(1, 10), False),
+    ("morse", 2, Fraction(1, 10), False)])
+def test_each_query_walks_the_base_once_per_cutoff(capsys, monkeypatch, sub,
+                                                   n, t_min, at_one):
+    # verify walks the base at cutoff 1 for beta1 and once up to
+    # s(t_min**2) for the instants, the Morse checks and the cross-check;
+    # instants and morse walk it once.
+    cutoffs = []
+    real = spectra._lattice_points
+
+    def counted(*args):
+        if sys._getframe(1).f_code is spectra.base_spectrum.__code__:
+            cutoffs.append(args[-2])
+        return real(*args)
+
+    monkeypatch.setattr(spectra, "_lattice_points", counted)
+    code, _, _ = run(capsys, [sub, "--family", "su", "--n", str(n)])
+    assert code == 0
+    fib = fibration.build_fibration(fibration.FibrationFamily("su", n))
+    assert cutoffs == [1] * at_one + [fib.scal_over_m_minus_1(t_min * t_min)]
 
 
 def test_usage_error_bad_tmin(capsys):

@@ -16,15 +16,16 @@ from flagvar.catalog import (bn_dominance_row_report,
                              cn_first_eigenvalue_report)
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
-from flagvar.spectra import (_fundamental_coefficients, _gram,
+from flagvar.spectra import (_base_generators, _form,
+                             _fundamental_coefficients, _gram,
                              _lattice_points, _simple_gram, _weyl_rows,
                              base_spectrum, base_spectrum_first,
                              fiber_spectrum, flag_minimum, flag_spectrum,
                              is_dominant_class_one, kramer_basis, weyl_dim)
 from oracles import (ambient_weight, casimir_of_weight, catalogued_c_mu,
                      cpn_multiplicity, flag_mu, freudenthal_multiplicities,
-                     fundamental_coefficients, simple_coordinates,
-                     solve_linear, sphere_multiplicity)
+                     fundamental_coefficients, gram_products,
+                     simple_coordinates, solve_linear, sphere_multiplicity)
 from test_acceptance import CASES
 
 
@@ -780,6 +781,37 @@ def test_single_generator_bases_match_closed_forms(kind, n):
     entries = base_spectrum(FibrationFamily(kind, n), value(6))
     assert [(e.value, e.mult, e.label) for e in entries] == [
         (value(q), mult(q), (q,)) for q in range(1, 7)]
+
+
+# The fundamental weights of A1-8, B2-8, C3-8, D4-8 and G2, and the
+# spherical generators of every valid fibration up to rank 8.
+FORM_FAMILIES = ([FamilyTag("A", n) for n in range(1, 9)]
+                 + [FamilyTag("B", n) for n in range(2, 9)]
+                 + [FamilyTag("C", n) for n in range(3, 9)]
+                 + [FamilyTag("D", n) for n in range(4, 9)]
+                 + [FamilyTag("G2", 2)])
+FORM_BASES = ([FibrationFamily(kind, n)
+               for kind, low in (("su", 2), ("so-odd", 2), ("sp", 3),
+                                 ("so-even", 4))
+               for n in range(low, 9) if (kind, n) != ("so-odd", 3)]
+              + [FibrationFamily("g2", 2)])
+
+
+def _form_inputs(family):
+    """(G, scale, generators, den) of the flag or of the base."""
+    if isinstance(family, FibrationFamily):
+        return _base_generators(family.root_family, kramer_basis(family))
+    gram = _simple_gram(family)
+    coeffs, den = _fundamental_coefficients(gram)
+    return gram, build_root_system(family).scale, coeffs, den
+
+
+@pytest.mark.parametrize("family", FORM_FAMILIES + FORM_BASES,
+                         ids=lambda f: "{}{}".format(*f))
+def test_form_products_match_the_double_sum(family):
+    gram, scale, generators, den = _form_inputs(family)
+    assert _form(gram, scale, generators, den)[0] == gram_products(
+        gram, generators)
 
 
 def test_lattice_points_rejects_a_non_monotone_form():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flagvar.bifurcation import degeneracy_instants
+from flagvar.bifurcation import degeneracy_instants, instant_base
 from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.surd import QuadraticSurd, _sign
@@ -226,7 +226,7 @@ def test_consecutive_instants_order_as_the_fraction_oracle(kind, n):
     # The instants are checked to decrease by their rising beta alone;
     # the Fraction oracle orders the surds themselves, across fields.
     fib = build_fibration(FibrationFamily(kind, n))
-    instants = degeneracy_instants(fib, Fraction(7, 1000))
+    instants = degeneracy_instants(fib, instant_base(fib, Fraction(7, 1000)))
     assert len(instants) > 50
     for earlier, later in zip(instants, instants[1:]):
         assert later.beta > earlier.beta

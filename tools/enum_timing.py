@@ -9,8 +9,10 @@ and times, with ``time.perf_counter`` and one call per cell of the
 fixed grid below, ``import flagvar`` and then ``import flagvar.cli``,
 ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
 ``base_spectrum``, the root tables ``_root_coordinates`` and
-``_weyl_rows``, and scal(t) as ``build_fibration(...).scal``, cold
-(after every flagvar cache is emptied) where the grid says so.
+``_weyl_rows``, ``flag_minimum``, and scal(t) and phi1 as
+``build_fibration(...).scal`` and ``.phi1``, cold (after every flagvar
+cache is emptied) where the grid says so.  A full garbage collection
+runs before each timed cell, so no cell pays for the garbage of another.
 Workers inherit the environment, so with PYTHONDONTWRITEBYTECODE=1 and
 no ``__pycache__`` in the checkouts the import cells pay the compile
 from source that a cold command-line query pays.
@@ -22,6 +24,7 @@ comparison.  Standard library only.
 """
 
 import argparse
+import gc
 import hashlib
 import importlib
 import json
@@ -66,14 +69,18 @@ GRID = (IMPORTS + [("build_fibration", "g2", 2, None)]
 # Cells timed cold, after every flagvar cache is emptied: the table of
 # simple-root coordinates, the Weyl rows (which read that table where it
 # exists), a build, and scal(t) with its build, at ranks where the
-# positive roots run to hundreds or thousands.  They come last, so
-# emptying the caches leaves the cells above untouched.
+# positive roots run to hundreds or thousands; then the first flag
+# eigenvalue mu1 and the first fiber eigenvalue phi1 with its build,
+# whose enumerations form the generators' Gram products.  They come
+# last, so emptying the caches leaves the cells above untouched.
 COLD = ([(name, "su", n, None) for name in ("_root_coordinates", "_weyl_rows")
          for n in (40, 60)]
         + [("build_fibration", "su", 60, None)]
         + [("scal", kind, n, None)
            for kind, n in (("su", 30), ("su", 40), ("so-odd", 20), ("sp", 20),
-                           ("so-even", 20))])
+                           ("so-even", 20))]
+        + [(name, "su", n, None) for name in ("flag_minimum", "phi1")
+           for n in (40, 80)])
 GRID += COLD
 
 
@@ -99,9 +106,10 @@ def worker():
     """Time every grid cell once; print {cell: [seconds, output digest]},
     leaving out a cell whose function this checkout lacks.
     A build_fibration cell digests the partition and the fiber's simple
-    roots, a scal cell the polynomial."""
+    roots, a scal or phi1 cell the value."""
     out = {}
     for cell in IMPORTS:
+        gc.collect()
         start = time.perf_counter()
         importlib.import_module(cell[1])
         seconds = time.perf_counter() - start
@@ -115,17 +123,18 @@ def worker():
         family = FibrationFamily(kind, n)
         if cell in COLD:
             clear_caches()
+        gc.collect()
         if name == "build_fibration":
             start = time.perf_counter()
             fib = build_fibration(family)
             seconds = time.perf_counter() - start
             result = (fib.vertical_roots, fib.horizontal_roots,
                       fib.fiber_simple_roots)
-        elif name == "scal":
+        elif name in ("scal", "phi1"):
             start = time.perf_counter()
-            result = build_fibration(family).scal
+            result = getattr(build_fibration(family), name)
             seconds = time.perf_counter() - start
-        elif cutoff is None:  # a root table, keyed by the root family
+        elif cutoff is None:  # keyed by the root family
             table = getattr(spectra, name, None)
             if table is None:
                 continue
