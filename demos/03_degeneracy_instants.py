@@ -13,20 +13,23 @@ Run from the repository root:
 from fractions import Fraction
 
 from flagvar.bifurcation import (degeneracy_instants, instant_base,
-                                 instant_below, rigidity_threshold)
+                                 instant_below)
 from flagvar.catalog import cross_check_closed_forms
 from flagvar.fibration import FibrationFamily, build_fibration
 
 fib = build_fibration(FibrationFamily("su", 2))
+instants = degeneracy_instants(fib, instant_base(fib, Fraction(1, 10)))
 
-b = rigidity_threshold(fib)
+# The rigidity threshold is the first instant, that of the first base
+# eigenvalue; the solution is rigid above it.
+b = instants[0]
 print("SU(3)/T^2 rigidity threshold:")
 print("  u = {}  t = {:.12f}  (certified presentation error {:.1e})"
       .format(b.u, b.t, b.t_error))
 
 print()
 print("first five instants, strictly decreasing:")
-for inst in degeneracy_instants(fib, instant_base(fib, Fraction(1, 10))):
+for inst in instants:
     print("  beta={:<5} mult={:<4} u={:<22} t={:.6f} bifurcation={}"
           .format(str(inst.beta), inst.mult, str(inst.u), inst.t,
                   inst.is_bifurcation))

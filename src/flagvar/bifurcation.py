@@ -10,10 +10,14 @@ the instants are compared with are in ``catalog``.
 
 Every verdict is one rational comparison.  s(u) = scal(t)/(m-1)
 strictly falls as u rises, so the instant of beta lies below a rational
-x > 0 exactly when beta > s(x): the flag, the rigidity threshold and
-the decay witness read s at one point, and the Morse index and the
-solution count bisect s(t**2) among the base eigenvalues (t is
-degenerate where it equals one).  No surd is ordered.
+x > 0 exactly when beta > s(x): the flag and the decay witness read s
+at one point, and the Morse index and the solution count bisect s(t**2)
+among the base eigenvalues (t is degenerate where it equals one).  No
+surd is ordered.  The rigidity threshold is the first instant of
+``instant_base``, that of the first base eigenvalue beta1; it lies in
+(0, 1), with the solution rigid above it, exactly when beta1 > s(1).
+The flag's mu1 is one flag walk at cutoff 1, which G's highest root, a
+class-one weight of Casimir 1, keeps from being empty.
 """
 
 from bisect import bisect_left
@@ -21,8 +25,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .spectra import (base_spectrum, base_spectrum_first, flag_minimum,
-                      spherical_multiple_above, weyl_dim)
+from .spectra import (base_spectrum, flag_minimum, spherical_multiple_above,
+                      weyl_dim)
 from .surd import QuadraticSurd
 
 
@@ -76,14 +80,6 @@ def solve_instant(fib, beta, mult=1):
     t, t_err = u.sqrt_to_float()
     return DegeneracyInstant(u=u, t=t, t_error=t_err, beta=beta,
                              mult=mult, is_bifurcation=is_bif)
-
-
-def rigidity_threshold(fib):
-    """The instant for the first base eigenvalue; rigid on (b, 1]."""
-    first = base_spectrum_first(fib.family, 1)[0]
-    if not first.value > fib.scal_over_m_minus_1(1):
-        raise AssertionError("no degeneracy inside (0, 1)")
-    return solve_instant(fib, first.value, first.mult)
 
 
 def instant_base(fib, t_min):

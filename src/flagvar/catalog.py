@@ -21,11 +21,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bifurcation import (degeneracy_instants, instant_base, morse_index,
-                          multiplicity_lower_bound, rigidity_threshold)
+                          multiplicity_lower_bound)
 from .curvature import ScalPoly
 from .rootsys import FamilyTag
-from .spectra import (_first_entries, _form_value, flag_minimum,
-                      flag_spectrum, is_dominant_class_one)
+from .spectra import (_form_value, flag_minimum, flag_spectrum,
+                      is_dominant_class_one)
 from .surd import QuadraticSurd
 from .variation import gap_certificate
 
@@ -45,9 +45,10 @@ class Catalogued(namedtuple(
 
     ``scal(n)`` is the closed-form ScalPoly; ``mu1(n)`` and ``beta1(n)``
     the hand-stated first flag and base eigenvalues, independent checks
-    on flag_minimum and the rigidity threshold's beta.  ``instant(n,
-    label)`` is the catalogued u = t**2 for the base weight ``label``,
-    with (1,) the threshold; it is None where no sequence is catalogued.
+    on flag_minimum and on the first entry of the audit's instant base.
+    ``instant(n, label)`` is the catalogued u = t**2 for the base weight
+    ``label``, with (1,) the threshold; it is None where no sequence is
+    catalogued.
     ``agrees(n, label)`` says whether that statement matches the
     derivation, label None standing for scal(t); ``note`` is the known
     cause of a disagreeing sequence row; ``ledger`` the discrepancies.
@@ -281,18 +282,12 @@ def cn_first_eigenvalue_report(n):
     family = FamilyTag("C", n)
     gram = _catalogued_c_gram(n)
 
-    def catalogued(cutoff):
-        # The polynomial is the Casimir plus p_{n-1} p_n / (2(n+1)) >= 0,
-        # so the class-one points under the cutoff include all of its own.
-        found = []
-        for entry in flag_spectrum(family, cutoff):
-            for p in entry.label:
-                value = Fraction(_form_value(gram, p), 4 * (n + 1))
-                if value <= cutoff:
-                    found.append((value, p))
-        return sorted(found)
-
-    value, argmin = _first_entries(catalogued, 1)[0]
+    # The polynomial is the Casimir plus p_{n-1} p_n / (2(n+1)) >= 0,
+    # so the class-one points up to 1 include all of its own up to 1,
+    # among them (1, 2, ..., 2, 1), valued 1.
+    value, argmin = min(
+        (Fraction(_form_value(gram, p), 4 * (n + 1)), p)
+        for entry in flag_spectrum(family, 1) for p in entry.label)
     casimir = flag_minimum(family)
     stated = Fraction(4 * n - 1, 4 * (n + 1))
     return {
@@ -372,19 +367,21 @@ def audit(fib):
     checks.append(("flag-minimum",
                    flag_minimum(fib.family.root_family).value
                    == record.mu1(n)))
-    threshold = rigidity_threshold(fib)
-    checks.append(("base-minimum", threshold.beta == record.beta1(n)))
-    checks.append(("gap-certificate", gap_certificate(fib)["holds"]))
-    checks.append(("threshold-in-unit-interval",
-                   threshold.beta > fib.scal_over_m_minus_1(1)))
-
+    # The threshold is the first instant, that of base[0]: inside (0, 1)
+    # exactly when base[0] exceeds s(1).
     base = instant_base(fib, Fraction(11, 100))
     instants = degeneracy_instants(fib, base)
+    inside = bool(base) and base[0].value > fib.scal_over_m_minus_1(1)
+    checks.append(("base-minimum",
+                   bool(base) and base[0].value == record.beta1(n)))
+    checks.append(("gap-certificate", gap_certificate(fib)["holds"]))
+    checks.append(("threshold-in-unit-interval", inside))
     checks.append(("instants-bifurcate",
                    bool(instants)
                    and all(inst.is_bifurcation for inst in instants)))
+    # base[0] at s(1) makes t = 1 degenerate, where morse_index raises.
     checks.append(("morse-rigid-above-threshold",
-                   morse_index(fib, base, 1) == 0))
+                   inside and morse_index(fib, base, 1) == 0))
     samples = [Fraction(95, 100), Fraction(7, 10), Fraction(1, 2),
                Fraction(3, 10), Fraction(3, 20)]
     indices = [morse_index(fib, base, t) for t in samples]

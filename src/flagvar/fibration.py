@@ -26,7 +26,7 @@ from itertools import compress
 from .curvature import scal_wz
 from .exact import common_denominator
 from .rootsys import FamilyTag, build_root_system
-from .spectra import _first_entries, _root_coordinates, fiber_spectrum
+from .spectra import _root_coordinates, fiber_spectrum
 
 # Per kind: the root system's kind, the smallest valid rank (also the
 # default), the names of the total space, the base and the fiber, as
@@ -107,10 +107,12 @@ class FibrationData(namedtuple(
     @cached_property
     def phi1(self):
         """The phi1 given to ``build_fibration``, else the first fiber
-        eigenvalue, enumerated on first read."""
+        eigenvalue, enumerated on first read by one walk at cutoff 1:
+        each fiber factor's highest root is class-one, with some value
+        c_s < 1 under G's form."""
         if self.phi1_given is not None:
             return self.phi1_given
-        return _first_entries(lambda c: fiber_spectrum(self, c), 1)[0].value
+        return fiber_spectrum(self, 1)[0].value
 
     @cached_property
     def scal(self):

@@ -23,7 +23,10 @@ bound, and one enumerator that stops each coordinate at its first value
 over the cutoff finds every weight under it.  The walk carries each
 weight's integer vector, affine in a: den*p for the class-one test, and
 the Weyl factors for the base, so multiplicities are carried down the
-walk, not recomputed per weight.  The catalogued eigenvalue statements
+walk, not recomputed per weight.  A first value is one walk at cutoff
+1: a highest root is dominant and in its root lattice, G's has Casimir
+exactly 1 under the CK scale, and each fiber factor's has some c_s < 1
+there, so neither walk is empty.  The catalogued eigenvalue statements
 these are compared with are in ``catalog``.
 """
 
@@ -257,23 +260,11 @@ def flag_spectrum(family, cutoff):
     return _class_one_spectrum(rs.simple_roots, rs.scale, cutoff, "total")
 
 
-def _first_entries(fetch, count):
-    """First ``count`` entries of fetch(cutoff), doubling the cutoff
-    until that many appear.  It starts at 1: first values here are
-    about 1 or less, and the last sweep dominates the cost."""
-    cutoff = Fraction(1)
-    while True:
-        entries = fetch(cutoff)
-        if len(entries) >= count:
-            return entries[:count]
-        cutoff *= 2
-
-
 @lru_cache(maxsize=None)
 def flag_minimum(family):
-    """Smallest class-one eigenvalue, found by doubling the cutoff from
-    1; every family's minimum is at most 1, so one sweep suffices."""
-    return _first_entries(lambda c: flag_spectrum(family, c), 1)[0]
+    """Smallest class-one eigenvalue, the first of one walk at cutoff 1,
+    which G's highest root, valued 1, keeps from being empty."""
+    return flag_spectrum(family, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +332,6 @@ def spherical_multiple_above(fib_family, target):
     while (value := k * (k * quad[0][0] + linear[0])) <= limit:
         k += 1
     return factor * value, tuple(k * c for c in basis[0])
-
-
-def base_spectrum_first(fib_family, count):
-    """First ``count`` base entries, growing the cutoff as needed."""
-    return _first_entries(lambda c: base_spectrum(fib_family, c), count)
 
 
 # ---------------------------------------------------------------------------

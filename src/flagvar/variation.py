@@ -15,8 +15,8 @@ curves on a t-grid for the figure.
 from fractions import Fraction
 
 from .exact import common_denominator
-from .spectra import (_first_entries, base_spectrum_first, fiber_spectrum,
-                      flag_minimum, flag_spectrum)
+from .spectra import (base_spectrum, fiber_spectrum, flag_minimum,
+                      flag_spectrum)
 
 
 def gap_certificate(fib):
@@ -66,7 +66,8 @@ def figure_series(fib, t_min, t_max):
     division of the exact value.
     """
     steps = 120
-    constants = [float(x.value) for x in base_spectrum_first(fib.family, 6)]
+    constants = [float(x.value) for x in _first_entries(
+        lambda cut: base_spectrum(fib.family, cut), 6)]
     mus = [x.value for x in _first_entries(
         lambda cut: flag_spectrum(fib.family.root_family, cut), 6)]
     phis = [x.value for x in _first_entries(
@@ -89,3 +90,14 @@ def figure_series(fib, t_min, t_max):
                 for k, j in pairs]
         rows.append(row)
     return names, rows
+
+
+def _first_entries(fetch, count):
+    """First ``count`` entries of fetch(cutoff), doubling the cutoff
+    from 1 until that many appear; the last sweep dominates the cost."""
+    cutoff = Fraction(1)
+    while True:
+        entries = fetch(cutoff)
+        if len(entries) >= count:
+            return entries[:count]
+        cutoff *= 2

@@ -165,6 +165,19 @@ def gram_products(gram, generators):
              for h in generators] for g in generators]
 
 
+def highest_short_root_casimir(positive_roots, scale):
+    """Casimir of the highest short root theta_s of one simple system,
+    given by its positive roots in ambient coordinates, at CK scale
+    ``scale``: the largest scale*<r, r + 2*delta> over the shortest
+    positive roots r, 2*delta their sum.  Every other short root lies
+    below theta_s by a sum of positive roots, so <r, 2*delta> peaks
+    there."""
+    two_delta = [sum(col) for col in zip(*positive_roots)]
+    short = min(sum(x * x for x in r) for r in positive_roots)
+    return max(scale * sum(x * (x + d) for x, d in zip(r, two_delta))
+               for r in positive_roots if sum(x * x for x in r) == short)
+
+
 @lru_cache(maxsize=None)
 def _inverse_gram(simple):
     """The rows of G^-1, G the Gram matrix of ``simple``: one Fraction

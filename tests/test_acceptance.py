@@ -17,17 +17,16 @@ import pytest
 from flagvar import cli
 from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  instant_below, morse_index,
-                                 multiplicity_lower_bound,
-                                 rigidity_threshold, solve_instant)
+                                 multiplicity_lower_bound, solve_instant)
 from flagvar.catalog import (_su_threshold, cn_first_eigenvalue_report,
                              cross_check_closed_forms, scal_closed_form,
                              su_triple_census)
 from flagvar.curvature import scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag
-from flagvar.spectra import base_spectrum_first, flag_minimum, weyl_dim
+from flagvar.spectra import base_spectrum, flag_minimum, weyl_dim
 from flagvar.surd import QuadraticSurd
-from flagvar.variation import gap_certificate
+from flagvar.variation import _first_entries, gap_certificate
 from oracles import (FractionSurd, cpn_multiplicity, fraction_surd,
                      gap_quadratic, roots_in_unit_interval,
                      sphere_multiplicity, triple_scan)
@@ -104,7 +103,7 @@ def test_criterion_03():
                      "so-even": lambda n: Fraction(1),
                      "g2": lambda n: Fraction(7, 6)}
     for kind, n in CASES:
-        first = base_spectrum_first(FibrationFamily(kind, n), 1)[0]
+        first = base_spectrum(FibrationFamily(kind, n), 2)[0]
         ok = ok and first.value == expected_base[kind](n)
     assert _report(3, ok)
 
@@ -138,7 +137,7 @@ def test_criterion_04(tmp_path):
 
 def test_criterion_05():
     fib = _fib("so-odd", 2)
-    inst = rigidity_threshold(fib)
+    inst = degeneracy_instants(fib, instant_base(fib, Fraction(1, 5)))[0]
     ok = inst.u == QuadraticSurd(-4, 2, 1, 5)
     printed = (40 ** 0.5 / 2 ** 0.5 - 4) ** 0.5
     ok = ok and abs(inst.t - printed) < 1e-9
@@ -218,7 +217,8 @@ def test_criterion_09():
     for kind, n in REPRESENTATIVE:
         fib = _fib(kind, n)
         poly = fib.scal
-        entries = base_spectrum_first(fib.family, 50)
+        entries = _first_entries(
+            lambda cut: base_spectrum(fib.family, cut), 50)
         ok = ok and len(entries) == 50
         instants = []
         for entry in entries:

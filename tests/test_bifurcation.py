@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from flagvar import bifurcation, fibration
 from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  instant_below, morse_index,
-                                 multiplicity_lower_bound,
-                                 rigidity_threshold, solve_instant)
+                                 multiplicity_lower_bound, solve_instant)
 from flagvar.catalog import (_so_odd_sequence, _so_odd_threshold,
                              _su_sequence, _su_threshold,
                              cross_check_closed_forms, scal_closed_form)
 from flagvar.curvature import ScalPoly
 from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.spectra import (SpectrumEntry, base_spectrum, base_spectrum_first,
-                             flag_minimum, kramer_basis, weyl_dim)
+from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
+                             kramer_basis, weyl_dim)
 from flagvar.surd import QuadraticSurd
+from flagvar.variation import _first_entries
 from oracles import (FractionSurd, ambient_weight, casimir_of_weight,
                      flag_by_gap_quadratic, fraction_surd, value_at_t)
 
@@ -34,7 +34,7 @@ def _setup(kind, n):
 
 def test_su3_first_instant_exact():
     fib = _setup("su", 2)
-    inst = rigidity_threshold(fib)
+    inst = degeneracy_instants(fib, instant_base(fib, Fraction(1, 10)))[0]
     assert inst.beta == 1
     assert inst.mult == 8
     assert inst.u == QuadraticSurd(-18, 1, 2, 340)
@@ -85,7 +85,7 @@ def test_su3_roots_satisfy_defining_quadratic_exactly():
 
 def test_so5_threshold_exact():
     fib = _setup("so-odd", 2)
-    inst = rigidity_threshold(fib)
+    inst = degeneracy_instants(fib, instant_base(fib, Fraction(1, 5)))[0]
     assert inst.beta == Fraction(2, 3)
     assert inst.mult == 5
     assert inst.u == QuadraticSurd(-4, 2, 1, 5)
@@ -181,7 +181,7 @@ def test_every_instant_verdict_agrees_with_the_fraction_oracle(kind, n):
             flags.add(inst.is_bifurcation)
         assert all(later.cmp(earlier) < 0
                    for earlier, later in zip(us, us[1:]))
-        assert fraction_surd(rigidity_threshold(fib).u).cmp(1) < 0
+        assert us[0].cmp(1) < 0
     assert flags == {True, False}
 
 
@@ -504,7 +504,8 @@ def test_so_odd_quartered_sequence_is_a_catalogued_scal_instant(n):
     # (2p + q*sqrt(d))/(2r), a root of that scal's instant quadratic at
     # the q-th base eigenvalue.  As printed it is not (planted control).
     fib = _setup("so-odd", n)
-    for q, entry in enumerate(base_spectrum_first(fib.family, 6), start=1):
+    first_six = _first_entries(lambda cut: base_spectrum(fib.family, cut), 6)
+    for q, entry in enumerate(first_six, start=1):
         u = _so_odd_sequence(n, q)
         quartered = FractionSurd(2 * u.p, u.q, 2 * u.r, u.d)
         assert quartered.sign() > 0

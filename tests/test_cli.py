@@ -245,25 +245,111 @@ def test_every_family_has_one_catalogue_record():
             if record.instant is None} == {"sp", "so-even"}
 
 
-@pytest.mark.parametrize("kind,n,plant,check", [
-    ("g2", 2, lambda r: r._replace(agrees=lambda n, label: True),
-     "closed-form-cross-check"),
-    ("so-odd", 4, lambda r: r._replace(
-        agrees=lambda n, label: label is None or r.agrees(n, label)),
-     "scal-closed-form-pattern"),
-    ("sp", 3, lambda r: r._replace(agrees=lambda n, label: True),
-     "scal-closed-form-pattern"),
-    ("su", 2, lambda r: r._replace(mu1=lambda n: Fraction(2)),
-     "flag-minimum")],
-    ids=["g2-agrees", "so-odd-scal-agrees", "sp-agrees", "su-mu1"])
+def _record(kind, change):
+    """A plant putting change(record) in place of CATALOGUE[kind]."""
+    return lambda monkeypatch: monkeypatch.setitem(
+        catalog.CATALOGUE, kind, change(catalog.CATALOGUE[kind]))
+
+
+def _wrapped(name, wrap):
+    """A plant putting wrap(real) in place of ``catalog.<name>``."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        catalog, name, wrap(getattr(catalog, name)))
+
+
+def _first_base_at(offset):
+    """A plant moving base[0] of the audit's instant base to s(1) + offset,
+    which puts the first instant at t = 1 (offset 0) or past it."""
+    def wrap(real):
+        def planted(fib, t_min):
+            base = real(fib, t_min)
+            value = fib.scal_over_m_minus_1(1) + offset
+            return (base[0]._replace(value=value),) + base[1:]
+        return planted
+    return _wrapped("instant_base", wrap)
+
+
+# Per planted input: id, family, rank, further verify options, the plant,
+# and the checks it fails, in print order.
+PLANTED = [
+    ("g2-agrees", "g2", 2, [],
+     _record("g2", lambda r: r._replace(agrees=lambda n, label: True)),
+     ["closed-form-cross-check"]),
+    ("so-odd-scal-agrees", "so-odd", 4, [],
+     _record("so-odd", lambda r: r._replace(
+         agrees=lambda n, label: label is None or r.agrees(n, label))),
+     ["scal-closed-form-pattern"]),
+    ("sp-agrees", "sp", 3, [],
+     _record("sp", lambda r: r._replace(agrees=lambda n, label: True)),
+     ["scal-closed-form-pattern"]),
+    ("su-mu1", "su", 2, [],
+     _record("su", lambda r: r._replace(mu1=lambda n: Fraction(2))),
+     ["flag-minimum"]),
+    ("su-census", "su", 3, [],
+     _wrapped("su_triple_census",
+              lambda real: lambda fib: tuple(c + 1 for c in real(fib))),
+     ["triple-census"]),
+    ("so-even-beta1", "so-even", 4, [],
+     _record("so-even", lambda r: r._replace(beta1=lambda n: Fraction(2))),
+     ["base-minimum"]),
+    # Every instant bifurcates where the gap certificate holds, so no
+    # phi1 fails the flags alone.
+    ("su-phi1-gap", "su", 2, ["--phi1", "19/150"], None,
+     ["gap-certificate"]),
+    ("su-phi1-flag", "su", 2, ["--phi1", "1/10"], None,
+     ["gap-certificate", "instants-bifurcate"]),
+    ("so-odd-base-at-s1", "so-odd", 2, [], _first_base_at(0),
+     ["base-minimum", "threshold-in-unit-interval",
+      "morse-rigid-above-threshold", "closed-form-cross-check"]),
+    ("g2-base-below-s1", "g2", 2, [], _first_base_at(Fraction(-1, 1000)),
+     ["base-minimum", "threshold-in-unit-interval",
+      "morse-rigid-above-threshold", "one-solution-at-one",
+      "closed-form-cross-check"]),
+    ("sp-empty-base", "sp", 3, [],
+     _wrapped("instant_base", lambda real: lambda fib, t_min: ()),
+     ["base-minimum", "threshold-in-unit-interval", "instants-bifurcate",
+      "morse-rigid-above-threshold"]),
+    ("su-one-solution-between", "su", 2, [],
+     _wrapped("multiplicity_lower_bound",
+              lambda real: lambda fib, base, t: 1),
+     ["three-solutions-between-instants"]),
+    ("sp-stated-attained", "sp", 3, [],
+     _wrapped("cn_first_eigenvalue_report",
+              lambda real: lambda n: dict(real(n), stated=Fraction(1))),
+     ["sp-first-eigenvalue-discrepancy"]),
+    ("so-odd-witness-dominant", "so-odd", 2, [],
+     _wrapped("is_dominant_class_one", lambda real: lambda family, p: True),
+     ["dominance-row-witness"]),
+]
+
+
+@pytest.mark.parametrize("kind,n,options,plant,fails",
+                         [case[1:] for case in PLANTED],
+                         ids=[case[0] for case in PLANTED])
 def test_a_wrong_catalogue_record_fails_its_check(capsys, monkeypatch, kind,
-                                                  n, plant, check):
-    monkeypatch.setitem(catalog.CATALOGUE, kind,
-                        plant(catalog.CATALOGUE[kind]))
-    code, out, _ = run(capsys, ["verify", "--family", kind, "--n", str(n)])
-    assert code == 1
+                                                  n, options, plant, fails):
+    # Each planted input, a wrong record, a wrong option or a wrong
+    # derived value, fails exactly its checks, one line each.
+    if plant is not None:
+        plant(monkeypatch)
+    code, out, err = run(capsys, ["verify", "--family", kind, "--n", str(n)]
+                         + options)
+    assert code == 1 and err == ""
     assert [l for l in out.splitlines() if l.endswith("FAIL")] == [
-        "[{} n={}] {}: FAIL".format(kind, n, check), "VERIFY: FAIL"]
+        "[{} n={}] {}: FAIL".format(kind, n, check) for check in fails
+    ] + ["VERIFY: FAIL"]
+
+
+def test_every_verify_check_has_a_planted_failure(capsys):
+    # morse-nondecreasing is the one exception: it bisects a sorted base
+    # against a strictly falling s, so its indices cannot decrease.
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 0
+    printed = {m.group(1) for m in re.finditer(
+        r"^\[\S+ n=\d+\] (\S+): PASS$", out, re.M)}
+    planted = {check for *_, fails in PLANTED for check in fails}
+    assert printed == planted | {"morse-nondecreasing"}
+    assert "morse-nondecreasing" not in planted
 
 
 # -- failure and usage paths ----------------------------------------------
@@ -300,18 +386,16 @@ def test_surd_one_unit_off_fails_the_residual_in_one_line(
 
 
 def test_threshold_outside_the_unit_interval_is_one_line(capsys, monkeypatch):
-    # A first instant at u >= 1 is an internal fault, not a usage error.
-    # A first base eigenvalue valued s(1) plants it at the boundary u = 1.
-    real = bifurcation.base_spectrum_first
-
-    def at_one(family, count):
-        s_one = fibration.build_fibration(family).scal_over_m_minus_1(1)
-        return [entry._replace(value=s_one) for entry in real(family, 1)]
-
-    monkeypatch.setattr(bifurcation, "base_spectrum_first", at_one)
+    # A first base value at s(1) puts the threshold at t = 1, outside
+    # (0, 1): verify prints its failing checks and exits 1, no traceback.
+    _first_base_at(0)(monkeypatch)
     code, out, err = run(capsys, ["verify", "--family", "su", "--n", "2"])
-    assert code == 1 and out == ""
-    assert err == "flagvar: certificate failed: no degeneracy inside (0, 1)\n"
+    assert code == 1 and err == ""
+    assert [l for l in out.splitlines() if l.endswith("FAIL")] == [
+        "[su n=2] base-minimum: FAIL",
+        "[su n=2] threshold-in-unit-interval: FAIL",
+        "[su n=2] morse-rigid-above-threshold: FAIL",
+        "[su n=2] closed-form-cross-check: FAIL", "VERIFY: FAIL"]
 
 
 def test_repeated_beta_fails_the_decrease_in_one_line(capsys, monkeypatch):
@@ -431,28 +515,55 @@ def test_verify_derives_scal_once(capsys, monkeypatch):
     assert families == [("sp", 3)]
 
 
-@pytest.mark.parametrize("sub,n,t_min,at_one", [
-    ("verify", 3, Fraction(11, 100), True),
-    ("instants", 2, Fraction(1, 10), False),
-    ("morse", 2, Fraction(1, 10), False)])
-def test_each_query_walks_the_base_once_per_cutoff(capsys, monkeypatch, sub,
-                                                   n, t_min, at_one):
-    # verify walks the base at cutoff 1 for beta1 and once up to
-    # s(t_min**2) for the instants, the Morse checks and the cross-check;
-    # instants and morse walk it once.
-    cutoffs = []
-    real = spectra._lattice_points
+def _count_walks_and_solves(monkeypatch):
+    """(cutoffs, betas): the cutoff of every base walk and the beta of
+    every solved instant from now on."""
+    cutoffs, betas = [], []
+    real_walk, real_solve = spectra._lattice_points, bifurcation.solve_instant
 
-    def counted(*args):
+    def walk(*args):
         if sys._getframe(1).f_code is spectra.base_spectrum.__code__:
             cutoffs.append(args[-2])
-        return real(*args)
+        return real_walk(*args)
 
-    monkeypatch.setattr(spectra, "_lattice_points", counted)
+    def solve(fib, beta, mult=1):
+        betas.append(beta)
+        return real_solve(fib, beta, mult)
+
+    monkeypatch.setattr(spectra, "_lattice_points", walk)
+    monkeypatch.setattr(bifurcation, "solve_instant", solve)
+    return cutoffs, betas
+
+
+@pytest.mark.parametrize("sub,n,t_min,solves", [
+    ("verify", 3, Fraction(11, 100), True),
+    ("instants", 2, Fraction(1, 10), True),
+    ("morse", 2, Fraction(1, 10), False)])
+def test_each_query_walks_the_base_once_per_cutoff(capsys, monkeypatch, sub,
+                                                   n, t_min, solves):
+    # Each query walks the base once, up to s(t_min**2): verify reads
+    # the threshold off the instants, the Morse checks and the
+    # cross-check from that one walk.  verify and instants solve one
+    # instant per base entry; morse solves none.
+    cutoffs, betas = _count_walks_and_solves(monkeypatch)
     code, _, _ = run(capsys, [sub, "--family", "su", "--n", str(n)])
     assert code == 0
     fib = fibration.build_fibration(fibration.FibrationFamily("su", n))
-    assert cutoffs == [1] * at_one + [fib.scal_over_m_minus_1(t_min * t_min)]
+    assert cutoffs == [fib.scal_over_m_minus_1(t_min * t_min)]
+    base = bifurcation.instant_base(fib, t_min)
+    assert betas == [entry.value for entry in base] * solves
+
+
+def test_verify_walks_the_g2_base_once(capsys, monkeypatch):
+    # g2's first base value 7/6 exceeds 1, and verify still walks once.
+    cutoffs, betas = _count_walks_and_solves(monkeypatch)
+    code, _, _ = run(capsys, ["verify", "--family", "g2"])
+    assert code == 0
+    fib = fibration.build_fibration(fibration.FibrationFamily("g2"))
+    t_min = Fraction(11, 100)
+    assert cutoffs == [fib.scal_over_m_minus_1(t_min * t_min)]
+    base = bifurcation.instant_base(fib, t_min)
+    assert betas == [entry.value for entry in base]
 
 
 def test_usage_error_bad_tmin(capsys):

@@ -14,18 +14,20 @@ from hypothesis import strategies as st
 from flagvar import spectra
 from flagvar.catalog import (bn_dominance_row_report,
                              cn_first_eigenvalue_report)
+from flagvar.curvature import _fiber_factors
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
 from flagvar.spectra import (_base_generators, _form,
                              _fundamental_coefficients, _gram,
                              _lattice_points, _simple_gram, _weyl_rows,
-                             base_spectrum, base_spectrum_first,
-                             fiber_spectrum, flag_minimum, flag_spectrum,
-                             is_dominant_class_one, kramer_basis, weyl_dim)
+                             base_spectrum, fiber_spectrum, flag_minimum,
+                             flag_spectrum, is_dominant_class_one,
+                             kramer_basis, weyl_dim)
 from oracles import (ambient_weight, casimir_of_weight, catalogued_c_mu,
                      cpn_multiplicity, flag_mu, freudenthal_multiplicities,
                      fundamental_coefficients, gram_products,
-                     simple_coordinates, solve_linear, sphere_multiplicity)
+                     highest_short_root_casimir, simple_coordinates,
+                     solve_linear, sphere_multiplicity)
 from test_acceptance import CASES
 
 
@@ -456,11 +458,11 @@ def test_base_spectrum_sphere_closed_form():
 
 
 def test_base_spectrum_minima():
-    assert base_spectrum_first(FibrationFamily("su", 2), 1)[0].value == 1
-    assert base_spectrum_first(FibrationFamily("so-odd", 4), 1)[0].value == Fraction(4, 7)
-    assert base_spectrum_first(FibrationFamily("sp", 3), 1)[0].value == 1
-    assert base_spectrum_first(FibrationFamily("so-even", 4), 1)[0].value == 1
-    assert base_spectrum_first(FibrationFamily("g2", 2), 1)[0].value == Fraction(7, 6)
+    # Every first base value is at most 2, so one walk at 2 finds it.
+    for kind, n, first in [("su", 2, 1), ("so-odd", 4, Fraction(4, 7)),
+                           ("sp", 3, 1), ("so-even", 4, 1),
+                           ("g2", 2, Fraction(7, 6))]:
+        assert base_spectrum(FibrationFamily(kind, n), 2)[0].value == first
 
 
 def test_base_spectrum_g2_values_and_first_multiplicity():
@@ -783,6 +785,62 @@ def test_single_generator_bases_match_closed_forms(kind, n):
         (value(q), mult(q), (q,)) for q in range(1, 7)]
 
 
+# One walk at cutoff 1 finds mu1 and phi1: the highest short root
+# theta_s of a simple system is the least nonzero dominant weight in its
+# root lattice (Stembridge 1998), and its Casimir is at most 1.
+
+def _fibrations(top):
+    """Every valid fibration up to rank ``top``, kind by kind."""
+    return ([FibrationFamily(kind, n)
+             for kind, low in (("su", 2), ("so-odd", 2), ("sp", 3),
+                               ("so-even", 4))
+             for n in range(low, top + 1) if (kind, n) != ("so-odd", 3)]
+            + [FibrationFamily("g2", 2)])
+
+
+def _highest_root_casimir(positive_roots, scale):
+    """The planted control: theta, the highest root, in place of
+    theta_s; its Casimir is the largest over all positive roots."""
+    two_delta = [sum(col) for col in zip(*positive_roots)]
+    return max(scale * sum(x * (x + d) for x, d in zip(r, two_delta))
+               for r in positive_roots)
+
+
+@pytest.mark.parametrize("family", COORDINATE_FAMILIES,
+                         ids=lambda f: "{}{}".format(*f))
+def test_flag_minimum_is_the_highest_short_root_casimir(family):
+    rs = build_root_system(family)
+    value = highest_short_root_casimir(rs.positive_roots, rs.scale)
+    assert value == flag_minimum(family).value <= 1
+    # Planted control: theta has Casimir 1, which is mu1 only where
+    # every root is short.
+    planted = _highest_root_casimir(rs.positive_roots, rs.scale)
+    assert planted == 1
+    simply_laced = family.kind in ("A", "D")
+    assert (planted == flag_minimum(family).value) == simply_laced
+
+
+@pytest.mark.parametrize("family", _fibrations(12),
+                         ids=lambda f: "{}-{}".format(*f))
+def test_phi1_is_the_least_fiber_factor_casimir(family):
+    fib = build_fibration(family)
+    scale = fib.root_system.scale
+    values = [highest_short_root_casimir(factor, scale)
+              for factor in _fiber_factors(fib)]
+    assert fib.phi1 == min(values) < 1
+
+
+def test_dropping_the_short_g2_fiber_factor_misses_phi1():
+    fib = build_fibration(FibrationFamily("g2", 2))
+    factors = _fiber_factors(fib)
+    assert len(factors) == 2
+    short = min(factors, key=lambda f: sum(x * x for x in f[0]))
+    scale = fib.root_system.scale
+    kept = [highest_short_root_casimir(f, scale)
+            for f in factors if f is not short]
+    assert min(kept) != fib.phi1
+
+
 # The fundamental weights of A1-8, B2-8, C3-8, D4-8 and G2, and the
 # spherical generators of every valid fibration up to rank 8.
 FORM_FAMILIES = ([FamilyTag("A", n) for n in range(1, 9)]
@@ -790,11 +848,7 @@ FORM_FAMILIES = ([FamilyTag("A", n) for n in range(1, 9)]
                  + [FamilyTag("C", n) for n in range(3, 9)]
                  + [FamilyTag("D", n) for n in range(4, 9)]
                  + [FamilyTag("G2", 2)])
-FORM_BASES = ([FibrationFamily(kind, n)
-               for kind, low in (("su", 2), ("so-odd", 2), ("sp", 3),
-                                 ("so-even", 4))
-               for n in range(low, 9) if (kind, n) != ("so-odd", 3)]
-              + [FibrationFamily("g2", 2)])
+FORM_BASES = _fibrations(8)
 
 
 def _form_inputs(family):

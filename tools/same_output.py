@@ -13,7 +13,8 @@ eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50;
 catalogue's agreement pattern depends on the rank, and ``spectrum
 --family F --n N --cutoff 4`` there too, whose base labels list the
 spherical generators' coefficients in generator order; ``scal --family
-F --n N`` at the ranks in SCAL_RANKS, past the golden ones; and the usage
+F --n N`` at the ranks in SCAL_RANKS, past the golden ones; ``verify
+--family su --n N`` at the ranks in VERIFY_RANKS; and the usage
 errors in USAGE_ERRORS, whose stderr carries argparse's usage line and
 so each subparser's option order and choices.  stdout, stderr and the
 exit code must match.  Each difference is printed, then
@@ -52,6 +53,9 @@ SCAL_RANKS = ([("su", n) for n in (12, 20, 30)]
               + [(kind, n) for kind in ("so-odd", "sp", "so-even")
                  for n in (10, 12, 16)])
 
+# verify at high su ranks, where mu1 and phi1 are read off one walk each.
+VERIFY_RANKS = (40, 80)
+
 
 def argvs():
     """Every argv to compare, in a fixed order, without repeats."""
@@ -78,6 +82,7 @@ def argvs():
                     "--cutoff", "4"])
     out += [["scal", "--family", kind, "--n", str(n)]
             for kind, n in SCAL_RANKS]
+    out += [["verify", "--family", "su", "--n", str(n)] for n in VERIFY_RANKS]
     out += USAGE_ERRORS
     return [list(a) for a in dict.fromkeys(map(tuple, out))]
 
