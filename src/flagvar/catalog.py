@@ -388,10 +388,13 @@ def audit(fib):
     checks.append(("morse-nondecreasing",
                    all(a <= b for a, b in zip(indices, indices[1:]))))
     if len(instants) >= 2:
-        # The float t's only propose mid; exact rationals place it.
+        # The float t's only propose mid; exact rationals place it.  A
+        # first instant past t = 2 - t_1, a fault, puts mid past 1, where
+        # multiplicity_lower_bound raises.
         mid = Fraction(round((instants[0].t + instants[1].t) * 5e5), 10**6)
         checks.append(("three-solutions-between-instants",
-                       instants[0].beta < fib.scal_over_m_minus_1(mid * mid)
+                       mid <= 1 and instants[0].beta
+                       < fib.scal_over_m_minus_1(mid * mid)
                        < instants[1].beta
                        and multiplicity_lower_bound(fib, base, mid) == 3))
     checks.append(("one-solution-at-one",

@@ -257,13 +257,13 @@ def _wrapped(name, wrap):
         catalog, name, wrap(getattr(catalog, name)))
 
 
-def _first_base_at(offset):
-    """A plant moving base[0] of the audit's instant base to s(1) + offset,
-    which puts the first instant at t = 1 (offset 0) or past it."""
+def _first_base_at(offset, u=1):
+    """A plant moving base[0] of the audit's instant base to s(u) + offset,
+    which puts the first instant at t = 1 (u = 1, offset 0) or past it."""
     def wrap(real):
         def planted(fib, t_min):
             base = real(fib, t_min)
-            value = fib.scal_over_m_minus_1(1) + offset
+            value = fib.scal_over_m_minus_1(u) + offset
             return (base[0]._replace(value=value),) + base[1:]
         return planted
     return _wrapped("instant_base", wrap)
@@ -305,6 +305,11 @@ PLANTED = [
      ["base-minimum", "threshold-in-unit-interval",
       "morse-rigid-above-threshold", "one-solution-at-one",
       "closed-form-cross-check"]),
+    # A first instant at t = 2 puts the midpoint of the first two past 1.
+    ("su-base-at-s4", "su", 2, [], _first_base_at(0, u=4),
+     ["base-minimum", "threshold-in-unit-interval",
+      "morse-rigid-above-threshold", "three-solutions-between-instants",
+      "one-solution-at-one", "closed-form-cross-check"]),
     ("sp-empty-base", "sp", 3, [],
      _wrapped("instant_base", lambda real: lambda fib, t_min: ()),
      ["base-minimum", "threshold-in-unit-interval", "instants-bifurcate",
