@@ -2,9 +2,9 @@
 
 A degeneracy instant is a parameter t where scal(t)/(m-1) meets a base
 eigenvalue beta.  In u = t**2 that is the integer quadratic
-c0 + (c1 + slope*beta)*u + c2*u**2 = 0 read off ``fib.gap``, with
-c2 < 0 < c0 (A > 0 > E, certified where ``fib.scal`` is derived), which
-has exactly one positive root, printed as an exact quadratic surd whose
+a + b*u + e*u**2 = 0 of ``fib.gap_at(beta)``, with e < 0 < a
+(A > 0 > E, certified where ``fib.scal`` is derived), which has
+exactly one positive root, printed as an exact quadratic surd whose
 residual is checked to be literally zero.  The catalogued sequences
 the instants are compared with are in ``catalog``.
 
@@ -52,11 +52,9 @@ def solve_instant(fib, beta, mult=1):
     phi1 > 0 and over = beta + phi1 - mu1 it reads over <= 0 or
     u < phi1/over, that is beta > s(phi1/over): one rational comparison.
     """
-    c0, c1, slope, c2, den = fib.gap
     beta = Fraction(beta)
-    bn, bd = beta.numerator, beta.denominator
     # The quadratic at beta is (a, b, e)/k.
-    a, b, e, k = c0 * bd, c1 * bd + slope * bn, c2 * bd, den * bd
+    a, b, e, k = fib.gap_at(beta)
     disc = b * b - 4 * e * a
     # u = (b + sqrt(disc))/(-2e).  In lowest terms disc/k**2 is
     # (disc/g)/(k*k/g) with g = gcd(disc, k*k); over the integer radicand

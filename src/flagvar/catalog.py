@@ -284,17 +284,18 @@ def cn_first_eigenvalue_report(n):
 
     # The polynomial is the Casimir plus p_{n-1} p_n / (2(n+1)) >= 0,
     # so the class-one points up to 1 include all of its own up to 1,
-    # among them (1, 2, ..., 2, 1), valued 1.
+    # among them (1, 2, ..., 2, 1), valued 1.  The first of that one
+    # walk is the Casimir minimum.
+    walk = flag_spectrum(family, 1)
     value, argmin = min(
         (Fraction(_form_value(gram, p), 4 * (n + 1)), p)
-        for entry in flag_spectrum(family, 1) for p in entry.label)
-    casimir = flag_minimum(family)
+        for entry in walk for p in entry.label)
     stated = Fraction(4 * n - 1, 4 * (n + 1))
     return {
         "formula_min": value,
         "formula_argmin": argmin,
-        "casimir_min": casimir.value,
-        "casimir_argmin": casimir.label[0],
+        "casimir_min": walk[0].value,
+        "casimir_argmin": walk[0].label[0],
         "stated": stated,
         "consistent": value == stated,
     }

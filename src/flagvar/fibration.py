@@ -12,10 +12,11 @@ positive root is vertical exactly when its coefficient on that simple
 root, read off ``spectra._root_coordinates``, is even.  The same rule
 gives the fiber's simple roots, and through them its spectrum.  A
 fibration derives scal(t) once (``scal``, which certifies A > 0 > E)
-and, from it, the integer form ``gap`` of scal(t)/(m-1) that every
-comparison with an eigenvalue reads.  One ``_KINDS`` row per kind also
-holds the base's spherical generators as integer ambient weights; with
-``catalog``, this is the only module that names a kind.
+and, from it, the integer form ``gap`` of scal(t)/(m-1), which
+``gap_at`` reads at (mu, phi) for every comparison with an eigenvalue
+curve.  One ``_KINDS`` row per kind also holds the base's spherical
+generators as integer ambient weights; with ``catalog``, this is the
+only module that names a kind.
 """
 
 from collections import namedtuple
@@ -57,7 +58,10 @@ class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
 
     Validity: su needs n >= 2, so-odd n >= 2 with n = 3 excluded, sp
     n >= 3, so-even n >= 4; g2 takes no parameter (n is pinned to 2).
-    n defaults to the kind's smallest valid rank.
+    n defaults to the kind's smallest valid rank.  The so-odd n = 3
+    exclusion comes from the project's initial specification, which
+    gives no reason for it; no derivation here needs it (without it,
+    every subcommand runs at so-odd 3 and ``verify`` passes).
     """
 
     __slots__ = ()
@@ -139,6 +143,16 @@ class FibrationData(namedtuple(
         (c0, c1, c2, step), den = common_denominator(
             (poly.a, poly.c, poly.e, poly.d * (self.m_total - 1)))
         return c0, c1, -step, c2, den
+
+    def gap_at(self, mu, phi=0):
+        """``gap`` read at (mu, phi): integers (a, b, e, k) with
+        d*(m-1)*u*(s(u) - mu - (1/u - 1)*phi) = (a + b*u + e*u**2)/k in
+        u = t**2.  With (mu, phi) = (M, F)/j over the least common
+        denominator j, that is (c0*j + slope*F, c1*j + slope*(M - F),
+        c2*j, den*j): e < 0 < k, and at phi = 0, a > 0."""
+        c0, c1, slope, c2, den = self.gap
+        (m, f), j = common_denominator((mu, phi))
+        return c0 * j + slope * f, c1 * j + slope * (m - f), c2 * j, den * j
 
     def scal_over_m_minus_1(self, u):
         """s(u) = scal(t)/(m-1) at a rational u = t**2 > 0, one Fraction

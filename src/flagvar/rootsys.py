@@ -20,8 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add, mul, sub
 
-KINDS = ("A", "B", "C", "D", "G2")
-
+# The five kinds, each with its smallest rank.
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "G2": 2}
 
 
@@ -31,7 +30,7 @@ class FamilyTag(namedtuple("FamilyTag", "kind rank")):
     __slots__ = ()
 
     def __new__(cls, kind, rank):
-        if kind not in KINDS:
+        if kind not in _MIN_RANK:
             raise ValueError("unknown family kind {!r}".format(kind))
         if kind == "G2" and rank != 2:
             raise ValueError("G2 has fixed rank 2")

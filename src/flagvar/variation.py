@@ -4,12 +4,12 @@ Squeezing the fibers by t**2 turns each eigenvalue pair (mu, phi) of
 the total space and fiber into the curve lambda(t) = mu + (1/t**2 - 1)
 phi.  Constant curves are exactly the base eigenvalues.  Comparing
 scal(t)/(m - 1) with such a curve is, in u = t**2, the sign of one
-concave integer quadratic read off the fibration's form ``fib.gap``,
-which the degeneracy instants read at (beta, 0).  Here, read at
-(mu1, phi1), it gives the gap certificate, which decides by integer
-signs that scal(t)/(m - 1) stays strictly below the first candidate
-non-constant curve on all of (0, 1].  The module also lays out the
-curves on a t-grid for the figure.
+concave integer quadratic, ``fib.gap_at(mu, phi)``, which the
+degeneracy instants read at (beta, 0).  Here, read at (mu1, phi1), it
+gives the gap certificate, which decides by integer signs that
+scal(t)/(m - 1) stays strictly below the first candidate non-constant
+curve on all of (0, 1].  The module also lays out the curves on a
+t-grid for the figure.
 """
 
 from fractions import Fraction
@@ -23,21 +23,18 @@ def gap_certificate(fib):
     """Certify scal(t)/(m-1) < mu1 + (1/t**2 - 1)*phi1 on all of (0, 1].
 
     mu1 is the flag minimum and phi1 the fibration's, so a phi1 given to
-    ``build_fibration`` is the one tested.  With mu1 = M/k and
-    phi1 = F/k, ``fib.gap`` read at (mu1, phi1) is the integer concave
-    quadratic q = (c0*k + slope*F, c1*k + slope*(M - F), c2*k): over
-    den*k it is d*(m-1)*u*(scal(t)/(m-1) - mu1 - (1/u - 1)*phi1), in
-    u = t**2.  The claim is q < 0 on (0, 1].  It needs q(1) < 0; then,
-    with the vertex -c1/(2*c2) at or left of 0, also c0 <= 0; at or
-    right of 1, nothing more; in between, a negative maximum,
-    c1**2 < 4*c0*c2.  Returns a report dict with the verdict, q and
-    q(1), both over the ``denominator`` den*k.
+    ``build_fibration`` is the one tested.  ``fib.gap_at(mu1, phi1)``
+    is the integer concave quadratic q = (c0, c1, c2) over den: it is
+    d*(m-1)*u*(scal(t)/(m-1) - mu1 - (1/u - 1)*phi1), in u = t**2.  The
+    claim is q < 0 on (0, 1].  It needs q(1) < 0; then, with the vertex
+    -c1/(2*c2) at or left of 0, also c0 <= 0; at or right of 1, nothing
+    more; in between, a negative maximum, c1**2 < 4*c0*c2.  Returns a
+    report dict with the verdict, q and q(1), both over the
+    ``denominator`` den.
     """
     phi1 = fib.phi1
     mu1 = flag_minimum(fib.family.root_family).value
-    c0, c1, slope, c2, den = fib.gap
-    (m, f), k = common_denominator((mu1, phi1))
-    c0, c1, c2 = c0 * k + slope * f, c1 * k + slope * (m - f), c2 * k
+    c0, c1, c2, den = fib.gap_at(mu1, phi1)
     at_one = c0 + c1 + c2
     below = (c0 <= 0 if c1 <= 0
              else c1 >= -2 * c2 or c1 * c1 < 4 * c0 * c2)
@@ -47,7 +44,7 @@ def gap_certificate(fib):
         "mu1": mu1,
         "phi1": phi1,
         "polynomial": [c0, c1, c2],
-        "denominator": den * k,
+        "denominator": den,
         "value_at_one": at_one,
         "holds": at_one < 0 and below,
     }

@@ -868,6 +868,49 @@ def test_form_products_match_the_double_sum(family):
         gram, generators)
 
 
+def _form_products(monkeypatch, form, family):
+    """Integer products that ``form`` takes on the fundamental weights of
+    ``family``, each counted through ``spectra.mul``."""
+    inputs = _form_inputs(family)
+    count = [0]
+
+    def counting_mul(x, y):
+        count[0] += 1
+        return x * y
+
+    monkeypatch.setattr(spectra, "mul", counting_mul)
+    form(*inputs)
+    monkeypatch.undo()
+    return count[0]
+
+
+def _double_sum_form(gram, scale, generators, den):
+    """W with a fresh double sum per W_jk, the shape of
+    ``oracles.gram_products``, its products taken by ``spectra.mul``."""
+    return [[sum(map(spectra.mul, g,
+                     [sum(map(spectra.mul, row, h)) for row in gram]))
+             for h in generators] for g in generators]
+
+
+def _growth(monkeypatch, form, kind, r):
+    """Products at rank 2r over products at rank r."""
+    return (_form_products(monkeypatch, form, FamilyTag(kind, 2 * r))
+            / _form_products(monkeypatch, form, FamilyTag(kind, r)))
+
+
+@pytest.mark.parametrize("kind,r", [("A", 8), ("C", 6), ("D", 6)])
+def test_form_is_cubic_in_the_rank(monkeypatch, kind, r):
+    # O(r**3) products: doubling the rank multiplies them by 8, so by at
+    # most 10.  On A_r they are exactly 2r**3, r**3 for the rows g.G
+    # and r**3 for W.  No timing is involved.
+    assert _growth(monkeypatch, _form, kind, r) <= 10
+    if kind == "A":
+        assert _form_products(monkeypatch, _form, FamilyTag(kind, r)) == (
+            2 * r ** 3)
+    # Planted control: the O(r**4) double sum grows by about 16.
+    assert _growth(monkeypatch, _double_sum_form, kind, r) > 10
+
+
 def test_lattice_points_rejects_a_non_monotone_form():
     # The simple roots are not dominant: the A2 Gram has -1 off the
     # diagonal, so the form in their coefficients is not monotone.
@@ -882,6 +925,24 @@ def test_lattice_points_rejects_a_non_monotone_form():
 
 
 # -- catalogued-inconsistency reports -------------------------------------
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_cn_first_eigenvalue_report_walks_once(monkeypatch, n):
+    # On a cold cache the report walks C_n's class-one points up to 1
+    # once, and takes the Casimir minimum from that walk.
+    flag_minimum.cache_clear()
+    cutoffs = []
+    real_walk = spectra._lattice_points
+
+    def walk(*args):
+        cutoffs.append(args[-2])
+        return real_walk(*args)
+
+    monkeypatch.setattr(spectra, "_lattice_points", walk)
+    report = cn_first_eigenvalue_report(n)
+    assert cutoffs == [1]
+    assert report["casimir_min"] == flag_minimum(FamilyTag("C", n)).value
+
 
 def test_cn_first_eigenvalue_report():
     for n in range(3, 11):

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagvar import fibration
+from flagvar.bifurcation import instant_base
 from flagvar.catalog import CATALOGUE
 from flagvar.curvature import ScalPoly
 from flagvar.exact import common_denominator
@@ -140,6 +141,29 @@ def test_gap_is_the_gap_quadratic_over_one_denominator(kind, n):
         assert c2 < 0 < c0 and den > 0
 
 
+def _gap_at_points(f):
+    """(beta, 0) for every entry of the base down to t = 1/5, then
+    (mu1, phi1) and (mu1, phi1/1000)."""
+    mu1 = flag_minimum(f.family.root_family).value
+    return ([(entry.value, 0) for entry in instant_base(f, Fraction(1, 5))]
+            + [(mu1, f.phi1), (mu1, f.phi1 / 1000)])
+
+
+def _gap_at_is_the_gap_quadratic(f, mu, phi):
+    a, b, e, k = f.gap_at(mu, phi)
+    return ((Fraction(a, k), Fraction(b, k), Fraction(e, k))
+            == gap_quadratic(f, mu, phi))
+
+
+def _check_gap_at(f):
+    for mu, phi in _gap_at_points(f):
+        assert _gap_at_is_the_gap_quadratic(f, mu, phi)
+        a, b, e, k = f.gap_at(mu, phi)
+        assert e < 0 < k and all(isinstance(x, int) for x in (a, b, e, k))
+        if phi == 0:
+            assert f.gap_at(mu) == (a, b, e, k) and a > 0
+
+
 def test_gap_and_scal_over_m_minus_1_with_a_non_unit_denominator(
         monkeypatch):
     # The assembly always gives d = 1; a patched scal(t) with rational
@@ -154,6 +178,24 @@ def test_gap_and_scal_over_m_minus_1_with_a_non_unit_denominator(
         for t in (Fraction(1, 7), Fraction(2, 3), Fraction(1)):
             assert (f.scal_over_m_minus_1(t * t)
                     == value_at_t(poly, t) / (f.m_total - 1))
+        _check_gap_at(f)
+
+
+@pytest.mark.parametrize("kind,n", GOLDEN_FAMILIES)
+def test_gap_at_is_the_gap_quadratic(kind, n):
+    _check_gap_at(_fib(kind, n))
+
+
+@pytest.mark.parametrize("kind,n", GOLDEN_FAMILIES)
+def test_gap_at_fails_with_the_slope_sign_flipped(kind, n):
+    # Planted control: a gap form whose slope has the wrong sign misreads
+    # every point, since each has mu != 0 or phi != 0.
+    f = _fib(kind, n)
+    points = _gap_at_points(f)
+    c0, c1, slope, c2, den = f.gap
+    f.__dict__["gap"] = (c0, c1, -slope, c2, den)
+    assert not any(_gap_at_is_the_gap_quadratic(f, mu, phi)
+                   for mu, phi in points)
 
 
 # -- the gap certificate ---------------------------------------------------

@@ -8,7 +8,9 @@ with that checkout's ``src`` on the path: every argv that the benchmark
 workloads can draw (``perfbench.workloads.all_queries``), every key of
 tests/golden_digests.json, and ``verify --family F --n N --phi1 P`` for
 each family of the golden keys, with P the family's first fiber
-eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50;
+eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50, and
+``instants --family F --n N --tmin 1/5 --phi1 P`` with P = phi1*j/8
+for j = 1..16, where the override moves each bifurcation flag;
 ``verify --family F --n N`` at every valid rank N <= 7, since the
 catalogue's agreement pattern depends on the rank, and ``spectrum
 --family F --n N --cutoff 4`` there too, whose base labels list the
@@ -72,6 +74,9 @@ def argvs():
                     + [Fraction(1, 1000), Fraction(1, 50)]):
             out.append(["verify", "--family", kind, "--n", n,
                         "--phi1", str(phi)])
+        for j in range(1, 17):
+            out.append(["instants", "--family", kind, "--n", n,
+                        "--tmin", "1/5", "--phi1", str(phi1 * j / 8)])
     for kind, n in product(FAMILY_KEYS, range(2, 8)):
         try:
             FibrationFamily(kind, n)
