@@ -111,9 +111,12 @@ class FibrationData(namedtuple(
     @cached_property
     def phi1(self):
         """The phi1 given to ``build_fibration``, else the first fiber
-        eigenvalue, enumerated on first read by one walk at cutoff 1:
-        each fiber factor's highest root is class-one, with some value
-        c_s < 1 under G's form."""
+        eigenvalue, the first of the fiber's walk at cutoff 1: each
+        fiber factor's highest root is class-one, with some value
+        c_s < 1 under G's form.  That walk is cached per (simple roots,
+        scale, cutoff) in ``spectra``; phi1 keeps its value here too,
+        since it is read twice per solved instant and a read through
+        the walk's cache hashes the simple roots each time."""
         if self.phi1_given is not None:
             return self.phi1_given
         return fiber_spectrum(self, 1)[0].value

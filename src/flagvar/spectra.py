@@ -26,8 +26,12 @@ the Weyl factors for the base, so multiplicities are carried down the
 walk, not recomputed per weight.  A first value is one walk at cutoff
 1: a highest root is dominant and in its root lattice, G's has Casimir
 exactly 1 under the CK scale, and each fiber factor's has some c_s < 1
-there, so neither walk is empty.  The catalogued eigenvalue statements
-these are compared with are in ``catalog``.
+there, so neither walk is empty.  Class-one walks are cached on the
+walk, not on its readers: per (simple roots, scale, cutoff), each a
+tuple its readers share.  So mu1, phi1, the sp catalogued minimum and
+the figure's first entries read one walk at cutoff 1, and no query
+walks one spectrum twice at one cutoff.  The catalogued eigenvalue
+statements these are compared with are in ``catalog``.
 """
 
 from collections import namedtuple
@@ -220,10 +224,12 @@ def _lattice_points(gram, scale, generators, den, cutoff, carried):
     return {v * factor: found[v] for v in sorted(found)}
 
 
+@lru_cache(maxsize=None)
 def _class_one_spectrum(simple_roots, scale, cutoff, origin):
     """Class-one values <= cutoff over ``simple_roots`` at CK scale
     ``scale``, one entry per value, labelled by its p in lexicographic
-    order; multiplicities are not computed (mult = None).
+    order; multiplicities are not computed (mult = None).  Cached per
+    (simple roots, scale, cutoff): a tuple, shared by every reader.
 
     A value is scale*(p'Gp + sum G_ii p_i) over the class-one weights
     lam = sum p_i alpha_i, G the Gram matrix of ``simple_roots``.  These
@@ -240,9 +246,9 @@ def _class_one_spectrum(simple_roots, scale, cutoff, origin):
 
     points = _lattice_points(gram, scale, coeffs, den, cutoff,
                              ((0,) * len(coeffs), coeffs, class_one))
-    return [SpectrumEntry(value=value, mult=None, origin=origin,
-                          label=tuple(sorted(p for _, p in pairs)))
-            for value, pairs in points.items()]
+    return tuple(SpectrumEntry(value=value, mult=None, origin=origin,
+                               label=tuple(sorted(p for _, p in pairs)))
+                 for value, pairs in points.items())
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +266,9 @@ def flag_spectrum(family, cutoff):
     return _class_one_spectrum(rs.simple_roots, rs.scale, cutoff, "total")
 
 
-@lru_cache(maxsize=None)
 def flag_minimum(family):
-    """Smallest class-one eigenvalue, the first of one walk at cutoff 1,
-    which G's highest root, valued 1, keeps from being empty."""
+    """Smallest class-one eigenvalue, the first of the cached walk at
+    cutoff 1, which G's highest root, valued 1, keeps from being empty."""
     return flag_spectrum(family, 1)[0]
 
 

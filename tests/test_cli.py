@@ -16,6 +16,7 @@ import pytest
 from flagvar import bifurcation, catalog, cli, fibration, spectra, surd
 from flagvar.curvature import ScalPoly
 from test_acceptance import CASES
+from test_golden import ARGVS
 
 
 def run(capsys, argv):
@@ -703,6 +704,51 @@ def test_alias_families_match_canonical(capsys):
                                           "--n", "3"])
     assert code_alias == code_full == 0
     assert out_alias == out_full
+
+
+# -- one walk per spectrum and cutoff ---------------------------------------
+
+def walk_keys(capsys, monkeypatch, argv):
+    """(gram, scale, generators, cutoff) of every lattice walk that one
+    in-process run of ``argv`` makes, every flagvar cache emptied first."""
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("flagvar"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    keys = []
+    real = spectra._lattice_points
+
+    def spy(gram, scale, generators, den, cutoff, carried):
+        keys.append((gram, scale, tuple(map(tuple, generators)),
+                     Fraction(cutoff)))
+        return real(gram, scale, generators, den, cutoff, carried)
+
+    monkeypatch.setattr(spectra, "_lattice_points", spy)
+    run(capsys, argv)
+    return keys
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_no_query_walks_one_spectrum_twice_at_one_cutoff(capsys, monkeypatch,
+                                                         argv):
+    # The class-one walk is cached, so the flag minimum, phi1, the sp
+    # catalogued minimum and the figure's first entries share theirs.
+    keys = walk_keys(capsys, monkeypatch, argv)
+    assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "sp", "--n", "3"],
+    ["figure", "--tmin", "0.3", "--format", "svg", "--family", "su", "--n",
+     "2"]], ids=" ".join)
+def test_an_uncached_class_one_walk_repeats(capsys, monkeypatch, argv):
+    # Planted control: without the walk's cache, these queries walk the
+    # same class-one points up to 1 twice.
+    monkeypatch.setattr(spectra, "_class_one_spectrum",
+                        spectra._class_one_spectrum.__wrapped__)
+    keys = walk_keys(capsys, monkeypatch, argv)
+    assert len(keys) > len(set(keys))
 
 
 # -- module boundaries -----------------------------------------------------

@@ -928,9 +928,10 @@ def test_lattice_points_rejects_a_non_monotone_form():
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_cn_first_eigenvalue_report_walks_once(monkeypatch, n):
-    # On a cold cache the report walks C_n's class-one points up to 1
-    # once, and takes the Casimir minimum from that walk.
-    flag_minimum.cache_clear()
+    # On a cold walk cache the report walks C_n's class-one points up
+    # to 1 once, and takes the Casimir minimum from that walk, which
+    # flag_minimum then reads without walking again.
+    spectra._class_one_spectrum.cache_clear()
     cutoffs = []
     real_walk = spectra._lattice_points
 
@@ -940,8 +941,8 @@ def test_cn_first_eigenvalue_report_walks_once(monkeypatch, n):
 
     monkeypatch.setattr(spectra, "_lattice_points", walk)
     report = cn_first_eigenvalue_report(n)
-    assert cutoffs == [1]
     assert report["casimir_min"] == flag_minimum(FamilyTag("C", n)).value
+    assert cutoffs == [1]
 
 
 def test_cn_first_eigenvalue_report():

@@ -12,9 +12,11 @@ eigenvalue phi1 times j/40 for j = 1..80, and 1/1000 and 1/50, and
 ``instants --family F --n N --tmin 1/5 --phi1 P`` with P = phi1*j/8
 for j = 1..16, where the override moves each bifurcation flag;
 ``verify --family F --n N`` at every valid rank N <= 7, since the
-catalogue's agreement pattern depends on the rank, and ``spectrum
+catalogue's agreement pattern depends on the rank, ``spectrum
 --family F --n N --cutoff 4`` there too, whose base labels list the
-spherical generators' coefficients in generator order; ``scal --family
+spherical generators' coefficients in generator order, and ``figure
+--family F --n N --tmin 1/5 --format svg`` there too, whose first flag
+and fiber entries share the cached walks at cutoff 1; ``scal --family
 F --n N`` at the ranks in SCAL_RANKS, past the golden ones; ``verify
 --family su --n N`` at the ranks in VERIFY_RANKS; and the usage
 errors in USAGE_ERRORS, whose stderr carries argparse's usage line and
@@ -85,6 +87,8 @@ def argvs():
         out.append(["verify", "--family", kind, "--n", str(n)])
         out.append(["spectrum", "--family", kind, "--n", str(n),
                     "--cutoff", "4"])
+        out.append(["figure", "--family", kind, "--n", str(n),
+                    "--tmin", "1/5", "--format", "svg"])
     out += [["scal", "--family", kind, "--n", str(n)]
             for kind, n in SCAL_RANKS]
     out += [["verify", "--family", "su", "--n", str(n)] for n in VERIFY_RANKS]
