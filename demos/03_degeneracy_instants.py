@@ -25,14 +25,14 @@ instants = degeneracy_instants(fib, instant_base(fib, Fraction(1, 10)))
 b = instants[0]
 print("SU(3)/T^2 rigidity threshold:")
 print("  u = {}  t = {:.12f}  (certified presentation error {:.1e})"
-      .format(b.u, b.t, b.t_error))
+      .format(b.u, *b.u.sqrt_to_float()))
 
 print()
 print("first five instants, strictly decreasing:")
 for inst in instants:
     print("  beta={:<5} mult={:<4} u={:<22} t={:.6f} bifurcation={}"
-          .format(str(inst.beta), inst.mult, str(inst.u), inst.t,
-                  inst.is_bifurcation))
+          .format(str(inst.beta), inst.mult, str(inst.u),
+                  inst.u.sqrt_to_float()[0], inst.is_bifurcation))
 
 print()
 print("instants fall below any epsilon; first below 1/100 per family:")
@@ -40,8 +40,8 @@ for kind, n in [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
                 ("g2", 2)]:
     f = build_fibration(FibrationFamily(kind, n))
     inst = instant_below(f, Fraction(1, 100))
-    print("  {:<12} beta={:<8} t={:.6f}".format(f.family.label,
-                                                str(inst.beta), inst.t))
+    print("  {:<12} beta={:<8} t={:.6f}".format(
+        f.family.label, str(inst.beta), inst.u.sqrt_to_float()[0]))
 
 # The catalogued closed-form instant sequences are recomputed against
 # the solved roots.  The projective family agrees everywhere; the
@@ -60,4 +60,5 @@ for kind, n, tmin in [("su", 2, Fraction(1, 10)),
         mark = "agree" if row["agree"] else "DIFFER"
         note = "  ({})".format(row["note"]) if row["note"] else ""
         print("  {} solved={:.9f} catalogued={:.9f} {}{}".format(
-            row["label"], row["solved"], row["catalogued"], mark, note))
+            row["label"], row["solved"].sqrt_to_float()[0],
+            row["catalogued"].sqrt_to_float()[0], mark, note))

@@ -38,10 +38,11 @@ print()
 print("jump sizes match the base multiplicities {}:".format(
     [entry.mult for entry in base]))
 for inst in instants:
-    lo = Fraction(int(inst.t * 10 ** 6) - 2, 10 ** 6)
-    hi = Fraction(int(inst.t * 10 ** 6) + 2, 10 ** 6)
+    t = inst.u.sqrt_to_float()[0]
+    lo = Fraction(int(t * 10 ** 6) - 2, 10 ** 6)
+    hi = Fraction(int(t * 10 ** 6) + 2, 10 ** 6)
     jump = morse_index(fib, base, lo) - morse_index(fib, base, hi)
-    print("  at t ~ {:.6f}: jump {}".format(inst.t, jump))
+    print("  at t ~ {:.6f}: jump {}".format(t, jump))
 
 print()
 print("solution counts across the first window:")

@@ -4,9 +4,10 @@ A degeneracy instant is a parameter t where scal(t)/(m-1) meets a base
 eigenvalue beta.  In u = t**2 that is the integer quadratic
 a + b*u + e*u**2 = 0 of ``fib.gap_at(beta)``, with e < 0 < a
 (A > 0 > E, certified where ``fib.scal`` is derived), which has
-exactly one positive root, printed as an exact quadratic surd whose
-residual is checked to be literally zero.  The catalogued sequences
-the instants are compared with are in ``catalog``.
+exactly one positive root, an exact quadratic surd whose residual is
+checked to be literally zero.  An instant holds no float: its t is made
+from u where it is printed.  The catalogued sequences the instants are
+compared with are in ``catalog``.
 
 Every verdict is one rational comparison.  s(u) = scal(t)/(m-1)
 strictly falls as u rises, so the instant of beta lies below a rational
@@ -31,8 +32,9 @@ from .surd import QuadraticSurd
 
 
 class DegeneracyInstant(namedtuple(
-        "DegeneracyInstant", "u t t_error beta mult is_bifurcation")):
-    """One solved instant: exact u = t**2, float t, and its pedigree."""
+        "DegeneracyInstant", "u beta mult is_bifurcation")):
+    """One solved instant: exact u = t**2 and its pedigree.  A printer
+    makes the float t as ``u.sqrt_to_float()``."""
 
     __slots__ = ()
 
@@ -74,10 +76,7 @@ def solve_instant(fib, beta, mult=1):
 
     over = beta + fib.phi1 - flag_minimum(fib.family.root_family).value
     is_bif = over <= 0 or beta > fib.scal_over_m_minus_1(fib.phi1 / over)
-
-    t, t_err = u.sqrt_to_float()
-    return DegeneracyInstant(u=u, t=t, t_error=t_err, beta=beta,
-                             mult=mult, is_bifurcation=is_bif)
+    return DegeneracyInstant(u, beta, mult, is_bif)
 
 
 def instant_base(fib, t_min):

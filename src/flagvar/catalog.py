@@ -233,8 +233,8 @@ def cross_check_closed_forms(fib, base, instants):
 
     ``instants`` are ``degeneracy_instants(fib, base)``, so each one's
     base weights are the label of its own ``base`` entry; each row
-    pairs the solved t with the catalogued one for one weight and
-    records whether their u = t**2 are equal as exact surds.  A row the
+    pairs the solved u = t**2 with the catalogued one for one weight,
+    both exact surds, and records whether they are equal.  A row the
     record expects to disagree, other than the threshold's, carries the
     record's note.  Families without a catalogued sequence return an
     empty report.
@@ -251,9 +251,8 @@ def cross_check_closed_forms(fib, base, instants):
             u = record.instant(n, label)
             agree = inst.u == u
             known = not (agree or label == (1,) or record.agrees(n, label))
-            rows.append({"label": label, "solved": inst.t,
-                         "catalogued": u.sqrt_to_float()[0], "agree": agree,
-                         "note": record.note if known else ""})
+            rows.append({"label": label, "solved": inst.u, "catalogued": u,
+                         "agree": agree, "note": record.note if known else ""})
     return rows
 
 
@@ -389,10 +388,11 @@ def audit(fib):
     checks.append(("morse-nondecreasing",
                    all(a <= b for a, b in zip(indices, indices[1:]))))
     if len(instants) >= 2:
-        # The float t's only propose mid; exact rationals place it.  A
-        # first instant past t = 2 - t_1, a fault, puts mid past 1, where
-        # multiplicity_lower_bound raises.
-        mid = Fraction(round((instants[0].t + instants[1].t) * 5e5), 10**6)
+        # The enclosures of t_0 > t_1 only propose mid; exact rationals
+        # place it.  A first instant past t = 2 - t_1, a fault, puts mid
+        # past 1, where multiplicity_lower_bound raises.
+        (lo, _, d), (_, hi, _) = (i.u.sqrt_enclosure() for i in instants[:2])
+        mid = Fraction(lo + hi, 2 * d)
         checks.append(("three-solutions-between-instants",
                        mid <= 1 and instants[0].beta
                        < fib.scal_over_m_minus_1(mid * mid)

@@ -137,7 +137,7 @@ def cmd_instants(args):
         fib, instant_base(fib, _rational(args, "tmin")))
     _emit_table(fib, args, "instants",
                 ("beta", "u", "t", "t_error", "mult", "is_bifurcation"),
-                [(_frac(inst.beta), str(inst.u), inst.t, inst.t_error,
+                [(_frac(inst.beta), str(inst.u), *inst.u.sqrt_to_float(),
                   inst.mult, inst.is_bifurcation) for inst in instants])
     return 0
 
@@ -203,7 +203,7 @@ def _svg_figure(fib, names, rows, verticals, t_min, t_max):
     s_max = fib.scal_over_m_minus_1(t_max * t_max)
     for inst in verticals:
         if inst.beta >= s_max:
-            x = sx(inst.t)
+            x = sx(inst.u.sqrt_to_float()[0])
             parts.append('<line x1="{0:.2f}" y1="{1}" x2="{0:.2f}" y2="{2}" '
                          'stroke="#777777" stroke-dasharray="6 4"/>'.format(
                              x, top, bottom))

@@ -1,12 +1,9 @@
 """Exact integer and rational plumbing shared by the other modules.
 
 Everything here works over Python integers and ``fractions.Fraction``:
-squarefree splits by trial division over a cached prime sieve, clearing
-denominators, and the float presentation of an exact enclosure.  Linear
-algebra on Gram matrices is fraction-free and lives with its one user,
-``spectra``.  Floats never participate in any decision; they only
-appear as presentation values, each from one correctly rounded int/int
-or Fraction division.
+squarefree splits by trial division over a cached prime sieve, and
+clearing denominators.  Linear algebra on Gram matrices is fraction-free
+and lives with its one user, ``spectra``.  Nothing here makes a float.
 """
 
 from fractions import Fraction
@@ -70,18 +67,3 @@ def common_denominator(values):
     values = [Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def float_from_bounds(lo, hi, den=1):
-    """Midpoint float of the enclosure [lo/den, hi/den] plus a certified
-    error bound.
-
-    lo and hi are Fractions, or integers over a positive integer den.
-    The bound covers both the enclosure width and the rounding of the
-    midpoint (correctly rounded, under half an ulp, padded to a full ulp
-    here).
-    """
-    val = float((lo + hi) / (2 * den))
-    ulp = abs(val) * 2.0 ** -52 + 2.0 ** -1074
-    err = float((hi - lo) / den) / 2 + ulp
-    return val, err

@@ -12,17 +12,20 @@ scal/(m-1) at a rational u (``bifurcation``).  A surd orders only
 within its field: against a rational or a surd of the same radicand the
 sign of the difference is one integer compare.  Two distinct irrational
 radicands give no order (``<`` raises TypeError) and never compare
-equal.  One integer enclosure serves presentation only: the certified
-float of sqrt(u) and ``bounds``.  Nothing in the package reads
-``bounds``; it stays because the perfbench tracer wraps it by name.  A
-surd has no hash.
+equal.  A surd has no hash.
+
+One rational enclosure of the value, ``bounds``, gives
+``sqrt_enclosure``, the integer enclosure of t = sqrt(u) on the 2**-96
+grid.  The audit places its three-solutions midpoint from it, and its
+midpoint float, ``sqrt_to_float``, is the one place a float t is made,
+for the printers.
 """
 
 import operator
 from fractions import Fraction
 from math import isqrt
 
-from .exact import float_from_bounds, squarefree_split
+from .exact import squarefree_split
 
 
 def _sign(p, q, d):
@@ -100,45 +103,52 @@ class QuadraticSurd:
 
     # -- presentation -----------------------------------------------------
 
-    def _enclosure(self, bits):
-        """Integers (lo, hi, den) with lo/den <= value <= hi/den.
+    def bounds(self, bits=64):
+        """Rational enclosure (lo, hi) of the value, width |q|/(r*2**bits).
 
-        den = r*2**bits and lo, hi are p*2**bits + q*isqrt(d*4**bits)
-        and that plus q, in order, so the width is |q|/den; a rational
-        value gives (p, p, r).  It serves ``bounds`` and ``sqrt_to_float``.
+        lo and hi are p*2**bits + q*isqrt(d*4**bits) and that plus q, in
+        order, over r*2**bits; a rational value gives (p/r, p/r).
         """
         p, q, r, d = self.p, self.q, self.r, self.d
         if d == 0:
-            return p, p, r
+            return Fraction(p, r), Fraction(p, r)
         lo = (p << bits) + q * isqrt(d << 2 * bits)
         hi = lo + q
         if q < 0:
             lo, hi = hi, lo
-        return lo, hi, r << bits
+        return Fraction(lo, r << bits), Fraction(hi, r << bits)
 
-    def bounds(self, bits=64):
-        """Rational enclosure (lo, hi) of the value, width about 2**-bits."""
-        lo, hi, den = self._enclosure(bits)
-        return Fraction(lo, den), Fraction(hi, den)
+    def sqrt_enclosure(self):
+        """Integers (lo, hi, den) with lo/den <= sqrt(value) <= hi/den.
 
-    def sqrt_to_float(self):
-        """Certified float of sqrt(value); value must be nonnegative.
-
-        The square roots of the ends of the 96-bit enclosure are enclosed
-        on the 2**-96 grid, the lower end clamped at 0.  An enclosure
-        wider than 1e-12 is a presentation fault (AssertionError), so
-        the error bound stays below 1e-12.
+        den is 2**96: the square roots of the ends of the 96-bit
+        ``bounds`` are enclosed on that grid, the lower end clamped at
+        0.  The value must be nonnegative.  An enclosure wider than
+        1e-12 is a presentation fault (AssertionError).
         """
         bits = 96
-        lo, hi, den = self._enclosure(bits)
+        lo, hi = self.bounds(bits)
         if hi < 0:
             raise ValueError("square root of negative surd")
-        lo_r = isqrt((lo << 2 * bits) // den) if lo > 0 else 0
-        hi_r = isqrt((hi << 2 * bits) // den) + 1 if hi > 0 else 0
+        lo_r = isqrt(max(lo, 0) * 4**bits // 1)
+        hi_r = isqrt(hi * 4**bits // 1) + 1 if hi > 0 else 0
         if (hi_r - lo_r) * 10**12 > 1 << bits:
             raise AssertionError(
                 "presentation error exceeded the certified bound")
-        return float_from_bounds(lo_r, hi_r, 1 << bits)
+        return lo_r, hi_r, 1 << bits
+
+    def sqrt_to_float(self):
+        """Certified float of sqrt(value) and its error bound.
+
+        The float is the correctly rounded midpoint of
+        ``sqrt_enclosure``; the bound covers half its width and the
+        rounding (under half an ulp, padded to a full ulp), so it stays
+        below 1e-12.
+        """
+        lo, hi, den = self.sqrt_enclosure()
+        val = (lo + hi) / (2 * den)
+        ulp = abs(val) * 2.0 ** -52 + 2.0 ** -1074
+        return val, (hi - lo) / den / 2 + ulp
 
     def __str__(self):
         if self.d == 0:

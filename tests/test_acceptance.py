@@ -131,7 +131,8 @@ def test_criterion_04(tmp_path):
     rows = target.read_text().strip().splitlines()[1:]
     ok = ok and len(rows) == 5
     for row, inst in zip(rows, instants):
-        ok = ok and abs(float(row.split(",")[2]) - inst.t) < 1e-9
+        t = inst.u.sqrt_to_float()[0]
+        ok = ok and abs(float(row.split(",")[2]) - t) < 1e-9
     assert _report(4, ok)
 
 
@@ -140,8 +141,9 @@ def test_criterion_05():
     inst = degeneracy_instants(fib, instant_base(fib, Fraction(1, 5)))[0]
     ok = inst.u == QuadraticSurd(-4, 2, 1, 5)
     printed = (40 ** 0.5 / 2 ** 0.5 - 4) ** 0.5
-    ok = ok and abs(inst.t - printed) < 1e-9
-    ok = ok and abs(inst.t - 0.68712) < 5e-6
+    t = inst.u.sqrt_to_float()[0]
+    ok = ok and abs(t - printed) < 1e-9
+    ok = ok and abs(t - 0.68712) < 5e-6
     assert _report(5, ok)
 
 
@@ -150,7 +152,7 @@ def test_criterion_06():
     base = instant_base(fib, Fraction(11, 100))
     instants = degeneracy_instants(fib, base)
     ok = instants[0].beta == Fraction(7, 6)
-    ok = ok and abs(instants[0].t - 0.27395) < 5e-6
+    ok = ok and abs(instants[0].u.sqrt_to_float()[0] - 0.27395) < 5e-6
     # scal(t)/11 < mu1 + (1/t**2 - 1)*phi1 at every computed instant,
     # checked in the Fraction surd oracle's arithmetic; on an instant the
     # left side equals beta, and the margin times u = t**2 > 0 is
@@ -174,7 +176,8 @@ def test_criterion_07():
         base = instant_base(fib, Fraction(1, 10))
         instants = degeneracy_instants(fib, base)
         b = instants[0]
-        just_above = Fraction(int(b.t * 10 ** 6) + 2, 10 ** 6)
+        just_above = Fraction(int(b.u.sqrt_to_float()[0] * 10 ** 6) + 2,
+                              10 ** 6)
         ok = ok and b.u < just_above * just_above
         for t in (just_above, Fraction(1), (just_above + 1) / 2):
             ok = ok and morse_index(fib, base, t) == 0
@@ -249,10 +252,13 @@ def test_criterion_10():
         base = instant_base(fib, Fraction(1, 10))
         instants = degeneracy_instants(fib, base)
         for first, second in zip(instants, instants[1:]):
-            mid = Fraction(int((first.t + second.t) / 2 * 10 ** 9), 10 ** 9)
+            t_sum = (first.u.sqrt_to_float()[0]
+                     + second.u.sqrt_to_float()[0])
+            mid = Fraction(int(t_sum / 2 * 10 ** 9), 10 ** 9)
             ok = ok and multiplicity_lower_bound(fib, base, mid) == 3
         b = instants[0]
-        just_above = Fraction(int(b.t * 10 ** 6) + 2, 10 ** 6)
+        just_above = Fraction(int(b.u.sqrt_to_float()[0] * 10 ** 6) + 2,
+                              10 ** 6)
         for t in (just_above, Fraction(9, 10), Fraction(1)):
             ok = ok and multiplicity_lower_bound(fib, base, t) == 1
     assert _report(10, ok)

@@ -13,7 +13,7 @@ from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  instant_below, morse_index,
                                  multiplicity_lower_bound, solve_instant)
 from flagvar.catalog import (_so_odd_sequence, _so_odd_threshold,
-                             _su_sequence, _su_threshold,
+                             _su_sequence, _su_threshold, audit,
                              cross_check_closed_forms, scal_closed_form)
 from flagvar.curvature import ScalPoly
 from flagvar.exact import common_denominator
@@ -39,8 +39,9 @@ def test_su3_first_instant_exact():
     assert inst.mult == 8
     assert inst.u == QuadraticSurd(-18, 1, 2, 340)
     assert inst.u == QuadraticSurd(-9, 1, 1, 85)
-    assert abs(inst.t - 0.46855571418230224) < 1e-12
-    assert inst.t_error <= 1e-12
+    t, t_error = inst.u.sqrt_to_float()
+    assert abs(t - 0.46855571418230224) < 1e-12
+    assert t_error <= 1e-12
     assert inst.is_bifurcation
 
 
@@ -53,7 +54,7 @@ def test_su3_second_instant_exact():
     assert second.mult == 27
     assert second.u == QuadraticSurd(-68, 1, 2, 4640)
     assert second.u == QuadraticSurd(-34, 1, 1, 1160)
-    assert abs(second.t - 0.24243088056764206) < 1e-12
+    assert abs(second.u.sqrt_to_float()[0] - 0.24243088056764206) < 1e-12
 
 
 def test_su3_first_five_instants():
@@ -64,10 +65,10 @@ def test_su3_first_five_instants():
         Fraction(1), Fraction(8, 3), Fraction(5), Fraction(8), Fraction(35, 3)]
     assert [i.mult for i in instants] == [8, 27, 64, 125, 216]
     assert all(i.is_bifurcation for i in instants)
-    assert abs(instants[4].t - 0.10878375431661602) < 1e-9
+    assert abs(instants[4].u.sqrt_to_float()[0] - 0.10878375431661602) < 1e-9
     for first, second in zip(instants, instants[1:]):
         assert fraction_surd(second.u).cmp(fraction_surd(first.u)) < 0
-        assert second.t < first.t
+        assert second.u.sqrt_to_float()[0] < first.u.sqrt_to_float()[0]
 
 
 def test_su3_roots_satisfy_defining_quadratic_exactly():
@@ -90,8 +91,9 @@ def test_so5_threshold_exact():
     assert inst.mult == 5
     assert inst.u == QuadraticSurd(-4, 2, 1, 5)
     printed = (40 ** 0.5 / 2 ** 0.5 - 4) ** 0.5
-    assert abs(inst.t - printed) < 1e-9
-    assert abs(inst.t - 0.6871214994450251) < 1e-9
+    t = inst.u.sqrt_to_float()[0]
+    assert abs(t - printed) < 1e-9
+    assert abs(t - 0.6871214994450251) < 1e-9
 
 
 # -- the exceptional family ------------------------------------------------
@@ -102,7 +104,7 @@ def test_g2_instants_at_low_cut():
     assert [i.beta for i in instants] == [
         Fraction(7, 6), Fraction(5, 2), Fraction(3), Fraction(14, 3)]
     assert [i.mult for i in instants] == [27, 77, 182, 729]
-    assert abs(instants[0].t - 0.27395) < 5e-6
+    assert abs(instants[0].u.sqrt_to_float()[0] - 0.27395) < 5e-6
 
 
 # -- input validation ------------------------------------------------------
@@ -148,7 +150,7 @@ def test_bifurcation_flag_matches_the_margin_under_phi1_overrides(kind, n):
     for inst in degeneracy_instants(fib, instant_base(fib, Fraction(1, 5))):
         assert inst.is_bifurcation and flag_by_gap_quadratic(fib, inst.u)
         if inst.beta > mu1:
-            u = inst.t ** 2
+            u = inst.u.sqrt_to_float()[0] ** 2
             turn = Fraction(u * float(inst.beta - mu1) / (1 - u))
             for side in (Fraction(99, 100), Fraction(101, 100)):
                 probe = build_fibration(family, side * turn)
@@ -360,8 +362,9 @@ def test_instants_decrease_and_morse_counts_the_instants_above(cell, data):
                for earlier, later in zip(instants, instants[1:]))
     # Gap k lies below instants[:k] and above the rest, t_min closing it.
     k = data.draw(st.integers(0, len(instants)), label="gap")
-    hi = instants[k - 1].t if k else 1.0
-    lo = instants[k].t if k < len(instants) else float(t_min)
+    hi = instants[k - 1].u.sqrt_to_float()[0] if k else 1.0
+    lo = (instants[k].u.sqrt_to_float()[0] if k < len(instants)
+          else float(t_min))
     t = Fraction((lo + hi) / 2)
     assert t_min < t < 1
     assert k == 0 or t * t < instants[k - 1].u
@@ -418,7 +421,7 @@ def test_instant_below_one_hundredth(kind, n, beta):
     inst = instant_below(fib, Fraction(1, 100))
     assert inst.beta == beta
     assert inst.u < Fraction(1, 10000)
-    assert inst.t < 0.01
+    assert inst.u.sqrt_to_float()[0] < 0.01
 
 
 @pytest.mark.parametrize("kind,n", [("su", 2), ("su", 5), ("so-odd", 2),
@@ -536,3 +539,48 @@ def test_cross_check_empty_where_no_sequences_catalogued(kind, n):
     base = instant_base(fib, Fraction(1, 2))
     assert cross_check_closed_forms(
         fib, base, degeneracy_instants(fib, base)) == []
+
+
+# -- floats only at the output edge ---------------------------------------
+
+# The families and ranks of the golden digests.
+GOLDEN_FAMILIES = [("su", 2), ("su", 4), ("so-odd", 2), ("sp", 3), ("sp", 4),
+                   ("so-even", 4), ("g2", 2)]
+
+
+def _floats_in(value):
+    """Every float inside ``value``: through tuples, lists, dict keys and
+    values, and the slots or attributes of any other object."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, (int, str, Fraction, type(None))):
+        return []
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list)):
+        items = value
+    elif hasattr(value, "__slots__"):
+        items = [getattr(value, name) for name in value.__slots__]
+    else:
+        items = vars(value).values()
+    return [found for item in items for found in _floats_in(item)]
+
+
+@pytest.mark.parametrize("kind,n", GOLDEN_FAMILIES)
+def test_instants_cross_checks_and_audit_hold_no_float(kind, n):
+    # A float t is made only where it is printed, from u.
+    fib = _setup(kind, n)
+    base = instant_base(fib, Fraction(1, 10))
+    instants = degeneracy_instants(fib, base)
+    assert instants
+    assert _floats_in([instants, cross_check_closed_forms(fib, base, instants),
+                       audit(fib)]) == []
+
+
+def test_a_row_holding_a_float_fails_the_walk():
+    fib = _setup("su", 2)
+    base = instant_base(fib, Fraction(1, 10))
+    rows = cross_check_closed_forms(fib, base, degeneracy_instants(fib, base))
+    assert _floats_in(rows) == []
+    rows[0]["solved"] = rows[0]["solved"].sqrt_to_float()[0]
+    assert _floats_in(rows) == [rows[0]["solved"]]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagvar.exact import float_from_bounds, squarefree_split
+from flagvar.exact import squarefree_split
 from oracles import sqrt_bounds  # the Fraction oracle's enclosure
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -109,9 +109,3 @@ def test_sqrt_bounds_exact_cases():
     assert sqrt_bounds(Fraction(0)) == (0, 0)
     lo, hi = sqrt_bounds(Fraction(4), bits=30)
     assert lo <= 2 <= hi
-
-
-def test_float_from_bounds_error_covers_width():
-    val, err = float_from_bounds(Fraction(1, 3), Fraction(2, 3))
-    assert abs(val - 0.5) <= err
-

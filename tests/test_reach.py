@@ -28,8 +28,6 @@ DEMOS = sorted((SRC.parents[1] / "demos").glob("0*.py"))
 
 # Left unreached on purpose, each for the reason given.
 ALLOWED = {
-    # The perfbench tracer wraps it on the class by name.
-    "surd.QuadraticSurd.bounds",
     # The perfbench tracer self-test looks it up in rootsys and spectra.
     "rootsys.ck_inner",
 }

@@ -208,6 +208,42 @@ def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
     assert (x < y) == (ox.cmp(oy) < 0)
 
 
+def _encloses_sqrt(ox, lo, hi, den):
+    """Whether 0 <= lo/den <= sqrt(ox) <= hi/den, ox an oracle surd,
+    decided in the oracle's exact arithmetic."""
+    return (0 <= lo <= hi and ox.cmp(Fraction(lo, den) ** 2) >= 0
+            and ox.cmp(Fraction(hi, den) ** 2) <= 0)
+
+
+def _covers(t, err, lo, hi, den):
+    """Whether [t - err, t + err] contains [lo/den, hi/den], in exact
+    Fractions."""
+    return (Fraction(t) - Fraction(err) <= Fraction(lo, den)
+            and Fraction(hi, den) <= Fraction(t) + Fraction(err))
+
+
+@example((-9, 1, 1, 85))
+@example((-isqrt(2 << 140), 2**70, 1, 2))
+@given(surd_args)
+def test_sqrt_enclosure_matches_the_fraction_oracle(args):
+    # The audit places its midpoint from this enclosure, and the printed
+    # t and t_error come from it.
+    x, ox = QuadraticSurd(*_integral(args)), FractionSurd(*args)
+    enclosure = _outcome(x.sqrt_enclosure)
+    if isinstance(enclosure, type):
+        assert enclosure is _outcome(ox.sqrt_to_float)
+        return
+    assert _encloses_sqrt(ox, *enclosure)
+    assert _covers(*x.sqrt_to_float(), *enclosure)
+
+
+def test_an_enclosure_one_step_low_fails_the_check():
+    x = QuadraticSurd(-9, 1, 1, 85)
+    lo, hi, den = x.sqrt_enclosure()
+    assert _encloses_sqrt(fraction_surd(x), lo, hi, den)
+    assert not _encloses_sqrt(fraction_surd(x), lo, hi - 1, den)
+
+
 @given(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
                  st.integers(1, 10**6) | st.integers(-10**6, -1),
                  wide_radicands))

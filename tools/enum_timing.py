@@ -10,8 +10,10 @@ fixed grid below, ``import flagvar`` and then ``import flagvar.cli``,
 ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
 ``base_spectrum``, the root tables ``_root_coordinates`` and
 ``_weyl_rows``, ``flag_minimum``, and scal(t) and phi1 as
-``build_fibration(...).scal`` and ``.phi1``, cold (after every flagvar
-cache is emptied) where the grid says so.  Each spectrum cell times a
+``build_fibration(...).scal`` and ``.phi1``, the instant solving
+``degeneracy_instants(fib, instant_base(fib, t_min))`` and the verify
+checks ``catalog.audit(fib)``, cold (after every flagvar cache is
+emptied) where the grid says so.  Each spectrum cell times a
 first walk: where a checkout caches its class-one walks
 (``spectra._class_one_spectrum``), that cache alone is emptied before
 the cell, and the root tables stay warm.  A full garbage collection
@@ -36,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 PAIRS = 10
 
@@ -68,6 +71,19 @@ GRID = (IMPORTS + [("build_fibration", "g2", 2, None)]
         + [("build_fibration", kind, n, None)
            for kind, n in (("su", 20), ("su", 40), ("so-odd", 20), ("sp", 20),
                            ("so-even", 20))])
+
+# (function, kind, rank, t_min or None): instants down to t_min, each
+# solved as a surd and flagged, and the verify audit.  Each builds its
+# fibration untimed, then empties the class-one walk cache, as the
+# spectrum cells do.  An instants cell digests (str(u), beta, mult,
+# is_bifurcation) per instant, so the digest reads the exact record
+# alone.
+SOLVE = ([("degeneracy_instants", kind, n, t_min)
+          for kind, n, t_min in (("su", 2, Fraction(7, 1000)),
+                                 ("so-odd", 2, Fraction(8, 1000)),
+                                 ("sp", 3, Fraction(45, 1000)))]
+         + [("audit", kind, n, None) for kind, n in (("su", 3), ("sp", 5))])
+GRID += SOLVE
 
 # Cells timed cold, after every flagvar cache is emptied: the table of
 # simple-root coordinates, the Weyl rows (which read that table where it
@@ -119,7 +135,7 @@ def worker():
         out[cell_key(cell)] = [seconds, digest(sorted(
             name for name in sys.modules if name.startswith("flagvar."))
             if cell[1] == "flagvar.cli" else None)]
-    from flagvar import spectra
+    from flagvar import bifurcation, catalog, spectra
     from flagvar.fibration import FibrationFamily, build_fibration
     clear_walks = getattr(getattr(spectra, "_class_one_spectrum", None),
                           "cache_clear", lambda: None)
@@ -129,7 +145,20 @@ def worker():
         if cell in COLD:
             clear_caches()
         gc.collect()
-        if name == "build_fibration":
+        if cell in SOLVE:
+            fib = build_fibration(family)
+            clear_walks()
+            start = time.perf_counter()
+            if name == "audit":
+                result = catalog.audit(fib)
+            else:
+                result = bifurcation.degeneracy_instants(
+                    fib, bifurcation.instant_base(fib, cutoff))
+            seconds = time.perf_counter() - start
+            if name != "audit":
+                result = [(str(inst.u), inst.beta, inst.mult,
+                           inst.is_bifurcation) for inst in result]
+        elif name == "build_fibration":
             start = time.perf_counter()
             fib = build_fibration(family)
             seconds = time.perf_counter() - start

@@ -16,7 +16,9 @@ catalogue's agreement pattern depends on the rank, ``spectrum
 --family F --n N --cutoff 4`` there too, whose base labels list the
 spherical generators' coefficients in generator order, and ``figure
 --family F --n N --tmin 1/5 --format svg`` there too, whose first flag
-and fiber entries share the cached walks at cutoff 1; ``scal --family
+and fiber entries share the cached walks at cutoff 1, and ``instants
+--family F --n N --tmin 1/20 --format csv`` there too, whose t and
+t_error columns the CSV printer makes from each exact u; ``scal --family
 F --n N`` at the ranks in SCAL_RANKS, past the golden ones; ``verify
 --family su --n N`` at the ranks in VERIFY_RANKS; and the usage
 errors in USAGE_ERRORS, whose stderr carries argparse's usage line and
@@ -89,6 +91,8 @@ def argvs():
                     "--cutoff", "4"])
         out.append(["figure", "--family", kind, "--n", str(n),
                     "--tmin", "1/5", "--format", "svg"])
+        out.append(["instants", "--family", kind, "--n", str(n),
+                    "--tmin", "1/20", "--format", "csv"])
     out += [["scal", "--family", kind, "--n", str(n)]
             for kind, n in SCAL_RANKS]
     out += [["verify", "--family", "su", "--n", str(n)] for n in VERIFY_RANKS]
