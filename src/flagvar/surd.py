@@ -122,16 +122,17 @@ class QuadraticSurd:
         """Integers (lo, hi, den) with lo/den <= sqrt(value) <= hi/den.
 
         den is 2**96: the square roots of the ends of the 96-bit
-        ``bounds`` are enclosed on that grid, the lower end clamped at
-        0.  The value must be nonnegative.  An enclosure wider than
-        1e-12 is a presentation fault (AssertionError).
+        ``bounds`` are enclosed on that grid, the lower end clamped at 0
+        and the upper one rounded up unless it is 0.  The value must be
+        nonnegative.  An enclosure wider than 1e-12 is a presentation
+        fault (AssertionError).
         """
         bits = 96
         lo, hi = self.bounds(bits)
         if hi < 0:
             raise ValueError("square root of negative surd")
-        lo_r = isqrt(max(lo, 0) * 4**bits // 1)
-        hi_r = isqrt(hi * 4**bits // 1) + 1 if hi > 0 else 0
+        lo_r = isqrt((max(lo.numerator, 0) << 2 * bits) // lo.denominator)
+        hi_r = isqrt((hi.numerator << 2 * bits) // hi.denominator) + (hi > 0)
         if (hi_r - lo_r) * 10**12 > 1 << bits:
             raise AssertionError(
                 "presentation error exceeded the certified bound")

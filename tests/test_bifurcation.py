@@ -24,6 +24,7 @@ from flagvar.surd import QuadraticSurd
 from flagvar.variation import _first_entries
 from oracles import (FractionSurd, ambient_weight, casimir_of_weight,
                      flag_by_gap_quadratic, fraction_surd, value_at_t)
+from test_variation import GOLDEN_FAMILIES
 
 
 def _setup(kind, n):
@@ -542,11 +543,6 @@ def test_cross_check_empty_where_no_sequences_catalogued(kind, n):
 
 
 # -- floats only at the output edge ---------------------------------------
-
-# The families and ranks of the golden digests.
-GOLDEN_FAMILIES = [("su", 2), ("su", 4), ("so-odd", 2), ("sp", 3), ("sp", 4),
-                   ("so-even", 4), ("g2", 2)]
-
 
 def _floats_in(value):
     """Every float inside ``value``: through tuples, lists, dict keys and
