@@ -27,7 +27,7 @@ def show(kind, n):
     closed = scal_closed_form(fib.family)
     an, cn, en = poly.normalized()
     print("{}  ({} -> {} fiber {})".format(
-        fib.family.label, fib.base_id, fib.fiber_id, fib.dim_fiber))
+        *fib.family.names, 2 * len(fib.vertical_roots)))
     print("  assembled  A={} C={} E={}".format(an, cn, en))
     ca, cc, ce = closed.normalized()
     print("  catalogued A={} C={} E={}".format(ca, cc, ce))

@@ -42,7 +42,7 @@ for kind, n in [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
     rows = base_spectrum(fam, Fraction(3))
     head = ", ".join("({}, {}, {})".format(e.value, e.mult, e.label)
                      for e in rows[:3])
-    print("  {}: {}".format(fam.label, head))
+    print("  {}: {}".format(fam.names[0], head))
 
 print()
 fib = build_fibration(FibrationFamily("g2", 2))

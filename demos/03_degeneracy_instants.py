@@ -41,7 +41,7 @@ for kind, n in [("su", 2), ("so-odd", 2), ("sp", 3), ("so-even", 4),
     f = build_fibration(FibrationFamily(kind, n))
     inst = instant_below(f, Fraction(1, 100))
     print("  {:<12} beta={:<8} t={:.6f}".format(
-        f.family.label, str(inst.beta), inst.u.sqrt_to_float()[0]))
+        f.family.names[0], str(inst.beta), inst.u.sqrt_to_float()[0]))
 
 # The catalogued closed-form instant sequences are recomputed against
 # the solved roots.  The projective family agrees everywhere; the
@@ -55,7 +55,7 @@ for kind, n, tmin in [("su", 2, Fraction(1, 10)),
     f = build_fibration(FibrationFamily(kind, n))
     base = instant_base(f, tmin)
     rows = cross_check_closed_forms(f, base, degeneracy_instants(f, base))
-    print("{} cross-check:".format(f.family.label))
+    print("{} cross-check:".format(f.family.names[0]))
     for row in rows:
         mark = "agree" if row["agree"] else "DIFFER"
         note = "  ({})".format(row["note"]) if row["note"] else ""

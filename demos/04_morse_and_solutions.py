@@ -38,11 +38,11 @@ print()
 print("jump sizes match the base multiplicities {}:".format(
     [entry.mult for entry in base]))
 for inst in instants:
-    t = inst.u.sqrt_to_float()[0]
-    lo = Fraction(int(t * 10 ** 6) - 2, 10 ** 6)
-    hi = Fraction(int(t * 10 ** 6) + 2, 10 ** 6)
-    jump = morse_index(fib, base, lo) - morse_index(fib, base, hi)
-    print("  at t ~ {:.6f}: jump {}".format(t, jump))
+    # Probe one grid step outside the exact enclosure of t on each side.
+    lo, hi, den = inst.u.sqrt_enclosure()
+    jump = (morse_index(fib, base, Fraction(lo - 1, den))
+            - morse_index(fib, base, Fraction(hi + 1, den)))
+    print("  at t ~ {:.6f}: jump {}".format(inst.u.sqrt_to_float()[0], jump))
 
 print()
 print("solution counts across the first window:")

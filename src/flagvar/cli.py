@@ -114,8 +114,9 @@ def cmd_spectrum(args):
     bases = base_spectrum(fib.family, cutoff)
     _emit_table(fib, args, "entries",
                 ("origin", "value", "value_float", "mult", "label"),
-                [(e.origin, _frac(e.value), float(e.value), e.mult, e.label)
-                 for e in list(totals) + list(bases)])
+                [(origin, _frac(e.value), float(e.value), e.mult, e.label)
+                 for origin, entries in (("total", totals), ("base", bases))
+                 for e in entries])
     return 0
 
 
@@ -218,7 +219,7 @@ def _svg_figure(fib, names, rows, verticals, t_min, t_max):
             color = "#3366cc"
         parts.extend(polylines(i, color))
     parts.append('<text x="{}" y="20" font-size="14">{} canonical '
-                 'variation</text>'.format(left, fib.family.label))
+                 'variation</text>'.format(left, fib.family.names[0]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -54,7 +54,9 @@ FAMILY_ALIASES = {root[0].lower(): kind
 
 
 class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
-    """Total space selector: kind key plus the rank parameter n.
+    """Total space selector: kind key plus the rank parameter n.  Its
+    ``names`` are those of the total space, the base and the fiber, in
+    that order, for the printers; nothing derived reads them.
 
     Validity: su needs n >= 2, so-odd n >= 2 with n = 3 excluded, sp
     n >= 3, so-even n >= 4; g2 takes no parameter (n is pinned to 2).
@@ -85,28 +87,26 @@ class FibrationFamily(namedtuple("FibrationFamily", "kind n")):
         return FamilyTag(_KINDS[self.kind][0], self.n)
 
     @property
-    def label(self):
-        return self._names()[0]
+    def names(self):
+        """The names of the total space, the base and the fiber."""
+        n = self.n
+        return [name.format(n, n + 1, n - 1, 2 * n, 2 * n + 1)
+                for name in _KINDS[self.kind][2]]
 
     @property
     def spherical_weights(self):
         """The base's spherical generators, in label order."""
         return tuple(_KINDS[self.kind][3](self.n))
 
-    def _names(self):
-        """The names of the total space, the base and the fiber."""
-        n = self.n
-        return [name.format(n, n + 1, n - 1, 2 * n, 2 * n + 1)
-                for name in _KINDS[self.kind][2]]
-
 
 class FibrationData(namedtuple(
         "FibrationData", "family root_system vertical_roots horizontal_roots"
-        " fiber_simple_roots m_total dim_fiber dim_base base_id fiber_id"
-        " phi1_given", defaults=(None,))):
-    """The partition of a family's positive roots and its dimensions.  No
-    ``__slots__``: the cached ``phi1``, ``scal`` and ``gap`` live in the
-    instance dict."""
+        " fiber_simple_roots m_total phi1_given", defaults=(None,))):
+    """The partition of a family's positive roots, the fiber's simple
+    roots, m = dim G/T and the phi1 given, if any.  The fiber and base
+    have dimensions 2*len(vertical_roots) and 2*len(horizontal_roots),
+    and their names are ``family.names``.  No ``__slots__``: the cached
+    ``phi1``, ``scal`` and ``gap`` live in the instance dict."""
 
     @cached_property
     def phi1(self):
@@ -170,7 +170,8 @@ class FibrationData(namedtuple(
 
 
 def build_fibration(family, phi1=None):
-    """Assemble the vertical/horizontal partition and dimension data.
+    """Assemble the vertical/horizontal partition and the fiber's
+    simple roots.
 
     A root is vertical when k_n, its coefficient on the last simple root,
     is even.  Each root is first rebuilt as sum k_j*alpha_j from the
@@ -206,11 +207,8 @@ def build_fibration(family, phi1=None):
     simple = set(rs.simple_roots[:-1]) | {min(
         (r for r, k in coords.items() if k[-1] == 2), default=None,
         key=lambda r: sum(coords[r]))}
-    _, base_id, fiber_id = family._names()
     return FibrationData(
         family=family, root_system=rs, vertical_roots=tuple(vertical),
         horizontal_roots=tuple(horizontal),
         fiber_simple_roots=tuple(r for r in vertical if r in simple),
-        m_total=2 * len(rs.positive_roots), dim_fiber=2 * len(vertical),
-        dim_base=2 * len(horizontal), base_id=base_id, fiber_id=fiber_id,
-        phi1_given=phi1)
+        m_total=2 * len(rs.positive_roots), phi1_given=phi1)

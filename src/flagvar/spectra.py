@@ -26,19 +26,21 @@ the Weyl factors for the base, so multiplicities are carried down the
 walk, not recomputed per weight.  A first value is one walk at cutoff
 1: a highest root is dominant and in its root lattice, G's has Casimir
 exactly 1 under the CK scale, and each fiber factor's has some c_s < 1
-there, so neither walk is empty.  Class-one walks are cached on the
-walk, not on its readers: per (simple roots, scale, cutoff), each a
-tuple its readers share.  So mu1, phi1, the sp catalogued minimum and
-the figure's first entries read one walk at cutoff 1, and no query
-walks one spectrum twice at one cutoff.  The catalogued eigenvalue
-statements these are compared with are in ``catalog``.
+there, so neither walk is empty.  A spectral line is (value, mult,
+label) and says nothing of which spectrum it belongs to, so class-one
+walks are cached on the walk's own inputs, not on its readers: per
+(simple roots, scale, cutoff), each a tuple its readers share.  So
+mu1, phi1, the sp catalogued minimum and the figure's first entries
+read one walk at cutoff 1, and no query walks one spectrum twice at one
+cutoff.  The catalogued eigenvalue statements these are compared with
+are in ``catalog``.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import floor, gcd, lcm, prod
+from math import floor, gcd, isqrt, lcm, prod
 from operator import add, mul
 
 from .rootsys import build_root_system
@@ -47,12 +49,13 @@ from .rootsys import build_root_system
 from .rootsys import ck_inner  # noqa: F401
 
 
-class SpectrumEntry(namedtuple("SpectrumEntry", "value mult origin label")):
-    """One spectral line: exact value, multiplicity, origin, label.
+class SpectrumEntry(namedtuple("SpectrumEntry", "value mult label")):
+    """One spectral line: exact value, multiplicity, label.
 
     Flag totals and fiber entries carry mult = None, not computed: their
     true multiplicities are never needed downstream, only base
-    multiplicities feed the Morse index.
+    multiplicities feed the Morse index.  Which spectrum a line belongs
+    to is its caller's to say: the spectrum printer writes it.
     """
 
     __slots__ = ()
@@ -225,7 +228,7 @@ def _lattice_points(gram, scale, generators, den, cutoff, carried):
 
 
 @lru_cache(maxsize=None)
-def _class_one_spectrum(simple_roots, scale, cutoff, origin):
+def _class_one_spectrum(simple_roots, scale, cutoff):
     """Class-one values <= cutoff over ``simple_roots`` at CK scale
     ``scale``, one entry per value, labelled by its p in lexicographic
     order; multiplicities are not computed (mult = None).  Cached per
@@ -246,7 +249,7 @@ def _class_one_spectrum(simple_roots, scale, cutoff, origin):
 
     points = _lattice_points(gram, scale, coeffs, den, cutoff,
                              ((0,) * len(coeffs), coeffs, class_one))
-    return tuple(SpectrumEntry(value=value, mult=None, origin=origin,
+    return tuple(SpectrumEntry(value=value, mult=None,
                                label=tuple(sorted(p for _, p in pairs)))
                  for value, pairs in points.items())
 
@@ -263,7 +266,7 @@ def is_dominant_class_one(family, p):
 def flag_spectrum(family, cutoff):
     """All class-one eigenvalues of G/T <= cutoff."""
     rs = build_root_system(family)
-    return _class_one_spectrum(rs.simple_roots, rs.scale, cutoff, "total")
+    return _class_one_spectrum(rs.simple_roots, rs.scale, cutoff)
 
 
 def flag_minimum(family):
@@ -317,8 +320,7 @@ def base_spectrum(fib_family, cutoff):
                lambda w: _weyl_quotient(prod(w), den))
     points = _lattice_points(*_base_generators(fib_family.root_family, basis),
                              cutoff, carried)
-    return [SpectrumEntry(value=v, origin="base",
-                          mult=sum(dim for _, dim in pairs),
+    return [SpectrumEntry(value=v, mult=sum(dim for _, dim in pairs),
                           label=(tuple(x for x, _ in pairs) if len(basis) > 1
                                  else pairs[0][0]))
             for v, pairs in points.items()]
@@ -328,15 +330,17 @@ def spherical_multiple_above(fib_family, target):
     """(value, fundamental-weight coefficients) of the weight k*gen, gen
     the first spherical generator and k >= 1 least with value over
     ``target``.  The value is the base form's at (k, 0, ..., 0),
-    factor*(k*k*W_00 + k*w_0)."""
+    factor*k*(k*w2 + w1) with w2 = W_00 > 0 and w1 = w_0 >= 0.  For
+    L = floor(target/factor) >= 0, k*(k*w2 + w1) <= L exactly when
+    2*w2*k + w1 <= isqrt(w1**2 + 4*w2*L), so k, one past the largest
+    such k, is one integer square root, whatever its size."""
     basis = kramer_basis(fib_family)
     quad, linear, factor = _form(*_base_generators(fib_family.root_family,
                                                    basis))
-    limit = floor(Fraction(target) / factor)
-    k = 1
-    while (value := k * (k * quad[0][0] + linear[0])) <= limit:
-        k += 1
-    return factor * value, tuple(k * c for c in basis[0])
+    w2, w1 = quad[0][0], linear[0]
+    limit = max(floor(Fraction(target) / factor), 0)
+    k = (isqrt(w1 * w1 + 4 * w2 * limit) - w1) // (2 * w2) + 1
+    return factor * (k * (k * w2 + w1)), tuple(k * c for c in basis[0])
 
 
 # ---------------------------------------------------------------------------
@@ -348,4 +352,4 @@ def fiber_spectrum(fib, cutoff):
     variation restricts G's form to the fiber.  su at n=2 has first
     value 2/3 here, where SU(2)/T^1 under its own form has 1."""
     return _class_one_spectrum(fib.fiber_simple_roots,
-                               fib.root_system.scale, cutoff, "fiber")
+                               fib.root_system.scale, cutoff)

@@ -14,7 +14,7 @@ sign of the difference is one integer compare.  Two distinct irrational
 radicands give no order (``<`` raises TypeError) and never compare
 equal.  A surd has no hash.
 
-One rational enclosure of the value, ``bounds``, gives
+One integer enclosure of the value, ``bounds``, over r*2**96, gives
 ``sqrt_enclosure``, the integer enclosure of t = sqrt(u) on the 2**-96
 grid.  The audit places its three-solutions midpoint from it, and its
 midpoint float, ``sqrt_to_float``, is the one place a float t is made,
@@ -103,40 +103,38 @@ class QuadraticSurd:
 
     # -- presentation -----------------------------------------------------
 
-    def bounds(self, bits=64):
-        """Rational enclosure (lo, hi) of the value, width |q|/(r*2**bits).
+    def bounds(self):
+        """Integers (lo, hi, den) with lo/den <= value <= hi/den.
 
-        lo and hi are p*2**bits + q*isqrt(d*4**bits) and that plus q, in
-        order, over r*2**bits; a rational value gives (p/r, p/r).
+        den is r*2**96, lo and hi are p*2**96 + q*isqrt(d*2**192) and
+        that plus q, in order, so the width is |q|/den; q = 0, a
+        rational value, gives lo = hi.
         """
-        p, q, r, d = self.p, self.q, self.r, self.d
-        if d == 0:
-            return Fraction(p, r), Fraction(p, r)
-        lo = (p << bits) + q * isqrt(d << 2 * bits)
+        p, q, r = self.p, self.q, self.r
+        lo = (p << 96) + q * isqrt(self.d << 192)
         hi = lo + q
         if q < 0:
             lo, hi = hi, lo
-        return Fraction(lo, r << bits), Fraction(hi, r << bits)
+        return lo, hi, r << 96
 
     def sqrt_enclosure(self):
         """Integers (lo, hi, den) with lo/den <= sqrt(value) <= hi/den.
 
-        den is 2**96: the square roots of the ends of the 96-bit
-        ``bounds`` are enclosed on that grid, the lower end clamped at 0
-        and the upper one rounded up unless it is 0.  The value must be
-        nonnegative.  An enclosure wider than 1e-12 is a presentation
-        fault (AssertionError).
+        den is 2**96: the square roots of the ends of ``bounds`` are
+        enclosed on that grid, the lower end clamped at 0 and the upper
+        one rounded up unless it is 0.  The value must be nonnegative.
+        An enclosure wider than 1e-12 is a presentation fault
+        (AssertionError).
         """
-        bits = 96
-        lo, hi = self.bounds(bits)
+        lo, hi, den = self.bounds()
         if hi < 0:
             raise ValueError("square root of negative surd")
-        lo_r = isqrt((max(lo.numerator, 0) << 2 * bits) // lo.denominator)
-        hi_r = isqrt((hi.numerator << 2 * bits) // hi.denominator) + (hi > 0)
-        if (hi_r - lo_r) * 10**12 > 1 << bits:
+        lo_r = isqrt((max(lo, 0) << 192) // den)
+        hi_r = isqrt((hi << 192) // den) + (hi > 0)
+        if (hi_r - lo_r) * 10**12 > 1 << 96:
             raise AssertionError(
                 "presentation error exceeded the certified bound")
-        return lo_r, hi_r, 1 << bits
+        return lo_r, hi_r, 1 << 96
 
     def sqrt_to_float(self):
         """Certified float of sqrt(value) and its error bound.

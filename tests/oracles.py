@@ -349,6 +349,15 @@ def value_at_t(poly, t):
     return value_at_u(poly, t * t)
 
 
+def least_multiple_above(value, target):
+    """The least k >= 1 with value(k) > target, for a ``value`` rising
+    in k, by trying k = 1, 2, ... in turn: its cost grows with k."""
+    k = 1
+    while value(k) <= target:
+        k += 1
+    return k
+
+
 def gap_quadratic(fib, mu, phi):
     """Coefficients (c0, c1, c2) of c0 + c1*u + c2*u**2 in u = t**2.
 

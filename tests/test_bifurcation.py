@@ -19,11 +19,13 @@ from flagvar.curvature import ScalPoly
 from flagvar.exact import common_denominator
 from flagvar.fibration import FibrationFamily, build_fibration
 from flagvar.spectra import (SpectrumEntry, base_spectrum, flag_minimum,
-                             kramer_basis, weyl_dim)
+                             kramer_basis, spherical_multiple_above,
+                             weyl_dim)
 from flagvar.surd import QuadraticSurd
 from flagvar.variation import _first_entries
 from oracles import (FractionSurd, ambient_weight, casimir_of_weight,
-                     flag_by_gap_quadratic, fraction_surd, value_at_t)
+                     flag_by_gap_quadratic, fraction_surd,
+                     least_multiple_above, value_at_t)
 from test_variation import GOLDEN_FAMILIES
 
 
@@ -268,8 +270,7 @@ def _crafted(fib, *ts):
     """Base entries valued scal(t)/(m-1) at the decreasing rational t's,
     so that each t is an instant, with multiplicities 1, 2, 4, ..."""
     return [SpectrumEntry(value=value_at_t(fib.scal, t) / (fib.m_total - 1),
-                          mult=2 ** k,
-                          origin="base", label=(k,))
+                          mult=2 ** k, label=(k,))
             for k, t in enumerate(ts)]
 
 
@@ -425,10 +426,12 @@ def test_instant_below_one_hundredth(kind, n, beta):
     assert inst.u.sqrt_to_float()[0] < 0.01
 
 
-@pytest.mark.parametrize("kind,n", [("su", 2), ("su", 5), ("so-odd", 2),
-                                    ("so-odd", 6), ("sp", 3), ("sp", 5),
-                                    ("so-even", 4), ("so-even", 7),
-                                    ("g2", 2)])
+WITNESS_FAMILIES = [("su", 2), ("su", 5), ("so-odd", 2), ("so-odd", 6),
+                    ("sp", 3), ("sp", 5), ("so-even", 4), ("so-even", 7),
+                    ("g2", 2)]
+
+
+@pytest.mark.parametrize("kind,n", WITNESS_FAMILIES)
 @pytest.mark.parametrize("eps", [Fraction(1, 100), Fraction(1, 1000)],
                          ids=str)
 def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
@@ -444,13 +447,29 @@ def test_instant_below_takes_the_least_multiple_above_the_target(kind, n,
             family, ambient_weight(family, [k * c for c in gen]))
 
     target = value_at_t(fib.scal, eps) / (fib.m_total - 1)
-    k = 1
-    while casimir(k) <= target:
-        k += 1
+    k = least_multiple_above(casimir, target)
     inst = instant_below(fib, eps)
     assert inst == solve_instant(fib, casimir(k),
                                  weyl_dim(family, tuple(k * c for c in gen)))
     assert inst.u < eps * eps
+
+
+@pytest.mark.parametrize("kind,n", WITNESS_FAMILIES)
+def test_the_multiple_above_the_target_at_eps_1e_12_is_least(kind, n):
+    # k is near 10**12 here, out of the oracle loop's reach: check the
+    # defining inequality at k and at k - 1 by the ambient Casimir.
+    fib = _setup(kind, n)
+    family = fib.family.root_family
+    gen = kramer_basis(fib.family)[0]
+    target = value_at_t(fib.scal, Fraction(1, 10**12)) / (fib.m_total - 1)
+    value, coeffs = spherical_multiple_above(fib.family, target)
+    i = next(i for i, c in enumerate(gen) if c)
+    k, rest = divmod(coeffs[i], gen[i])
+    assert rest == 0 and coeffs == tuple(k * c for c in gen)
+    assert k > 10**11
+    assert value == casimir_of_weight(family, ambient_weight(family, coeffs))
+    assert value > target >= casimir_of_weight(
+        family, ambient_weight(family, [(k - 1) * c for c in gen]))
 
 
 # -- catalogued closed-form sequences -------------------------------------

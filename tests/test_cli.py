@@ -668,9 +668,12 @@ def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
     ["spectrum", "--family", "sp", "--n", "3", "--cutoff", "3"]])
 def test_scal_and_spectrum_enumerate_no_fiber(capsys, monkeypatch, argv):
     # phi1 is derived only when read, and these two never read it.
-    def refuse(simple_roots, scale, cutoff, origin):
-        assert origin != "fiber", "unexpected fiber enumeration"
-        return real(simple_roots, scale, cutoff, origin)
+    fiber = fibration.build_fibration(fibration.FibrationFamily(
+        argv[2], int(argv[4]))).fiber_simple_roots
+
+    def refuse(simple_roots, scale, cutoff):
+        assert simple_roots != fiber, "unexpected fiber enumeration"
+        return real(simple_roots, scale, cutoff)
 
     real = spectra._class_one_spectrum
     monkeypatch.setattr(spectra, "_class_one_spectrum", refuse)

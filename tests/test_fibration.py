@@ -57,9 +57,11 @@ def test_partition_sizes_and_dimensions(kind, n, nv, nh):
     fib = build_fibration(FibrationFamily(kind, n))
     assert len(fib.vertical_roots) == nv
     assert len(fib.horizontal_roots) == nh
-    assert fib.dim_fiber == 2 * nv
-    assert fib.dim_base == 2 * nh
-    assert fib.m_total == fib.dim_fiber + fib.dim_base
+    dim_fiber, dim_base = (2 * len(fib.vertical_roots),
+                           2 * len(fib.horizontal_roots))
+    assert dim_fiber == 2 * nv
+    assert dim_base == 2 * nh
+    assert fib.m_total == dim_fiber + dim_base
     assert set(fib.vertical_roots).isdisjoint(fib.horizontal_roots)
     assert (set(fib.vertical_roots) | set(fib.horizontal_roots)
             == set(fib.root_system.positive_roots))
@@ -84,27 +86,26 @@ def test_vertical_set_closed(kind, n, nv, nh):
 
 def test_so5_dims():
     fib = build_fibration(FibrationFamily("so-odd", 2))
-    assert fib.dim_fiber == 4
-    assert fib.dim_base == 4
-    assert fib.base_id == "S^4"
+    assert 2 * len(fib.vertical_roots) == 4
+    assert 2 * len(fib.horizontal_roots) == 4
+    assert fib.family.names[1] == "S^4"
 
 
 def test_base_and_fiber_ids():
-    fib = build_fibration(FibrationFamily("su", 2))
-    assert fib.base_id == "CP^2"
-    assert fib.fiber_id == "SU(2)/T^1"
-    fib = build_fibration(FibrationFamily("sp", 3))
-    assert fib.base_id == "Sp(3)/U(3)"
-    fib = build_fibration(FibrationFamily("g2", 2))
-    assert fib.base_id == "G2/SO(4)"
-    assert fib.fiber_id == "S^2xS^2"
+    _, base, fiber = FibrationFamily("su", 2).names
+    assert base == "CP^2"
+    assert fiber == "SU(2)/T^1"
+    assert FibrationFamily("sp", 3).names[1] == "Sp(3)/U(3)"
+    _, base, fiber = FibrationFamily("g2", 2).names
+    assert base == "G2/SO(4)"
+    assert fiber == "S^2xS^2"
 
 
 def test_labels():
-    assert FibrationFamily("su", 2).label == "SU(3)/T^2"
-    assert FibrationFamily("so-odd", 2).label == "SO(5)/T^2"
-    assert FibrationFamily("so-even", 4).label == "SO(8)/T^4"
-    assert FibrationFamily("g2", 2).label == "G2/T"
+    assert FibrationFamily("su", 2).names[0] == "SU(3)/T^2"
+    assert FibrationFamily("so-odd", 2).names[0] == "SO(5)/T^2"
+    assert FibrationFamily("so-even", 4).names[0] == "SO(8)/T^4"
+    assert FibrationFamily("g2", 2).names[0] == "G2/T"
 
 
 def test_root_family_mapping():
@@ -281,23 +282,26 @@ def test_fiber_simple_roots_are_a_simple_system(kind, n):
                      for i in range(len(root))) == root
 
 
-def fiber_sweeps(monkeypatch):
-    """Record the cutoff of every fiber class-one sweep from now on."""
+def fiber_sweeps(monkeypatch, fiber_simple_roots):
+    """Record the cutoff of every class-one sweep over
+    ``fiber_simple_roots`` from now on."""
     sweeps = []
     real = spectra._class_one_spectrum
 
-    def recording(simple_roots, scale, cutoff, origin):
-        if origin == "fiber":
+    def recording(simple_roots, scale, cutoff):
+        if simple_roots == fiber_simple_roots:
             sweeps.append(cutoff)
-        return real(simple_roots, scale, cutoff, origin)
+        return real(simple_roots, scale, cutoff)
 
     monkeypatch.setattr(spectra, "_class_one_spectrum", recording)
     return sweeps
 
 
 def test_phi1_is_enumerated_once_and_only_when_read(monkeypatch):
-    sweeps = fiber_sweeps(monkeypatch)
-    fib = build_fibration(FibrationFamily("so-odd", 4))
+    family = FibrationFamily("so-odd", 4)
+    sweeps = fiber_sweeps(monkeypatch,
+                          build_fibration(family).fiber_simple_roots)
+    fib = build_fibration(family)
     assert sweeps == []
     assert fib.phi1 == Fraction(6, 7)
     first = len(sweeps)

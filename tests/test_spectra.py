@@ -26,8 +26,8 @@ from flagvar.spectra import (_base_generators, _form,
 from oracles import (ambient_weight, casimir_of_weight, catalogued_c_mu,
                      cpn_multiplicity, flag_mu, freudenthal_multiplicities,
                      fundamental_coefficients, gram_products,
-                     highest_short_root_casimir, simple_coordinates,
-                     solve_linear, sphere_multiplicity)
+                     highest_short_root_casimir, least_multiple_above,
+                     simple_coordinates, solve_linear, sphere_multiplicity)
 from test_acceptance import CASES
 
 
@@ -529,7 +529,8 @@ def test_fiber_spectrum_g2_is_a_sum_set():
 def test_fiber_spectrum_values_under_the_form_of_g(kind, n, values):
     fib = build_fibration(FibrationFamily(kind, n))
     assert [e.value for e in fiber_spectrum(fib, 2)] == values
-    assert all(e.origin == "fiber" for e in fiber_spectrum(fib, 2))
+    # A fiber line, like a flag line, carries no multiplicity.
+    assert all(e.mult is None for e in fiber_spectrum(fib, 2))
 
 
 def test_fiber_spectrum_rejects_bad_cutoff():
@@ -641,7 +642,7 @@ def test_isomorphic_root_systems_give_one_flag_spectrum(simple_roots, scale,
     # other coordinates.  rootsys refuses C2 and D3, so their simple
     # roots and CK scales are written out here.
     got = [e.value for e in spectra._class_one_spectrum(
-        simple_roots, scale, 10, "total")]
+        simple_roots, scale, 10)]
     assert got == [e.value for e in flag_spectrum(family, 10)]
     assert len(got) == count
 
@@ -689,7 +690,7 @@ def test_isomorphic_root_systems_give_one_weyl_dimension_multiset(
     # multisets agree.  C2's and D3's dimensions come from their own
     # positive roots; B2's and A3's from weyl_dim.
     mine = Counter()
-    for e in spectra._class_one_spectrum(simple_roots, scale, 10, "total"):
+    for e in spectra._class_one_spectrum(simple_roots, scale, 10):
         for dim in _weyl_dims_by_reflection(simple_roots, e.label):
             mine[e.value, dim] += 1
     gram = _simple_gram(family)
@@ -761,6 +762,28 @@ def test_a_base_call_converts_the_generator_rows_once(monkeypatch, kind):
     assert len(calls) == 1
     spectra.spherical_multiple_above(family, 10)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind,n", [("su", 2), ("so-odd", 4), ("sp", 3),
+                                    ("so-even", 5), ("g2", 2)])
+def test_spherical_multiple_above_matches_the_loop(kind, n):
+    # The closed form against trying k = 1, 2, ... in turn, at each of
+    # the first 40 values of k*gen, just below it and just above it.
+    family = FibrationFamily(kind, n)
+    basis = kramer_basis(family)
+    quad, linear, factor = _form(*_base_generators(family.root_family,
+                                                   basis))
+
+    def value(k):
+        return factor * k * (k * quad[0][0] + linear[0])
+
+    targets = [Fraction(-1), Fraction(0)] + [
+        value(k) + d for k in range(1, 41)
+        for d in (-factor / 3, 0, factor / 3)]
+    for target in targets:
+        k = least_multiple_above(value, target)
+        assert spectra.spherical_multiple_above(family, target) == (
+            value(k), tuple(k * c for c in basis[0]))
 
 
 @pytest.mark.parametrize("kind,n", [("su", n) for n in range(2, 9)]

@@ -97,13 +97,13 @@ def test_comparison_against_rationals():
 
 def test_bounds_and_float():
     x = QuadraticSurd(-9, 1, 1, 85)
-    lo, hi = x.bounds(bits=80)
+    lo, hi, den = x.bounds()
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
     assert hi - lo <= Fraction(1, 2**79)
     # The enclosure really brackets sqrt(85) - 9.
     assert (lo + 9) ** 2 <= 85 <= (hi + 9) ** 2
-    # Both 64-bit ends round to one float, unlike sqrt(85) - 9 in
-    # floats, which cancels to 0.21954445729288707.
-    lo, hi = x.bounds()
+    # Both ends round to one float, unlike sqrt(85) - 9 in floats,
+    # which cancels to 0.21954445729288707.
     assert float(lo) == float(hi) == 0.2195444572928873
 
 
@@ -190,22 +190,50 @@ def _outcome(sqrt_to_float):
 
 # The first example's u lies in (0, 1) with an enclosure 2**-26 wide:
 # both refuse its square root.
-@example((-isqrt(2 << 140), 2**70, 1, 2), (1, 1, 1, 0), 64)
-@given(surd_args, surd_args, st.integers(32, 128))
-def test_kernel_matches_the_fraction_oracle(args, other_args, bits):
+@example((-isqrt(2 << 140), 2**70, 1, 2), (1, 1, 1, 0))
+@given(surd_args, surd_args)
+def test_kernel_matches_the_fraction_oracle(args, other_args):
     # y shares x's radicand, so the two lie in one field.
     x, ox = QuadraticSurd(*_integral(args)), FractionSurd(*args)
     same_field = other_args[:3] + args[3:]
     y, oy = QuadraticSurd(*_integral(same_field)), FractionSurd(*same_field)
     assert _value(x) == _value(ox)
     assert _surd_sign(x) == ox.sign()
-    assert x.bounds(bits) == ox.bounds(bits)
+    lo, hi, den = x.bounds()
+    assert (Fraction(lo, den), Fraction(hi, den)) == ox.bounds(96)
     assert _outcome(x.sqrt_to_float) == _outcome(ox.sqrt_to_float)
     for rational in (args[0], args[0] + 1, 0):
         assert (x == rational) == (ox.cmp(rational) == 0)
         assert (x < rational) == (ox.cmp(rational) < 0)
     assert (x == y) == (ox.cmp(oy) == 0)
     assert (x < y) == (ox.cmp(oy) < 0)
+
+
+def _encloses(ox, lo, hi, den):
+    """Whether lo/den <= ox <= hi/den, ox an oracle surd, decided in the
+    oracle's exact arithmetic."""
+    return ox.cmp(Fraction(lo, den)) >= 0 and ox.cmp(Fraction(hi, den)) <= 0
+
+
+@example((-9, 1, 1, 85))
+@example((Fraction(7, 3), 5, 2, 9))
+@given(surd_args)
+def test_bounds_are_integers_enclosing_the_value(args):
+    # The enclosure over r*2**96 that sqrt_enclosure reads, |q| wide.
+    x, ox = QuadraticSurd(*_integral(args)), FractionSurd(*args)
+    lo, hi, den = x.bounds()
+    assert den == x.r << 96
+    assert hi - lo == abs(x.q)
+    assert _encloses(ox, lo, hi, den)
+    if ox.d == 0:
+        assert lo == hi
+
+
+def test_a_value_enclosure_one_step_low_fails_the_check():
+    x = QuadraticSurd(-9, 1, 1, 85)
+    lo, hi, den = x.bounds()
+    assert _encloses(fraction_surd(x), lo, hi, den)
+    assert not _encloses(fraction_surd(x), lo, hi - 1, den)
 
 
 def _encloses_sqrt(ox, lo, hi, den):

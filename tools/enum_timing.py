@@ -11,9 +11,12 @@ fixed grid below, ``import flagvar`` and then ``import flagvar.cli``,
 ``base_spectrum``, the root tables ``_root_coordinates`` and
 ``_weyl_rows``, ``flag_minimum``, and scal(t) and phi1 as
 ``build_fibration(...).scal`` and ``.phi1``, the instant solving
-``degeneracy_instants(fib, instant_base(fib, t_min))`` and the verify
-checks ``catalog.audit(fib)``, cold (after every flagvar cache is
-emptied) where the grid says so.  Each spectrum cell times a
+``degeneracy_instants(fib, instant_base(fib, t_min))``, the verify
+checks ``catalog.audit(fib)``, the printer's floats
+``[i.u.sqrt_to_float() for i in instants]`` over instants solved
+untimed, and the decay witness ``spherical_multiple_above`` at
+s(eps**2), cold (after every flagvar cache is emptied) where the grid
+says so.  Each spectrum cell times a
 first walk: where a checkout caches its class-one walks
 (``spectra._class_one_spectrum``), that cache alone is emptied before
 the cell, and the root tables stay warm.  A full garbage collection
@@ -84,6 +87,14 @@ SOLVE = ([("degeneracy_instants", kind, n, t_min)
                                  ("sp", 3, Fraction(45, 1000)))]
          + [("audit", kind, n, None) for kind, n in (("su", 3), ("sp", 5))])
 GRID += SOLVE
+
+# (function, kind, rank, t_min or eps): the printer's float t of every
+# instant down to t_min, solved untimed, and the multiple of the first
+# spherical generator above s(eps**2), its target made untimed.  Both
+# digest their output.
+PRINT = [("sqrt_to_float", "su", 2, Fraction(7, 1000)),
+         ("spherical_multiple_above", "su", 2, Fraction(1, 10**6))]
+GRID += PRINT
 
 # Cells timed cold, after every flagvar cache is emptied: the table of
 # simple-root coordinates, the Weyl rows (which read that table where it
@@ -158,6 +169,21 @@ def worker():
             if name != "audit":
                 result = [(str(inst.u), inst.beta, inst.mult,
                            inst.is_bifurcation) for inst in result]
+        elif name == "sqrt_to_float":
+            fib = build_fibration(family)
+            instants = bifurcation.degeneracy_instants(
+                fib, bifurcation.instant_base(fib, cutoff))
+            gc.collect()
+            start = time.perf_counter()
+            result = [i.u.sqrt_to_float() for i in instants]
+            seconds = time.perf_counter() - start
+        elif name == "spherical_multiple_above":
+            target = build_fibration(family).scal_over_m_minus_1(
+                cutoff * cutoff)
+            gc.collect()
+            start = time.perf_counter()
+            result = spectra.spherical_multiple_above(family, target)
+            seconds = time.perf_counter() - start
         elif name == "build_fibration":
             start = time.perf_counter()
             fib = build_fibration(family)

@@ -14,7 +14,9 @@ for j = 1..16, where the override moves each bifurcation flag;
 ``verify --family F --n N`` at every valid rank N <= 7, since the
 catalogue's agreement pattern depends on the rank, ``spectrum
 --family F --n N --cutoff 4`` there too, whose base labels list the
-spherical generators' coefficients in generator order, and ``figure
+spherical generators' coefficients in generator order, and with
+``--format csv``, whose origin column the printer writes as it joins
+the total and base lists, and ``figure
 --family F --n N --tmin 1/5 --format svg`` there too, whose first flag
 and fiber entries share the cached walks at cutoff 1, and ``instants
 --family F --n N --tmin 1/20 --format csv`` there too, whose t and
@@ -89,6 +91,8 @@ def argvs():
         out.append(["verify", "--family", kind, "--n", str(n)])
         out.append(["spectrum", "--family", kind, "--n", str(n),
                     "--cutoff", "4"])
+        out.append(["spectrum", "--family", kind, "--n", str(n),
+                    "--cutoff", "4", "--format", "csv"])
         out.append(["figure", "--family", kind, "--n", str(n),
                     "--tmin", "1/5", "--format", "svg"])
         out.append(["instants", "--family", kind, "--n", str(n),
