@@ -9,25 +9,24 @@ rule gives the partition for every family: H is the fixed group of the
 inner involution Ad(exp(pi*i*omega_n)), omega_n the fundamental
 coweight of the last simple root (Borel and de Siebenthal, 1949), so a
 positive root is vertical exactly when its coefficient on that simple
-root, read off ``spectra._root_coordinates``, is even.  The same rule
-gives the fiber's simple roots, and through them its spectrum.  A
-fibration derives scal(t) once (``scal``, which certifies A > 0 > E)
-and, from it, the integer form ``gap`` of scal(t)/(m-1), which
-``gap_at`` reads at (mu, phi) for every comparison with an eigenvalue
-curve.  One ``_KINDS`` row per kind also holds the base's spherical
-generators as integer ambient weights; with ``catalog``, this is the
-only module that names a kind.
+root, one of the coordinates ``rootsys`` grows with each root, is even.
+The same rule gives the fiber's simple roots, and through them its
+spectrum.  A fibration derives scal(t) once (``scal``, which certifies
+A > 0 > E) and, from it, the integer form ``gap`` of scal(t)/(m-1),
+which ``gap_at`` reads at (mu, phi) for every comparison with an
+eigenvalue curve.  One ``_KINDS`` row per kind also holds the base's
+spherical generators as integer ambient weights; with ``catalog``, this
+is the only module that names a kind.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 
 from .curvature import scal_wz
 from .exact import common_denominator
 from .rootsys import FamilyTag, build_root_system
-from .spectra import _root_coordinates, fiber_spectrum
+from .spectra import fiber_spectrum
 
 # Per kind: the root system's kind, the smallest valid rank (also the
 # default), the names of the total space, the base and the fiber, as
@@ -174,14 +173,12 @@ def build_fibration(family, phi1=None):
     simple roots.
 
     A root is vertical when k_n, its coefficient on the last simple root,
-    is even.  Each root is first rebuilt as sum k_j*alpha_j from the
-    coordinates it is graded by; a root that does not rebuild is a fault
-    of the table, not of the input.  The fiber's simple roots are G's
-    others and the k_n = 2 root of least height sum(k), if any (Borel
-    and de Siebenthal): n-1 for su, sp and so-even, n for so-odd, 2 for
-    g2.  phi1 is the first fiber eigenvalue under G's form, which the
-    canonical variation puts on the fiber (su n=2: 2/3; 1 under the
-    fiber's own form).  It is derived when first read; pass a value to
+    is even.  The fiber's simple roots are G's others and the first
+    k_n = 2 root, if any, in the root table, which is ordered by height
+    sum(k) (Borel and de Siebenthal): n-1 for su, sp and so-even, n for
+    so-odd, 2 for g2.  phi1 is the first fiber eigenvalue under G's form,
+    which the canonical variation puts on the fiber (su n=2: 2/3; 1 under
+    the fiber's own form).  It is derived when first read; pass a value to
     re-run the bifurcation test.
     """
     if phi1 is not None:
@@ -189,24 +186,12 @@ def build_fibration(family, phi1=None):
         if phi1 <= 0:
             raise ValueError("phi1 must be positive")
     rs = build_root_system(family.root_family)
-    coords = dict(zip(rs.positive_roots,
-                      _root_coordinates(family.root_family)))
-    entries = [[(m, x) for m, x in enumerate(a) if x]
-               for a in rs.simple_roots]
+    graded = list(zip(rs.positive_roots, rs.coordinates))
     vertical, horizontal = parts = ([], [])
-    for root, k in coords.items():
-        rebuilt = [0] * len(root)
-        for j in compress(range(len(k)), k):
-            for m, x in entries[j]:
-                rebuilt[m] += k[j] * x
-        if root != tuple(rebuilt):
-            raise AssertionError(
-                "unexpected vertical pattern: {} is not sum k_j*alpha_j for"
-                " k = {}".format(root, k))
+    for root, k in graded:
         parts[k[-1] % 2].append(root)
-    simple = set(rs.simple_roots[:-1]) | {min(
-        (r for r, k in coords.items() if k[-1] == 2), default=None,
-        key=lambda r: sum(coords[r]))}
+    simple = set(rs.simple_roots[:-1]) | {next(
+        (root for root, k in graded if k[-1] == 2), None)}
     return FibrationData(
         family=family, root_system=rs, vertical_roots=tuple(vertical),
         horizontal_roots=tuple(horizontal),

@@ -3,22 +3,25 @@
 Every root has integer ambient coordinates: A_n lives in the sum-zero
 hyperplane of Z^(n+1), B/C/D in Z^n, and G2 in the sum-zero plane of
 Z^3 with simple roots (0, 1, -1) (short) and (1, -2, 1) (long), the
-embedding ``sympy.liealgebras`` uses.  The inner product is the dual
-Cartan-Killing form: one rational ``RootSystem.scale`` times the
-integer dot product, the scale that puts the Casimir
-<theta, theta + 2*delta> of the adjoint representation at 1, theta the
-highest root.  Equivalently <theta, theta> = 1/h_vee, h_vee the dual
-Coxeter number, which is never tabulated.  That choice makes every
-eigenvalue formula downstream come out with its familiar denominator.
-Nothing at runtime reads bracket data: ``curvature`` sums Casimir
-constants, and only the tests' oracles walk root strings.
+embedding ``sympy.liealgebras`` uses.  Only the simple roots are
+written by hand.  The positive roots are grown from them by height,
+each with its simple-root coordinates k (alpha = sum k_i alpha_i), the
+one table that the fibration's grading and the Weyl factors read.  The
+inner product is the dual Cartan-Killing form: one rational
+``RootSystem.scale`` times the integer dot product, the scale that puts
+the Casimir <theta, theta + 2*delta> of the adjoint representation at
+1, theta the highest root.  Equivalently <theta, theta> = 1/h_vee,
+h_vee the dual Coxeter number, which is never tabulated.  That choice
+makes every eigenvalue formula downstream come out with its familiar
+denominator.  Nothing at runtime reads bracket data: ``curvature`` sums
+Casimir constants, and only the tests' oracles walk root strings.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from operator import add, mul, sub
+from itertools import compress
+from operator import add, gt, mul, sub
 
 # The five kinds, each with its smallest rank.
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "G2": 2}
@@ -41,50 +44,76 @@ class FamilyTag(namedtuple("FamilyTag", "kind rank")):
 
 
 class RootSystem(namedtuple("RootSystem",
-                            "positive_roots simple_roots scale")):
-    """Positive and simple roots and the CK scale: the form is ``scale``
-    times the integer dot product."""
+                            "positive_roots simple_roots scale coordinates")):
+    """Positive roots by height, simple roots, the CK scale (the form is
+    ``scale`` times the integer dot product) and, in row i of
+    ``coordinates``, the simple-root coordinates k of positive root i."""
 
     __slots__ = ()
 
 
 @lru_cache(maxsize=None)
-def build_root_system(family):
-    """Construct positive roots, simple roots and the normalized form,
-    once per family."""
-    kind, n = family.kind, family.rank
+def gram_matrix(roots):
+    """Integer Gram matrix of ``roots`` under the dot product."""
+    return tuple(tuple(sum(map(mul, a, b)) for b in roots) for a in roots)
 
-    dim = n + 1 if kind == "A" else n
-    e = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
-    if kind == "A":
-        positive = [tuple(map(sub, e[i], e[j]))
-                    for i, j in combinations(range(dim), 2)]
-        simple = [tuple(map(sub, e[i], e[i + 1])) for i in range(n)]
-    elif kind in ("B", "C", "D"):
-        positive = []
-        for i, j in combinations(range(n), 2):
-            positive.append(tuple(map(sub, e[i], e[j])))
-            positive.append(tuple(map(add, e[i], e[j])))
-        simple = [tuple(map(sub, e[i], e[i + 1])) for i in range(n - 1)]
+
+@lru_cache(maxsize=None)
+def build_root_system(family):
+    """Write the simple roots, grow the positive roots with their
+    coordinates and derive the normalized form, once per family.
+
+    Each root beta of one height carries its coordinates k, its Cartan
+    pairings c_i = <beta, alpha_i^vee> and, per i, the number q_i of
+    steps the alpha_i-string through beta goes down.  beta + alpha_i is
+    a root exactly when q_i > c_i (Humphreys, *Introduction to Lie
+    Algebras and Representation Theory*, 8.4); its pairings are beta's
+    plus row i of the Cartan matrix 2<alpha_i, alpha_j>/<alpha_j,
+    alpha_j>, and its q_i is beta's plus one.  Every root one height
+    lower from which it grows sets one q_j, and q_j = 0 where none does:
+    a simple root has q = 0.
+    """
+    kind, n = family.kind, family.rank
+    if kind == "G2":  # a short, b long
+        simple = [(0, 1, -1), (1, -2, 1)]
+    else:
+        dim = n + 1 if kind == "A" else n
+        e = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
+        simple = [tuple(map(sub, a, b)) for a, b in zip(e, e[1:])]
         if kind == "B":
-            positive.extend(e)
             simple.append(e[n - 1])
         elif kind == "C":
-            positive.extend(tuple(map(add, v, v)) for v in e)
             simple.append(tuple(map(add, e[n - 1], e[n - 1])))
-        else:
+        elif kind == "D":
             simple.append(tuple(map(add, e[n - 2], e[n - 1])))
-    else:  # G2: a, b, a+b, 2a+b, 3a+b, 3a+2b with a short, b long
-        positive = [(0, 1, -1), (1, -2, 1), (1, -1, 0), (1, 0, -1),
-                    (1, 1, -2), (2, -1, -1)]
-        simple = positive[:2]
+    simple = tuple(simple)
+
+    gram = gram_matrix(simple)
+    cartan = [[2 * g // gram[j][j] for j, g in enumerate(row)]
+              for row in gram]
+    level = {tuple(int(i == j) for j in range(n)): (alpha, row, [0] * n)
+             for i, (alpha, row) in enumerate(zip(simple, cartan))}
+    positive, coordinates = [], []
+    while level:
+        grown = {}
+        for k, (root, pairings, down) in level.items():
+            positive.append(root)
+            coordinates.append(k)
+            for i in compress(range(n), map(gt, down, pairings)):
+                up = k[:i] + (k[i] + 1,) + k[i + 1:]
+                if up not in grown:
+                    grown[up] = (tuple(map(add, root, simple[i])),
+                                 list(map(add, pairings, cartan[i])),
+                                 [0] * n)
+                grown[up][2][i] = down[i] + 1
+        level = grown
 
     # The adjoint Casimir <theta, theta + 2*delta> is 1 under the Killing
     # form, and theta maximizes <alpha, alpha + 2*delta> over positive roots.
     two_delta = tuple(map(sum, zip(*positive)))
     scale = Fraction(1, max(sum(map(mul, r, map(add, r, two_delta)))
                             for r in positive))
-    return RootSystem(tuple(positive), tuple(simple), scale)
+    return RootSystem(tuple(positive), simple, scale, tuple(coordinates))
 
 
 def ck_inner(scale, u, v):

@@ -12,9 +12,8 @@ G's CK scale, which the canonical variation puts on the fiber.  The
 fundamental weights are one integer matrix N over one denominator den,
 from a fraction-free inversion of the simple-root Gram matrix, so every
 generator is an integer row over den and no Fraction enters the
-enumerator.  The same N gives each positive root's simple-root
-coordinates k, once (``_root_coordinates``): the fibration's grading
-reads k_n, and the Weyl factors are the k_i*|alpha_i|^2.  Dominant
+enumerator.  The Weyl factors are the k_i*|alpha_i|^2, k each positive
+root's simple-root coordinates, grown with it in ``rootsys``.  Dominant
 weights have pairwise non-negative inner products and non-negative
 <g, 2*delta>, so the value is one rational factor times an integer form
 a'Wa + w.a with W and w entrywise non-negative.  That form never
@@ -43,7 +42,7 @@ from itertools import chain
 from math import floor, gcd, isqrt, lcm, prod
 from operator import add, mul
 
-from .rootsys import build_root_system
+from .rootsys import build_root_system, gram_matrix
 # ck_inner is unused here but stays bound: the perfbench tracer
 # self-test checks that it is wrapped in this namespace too.
 from .rootsys import ck_inner  # noqa: F401
@@ -61,16 +60,9 @@ class SpectrumEntry(namedtuple("SpectrumEntry", "value mult label")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
-def _gram(roots):
-    """Integer Gram matrix of ``roots`` under the dot product."""
-    return tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in roots)
-                 for a in roots)
-
-
 def _simple_gram(family):
     """Integer Gram matrix G of the simple roots of ``family``."""
-    return _gram(build_root_system(family).simple_roots)
+    return gram_matrix(build_root_system(family).simple_roots)
 
 
 @lru_cache(maxsize=None)
@@ -105,36 +97,13 @@ def _fundamental_coefficients(gram):
 
 
 @lru_cache(maxsize=None)
-def _root_coordinates(family):
-    """The simple-root coordinates k, alpha = sum k_j alpha_j, of each
-    positive root of ``family`` in order, derived here and nowhere else.
-    Row m of ``omega`` holds 2*den*<e_m, omega_j> over j, so k_j*den*G_jj
-    = 2*den*<alpha, omega_j> sums alpha_m times those rows over alpha's
-    nonzero entries m; the division by den*G_jj is exact, checked."""
-    rs = build_root_system(family)
-    gram = _simple_gram(family)
-    coeffs, den = _fundamental_coefficients(gram)
-    omega = [[2 * sum(map(mul, n, col)) for n in coeffs]
-             for col in zip(*rs.simple_roots)]
-    units = [den * row[j] for j, row in enumerate(gram)]
-    table = []
-    for alpha in rs.positive_roots:
-        k = list(map(divmod, map(sum, zip(*(
-            [x * w for w in omega[m]] for m, x in enumerate(alpha) if x))),
-            units))
-        if any(rest for _, rest in k):
-            raise AssertionError("simple-root coordinates are not integral")
-        table.append(tuple(kj for kj, _ in k))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def _weyl_rows(family):
     """Rows k_i*G_ii = 2<alpha, omega_i> of the positive roots, read off
-    ``_root_coordinates``, and the product of the row sums, which is the
+    their coordinates k, and the product of the row sums, which is the
     Weyl denominator up to the CK scale."""
     diag = [row[i] for i, row in enumerate(_simple_gram(family))]
-    rows = tuple(tuple(map(mul, k, diag)) for k in _root_coordinates(family))
+    rows = tuple(tuple(map(mul, k, diag))
+                 for k in build_root_system(family).coordinates)
     return rows, prod(map(sum, rows))
 
 
@@ -241,7 +210,7 @@ def _class_one_spectrum(simple_roots, scale, cutoff):
     integral exactly when every entry of v is divisible by den.  On a
     block-diagonal Gram (a product) p may vanish on a factor.
     """
-    gram = _gram(simple_roots)
+    gram = gram_matrix(simple_roots)
     coeffs, den = _fundamental_coefficients(gram)
 
     def class_one(v):

@@ -479,21 +479,6 @@ def test_a_non_dominant_generator_row_fails_in_one_line(capsys, monkeypatch):
                    "(0, 0, 2) is not dominant\n")
 
 
-def test_grading_fault_exits_1(capsys, monkeypatch):
-    # Grading on an odd last coefficient puts two vertical roots in one
-    # triple with a horizontal one: a fault of the grading rule, not of
-    # the input.  The fault is planted in k_n itself, in the coordinate
-    # table the partition reads.
-    real = fibration._root_coordinates
-    monkeypatch.setattr(fibration, "_root_coordinates", lambda family: tuple(
-        k[:-1] + (k[-1] + 1,) for k in real(family)))
-    code, out, err = run(capsys, ["scal", "--family", "su", "--n", "3"])
-    assert code == 1 and out == ""
-    assert err.startswith(
-        "flagvar: certificate failed: unexpected vertical pattern")
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
 @pytest.mark.parametrize("sub", ["scal", "instants", "morse", "figure",
                                  "verify"])
 def test_scal_shape_fault_exits_1(capsys, monkeypatch, sub):

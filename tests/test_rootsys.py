@@ -5,8 +5,10 @@ from itertools import combinations
 
 import pytest
 
+from flagvar.fibration import build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
 from oracles import all_roots, root_string, structure_constant_sq
+from test_spectra import _fibrations
 
 COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -255,3 +257,54 @@ def test_roots_and_gram_match_sympy(kind, rank):
         assert all_roots(rs) - listed <= {(1, 0, -1), (-1, 0, 1)}
     else:
         assert all_roots(rs) == listed
+
+
+# -- oracle: the grown table against the Weyl closure ------------------------
+
+# Every valid rank up to 12.
+GROWN = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 13)]
+         + [("C", n) for n in range(3, 13)] + [("D", n) for n in range(4, 13)]
+         + [("G2", 2)])
+
+
+def heights_never_decrease(coordinates):
+    heights = [sum(k) for k in coordinates]
+    return heights == sorted(heights)
+
+
+@pytest.mark.parametrize("kind,rank", GROWN)
+def test_grown_roots_are_the_positive_half_of_the_weyl_closure(kind, rank):
+    rs = build_root_system(FamilyTag(kind, rank))
+    closure = _weyl_closure(rs.simple_roots)
+    assert len(closure) == 2 * len(rs.positive_roots)
+    assert all_roots(rs) == closure
+    assert min(map(min, rs.coordinates)) >= 0
+    assert heights_never_decrease(rs.coordinates)
+    # The last root is the highest root, the unique maximum of
+    # <r, r + 2*delta>.
+    two_delta = [sum(col) for col in zip(*rs.positive_roots)]
+    *rest, top = [sum(x * (x + d) for x, d in zip(r, two_delta))
+                  for r in rs.positive_roots]
+    assert all(value < top for value in rest)
+
+
+@pytest.mark.parametrize("kind,rank", [("B", 3), ("G2", 2)])
+def test_a_reversed_table_fails_the_height_check(kind, rank):
+    rs = build_root_system(FamilyTag(kind, rank))
+    assert not heights_never_decrease(rs.coordinates[::-1])
+
+
+@pytest.mark.parametrize("family", _fibrations(12),
+                         ids=lambda f: "{}-{}".format(*f))
+def test_the_fiber_adds_the_least_k_n_2_root(family):
+    # Borel and de Siebenthal: the fiber's one simple root beyond G's
+    # first n-1 is the k_n = 2 root of least height, unique where it
+    # exists (so-odd and g2).
+    fib = build_fibration(family)
+    rs = fib.root_system
+    doubled = {r: sum(k) for r, k in zip(rs.positive_roots, rs.coordinates)
+               if k[-1] == 2}
+    low = min(doubled.values(), default=0)
+    least = {r for r, height in doubled.items() if height == low}
+    assert len(least) <= 1
+    assert set(fib.fiber_simple_roots) - set(rs.simple_roots) == least

@@ -16,10 +16,11 @@ from flagvar.catalog import (bn_dominance_row_report,
                              cn_first_eigenvalue_report)
 from flagvar.curvature import _fiber_factors
 from flagvar.fibration import FibrationFamily, build_fibration
-from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
+from flagvar.rootsys import (FamilyTag, build_root_system, ck_inner,
+                             gram_matrix)
 from flagvar.spectra import (_base_generators, _form,
-                             _fundamental_coefficients, _gram,
-                             _lattice_points, _simple_gram, _weyl_rows,
+                             _fundamental_coefficients, _lattice_points,
+                             _simple_gram, _weyl_rows,
                              base_spectrum, fiber_spectrum, flag_minimum,
                              flag_spectrum, is_dominant_class_one,
                              kramer_basis, weyl_dim)
@@ -286,7 +287,8 @@ def test_fundamental_coefficients_match_the_fraction_solve(family):
 def test_fiber_fundamental_coefficients_match_the_fraction_solve(kind, n):
     # The fiber's Gram matrix is block-diagonal when the fiber is a product.
     fib = build_fibration(FibrationFamily(kind, n))
-    assert_kernel_matches_the_fraction_solve(_gram(fib.fiber_simple_roots))
+    assert_kernel_matches_the_fraction_solve(
+        gram_matrix(fib.fiber_simple_roots))
 
 
 def test_fundamental_coefficients_reject_a_singular_gram():
@@ -374,32 +376,27 @@ COORDINATE_FAMILIES = ([FamilyTag("A", n) for n in range(1, 13)]
                        + [FamilyTag("G2", 2)])
 
 
-def rebuilt_roots(rs, table):
-    """sum k_i alpha_i over the simple roots of ``rs``, one per row k."""
-    return tuple(tuple(map(sum, zip(*([k * x for x in alpha] for k, alpha
+def assert_the_table_rebuilds_every_root(rs):
+    """Each row k of ``rs.coordinates`` is integral and sum k_i alpha_i
+    over the simple roots is the positive root in that row."""
+    assert all(type(k) is int for row in rs.coordinates for k in row)
+    assert tuple(tuple(map(sum, zip(*([k * x for x in alpha] for k, alpha
                                       in zip(row, rs.simple_roots)))))
-                 for row in table)
+                 for row in rs.coordinates) == rs.positive_roots
 
 
 @pytest.mark.parametrize("family", COORDINATE_FAMILIES, ids=family_id)
 def test_root_coordinates_rebuild_every_positive_root(family):
-    rs = build_root_system(family)
-    table = spectra._root_coordinates(family)
-    assert all(type(k) is int for row in table for k in row)
-    assert rebuilt_roots(rs, table) == rs.positive_roots
+    assert_the_table_rebuilds_every_root(build_root_system(family))
 
 
-def test_a_root_coordinate_off_by_one_fails_the_rebuild(monkeypatch):
+def test_a_root_coordinate_off_by_one_fails_the_rebuild():
     # The negative control: one entry of one row off by one.
-    real = spectra._root_coordinates
-
-    def planted(family):
-        first, *rest = real(family)
-        return ((first[0] + 1,) + first[1:], *rest)
-
-    monkeypatch.setattr(spectra, "_root_coordinates", planted)
+    rs = build_root_system(FamilyTag("B", 3))
+    first, *rest = rs.coordinates
+    planted = rs._replace(coordinates=((first[0] + 1,) + first[1:], *rest))
     with pytest.raises(AssertionError):
-        test_root_coordinates_rebuild_every_positive_root(FamilyTag("B", 3))
+        assert_the_table_rebuilds_every_root(planted)
 
 
 def test_cpn_multiplicity():
@@ -652,7 +649,7 @@ def _weyl_dims_by_reflection(simple_roots, labels):
     from the positive roots alone: the simple roots closed under the
     simple reflections, in simple-root coordinates, keep the roots with
     no negative coordinate."""
-    gram = _gram(simple_roots)
+    gram = gram_matrix(simple_roots)
     rank = len(gram)
 
     def form(x, y):

@@ -8,7 +8,8 @@ goes first; each interpreter imports flagvar from its checkout's ``src``
 and times, with ``time.perf_counter`` and one call per cell of the
 fixed grid below, ``import flagvar`` and then ``import flagvar.cli``,
 ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
-``base_spectrum``, the root tables ``_root_coordinates`` and
+``base_spectrum``, the root tables (``build_root_system``, plus
+``spectra._root_coordinates`` where a checkout has it) and
 ``_weyl_rows``, ``flag_minimum``, and scal(t) and phi1 as
 ``build_fibration(...).scal`` and ``.phi1``, the instant solving
 ``degeneracy_instants(fib, instant_base(fib, t_min))``, the verify
@@ -26,9 +27,14 @@ no ``__pycache__`` in the checkouts the import cells pay the compile
 from source that a cold command-line query pays.
 The report gives, per call and summed, the median seconds at each
 checkout and the change's share of pairs won, then one line saying
-whether every output was equal at both checkouts.  A cell whose function
-a checkout lacks shows "-" there and stays out of the sum and the
-comparison.  Standard library only.
+whether every output was equal at both checkouts and, if not, the key
+of each cell whose digest differs.  A digest reads what a cell computes,
+never the order of the positive roots, which no printed output reads:
+the root table cells digest the sorted (root, k) pairs, the
+build_fibration cells the sorted vertical roots, horizontal roots and
+fiber simple roots, and the _weyl_rows cells (sorted rows, den).  A
+cell whose function a checkout lacks shows "-" there and stays out of
+the sum and the comparison.  Standard library only.
 """
 
 import argparse
@@ -96,14 +102,14 @@ PRINT = [("sqrt_to_float", "su", 2, Fraction(7, 1000)),
          ("spherical_multiple_above", "su", 2, Fraction(1, 10**6))]
 GRID += PRINT
 
-# Cells timed cold, after every flagvar cache is emptied: the table of
-# simple-root coordinates, the Weyl rows (which read that table where it
-# exists), a build, and scal(t) with its build, at ranks where the
+# Cells timed cold, after every flagvar cache is emptied: the root
+# system with its table of simple-root coordinates, the Weyl rows (which
+# read that table), a build, and scal(t) with its build, at ranks where the
 # positive roots run to hundreds or thousands; then the first flag
 # eigenvalue mu1 and the first fiber eigenvalue phi1 with its build,
 # whose enumerations form the generators' Gram products.  They come
 # last, so emptying the caches leaves the cells above untouched.
-COLD = ([(name, "su", n, None) for name in ("_root_coordinates", "_weyl_rows")
+COLD = ([(name, "su", n, None) for name in ("root_table", "_weyl_rows")
          for n in (40, 60)]
         + [("build_fibration", "su", 60, None)]
         + [("scal", kind, n, None)
@@ -142,9 +148,13 @@ def digest(result):
 def worker():
     """Time every grid cell once; print {cell: [seconds, output digest]},
     leaving out a cell whose function this checkout lacks.
-    A build_fibration cell digests the partition and the fiber's simple
-    roots, a scal or phi1 cell the value, a spectrum or flag_minimum
-    cell the (value, mult, label) of each line."""
+    A root table cell digests the sorted (root, k) pairs, its k read off
+    ``spectra._root_coordinates`` where the checkout has it, else off
+    ``RootSystem.coordinates``; a build_fibration cell the sorted
+    vertical roots, horizontal roots and fiber simple roots; a
+    _weyl_rows cell (sorted rows, den); a scal or phi1 cell the value;
+    a spectrum or flag_minimum cell the (value, mult, label) of each
+    line."""
     out = {}
     for cell in IMPORTS:
         gc.collect()
@@ -156,6 +166,7 @@ def worker():
             if cell[1] == "flagvar.cli" else None)]
     from flagvar import bifurcation, catalog, spectra
     from flagvar.fibration import FibrationFamily, build_fibration
+    from flagvar.rootsys import build_root_system
     clear_walks = getattr(getattr(spectra, "_class_one_spectrum", None),
                           "cache_clear", lambda: None)
     for cell in GRID[len(IMPORTS):]:
@@ -192,12 +203,21 @@ def worker():
             start = time.perf_counter()
             result = spectra.spherical_multiple_above(family, target)
             seconds = time.perf_counter() - start
+        elif name == "root_table":
+            coordinates = getattr(spectra, "_root_coordinates", None)
+            start = time.perf_counter()
+            rs = build_root_system(family.root_family)
+            table = (coordinates(family.root_family) if coordinates
+                     else rs.coordinates)
+            seconds = time.perf_counter() - start
+            result = sorted(zip(rs.positive_roots, table))
         elif name == "build_fibration":
             start = time.perf_counter()
             fib = build_fibration(family)
             seconds = time.perf_counter() - start
-            result = (fib.vertical_roots, fib.horizontal_roots,
-                      fib.fiber_simple_roots)
+            result = [sorted(fib.vertical_roots),
+                      sorted(fib.horizontal_roots),
+                      sorted(fib.fiber_simple_roots)]
         elif name in ("scal", "phi1"):
             start = time.perf_counter()
             result = getattr(build_fibration(family), name)
@@ -211,6 +231,9 @@ def worker():
             seconds = time.perf_counter() - start
             if name == "flag_minimum":
                 result = _line(result)
+            else:
+                rows, den = result
+                result = sorted(rows), den
         else:
             # Only a fiber cell builds its fibration, untimed: a build
             # may fill caches that the other cells must pay for.
@@ -268,10 +291,13 @@ def main(argv=None):
         else:
             won = "{:>6}".format("-")
         print("{:<36} {} {} {}".format(key, *medians, won))
-    same = all(len({run[key][1] for run in every}) == 1 for key in shared)
+    differ = [key for key in shared
+              if len({run[key][1] for run in every}) > 1]
     print("outputs equal at both checkouts: {} ({} cells, {} runs)".format(
-        "yes" if same else "NO", len(shared), 2 * PAIRS))
-    return 0 if same else 1
+        "NO" if differ else "yes", len(shared), 2 * PAIRS))
+    for key in differ:
+        print("  differs: {}".format(key))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
