@@ -6,17 +6,20 @@ alpha+beta} without visiting one.  For a normal metric, the symbols
 c_i sum over ordered (j, k) to d_i(1 - 2c_i) (Wang and Ziller,
 *Invent. Math.* 84, 1986); on G/T the root summand m_alpha has d = 2
 and c = <alpha, alpha>.  Inside each simple factor H_s of the fiber
-the same holds with the adjoint Casimir c_s of H_s in place of 1.  Both
-sums are linear in the roots.  The catalogued closed forms, where they
-disagree with this derivation, and the su triple census the audit
-checks are in ``catalog``.
+the same holds with the adjoint Casimir c_s of H_s in place of 1.  One
+trace identity, ``rootsys.adjoint_casimir``, gives every c_s and turns
+both sums into counts of roots: only the fiber's roots are visited.  The
+catalogued closed forms, where they disagree with this derivation, and
+the su triple census the audit checks are in ``catalog``.
 
 Everything is represented in u = t**2, never sampled in floats.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
+
+from .rootsys import adjoint_casimir
 
 
 class ScalPoly(namedtuple("ScalPoly", "a c e d")):
@@ -37,38 +40,29 @@ class ScalPoly(namedtuple("ScalPoly", "a c e d")):
         return self.normalized() == other.normalized()
 
 
-def _casimir_sum(roots):
-    """Sum over ``roots`` of c - 2<alpha, alpha>, in integer dot products.
-
-    ``roots`` are the positive roots of one simple group and c its
-    adjoint Casimir <theta, theta + 2*delta>: theta, the highest root,
-    maximizes <alpha, alpha + 2*delta> over them (the trick
-    ``build_root_system`` uses for the scale).
-    """
-    two_delta = tuple(map(sum, zip(*roots)))
-    casimir = max(sum(map(mul, r, map(add, r, two_delta))) for r in roots)
-    return sum(casimir - 2 * sum(x * x for x in r) for r in roots)
-
-
 def _fiber_factors(fib):
-    """The vertical roots, one list per simple factor of the fiber.
-
-    The factors are the classes of ``fib.fiber_simple_roots`` under a
-    nonzero dot product.  A vertical root lies in one factor and is
-    orthogonal to every other, so it joins the first factor it is not
-    orthogonal to, and the last when it is orthogonal to the rest.
-    """
+    """The vertical roots, one list per simple factor of the fiber: the
+    classes of ``fib.fiber_simple_roots`` under a nonzero dot product.
+    A vertical root is orthogonal to every factor but its own, so it
+    joins the one it is not orthogonal to, else the last."""
     groups = []
     for alpha in fib.fiber_simple_roots:
         linked = [g for g in groups if any(sum(map(mul, alpha, b)) for b in g)]
         groups = [g for g in groups if g not in linked]
         groups.append([alpha] + [b for g in linked for b in g])
-    factors = [[] for _ in groups]
-    for root in fib.vertical_roots:
-        i = next((i for i, g in enumerate(groups[:-1])
-                  if any(sum(map(mul, root, b)) for b in g)), -1)
-        factors[i].append(root)
-    return factors
+    factors = [[r for r in fib.vertical_roots
+                if any(sum(map(mul, r, b)) for b in g)] for g in groups[:-1]]
+    rest = set().union(*factors)
+    return factors + [[r for r in fib.vertical_roots if r not in rest]]
+
+
+def fiber_casimirs(fib):
+    """(positive roots, rank r_s, adjoint Casimir c_s in dot units) of
+    each simple factor H_s of the fiber, r_s its fiber simple roots."""
+    simple = set(fib.fiber_simple_roots)
+    for roots in _fiber_factors(fib):
+        rank = len(simple.intersection(roots))
+        yield roots, rank, adjoint_casimir(roots, rank)
 
 
 def scal_wz(fib):
@@ -81,16 +75,15 @@ def scal_wz(fib):
     where the vertical roots sit gives, per unit of symbol value,
     6/t**2 for an all-vertical triple and 4/t**2 + 2*t**2 for a triple
     with one vertical root.  Over all triples the symbol values sum to
-    (1/3) sum over alpha > 0 of (1 - 2<alpha, alpha>), and over the
-    all-vertical ones to (1/3) sum over s and alpha in H_s of (c_s -
-    2<alpha, alpha>); the mixed triples take the difference.
+    (1/3) sum over alpha > 0 of (1 - 2<alpha, alpha>), which is (N -
+    n)/3 for G's N = m/2 positive roots and rank n since 2 sum |alpha|^2
+    = c*rank (``adjoint_casimir``), and over the all-vertical ones to
+    (1/3) sum over s of c_s (N_s - r_s); the mixed triples take the
+    difference.
     """
-    scale = fib.root_system.scale
-    vvv = sum(map(_casimir_sum, _fiber_factors(fib)))
-    total = _casimir_sum(fib.root_system.positive_roots)
-    sum_vvv = scale * Fraction(vvv, 3)
-    sum_mixed = scale * Fraction(total - vvv, 3)
-    a = len(fib.vertical_roots) - Fraction(3, 2) * sum_vvv - sum_mixed
-    c = Fraction(len(fib.horizontal_roots))
-    e = -sum_mixed / 2
-    return ScalPoly(a=a, c=c, e=e, d=Fraction(1))
+    sum_vvv = fib.root_system.scale * sum(
+        c * (len(roots) - rank) for roots, rank, c in fiber_casimirs(fib)) / 3
+    total = Fraction(fib.m_total // 2 - len(fib.root_system.simple_roots), 3)
+    return ScalPoly(a=len(fib.vertical_roots) - total - sum_vvv / 2,
+                    c=Fraction(len(fib.horizontal_roots)),
+                    e=(sum_vvv - total) / 2, d=Fraction(1))

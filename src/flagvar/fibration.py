@@ -11,22 +11,21 @@ coweight of the last simple root (Borel and de Siebenthal, 1949), so a
 positive root is vertical exactly when its coefficient on that simple
 root, one of the coordinates ``rootsys`` grows with each root, is even.
 The same rule gives the fiber's simple roots, and through them its
-spectrum.  A fibration derives scal(t) once (``scal``, which certifies
-A > 0 > E) and, from it, the integer form ``gap`` of scal(t)/(m-1),
-which ``gap_at`` reads at (mu, phi) for every comparison with an
-eigenvalue curve.  One ``_KINDS`` row per kind also holds the base's
-spherical generators as integer ambient weights; with ``catalog``, this
-is the only module that names a kind.
+simple factors, whose adjoint Casimirs give phi1.  A fibration derives
+scal(t) once (``scal``, which certifies A > 0 > E) and, from it, the
+integer form ``gap`` of scal(t)/(m-1), which ``gap_at`` reads at (mu,
+phi) for every comparison with an eigenvalue curve.  One ``_KINDS`` row
+per kind also holds the base's spherical generators as integer ambient
+weights; with ``catalog``, this is the only module that names a kind.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .curvature import scal_wz
+from .curvature import fiber_casimirs, scal_wz
 from .exact import common_denominator
 from .rootsys import FamilyTag, build_root_system
-from .spectra import fiber_spectrum
 
 # Per kind: the root system's kind, the smallest valid rank (also the
 # default), the names of the total space, the base and the fiber, as
@@ -109,16 +108,19 @@ class FibrationData(namedtuple(
 
     @cached_property
     def phi1(self):
-        """The phi1 given to ``build_fibration``, else the first fiber
-        eigenvalue, the first of the fiber's walk at cutoff 1: each
-        fiber factor's highest root is class-one, with some value
-        c_s < 1 under G's form.  That walk is cached per (simple roots,
-        scale, cutoff) in ``spectra``; phi1 keeps its value here too,
-        since it is read twice per solved instant and a read through
-        the walk's cache hashes the simple roots each time."""
+        """The phi1 given to ``build_fibration``, else scale * min c_s
+        over the fiber's simple factors: in a simply laced one the
+        highest root is the least nonzero dominant root-lattice weight
+        (Stembridge, *Adv. Math.* 136, 1998), so c_s is its least
+        class-one value.  Each factor of the five kinds is simply laced;
+        one with two root lengths is an internal fault."""
         if self.phi1_given is not None:
             return self.phi1_given
-        return fiber_spectrum(self, 1)[0].value
+        factors = list(fiber_casimirs(self))
+        if any(len({sum(x * x for x in r) for r in roots}) > 1
+               for roots, _, _ in factors):
+            raise AssertionError("a fiber factor has two root lengths")
+        return self.root_system.scale * min(c for _, _, c in factors)
 
     @cached_property
     def scal(self):

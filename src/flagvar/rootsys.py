@@ -9,12 +9,11 @@ each with its simple-root coordinates k (alpha = sum k_i alpha_i), the
 one table that the fibration's grading and the Weyl factors read.  The
 inner product is the dual Cartan-Killing form: one rational
 ``RootSystem.scale`` times the integer dot product, the scale that puts
-the Casimir <theta, theta + 2*delta> of the adjoint representation at
-1, theta the highest root.  Equivalently <theta, theta> = 1/h_vee,
-h_vee the dual Coxeter number, which is never tabulated.  That choice
-makes every eigenvalue formula downstream come out with its familiar
-denominator.  Nothing at runtime reads bracket data: ``curvature`` sums
-Casimir constants, and only the tests' oracles walk root strings.
+the adjoint Casimir <theta, theta + 2*delta> at 1, theta the highest
+root, so <theta, theta> = 1/h_vee, h_vee never tabulated.  Every
+adjoint Casimir, G's and each fiber factor's, is read off one trace
+identity, ``adjoint_casimir``.  Nothing at runtime reads bracket data:
+only the tests' oracles walk root strings or search for theta.
 """
 
 from collections import namedtuple
@@ -108,12 +107,17 @@ def build_root_system(family):
                 grown[up][2][i] = down[i] + 1
         level = grown
 
-    # The adjoint Casimir <theta, theta + 2*delta> is 1 under the Killing
-    # form, and theta maximizes <alpha, alpha + 2*delta> over positive roots.
-    two_delta = tuple(map(sum, zip(*positive)))
-    scale = Fraction(1, max(sum(map(mul, r, map(add, r, two_delta)))
-                            for r in positive))
+    scale = 1 / adjoint_casimir(positive, n)
     return RootSystem(tuple(positive), simple, scale, tuple(coordinates))
+
+
+def adjoint_casimir(roots, rank):
+    """The adjoint Casimir <theta, theta + 2*delta> of the simple system
+    with positive ``roots``, in dot units: 2*sum |alpha|^2 over them,
+    over the rank.  Under the Killing form, where it is 1, (lambda, mu)
+    = sum over all roots of (alpha, lambda)(alpha, mu) (Humphreys,
+    section 8), whose trace puts the sum of all |alpha|^2 at the rank."""
+    return Fraction(2 * sum(sum(map(mul, r, r)) for r in roots), rank)
 
 
 def ck_inner(scale, u, v):

@@ -22,17 +22,17 @@ bound, and one enumerator that stops each coordinate at its first value
 over the cutoff finds every weight under it.  The walk carries each
 weight's integer vector, affine in a: den*p for the class-one test, and
 the Weyl factors for the base, so multiplicities are carried down the
-walk, not recomputed per weight.  A first value is one walk at cutoff
-1: a highest root is dominant and in its root lattice, G's has Casimir
-exactly 1 under the CK scale, and each fiber factor's has some c_s < 1
-there, so neither walk is empty.  A spectral line is (value, mult,
-label) and says nothing of which spectrum it belongs to, so class-one
-walks are cached on the walk's own inputs, not on its readers: per
-(simple roots, scale, cutoff), each a tuple its readers share.  So
-mu1, phi1, the sp catalogued minimum and the figure's first entries
-read one walk at cutoff 1, and no query walks one spectrum twice at one
-cutoff.  The catalogued eigenvalue statements these are compared with
-are in ``catalog``.
+walk, not recomputed per weight.  mu1 is the first value of the flag's
+walk at cutoff 1, which G's highest root, dominant, in the root lattice
+and of Casimir exactly 1, keeps from being empty.  phi1 walks nothing
+(``FibrationData.phi1``): the fiber's walk serves ``figure`` and the
+tests.  A spectral line is (value, mult, label) and says nothing of
+which spectrum it belongs to, so class-one walks are cached on the
+walk's own inputs: per (simple roots, scale, cutoff), each a tuple its
+readers share.  So mu1, the sp catalogued minimum and the figure's
+first flag entries read one walk at cutoff 1, and no query walks one
+spectrum twice at one cutoff.  The catalogued eigenvalue statements
+these are compared with are in ``catalog``.
 """
 
 from collections import namedtuple

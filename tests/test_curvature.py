@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from flagvar import curvature
+from flagvar import curvature, fibration, rootsys
 from flagvar.catalog import scal_closed_form, su_triple_census
 from flagvar.curvature import ScalPoly, scal_wz
 from flagvar.fibration import FibrationFamily, build_fibration
+from flagvar.spectra import fiber_spectrum
 from oracles import triple_scan, value_at_t, value_at_u
+from test_spectra import _fibrations
 
 IDENTITY_HOLDS = [("su", n) for n in range(2, 7)] + [("so-odd", 2), ("g2", 2)]
 IDENTITY_FAILS = [("so-odd", n) for n in (4, 5, 6)] + \
@@ -136,7 +138,7 @@ def _two_delta(roots):
 
 
 def _doubled_casimir(roots):
-    # c_s - 2<a, a> becomes 2c_s - 2<a, a> for every root of the factor.
+    # c_s becomes 2c_s.
     return adjoint_casimir(roots, _two_delta(roots))
 
 
@@ -153,22 +155,73 @@ PLANTED_CASES = [("su", 3), ("so-odd", 2), ("sp", 4), ("so-even", 5),
                  ("g2", 2)]
 
 
+def observed(fib):
+    """What the fiber factors' Casimirs reach: scal(t)'s two symbol-value
+    sums and phi1."""
+    return casimir_class_sums(scal_wz(fib), fib), fib.phi1
+
+
+def oracle(fib):
+    """The same from the oracle's scan and from the fiber's walk."""
+    return scan_class_sums(fib), fiber_spectrum(fib, 1)[0].value
+
+
 @pytest.mark.parametrize("shift", [_doubled_casimir,
                                    _top_root_left_out_of_two_delta])
 @pytest.mark.parametrize("kind,n", PLANTED_CASES)
 def test_planted_casimir_slip_fails_the_oracle(monkeypatch, kind, n, shift):
-    # A slip in the first fiber factor's sum moves each of its roots'
-    # terms by shift(roots): the equality test must see it.
+    # A slip in every fiber factor's adjoint Casimir moves c_s by
+    # shift(roots): scal(t) sees it unless every factor is A1 (N_s = r_s,
+    # so c_s (N_s - r_s) = 0), and phi1 sees it always.
+    assert observed(_fib(kind, n)) == oracle(_fib(kind, n))
+    real = curvature.adjoint_casimir
+    monkeypatch.setattr(curvature, "adjoint_casimir",
+                        lambda roots, rank: real(roots, rank) + shift(roots))
+    assert observed(_fib(kind, n)) != oracle(_fib(kind, n))
+
+
+@pytest.mark.parametrize("kind,n", PLANTED_CASES)
+def test_factor_rank_off_by_one_fails_the_oracle(monkeypatch, kind, n):
+    # Every fiber factor's rank counted one too many, in its Casimir and
+    # in its N_s - r_s alike.
+    real = curvature.fiber_casimirs
+
+    def planted(fib):
+        for roots, rank, _ in real(fib):
+            yield roots, rank + 1, rootsys.adjoint_casimir(roots, rank + 1)
+
+    monkeypatch.setattr(curvature, "fiber_casimirs", planted)
+    monkeypatch.setattr(fibration, "fiber_casimirs", planted)
+    assert observed(_fib(kind, n)) != oracle(_fib(kind, n))
+
+
+@pytest.mark.parametrize("kind,n", [("su", 3), ("so-even", 4), ("so-odd", 2),
+                                    ("so-odd", 4), ("sp", 3), ("g2", 2)])
+def test_a_factor_with_two_root_lengths_fails_at_phi1(kind, n):
+    # Planted: the fiber made all of G, one simple factor.  Where G is
+    # simply laced phi1 is then G's adjoint Casimir, 1; elsewhere phi1
+    # refuses the factor.
     fib = _fib(kind, n)
-    first = curvature._fiber_factors(fib)[0]
-    real = curvature._casimir_sum
+    rs = fib.root_system
+    whole = fib._replace(vertical_roots=rs.positive_roots,
+                         horizontal_roots=(),
+                         fiber_simple_roots=rs.simple_roots)
+    if kind in ("su", "so-even"):
+        assert whole.phi1 == 1
+    else:
+        with pytest.raises(AssertionError, match="two root lengths"):
+            whole.phi1
 
-    def planted(roots):
-        return real(roots) + (len(roots) * shift(roots) if roots == first
-                              else 0)
 
-    monkeypatch.setattr(curvature, "_casimir_sum", planted)
-    assert casimir_class_sums(scal_wz(fib), fib) != scan_class_sums(fib)
+@pytest.mark.parametrize("family", _fibrations(12),
+                         ids=lambda f: "{}-{}".format(*f))
+def test_factor_casimirs_match_the_root_search(family):
+    # Each factor's rank and c_s against a search: the factor's simple
+    # roots counted, and the largest <b, b + 2*delta_s> over its roots.
+    fib = build_fibration(family)
+    assert [(rank, c) for _, rank, c in curvature.fiber_casimirs(fib)] == [
+        (len(simple), adjoint_casimir(positive, _two_delta(positive)))
+        for simple, positive in fiber_factors(fib)]
 
 
 @pytest.mark.parametrize("kind,n", PLANTED_CASES)

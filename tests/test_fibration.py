@@ -5,10 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from flagvar import fibration, spectra
+from flagvar import curvature, fibration, spectra
 from flagvar.curvature import ScalPoly
 from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
 from flagvar.rootsys import FamilyTag, build_root_system
+from flagvar.variation import figure_series, gap_certificate
 from oracles import (_ambient_fundamental_weights, fundamental_coefficients,
                      pair_sum_split, solve_linear, solved_grades,
                      strongly_orthogonal_sums)
@@ -297,17 +298,48 @@ def fiber_sweeps(monkeypatch, fiber_simple_roots):
     return sweeps
 
 
+def casimir_reads(monkeypatch):
+    """Record the rank of every adjoint Casimir ``curvature`` reads from
+    now on: one per fiber factor each time phi1 or scal(t) is derived."""
+    reads = []
+    real = curvature.adjoint_casimir
+
+    def recording(roots, rank):
+        reads.append(rank)
+        return real(roots, rank)
+
+    monkeypatch.setattr(curvature, "adjoint_casimir", recording)
+    return reads
+
+
 def test_phi1_is_enumerated_once_and_only_when_read(monkeypatch):
-    family = FibrationFamily("so-odd", 4)
-    sweeps = fiber_sweeps(monkeypatch,
-                          build_fibration(family).fiber_simple_roots)
-    fib = build_fibration(family)
-    assert sweeps == []
+    # Derived on first read, from the one D_4 factor of the fiber, then
+    # cached; a phi1 given to build_fibration derives nothing.
+    reads = casimir_reads(monkeypatch)
+    fib = build_fibration(FibrationFamily("so-odd", 4))
+    assert reads == []
     assert fib.phi1 == Fraction(6, 7)
-    first = len(sweeps)
-    assert first >= 1
+    assert reads == [4]
     assert fib.phi1 == Fraction(6, 7)
-    assert len(sweeps) == first
+    assert reads == [4]
     given = build_fibration(FibrationFamily("so-odd", 4), phi1=Fraction(1))
     assert given.phi1 == 1
-    assert len(sweeps) == first
+    assert reads == [4]
+
+
+# Every kind at two ranks (g2 has one).
+NO_WALK = [("su", 2), ("su", 4), ("so-odd", 2), ("so-odd", 4), ("sp", 3),
+           ("sp", 4), ("so-even", 4), ("so-even", 5), ("g2", 2)]
+
+
+@pytest.mark.parametrize("kind,n", NO_WALK)
+def test_phi1_and_scal_walk_nothing_over_the_fiber(monkeypatch, kind, n):
+    fib = build_fibration(FibrationFamily(kind, n))
+    sweeps = fiber_sweeps(monkeypatch, fib.fiber_simple_roots)
+    assert fib.phi1 > 0 and fib.scal.a > 0
+    assert gap_certificate(fib)["phi1"] == fib.phi1
+    assert sweeps == []
+    # Positive control: the figure's fiber curves still walk the fiber,
+    # from cutoff 1 up.
+    figure_series(fib, Fraction(1, 5), Fraction(1))
+    assert sweeps and sweeps[0] == 1

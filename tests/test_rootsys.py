@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from flagvar.fibration import build_fibration
-from flagvar.rootsys import FamilyTag, build_root_system, ck_inner
+from flagvar.rootsys import (FamilyTag, adjoint_casimir, build_root_system,
+                             ck_inner)
 from oracles import all_roots, root_string, structure_constant_sq
 from test_spectra import _fibrations
 
@@ -286,6 +287,19 @@ def test_grown_roots_are_the_positive_half_of_the_weyl_closure(kind, rank):
     *rest, top = [sum(x * (x + d) for x, d in zip(r, two_delta))
                   for r in rs.positive_roots]
     assert all(value < top for value in rest)
+
+
+@pytest.mark.parametrize("kind,rank", GROWN)
+def test_scale_is_the_trace_identity(kind, rank):
+    # The oracle is a root search: theta, the highest root, has the
+    # largest <r, r + 2*delta>.  A rank off by one is the planted
+    # control.
+    rs = build_root_system(FamilyTag(kind, rank))
+    two_delta = [sum(col) for col in zip(*rs.positive_roots)]
+    search = max(sum(x * (x + d) for x, d in zip(r, two_delta))
+                 for r in rs.positive_roots)
+    assert adjoint_casimir(rs.positive_roots, rank) == search == 1 / rs.scale
+    assert adjoint_casimir(rs.positive_roots, rank + 1) != search
 
 
 @pytest.mark.parametrize("kind,rank", [("B", 3), ("G2", 2)])

@@ -805,9 +805,10 @@ def test_single_generator_bases_match_closed_forms(kind, n):
         (value(q), mult(q), (q,)) for q in range(1, 7)]
 
 
-# One walk at cutoff 1 finds mu1 and phi1: the highest short root
-# theta_s of a simple system is the least nonzero dominant weight in its
-# root lattice (Stembridge 1998), and its Casimir is at most 1.
+# One walk at cutoff 1 finds mu1, and the fiber's walk checks phi1's
+# closed form: the highest short root theta_s of a simple system is the
+# least nonzero dominant weight in its root lattice (Stembridge 1998),
+# and its Casimir is at most 1.
 
 def _fibrations(top):
     """Every valid fibration up to rank ``top``, kind by kind."""
@@ -843,11 +844,13 @@ def test_flag_minimum_is_the_highest_short_root_casimir(family):
 @pytest.mark.parametrize("family", _fibrations(12),
                          ids=lambda f: "{}-{}".format(*f))
 def test_phi1_is_the_least_fiber_factor_casimir(family):
+    # Two oracles for the closed form: the fiber's class-one walk, and
+    # the search for each factor's highest short root.
     fib = build_fibration(family)
     scale = fib.root_system.scale
     values = [highest_short_root_casimir(factor, scale)
               for factor in _fiber_factors(fib)]
-    assert fib.phi1 == min(values) < 1
+    assert fib.phi1 == fiber_spectrum(fib, 1)[0].value == min(values) < 1
 
 
 def test_dropping_the_short_g2_fiber_factor_misses_phi1():

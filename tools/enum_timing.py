@@ -106,17 +106,19 @@ GRID += PRINT
 # system with its table of simple-root coordinates, the Weyl rows (which
 # read that table), a build, and scal(t) with its build, at ranks where the
 # positive roots run to hundreds or thousands; then the first flag
-# eigenvalue mu1 and the first fiber eigenvalue phi1 with its build,
-# whose enumerations form the generators' Gram products.  They come
-# last, so emptying the caches leaves the cells above untouched.
+# eigenvalue mu1, whose enumeration forms the generators' Gram products,
+# and the first fiber eigenvalue phi1 with its build, for su and for
+# the other three kinds.  They come last, so emptying the caches leaves
+# the cells above untouched.
 COLD = ([(name, "su", n, None) for name in ("root_table", "_weyl_rows")
          for n in (40, 60)]
         + [("build_fibration", "su", 60, None)]
         + [("scal", kind, n, None)
-           for kind, n in (("su", 30), ("su", 40), ("so-odd", 20), ("sp", 20),
-                           ("so-even", 20))]
+           for kind, n in (("su", 30), ("su", 40), ("su", 100), ("so-odd", 20),
+                           ("sp", 20), ("so-even", 20))]
         + [(name, "su", n, None) for name in ("flag_minimum", "phi1")
-           for n in (40, 80)])
+           for n in (40, 80)]
+        + [("phi1", kind, 20, None) for kind in ("so-odd", "sp", "so-even")])
 GRID += COLD
 
 

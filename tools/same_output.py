@@ -18,11 +18,15 @@ spherical generators' coefficients in generator order, and with
 ``--format csv``, whose origin column the printer writes as it joins
 the total and base lists, and ``figure
 --family F --n N --tmin 1/5 --format svg`` there too, whose first flag
-and fiber entries share the cached walks at cutoff 1, and ``instants
+entries share mu1's cached walk at cutoff 1 and whose fiber entries
+walk the fiber, and ``instants
 --family F --n N --tmin 1/20 --format csv`` there too, whose t and
 t_error columns the CSV printer makes from each exact u; ``scal --family
-F --n N`` at the ranks in SCAL_RANKS, past the golden ones; ``verify
---family su --n N`` at the ranks in VERIFY_RANKS; and the usage
+F --n N`` at the ranks in SCAL_RANKS, past the golden ones, and for
+so-odd, sp and so-even there ``instants --family F --n N --tmin 1/5``
+and ``verify --family F --n N``, whose bifurcation flags and gap
+certificate read phi1; ``verify --family su --n N`` at the ranks in
+VERIFY_RANKS; and the usage
 errors in USAGE_ERRORS, whose stderr carries argparse's usage line and
 so each subparser's option order and choices.  stdout, stderr and the
 exit code must match.  Each difference is printed, then
@@ -61,7 +65,8 @@ SCAL_RANKS = ([("su", n) for n in (12, 20, 30)]
               + [(kind, n) for kind in ("so-odd", "sp", "so-even")
                  for n in (10, 12, 16)])
 
-# verify at high su ranks, where mu1 and phi1 are read off one walk each.
+# verify at high su ranks, where mu1 is read off one walk and phi1 off
+# the fiber's adjoint Casimir.
 VERIFY_RANKS = (40, 80)
 
 
@@ -99,6 +104,11 @@ def argvs():
                     "--tmin", "1/20", "--format", "csv"])
     out += [["scal", "--family", kind, "--n", str(n)]
             for kind, n in SCAL_RANKS]
+    for kind, n in SCAL_RANKS:
+        if kind != "su":
+            out.append(["instants", "--family", kind, "--n", str(n),
+                        "--tmin", "1/5"])
+            out.append(["verify", "--family", kind, "--n", str(n)])
     out += [["verify", "--family", "su", "--n", str(n)] for n in VERIFY_RANKS]
     out += USAGE_ERRORS
     return [list(a) for a in dict.fromkeys(map(tuple, out))]
