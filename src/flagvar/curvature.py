@@ -41,28 +41,34 @@ class ScalPoly(namedtuple("ScalPoly", "a c e d")):
 
 
 def _fiber_factors(fib):
-    """The vertical roots, one list per simple factor of the fiber: the
-    classes of ``fib.fiber_simple_roots`` under a nonzero dot product.
-    A vertical root is orthogonal to every factor but its own, so it
-    joins the one it is not orthogonal to, else the last."""
+    """The vertical roots, one list per simple factor of the fiber.
+
+    The factors are the classes of ``fib.fiber_simple_roots`` under a
+    nonzero dot product.  A vertical root lies in one factor and is
+    orthogonal to every other, so it joins the first factor it is not
+    orthogonal to, and the last when it is orthogonal to the rest.
+    """
     groups = []
     for alpha in fib.fiber_simple_roots:
         linked = [g for g in groups if any(sum(map(mul, alpha, b)) for b in g)]
         groups = [g for g in groups if g not in linked]
         groups.append([alpha] + [b for g in linked for b in g])
-    factors = [[r for r in fib.vertical_roots
-                if any(sum(map(mul, r, b)) for b in g)] for g in groups[:-1]]
-    rest = set().union(*factors)
-    return factors + [[r for r in fib.vertical_roots if r not in rest]]
+    factors = [[] for _ in groups]
+    for root in fib.vertical_roots:
+        i = next((i for i, g in enumerate(groups[:-1])
+                  if any(sum(map(mul, root, b)) for b in g)), -1)
+        factors[i].append(root)
+    return factors
 
 
 def fiber_casimirs(fib):
-    """(positive roots, rank r_s, adjoint Casimir c_s in dot units) of
-    each simple factor H_s of the fiber, r_s its fiber simple roots."""
+    """(positive roots, simple roots, adjoint Casimir c_s in dot units)
+    of each simple factor H_s of the fiber: its simple roots are the r_s
+    of ``fib.fiber_simple_roots`` among its roots."""
     simple = set(fib.fiber_simple_roots)
     for roots in _fiber_factors(fib):
-        rank = len(simple.intersection(roots))
-        yield roots, rank, adjoint_casimir(roots, rank)
+        basis = tuple(simple.intersection(roots))
+        yield roots, basis, adjoint_casimir(roots, len(basis))
 
 
 def scal_wz(fib):
@@ -78,11 +84,11 @@ def scal_wz(fib):
     (1/3) sum over alpha > 0 of (1 - 2<alpha, alpha>), which is (N -
     n)/3 for G's N = m/2 positive roots and rank n since 2 sum |alpha|^2
     = c*rank (``adjoint_casimir``), and over the all-vertical ones to
-    (1/3) sum over s of c_s (N_s - r_s); the mixed triples take the
-    difference.
+    (1/3) sum over s of c_s (N_s - r_s), each factor's (``fib.casimirs``);
+    the mixed triples take the difference.
     """
     sum_vvv = fib.root_system.scale * sum(
-        c * (len(roots) - rank) for roots, rank, c in fiber_casimirs(fib)) / 3
+        c * (len(roots) - len(basis)) for roots, basis, c in fib.casimirs) / 3
     total = Fraction(fib.m_total // 2 - len(fib.root_system.simple_roots), 3)
     return ScalPoly(a=len(fib.vertical_roots) - total - sum_vvv / 2,
                     c=Fraction(len(fib.horizontal_roots)),

@@ -22,6 +22,7 @@ weights; with ``catalog``, this is the only module that names a kind.
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .curvature import fiber_casimirs, scal_wz
 from .exact import common_denominator
@@ -104,7 +105,13 @@ class FibrationData(namedtuple(
     roots, m = dim G/T and the phi1 given, if any.  The fiber and base
     have dimensions 2*len(vertical_roots) and 2*len(horizontal_roots),
     and their names are ``family.names``.  No ``__slots__``: the cached
-    ``phi1``, ``scal`` and ``gap`` live in the instance dict."""
+    ``casimirs``, ``phi1``, ``scal`` and ``gap`` live in the instance
+    dict."""
+
+    @cached_property
+    def casimirs(self):
+        """``curvature.fiber_casimirs``, grouped once for phi1 and scal."""
+        return tuple(fiber_casimirs(self))
 
     @cached_property
     def phi1(self):
@@ -113,14 +120,15 @@ class FibrationData(namedtuple(
         highest root is the least nonzero dominant root-lattice weight
         (Stembridge, *Adv. Math.* 136, 1998), so c_s is its least
         class-one value.  Each factor of the five kinds is simply laced;
-        one with two root lengths is an internal fault."""
+        one with two root lengths is an internal fault.  Every root is
+        Weyl-conjugate to a simple one (Humphreys, 10.3), so the check
+        reads each factor's simple roots only."""
         if self.phi1_given is not None:
             return self.phi1_given
-        factors = list(fiber_casimirs(self))
-        if any(len({sum(x * x for x in r) for r in roots}) > 1
-               for roots, _, _ in factors):
+        if any(len({sum(map(mul, a, a)) for a in basis}) > 1
+               for _, basis, _ in self.casimirs):
             raise AssertionError("a fiber factor has two root lengths")
-        return self.root_system.scale * min(c for _, _, c in factors)
+        return self.root_system.scale * min(c for _, _, c in self.casimirs)
 
     @cached_property
     def scal(self):

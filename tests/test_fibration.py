@@ -300,7 +300,7 @@ def fiber_sweeps(monkeypatch, fiber_simple_roots):
 
 def casimir_reads(monkeypatch):
     """Record the rank of every adjoint Casimir ``curvature`` reads from
-    now on: one per fiber factor each time phi1 or scal(t) is derived."""
+    now on: one per fiber factor each time the factors are grouped."""
     reads = []
     real = curvature.adjoint_casimir
 
@@ -314,13 +314,15 @@ def casimir_reads(monkeypatch):
 
 def test_phi1_is_enumerated_once_and_only_when_read(monkeypatch):
     # Derived on first read, from the one D_4 factor of the fiber, then
-    # cached; a phi1 given to build_fibration derives nothing.
+    # cached, and scal(t) reads the same factors; a phi1 given to
+    # build_fibration derives nothing.
     reads = casimir_reads(monkeypatch)
     fib = build_fibration(FibrationFamily("so-odd", 4))
     assert reads == []
     assert fib.phi1 == Fraction(6, 7)
     assert reads == [4]
     assert fib.phi1 == Fraction(6, 7)
+    assert fib.scal.a > 0
     assert reads == [4]
     given = build_fibration(FibrationFamily("so-odd", 4), phi1=Fraction(1))
     assert given.phi1 == 1
