@@ -4,27 +4,30 @@ Every eigenvalue here is a Casimir value <lam, lam + 2*delta> of a
 dominant weight lam = sum a_j g_j, with integers a_j >= 0 not all zero,
 over a list of dominant generators g: the fundamental weights for the
 flag and the fiber, keeping only lam in the root lattice (the class-one
-weights), and for the base the spherical generators, which
-``kramer_basis`` reads off the family's ambient weights.  The flag and
+weights), and for the base the spherical generators, the family's
+ambient weights.  Dominant weights have pairwise non-negative inner
+products and non-negative <g, 2*delta>, so the value is one rational
+factor times an integer form a'Wa + w.a with W = (<g_j, g_k>) and w =
+(<g_j, 2*delta>) entrywise non-negative, each made and checked by
+``_form``.  The base's is read off the ambient weights, 2*delta the sum
+of the positive roots, at G's CK scale, with no inverse.  The flag and
 the fiber differ only in their simple roots, G's or the fiber's (a
-product fiber is one block-diagonal Gram matrix), and both are valued at
-G's CK scale, which the canonical variation puts on the fiber.  The
-fundamental weights are one integer matrix N over one denominator den,
-from a fraction-free inversion of the simple-root Gram matrix, so every
-generator is an integer row over den and no Fraction enters the
-enumerator.  The Weyl factors are the k_i*|alpha_i|^2, k each positive
-root's simple-root coordinates, grown with it in ``rootsys``.  Dominant
-weights have pairwise non-negative inner products and non-negative
-<g, 2*delta>, so the value is one rational factor times an integer form
-a'Wa + w.a with W and w entrywise non-negative.  That form never
-decreases in any coordinate: a prefix with a zero tail is an exact lower
-bound, and one enumerator that stops each coordinate at its first value
-over the cutoff finds every weight under it.  The walk carries each
-weight's integer vector, affine in a: den*p for the class-one test, and
-the Weyl factors for the base, so multiplicities are carried down the
-walk, not recomputed per weight.  mu1 is the first value of the flag's
-walk at cutoff 1, which G's highest root, dominant, in the root lattice
-and of Casimir exactly 1, keeps from being empty.  phi1 walks nothing
+product fiber is one block-diagonal Gram matrix), and both are valued
+at G's CK scale, which the canonical variation puts on the fiber.
+Their fundamental weights are one integer matrix N over one
+denominator den, from a fraction-free inversion of the simple-root
+Gram matrix, so every generator is an integer row over den and no
+Fraction enters the enumerator.  The Weyl factors are the
+k_i*|alpha_i|^2, k each positive root's simple-root coordinates, grown
+with it in ``rootsys``.  The form never decreases in any coordinate: a
+prefix with a zero tail is an exact lower bound, and one enumerator
+that stops each coordinate at its first value over the cutoff finds
+every weight under it.  The walk carries each weight's integer vector,
+affine in a: den*p for the class-one test, and the Weyl factors for the
+base, so multiplicities are carried down the walk, not recomputed per
+weight.  mu1 is the first value of the flag's walk at cutoff 1, which
+G's highest root, dominant, in the root lattice and of Casimir exactly
+1, keeps from being empty.  phi1 walks nothing
 (``FibrationData.phi1``): the fiber's walk serves ``figure`` and the
 tests.  A spectral line is (value, mult, label) and says nothing of
 which spectrum it belongs to, so class-one walks are cached on the
@@ -143,37 +146,35 @@ def _form_value(gram, p):
                for i, (pi, row) in enumerate(zip(p, gram)))
 
 
-def _form(gram, scale, generators, den):
-    """(W, w, factor): lam = sum a_j g_j, g_j = row_j/den for integer
-    rows of simple-root coefficients, has value scale*(p'Gp + sum G_ii
-    p_i) = factor*(a'Wa + w.a), p the simple-root coefficients of lam,
-    W = (g_j'G g_k)_jk, w_j = den*sum_i g_ji G_ii, factor = scale/den**2.
-    W is (g_j'G).g_k, each row g_j'G formed once.
+def _form(rows, generators, linear, factor):
+    """(W, w, factor) with W_jk = rows_j.g_k over the ``generators`` g:
+    the form whose value factor*(a'Wa + w.a) is the Casimir of the
+    weight sum a_j g_j, when row j is g_j under the inner product of
+    its coordinates (G for simple-root rows, the identity for ambient
+    weights) and ``linear`` holds each <g_j, 2*delta> in those units.
     Unless W and w are entrywise non-negative, W's diagonal and the
-    scale positive, as for dominant generators, ValueError is raised;
-    then the form never decreases in any coordinate."""
-    g_gram = [[sum(map(mul, g, col)) for col in zip(*gram)]
-              for g in generators]
-    quad = [[sum(map(mul, gg, h)) for h in generators] for gg in g_gram]
-    linear = [den * sum(x * row[i] for i, (x, row) in enumerate(zip(g, gram)))
-              for g in generators]
-    if (scale <= 0 or min(chain(linear, *quad)) < 0
+    factor positive, as for dominant generators, ValueError is raised;
+    then the form never decreases in any coordinate.  The walk and the
+    witness read only forms made here."""
+    quad = [[sum(map(mul, row, g)) for g in generators] for row in rows]
+    if (factor <= 0 or min(chain(linear, *quad)) < 0
             or min(row[k] for k, row in enumerate(quad)) <= 0):
         raise ValueError("form is not monotone: generators must be dominant")
-    return quad, linear, Fraction(scale) / (den * den)
+    return quad, linear, factor
 
 
-def _lattice_points(gram, scale, generators, den, cutoff, carried):
+def _lattice_points(form, cutoff, carried):
     """{value: [(a, leaf(v)), ...]} by increasing value, each list in
-    lexicographic order, over the weights sum a_j g_j, integers a_j >= 0
-    not all zero and leaf(v) not None, v = v0 + sum a_j r_j for carried
-    = (v0, r, leaf), valued at most ``cutoff`` > 0 by ``_form``.  The form
-    never decreases in any coordinate, so a zero-tailed prefix is an exact
-    lower bound and each coordinate stops at its first value over cutoff."""
+    lexicographic order, over the integers a_j >= 0 not all zero with
+    leaf(v) not None, v = v0 + sum a_j r_j for carried = (v0, r, leaf),
+    valued at most ``cutoff`` > 0 by ``form``, one that ``_form`` made.
+    It never decreases in any coordinate, so a zero-tailed prefix is an
+    exact lower bound and each coordinate stops at its first value over
+    cutoff."""
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    quad, linear, factor = _form(gram, scale, generators, den)
+    quad, linear, factor = form
     limit = floor(cutoff / factor)
     start, rows, leaf = carried
     found = {}
@@ -185,7 +186,7 @@ def _lattice_points(gram, scale, generators, den, cutoff, carried):
                                    for i, x in enumerate(prefix))
         a = 0
         while (v := value + a * (step + a * quad[k][k])) <= limit:
-            if k + 1 < len(generators):
+            if k + 1 < len(quad):
                 recurse(prefix + (a,), v, vec)
             elif (a or any(prefix)) and (kept := leaf(vec)) is not None:
                 found.setdefault(v, []).append((prefix + (a,), kept))
@@ -212,11 +213,18 @@ def _class_one_spectrum(simple_roots, scale, cutoff):
     """
     gram = gram_matrix(simple_roots)
     coeffs, den = _fundamental_coefficients(gram)
+    # <omega_j, omega_k> = N_j G N_k/den**2, each row N_j G formed once,
+    # and <omega_j, 2*delta> = sum_i N_ji G_ii/den.
+    diag = [row[i] for i, row in enumerate(gram)]
+    form = _form([[sum(map(mul, g, col)) for col in zip(*gram)]
+                  for g in coeffs], coeffs,
+                 [den * sum(x * d for x, d in zip(g, diag)) for g in coeffs],
+                 Fraction(scale) / (den * den))
 
     def class_one(v):
         return None if any(x % den for x in v) else tuple(x // den for x in v)
 
-    points = _lattice_points(gram, scale, coeffs, den, cutoff,
+    points = _lattice_points(form, cutoff,
                              ((0,) * len(coeffs), coeffs, class_one))
     return tuple(SpectrumEntry(value=value, mult=None,
                                label=tuple(sorted(p for _, p in pairs)))
@@ -251,7 +259,9 @@ def kramer_basis(fib_family):
     """Spherical generators as fundamental-weight coefficients
     c_i = 2<lam, alpha_i>/<alpha_i, alpha_i> of the ambient weights
     ``fib_family.spherical_weights``; AssertionError unless every c_i
-    is a non-negative integer, as for a dominant weight."""
+    is a non-negative integer, as for a dominant weight.  The base form
+    reads the ambient weights; these serve the Weyl rows and the
+    witness's coefficients."""
     simple = build_root_system(fib_family.root_family).simple_roots
     basis = []
     for lam in fib_family.spherical_weights:
@@ -264,31 +274,33 @@ def kramer_basis(fib_family):
     return tuple(basis)
 
 
-def _base_generators(family, basis):
-    """(G, scale, generators, den) of the spherical generators b in
-    ``basis``, as ``_form`` and ``_lattice_points`` take them: the rows b.N."""
-    gram = _simple_gram(family)
-    coeffs, den = _fundamental_coefficients(gram)
-    return (gram, build_root_system(family).scale,
-            [[sum(c * n[i] for c, n in zip(b, coeffs)) for i in range(len(b))]
-             for b in basis], den)
+def _base_form(fib_family):
+    """The base's form, read off the ambient spherical weights lam_j:
+    sum a_j lam_j has Casimir scale*(a'Wa + w.a) with W_jk = lam_j.lam_k
+    and w_j = lam_j.2*delta, 2*delta the sum of the positive roots."""
+    rs = build_root_system(fib_family.root_family)
+    weights = fib_family.spherical_weights
+    two_delta = list(map(sum, zip(*rs.positive_roots)))
+    return _form(weights, weights,
+                 [sum(map(mul, lam, two_delta)) for lam in weights], rs.scale)
 
 
 def base_spectrum(fib_family, cutoff):
     """Base eigenvalues <= cutoff with Weyl-dimension multiplicities.
 
-    Each entry's label lists the generator coefficients x of its
-    weights; with a single generator it is that x = (q,).
-    The walk carries the Weyl factors row.1 + sum x_j row.b_j of
-    sum x_j b_j; over the Weyl denominator their product is its weyl_dim.
+    The values are the base form's, read off the ambient spherical
+    weights.  Each entry's label lists the generator coefficients x of
+    its weights; with a single generator it is that x = (q,).  The walk
+    carries the Weyl factors row.1 + sum x_j row.b_j of sum x_j b_j, b
+    the ``kramer_basis`` rows; over the Weyl denominator their product
+    is its weyl_dim.
     """
     basis = kramer_basis(fib_family)
     rows, den = _weyl_rows(fib_family.root_family)
     carried = (tuple(map(sum, rows)),
                [[sum(map(mul, row, b)) for row in rows] for b in basis],
                lambda w: _weyl_quotient(prod(w), den))
-    points = _lattice_points(*_base_generators(fib_family.root_family, basis),
-                             cutoff, carried)
+    points = _lattice_points(_base_form(fib_family), cutoff, carried)
     return [SpectrumEntry(value=v, mult=sum(dim for _, dim in pairs),
                           label=(tuple(x for x, _ in pairs) if len(basis) > 1
                                  else pairs[0][0]))
@@ -304,8 +316,7 @@ def spherical_multiple_above(fib_family, target):
     2*w2*k + w1 <= isqrt(w1**2 + 4*w2*L), so k, one past the largest
     such k, is one integer square root, whatever its size."""
     basis = kramer_basis(fib_family)
-    quad, linear, factor = _form(*_base_generators(fib_family.root_family,
-                                                   basis))
+    quad, linear, factor = _base_form(fib_family)
     w2, w1 = quad[0][0], linear[0]
     limit = max(floor(Fraction(target) / factor), 0)
     k = (isqrt(w1 * w1 + 4 * w2 * limit) - w1) // (2 * w2) + 1

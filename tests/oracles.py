@@ -14,7 +14,8 @@ from operator import add
 from flagvar.catalog import _catalogued_c_gram
 from flagvar.exact import common_denominator
 from flagvar.rootsys import build_root_system, ck_inner
-from flagvar.spectra import _form_value, _simple_gram, flag_minimum
+from flagvar.spectra import (_form_value, _fundamental_coefficients,
+                             _simple_gram, flag_minimum, kramer_basis)
 
 
 def flag_mu(family, p):
@@ -163,6 +164,24 @@ def gram_products(gram, generators):
     return [[sum(x * sum(c * y for c, y in zip(row, h))
                  for x, row in zip(g, gram))
              for h in generators] for g in generators]
+
+
+def inverse_base_form(fib_family):
+    """((W, w, factor), den): the base's form by way of G's Gram inverse.
+    Each spherical generator's fundamental-weight coefficients b give its
+    integer simple-root row g = b.N over den, N and den from the
+    fraction-free inverse; then W = (g_j'G g_k), w_j = den*sum_i g_ji G_ii
+    and factor = scale/den**2, so W and w are den**2 times, and factor
+    1/den**2 times, those of the form read off the ambient weights."""
+    family = fib_family.root_family
+    gram = _simple_gram(family)
+    coeffs, den = _fundamental_coefficients(gram)
+    rows = [[sum(c * n[i] for c, n in zip(b, coeffs)) for i in range(len(b))]
+            for b in kramer_basis(fib_family)]
+    linear = [den * sum(x * row[i] for i, (x, row) in enumerate(zip(g, gram)))
+              for g in rows]
+    return ((gram_products(gram, rows), linear,
+             build_root_system(family).scale / (den * den)), den)
 
 
 def highest_short_root_casimir(positive_roots, scale):

@@ -170,6 +170,69 @@ def test_morse_solves_no_instant_and_builds_no_surd(capsys, monkeypatch):
     assert patched[0] == 0 and patched[2] == ""
 
 
+# -- identities across subcommands -----------------------------------------
+
+SURD = re.compile(r"\(?(-?\d+)([+-]\d+)\*sqrt\((\d+)\)\)?(?:/(\d+))?")
+
+
+def _compare_surd(text, x):
+    """-1, 0 or 1 as the printed u lies below, at or above the rational
+    x, decided on the surd's integers: (p + q*sqrt(d))/r - x has the sign
+    of q*sqrt(d) - c, c = x*r - p, and a rational u prints as a Fraction."""
+    match = SURD.fullmatch(text)
+    if match is None:
+        diff = Fraction(text) - x
+        return (diff > 0) - (diff < 0)
+    p, q, d = (int(group) for group in match.groups()[:3])
+    c = x * int(match[4] or 1) - p
+    sign = 1 if q > 0 else -1
+    if (q > 0) != (c > 0):
+        return sign
+    gap = q * q * d - c * c
+    return sign * ((gap > 0) - (gap < 0))
+
+
+def _morse_breaks(grid, rows):
+    """The t_exact of each ``morse`` grid point whose index is not the
+    sum of ``mult`` over the ``instants`` rows with u > t**2, or is null
+    where no u equals t**2, or not null where one does."""
+    broken = []
+    for point in grid:
+        x = Fraction(point["t_exact"]) ** 2
+        signs = [_compare_surd(row["u"], x) for row in rows]
+        expected = None if 0 in signs else sum(
+            row["mult"] for row, sign in zip(rows, signs) if sign > 0)
+        if point["index"] != expected:
+            broken.append(point["t_exact"])
+    return broken
+
+
+@pytest.mark.parametrize("family", [
+    ["su", "--n", "3"], ["so-odd", "--n", "2"], ["sp", "--n", "3"],
+    ["so-even", "--n", "4"], ["g2"]], ids=lambda f: f[0])
+def test_morse_index_counts_the_instants_above_t(capsys, family):
+    # s(u) falls, so a base value lies below scal(t)/(m-1) exactly when
+    # its instant's u exceeds t**2: each grid index is the instants'
+    # multiplicity above t**2, at the same t_min.
+    argv = ["--family", *family, "--tmin", "1/10"]
+    code, out, _ = run(capsys, ["morse"] + argv)
+    grid = json.loads(out)["grid"]
+    code_instants, out, _ = run(capsys, ["instants"] + argv)
+    rows = json.loads(out)["instants"]
+    assert code == code_instants == 0 and len(rows) > 1
+    assert _morse_breaks(grid, rows) == []
+    # Planted control: an instant dropped from the list.
+    assert _morse_breaks(grid, rows[1:]) != []
+
+
+def test_compare_surd_decides_on_integers():
+    x = Fraction(1, 4)
+    assert _compare_surd("-1+1*sqrt(2)", x) == 1  # 0.414...
+    assert _compare_surd("(3-2*sqrt(2))/2", x) == -1  # 0.0857...
+    assert _compare_surd("1/4", x) == 0
+    assert _compare_surd("1+1*sqrt(2)", x) == 1
+
+
 # -- figure ----------------------------------------------------------------
 
 def test_figure_csv_columns(capsys):
@@ -420,11 +483,14 @@ def test_repeated_beta_fails_the_decrease_in_one_line(capsys, monkeypatch):
 
 
 def test_singular_gram_is_one_line(capsys, monkeypatch):
-    # A singular simple-root Gram matrix is an internal fault.
-    def singular(family):
+    # A singular simple-root Gram matrix is an internal fault, planted
+    # where the uncached class-one walk reads it.
+    def singular(simple_roots):
         return ((1, 2), (2, 4))
 
-    monkeypatch.setattr(spectra, "_simple_gram", singular)
+    monkeypatch.setattr(spectra, "gram_matrix", singular)
+    monkeypatch.setattr(spectra, "_class_one_spectrum",
+                        spectra._class_one_spectrum.__wrapped__)
     code, out, err = run(capsys, ["spectrum", "--family", "su", "--n", "2"])
     assert code == 1 and out == ""
     assert err == "flagvar: certificate failed: singular Gram matrix\n"
@@ -697,8 +763,8 @@ def test_alias_families_match_canonical(capsys):
 # -- one walk per spectrum and cutoff ---------------------------------------
 
 def walk_keys(capsys, monkeypatch, argv):
-    """(gram, scale, generators, cutoff) of every lattice walk that one
-    in-process run of ``argv`` makes, every flagvar cache emptied first."""
+    """(W, w, factor, cutoff) of every lattice walk that one in-process
+    run of ``argv`` makes, every flagvar cache emptied first."""
     for module in list(sys.modules.values()):
         if module.__name__.startswith("flagvar"):
             for value in vars(module).values():
@@ -707,10 +773,11 @@ def walk_keys(capsys, monkeypatch, argv):
     keys = []
     real = spectra._lattice_points
 
-    def spy(gram, scale, generators, den, cutoff, carried):
-        keys.append((gram, scale, tuple(map(tuple, generators)),
+    def spy(form, cutoff, carried):
+        quad, linear, factor = form
+        keys.append((tuple(map(tuple, quad)), tuple(linear), factor,
                      Fraction(cutoff)))
-        return real(gram, scale, generators, den, cutoff, carried)
+        return real(form, cutoff, carried)
 
     monkeypatch.setattr(spectra, "_lattice_points", spy)
     run(capsys, argv)

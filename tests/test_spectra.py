@@ -12,23 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagvar import spectra
-from flagvar.catalog import (bn_dominance_row_report,
+from flagvar.catalog import (CATALOGUE, bn_dominance_row_report,
                              cn_first_eigenvalue_report)
 from flagvar.curvature import _fiber_factors
-from flagvar.fibration import FibrationFamily, build_fibration
+from flagvar.fibration import FAMILY_KEYS, FibrationFamily, build_fibration
 from flagvar.rootsys import (FamilyTag, build_root_system, ck_inner,
                              gram_matrix)
-from flagvar.spectra import (_base_generators, _form,
-                             _fundamental_coefficients, _lattice_points,
-                             _simple_gram, _weyl_rows,
+from flagvar.spectra import (_base_form, _form, _fundamental_coefficients,
+                             _lattice_points, _simple_gram, _weyl_rows,
                              base_spectrum, fiber_spectrum, flag_minimum,
                              flag_spectrum, is_dominant_class_one,
                              kramer_basis, weyl_dim)
 from oracles import (ambient_weight, casimir_of_weight, catalogued_c_mu,
                      cpn_multiplicity, flag_mu, freudenthal_multiplicities,
                      fundamental_coefficients, gram_products,
-                     highest_short_root_casimir, least_multiple_above,
-                     simple_coordinates, solve_linear, sphere_multiplicity)
+                     highest_short_root_casimir, inverse_base_form,
+                     least_multiple_above, simple_coordinates, solve_linear,
+                     sphere_multiplicity)
 from test_acceptance import CASES
 
 
@@ -768,8 +768,7 @@ def test_spherical_multiple_above_matches_the_loop(kind, n):
     # the first 40 values of k*gen, just below it and just above it.
     family = FibrationFamily(kind, n)
     basis = kramer_basis(family)
-    quad, linear, factor = _form(*_base_generators(family.root_family,
-                                                   basis))
+    (quad, linear, factor), _ = inverse_base_form(family)
 
     def value(k):
         return factor * k * (k * quad[0][0] + linear[0])
@@ -874,27 +873,124 @@ FORM_FAMILIES = ([FamilyTag("A", n) for n in range(1, 9)]
 FORM_BASES = _fibrations(8)
 
 
+def _walked_form(family):
+    """The form (W, w, factor) that the flag's class-one walk hands
+    ``_lattice_points``, read by a spy on one uncached walk at cutoff 1."""
+    forms = []
+    real = spectra._lattice_points
+
+    def spy(form, cutoff, carried):
+        forms.append(form)
+        return real(form, cutoff, carried)
+
+    rs = build_root_system(family)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_lattice_points", spy)
+        spectra._class_one_spectrum.__wrapped__(rs.simple_roots, rs.scale, 1)
+    return forms[0]
+
+
 def _form_inputs(family):
-    """(G, scale, generators, den) of the flag or of the base."""
+    """(G, generators, W): the flag's Gram matrix and fundamental-weight
+    rows N, or the identity and the base's ambient spherical weights,
+    and the W of the form that the walk reads, W = (g_j'G g_k)."""
     if isinstance(family, FibrationFamily):
-        return _base_generators(family.root_family, kramer_basis(family))
+        weights = family.spherical_weights
+        unit = [[int(i == j) for j in range(len(weights[0]))]
+                for i in range(len(weights[0]))]
+        return unit, weights, _base_form(family)[0]
     gram = _simple_gram(family)
-    coeffs, den = _fundamental_coefficients(gram)
-    return gram, build_root_system(family).scale, coeffs, den
+    return gram, _fundamental_coefficients(gram)[0], _walked_form(family)[0]
 
 
 @pytest.mark.parametrize("family", FORM_FAMILIES + FORM_BASES,
                          ids=lambda f: "{}{}".format(*f))
 def test_form_products_match_the_double_sum(family):
-    gram, scale, generators, den = _form_inputs(family)
-    assert _form(gram, scale, generators, den)[0] == gram_products(
-        gram, generators)
+    gram, generators, quad = _form_inputs(family)
+    assert quad == gram_products(gram, generators)
 
 
-def _form_products(monkeypatch, form, family):
-    """Integer products that ``form`` takes on the fundamental weights of
-    ``family``, each counted through ``spectra.mul``."""
-    inputs = _form_inputs(family)
+def _scaled_base_form(family, square):
+    """The base's form with W and w times ``square``, the factor over it."""
+    quad, linear, factor = _base_form(family)
+    return ([[square * x for x in row] for row in quad],
+            [square * x for x in linear], factor / square)
+
+
+@pytest.mark.parametrize("family", _fibrations(12),
+                         ids=lambda f: "{}-{}".format(*f))
+def test_ambient_base_form_is_the_inverse_form_over_den_squared(monkeypatch,
+                                                                family):
+    # The form read off the ambient weights against the one through G's
+    # Gram inverse: W and w den**2 times smaller, the factor den**2
+    # times larger, so every value is the same.
+    oracle, den = inverse_base_form(family)
+    assert _scaled_base_form(family, den * den) == oracle
+    # Planted controls: 2*delta replaced by delta, or by the sum of the
+    # simple roots, through the root system that the base form reads.
+    rs = build_root_system(family.root_family)
+    halves = tuple(tuple(Fraction(x, 2) for x in r) for r in rs.positive_roots)
+    for roots in (halves, rs.simple_roots):
+        planted = rs._replace(positive_roots=roots)
+        monkeypatch.setattr(spectra, "build_root_system",
+                            lambda _, planted=planted: planted)
+        assert _scaled_base_form(family, den * den) != oracle
+
+
+@pytest.mark.parametrize("family", _fibrations(12),
+                         ids=lambda f: "{}-{}".format(*f))
+def test_beta1_is_the_least_spherical_generator_casimir(family):
+    # A second derivation of beta1: every other point of the base form
+    # lies strictly above some generator's value, so the first base
+    # value is the least scale*<lam_j, lam_j + 2*delta>, reached at
+    # generators only.
+    rs = build_root_system(family.root_family)
+    two_delta = [sum(col) for col in zip(*rs.positive_roots)]
+    weights = family.spherical_weights
+
+    def casimir(lam):
+        return rs.scale * sum(x * (x + d) for x, d in zip(lam, two_delta))
+
+    values = [casimir(lam) for lam in weights]
+    beta1 = min(values)
+    first = base_spectrum(family, beta1)[0]
+    assert first.value == beta1 == CATALOGUE[family.kind].beta1(family.n)
+    labels = first.label if len(weights) > 1 else (first.label,)
+    assert all(sorted(x) == [0] * (len(x) - 1) + [1] for x in labels)
+    # Planted controls, where two generators can differ: the largest
+    # generator value, and the value of the generators' sum.
+    if len(weights) > 1:
+        assert max(values) != first.value
+        assert casimir([sum(col) for col in zip(*weights)]) != first.value
+
+
+@pytest.mark.parametrize("kind", FAMILY_KEYS)
+def test_the_base_path_inverts_no_gram_matrix(monkeypatch, kind):
+    # Neither the base walk nor the decay witness reaches G's Gram
+    # inverse; the flag's class-one walk, the positive control, does.
+    grams = []
+    real = spectra._fundamental_coefficients
+
+    def spy(gram):
+        grams.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(spectra, "_fundamental_coefficients", spy)
+    monkeypatch.setattr(spectra, "_class_one_spectrum",
+                        spectra._class_one_spectrum.__wrapped__)
+    family = FibrationFamily(kind)
+    spectra.base_spectrum(family, 4)
+    spectra.spherical_multiple_above(family, 10)
+    assert grams == []
+    spectra.flag_spectrum(family.root_family, 1)
+    assert grams == [_simple_gram(family.root_family)]
+
+
+def _form_products(monkeypatch, build, family):
+    """Integer products that ``build`` takes on the fundamental weights
+    of ``family``, each counted through ``spectra.mul``."""
+    gram = _simple_gram(family)
+    _fundamental_coefficients(gram)
     count = [0]
 
     def counting_mul(x, y):
@@ -902,34 +998,37 @@ def _form_products(monkeypatch, form, family):
         return x * y
 
     monkeypatch.setattr(spectra, "mul", counting_mul)
-    form(*inputs)
+    build(family)
     monkeypatch.undo()
     return count[0]
 
 
-def _double_sum_form(gram, scale, generators, den):
+def _double_sum_form(family):
     """W with a fresh double sum per W_jk, the shape of
     ``oracles.gram_products``, its products taken by ``spectra.mul``."""
+    gram = _simple_gram(family)
+    generators = _fundamental_coefficients(gram)[0]
     return [[sum(map(spectra.mul, g,
                      [sum(map(spectra.mul, row, h)) for row in gram]))
              for h in generators] for g in generators]
 
 
-def _growth(monkeypatch, form, kind, r):
+def _growth(monkeypatch, build, kind, r):
     """Products at rank 2r over products at rank r."""
-    return (_form_products(monkeypatch, form, FamilyTag(kind, 2 * r))
-            / _form_products(monkeypatch, form, FamilyTag(kind, r)))
+    return (_form_products(monkeypatch, build, FamilyTag(kind, 2 * r))
+            / _form_products(monkeypatch, build, FamilyTag(kind, r)))
 
 
 @pytest.mark.parametrize("kind,r", [("A", 8), ("C", 6), ("D", 6)])
 def test_form_is_cubic_in_the_rank(monkeypatch, kind, r):
     # O(r**3) products: doubling the rank multiplies them by 8, so by at
     # most 10.  On A_r they are exactly 2r**3, r**3 for the rows g.G
-    # and r**3 for W.  No timing is involved.
-    assert _growth(monkeypatch, _form, kind, r) <= 10
+    # and r**3 for W; the walk at cutoff 1 takes none.  No timing is
+    # involved.
+    assert _growth(monkeypatch, _walked_form, kind, r) <= 10
     if kind == "A":
-        assert _form_products(monkeypatch, _form, FamilyTag(kind, r)) == (
-            2 * r ** 3)
+        assert _form_products(monkeypatch, _walked_form,
+                              FamilyTag(kind, r)) == 2 * r ** 3
     # Planted control: the O(r**4) double sum grows by about 16.
     assert _growth(monkeypatch, _double_sum_form, kind, r) > 10
 
@@ -938,12 +1037,12 @@ def test_lattice_points_rejects_a_non_monotone_form():
     # The simple roots are not dominant: the A2 Gram has -1 off the
     # diagonal, so the form in their coefficients is not monotone.
     with pytest.raises(ValueError):
-        _lattice_points(((2, -1), (-1, 2)), Fraction(1, 6),
-                        ((1, 0), (0, 1)), 1, 4,
+        _lattice_points(_form(((2, -1), (-1, 2)), ((1, 0), (0, 1)), (2, 2),
+                              Fraction(1, 6)), 4,
                         ((0, 0), ((1, 0), (0, 1)), tuple))
     # A negative linear term alone is rejected too.
     with pytest.raises(ValueError):
-        _lattice_points(((2, 0), (0, 2)), 1, ((-1, 0),), 1, 4,
+        _lattice_points(_form(((-2, 0),), ((-1, 0),), (-2,), 1), 4,
                         ((0,), ((1,),), tuple))
 
 

@@ -17,7 +17,8 @@ checks ``catalog.audit(fib)``, the printer's floats
 ``[i.u.sqrt_to_float() for i in instants]`` over instants solved
 untimed, and the decay witness ``spherical_multiple_above`` at
 s(eps**2), cold (after every flagvar cache is emptied) where the grid
-says so.  Each spectrum cell times a
+says so; a cold ``base_spectrum`` or witness cell rebuilds the root
+system untimed first.  Each spectrum cell times a
 first walk: where a checkout caches its class-one walks
 (``spectra._class_one_spectrum``), that cache alone is emptied before
 the cell, and the root tables stay warm.  A full garbage collection
@@ -28,7 +29,14 @@ from source that a cold command-line query pays.
 The report gives, per call and summed, the median seconds at each
 checkout and the change's share of pairs won, then one line saying
 whether every output was equal at both checkouts and, if not, the key
-of each cell whose digest differs.  A digest reads what a cell computes,
+of each cell whose digest differs.  Each run also writes the report
+as BENCH_<CHANGE's short commit>.json at the root of this checkout:
+each side's commit (``git describe --always --dirty``, "unknown" off
+git), the Python version, ``os.cpu_count()``, the medians of PAIRS
+bare starts ``python -c pass`` and ``python -S -c pass``, and per cell
+each side's median and interquartile range in seconds and the share of
+pairs the change won, so the records of successive commits form a
+history.  A digest reads what a cell computes,
 never the order of the positive roots, which no printed output reads:
 the root table cells digest the sorted (root, k) pairs, the
 build_fibration cells the sorted vertical roots, horizontal roots and
@@ -43,6 +51,7 @@ import hashlib
 import importlib
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -108,8 +117,10 @@ GRID += PRINT
 # positive roots run to hundreds or thousands; then the first flag
 # eigenvalue mu1, whose enumeration forms the generators' Gram products,
 # and the first fiber eigenvalue phi1 with its build, for su and for
-# the other three kinds.  They come last, so emptying the caches leaves
-# the cells above untouched.
+# the other three kinds; then the base's first values and the decay
+# witness at su 80, which read the base form, over a warm root system.
+# They come last, so emptying the caches leaves the cells above
+# untouched.
 COLD = ([(name, "su", n, None) for name in ("root_table", "_weyl_rows")
          for n in (40, 60)]
         + [("build_fibration", "su", 60, None)]
@@ -118,7 +129,9 @@ COLD = ([(name, "su", n, None) for name in ("root_table", "_weyl_rows")
                            ("sp", 20), ("so-even", 20))]
         + [(name, "su", n, None) for name in ("flag_minimum", "phi1")
            for n in (40, 80)]
-        + [("phi1", kind, 20, None) for kind in ("so-odd", "sp", "so-even")])
+        + [("phi1", kind, 20, None) for kind in ("so-odd", "sp", "so-even")]
+        + [("base_spectrum", "su", 80, 4),
+           ("spherical_multiple_above", "su", 80, Fraction(1, 10**6))])
 GRID += COLD
 
 
@@ -199,6 +212,7 @@ def worker():
             result = [i.u.sqrt_to_float() for i in instants]
             seconds = time.perf_counter() - start
         elif name == "spherical_multiple_above":
+            # The fibration's build leaves the root system warm.
             target = build_fibration(family).scal_over_m_minus_1(
                 cutoff * cutoff)
             gc.collect()
@@ -242,6 +256,8 @@ def worker():
             arg = (build_fibration(family) if name == "fiber_spectrum"
                    else family.root_family if name == "flag_spectrum"
                    else family)
+            if cell in COLD:
+                build_root_system(family.root_family)
             clear_walks()
             start = time.perf_counter()
             result = getattr(spectra, name)(arg, cutoff)
@@ -261,6 +277,30 @@ def run_once(checkout):
     return json.loads(done.stdout)
 
 
+def commit(checkout):
+    """The short commit of ``checkout``, -dirty if its files differ from
+    it, or "unknown" where it is no git checkout."""
+    done = subprocess.run(["git", "-C", checkout, "describe", "--always",
+                           "--dirty"], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+def bare_start(flags):
+    """Median seconds of PAIRS runs of ``python FLAGS -c pass``."""
+    times = []
+    for _ in range(PAIRS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *flags, "-c", "pass"], check=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def spread(times):
+    """{median_s, iqr_s} of one side's seconds for one cell."""
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": median, "iqr_s": q3 - q1}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
@@ -278,20 +318,24 @@ def main(argv=None):
     keys = [cell_key(cell) for cell in GRID]
     every = runs["parent"] + runs["change"]
     shared = [key for key in keys if all(key in run for run in every)]
-    print("{:<36} {:>10} {:>10} {:>6}".format(
-        "cell", "parent_s", "change_s", "won"))
     for run in every:
         run["total"] = [sum(run[key][0] for key in shared), None]
+    cells = {}
     for key in keys + ["total"]:
-        medians = ["{:>10.4f}".format(statistics.median(
-            run[key][0] for run in runs[side])) if key in runs[side][0]
-            else "{:>10}".format("-") for side in ("parent", "change")]
-        if key in shared or key == "total":
-            won = "{:>3}/{}".format(sum(
-                c[key][0] < p[key][0]
-                for p, c in zip(runs["parent"], runs["change"])), PAIRS)
-        else:
-            won = "{:>6}".format("-")
+        cells[key] = {side: spread([run[key][0] for run in runs[side]])
+                      if key in runs[side][0] else None
+                      for side in ("parent", "change")}
+        cells[key]["won"] = (sum(
+            c[key][0] < p[key][0]
+            for p, c in zip(runs["parent"], runs["change"])) / PAIRS
+            if key in shared or key == "total" else None)
+    print("{:<36} {:>10} {:>10} {:>6}".format(
+        "cell", "parent_s", "change_s", "won"))
+    for key, cell in cells.items():
+        medians = ["{:>10.4f}".format(cell[side]["median_s"]) if cell[side]
+                   else "{:>10}".format("-") for side in ("parent", "change")]
+        won = ("{:>3}/{}".format(round(cell["won"] * PAIRS), PAIRS)
+               if cell["won"] is not None else "{:>6}".format("-"))
         print("{:<36} {} {} {}".format(key, *medians, won))
     differ = [key for key in shared
               if len({run[key][1] for run in every}) > 1]
@@ -299,6 +343,20 @@ def main(argv=None):
         "NO" if differ else "yes", len(shared), 2 * PAIRS))
     for key in differ:
         print("  differs: {}".format(key))
+    commits = {side: commit(getattr(args, side))
+               for side in ("parent", "change")}
+    record = {"commits": commits, "python": platform.python_version(),
+              "cpu_count": os.cpu_count(), "pairs": PAIRS,
+              "bare_start_s": {"python -c pass": bare_start([]),
+                               "python -S -c pass": bare_start(["-S"])},
+              "outputs_equal": not differ, "differs": differ,
+              "cells": cells}
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "BENCH_{}.json".format(commits["change"]))
+    with open(path, "w") as handle:
+        json.dump(record, handle, indent=1)
+        handle.write("\n")
+    print("record: {}".format(path))
     return 1 if differ else 0
 
 
