@@ -31,12 +31,12 @@ checkout and the change's share of pairs won, then one line saying
 whether every output was equal at both checkouts and, if not, the key
 of each cell whose digest differs.  Each run also writes the report
 as BENCH_<CHANGE's short commit>.json at the root of this checkout:
-each side's commit (``git describe --always --dirty``, "unknown" off
-git), the Python version, ``os.cpu_count()``, the medians of PAIRS
-bare starts ``python -c pass`` and ``python -S -c pass``, and per cell
-each side's median and interquartile range in seconds and the share of
-pairs the change won, so the records of successive commits form a
-history.  A digest reads what a cell computes,
+each side's short commit, marked -dirty if its files differ from it
+("unknown" off git), the Python version, ``os.cpu_count()``, the
+medians of PAIRS bare starts ``python -c pass`` and ``python -S -c
+pass``, and per cell each side's median and interquartile range in
+seconds and the share of pairs the change won, so the records of
+successive commits form a history.  A digest reads what a cell computes,
 never the order of the positive roots, which no printed output reads:
 the root table cells digest the sorted (root, k) pairs, the
 build_fibration cells the sorted vertical roots, horizontal roots and
@@ -281,7 +281,8 @@ def commit(checkout):
     """The short commit of ``checkout``, -dirty if its files differ from
     it, or "unknown" where it is no git checkout."""
     done = subprocess.run(["git", "-C", checkout, "describe", "--always",
-                           "--dirty"], capture_output=True, text=True)
+                           "--dirty", "--exclude=*"],
+                          capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
@@ -329,14 +330,14 @@ def main(argv=None):
             c[key][0] < p[key][0]
             for p, c in zip(runs["parent"], runs["change"])) / PAIRS
             if key in shared or key == "total" else None)
-    print("{:<36} {:>10} {:>10} {:>6}".format(
+    print("{:<42} {:>10} {:>10} {:>6}".format(
         "cell", "parent_s", "change_s", "won"))
     for key, cell in cells.items():
         medians = ["{:>10.4f}".format(cell[side]["median_s"]) if cell[side]
                    else "{:>10}".format("-") for side in ("parent", "change")]
         won = ("{:>3}/{}".format(round(cell["won"] * PAIRS), PAIRS)
                if cell["won"] is not None else "{:>6}".format("-"))
-        print("{:<36} {} {} {}".format(key, *medians, won))
+        print("{:<42} {} {} {}".format(key, *medians, won))
     differ = [key for key in shared
               if len({run[key][1] for run in every}) > 1]
     print("outputs equal at both checkouts: {} ({} cells, {} runs)".format(
