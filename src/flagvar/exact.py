@@ -1,24 +1,24 @@
 """Exact integer and rational plumbing shared by the other modules.
 
 Everything here works over Python integers and ``fractions.Fraction``:
-squarefree splits by trial division over a cached prime sieve, and
+squarefree splits by trial division over one cached prime table, and
 clearing denominators.  Linear algebra on Gram matrices is fraction-free
 and lives with its one user, ``spectra``.  Nothing here makes a float.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import isqrt, lcm
 
-# Trial division takes its primes from a sieve up to this bound, and
+# Trial division takes the primes below this bound from one table, and
 # goes on over odd numbers past it.
-_SIEVE_CAP = 1 << 20
+_PRIME_TABLE = 1 << 12
 
 
 @lru_cache(maxsize=None)
 def _primes_below(limit):
-    """The primes below ``limit``, a power of two, by Eratosthenes."""
+    """The primes below ``limit`` by Eratosthenes."""
     flags = bytearray([1]) * limit
     flags[:2] = b"\0\0"
     for i in range(2, isqrt(limit - 1) + 1):
@@ -31,22 +31,20 @@ def squarefree_split(n):
     """Split a nonnegative integer as n = s*s*d with d squarefree.
 
     Returns (s, d); n = 0 gives (0, 0) and a perfect square d = 1.
-    Trial division by primes runs while p**3 <= the shrinking cofactor.
-    After it every prime factor of the cofactor exceeds the cofactor's
-    cube root, so the cofactor is 1, q, q*r or q**2, and ``isqrt`` tells
-    the square apart.  Each solved instant splits a fresh radicand, so
-    nothing is cached here; the prime sieve is.
+    Trial division runs while p**3 <= the shrinking cofactor, by the
+    primes below ``_PRIME_TABLE`` and then by the odd numbers past it;
+    a composite odd p divides nothing by then.  After it every prime
+    factor of the cofactor exceeds the cofactor's cube root, so the
+    cofactor is 1, q, q*r or q**2, and ``isqrt`` tells the square
+    apart.  Each solved instant splits a fresh radicand, so nothing is
+    cached here; the one prime table is.
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 0
-    bound = 1 << -(-n.bit_length() // 3)  # a power of two >= n**(1/3)
-    divisors = _primes_below(min(max(bound, 1024), _SIEVE_CAP))
-    if bound > _SIEVE_CAP:
-        divisors = chain(divisors, range(_SIEVE_CAP + 1, bound + 1, 2))
     s = d = 1
-    for p in divisors:
+    for p in chain(_primes_below(_PRIME_TABLE), count(_PRIME_TABLE + 1, 2)):
         if p * p * p > n:
             break
         e = 0

@@ -8,16 +8,17 @@ weights), and for the base the spherical generators, the family's
 ambient weights.  Dominant weights have pairwise non-negative inner
 products and non-negative <g, 2*delta>, so the value is one rational
 factor times an integer form a'Wa + w.a with W = (<g_j, g_k>) and w =
-(<g_j, 2*delta>) entrywise non-negative, each made and checked by
-``_form``.  The base's is read off the ambient weights, 2*delta the sum
-of the positive roots, at G's CK scale, with no inverse.  The flag and
+(<g_j, 2*delta>) entrywise non-negative, each checked by ``_form``.
+The base's is read off the ambient weights, 2*delta the sum of the
+positive roots, at G's CK scale, with no inverse.  The flag and
 the fiber differ only in their simple roots, G's or the fiber's (a
 product fiber is one block-diagonal Gram matrix), and both are valued
 at G's CK scale, which the canonical variation puts on the fiber.
 Their fundamental weights are one integer matrix N over one
 denominator den, from a fraction-free inversion of the simple-root
 Gram matrix, so every generator is an integer row over den and no
-Fraction enters the enumerator.  The Weyl factors are the
+Fraction enters the enumerator; N G = den*diag(G_ii)/2 gives their form
+off N with no matrix product.  The Weyl factors are the
 k_i*|alpha_i|^2, k each positive root's simple-root coordinates, grown
 with it in ``rootsys``.  The form never decreases in any coordinate: a
 prefix with a zero tail is an exact lower bound, and one enumerator
@@ -41,7 +42,7 @@ these are compared with are in ``catalog``.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import floor, gcd, isqrt, lcm, prod
 from operator import add, mul
 
@@ -146,17 +147,14 @@ def _form_value(gram, p):
                for i, (pi, row) in enumerate(zip(p, gram)))
 
 
-def _form(rows, generators, linear, factor):
-    """(W, w, factor) with W_jk = rows_j.g_k over the ``generators`` g:
-    the form whose value factor*(a'Wa + w.a) is the Casimir of the
-    weight sum a_j g_j, when row j is g_j under the inner product of
-    its coordinates (G for simple-root rows, the identity for ambient
-    weights) and ``linear`` holds each <g_j, 2*delta> in those units.
-    Unless W and w are entrywise non-negative, W's diagonal and the
-    factor positive, as for dominant generators, ValueError is raised;
-    then the form never decreases in any coordinate.  The walk and the
-    witness read only forms made here."""
-    quad = [[sum(map(mul, row, g)) for g in generators] for row in rows]
+def _form(quad, linear, factor):
+    """(W, w, factor), checked: the form whose value factor*(a'Wa + w.a)
+    is the Casimir of the weight sum a_j g_j, W = (<g_j, g_k>) and w =
+    (<g_j, 2*delta>) in units of 1/factor.  Unless W and w are entrywise
+    non-negative, W's diagonal and the factor positive, as for dominant
+    generators, ValueError is raised; then the form never decreases in
+    any coordinate.  The walk and the witness read only forms checked
+    here."""
     if (factor <= 0 or min(chain(linear, *quad)) < 0
             or min(row[k] for k, row in enumerate(quad)) <= 0):
         raise ValueError("form is not monotone: generators must be dominant")
@@ -209,16 +207,18 @@ def _class_one_spectrum(simple_roots, scale, cutoff):
     are the dominant lam = sum a_j omega_j in the root lattice: with
     omega_j = N_j/den, the walk carries v = a.N = den*p, and p is
     integral exactly when every entry of v is divisible by den.  On a
-    block-diagonal Gram (a product) p may vanish on a factor.
+    block-diagonal Gram (a product) p may vanish on a factor.  The form
+    is read off N with no matrix product: <omega_j, alpha_i> =
+    delta_ij G_jj/2 makes N G = den*diag(G_jj)/2, so <omega_j, omega_k>
+    = N_j G N_k/den**2 = (den*G_jj/2)*N_kj/den**2, O(r**2) products.
     """
     gram = gram_matrix(simple_roots)
     coeffs, den = _fundamental_coefficients(gram)
-    # <omega_j, omega_k> = N_j G N_k/den**2, each row N_j G formed once,
-    # and <omega_j, 2*delta> = sum_i N_ji G_ii/den.
+    # <omega_j, 2*delta> = sum_i N_ji G_ii/den.
     diag = [row[i] for i, row in enumerate(gram)]
-    form = _form([[sum(map(mul, g, col)) for col in zip(*gram)]
-                  for g in coeffs], coeffs,
-                 [den * sum(x * d for x, d in zip(g, diag)) for g in coeffs],
+    form = _form([list(map(mul, col, repeat(den * d // 2)))
+                  for d, col in zip(diag, zip(*coeffs))],
+                 [den * sum(map(mul, g, diag)) for g in coeffs],
                  Fraction(scale) / (den * den))
 
     def class_one(v):
@@ -281,7 +281,8 @@ def _base_form(fib_family):
     rs = build_root_system(fib_family.root_family)
     weights = fib_family.spherical_weights
     two_delta = list(map(sum, zip(*rs.positive_roots)))
-    return _form(weights, weights,
+    return _form([[sum(map(mul, lam, mu)) for mu in weights]
+                  for lam in weights],
                  [sum(map(mul, lam, two_delta)) for lam in weights], rs.scale)
 
 

@@ -16,7 +16,7 @@ import pytest
 from flagvar import bifurcation, catalog, cli, fibration, spectra, surd
 from flagvar.curvature import ScalPoly
 from test_acceptance import CASES
-from test_golden import ARGVS
+from test_golden import ARGVS, SMALL
 
 
 def run(capsys, argv):
@@ -231,6 +231,105 @@ def test_compare_surd_decides_on_integers():
     assert _compare_surd("(3-2*sqrt(2))/2", x) == -1  # 0.0857...
     assert _compare_surd("1/4", x) == 0
     assert _compare_surd("1+1*sqrt(2)", x) == 1
+
+
+GOLDEN_FAMILIES = [[kind, "--n", str(n)] for kind, n in SMALL]
+
+
+def _json(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    return json.loads(out)
+
+
+def _constants_break(grid, base_rows):
+    """Whether the base rows up to the sixth constant are other than
+    exactly six, with floats the figure's const_1..const_6 columns."""
+    names = grid["columns"]
+    constants = [names.index("const_{}".format(k)) for k in range(1, 7)]
+    floats = [[float(Fraction(row["value"])), row["value_float"]]
+              for row in base_rows]
+    return any([[row[i]] * 2 for i in constants] != floats
+               for row in grid["rows"])
+
+
+@pytest.mark.parametrize("family", GOLDEN_FAMILIES, ids=lambda f: f[0])
+def test_figure_constants_are_the_first_six_base_values(capsys, family):
+    # spectrum at a cutoff just past the figure's sixth constant lists
+    # exactly six base values, whose floats are the constant columns.
+    grid = _json(capsys, ["figure", "--family", *family, "--tmin", "1/5",
+                          "--format", "json"])["grid"]
+    sixth = grid["rows"][0][grid["columns"].index("const_6")]
+    cutoff = Fraction(sixth) * (1 + Fraction(1, 2 ** 40))
+    rows = [row for row in _json(capsys, [
+        "spectrum", "--family", *family, "--cutoff", str(cutoff)])["entries"]
+        if row["origin"] == "base"]
+    assert not _constants_break(grid, rows)
+    # Planted control: a base entry added past the cutoff.
+    past = Fraction(rows[-1]["value"]) + 1
+    assert _constants_break(grid, rows + [{"value": str(past),
+                                           "value_float": float(past)}])
+
+
+def _scal_column_breaks(grid, m, coeffs, t_min):
+    """Whether a figure row's t or scal_over_m_minus_1 is not the float
+    of its exact value: t on the 121-point grid of [t_min, 1], and
+    (a + c*u + e*u**2)/(d*u*(m - 1)) at u = t**2 off ``scal``'s
+    wang-ziller coefficients (a, c, e, d)."""
+    a, c, e, d = coeffs
+    for i, row in enumerate(grid["rows"]):
+        t = t_min + (1 - t_min) * Fraction(i, 120)
+        u = t * t
+        if row[:2] != [float(t), float((a + c * u + e * u * u)
+                                       / (d * u * (m - 1)))]:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("family", GOLDEN_FAMILIES, ids=lambda f: f[0])
+def test_scal_coefficients_give_the_figure_scal_column(capsys, family):
+    # Each scal_over_m_minus_1 entry is the correctly rounded float of
+    # scal(t)/(m - 1) read off the printed wang-ziller coefficients.
+    figure = _json(capsys, ["figure", "--family", *family, "--tmin", "1/5",
+                            "--format", "json"])
+    grid, m = figure["grid"], figure["m"]
+    assert grid["columns"][:2] == ["t", "scal_over_m_minus_1"]
+    # scal exits 1 where the catalogued closed form disagrees (sp 3,
+    # so-even 4); its wang-ziller row prints all the same.
+    code, out, _ = run(capsys, ["scal", "--family", *family])
+    scal = json.loads(out)
+    assert code == (0 if scal["verdict"] == "PASS" else 1)
+    wz = scal["entries"][0]
+    assert wz["source"] == "wang-ziller"
+    coeffs = [Fraction(wz[key]) for key in "aced"]
+    assert not _scal_column_breaks(grid, m, coeffs, Fraction(1, 5))
+    # Planted control: the coefficient a one unit off in its numerator.
+    a = coeffs[0]
+    coeffs[0] = Fraction(a.numerator + 1, a.denominator)
+    assert _scal_column_breaks(grid, m, coeffs, Fraction(1, 5))
+
+
+def _unflagged_below_one(rows):
+    """The u of each ``instants`` row with u <= 1 and no bifurcation."""
+    return [row["u"] for row in rows
+            if _compare_surd(row["u"], 1) <= 0 and not row["is_bifurcation"]]
+
+
+@pytest.mark.parametrize("family", GOLDEN_FAMILIES, ids=lambda f: f[0])
+def test_gap_certificate_pass_flags_every_instant(capsys, family):
+    # With the default phi1, a gap-certificate PASS puts scal(t)/(m - 1)
+    # below every non-constant curve on (0, 1], so every instant there
+    # is a bifurcation instant.
+    code, out, _ = run(capsys, ["verify", "--family", *family])
+    assert code == 0
+    passed = " gap-certificate: PASS" in out
+    rows = _json(capsys, ["instants", "--family", *family,
+                          "--tmin", "1/10"])["instants"]
+    assert passed and any(_compare_surd(row["u"], 1) <= 0 for row in rows)
+    assert _unflagged_below_one(rows) == []
+    # Planted control: the first instant's flag turned off.
+    planted = [dict(rows[0], is_bifurcation=False)] + rows[1:]
+    assert _unflagged_below_one(planted) == [rows[0]["u"]]
 
 
 # -- figure ----------------------------------------------------------------

@@ -6,11 +6,14 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import count
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flagvar import cli, exact
 from flagvar.exact import squarefree_split
 from oracles import sqrt_bounds  # the Fraction oracle's enclosure
 
@@ -28,10 +31,22 @@ def test_squarefree_split_small():
 
 
 def test_squarefree_split_past_the_prime_sieve():
-    # Radicands above 2**60 trial-divide past the sieve by odd numbers.
-    q = 1048583  # the least prime above 2**20
+    # Past the prime table, trial division goes on by odd numbers: the
+    # cube of the least prime above the table's bound, and a radicand
+    # above 2**64 whose cofactor is prime.
+    q = next(p for p in count(exact._PRIME_TABLE + 1)
+             if all(p % k for k in range(2, isqrt(p) + 1)))
     assert squarefree_split(q ** 3) == (q, q)
     assert squarefree_split(9 * (2 ** 61 - 1)) == (3, 2 ** 61 - 1)
+
+
+def test_verify_builds_one_prime_table(capsys):
+    # Radicands of every size share one table: a high-rank verify,
+    # whose 30 radicands run from 31 to 59 bits, builds it once.
+    exact._primes_below.cache_clear()
+    assert cli.main(["verify", "--family", "su", "--n", "40"]) == 0
+    assert "VERIFY: PASS" in capsys.readouterr().out
+    assert exact._primes_below.cache_info().misses == 1
 
 
 def test_squarefree_split_rejects_negative():

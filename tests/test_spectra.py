@@ -876,6 +876,13 @@ FORM_BASES = _fibrations(8)
 def _walked_form(family):
     """The form (W, w, factor) that the flag's class-one walk hands
     ``_lattice_points``, read by a spy on one uncached walk at cutoff 1."""
+    rs = build_root_system(family)
+    return _walked_form_over(rs.simple_roots, rs.scale)
+
+
+def _walked_form_over(simple_roots, scale):
+    """The form of one uncached class-one walk at cutoff 1 over
+    ``simple_roots``, read by a spy on ``_lattice_points``."""
     forms = []
     real = spectra._lattice_points
 
@@ -883,10 +890,9 @@ def _walked_form(family):
         forms.append(form)
         return real(form, cutoff, carried)
 
-    rs = build_root_system(family)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectra, "_lattice_points", spy)
-        spectra._class_one_spectrum.__wrapped__(rs.simple_roots, rs.scale, 1)
+        spectra._class_one_spectrum.__wrapped__(simple_roots, scale, 1)
     return forms[0]
 
 
@@ -908,6 +914,53 @@ def _form_inputs(family):
 def test_form_products_match_the_double_sum(family):
     gram, generators, quad = _form_inputs(family)
     assert quad == gram_products(gram, generators)
+
+
+# G's simple roots on A1-12, B2-12, C3-12, D4-12 and G2, and the fiber's
+# of every valid fibration up to rank 12, block-diagonal ones included.
+IDENTITY_FAMILIES = ([FamilyTag("A", n) for n in range(1, 13)]
+                     + [FamilyTag("B", n) for n in range(2, 13)]
+                     + [FamilyTag("C", n) for n in range(3, 13)]
+                     + [FamilyTag("D", n) for n in range(4, 13)]
+                     + [FamilyTag("G2", 2)])
+FIBERS = _fibrations(12)
+
+
+def _fiber_gram(fib_family):
+    return gram_matrix(build_fibration(fib_family).fiber_simple_roots)
+
+
+def _half_diagonal_breaks(gram, coeffs, den):
+    """Whether N G differs from den*diag(G_jj)/2, compared doubled."""
+    return [[2 * sum(x * g for x, g in zip(row, col)) for col in zip(*gram)]
+            for row in coeffs] != [[den * gram[j][j] if j == k else 0
+                                    for k in range(len(gram))]
+                                   for j in range(len(gram))]
+
+
+@pytest.mark.parametrize("gram", [_simple_gram(f) for f in IDENTITY_FAMILIES]
+                         + [_fiber_gram(f) for f in FIBERS],
+                         ids=["{}{}".format(*f) for f in IDENTITY_FAMILIES]
+                         + ["fiber-{}-{}".format(*f) for f in FIBERS])
+def test_fundamental_coefficients_times_gram_is_den_half_diagonal(gram):
+    # <omega_j, alpha_k> = delta_jk G_kk/2 with omega_j = N_j/den, the
+    # identity that lets the class-one form read W off N alone.
+    coeffs, den = _fundamental_coefficients(gram)
+    assert not _half_diagonal_breaks(gram, coeffs, den)
+    # Planted control: one entry of N one unit larger.
+    planted = [list(row) for row in coeffs]
+    planted[-1][0] += 1
+    assert _half_diagonal_breaks(gram, planted, den)
+
+
+@pytest.mark.parametrize("fib_family", FIBERS,
+                         ids=lambda f: "{}-{}".format(*f))
+def test_fiber_form_products_match_the_double_sum(fib_family):
+    fib = build_fibration(fib_family)
+    gram = _fiber_gram(fib_family)
+    quad = _walked_form_over(fib.fiber_simple_roots,
+                             fib.root_system.scale)[0]
+    assert quad == gram_products(gram, _fundamental_coefficients(gram)[0])
 
 
 def _scaled_base_form(family, square):
@@ -1003,6 +1056,17 @@ def _form_products(monkeypatch, build, family):
     return count[0]
 
 
+def _row_product_form(family):
+    """W as the rows N_j G first, then W_jk = (N_j G).N_k, O(r**3)
+    products, each taken by ``spectra.mul``."""
+    gram = _simple_gram(family)
+    generators = _fundamental_coefficients(gram)[0]
+    rows = [[sum(map(spectra.mul, g, col)) for col in zip(*gram)]
+            for g in generators]
+    return [[sum(map(spectra.mul, row, h)) for h in generators]
+            for row in rows]
+
+
 def _double_sum_form(family):
     """W with a fresh double sum per W_jk, the shape of
     ``oracles.gram_products``, its products taken by ``spectra.mul``."""
@@ -1020,30 +1084,30 @@ def _growth(monkeypatch, build, kind, r):
 
 
 @pytest.mark.parametrize("kind,r", [("A", 8), ("C", 6), ("D", 6)])
-def test_form_is_cubic_in_the_rank(monkeypatch, kind, r):
-    # O(r**3) products: doubling the rank multiplies them by 8, so by at
-    # most 10.  On A_r they are exactly 2r**3, r**3 for the rows g.G
-    # and r**3 for W; the walk at cutoff 1 takes none.  No timing is
-    # involved.
-    assert _growth(monkeypatch, _walked_form, kind, r) <= 10
+def test_form_is_quadratic_in_the_rank(monkeypatch, kind, r):
+    # O(r**2) products past the inverse: doubling the rank multiplies
+    # them by 4, so by at most 5.  On A_r they are exactly 2r**2, r**2
+    # for W read off N and r**2 for w; the walk at cutoff 1 takes none.
+    # No timing is involved.
+    assert _growth(monkeypatch, _walked_form, kind, r) <= 5
     if kind == "A":
         assert _form_products(monkeypatch, _walked_form,
-                              FamilyTag(kind, r)) == 2 * r ** 3
-    # Planted control: the O(r**4) double sum grows by about 16.
-    assert _growth(monkeypatch, _double_sum_form, kind, r) > 10
+                              FamilyTag(kind, r)) == 2 * r ** 2
+    # Planted controls: the rows N.G then W, 2r**3 products on A_r,
+    # grow by about 8, and the O(r**4) double sum by about 16.
+    assert _growth(monkeypatch, _row_product_form, kind, r) > 5
+    assert _growth(monkeypatch, _double_sum_form, kind, r) > 5
 
 
 def test_lattice_points_rejects_a_non_monotone_form():
     # The simple roots are not dominant: the A2 Gram has -1 off the
     # diagonal, so the form in their coefficients is not monotone.
     with pytest.raises(ValueError):
-        _lattice_points(_form(((2, -1), (-1, 2)), ((1, 0), (0, 1)), (2, 2),
-                              Fraction(1, 6)), 4,
+        _lattice_points(_form(((2, -1), (-1, 2)), (2, 2), Fraction(1, 6)), 4,
                         ((0, 0), ((1, 0), (0, 1)), tuple))
     # A negative linear term alone is rejected too.
     with pytest.raises(ValueError):
-        _lattice_points(_form(((-2, 0),), ((-1, 0),), (-2,), 1), 4,
-                        ((0,), ((1,),), tuple))
+        _lattice_points(_form(((2,),), (-2,), 1), 4, ((0,), ((1,),), tuple))
 
 
 # -- catalogued-inconsistency reports -------------------------------------

@@ -8,12 +8,11 @@ goes first; each interpreter imports flagvar from its checkout's ``src``
 and times, with ``time.perf_counter`` and one call per cell of the
 fixed grid below, ``import flagvar`` and then ``import flagvar.cli``,
 ``build_fibration``, ``flag_spectrum``, ``fiber_spectrum``,
-``base_spectrum``, the root tables (``build_root_system``, plus
-``spectra._root_coordinates`` where a checkout has it) and
-``_weyl_rows``, ``flag_minimum``, and scal(t) and phi1 as
-``build_fibration(...).scal`` and ``.phi1``, the instant solving
-``degeneracy_instants(fib, instant_base(fib, t_min))``, the verify
-checks ``catalog.audit(fib)``, the printer's floats
+``base_spectrum``, the root tables (``build_root_system`` with its
+``coordinates``) and ``_weyl_rows``, ``flag_minimum``, and scal(t)
+and phi1 as ``build_fibration(...).scal`` and ``.phi1``, the instant
+solving ``degeneracy_instants(fib, instant_base(fib, t_min))``, the
+verify checks ``catalog.audit(fib)``, the printer's floats
 ``[i.u.sqrt_to_float() for i in instants]`` over instants solved
 untimed, and the decay witness ``spherical_multiple_above`` at
 s(eps**2), cold (after every flagvar cache is emptied) where the grid
@@ -118,9 +117,11 @@ GRID += PRINT
 # eigenvalue mu1, whose enumeration forms the generators' Gram products,
 # and the first fiber eigenvalue phi1 with its build, for su and for
 # the other three kinds; then the base's first values and the decay
-# witness at su 80, which read the base form, over a warm root system.
-# They come last, so emptying the caches leaves the cells above
-# untouched.
+# witness at su 80, which read the base form, over a warm root system;
+# then the verify checks at su 40 and 80, over a fibration built untimed
+# after the caches are emptied, so each pays for its walks, its instants
+# and the prime table of their radicands.  They come last, so emptying
+# the caches leaves the cells above untouched.
 COLD = ([(name, "su", n, None) for name in ("root_table", "_weyl_rows")
          for n in (40, 60)]
         + [("build_fibration", "su", 60, None)]
@@ -131,7 +132,8 @@ COLD = ([(name, "su", n, None) for name in ("root_table", "_weyl_rows")
            for n in (40, 80)]
         + [("phi1", kind, 20, None) for kind in ("so-odd", "sp", "so-even")]
         + [("base_spectrum", "su", 80, 4),
-           ("spherical_multiple_above", "su", 80, Fraction(1, 10**6))])
+           ("spherical_multiple_above", "su", 80, Fraction(1, 10**6))]
+        + [("audit", "su", n, None) for n in (40, 80)])
 GRID += COLD
 
 
@@ -164,7 +166,6 @@ def worker():
     """Time every grid cell once; print {cell: [seconds, output digest]},
     leaving out a cell whose function this checkout lacks.
     A root table cell digests the sorted (root, k) pairs, its k read off
-    ``spectra._root_coordinates`` where the checkout has it, else off
     ``RootSystem.coordinates``; a build_fibration cell the sorted
     vertical roots, horizontal roots and fiber simple roots; a
     _weyl_rows cell (sorted rows, den); a scal or phi1 cell the value;
@@ -190,7 +191,7 @@ def worker():
         if cell in COLD:
             clear_caches()
         gc.collect()
-        if cell in SOLVE:
+        if cell in SOLVE or name == "audit":
             fib = build_fibration(family)
             clear_walks()
             start = time.perf_counter()
@@ -220,13 +221,10 @@ def worker():
             result = spectra.spherical_multiple_above(family, target)
             seconds = time.perf_counter() - start
         elif name == "root_table":
-            coordinates = getattr(spectra, "_root_coordinates", None)
             start = time.perf_counter()
             rs = build_root_system(family.root_family)
-            table = (coordinates(family.root_family) if coordinates
-                     else rs.coordinates)
             seconds = time.perf_counter() - start
-            result = sorted(zip(rs.positive_roots, table))
+            result = sorted(zip(rs.positive_roots, rs.coordinates))
         elif name == "build_fibration":
             start = time.perf_counter()
             fib = build_fibration(family)
