@@ -24,7 +24,6 @@ class-one weight of Casimir 1, keeps from being empty.
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
 
 from .spectra import (base_spectrum, flag_minimum, spherical_multiple_above,
                       weyl_dim)
@@ -43,29 +42,23 @@ def solve_instant(fib, beta, mult=1):
     """Unique positive root of the instant quadratic at beta.
 
     A negative u**2 and a positive constant coefficient force the two
-    roots to straddle zero, so positivity picks one.  The residual of
-    u = (p + q*sqrt(d))/r in a + b*u + e*u**2, times r**2, is
-    a*r*r + b*p*r + e*(p*p + q*q*d) plus q*(b*r + 2*e*p) times sqrt(d),
-    irrational when q != 0, so both integers are checked to be 0.  Of
-    the two conjugate roots the larger, the positive one, has q > 0; a
-    rational root is positive when p > 0.  The bifurcation flag is the
-    strict inequality beta < mu1 + (1/u - 1)*phi1 with the fibration's
-    phi1, so an overridden fiber eigenvalue propagates.  With u > 0,
-    phi1 > 0 and over = beta + phi1 - mu1 it reads over <= 0 or
-    u < phi1/over, that is beta > s(phi1/over): one rational comparison.
+    roots to straddle zero, so positivity picks one: u = (b +
+    sqrt(b*b - 4*e*a))/(-2*e) over the integers (a, b, e) of
+    ``fib.gap_at(beta)``, whose denominator only scales the quadratic,
+    and the surd takes that to its normal form.  The residual of u =
+    (p + q*sqrt(d))/r in a + b*u + e*u**2, times r**2, is a*r*r + b*p*r
+    + e*(p*p + q*q*d) plus q*(b*r + 2*e*p) times sqrt(d), irrational
+    when q != 0, so both integers are checked to be 0.  Of the two
+    conjugate roots the larger, the positive one, has q > 0; a rational
+    root is positive when p > 0.  The bifurcation flag is the strict
+    inequality beta < mu1 + (1/u - 1)*phi1 with the fibration's phi1,
+    so an overridden fiber eigenvalue propagates.  With u > 0, phi1 > 0
+    and over = beta + phi1 - mu1 it reads over <= 0 or u < phi1/over,
+    that is beta > s(phi1/over): one rational comparison.
     """
     beta = Fraction(beta)
-    # The quadratic at beta is (a, b, e)/k.
-    a, b, e, k = fib.gap_at(beta)
-    disc = b * b - 4 * e * a
-    # u = (b + sqrt(disc))/(-2e).  In lowest terms disc/k**2 is
-    # (disc/g)/(k*k/g) with g = gcd(disc, k*k); over the integer radicand
-    # (disc/g)*(k*k/g), u is (b*k + g*sqrt(radicand))/(-2*e*k), printed
-    # with the common factor of the three coefficients taken out.
-    g = gcd(disc, k * k)
-    h = gcd(b * k, -2 * e * k, g)
-    u = QuadraticSurd(b * k // h, g // h, -2 * e * k // h,
-                      (disc // g) * (k * k // g))
+    a, b, e, _ = fib.gap_at(beta)
+    u = QuadraticSurd(b, 1, -2 * e, b * b - 4 * e * a)
 
     p, q, r, d = u.p, u.q, u.r, u.d
     if (a * r * r + b * p * r + e * (p * p + q * q * d)

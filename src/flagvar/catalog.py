@@ -245,9 +245,7 @@ def cross_check_closed_forms(fib, base, instants):
         return []
     rows = []
     for entry, inst in zip(base, instants):
-        group = entry.label
-        # One generator (su, so-odd) labels a value by its one x = (q,).
-        for label in group if isinstance(group[0], tuple) else (group,):
+        for label in entry.label:
             u = record.instant(n, label)
             agree = inst.u == u
             known = not (agree or label == (1,) or record.agrees(n, label))

@@ -32,10 +32,7 @@ def _frac(x):
 
 
 def _label_str(label):
-    if label and isinstance(label[0], tuple):
-        return ";".join("(" + ",".join(str(x) for x in t) + ")"
-                        for t in label)
-    return "(" + ",".join(str(x) for x in label) + ")"
+    return ";".join("(" + ",".join(map(str, x)) + ")" for x in label)
 
 
 def _rational(args, option):

@@ -290,8 +290,9 @@ def base_spectrum(fib_family, cutoff):
     """Base eigenvalues <= cutoff with Weyl-dimension multiplicities.
 
     The values are the base form's, read off the ambient spherical
-    weights.  Each entry's label lists the generator coefficients x of
-    its weights; with a single generator it is that x = (q,).  The walk
+    weights.  Each entry's label is the tuple of the generator
+    coefficient tuples x of its weights, ((q,),) with a single
+    generator, the one shape of every spectrum's labels.  The walk
     carries the Weyl factors row.1 + sum x_j row.b_j of sum x_j b_j, b
     the ``kramer_basis`` rows; over the Weyl denominator their product
     is its weyl_dim.
@@ -303,8 +304,7 @@ def base_spectrum(fib_family, cutoff):
                lambda w: _weyl_quotient(prod(w), den))
     points = _lattice_points(_base_form(fib_family), cutoff, carried)
     return [SpectrumEntry(value=v, mult=sum(dim for _, dim in pairs),
-                          label=(tuple(x for x, _ in pairs) if len(basis) > 1
-                                 else pairs[0][0]))
+                          label=tuple(x for x, _ in pairs))
             for v, pairs in points.items()]
 
 

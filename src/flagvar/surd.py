@@ -1,12 +1,13 @@
 """Exact numbers of the form (p + q*sqrt(d))/r over the integers.
 
 These carry the solutions u = t**2 of the degeneracy quadratics.  p, q
-and r are Python ints with r > 0 and d squarefree (d = 0 exactly when
-the value is rational), the usual integer representation of Q(sqrt(d))
-(Cohen, *A Course in Computational Algebraic Number Theory*, §5).
+and r are Python ints in the usual normal form of Q(sqrt(d)) (Cohen,
+*A Course in Computational Algebraic Number Theory*, §5): d squarefree,
+d = 0 exactly when q = 0, r > 0 and gcd(p, q, r) = 1.
 
-The constructor takes ints and stores them as given, unreduced, so
-``str`` shows integers.  A surd has no arithmetic and decides no
+The constructor takes any ints and reduces them to that form, so a
+surd's fields, and ``str``, are functions of its value alone, not of
+the path that made it.  A surd has no arithmetic and decides no
 verdict: every instant verdict compares a base eigenvalue beta with
 scal/(m-1) at a rational u (``bifurcation``).  A surd orders only
 within its field: against a rational or a surd of the same radicand the
@@ -23,7 +24,7 @@ for the printers.
 
 import operator
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .exact import squarefree_split
 
@@ -62,7 +63,8 @@ def _comparison(op):
 
 
 class QuadraticSurd:
-    """Value (p + q*sqrt(d))/r with integers p, q, r > 0 and squarefree d."""
+    """Value (p + q*sqrt(d))/r in normal form: integers with d
+    squarefree, d = 0 exactly when q = 0, r > 0 and gcd(p, q, r) = 1."""
 
     __slots__ = ("p", "q", "r", "d")
 
@@ -71,16 +73,16 @@ class QuadraticSurd:
             raise ZeroDivisionError("surd with zero denominator")
         if d < 0:
             raise ValueError("negative radicand")
-        # Pull square factors out of d, fold rational cases to d = 0.
+        # Pull square factors out of d, fold rational cases to d = 0,
+        # then divide out the common factor, signed as r.
         s, d = squarefree_split(d)
         q = q * s
         if d == 1:
             p, q, d = p + q, 0, 0
-        if r < 0:
-            p, q, r = -p, -q, -r
         if q == 0:
             d = 0
-        self.p, self.q, self.r, self.d = p, q, r, d
+        g = gcd(p, q, r) if r > 0 else -gcd(p, q, r)
+        self.p, self.q, self.r, self.d = p // g, q // g, r // g, d
 
     # -- order within one field -------------------------------------------
 

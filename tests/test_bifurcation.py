@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagvar import bifurcation, fibration
+from flagvar import bifurcation, fibration, surd
 from flagvar.bifurcation import (degeneracy_instants, instant_base,
                                  instant_below, morse_index,
                                  multiplicity_lower_bound, solve_instant)
@@ -551,6 +551,37 @@ def test_cross_check_g2_mismatch_only_off_axis():
             assert "33" in row["note"]
         else:
             assert row["agree"]
+
+
+def _agreeing_rows():
+    """The cross-check rows that agree, at tmin 1/20, over the families
+    with a catalogued sequence."""
+    rows = []
+    for kind, n in [("su", 2), ("su", 3), ("su", 5), ("so-odd", 2),
+                    ("g2", 2)]:
+        fib = _setup(kind, n)
+        base = instant_base(fib, Fraction(1, 20))
+        rows += [row for row in cross_check_closed_forms(
+            fib, base, degeneracy_instants(fib, base)) if row["agree"]]
+    return rows
+
+
+def test_agreeing_cross_check_rows_print_alike():
+    # The solved u comes from the gap form, the catalogued one from its
+    # closed form; equal values print as one string, whatever the path.
+    rows = _agreeing_rows()
+    assert len(rows) == 57
+    assert all(str(row["solved"]) == str(row["catalogued"]) for row in rows)
+
+
+def test_a_surd_without_its_gcd_step_prints_by_path(monkeypatch):
+    # Planted control: the constructor with no common factor divided
+    # out, so each u keeps the scale of the path that made it.
+    monkeypatch.setattr(surd, "gcd", lambda *args: 1)
+    rows = _agreeing_rows()
+    assert len(rows) == 57 and all(row["agree"] for row in rows)
+    assert not all(str(row["solved"]) == str(row["catalogued"])
+                   for row in rows)
 
 
 @pytest.mark.parametrize("kind,n", [("sp", 3), ("so-even", 4)])

@@ -10,11 +10,13 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from flagvar import bifurcation, catalog, cli, fibration, spectra, surd
 from flagvar.curvature import ScalPoly
+from oracles import _split_by_odd_trial_division
 from test_acceptance import CASES
 from test_golden import ARGVS, SMALL
 
@@ -81,7 +83,68 @@ def test_spectrum_csv(capsys):
     assert any(line.startswith("base,7/6,") for line in lines[1:])
 
 
+def _is_label(label):
+    """Whether a JSON label is a nonempty list of nonempty integer lists,
+    the one shape of every spectral line's label."""
+    return (isinstance(label, list) and bool(label)
+            and all(isinstance(x, list) and x
+                    and all(type(c) is int for c in x) for x in label))
+
+
+@pytest.mark.parametrize("kind,n", SMALL)
+def test_spectrum_json_labels_are_lists_of_integer_lists(capsys, kind, n):
+    code, out, _ = run(capsys, ["spectrum", "--family", kind, "--n", str(n),
+                                "--cutoff", "4"])
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert {e["origin"] for e in entries} == {"total", "base"}
+    assert all(_is_label(e["label"]) for e in entries)
+    # Planted control: a single-generator line labelled by its bare
+    # coefficients.
+    assert not _is_label([1])
+
+
 # -- instants --------------------------------------------------------------
+
+def _printed_surd(text):
+    """(p, q, r, d) of a printed u: p, p/r, p+q*sqrt(d) or
+    (p+q*sqrt(d))/r in integers, a negative q after its minus sign;
+    None for any other text."""
+    m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
+    if m:
+        return int(m[1]), 0, int(m[2] or 1), 0
+    m = (re.fullmatch(r"(-?\d+)([+-]\d+)\*sqrt\((\d+)\)", text)
+         or re.fullmatch(r"\((-?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/(\d+)", text))
+    if m:
+        return (int(m[1]), int(m[2]), int(m[4]) if m.lastindex == 4 else 1,
+                int(m[3]))
+    return None
+
+
+def _is_normal_form(fields):
+    """gcd(p, q, r) = 1, r > 0, d squarefree, and d = 0 exactly when
+    q = 0, squarefreeness by the oracle's own trial division."""
+    p, q, r, d = fields
+    squarefree = d > 1 and _split_by_odd_trial_division(d)[0] == 1
+    return (r > 0 and gcd(p, q, r) == 1 and (d == 0) == (q == 0)
+            and (d == 0 or squarefree))
+
+
+@pytest.mark.parametrize("kind,n", SMALL)
+def test_instants_csv_prints_each_u_in_normal_form(capsys, kind, n):
+    code, out, _ = run(capsys, ["instants", "--family", kind, "--n", str(n),
+                                "--tmin", "1/20", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) > 10
+    fields = [_printed_surd(row["u"]) for row in rows]
+    assert None not in fields
+    assert all(_is_normal_form(f) for f in fields)
+    # Planted controls: one value with a common factor, and one with a
+    # square left in its radicand.
+    assert not _is_normal_form(_printed_surd("(-27+3*sqrt(85))/3"))
+    assert not _is_normal_form(_printed_surd("-18+1*sqrt(340)"))
+
 
 def test_instants_su3_csv_two_rows(capsys):
     code, out, _ = run(capsys, ["instants", "--family", "su", "--n", "2",
@@ -90,7 +153,7 @@ def test_instants_su3_csv_two_rows(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "beta,u,t,t_error,mult,is_bifurcation"
     assert len(lines) == 3
-    assert lines[1].startswith("1/1,(-27+3*sqrt(85))/3,0.46855571418")
+    assert lines[1].startswith("1/1,-9+1*sqrt(85),0.46855571418")
     assert lines[2].startswith("8/3,")
 
 

@@ -233,6 +233,47 @@ def test_factor_casimirs_match_the_root_search(family):
         for simple, positive in fiber_factors(fib)]
 
 
+def _fiber_sum_ungrouped(vertical, summed):
+    """|2*delta_F|^2 - sum |alpha|^2 over the ``vertical`` roots, in dot
+    units, with 2*delta_F the sum of the roots in ``summed``.  No
+    factor is grouped: by Freudenthal and de Vries' strange formula,
+    |2*delta_s|^2 = c_s (2N_s + r_s)/6 on each simple factor, and the
+    trace identity puts its sum of |alpha|^2 at c_s r_s/2, so with
+    ``summed`` the vertical roots this is sum_s c_s (N_s - r_s)/3."""
+    two_delta = [sum(col) for col in zip(*summed)]
+    return (sum(x * x for x in two_delta)
+            - sum(x * x for alpha in vertical for x in alpha))
+
+
+def _fiber_sum_grouped(fib, doubled=None):
+    """sum_s c_s (N_s - r_s)/3, the sum ``scal_wz`` takes over
+    ``fib.casimirs``; the factor at index ``doubled``, if any, with its
+    c_s doubled (a planted slip)."""
+    return sum(c * (2 if s == doubled else 1) * (len(roots) - len(basis))
+               for s, (roots, basis, c) in enumerate(fib.casimirs)) / 3
+
+
+@pytest.mark.parametrize("family", _fibrations(12),
+                         ids=lambda f: "{}-{}".format(*f))
+def test_fiber_sum_matches_the_strange_formula(family):
+    # A second derivation of scal(t)'s all-vertical sum, from 2*delta_F
+    # alone; scal(t) carries it scaled in e = (sum - total)/2.
+    fib = build_fibration(family)
+    vertical = fib.vertical_roots
+    fiber_sum = _fiber_sum_grouped(fib)
+    assert fiber_sum == _fiber_sum_ungrouped(vertical, vertical)
+    total = Fraction(fib.m_total // 2 - len(fib.root_system.simple_roots), 3)
+    assert fib.scal.e == (fib.root_system.scale * fiber_sum - total) / 2
+    # Planted controls: c_s doubled on a factor with N_s > r_s, where
+    # c_s reaches the sum, and 2*delta_F without its highest root, the
+    # last vertical root in the table's height order.
+    wide = [s for s, (roots, basis, _) in enumerate(fib.casimirs)
+            if len(roots) > len(basis)]
+    for s in wide:
+        assert _fiber_sum_grouped(fib, s) != fiber_sum
+    assert _fiber_sum_ungrouped(vertical, vertical[:-1]) != fiber_sum
+
+
 @pytest.mark.parametrize("kind,n", PLANTED_CASES)
 def test_oracle_string_one_short_fails_the_equality(monkeypatch, kind, n):
     # The first root string the scan reads loses one step at its top.

@@ -1,15 +1,16 @@
 """Golden outputs: stdout digest and exit code of a fixed set of argv.
 
 Every subcommand runs on every family at small parameters, plus the
-instants rows whose u has a non-integral coefficient before clearing
-denominators (su n=4 and sp n=4), two deep Morse grids (su n=2 at
-tmin 0.007, sp n=3 at tmin 0.01) that cross 89 and 2101 instants,
-five ``--phi1`` overrides, which give a fibration its own cache key
-(two are g2 ``verify`` rows either side of the gap certificate: PASS
-at 1/10, FAIL at 1/100),
-CSV spectra of the multi-generator bases, whose nested labels
-``cli._label_str`` writes, the JSON forms of ``scal`` and ``figure``,
-and, in HELP_ARGVS, ``--help`` for the top level and each subcommand.
+instants rows of su n=4 and sp n=4, whose gap forms have the odd
+denominator 5 or 25 and so leave common factors of 5 and 3, or none,
+for the surd's normal form to divide out of u, two deep Morse grids
+(su n=2 at tmin 0.007, sp n=3 at tmin 0.01) that cross 89 and 2101
+instants, five ``--phi1`` overrides, which give a fibration its own
+cache key (two are g2 ``verify`` rows either side of the gap
+certificate: PASS at 1/10, FAIL at 1/100), CSV spectra of the
+multi-generator bases, whose nested labels ``cli._label_str`` writes,
+the JSON forms of ``scal`` and ``figure``, the rows in HIGH_RANK, and,
+in HELP_ARGVS, ``--help`` for the top level and each subcommand.
 HELP_ARGVS stay apart from ARGVS, since tests/test_reach.py runs ARGVS
 through ``cli.main`` and a help request ends in SystemExit.  argparse
 wraps help at the terminal width, so digests take it at COLUMNS=80.
@@ -65,6 +66,23 @@ ARGVS += [["instants", "--family", "su", "--n", "4", "--tmin", "0.05",
           ["verify", "--family", "g2", "--phi1", "1/100"]]
 ARGVS += [["spectrum", "--format", "csv", "--family", kind, "--n", str(n)]
           for kind, n in (("so-even", 4), ("sp", 3), ("g2", 2))]
+
+# Past rank 4, where the fundamental weights' elimination, the root
+# table and the Weyl rows meet ranks that the small rows cannot show:
+# verify and a deep instants list at su 40 and 80, verify and instants
+# at rank 10 of the three rank-grown bases, a Morse grid over the
+# so-odd 30 instants and a CSV spectrum at su 12.
+HIGH_RANK = [["verify", "--family", "su", "--n", "40"],
+             ["verify", "--family", "su", "--n", "80"],
+             ["instants", "--family", "su", "--n", "80", "--tmin", "0.1",
+              "--format", "csv"]]
+HIGH_RANK += [argv + ["--family", kind, "--n", "10"]
+              for kind in ("so-odd", "sp", "so-even")
+              for argv in (["verify"], ["instants", "--tmin", "1/5"])]
+HIGH_RANK += [["morse", "--family", "so-odd", "--n", "30", "--tmin", "0.01"],
+              ["spectrum", "--family", "su", "--n", "12", "--cutoff", "4",
+               "--format", "csv"]]
+ARGVS += HIGH_RANK
 
 HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in (
     "spectrum", "scal", "instants", "morse", "figure", "verify")]

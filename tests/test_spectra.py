@@ -738,8 +738,7 @@ def _base_oracle(fib_family):
 @example(cutoff=Fraction(BASE_ORACLE_CUTOFF))
 def test_base_spectrum_matches_brute_force_box(fib_family, cutoff):
     expected = [row for row in _base_oracle(fib_family) if row[0] <= cutoff]
-    single = len(kramer_basis(fib_family)) == 1
-    got = [(e.value, e.mult, (e.label,) if single else e.label)
+    got = [(e.value, e.mult, e.label)
            for e in base_spectrum(fib_family, cutoff)]
     assert got == expected
 
@@ -801,7 +800,7 @@ def test_single_generator_bases_match_closed_forms(kind, n):
             return sphere_multiplicity(n, q)
     entries = base_spectrum(FibrationFamily(kind, n), value(6))
     assert [(e.value, e.mult, e.label) for e in entries] == [
-        (value(q), mult(q), (q,)) for q in range(1, 7)]
+        (value(q), mult(q), ((q,),)) for q in range(1, 7)]
 
 
 # One walk at cutoff 1 finds mu1, and the fiber's walk checks phi1's
@@ -1008,8 +1007,7 @@ def test_beta1_is_the_least_spherical_generator_casimir(family):
     beta1 = min(values)
     first = base_spectrum(family, beta1)[0]
     assert first.value == beta1 == CATALOGUE[family.kind].beta1(family.n)
-    labels = first.label if len(weights) > 1 else (first.label,)
-    assert all(sorted(x) == [0] * (len(x) - 1) + [1] for x in labels)
+    assert all(sorted(x) == [0] * (len(x) - 1) + [1] for x in first.label)
     # Planted controls, where two generators can differ: the largest
     # generator value, and the value of the generators' sum.
     if len(weights) > 1:

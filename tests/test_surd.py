@@ -5,7 +5,7 @@ import importlib.util
 import operator
 import pathlib
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given
@@ -147,8 +147,25 @@ def test_the_tracer_finds_every_surd_method_it_wraps():
 
 def test_str_forms():
     assert str(QuadraticSurd(-9, 1, 1, 85)) == "-9+1*sqrt(85)"
-    assert str(QuadraticSurd(-18, 1, 2, 340)) == "(-18+2*sqrt(85))/2"
+    # (-18 + sqrt(340))/2 = (-18 + 2*sqrt(85))/2 prints reduced.
+    assert str(QuadraticSurd(-18, 1, 2, 340)) == "-9+1*sqrt(85)"
     assert str(QuadraticSurd(3, 0, 2, 0)) == "3/2"
+
+
+def test_fields_are_the_normal_form():
+    # One value, one set of fields, whatever the input's common factor
+    # or sign of r.
+    for args in ((-9, 1, 1, 85), (-27, 3, 3, 85), (18, -2, -2, 85),
+                 (-18, 1, 2, 340)):
+        x = QuadraticSurd(*args)
+        assert (x.p, x.q, x.r, x.d) == (-9, 1, 1, 85)
+    x = QuadraticSurd(6, 4, -4, 5)
+    assert (x.p, x.q, x.r, x.d) == (-3, -2, 2, 5)
+    assert str(x) == "(-3-2*sqrt(5))/2"
+    x = QuadraticSurd(6, 0, 4, 7)
+    assert (x.p, x.q, x.r, x.d) == (3, 0, 2, 0)
+    x = QuadraticSurd(0, 0, -5, 3)
+    assert (x.p, x.q, x.r, x.d) == (0, 0, 1, 0)
 
 
 @given(small_rationals, small_rationals, radicands)
@@ -276,7 +293,13 @@ def test_an_enclosure_one_step_low_fails_the_check():
                  st.integers(1, 10**6) | st.integers(-10**6, -1),
                  wide_radicands))
 def test_integral_input_prints_as_the_fraction_oracle(args):
-    assert str(QuadraticSurd(*args)) == str(FractionSurd(*args))
+    # The oracle keeps its fields as given; in lowest terms, with the
+    # gcd of its three integer coefficients divided out, it prints as
+    # the surd does.
+    ox = FractionSurd(*args)
+    g = gcd(int(ox.p), int(ox.q), int(ox.r))
+    lowest = FractionSurd(ox.p / g, ox.q / g, ox.r / g, ox.d)
+    assert str(QuadraticSurd(*args)) == str(lowest)
 
 
 def test_zero_sqrt_to_float_matches_the_oracle():
