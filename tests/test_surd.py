@@ -215,6 +215,8 @@ def test_kernel_matches_the_fraction_oracle(args, other_args):
     same_field = other_args[:3] + args[3:]
     y, oy = QuadraticSurd(*_integral(same_field)), FractionSurd(*same_field)
     assert _value(x) == _value(ox)
+    # The fields are the normal form; the oracle's d is squarefree.
+    assert gcd(x.p, x.q, x.r) == 1 and x.r > 0 and (x.d == 0) == (x.q == 0)
     assert _surd_sign(x) == ox.sign()
     lo, hi, den = x.bounds()
     assert (Fraction(lo, den), Fraction(hi, den)) == ox.bounds(96)
